@@ -1,13 +1,17 @@
-"""Block-level hygiene for shuffle outputs.
+"""Keyed exchanges: raw-task primitives plus hash-shuffle hygiene.
 
-Ray Data's hash-shuffle operators (groupby aggregates / map_groups / joins)
-emit ZERO-COLUMN empty blocks for empty partitions, map transforms skip
-empty blocks (so a per-batch fix never sees them), and repartition carries
-them along — but pyarrow/acero joins reject a partition whose concatenated
-schema is missing the key column. :func:`nonempty` rebuilds a Dataset from
-only the non-empty block refs (a metadata check — block contents never move
-or land on the driver), yielding a uniformly-typed Dataset that downstream
-joins accept."""
+:func:`exchange` (``groupby(key).map_groups(fn)`` semantics) and
+:func:`co_join` (an inner hash join) move Arrow shards between plain Ray
+tasks: one split task per non-empty block (``num_returns=nb``), one
+reduce task per partition, reduce refs wrapped by ``rd.from_arrow_refs``.
+No aggregator-actor pool starts, zero-row blocks are skipped from their
+metadata, and an empty partition returns a typed table. Outputs stay
+object refs; nothing is gathered on the driver.
+
+The hash-shuffle helpers (:func:`tune_shuffle_context`, :func:`nonempty`,
+:func:`shuffle_join_args`) serve the Dataset ``groupby``/``join`` sites
+still on Ray Data's hash shuffle, whose empty partitions emit
+ZERO-COLUMN blocks that downstream acero joins reject."""
 
 from __future__ import annotations
 
@@ -98,12 +102,16 @@ def tune_shuffle_context() -> None:
     and up to 64 aggregator ACTORS regardless of cluster size (pure
     actor thrash on small clusters), so both knobs are resized to the
     cluster. Called at package import (strategy) and again from the
-    partition-sizing helpers below (cluster size is only known after
-    ``ray.init``)."""
+    partition-sizing helpers below. The cluster size is only known after
+    ``ray.init``; before it the knobs take the smallest cluster's sizing.
+    A larger guess outlives the import and over-sizes every shuffle on a
+    small cluster until the first partition-sizing call (an 8-CPU guess
+    at 2 CPUs cost the first geo pass ~6 s), and Ray's own defaults (200
+    partitions, 64 aggregator actors) hang a 2-CPU groupby outright."""
     _install_hash_shuffle_empty_block_guard()
     ctx = rd.DataContext.get_current()
     ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-    cpus = _cluster_cpus()
+    cpus = _cluster_cpus() if ray.is_initialized() else 1
     ctx.default_hash_shuffle_parallelism = max(2, 2 * cpus)
     ctx.max_hash_shuffle_aggregators = max(2, cpus)
 
@@ -121,6 +129,109 @@ def groupby_partitions(n_keys: int | None = None) -> int:
     if n_keys:
         p = min(p, int(n_keys))
     return p
+
+
+def _key_hash(t: pa.Table, keys: list[str]):
+    """Per-row uint64 hash of the key columns; equal keys hash equally
+    in every task (integers widen to int64 first, so int32 and int64
+    sides of a join agree)."""
+    import numpy as np
+    import pandas as pd
+
+    h = np.zeros(t.num_rows, np.uint64)
+    for k in keys:
+        v = np.asarray(t[k].to_numpy(zero_copy_only=False))
+        if v.dtype.kind in "iu":
+            v = v.astype(np.int64)
+        h = (h * np.uint64(0x9E3779B97F4A7C15)) ^ pd.util.hash_array(v)
+    return h
+
+
+@ray.remote
+def _split_block(block, keys: list[str], nb: int):
+    """One upstream block -> ``nb`` hash partitions (typed, possibly
+    zero-row tables; one return value each)."""
+    import numpy as np
+
+    t = block if isinstance(block, pa.Table) \
+        else pa.Table.from_pandas(block, preserve_index=False)
+    part = (_key_hash(t, keys) % np.uint64(nb)).astype(np.int64)
+    order = np.argsort(part, kind="stable")
+    cut = np.searchsorted(part[order], np.arange(nb + 1))
+    out = tuple(t.take(order[cut[i]:cut[i + 1]]) for i in range(nb))
+    return out if nb > 1 else out[0]
+
+
+def _split(ds, keys: list[str], nb: int) -> list[list]:
+    """Submit one split task per non-empty block as the upstream plan
+    streams them out -> ``nb`` lists of partition refs."""
+    parts: list[list] = [[] for _ in range(nb)]
+    for bundle in ds.iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            if meta.num_rows == 0:
+                continue
+            out = _split_block.options(num_returns=nb).remote(ref, keys, nb)
+            for i, r in enumerate(out if nb > 1 else [out]):
+                parts[i].append(r)
+    return parts
+
+
+def _concat_rows(parts) -> pa.Table | None:
+    rows = [p for p in parts if p.num_rows]
+    return pa.concat_tables(rows, promote_options="default") if rows \
+        else None
+
+
+@ray.remote
+def _groups_reduce(fn, key: str, empty: pa.Table, *parts) -> pa.Table:
+    import numpy as np
+
+    t = _concat_rows(parts)
+    if t is None:
+        return empty
+    t = t.sort_by(key)
+    k = t[key].to_numpy(zero_copy_only=False)
+    cut = np.concatenate([[0], np.flatnonzero(k[1:] != k[:-1]) + 1,
+                          [len(k)]])
+    out = _concat_rows([fn(t.slice(s, e - s))
+                        for s, e in zip(cut[:-1], cut[1:])])
+    return empty if out is None else out
+
+
+@ray.remote
+def _join_reduce(keys: list[str], empty: pa.Table, n_left: int,
+                 *parts) -> pa.Table:
+    left = _concat_rows(parts[:n_left])
+    right = _concat_rows(parts[n_left:])
+    if left is None or right is None:
+        return empty
+    return left.join(right, keys, join_type="inner")
+
+
+def exchange(ds, key: str, fn, nb: int, empty: pa.Table) -> rd.Dataset:
+    """``ds.groupby(key).map_groups(fn, batch_format="pyarrow")`` on raw
+    Ray tasks: rows hash-partition by ``key`` into ``nb`` reduce tasks,
+    each sorts its rows by key and calls ``fn`` once per distinct key
+    (with that key's rows as one ``pa.Table``). A partition that
+    receives no rows — or whose groups all map to zero rows — returns
+    ``empty``, so every output block is typed."""
+    parts = _split(ds, [key], nb)
+    return rd.from_arrow_refs(
+        [_groups_reduce.remote(fn, key, empty, *p) for p in parts])
+
+
+def co_join(left, right, keys, nb: int, empty: pa.Table) -> rd.Dataset:
+    """Inner hash join of two Datasets on same-named ``keys`` on raw Ray
+    tasks: both sides hash-split identically into ``nb`` partitions and
+    each partition runs one ``pa.Table.join`` (left columns first, then
+    right's non-key columns). ``empty`` is the typed result of a
+    partition with no rows on either side."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    lp = _split(left, keys, nb)
+    rp = _split(right, keys, nb)
+    return rd.from_arrow_refs(
+        [_join_reduce.remote(keys, empty, len(lp[i]), *lp[i], *rp[i])
+         for i in range(nb)])
 
 
 def keyed_sum_fold(ds, key_col: str, val_cols: list[str],
@@ -264,8 +375,7 @@ def partitions_for_rows(n: int, rows_per_part: int = 250_000) -> int:
 def sized_partitions(*dss, rows_per_part: int = 250_000) -> int:
     """Shuffle width sized to the DATA, capped at the cluster width
     (each hash-shuffle partition spins up an aggregator actor; 64
-    partitions over 100 k rows is pure actor spin-up — the
-    latest_at_bucketed precedent, stages/history.py). count() is
+    partitions over 100 k rows is pure actor spin-up). count() is
     metadata-only on fresh reads, one cheap extra pass otherwise."""
     try:
         n = sum(int(d.count()) for d in dss)

@@ -2,53 +2,26 @@
 latest version per element; an invisible latest drops the element —
 /root/reference/pyrosm/data_filter.pyx:340-343).
 
-Fully distributed and vectorised: a groupby max picks each element's last
-version, a hash join selects those rows, a vector filter drops invisible
-ones. No per-id Python groups (the round-1 inline ``map_groups`` built a
-one-row pandas frame per OSM id)."""
+Fully distributed and vectorised: rows hash-bucket by id through one
+raw-task exchange (:func:`pyrosm_ray.stages.blocks.exchange`), and each
+bucket picks every id's last version with a lexsort + last-per-id mask.
+No per-id Python groups and no join, so nested ``refs``/``tags``
+columns ride through untouched."""
 
 from __future__ import annotations
 
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from pyrosm_ray.stages.blocks import (groupby_partitions, nonempty,
-                                      shuffle_join_args)
+from pyrosm_ray.stages.blocks import exchange, groupby_partitions
 
 
 def latest_versions(ds, id_col: str = "id", version_col: str = "version",
-                    visible_col: str = "visible",
-                    num_partitions: int = 8):
+                    visible_col: str | None = "visible"):
     """Rows holding each id's maximum version, invisible latest dropped.
 
     ``(id, version)`` must be unique per row (OSM history semantics)."""
-    mx = ds.groupby(id_col).max(version_col)
-
-    ver_type = None
-    sch = ds.schema()
-    if sch is not None and version_col in sch.names:
-        ver_type = sch.types[sch.names.index(version_col)]
-
-    def rename(batch: pa.Table) -> pa.Table:
-        ver = batch[f"max({version_col})"]
-        if ver_type is not None and ver.type != ver_type:
-            # aggregate max widens int32 -> int64; the acero join demands
-            # identical key types on both sides
-            ver = pc.cast(ver, ver_type)
-        return pa.table({"__id": batch[id_col], "__ver": ver})
-    mx = nonempty(mx.map_batches(rename, batch_format="pyarrow"),
-                  pa.table({"__id": pa.array([], pa.int64()),
-                            "__ver": pa.array([], ver_type or pa.int64())}))
-    j = ds.join(mx, "inner", on=(id_col, version_col),
-                right_on=("__id", "__ver"),
-                **shuffle_join_args(num_partitions))
-    if visible_col is None:
-        return j
-
-    def keep_visible(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.fill_null(batch[visible_col], False))
-
-    return j.map_batches(keep_visible, batch_format="pyarrow")
+    return latest_at_bucketed(ds, None, id_col, version_col, visible_col)
 
 
 def normalize_timestamp(timestamp) -> int:
@@ -75,10 +48,10 @@ def latest_at_any(ds, timestamp, id_col: str = "id",
                   ts_col: str = "timestamp"):
     """Payload-agnostic ``latest_at``: works for tables with list/map
     columns (``refs``/``tags``), which acero joins reject as non-key
-    payload. Shape: cutoff filter -> groupby(id).max(version) on the TWO
-    scalar columns only -> broadcast the surviving (id, version) pairs as
-    one sorted combined key (id*2^16 + version; OSM ids < 2^47, versions
-    < 2^16) -> vectorised semi-filter. The broadcast holds 16 B per live
+    payload. Shape: cutoff filter -> per-block maxima of the combined key
+    id*2^16 + version (OSM ids < 2^47, versions < 2^16), folded on the
+    driver -> broadcast the surviving (id, version) keys as one sorted
+    array -> vectorised semi-filter. The broadcast holds 16 B per live
     element — the same object-store contract as the coordinate index."""
     import numpy as np
     import ray
@@ -90,18 +63,18 @@ def latest_at_any(ds, timestamp, id_col: str = "id",
         return batch.filter(pc.fill_null(pc.less_equal(ts, t), False))
 
     ds = ds.map_batches(cutoff, batch_format="pyarrow")
-    pairs = ds.map_batches(
-        lambda b: b.select([id_col, version_col]),
-        batch_format="pyarrow").groupby(id_col).max(version_col)
-    keys = []
-    for b in pairs.iter_batches(batch_size=1 << 18,
-                                batch_format="pyarrow"):
+
+    def partial_max(b: pa.Table) -> pa.Table:
         ids = np.asarray(b[id_col].to_numpy(zero_copy_only=False),
                          dtype=np.int64)
-        ver = np.asarray(b[f"max({version_col})"].to_numpy(
-            zero_copy_only=False), dtype=np.int64)
-        keys.append((ids << 16) | ver)
-    key_arr = np.sort(np.concatenate(keys)) if keys else \
+        ver = np.asarray(b[version_col].to_numpy(zero_copy_only=False),
+                         dtype=np.int64)
+        return pa.table({"k": pa.array(_last_per_id((ids << 16) | ver))})
+
+    keys = [np.asarray(b["k"].to_numpy(zero_copy_only=False), np.int64)
+            for b in ds.map_batches(partial_max, batch_format="pyarrow")
+            .iter_batches(batch_size=1 << 18, batch_format="pyarrow")]
+    key_arr = _last_per_id(np.concatenate(keys)) if keys else \
         np.empty(0, dtype=np.int64)
     key_ref = ray.put(key_arr)
 
@@ -125,6 +98,16 @@ def latest_at_any(ds, timestamp, id_col: str = "id",
     return ds.map_batches(keep_latest, batch_format="pyarrow")
 
 
+def _last_per_id(k):
+    """Sorted combined keys (id << 16 | version) -> each id's maximum."""
+    import numpy as np
+
+    k = np.sort(k)
+    last = np.ones(len(k), dtype=bool)
+    last[:-1] = (k[1:] >> 16) != (k[:-1] >> 16)
+    return k[last]
+
+
 def latest_at_bucketed(ds, timestamp, id_col: str = "id",
                        version_col: str = "version",
                        visible_col: str | None = "visible",
@@ -132,19 +115,20 @@ def latest_at_bucketed(ds, timestamp, id_col: str = "id",
                        num_buckets: int = 64):
     """Fully distributed ``latest_at`` for payload-agnostic tables whose
     live-key set exceeds the broadcast contract of :func:`latest_at_any`:
-    rows hash-bucket by id (one shuffle carrying the payload once), and
-    each bucket picks every id's max surviving version vectorised
-    (lexsort + last-per-id mask — no per-id Python, no join, so nested
-    ``refs``/``tags`` columns ride through untouched). The number of
-    buckets bounds group size; one id's versions must fit a worker."""
+    rows hash-bucket by id (one exchange carrying the payload once), and
+    each bucket picks every id's max surviving version vectorised. The
+    number of buckets bounds group size; one id's versions must fit a
+    worker. ``timestamp=None`` applies no cutoff."""
     import numpy as np
 
-    t = normalize_timestamp(timestamp)
+    cutoff = None if timestamp is None else normalize_timestamp(timestamp)
 
     def cutoff_and_bucket(batch: pa.Table) -> pa.Table:
-        ts = pc.cast(pc.cast(batch[ts_col], pa.timestamp("s")), pa.int64())
-        batch = batch.filter(
-            pc.fill_null(pc.less_equal(ts, t), False))
+        if cutoff is not None:
+            ts = pc.cast(pc.cast(batch[ts_col], pa.timestamp("s")),
+                         pa.int64())
+            batch = batch.filter(
+                pc.fill_null(pc.less_equal(ts, cutoff), False))
         ids = np.asarray(batch[id_col].to_numpy(zero_copy_only=False),
                          dtype=np.int64)
         # multiplicative hash: dense OSM id ranges spread evenly
@@ -155,8 +139,6 @@ def latest_at_bucketed(ds, timestamp, id_col: str = "id",
 
     def pick_latest(group: pa.Table) -> pa.Table:
         n = group.num_rows
-        if n == 0:
-            return group.drop_columns(["__bucket"])
         ids = np.asarray(group[id_col].to_numpy(zero_copy_only=False),
                          dtype=np.int64)
         ver = np.asarray(group[version_col].to_numpy(
@@ -173,37 +155,19 @@ def latest_at_bucketed(ds, timestamp, id_col: str = "id",
         return group.take(pa.array(np.sort(keep))) \
             .drop_columns(["__bucket"])
 
-    # size the shuffle to the DATA (each hash-shuffle partition spins up
-    # an aggregator actor; 64 partitions over a few hundred k rows is
-    # pure actor spin-up). count() on a fresh parquet read is
-    # metadata-only; on an already-transformed input it costs one extra
-    # pass, still cheap next to an over-provisioned actor pool.
-    try:
-        nrows = int(ds.count())
-        parts = int(np.clip(nrows // 250_000 + 1, 2,
-                            groupby_partitions(num_buckets)))
-    except Exception:
-        parts = groupby_partitions(num_buckets)
-    return ds.map_batches(cutoff_and_bucket, batch_format="pyarrow") \
-        .groupby("__bucket", num_partitions=parts) \
-        .map_groups(pick_latest, batch_format="pyarrow")
+    empty = ds.schema().base_schema.empty_table()
+    return exchange(ds.map_batches(cutoff_and_bucket, batch_format="pyarrow"),
+                    "__bucket", pick_latest, groupby_partitions(num_buckets),
+                    empty)
 
 
 def latest_at(ds, timestamp, id_col: str = "id",
               version_col: str = "version", visible_col: str = "visible",
-              ts_col: str = "timestamp", num_partitions: int = 8):
+              ts_col: str = "timestamp"):
     """Element state as of ``timestamp`` (M10 + A1): rows with
     ``ts <= timestamp`` (inclusive), then each id's maximum surviving
     version, invisible latest dropped (reference
     data_filter.pyx:340-343 + the timestamp contract of
     pyrosm/pyrosm.py:383-391)."""
-    t = normalize_timestamp(timestamp)
-
-    def cutoff(batch: pa.Table) -> pa.Table:
-        ts = pc.cast(pc.cast(batch[ts_col], pa.timestamp("s")), pa.int64())
-        return batch.filter(pc.fill_null(pc.less_equal(ts, t), False))
-
-    return latest_versions(
-        ds.map_batches(cutoff, batch_format="pyarrow"), id_col=id_col,
-        version_col=version_col, visible_col=visible_col,
-        num_partitions=num_partitions)
+    return latest_at_bucketed(ds, timestamp, id_col, version_col,
+                              visible_col, ts_col)

@@ -37,21 +37,23 @@ import math
 import numpy as np
 import pyarrow as pa
 
-from pyrosm_ray.stages.blocks import groupby_partitions
+from pyrosm_ray.stages.blocks import groupby_partitions, nonempty
 
 
 def _histogram_batch(batch: pa.Table, group_col: str,
                      value_col: str) -> pa.Table:
     """Fold one batch to its local (group, value) -> count histogram.
     Group strings factorize once so the pair groupby runs on two int
-    columns (C-level hash, no object dtype in the hot loop)."""
+    columns (C-level hash, no object dtype in the hot loop). Rows with a
+    null group (factorize code -1) belong to no group and are dropped."""
     import pandas as pd
     codes, uniq = pd.factorize(
         np.asarray(batch[group_col].to_pylist(), dtype=object))
+    keep = codes >= 0
     df = pd.DataFrame({
-        "__gc": codes,
+        "__gc": codes[keep],
         "__v": np.asarray(batch[value_col].to_numpy(zero_copy_only=False),
-                          np.int64),
+                          np.int64)[keep],
     })
     g = df.groupby(["__gc", "__v"], sort=False).size() \
         .reset_index(name="__c")
@@ -184,9 +186,15 @@ def group_quantiles(ds, group_col: str, value_col: str,
                 "__v": pa.array(m["__v"], pa.int64()),
                 "__c": pa.array(m["__c"], pa.int64())})
 
-        hist = hist.map_batches(bucket, batch_format="pyarrow") \
-            .groupby("__p", num_partitions=nb) \
-            .map_groups(merge, batch_format="pyarrow").materialize()
+        # nonempty: a partition that got no pairs emits a schema-less
+        # block, and one leading the group fold below can crash its
+        # hash shuffle ("Invalid sort key column")
+        hist = nonempty(hist.map_batches(bucket, batch_format="pyarrow")
+                        .groupby("__p", num_partitions=nb)
+                        .map_groups(merge, batch_format="pyarrow"),
+                        pa.table({"__g": pa.array([], pa.string()),
+                                  "__v": pa.array([], pa.int64()),
+                                  "__c": pa.array([], pa.int64())}))
         n_part = hist.count()
 
     if n_part > KEYED_FOLD_DRIVER_MAX:
@@ -452,13 +460,12 @@ def _value_is_float(ds, value_col: str) -> bool:
     """True when the metric column is floating (continuous) — routes the
     quantile family to the two-pass radix-bin plan instead of the full
     (group, value) histogram (whose shuffle ≈ row count for floats).
-    schema() is metadata-only."""
-    import pyarrow as pa_
-    try:
-        f = ds.schema().base_schema.field(value_col)
-        return pa_.types.is_floating(f.type)
-    except Exception:
-        return False
+    schema() is metadata-only. A missing column raises instead of
+    silently taking the integer route, which would truncate floats."""
+    sch = ds.schema()
+    t = sch.types[sch.names.index(value_col)]
+    return pa.types.is_floating(t) if isinstance(t, pa.DataType) \
+        else np.issubdtype(t, np.floating)
 
 
 def quantile_bins(ds, group_col: str, value_col: str, qs: list[float],

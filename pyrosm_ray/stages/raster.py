@@ -4,11 +4,14 @@ statistics (the north rule's raster stage; numpy only).
 Pipeline shape (SURVEY.md §7.2 step 7):
 
 1. pages (or any point table) -> per-tile pixel histogram = the "raster"
-   (``groupby(tile).map_groups`` building one dense grid per tile);
-2. polygons replicated to the tiles their bbox covers;
-3. per tile: rasterize each polygon's mask over the pixel-centre lattice
-   (vectorised even-odd PIP) and reduce the raster under the mask ->
-   per-polygon zonal stats (pixel_count, value_sum, value_mean).
+   (one raw-task :func:`~pyrosm_ray.stages.blocks.exchange` keyed by
+   tile, building one dense grid per tile);
+2. polygons replicated to the tiles their bbox covers, then
+   co-partitioned with the rasters by tile
+   (:func:`~pyrosm_ray.stages.blocks.co_join`);
+3. per (polygon, tile) row: rasterize the polygon's mask over the
+   pixel-centre lattice (vectorised even-odd PIP) and reduce the raster
+   under the mask -> zonal stats (pixel_count, value_sum, value_mean).
 
 Partitioning assumption: one tile's raster + its polygons fit a worker's
 heap (tile res × grid_size bound it by construction).
@@ -20,7 +23,7 @@ import numpy as np
 import pyarrow as pa
 
 from pyrosm_ray.geom import ops, wkb
-from pyrosm_ray.stages.blocks import shuffle_join_args
+from pyrosm_ray.stages.blocks import co_join, exchange, groupby_partitions
 from pyrosm_ray.tiles import grid
 
 
@@ -52,8 +55,10 @@ def rasterize_points(pages_with_tiles, tile_col: str = "h3_r7",
             "raster": pa.array([hist.astype("<f8").tobytes()], pa.binary()),
         })
 
-    return pages_with_tiles.groupby(tile_col).map_groups(
-        per_tile, batch_format="pyarrow")
+    empty = pa.table({tile_col: pa.array([], pa.int64()),
+                      "raster": pa.array([], pa.binary())})
+    return exchange(pages_with_tiles, tile_col, per_tile,
+                    groupby_partitions(), empty)
 
 
 def polygon_zonal_stats(polygons_ds, raster_ds, tile_col: str = "h3_r7",
@@ -103,9 +108,11 @@ def polygon_zonal_stats(polygons_ds, raster_ds, tile_col: str = "h3_r7",
         return grid.cover_bbox(x0, y0, x1, y1, raster_res)
 
     polys = polygons_ds.map_batches(polys_to_cells, batch_format="pyarrow")
-    joined = polys.join(raster_ds, "inner",
-                        on=(tile_col,),
-                        **shuffle_join_args(num_partitions))
+    empty = pa.table({"polygon_id": pa.array([], pa.int64()),
+                      tile_col: pa.array([], pa.int64()),
+                      "pgeom": pa.array([], pa.binary()),
+                      "raster": pa.array([], pa.binary())})
+    joined = co_join(polys, raster_ds, tile_col, num_partitions, empty)
 
     def stats(batch: pa.Table) -> pa.Table:
         n = len(batch)

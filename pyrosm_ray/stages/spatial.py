@@ -19,10 +19,13 @@ Pipelines:
   batch untouched (byte-identical per url invariant).
 * :func:`knn_join` — kNN-to-nearest-POI with expanding-radius candidate
   search against a broadcast point grid index + exact haversine ranking.
-* :func:`pip_join_partitioned` — the co-partitioned shuffle variant for when
+* :func:`pip_join_partitioned` — the co-partitioned variant for when
   the polygon side outgrows a broadcast: both sides keyed by covering cell
   (polygons replicated to every cell their bbox covers), joined per cell.
   Uses a payload projection + re-join by url so ``text`` never shuffles.
+  The partitioned joins exchange rows on raw Ray tasks
+  (:func:`pyrosm_ray.stages.blocks.exchange` / ``co_join``), not on Ray
+  Data's hash shuffle.
 
 Reference seed for PIP semantics: the bbox sjoin of
 /root/reference/pyrosm/frames.pyx:231-241, generalised from one rectangle to
@@ -37,8 +40,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from pyrosm_ray.stages.blocks import (groupby_partitions, nonempty,
-                                      shuffle_join_args)
+from pyrosm_ray.stages.blocks import (co_join, exchange, groupby_partitions,
+                                      keyed_sum_auto)
 
 import functools
 
@@ -87,8 +90,8 @@ def hot_cells(ds_with_tiles, res: int, threshold: int,
               sample_mod: int | None = None) -> dict[int, int]:
     """Cells whose page count exceeds ``threshold`` -> salt modulus k.
 
-    Pre-aggregated per batch (combiner) before the small groupby — the
-    all-to-all carries one row per distinct cell per block, not per page.
+    Pre-aggregated per batch (combiner) before the keyed fold — the fold
+    sees one row per distinct cell per block, not per page.
 
     ``sample_mod=k`` estimates the histogram from the deterministic
     ``page_id %% k == 0`` systematic sample (counts scaled back up): a
@@ -108,10 +111,11 @@ def hot_cells(ds_with_tiles, res: int, threshold: int,
         return pa.table({col: pa.array(cells, pa.int64()),
                          "n": pa.array(counts, pa.int64())})
 
-    agg = ds_with_tiles.map_batches(partial, batch_format="pyarrow") \
-        .groupby(col).sum("n").to_pandas()
+    agg = keyed_sum_auto(
+        None, ds_with_tiles.map_batches(partial, batch_format="pyarrow"),
+        col, ["n"]).to_pandas()
     out = {}
-    for cell, n in zip(agg[col], agg["sum(n)"]):
+    for cell, n in zip(agg[col], agg["n"]):
         if n * scale > threshold:
             out[int(cell)] = int(min(max_salt,
                                      max(2, (n * scale) // threshold)))
@@ -184,7 +188,6 @@ def tile_rollup(pages_ds, res_fine: int = 9, res_coarse: int = 5):
         return pa.table({"cell": pa.array(uniq, pa.int64()),
                          "n_pages": pa.array(cnt, pa.int64())})
 
-    from pyrosm_ray.stages.blocks import keyed_sum_auto
     level = keyed_sum_auto(
         None, tiled.map_batches(partial, batch_format="pyarrow"),
         "cell", ["n_pages"])
@@ -1262,10 +1265,6 @@ def _choose_cover_res(bx: dict, ladder, max_cover: int) -> np.ndarray:
     return chosen
 
 
-_PIP_PAIRS_EMPTY = pa.table({
-    "url": pa.array([], pa.string()), "lon": pa.array([], pa.float64()),
-    "lat": pa.array([], pa.float64()),
-    "polygon_id": pa.array([], pa.int64())})
 _PIP_S1_EMPTY = pa.table({
     "url": pa.array([], pa.string()), "lon": pa.array([], pa.float64()),
     "lat": pa.array([], pa.float64()),
@@ -1274,6 +1273,16 @@ _PIP_S1_EMPTY = pa.table({
 _PIP_HITS_EMPTY = pa.table({
     "url": pa.array([], pa.string()),
     "polygon_id": pa.array([], pa.int64())})
+
+
+def _with_shard(b: pa.Table, col: str, n: int) -> pa.Table:
+    """Append ``__shard`` = a multiplicative hash of the int64 column
+    ``col`` mod ``n`` — the exchange key that batches many cells into
+    one kernel call."""
+    v = np.asarray(b[col].to_numpy(zero_copy_only=False), np.int64)
+    h = (v.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
+    return b.append_column(
+        "__shard", pa.array((h % np.uint64(n)).astype(np.int64)))
 
 
 def _pip_cells_pairs(group: pa.Table) -> pa.Table:
@@ -1295,8 +1304,6 @@ def _pip_cells_pairs(group: pa.Table) -> pa.Table:
     which must never replicate per covering cell) leave as
     ``confirmed=False`` candidate pairs for the stage-2 polygon-hash
     confirm."""
-    if len(group) == 0:
-        return _PIP_S1_EMPTY
     is_page = np.asarray(pc.is_valid(group["url"])
                          .to_numpy(zero_copy_only=False))
     pg = group.filter(pa.array(is_page))
@@ -1373,8 +1380,6 @@ def _pip_confirm_group(group: pa.Table) -> pa.Table:
     packed coord/ring-length buffers, one flat edge build) and every
     pair in the shard confirms against that working set — the geometry
     bytes arrived once per polygon, not once per pair."""
-    if len(group) == 0:
-        return _PIP_HITS_EMPTY
     is_pair = np.asarray(pc.is_valid(group["url"])
                          .to_numpy(zero_copy_only=False))
     pairs = group.filter(pa.array(is_pair))
@@ -1424,10 +1429,10 @@ def pip_join_partitioned(pages_ds, polygons_ds, cell_res: int = 7,
     key row per level the polygon side actually uses (a buildings-only
     layer uses one level — no page-side amplification).
 
-    Both wide steps are union + groupby co-partitionings, NOT hash
-    joins: stage 1 groups page rows with (cover-key + bbox) rows by
-    cell-hash and generates + bbox-prunes candidate pairs inside the
-    kernel; stage 2 groups the pruned pairs with ONE compact
+    Both wide steps are union + :func:`~pyrosm_ray.stages.blocks.exchange`
+    co-partitionings, NOT hash joins: stage 1 groups page rows with
+    (cover-key + bbox) rows by cell-hash and generates + bbox-prunes
+    candidate pairs inside the kernel; stage 2 groups the pruned pairs with ONE compact
     packed-geometry row per polygon by polygon-hash and runs the exact
     even-odd confirm against a per-shard edge build. The cover factor
     multiplies only 48-byte key rows; geometry bytes cross the wire once
@@ -1482,44 +1487,24 @@ def pip_join_partitioned(pages_ds, polygons_ds, cell_res: int = 7,
         return gbytes * ncell <= geom_inline_budget
 
     def level_rows(batch: pa.Table) -> pa.Table:
-        """Per-batch unique chosen levels; sentinel row gres=-1 when the
-        batch holds any NON-inline polygon (drives whether the stage-2
-        shuffle is planned at all)."""
+        """Per-batch unique chosen levels."""
         if batch.num_rows == 0:
             return pa.table({"gres": pa.array([], pa.int64())})
         bx = {c: np.asarray(batch[c].to_numpy(zero_copy_only=False))
               for c in ("x0", "y0", "x1", "y1")}
-        chosen = _choose_cover_res(bx, ladder, max_cover)
-        vals = np.unique(chosen)
-        if not inline_mask(batch, chosen).all():
-            vals = np.append(vals, np.int64(-1))
-        return pa.table({"gres": pa.array(vals, pa.int64())})
+        return pa.table({"gres": pa.array(
+            np.unique(_choose_cover_res(bx, ladder, max_cover)), pa.int64())})
 
-    seen = {r["gres"] for r in packed.map_batches(
-        level_rows, batch_format="pyarrow").take_all()}
-    any_big = -1 in seen
-    used = sorted(seen - {-1})
+    used = sorted({r["gres"] for r in packed.map_batches(
+        level_rows, batch_format="pyarrow").take_all()})
     lay = layer or "polygons"
-    # size-aware shuffle width: ``num_partitions`` is a CAP, not a floor —
-    # each hash join spins up one aggregator actor per partition, so 32
-    # partitions over a few hundred k key rows is pure actor spin-up
-    # (measured: 3 joins x ~8-11 s fixed cost at sf0.1). Parquet/metadata
-    # counts are free; ~250k key rows per partition keeps aggregators busy.
-    est = None
-    try:
-        est = pages_ds.count() * max(1, len(used)) + packed.count() * 4
-        num_partitions = int(np.clip(est // 250_000 + 1, 2, num_partitions))
-    except Exception:
-        pass
+    layer_empty = _PIP_HITS_EMPTY.append_column(
+        "polygon_layer", pa.array([], pa.string()))
     if not used:  # no polygons -> empty join, pages schema preserved
-        hits = rd.from_arrow(pa.table({
-            "url": pa.array([], pa.string()),
-            "polygon_id": pa.array([], pa.int64()),
-            "polygon_layer": pa.array([], pa.string())}))
+        hits = rd.from_arrow(layer_empty)
         if not join_payload:
             return hits
-        return pages_ds.join(hits, "inner", on=("url",),
-                             **shuffle_join_args(num_partitions))
+        return _join_payload(pages_ds, hits, layer_empty, num_partitions)
 
     def cover_rows(batch: pa.Table) -> pa.Table:
         """(polygon_id, cell, bbox[, inline geometry]) rows at each
@@ -1574,17 +1559,20 @@ def pip_join_partitioned(pages_ds, polygons_ds, cell_res: int = 7,
             }))
         return pa.concat_tables(parts) if parts else empty
 
-    # union + groupby co-partitioning, stage 1: page rows keyed by their
-    # own cell at each used ladder level union polygon (cover-key + bbox)
-    # rows — ONE groupby(cell-hash) co-locates both sides and candidate
+    # co-partitioning, stage 1: page rows keyed by their own cell at
+    # each used ladder level union polygon (cover-key + bbox) rows — ONE
+    # exchange on a cell hash co-locates both sides and candidate
     # (page, polygon) pairs are generated AND bbox-pruned inside the
     # group kernel. The previous hash-JOIN form shuffled the same inputs
     # but then materialized every joined candidate row as join output and
     # pushed it through a SECOND full join against the geometry (measured
     # sf3/8cpu: cell join + prune 402 s, geometry join 219 s with a
     # 5.6 GB geometry-per-pair output, exact confirm 747 CPU-s).
-    num_buckets = int(np.clip(est // 250_000 + 1, 8, 256)) \
-        if isinstance(est, int) else 64
+    # Cluster-sized, not data-sized: the in-kernel PIP confirm is
+    # compute-heavy. ~8 shards per partition keep the per-partition
+    # kernel work even.
+    nb = groupby_partitions()
+    num_buckets = 8 * nb
     poly_cells = packed.map_batches(cover_rows, batch_format="pyarrow")
 
     def page_union_rows(batch: pa.Table) -> pa.Table:
@@ -1613,57 +1601,23 @@ def pip_join_partitioned(pages_ds, polygons_ds, cell_res: int = 7,
             "coords": b["coords"], "rlens": b["rlens"],
         })
 
-    def shard_on(col):
-        def add(b: pa.Table) -> pa.Table:
-            v = np.asarray(b[col].to_numpy(zero_copy_only=False), np.int64)
-            h = (v.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) \
-                >> np.uint64(33)
-            return b.append_column(
-                "__shard", pa.array((h % num_buckets).astype(np.int64)))
-        return add
-
     pg = geocode_pages(pages_ds.select_columns(["url"]))
     both1 = pg.map_batches(page_union_rows, batch_format="pyarrow").union(
         poly_cells.map_batches(poly_union_rows, batch_format="pyarrow")
-    ).map_batches(shard_on("cell"), batch_format="pyarrow")
-    # NOTE: the groupby width stays cluster-sized (NOT data-sized like the
-    # joins): the in-kernel PIP confirm is compute-heavy, and shrinking the
-    # aggregator pool serializes it (measured 3.4 -> 6-7.7 s at sf0.1 with
-    # 2 partitions)
-    s1 = both1.groupby("__shard",
-                   num_partitions=groupby_partitions(num_buckets)).map_groups(
-        lambda g: _pip_cells_pairs(g.drop_columns(["__shard"])),
-        batch_format="pyarrow")
-    if not any_big:
-        # every polygon is inline -> stage 1's output is already the
-        # exact hit set: ONE all-to-all, fully streaming, no barrier
-        # (schema-less empty blocks are dropped at every hash-shuffle
-        # input by blocks._install_hash_shuffle_empty_block_guard)
-        hits = s1.map_batches(
-            lambda b: b.select(["url", "polygon_id"]),
-            batch_format="pyarrow")
-        hits = hits.map_batches(
-            lambda b: b.append_column(
-                "polygon_layer", pa.array([lay] * len(b), pa.string())),
-            batch_format="pyarrow")
-        if not join_payload:
-            return hits
-        return pages_ds.join(hits, "inner", on=("url",),
-                             **shuffle_join_args(num_partitions))
-    # mixed layer: split confirmed hits from deferred big-geometry pairs
-    # behind a barrier + empty-block scrub (aggregator pools co-reserve
-    # CPUs on deep lazy chains, and both splits read s1 once)
-    s1 = nonempty(s1, _PIP_S1_EMPTY)
+    ).map_batches(functools.partial(_with_shard, col="cell", n=num_buckets),
+                  batch_format="pyarrow")
+    s1 = exchange(both1, "__shard", _pip_cells_pairs, nb, _PIP_S1_EMPTY)
+    # split confirmed hits from deferred big-geometry pairs
     hits1 = s1.map_batches(
         lambda b: b.filter(b["confirmed"]).select(["url", "polygon_id"]),
         batch_format="pyarrow")
-    deferred = nonempty(s1.map_batches(
+    deferred = s1.map_batches(
         lambda b: b.filter(pc.invert(b["confirmed"]))
                    .drop_columns(["confirmed"]),
-        batch_format="pyarrow"), _PIP_PAIRS_EMPTY)
+        batch_format="pyarrow").materialize()
 
     # stage 2 (large geometries only): pair rows union ONE compact
-    # packed-geometry row per polygon, groupby(polygon-hash) — geometry
+    # packed-geometry row per polygon, exchanged on a polygon hash — geometry
     # crosses the wire once per polygon and is unpacked once per shard,
     # never replicated per pair
     def pair_union_rows(b: pa.Table) -> pa.Table:
@@ -1698,12 +1652,10 @@ def pip_join_partitioned(pages_ds, polygons_ds, cell_res: int = 7,
         both2 = deferred.map_batches(
             pair_union_rows, batch_format="pyarrow").union(
             packed.map_batches(big_geom_union_rows, batch_format="pyarrow")
-        ).map_batches(shard_on("polygon_id"), batch_format="pyarrow")
-        hits2 = both2.groupby("__shard",
-                         num_partitions=groupby_partitions(num_buckets)
-                              ).map_groups(
-            lambda g: _pip_confirm_group(g.drop_columns(["__shard"])),
-            batch_format="pyarrow")
+        ).map_batches(functools.partial(_with_shard, col="polygon_id",
+                                        n=num_buckets), batch_format="pyarrow")
+        hits2 = exchange(both2, "__shard", _pip_confirm_group, nb,
+                         _PIP_HITS_EMPTY)
         hits = hits1.union(hits2)
     hits = hits.map_batches(
         lambda b: b.append_column("polygon_layer",
@@ -1716,8 +1668,16 @@ def pip_join_partitioned(pages_ds, polygons_ds, cell_res: int = 7,
         # output-materialization cost entirely
         return hits
     # re-attach the full payload by url (payload bytes never shuffled by cell)
-    return pages_ds.join(hits, "inner", on=("url",),
-                         **shuffle_join_args(num_partitions))
+    return _join_payload(pages_ds, hits, layer_empty, num_partitions)
+
+
+def _join_payload(pages_ds, hits, hits_empty: pa.Table,
+                  num_partitions: int):
+    """Inner-join the full page rows onto hit rows by url (page columns
+    first, then the hit columns; ``hits_empty`` types the hit side)."""
+    empty = pages_ds.schema().base_schema.empty_table().join(
+        hits_empty, "url")
+    return co_join(pages_ds, hits, "url", num_partitions, empty)
 
 
 # ---------------------------------------------------------------------------
@@ -1782,8 +1742,6 @@ def _knn_cells_topk(group: pa.Table, k: int, gres: int,
     inside the conservative inscribed radius of the ring-``radius`` cell
     block around its own cell (a POI outside the block could otherwise
     be closer), mirroring the broadcast KnnJoiner."""
-    if len(group) == 0:
-        return _KNN_RANKED_EMPTY
     is_page = np.asarray(pc.is_valid(group["url"])
                          .to_numpy(zero_copy_only=False))
     pg = group.filter(pa.array(is_page))
@@ -1975,14 +1933,10 @@ def knn_join_partitioned(pages_ds, pois_ds, k: int = 1,
     pages_t = pages_ds if "lon" in pages_ds.schema().names else \
         geocode_pages(pages_ds.select_columns(["url"]))
     unresolved = pages_t.select_columns(["url", "lon", "lat"])
-    try:  # round-0 estimate from read metadata; later rounds count the
-        n_unres = int(pages_ds.count())  # materialized undone set
-        # size-aware shuffle width for the final payload join (same
-        # contract as pip_join_partitioned): the caller's value is a CAP
-        num_partitions = int(np.clip(
-            (n_unres * 2 + k * n_unres) // 250_000 + 1, 2, num_partitions))
-    except Exception:
-        n_unres = None
+    # round-0 count from read metadata; later rounds count the
+    # materialized undone set
+    n_unres = int(pages_ds.count())
+    nb = groupby_partitions(num_buckets)
 
     def page_cell_rows(batch: pa.Table, g: int) -> pa.Table:
         lo = np.asarray(batch["lon"].to_numpy(zero_copy_only=False))
@@ -1996,23 +1950,14 @@ def knn_join_partitioned(pages_ds, pois_ds, k: int = 1,
             "plat": pa.nulls(n, pa.float64()),
         })
 
-    def shard_col(b: pa.Table) -> pa.Table:
-        cells = np.asarray(b["cell"].to_numpy(zero_copy_only=False),
-                           np.int64)
-        h = (cells.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) \
-            >> np.uint64(33)
-        return b.append_column(
-            "__shard", pa.array((h % num_buckets).astype(np.int64)))
-
     done_parts = []
     radius = 1
     round_gres = gres
     for _ in range(max_rounds):
-        if n_unres is not None and \
-                n_unres * n_pois <= sweep_max_pairs:
+        if n_unres * n_pois <= sweep_max_pairs:
             break  # broadcast exact sweep beats another shuffle round
         # union page rows (keyed by their OWN cell) with POI rows
-        # replicated to ring cells: ONE groupby co-partitions both sides
+        # replicated to ring cells: ONE exchange co-partitions both sides
         # and the candidate pairs are generated inside the group — the
         # old explode-pages + left-join + rebucket form pushed every
         # candidate row through two all-to-alls (11.4 s of a 35 s sf0.1
@@ -2032,25 +1977,13 @@ def knn_join_partitioned(pages_ds, pois_ds, k: int = 1,
                 "plon": b["plon"], "plat": b["plat"]}),
             batch_format="pyarrow")
         both = pages_keyed.union(poi_ring).map_batches(
-            shard_col, batch_format="pyarrow")
-        # size the round's shuffle to its DATA, not the cluster: the
-        # round input is n_unres page rows + 9x the POI coord table, and
-        # each hash-shuffle partition spins up an aggregator ACTOR — 64
-        # partitions over a few hundred k rows is pure actor spin-up
-        # (the dominant cost of a toy-scale round)
-        if n_unres is not None:
-            rparts = int(np.clip((n_unres + 9 * n_pois) // 250_000 + 1,
-                                 2, groupby_partitions(num_buckets)))
-        else:
-            rparts = groupby_partitions(num_buckets)
-        ranked = both.groupby("__shard", num_partitions=rparts).map_groups(
-            lambda g, _g=round_gres: _knn_cells_topk(
-                g.drop_columns(["__shard"]), k=k, gres=_g, radius=radius),
+            functools.partial(_with_shard, col="cell", n=num_buckets),
             batch_format="pyarrow")
-        # materialize the round's output ONCE — done and undone are two
-        # filters over it, and leaving `ranked` lazy would re-execute the
-        # whole union + groupby shuffle for each of them
-        ranked = nonempty(ranked, _KNN_RANKED_EMPTY).materialize()
+        # the round's output is refs already: done and undone are two
+        # filters over it, with no re-execution of the exchange
+        ranked = exchange(both, "__shard", functools.partial(
+            _knn_cells_topk, k=k, gres=round_gres, radius=radius),
+            nb, _KNN_RANKED_EMPTY)
         done = ranked.filter(expr="knn_rank > 0")
         undone = ranked.filter(expr="knn_rank == 0") \
             .select_columns(["url", "lon", "lat"])
@@ -2110,13 +2043,11 @@ def knn_join_partitioned(pages_ds, pois_ds, k: int = 1,
     hits = done_parts[0]
     for d_ in done_parts[1:]:
         hits = hits.union(d_)
-    hits = nonempty(hits, _KNN_HITS_EMPTY)
     if not join_payload:
         # hit rows only (url, poi_id, distance_m, knn_rank) — k wide page
         # payload copies per page otherwise materialize in the output
         return hits
-    return pages_ds.join(hits, "inner", on=("url",),
-                         **shuffle_join_args(num_partitions))
+    return _join_payload(pages_ds, hits, _KNN_HITS_EMPTY, num_partitions)
 
 
 def radius_join_partitioned(pages_ds, pois_ds, radius_m: float = 200.0,
@@ -2139,10 +2070,6 @@ def radius_join_partitioned(pages_ds, pois_ds, radius_m: float = 200.0,
     output-identical to the broadcast :func:`radius_join`
     (parity-tested).
     """
-    import ray.data as rd
-
-    from pyrosm_ray.stages.blocks import groupby_partitions
-
     # grid: cell side >= covering radius at the worst latitude present.
     # One tiny stats pass over the POI coordinates bounds |lat|.
     import pyarrow.compute as pc
@@ -2221,16 +2148,11 @@ def radius_join_partitioned(pages_ds, pois_ds, radius_m: float = 200.0,
     u = pages_ds.map_batches(page_rows, batch_format="pyarrow") \
         .union(pois_nar.map_batches(poi_rows, batch_format="pyarrow"))
 
-    def bucket(t: pa.Table) -> pa.Table:
-        from pyrosm_ray.stages.hashing import hash64
-        c = np.asarray(t["cell"].to_numpy(zero_copy_only=False),
-                       np.int64)
-        return t.append_column("__q", pa.array(
-            (hash64(c.view(np.uint64), 23)
-             % np.uint64(nb)).astype(np.int64)))
+    empty = pa.table({url_col: pa.array([], pa.string()),
+                      "poi_id": pa.array([], pa.int64()),
+                      "distance_m": pa.array([], pa.float64())})
 
     def kernel(g: pa.Table) -> pa.Table:
-        from pyrosm_ray.geom import ops
         pid = np.asarray(g["pid"].to_numpy(zero_copy_only=False),
                          np.int64)
         cell = np.asarray(g["cell"].to_numpy(zero_copy_only=False),
@@ -2238,9 +2160,6 @@ def radius_join_partitioned(pages_ds, pois_ds, radius_m: float = 200.0,
         lon = np.asarray(g["plon"].to_numpy(zero_copy_only=False))
         lat = np.asarray(g["plat"].to_numpy(zero_copy_only=False))
         is_poi = pid >= 0
-        empty = pa.table({url_col: pa.array([], pa.string()),
-                          "poi_id": pa.array([], pa.int64()),
-                          "distance_m": pa.array([], pa.float64())})
         if not is_poi.any() or is_poi.all():
             return empty
         # within the partition, join page rows to poi rows per cell via
@@ -2293,6 +2212,6 @@ def radius_join_partitioned(pages_ds, pois_ds, radius_m: float = 200.0,
             "distance_m": pa.array(np.round(d[order], 3), pa.float64()),
         })
 
-    return u.map_batches(bucket, batch_format="pyarrow") \
-        .groupby("__q", num_partitions=nb) \
-        .map_groups(kernel, batch_format="pyarrow")
+    return exchange(u.map_batches(functools.partial(
+        _with_shard, col="cell", n=nb), batch_format="pyarrow"),
+        "__shard", kernel, nb, empty)

@@ -1,12 +1,24 @@
-"""Hash-shuffle block hygiene: scrub_empty_blocks must neutralise the
-ZERO-COLUMN empty blocks hash-shuffle groupbys/aggregates emit for
-partitions that received no groups — those blocks otherwise poison a
-downstream acero join ("No match ... for key field reference")."""
+"""Keyed exchanges (stages/blocks.py).
+
+The raw-task primitives ``exchange`` and ``co_join`` must match Ray
+Data's ``groupby().map_groups`` and ``Dataset.join`` on edge inputs and
+return typed blocks for empty partitions. The hash-shuffle hygiene
+(scrub_empty_blocks) must neutralise the ZERO-COLUMN empty blocks
+hash-shuffle groupbys/aggregates emit for partitions that received no
+groups — those blocks otherwise poison a downstream acero join ("No
+match ... for key field reference")."""
+
+import os
+import subprocess
+import sys
+import textwrap
 
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
-from pyrosm_ray.stages.blocks import scrub_empty_blocks, shuffle_join_args
+from pyrosm_ray.stages.blocks import (co_join, exchange, scrub_empty_blocks,
+                                      shuffle_join_args)
 
 
 def _grouped_min(n_keys: int, num_partitions: int):
@@ -161,3 +173,162 @@ def test_keyed_sum_auto_executes_upstream_once(ray_session):
     # the partial UDF ran exactly once per input block (2 blocks), not
     # once for the gate plus once for the route
     assert ray.get(c.get.remote()) == 2
+
+
+def _keyed(case: str):
+    """(k, v) Dataset for one edge case; ``k`` is int64 except "str"."""
+    n = 40
+    if case == "str":
+        keys = pa.array([f"k{i % 5}" for i in range(n)], pa.string())
+    elif case == "one_key":
+        keys = pa.array([7] * n, pa.int64())
+    else:
+        keys = pa.array([i % 5 for i in range(n)], pa.int64())
+    t = pa.table({"k": keys, "v": pa.array(range(n), pa.int64())})
+    if case == "empty":
+        return rd.from_arrow(t.slice(0, 0))
+    if case == "zero_row_blocks":
+        # the zero-row blocks skip the map UDF and leave schema-less
+        empty = t.slice(0, 0)
+        return rd.from_arrow(empty).union(rd.from_arrow(t)) \
+            .union(rd.from_arrow(empty)) \
+            .map_batches(lambda b: b, batch_format="pyarrow")
+    return rd.from_arrow(t).repartition(3)
+
+
+def _group_stats():
+    """Per-group (k, n, s) kernel; nested so Ray workers, which cannot
+    import this test module, receive it by value."""
+    def stats(g: pa.Table) -> pa.Table:
+        return pa.table({"k": g["k"].slice(0, 1),
+                         "n": pa.array([g.num_rows], pa.int64()),
+                         "s": pa.array([sum(g["v"].to_pylist())],
+                                       pa.int64())})
+    return stats
+
+
+def _sorted(df, cols):
+    return sorted(map(tuple, df[cols].itertuples(index=False))) \
+        if len(df) else []
+
+
+_CASES = ["int", "str", "one_key", "zero_row_blocks", "empty"]
+
+
+@pytest.mark.parametrize("case", _CASES)
+def test_exchange_matches_map_groups(ray_session, case):
+    ds = _keyed(case)
+    ktype = pa.string() if case == "str" else pa.int64()
+    empty = pa.table({"k": pa.array([], ktype),
+                      "n": pa.array([], pa.int64()),
+                      "s": pa.array([], pa.int64())})
+    want = _sorted(ds.groupby("k", num_partitions=4).map_groups(
+        _group_stats(), batch_format="pyarrow").to_pandas(), ["k", "n", "s"])
+    for nb in (1, 4):
+        got = exchange(ds, "k", _group_stats(), nb, empty)
+        assert got.schema().names == ["k", "n", "s"]
+        assert _sorted(got.to_pandas(), ["k", "n", "s"]) == want
+
+
+@pytest.mark.parametrize("case", _CASES)
+def test_co_join_matches_dataset_join(ray_session, case):
+    left = _keyed(case)
+    keys = [f"k{i}" for i in (0, 2, 9)] if case == "str" else [0, 2, 7, 9]
+    ktype = pa.string() if case == "str" else pa.int64()
+    right = rd.from_arrow(pa.table({
+        "k": pa.array(keys, ktype),
+        "w": pa.array([10 * i for i in range(len(keys))], pa.int64())}))
+    empty = pa.table({"k": pa.array([], ktype), "v": pa.array([], pa.int64()),
+                      "w": pa.array([], pa.int64())})
+    want = _sorted(left.join(right, "inner", on=("k",),
+                             **shuffle_join_args(4)).to_pandas(),
+                   ["k", "v", "w"])
+    for nb in (1, 4):
+        got = co_join(left, right, "k", nb, empty)
+        assert got.schema().names == ["k", "v", "w"]
+        assert _sorted(got.to_pandas(), ["k", "v", "w"]) == want
+
+
+def test_exchange_empty_partitions_are_typed(ray_session):
+    """Partitions that receive no rows (8 partitions, 2 keys) — and a
+    fully empty input — yield zero-row blocks WITH the output schema,
+    not the schema-less blocks Ray's hash shuffle emits."""
+    import ray
+
+    empty = pa.table({"k": pa.array([], pa.int64()),
+                      "n": pa.array([], pa.int64()),
+                      "s": pa.array([], pa.int64())})
+    t = pa.table({"k": pa.array([1, 2, 1], pa.int64()),
+                  "v": pa.array([1, 2, 3], pa.int64())})
+    for ds in (rd.from_arrow(t), rd.from_arrow(t.slice(0, 0))):
+        out = exchange(ds, "k", _group_stats(), 8, empty)
+        tables = [ray.get(ref) for b in out.iter_internal_ref_bundles()
+                  for ref, _ in b.blocks]
+        assert len(tables) == 8
+        assert sum(t_.num_rows == 0 for t_ in tables) >= 6
+        assert all(t_.schema == empty.schema for t_ in tables)
+
+
+def test_exchange_executes_upstream_once(ray_session):
+    """Split tasks consume the upstream blocks as they stream out, and
+    the result holds refs: the upstream UDF runs once per block, not
+    again when the output is read."""
+    import ray
+
+    @ray.remote
+    class Counter:
+        def __init__(self):
+            self.n = 0
+
+        def bump(self):
+            self.n += 1
+
+        def get(self):
+            return self.n
+
+    c = Counter.remote()
+
+    def tagged(b: pa.Table) -> pa.Table:
+        ray.get(c.bump.remote())
+        return b
+
+    t = pa.table({"k": pa.array([i % 3 for i in range(30)], pa.int64()),
+                  "v": pa.array(range(30), pa.int64())})
+    ds = rd.from_arrow(t).repartition(2).map_batches(
+        tagged, batch_format="pyarrow")
+    out = exchange(ds, "k", _group_stats(), 4, pa.table({
+        "k": pa.array([], pa.int64()), "n": pa.array([], pa.int64()),
+        "s": pa.array([], pa.int64())}))
+    assert sorted(out.to_pandas()["n"]) == [10, 10, 10]
+    assert out.count() == 3
+    assert ray.get(c.get.remote()) == 2
+
+
+def test_shuffle_sizing_waits_for_ray_init():
+    """Importing the engine before ``ray.init`` must not size the hash
+    shuffle for a guessed 8-CPU cluster: before init the knobs take the
+    smallest cluster's sizing, and the first sizing call after init at
+    2 CPUs sizes them for 2 CPUs."""
+    code = textwrap.dedent("""
+        import ray
+        import ray.data as rd
+        import pyrosm_ray
+        from pyrosm_ray.stages.blocks import groupby_partitions
+        ctx = rd.DataContext.get_current()
+        print(ctx.default_hash_shuffle_parallelism,
+              ctx.max_hash_shuffle_aggregators)
+        ray.init(address="local", num_cpus=2, include_dashboard=False,
+                 logging_level="ERROR")
+        print(groupby_partitions(), ctx.default_hash_shuffle_parallelism,
+              ctx.max_hash_shuffle_aggregators)
+        ray.shutdown()
+    """)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": root}
+    env.pop("RAY_ADDRESS", None)
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    lines = out.stdout.split("\n")
+    assert lines[0].split() == ["2", "2"]
+    assert lines[1].split() == ["4", "4", "2"]

@@ -12,6 +12,8 @@ oracle:
 * 1006 amenity nodes, Helsinki   (tests/test_custom_filter.py:689)
 """
 
+import os
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -20,6 +22,10 @@ from pyrosm_ray.sources import pbf
 
 TEST_PBF = "/root/reference/pyrosm/data/test.osm.pbf"
 HELSINKI_PBF = "/root/reference/pyrosm/data/Helsinki.osm.pbf"
+needs_test_pbf = pytest.mark.skipif(
+    not os.path.exists(TEST_PBF), reason=f"{TEST_PBF} not present")
+needs_helsinki_pbf = pytest.mark.skipif(
+    not os.path.exists(HELSINKI_PBF), reason=f"{HELSINKI_PBF} not present")
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +68,7 @@ def test_zigzag_roundtrip():
 # blob framing + header
 # ---------------------------------------------------------------------------
 
+@needs_test_pbf
 def test_blob_index_and_header():
     idx = pbf.scan_blob_index(TEST_PBF)
     assert idx[0]["type"] == "OSMHeader"
@@ -87,6 +94,7 @@ def decoded():
     return nodes, ways, rels
 
 
+@needs_test_pbf
 def test_element_counts(decoded):
     nodes, ways, rels = decoded
     assert nodes.num_rows == 14222
@@ -94,6 +102,7 @@ def test_element_counts(decoded):
     assert rels.num_rows == 5
 
 
+@needs_test_pbf
 def test_building_tagged_ways_match_reference(decoded):
     from pyrosm_ray.filters.semantics import TagBatchEvaluator
     _, ways, _ = decoded
@@ -102,6 +111,7 @@ def test_building_tagged_ways_match_reference(decoded):
     assert int(m.sum()) == 2219
 
 
+@needs_test_pbf
 def test_coordinates_in_header_bbox(decoded):
     nodes, _, _ = decoded
     lon = np.asarray(nodes["lon"].to_numpy(zero_copy_only=False))
@@ -125,6 +135,7 @@ def pbf_dir(ray_session, tmp_path_factory):
     return out
 
 
+@needs_test_pbf
 def test_buildings_assembly_matches_reference(pbf_dir):
     from pyrosm_ray.pipelines.layers import OSM
     b = OSM(pbf_dir).get_buildings().to_pandas()
@@ -133,6 +144,7 @@ def test_buildings_assembly_matches_reference(pbf_dir):
     assert len(b) == 2208
 
 
+@needs_test_pbf
 def test_exclude_residential_matches_reference(pbf_dir):
     from pyrosm_ray.pipelines.layers import OSM
     gdf = OSM(pbf_dir).get_data_by_custom_criteria(
@@ -144,6 +156,7 @@ def test_exclude_residential_matches_reference(pbf_dir):
     assert "residential" not in set(gdf["building"].dropna())
 
 
+@needs_helsinki_pbf
 def test_helsinki_amenity_nodes_match_reference(ray_session,
                                                 tmp_path_factory):
     out = str(tmp_path_factory.mktemp("pbf") / "helsinki")
@@ -156,6 +169,7 @@ def test_helsinki_amenity_nodes_match_reference(ray_session,
     assert len(nodes_only) == 1006
 
 
+@needs_test_pbf
 def test_read_pbf_dataset(ray_session):
     ds = pbf.read_pbf(TEST_PBF, "ways")
     assert ds.count() == 2653
@@ -163,6 +177,7 @@ def test_read_pbf_dataset(ray_session):
     assert {"id", "refs", "tags"} <= set(first.keys())
 
 
+@needs_test_pbf
 def test_network_parsing_counts_match_reference(pbf_dir):
     """The reference's own test_network_parsing goldens on its bundled
     test.osm.pbf (reference tests/test_network_parsing.py:44,84,125,166,
@@ -175,6 +190,7 @@ def test_network_parsing_counts_match_reference(pbf_dir):
         assert o.get_network(nt).count() == want, nt
 
 
+@needs_helsinki_pbf
 def test_pois_default_count_matches_reference(ray_session,
                                               tmp_path_factory):
     """get_pois() on Helsinki.osm.pbf == 1711 features — the reference's
@@ -185,6 +201,7 @@ def test_pois_default_count_matches_reference(ray_session,
     assert OSM(out).get_pois().count() == 1711
 
 
+@needs_test_pbf
 def test_graph_export_shapes_match_reference(pbf_dir):
     """get_network(nodes=True) golden shapes on test.osm.pbf — full
     extract (1038 edges / 989 nodes, reference
@@ -203,6 +220,7 @@ def test_graph_export_shapes_match_reference(pbf_dir):
     assert nodes_b.count() == 293
 
 
+@needs_test_pbf
 def test_landuse_and_natural_counts_match_reference(pbf_dir):
     """get_landuse() == 51 and get_natural() == 14 on test.osm.pbf —
     the reference's tests/test_landuse_parsing.py:35 and
@@ -220,6 +238,7 @@ def helsinki_dir(ray_session, tmp_path_factory):
     return out
 
 
+@needs_helsinki_pbf
 def test_custom_filter_goldens_match_reference(helsinki_dir):
     """Two more reference custom-filter goldens on Helsinki.osm.pbf:
     multi-key keep (shop=alcohol OR amenity=pub -> 59 features, only the
@@ -241,6 +260,7 @@ def test_custom_filter_goldens_match_reference(helsinki_dir):
     assert "library" not in set(g2["amenity"])
 
 
+@needs_test_pbf
 def test_graph_export_edge_count_matches_reference(pbf_dir):
     """Directed export of the default (walking) network on test.osm.pbf:
     walking is bidirectional by the reference's per-type rule, so the
@@ -281,6 +301,7 @@ def _canon_rings(blob):
     return tuple(sorted(out))
 
 
+@needs_helsinki_pbf
 def test_complete_relations_on_real_extract(helsinki_dir):
     """The reference's straddling-relation scenario on its own Helsinki
     extract (tests/test_complete_relations.py:41, same bbox): with
@@ -308,6 +329,7 @@ def test_complete_relations_on_real_extract(helsinki_dir):
     assert n_fixed > 0
 
 
+@needs_test_pbf
 def test_filter_regression_invariants_match_reference(pbf_dir):
     """The reference's #108/#112/#118 regression invariants on
     test.osm.pbf (tests/test_regressions.py:130-240): exclude filters
@@ -352,6 +374,7 @@ def test_filter_regression_invariants_match_reference(pbf_dir):
     assert edges.count() > 0 and nodes.count() > 0
 
 
+@needs_helsinki_pbf
 def test_advanced_filter_parity_on_real_extract(helsinki_dir):
     """The reference's advanced-filter end-to-end equalities on its own
     Helsinki extract (tests/test_advanced_filter.py:240-340): regex
@@ -407,6 +430,7 @@ def test_advanced_filter_parity_on_real_extract(helsinki_dir):
     assert ids(adv) == ids(pl2) and len(ids(adv)) > 0
 
 
+@needs_helsinki_pbf
 def test_geometry_typing_goldens_match_reference(helsinki_dir):
     """The reference's #144 geometry-typing goldens on its Helsinki
     extract (tests/test_geometry.py:64-117): the closed service
@@ -436,6 +460,7 @@ def test_geometry_typing_goldens_match_reference(helsinki_dir):
         assert (edges.id == plaza).any()
 
 
+@needs_helsinki_pbf
 def test_ring_orientation_follows_rhr_on_real_extract(helsinki_dir):
     """#230 right-hand rule on the real extract: every orientable ring
     of every buildings/landuse/natural polygon has a CCW exterior and
@@ -467,6 +492,7 @@ def test_ring_orientation_follows_rhr_on_real_extract(helsinki_dir):
     assert checked > 800
 
 
+@needs_helsinki_pbf
 def test_incomplete_boundaries_dropped_on_real_extract(helsinki_dir):
     """#154 — every admin boundary in the bundled Helsinki extract runs
     off the PBF edge, so none can assemble; they are dropped (matching

@@ -4,6 +4,8 @@ reference's bundled extracts — test_pbf.py), and compare element tables.
 Crop semantics mirror the reference crop (complete-ways pulls out-of-box
 member nodes)."""
 
+import os
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -11,6 +13,8 @@ import pytest
 from pyrosm_ray.sources import pbf, pbf_write
 
 TEST_PBF = "/root/reference/pyrosm/data/test.osm.pbf"
+needs_test_pbf = pytest.mark.skipif(
+    not os.path.exists(TEST_PBF), reason=f"{TEST_PBF} not present")
 
 
 def _full_tables(path):
@@ -52,6 +56,7 @@ def _assert_tables_equal(a: pa.Table, b: pa.Table, kind: str):
             assert av == bv, f"{kind}.{col}"
 
 
+@needs_test_pbf
 def test_write_read_roundtrip(tmp_path):
     nodes, ways, rels = _full_tables(TEST_PBF)
     out = str(tmp_path / "rt.osm.pbf")
@@ -69,6 +74,7 @@ def test_write_read_roundtrip(tmp_path):
     _assert_tables_equal(rels, r2, "relations")
 
 
+@needs_test_pbf
 def test_crop_pbf_complete_ways(ray_session, tmp_path):
     nodes, ways, rels = _full_tables(TEST_PBF)
     lon = np.asarray(nodes["lon"].to_numpy(zero_copy_only=False))
@@ -321,6 +327,7 @@ def test_write_frames_subset_only_nothing_kept(tmp_path):
                                       subset_only=True)
 
 
+@needs_test_pbf
 def test_write_pbf_distributed_byte_parity(ray_session, tmp_path):
     """Segment-spliced distributed writer produces byte-identical output
     to the serial writer (blob bytes never pass through the driver)."""

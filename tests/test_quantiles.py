@@ -226,3 +226,28 @@ def test_group_quantiles_continuous_route_parity(ray_session, monkeypatch):
     assert list(fast["group"]) == list(slow["group"])
     for c in ("q0", "q1", "q2"):
         assert list(fast[c]) == list(slow[c])
+
+
+@pytest.mark.parametrize("values", [
+    pa.array([1, 100, 2, 200], pa.int64()),
+    pa.array([1.5, 100.5, 2.5, 200.5], pa.float64())])
+@pytest.mark.parametrize("driver_max", [None, 0])
+def test_group_quantiles_null_group_keys(ray_session, monkeypatch, values,
+                                         driver_max):
+    """Rows with a null group key belong to no group, on every route
+    (integer and continuous plans; driver folds and, with the ceiling
+    forced to 0, the distributed folds). They used to fold into the last
+    real group: pd.factorize codes nulls -1 and uniq[-1] picked 'fi'."""
+    from pyrosm_ray.stages import blocks
+
+    if driver_max is not None:
+        monkeypatch.setattr(blocks, "KEYED_FOLD_DRIVER_MAX", driver_max)
+    t = pa.table({"g": pa.array(["en", None, "fi", None], pa.string()),
+                  "v": values})
+    route = Q.group_quantiles_continuous \
+        if pa.types.is_floating(values.type) else Q.group_quantiles
+    out = route(rd.from_arrow(t), "g", "v", 0.5).to_pandas()
+    got = dict(zip(out["group"], out["q0"]))
+    assert got == {"en": values[0].as_py(), "fi": values[2].as_py()}
+    kept = Q.quantile_filter(rd.from_arrow(t), "g", "v", 0.5).to_pandas()
+    assert sorted(kept["g"]) == ["en", "fi"]
