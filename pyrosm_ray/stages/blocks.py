@@ -6,16 +6,22 @@ tasks: one split task per non-empty block (``num_returns=nb``), one
 reduce task per partition, reduce refs wrapped by ``rd.from_arrow_refs``.
 No aggregator-actor pool starts, zero-row blocks are skipped from their
 metadata, and an empty partition returns a typed table. Outputs stay
-object refs; nothing is gathered on the driver.
+object refs; nothing is gathered on the driver. The geo family, the
+corpus folds (dedup, windows, quantiles, pagerank) and
+:func:`keyed_sum_fold` run on them.
 
 The hash-shuffle helpers (:func:`tune_shuffle_context`, :func:`nonempty`,
-:func:`shuffle_join_args`) serve the Dataset ``groupby``/``join`` sites
-still on Ray Data's hash shuffle, whose empty partitions emit
-ZERO-COLUMN blocks that downstream acero joins reject."""
+:func:`scrub_empty_blocks`, :func:`shuffle_join_args`,
+:func:`sized_partitions`) serve the Dataset ``groupby``/``join`` sites
+still on Ray Data's hash shuffle (components, topology, layers, urls,
+similarity, triangles, spans, sampling, search, report and the
+``__ray_entry__`` queries), whose empty partitions emit ZERO-COLUMN
+blocks that downstream acero joins reject."""
 
 from __future__ import annotations
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data as rd
 from ray.data.context import ShuffleStrategy
@@ -117,7 +123,8 @@ def tune_shuffle_context() -> None:
 
 
 def groupby_partitions(n_keys: int | None = None) -> int:
-    """Partition count for a hash-shuffle ``groupby``: ~2x the cluster's
+    """Partition count for a keyed exchange (:func:`exchange`,
+    :func:`co_join`) or a hash-shuffle ``groupby``: ~2x the cluster's
     CPUs, capped by the key-domain size. Ray's default is 200 partitions
     and up to 64 aggregator ACTORS regardless of cluster size — on a
     2-CPU run that is pure actor thrash, and at toy scale the spin-up is
@@ -140,7 +147,13 @@ def _key_hash(t: pa.Table, keys: list[str]):
 
     h = np.zeros(t.num_rows, np.uint64)
     for k in keys:
-        v = np.asarray(t[k].to_numpy(zero_copy_only=False))
+        col = t[k]
+        if pa.types.is_integer(col.type):
+            # nulls hash as 0: a block with nulls must place its non-null
+            # keys where a null-free block does (to_numpy would make
+            # the whole block float)
+            col = pc.fill_null(col, 0)
+        v = np.asarray(col.to_numpy(zero_copy_only=False))
         if v.dtype.kind in "iu":
             v = v.astype(np.int64)
         h = (h * np.uint64(0x9E3779B97F4A7C15)) ^ pd.util.hash_array(v)
@@ -189,10 +202,12 @@ def _groups_reduce(fn, key: str, empty: pa.Table, *parts) -> pa.Table:
     t = _concat_rows(parts)
     if t is None:
         return empty
-    t = t.sort_by(key)
-    k = t[key].to_numpy(zero_copy_only=False)
-    cut = np.concatenate([[0], np.flatnonzero(k[1:] != k[:-1]) + 1,
-                          [len(k)]])
+    t = t.sort_by(key)  # nulls sort last, as one run
+    k = t[key].combine_chunks()
+    null = k.is_null().to_numpy(zero_copy_only=False)
+    new = pc.fill_null(pc.not_equal(k[1:], k[:-1]), True) \
+        .to_numpy(zero_copy_only=False) & ~(null[1:] & null[:-1])
+    cut = np.concatenate([[0], np.flatnonzero(new) + 1, [len(k)]])
     out = _concat_rows([fn(t.slice(s, e - s))
                         for s, e in zip(cut[:-1], cut[1:])])
     return empty if out is None else out
@@ -201,10 +216,14 @@ def _groups_reduce(fn, key: str, empty: pa.Table, *parts) -> pa.Table:
 @ray.remote
 def _join_reduce(keys: list[str], empty: pa.Table, n_left: int,
                  *parts) -> pa.Table:
-    left = _concat_rows(parts[:n_left])
-    right = _concat_rows(parts[n_left:])
-    if left is None or right is None:
+    if n_left == 0 or n_left == len(parts):
         return empty
+    # zero-row shards still carry their block's schema, so a partition
+    # with no matches yields a zero-row table typed by the data itself
+    left = pa.concat_tables(parts[:n_left], promote_options="default")
+    right = pa.concat_tables(parts[n_left:], promote_options="default")
+    if not (left.num_rows and right.num_rows):  # skip the hash build
+        left, right = left.slice(0, 0), right.slice(0, 0)
     return left.join(right, keys, join_type="inner")
 
 
@@ -224,8 +243,11 @@ def co_join(left, right, keys, nb: int, empty: pa.Table) -> rd.Dataset:
     """Inner hash join of two Datasets on same-named ``keys`` on raw Ray
     tasks: both sides hash-split identically into ``nb`` partitions and
     each partition runs one ``pa.Table.join`` (left columns first, then
-    right's non-key columns). ``empty`` is the typed result of a
-    partition with no rows on either side."""
+    right's non-key columns). Key columns must share a name: rename the
+    right-hand key in a map first. ``empty`` is the result when a side
+    has no rows at all; otherwise every partition joins its typed
+    shards, so a partition without matches is a zero-row table in the
+    data's own schema."""
     keys = [keys] if isinstance(keys, str) else list(keys)
     lp = _split(left, keys, nb)
     rp = _split(right, keys, nb)
@@ -237,19 +259,24 @@ def co_join(left, right, keys, nb: int, empty: pa.Table) -> rd.Dataset:
 def keyed_sum_fold(ds, key_col: str, val_cols: list[str],
                    num_partitions: int | None = None):
     """``groupby(key).sum(vals)`` through ONE coarse hash bucket + an
-    in-partition factorize/add.at fold. Ray's HashAggregate pays per
-    DISTINCT KEY (the measured 7x line_dedup pathology; dup_spans'
-    500 k-doc final sum went 180 -> 60 s on this switch), the fold pays
-    per PARTITION — the right shape whenever the key domain is large
-    (vocabularies, node ids, doc ids). Output columns keep their input
-    names. Keys may be int64 or string; values must be int64."""
+    in-partition factorize/add.at fold, exchanged on raw tasks
+    (:func:`exchange`). A per-key aggregate pays per DISTINCT KEY (the
+    measured 7x line_dedup pathology; dup_spans' 500 k-doc final sum went
+    180 -> 60 s on this switch), the fold pays per BUCKET — the right
+    shape whenever the key domain is large (vocabularies, node ids, doc
+    ids). Output columns keep their input names. Keys may be int64 or
+    string (an empty partition is typed from ``ds``'s schema when it is
+    known without executing the plan, else int64); values must be
+    int64."""
     import numpy as np
-    import pyarrow as pa
 
     from pyrosm_ray.stages.hashing import hash64, stable64_many
 
     nb = num_partitions or groupby_partitions()
-    empty = pa.table({key_col: pa.array([], pa.int64()),
+    sch = ds.schema(fetch_if_missing=False)
+    ktype = sch.types[sch.names.index(key_col)] \
+        if sch is not None and key_col in sch.names else pa.int64()
+    empty = pa.table({key_col: pa.array([], ktype),
                       **{c: pa.array([], pa.int64()) for c in val_cols}})
 
     def bucket(t: pa.Table) -> pa.Table:
@@ -262,12 +289,8 @@ def keyed_sum_fold(ds, key_col: str, val_cols: list[str],
         return t.append_column(
             "__q", pa.array((h % np.uint64(nb)).astype(np.int64)))
 
-    def fold(g: pa.Table) -> pa.Table:
-        return _fold_keyed(g, key_col, val_cols)
-
-    return ds.map_batches(bucket, batch_format="pyarrow") \
-        .groupby("__q", num_partitions=nb) \
-        .map_groups(fold, batch_format="pyarrow")
+    return exchange(ds.map_batches(bucket, batch_format="pyarrow"), "__q",
+                    lambda g: _fold_keyed(g, key_col, val_cols), nb, empty)
 
 
 def _fold_keyed(g: "pa.Table", key_col: str, val_cols: list[str]):
@@ -304,8 +327,8 @@ KEYED_FOLD_DRIVER_MAX = 100_000
 def keyed_sum_auto(raw_ds, partials, key_col: str, val_cols: list[str],
                    num_partitions: int | None = None):
     """Route a partial-count aggregate: driver fold when the partial
-    stream is small, the coarse hash fold sized to the data beyond.
-    Identical output either way.
+    stream is small, the exchanged bucket fold (:func:`keyed_sum_fold`)
+    beyond. Identical output either way.
 
     The partials pipeline (and its upstream plan) executes exactly ONCE —
     it is materialized here and the route gate reads the materialized row
@@ -326,7 +349,7 @@ def keyed_sum_auto(raw_ds, partials, key_col: str, val_cols: list[str],
         # to ~cluster-width blocks (repartition(shuffle=False) = minimal
         # block-level movement, NO keyed exchange) and re-fold each —
         # tile_rollup's sf3 fine level shrinks 2M partial rows to ~2%
-        # of that before any hash shuffle or driver collect runs.
+        # of that before any exchange or driver collect runs.
         cpus = _cluster_cpus()
         merged = parts.repartition(max(2, cpus)).map_batches(
             lambda b: _fold_keyed(b, key_col, val_cols),
@@ -336,9 +359,7 @@ def keyed_sum_auto(raw_ds, partials, key_col: str, val_cols: list[str],
             parts, n_part = merged, n_merged
     if n_part <= KEYED_FOLD_DRIVER_MAX:
         return keyed_sum_driver(parts, key_col, val_cols)
-    return keyed_sum_fold(parts, key_col, val_cols,
-                          num_partitions=num_partitions
-                          or partitions_for_rows(n_part))
+    return keyed_sum_fold(parts, key_col, val_cols, num_partitions)
 
 
 def keyed_sum_driver(partials, key_col: str, val_cols: list[str],
@@ -366,20 +387,15 @@ def keyed_sum_driver(partials, key_col: str, val_cols: list[str],
         _fold_keyed(pa.concat_tables(parts), key_col, val_cols))
 
 
-def partitions_for_rows(n: int, rows_per_part: int = 250_000) -> int:
-    """Shuffle width for a KNOWN row count, capped at the cluster width."""
-    import numpy as np
-    return int(np.clip(n // rows_per_part + 1, 2, groupby_partitions()))
-
-
 def sized_partitions(*dss, rows_per_part: int = 250_000) -> int:
     """Shuffle width sized to the DATA, capped at the cluster width
     (each hash-shuffle partition spins up an aggregator actor; 64
     partitions over 100 k rows is pure actor spin-up). count() is
     metadata-only on fresh reads, one cheap extra pass otherwise."""
+    import numpy as np
     try:
         n = sum(int(d.count()) for d in dss)
-        return partitions_for_rows(n, rows_per_part)
+        return int(np.clip(n // rows_per_part + 1, 2, groupby_partitions()))
     except Exception:
         return groupby_partitions()
 

@@ -42,8 +42,7 @@ import pyarrow.compute as pc
 import ray
 
 from pyrosm_ray.stages.similarity import _emb_matrix
-from pyrosm_ray.stages.blocks import groupby_partitions, nonempty, \
-    shuffle_join_args
+from pyrosm_ray.stages.blocks import co_join, exchange, groupby_partitions
 from pyrosm_ray.stages.components import attach_components, \
     connected_components
 from pyrosm_ray.stages.hashing import combine3, hash64, stable64, \
@@ -193,14 +192,27 @@ def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
 
         return ds.map_batches(member, batch_format="pyarrow")
 
-    keep = hashed.groupby("content_hash").min(id_col)
+    nb = num_partitions or groupby_partitions()
+    id_type = hashed.schema().base_schema.field(id_col).type
 
-    def keep_ids(batch: pa.Table) -> pa.Table:
-        return pa.table({"__keep_id": batch[f"min({id_col})"]})
+    def bucket(b: pa.Table) -> pa.Table:
+        h = stable64_many(b["content_hash"].to_pylist())
+        return b.append_column(
+            "__p", pa.array((h % np.uint64(nb)).astype(np.int64)))
 
-    keep = keep.map_batches(keep_ids, batch_format="pyarrow")
-    return ds.join(keep, "inner", on=(id_col,), right_on=("__keep_id",),
-                   **shuffle_join_args(num_partitions))
+    def pick(g: pa.Table) -> pa.Table:
+        import pandas as pd
+        m = pd.DataFrame({
+            "h": g["content_hash"].to_pylist(),
+            "i": g[id_col].to_numpy(zero_copy_only=False)}) \
+            .groupby("h", sort=False)["i"].min()
+        return pa.table({id_col: pa.array(m.to_numpy(), id_type)})
+
+    keep_empty = pa.table({id_col: pa.array([], id_type)})
+    keep = exchange(hashed.map_batches(bucket, batch_format="pyarrow"),
+                    "__p", pick, nb, keep_empty)
+    # both sides hold rows here (an empty input took the driver route)
+    return co_join(ds, keep, id_col, nb, keep_empty)
 
 
 # ---------------------------------------------------------------------------
@@ -319,17 +331,15 @@ _PAIRS_EMPTY = pa.table({"a": pa.array([], pa.int64()),
 
 
 def _distinct_pairs(pairs_ds, num_partitions: int | None = None):
-    """Distinct (a, b) pairs; the single nonempty() doubles as the one
-    materialize barrier (callers' count()/join reuse the in-memory refs).
+    """Distinct (a, b) pairs, exchanged on raw tasks (the result holds
+    reduce refs, so callers' count()/join reuse them).
 
     Manual bucket + in-group lexsort-dedupe, NOT ``groupby(["a","b"])``:
     Ray's HashAggregate treats every distinct pair as a group key (the
     many-distinct-key pathology measured at 7x on line_dedup); one
     coarse hash bucket per partition does the same dedupe in one
     C-level pass per group."""
-    from pyrosm_ray.stages.blocks import sized_partitions
-    nb = num_partitions or sized_partitions(pairs_ds,
-                                            rows_per_part=2_000_000)
+    nb = num_partitions or groupby_partitions()
 
     def bucket(t: pa.Table) -> pa.Table:
         a = np.asarray(t["a"].to_numpy(zero_copy_only=False), np.int64) \
@@ -347,17 +357,15 @@ def _distinct_pairs(pairs_ds, num_partitions: int | None = None):
         return pa.table({"a": pa.array(a, pa.int64()),
                          "b": pa.array(b, pa.int64())})
 
-    deduped = pairs_ds.map_batches(bucket, batch_format="pyarrow") \
-        .groupby("__p", num_partitions=nb) \
-        .map_groups(fold, batch_format="pyarrow")
-    return nonempty(deduped, _PAIRS_EMPTY)
+    return exchange(pairs_ds.map_batches(bucket, batch_format="pyarrow"),
+                    "__p", fold, nb, _PAIRS_EMPTY)
 
 
 def _keyed_pairs_bucketed(rows_ds, key_cols: list[str], id_col: str,
                           num_partitions: int | None = None,
                           cap: int = 1 << 30):
     """Candidate (a, b) pairs within each exact ``key_cols`` group,
-    via ONE coarse hash shuffle: rows bucket by key-hash % nb (same-key
+    via ONE coarse raw-task exchange: rows bucket by key-hash % nb (same-key
     rows always co-bucket), and the per-bucket fold generates every
     group's pairs in one vectorised pass — segment the sorted rows by
     key, then for row j of its segment emit (all earlier ids, id_j)
@@ -372,9 +380,7 @@ def _keyed_pairs_bucketed(rows_ds, key_cols: list[str], id_col: str,
     :func:`hash64`, everything else through the stable string hash); a
     digest collision can only ADD a candidate pair, and every caller
     exact-verifies candidates downstream, so outputs stay exact."""
-    from pyrosm_ray.stages.blocks import sized_partitions
-    nb = num_partitions or sized_partitions(rows_ds,
-                                            rows_per_part=2_000_000)
+    nb = num_partitions or groupby_partitions()
 
     def digest(t: pa.Table) -> np.ndarray:
         key = np.zeros(t.num_rows, np.uint64)
@@ -436,9 +442,8 @@ def _keyed_pairs_bucketed(rows_ds, key_cols: list[str], id_col: str,
         return pa.table({"a": pa.array(ids[a_idx], pa.int64()),
                          "b": pa.array(ids[b_idx], pa.int64())})
 
-    return rows_ds.map_batches(bucket, batch_format="pyarrow") \
-        .groupby("__p", num_partitions=nb) \
-        .map_groups(fold, batch_format="pyarrow")
+    return exchange(rows_ds.map_batches(bucket, batch_format="pyarrow"),
+                    "__p", fold, nb, _PAIRS_EMPTY)
 
 
 def _binary_u64_csr(col) -> tuple[np.ndarray, np.ndarray]:
@@ -555,26 +560,22 @@ def _verify_pairs_jaccard(pairs_ds, shingles_ds, id_col: str,
     """Exact Jaccard over candidate pairs: the (small) pair list joins the
     shingle sets by id — twice — then one vectorisable verify pass.
     Shingle bytes move only for ids that appear in a candidate pair."""
-    def rn(batch: pa.Table, name: str) -> pa.Table:
-        cols = {c: batch[c] for c in batch.column_names
-                if c != "shingles"}
-        cols[name] = batch["shingles"]
-        return pa.table(cols)
+    nb = num_partitions or groupby_partitions()
 
-    # nonempty() between the two id-joins doubles as a materialize
-    # barrier: each hash-shuffle join reserves an aggregator actor pool
-    # (a deep lazy chain can exhaust small clusters' CPU slots), and join
-    # outputs can carry zero-column empty partition blocks that the next
-    # acero join rejects (pair sets are tiny, so the barrier is cheap)
-    j = pairs_ds.join(shingles_ds, "inner", on=("a",), right_on=(id_col,),
-                      **shuffle_join_args(num_partitions)) \
-        .map_batches(lambda b: rn(b, "sh_a"), batch_format="pyarrow")
-    j = nonempty(j, pa.table({"a": pa.array([], pa.int64()),
-                              "b": pa.array([], pa.int64()),
-                              "sh_a": pa.array([], pa.binary())}))
-    j = j.join(shingles_ds, "inner", on=("b",), right_on=(id_col,),
-               **shuffle_join_args(num_partitions)) \
-        .map_batches(lambda b: rn(b, "sh_b"), batch_format="pyarrow")
+    def keyed(key: str, name: str):
+        return shingles_ds.map_batches(lambda b: pa.table({
+            key: b[id_col].cast(pa.int64()), name: b["shingles"]}),
+            batch_format="pyarrow")
+
+    j = co_join(pairs_ds, keyed("a", "sh_a"), "a", nb,
+                pa.table({"a": pa.array([], pa.int64()),
+                          "b": pa.array([], pa.int64()),
+                          "sh_a": pa.array([], pa.binary())}))
+    j = co_join(j, keyed("b", "sh_b"), "b", nb,
+                pa.table({"a": pa.array([], pa.int64()),
+                          "b": pa.array([], pa.int64()),
+                          "sh_a": pa.array([], pa.binary()),
+                          "sh_b": pa.array([], pa.binary())}))
 
     def verify(batch: pa.Table) -> pa.Table:
         av = np.asarray(batch["a"].to_numpy(zero_copy_only=False),
@@ -763,9 +764,8 @@ def minhash_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
         lambda b: _band_rows(b.select([id_col, "sig"]), id_col, num_perm,
                              bands),
         batch_format="pyarrow")
-    cand_raw = nonempty(_keyed_pairs_bucketed(
-        banded, ["band", "bucket"], id_col, cap=bucket_cap),
-        _PAIRS_EMPTY)
+    cand_raw = _keyed_pairs_bucketed(banded, ["band", "bucket"], id_col,
+                                     cap=bucket_cap)
     n_cand = cand_raw.count()
     if n_cand == 0:
         return attach_components(ds, None, id_col, out_col="dup_of")
@@ -970,23 +970,18 @@ def hamming_pairs(sig, id_col: str = "doc_id", hash_col: str = "simhash",
                                 pa.int64()),
         }))
 
-    sim_proj = sig.map_batches(lambda b: b.select([id_col, hash_col]),
-                               batch_format="pyarrow")
+    def keyed(key: str, name: str):
+        return sig.map_batches(lambda b: pa.table({
+            key: b[id_col].cast(pa.int64()), name: b[hash_col]}),
+            batch_format="pyarrow")
 
-    def rn(batch: pa.Table, name: str) -> pa.Table:
-        cols = {c: batch[c] for c in batch.column_names if c != hash_col}
-        cols[name] = batch[hash_col]
-        return pa.table(cols)
-
-    j = cand.join(sim_proj, "inner", on=("a",), right_on=(id_col,),
-                  **shuffle_join_args(num_partitions)) \
-        .map_batches(lambda b: rn(b, "h_a"), batch_format="pyarrow")
-    j = nonempty(j, pa.table({"a": pa.array([], pa.int64()),
-                              "b": pa.array([], pa.int64()),
-                              "h_a": pa.array([], pa.int64())}))
-    j = j.join(sim_proj, "inner", on=("b",), right_on=(id_col,),
-               **shuffle_join_args(num_partitions)) \
-        .map_batches(lambda b: rn(b, "h_b"), batch_format="pyarrow")
+    nb = num_partitions or groupby_partitions()
+    ab = {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())}
+    j = co_join(cand, keyed("a", "h_a"), "a", nb,
+                pa.table({**ab, "h_a": pa.array([], pa.int64())}))
+    j = co_join(j, keyed("b", "h_b"), "b", nb,
+                pa.table({**ab, "h_a": pa.array([], pa.int64()),
+                          "h_b": pa.array([], pa.int64())}))
 
     def verify(batch: pa.Table) -> pa.Table:
         ha = np.asarray(batch["h_a"].to_numpy(zero_copy_only=False)
@@ -1543,7 +1538,6 @@ def near_dup_keep_best(ds, id_col: str = "doc_id", text_col: str = "text",
     adds one hash join (labels x scores on id) and one grouped top-1; no
     new driver state. Returns survivors: ``(doc_id, dup_of,
     quality_score)``, one row per cluster."""
-    from pyrosm_ray.stages.blocks import shuffle_join_args
     from pyrosm_ray.stages.sampling import topk_per_group
     from pyrosm_ray.stages.text import quality_score
 
@@ -1552,14 +1546,11 @@ def near_dup_keep_best(ds, id_col: str = "doc_id", text_col: str = "text",
     scores = quality_score(ds, text_col=text_col).map_batches(
         lambda b: b.select([id_col, "quality_score"]),
         batch_format="pyarrow")
-
-    def strip(batch: pa.Table) -> pa.Table:
-        return pa.table({"__sid": batch[id_col],
-                         "quality_score": batch["quality_score"]})
-
-    joined = labels.join(scores.map_batches(strip, batch_format="pyarrow"),
-                         "inner", on=(id_col,), right_on=("__sid",),
-                         **shuffle_join_args(num_partitions))
+    joined = co_join(labels, scores, id_col,
+                     num_partitions or groupby_partitions(),
+                     pa.table({id_col: pa.array([], pa.int64()),
+                               "dup_of": pa.array([], pa.int64()),
+                               "quality_score": pa.array([], pa.float64())}))
     best = topk_per_group(joined, "dup_of", "quality_score", k=1,
                           id_col=id_col)
     return best.map_batches(
@@ -1689,15 +1680,13 @@ def incremental_dedup(new_ds, ref_ds, id_col: str = "doc_id",
     instead of all of them. Output is bit-identical to the base route
     (parity-pinned); the bitmaps broadcast once (m/8 bytes, sized by
     ``_bloom_params``), which is the route's documented ceiling."""
-    from pyrosm_ray.stages.blocks import sized_partitions
-
     new_h = new_ds.map_batches(
         lambda b: _content_hash_tbl(b, id_col, text_col, False),
         batch_format="pyarrow")
     ref_h = ref_ds.map_batches(
         lambda b: _content_hash_tbl(b, id_col, text_col, True),
         batch_format="pyarrow")
-    nbk = sized_partitions(new_ds, ref_ds)
+    nbk = num_partitions or groupby_partitions()
 
     if bloom_bits_per_item > 0:
         # pass 1 (map-only): candidate hashes = new docs possibly in ref
@@ -1726,13 +1715,14 @@ def incremental_dedup(new_ds, ref_ds, id_col: str = "doc_id",
             "h": group["__h"].to_numpy(zero_copy_only=False),
             "i": group["__cid"].to_numpy(zero_copy_only=False)})
         m = df.groupby("h", sort=False)["i"].min().to_numpy(np.int64)
-        return pa.table({"__keep_id": pa.array(m[m >= 0], pa.int64())})
+        return pa.table({id_col: pa.array(m[m >= 0], pa.int64())})
 
     # decision-fold driver gate (family policy): under the row ceiling
     # the whole (hash, id) stream collects once and ONE pick pass
-    # replaces the union groupby's shuffle machinery — identical
+    # replaces the union exchange's task fan-out — identical
     # semantics (min per hash is global either way)
     from pyrosm_ray.stages.blocks import KEYED_FOLD_DRIVER_MAX
+    keep_empty = pa.table({id_col: pa.array([], pa.int64())})
     try:
         small = int(new_ds.count()) + int(ref_ds.count()) \
             <= KEYED_FOLD_DRIVER_MAX
@@ -1744,13 +1734,10 @@ def incremental_dedup(new_ds, ref_ds, id_col: str = "doc_id",
             batch_format="pyarrow")]
         parts = [t for t in parts if t.num_rows]
         keep = rd.from_arrow(
-            pick(pa.concat_tables(parts)) if parts else pa.table(
-                {"__keep_id": pa.array([], pa.int64())}))
+            pick(pa.concat_tables(parts)) if parts else keep_empty)
     else:
-        keep = new_h.union(ref_h) \
-            .map_batches(bucket, batch_format="pyarrow") \
-            .groupby("__p", num_partitions=nbk).map_groups(
-            pick, batch_format="pyarrow")
+        keep = exchange(new_h.union(ref_h).map_batches(
+            bucket, batch_format="pyarrow"), "__p", pick, nbk, keep_empty)
     # winner re-select: the keep set is ids-only (8 B/row, already an
     # all-to-all output), so materialize it and gate on ITS size — up
     # to KEEP_BROADCAST_MAX ids (<=32 MB) the survivors broadcast once
@@ -1759,7 +1746,7 @@ def incremental_dedup(new_ds, ref_ds, id_col: str = "doc_id",
     # keep-set).
     keep = keep.materialize()
     if keep.count() <= KEEP_BROADCAST_MAX:
-        parts = [np.asarray(t["__keep_id"].to_numpy(
+        parts = [np.asarray(t[id_col].to_numpy(
                      zero_copy_only=False), np.int64)
                  for t in keep.to_arrow_refs()
                  for t in [ray.get(t)] if t.num_rows]
@@ -1779,9 +1766,7 @@ def incremental_dedup(new_ds, ref_ds, id_col: str = "doc_id",
             return b.filter(pa.array(m))
 
         return new_ds.map_batches(keep_filter, batch_format="pyarrow")
-    return new_ds.join(keep, "inner", on=(id_col,),
-                       right_on=("__keep_id",),
-                       **shuffle_join_args(num_partitions))
+    return co_join(new_ds, keep, id_col, nbk, keep_empty)
 
 
 # ---------------------------------------------------------------------------
@@ -1897,10 +1882,7 @@ def line_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
     if shuffle_key != "line":
         raise ValueError(f"shuffle_key must be 'hash' or 'line', "
                          f"got {shuffle_key!r}")
-    from pyrosm_ray.stages.blocks import sized_partitions
-    # size to the data: line rows multiply doc rows ~3-10x, so the
-    # per-partition row budget shrinks accordingly
-    nb = num_partitions or sized_partitions(ds, rows_per_part=100_000)
+    nb = num_partitions or groupby_partitions()
     ex = ds.map_batches(
         lambda b: _explode_lines(b, id_col, text_col, delim, carry_cols),
         batch_format="pyarrow")
@@ -1923,14 +1905,14 @@ def line_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
             "line": g["__line"].to_pylist(),
             "k": g["__ordkey"].to_numpy(zero_copy_only=False)})
         m = df.groupby("line", sort=False)["k"].min()
-        return pa.table({"__keep": pa.array(m.to_numpy(np.int64))})
+        return pa.table({"__ordkey": pa.array(m.to_numpy(np.int64))})
 
-    keep = ex.select_columns(["__line", "__ordkey"]) \
-        .map_batches(line_bucket, batch_format="pyarrow") \
-        .groupby("__p", num_partitions=nb) \
-        .map_groups(fold_first, batch_format="pyarrow")
-    surv = ex.join(keep, "inner", on=("__ordkey",), right_on=("__keep",),
-                   **shuffle_join_args(num_partitions))
+    keep_empty = pa.table({"__ordkey": pa.array([], pa.int64())})
+    keep = exchange(ex.select_columns(["__line", "__ordkey"])
+                    .map_batches(line_bucket, batch_format="pyarrow"),
+                    "__p", fold_first, nb, keep_empty)
+    # an empty input leaves no keys, so the reassembly below sees no rows
+    surv = co_join(ex, keep, "__ordkey", nb, keep_empty)
 
     def add_bucket(b: pa.Table) -> pa.Table:
         ids = np.asarray(b[id_col].to_numpy(zero_copy_only=False),
@@ -1939,21 +1921,20 @@ def line_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
             "__bucket", pa.array((hash64(ids, 7) % np.uint64(nb))
                                  .astype(np.int64), pa.int64()))
 
-    return surv.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("__bucket", num_partitions=nb) \
-        .map_groups(lambda g: _reassemble_lines(
-            g, id_col, delim, out_col, carry_cols),
-            batch_format="pyarrow")
+    return exchange(surv.map_batches(add_bucket, batch_format="pyarrow"),
+                    "__bucket", lambda g: _reassemble_lines(
+                        g, id_col, delim, out_col, carry_cols), nb,
+                    _reassemble_lines(pa.table({}), id_col, delim, out_col,
+                                      carry_cols))
 
 
 def _line_dedup_hash(ds, id_col: str, text_col: str, delim: str,
                      out_col: str, carry_cols: list[str],
                      num_partitions: int | None):
     """Hash-keyed route: ints decide, text moves once (see line_dedup)."""
-    from pyrosm_ray.stages.blocks import sized_partitions
     from pyrosm_ray.stages.hashing import stable128_many
 
-    nb = num_partitions or sized_partitions(ds, rows_per_part=100_000)
+    nb = num_partitions or groupby_partitions()
 
     def explode_hashed(batch: pa.Table) -> pa.Table:
         ex = _explode_lines(batch, id_col, text_col, delim, carry_cols)
@@ -1993,10 +1974,11 @@ def _line_dedup_hash(ds, id_col: str, text_col: str, delim: str,
             **{c: pa.nulls(len(k), pa.string()) for c in carry_cols},
         })
 
-    keep = ex.select_columns(["__h1", "__h2", "__ordkey"]) \
-        .map_batches(hash_bucket, batch_format="pyarrow") \
-        .groupby("__p", num_partitions=nb) \
-        .map_groups(fold_first, batch_format="pyarrow")
+    keys = ["__h1", "__h2", "__ordkey"]
+    keep = exchange(ex.select_columns(keys)
+                    .map_batches(hash_bucket, batch_format="pyarrow"),
+                    "__p", fold_first, nb, fold_first(pa.table(
+                        {c: pa.array([], pa.int64()) for c in keys})))
 
     def lines_bucketed(b: pa.Table) -> pa.Table:
         ids = np.asarray(b[id_col].to_numpy(zero_copy_only=False),
@@ -2032,8 +2014,8 @@ def _line_dedup_hash(ds, id_col: str, text_col: str, delim: str,
             .select([id_col, "__ord", "__line"] + carry_cols)
         return _reassemble_lines(surv, id_col, delim, out_col, carry_cols)
 
-    return both.groupby("__bucket", num_partitions=nb) \
-        .map_groups(fold, batch_format="pyarrow")
+    return exchange(both, "__bucket", fold, nb, _reassemble_lines(
+        pa.table({}), id_col, delim, out_col, carry_cols))
 
 
 # ---------------------------------------------------------------------------
@@ -2058,7 +2040,7 @@ def semantic_dedup(ds, n_clusters: int = 8, threshold: float = 0.4,
     (distributed spherical Lloyd's) first — the production path, pinned
     by a numpy-twin pytest instead of SQL.
 
-    Scale contract: one broadcast of k x d centroids, one hash shuffle on
+    Scale contract: one broadcast of k x d centroids, one exchange on
     ``cluster``, one O(g^2) float64 matmul per group (one cluster's rows
     fit a worker — size k to the corpus as SemDeDup does). Returns
     (id, cluster) survivors.
@@ -2095,9 +2077,10 @@ def semantic_dedup(ds, n_clusters: int = 8, threshold: float = 0.4,
                 pa.int64()),
         })
 
-    return assigned.groupby(
-        "cluster", num_partitions=groupby_partitions(n_clusters)) \
-        .map_groups(prune, batch_format="pyarrow")
+    return exchange(assigned, "cluster", prune,
+                    groupby_partitions(n_clusters),
+                    pa.table({id_col: pa.array([], pa.int64()),
+                              "cluster": pa.array([], pa.int64())}))
 
 
 def semantic_dedup_sql(emb_table: str = "embeddings",
@@ -2142,8 +2125,10 @@ def snapshot_diff(old_ds, new_ds, id_col: str = "doc_id",
 
     Scale shape (the :func:`incremental_dedup` contract): each side
     reduces in ONE stateless pass to (id, side, 128-bit content key)
-    rows — text never shuffles — then one id-bucketed union fold decides
-    every id's status with a factorize + scatter compare per PARTITION.
+    rows — text never shuffles — then one id-bucketed union fold
+    (:func:`pyrosm_ray.stages.blocks.exchange`) decides every id's status
+    with a factorize + scatter compare per BUCKET. Each upstream plan
+    runs once.
     Ids are unique per snapshot (the document-key contract). The DuckDB
     twin is the FULL OUTER JOIN with a raw text-equality CASE; md5-128
     collisions are below the birthday bound at any corpus size, so the
@@ -2151,10 +2136,9 @@ def snapshot_diff(old_ds, new_ds, id_col: str = "doc_id",
 
     Output: ``(doc_id, status)``, one row per id in either snapshot.
     """
-    from pyrosm_ray.stages.blocks import sized_partitions
     from pyrosm_ray.stages.hashing import hash64, stable128_many
 
-    nb = num_partitions or sized_partitions(old_ds, new_ds)
+    nb = num_partitions or groupby_partitions()
 
     def keyed(side: int):
         def run(b: pa.Table) -> pa.Table:
@@ -2174,15 +2158,6 @@ def snapshot_diff(old_ds, new_ds, id_col: str = "doc_id",
 
     u = old_ds.map_batches(keyed(0), batch_format="pyarrow") \
         .union(new_ds.map_batches(keyed(1), batch_format="pyarrow"))
-
-    # driver fast path (family policy): the keyed stream is 32 B/row;
-    # under the ceiling ONE local fold replaces the union groupby's
-    # shuffle machinery (identical output — same fold body)
-    from pyrosm_ray.stages.blocks import KEYED_FOLD_DRIVER_MAX
-    try:
-        n_rows = int(old_ds.count()) + int(new_ds.count())
-    except Exception:
-        n_rows = KEYED_FOLD_DRIVER_MAX + 1
 
     def fold(g: pa.Table) -> pa.Table:
         import pandas as pd
@@ -2210,19 +2185,9 @@ def snapshot_diff(old_ds, new_ds, id_col: str = "doc_id",
                          "status": pa.array(status.astype(object),
                                             pa.string())})
 
-    if n_rows <= KEYED_FOLD_DRIVER_MAX:
-        import ray.data as rd
-        parts = [pa.table(b)
-                 for b in u.iter_batches(batch_format="pyarrow")]
-        parts = [t for t in parts if t.num_rows]
-        if not parts:
-            return rd.from_arrow(pa.table({
-                id_col: pa.array([], pa.int64()),
-                "status": pa.array([], pa.string())}))
-        return rd.from_arrow(fold(pa.concat_tables(parts)))
-
-    return u.groupby("__q", num_partitions=nb) \
-        .map_groups(fold, batch_format="pyarrow")
+    return exchange(u, "__q", fold, nb, pa.table({
+        id_col: pa.array([], pa.int64()),
+        "status": pa.array([], pa.string())}))
 
 
 def snapshot_diff_sql(old_sel: str, new_sel: str,

@@ -8,11 +8,11 @@ runs an integer-exact PageRank over it.
 
 Execution shape:
 
-- ``click_edges``: ONE hash shuffle co-partitions each user's whole
+- ``click_edges``: ONE raw-task exchange co-partitions each user's whole
   stream (the :mod:`pyrosm_ray.stages.windows` bucketed-fold pattern —
   per-BUCKET segmented numpy, no per-user Python); consecutive-pair
   edges then dedupe through the same coarse hash-bucket fold the dedup
-  family uses, so shuffle bytes are bounded by distinct edges.
+  family uses, so exchanged bytes are bounded by distinct edges.
 - ``pagerank``: the rank vector is per-NODE (hosts: ~10^8 at web scale,
   16 B/node — the broadcast-state contract used by the coordinate
   index), so each iteration is one stateless ``map_batches`` over the
@@ -43,7 +43,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from pyrosm_ray.stages.blocks import sized_partitions
+from pyrosm_ray.stages.blocks import co_join, exchange, groupby_partitions
 from pyrosm_ray.stages.windows import _bucket_of, _run_starts
 
 R0_MICRO = 1_000_000
@@ -76,7 +76,7 @@ def click_edges(ds, user_col: str = "user_id", ts_col: str = "ts",
     once on the driver (the dedup-family driver policy — two shuffles'
     fixed cost dominates at that size); the bucketed fold below is the
     10^12-event shape. Identical output, route-parity-tested."""
-    nb = num_partitions or sized_partitions(ds)
+    nb = num_partitions or groupby_partitions()
 
     def add_bucket(b: pa.Table) -> pa.Table:
         u = np.asarray(b[user_col].to_numpy(zero_copy_only=False),
@@ -87,8 +87,6 @@ def click_edges(ds, user_col: str = "user_id", ts_col: str = "ts",
                       "dst": pa.array([], pa.int64())})
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return empty
         u = np.asarray(g[user_col].to_numpy(zero_copy_only=False),
                        np.int64)
         ts = np.asarray(g[ts_col].to_numpy(zero_copy_only=False)
@@ -124,10 +122,8 @@ def click_edges(ds, user_col: str = "user_id", ts_col: str = "ts",
         # dedupes, so its single-pass output IS the distinct edge set
         return rd.from_arrow(per_bucket(tbl))
 
-    pairs = ds.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("__p", num_partitions=nb) \
-        .map_groups(per_bucket, batch_format="pyarrow")
-
+    pairs = exchange(ds.map_batches(add_bucket, batch_format="pyarrow"),
+                     "__p", per_bucket, nb, empty)
     return _distinct_edges(pairs, nb)
 
 
@@ -148,8 +144,6 @@ def _distinct_edges(pairs, nb: int):
             "__q", pa.array((h % np.uint64(nb)).astype(np.int64)))
 
     def fold(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return empty
         s = np.asarray(g["src"].to_numpy(zero_copy_only=False), np.int64)
         d = np.asarray(g["dst"].to_numpy(zero_copy_only=False), np.int64)
         o = np.lexsort((d, s))
@@ -159,9 +153,8 @@ def _distinct_edges(pairs, nb: int):
         return pa.table({"src": pa.array(s[first], pa.int64()),
                          "dst": pa.array(d[first], pa.int64())})
 
-    return pairs.map_batches(bucket_e, batch_format="pyarrow") \
-        .groupby("__q", num_partitions=nb) \
-        .map_groups(fold, batch_format="pyarrow")
+    return exchange(pairs.map_batches(bucket_e, batch_format="pyarrow"),
+                    "__q", fold, nb, empty)
 
 
 EDGES_DRIVER_MAX = 1 << 22  # 16 B/edge -> <=64 MB collects to the driver
@@ -321,7 +314,7 @@ def host_edges(links, url_col: str = "url", href_col: str = "href",
     Relative hrefs (no scheme://host) and self-host links drop."""
     from pyrosm_ray.stages.urls import extract_host_batch
 
-    nb = num_partitions or sized_partitions(links)
+    nb = num_partitions or groupby_partitions()
 
     def hosts(b: pa.Table) -> pa.Table:
         b = extract_host_batch(b, url_col=url_col, out_col="src_host")
@@ -345,7 +338,7 @@ def host_edges(links, url_col: str = "url", href_col: str = "href",
     pairs = links.map_batches(hosts, batch_format="pyarrow")
 
     # global distinct through the same coarse-hash fold, keyed on the
-    # 64-bit content hash of the pair (names ride the shuffle once)
+    # 64-bit content hash of the pair (names ride the exchange once)
     from pyrosm_ray.stages.hashing import stable64_many
 
     def bucket_s(t: pa.Table) -> pa.Table:
@@ -365,9 +358,10 @@ def host_edges(links, url_col: str = "url", href_col: str = "href",
             "dst_host": pa.array(df["dst_host"].to_numpy(), pa.string()),
         })
 
-    return pairs.map_batches(bucket_s, batch_format="pyarrow") \
-        .groupby("__q", num_partitions=nb) \
-        .map_groups(fold_s, batch_format="pyarrow")
+    return exchange(pairs.map_batches(bucket_s, batch_format="pyarrow"),
+                    "__q", fold_s, nb,
+                    pa.table({"src_host": pa.array([], pa.string()),
+                              "dst_host": pa.array([], pa.string())}))
 
 
 def pagerank_named(edges, iters: int = 5, src_col: str = "src_host",
@@ -610,11 +604,11 @@ def pagerank_partitioned(edges, iters: int = 5, src_col: str = "src",
     universes past the driver/object-store ceiling (per-PAGE graphs at
     10^12 pages, not per-host) still run.
 
-    Per iteration: one hash join ships each edge its source's current
-    (rank, outdeg) — contributions compute vectorised per batch with
-    batch-local per-dst pre-aggregation — then a node-keyed groupby-sum
-    unioned with the zero-contribution node universe rebuilds the next
-    state. Partitioning assumption (custom-operator contract): edges
+    Per iteration: one raw-task hash join (``blocks.co_join``) ships
+    each edge its source's current (rank, outdeg) — contributions
+    compute vectorised per batch with batch-local per-dst
+    pre-aggregation — then a node-keyed groupby-sum unioned with the
+    zero-contribution node universe rebuilds the next state. Partitioning assumption (custom-operator contract): edges
     and state co-partition by the join key hash; skewed in-degree hubs
     are absorbed by the batch-local pre-aggregation (a hub's
     contributions collapse to one row per batch before the shuffle).
@@ -624,13 +618,10 @@ def pagerank_partitioned(edges, iters: int = 5, src_col: str = "src",
     Routing: edge sets up to :data:`PAGERANK_BSP_MAX_EDGES` run the
     :func:`_pagerank_bsp` co-partitioned raw-task route (no shuffle
     operator inside the loop); beyond it — or with ``route="join"`` —
-    the Dataset hash-join iteration below is the unbounded-scale
+    the co-joined iteration below is the unbounded-scale
     contract. Both routes produce identical integers."""
     import pandas as pd
 
-    from pyrosm_ray.stages.blocks import shuffle_join_args
-
-    jargs = shuffle_join_args(num_partitions)
     edges = edges.select_columns([src_col, dst_col]).materialize()
     n_edges = edges.count()
     if route not in (None, "bsp", "join"):
@@ -642,15 +633,6 @@ def pagerank_partitioned(edges, iters: int = 5, src_col: str = "src",
             PAGERANK_BSP_MAX_PARTS))
         return _pagerank_bsp(edges, iters, src_col, dst_col, int(nb),
                              tol_micro=tol_micro, stats=stats)
-    if n_edges == 0:
-        # guard BEFORE any shuffle: a fully-empty input's blocks skip
-        # the map UDFs, so the schema reaching the shuffle would lack
-        # the bucket column (the hash-shuffle empty-block defect the
-        # blocks.py guard documents)
-        import ray.data as rd
-        return rd.from_arrow(pa.table({
-            "node": pa.array([], pa.int64()),
-            "rank_micro": pa.array([], pa.int64())}))
 
     # node universe + outdeg (one pass, tiny keyed aggregate)
     def deg_partial(b: pa.Table) -> pa.Table:
@@ -689,6 +671,13 @@ def pagerank_partitioned(edges, iters: int = 5, src_col: str = "src",
     # second join per iteration — one edges⋈state hash join + one keyed
     # fold is the whole step; the carried rp makes the convergence
     # delta a cheap aggregate over the already-materialized state
+    nb = num_partitions or groupby_partitions()
+    joined_empty = pa.table({c: pa.array([], pa.int64())
+                             for c in (src_col, dst_col, "deg", "r")})
+
+    def as_src(b: pa.Table) -> pa.Table:
+        return pa.table({src_col: b["node"], "deg": b["deg"], "r": b["r"]})
+
     def state_zeros(b: pa.Table) -> pa.Table:
         return pa.table({
             "node": b["node"],
@@ -731,8 +720,8 @@ def pagerank_partitioned(edges, iters: int = 5, src_col: str = "src",
     it_done = 0
     delta = None
     for _ in range(iters):
-        joined = edges.join(state, "inner", on=(src_col,),
-                            right_on=("node",), **jargs)
+        joined = co_join(edges, state.map_batches(
+            as_src, batch_format="pyarrow"), src_col, nb, joined_empty)
         zeros = state.map_batches(state_zeros, batch_format="pyarrow")
         state = keyed_sum_fold(
             joined.map_batches(contrib, batch_format="pyarrow")
@@ -740,9 +729,10 @@ def pagerank_partitioned(edges, iters: int = 5, src_col: str = "src",
             .map_batches(finish, batch_format="pyarrow").materialize()
         it_done += 1
         if tol_micro is not None:
-            # one tiny map+sum over the just-materialized state blocks
-            delta = int(state.map_batches(
-                delta_partial, batch_format="pyarrow").sum("d"))
+            # one tiny map over the just-materialized state blocks
+            delta = sum(sum(b["d"].to_pylist()) for b in state.map_batches(
+                delta_partial, batch_format="pyarrow").iter_batches(
+                batch_format="pyarrow"))
             if delta <= tol_micro:
                 break
 

@@ -12,9 +12,10 @@ ever runs:
   (token counts, char lengths, rounded scores) the distinct-value space
   is tiny relative to the corpus, so the scan output is a compact
   histogram, not the data;
-* stage 2 (one small hash shuffle): histograms co-partition by group and
-  a per-group fold merges counts, sorts the few distinct values, prefix
-  -sums and reads off any number of quantile thresholds;
+* stage 2 (one small raw-task exchange,
+  :func:`pyrosm_ray.stages.blocks.exchange`): histograms co-partition by
+  group and a per-group fold merges counts, sorts the few distinct
+  values, prefix-sums and reads off any number of quantile thresholds;
 * stage 3: thresholds (one row per group) broadcast back into a
   stateless vectorised filter over the original stream.
 
@@ -37,7 +38,7 @@ import math
 import numpy as np
 import pyarrow as pa
 
-from pyrosm_ray.stages.blocks import groupby_partitions, nonempty
+from pyrosm_ray.stages.blocks import exchange, groupby_partitions
 
 
 def _histogram_batch(batch: pa.Table, group_col: str,
@@ -117,11 +118,13 @@ def group_quantiles(ds, group_col: str, value_col: str,
     """
     import ray.data as rd
 
-    from pyrosm_ray.stages.blocks import (KEYED_FOLD_DRIVER_MAX,
-                                          partitions_for_rows)
+    from pyrosm_ray.stages.blocks import KEYED_FOLD_DRIVER_MAX
     from pyrosm_ray.stages.hashing import hash64
 
     q_list = [qs] if isinstance(qs, float) else list(qs)
+    empty = pa.table({"group": pa.array([], pa.string()),
+                      **{f"q{j}": pa.array([], pa.int64())
+                         for j in range(len(q_list))}})
     hist = ds.map_batches(
         lambda b: _histogram_batch(b, group_col, value_col),
         batch_format="pyarrow").materialize()
@@ -161,7 +164,7 @@ def group_quantiles(ds, group_col: str, value_col: str,
 
     if n_part > KEYED_FOLD_DRIVER_MAX:
         # merge duplicates on the compound key at full parallelism
-        nb = partitions_for_rows(n_part)
+        nb = groupby_partitions()
 
         def bucket(t: pa.Table) -> pa.Table:
             from pyrosm_ray.stages.hashing import stable64_many
@@ -186,12 +189,8 @@ def group_quantiles(ds, group_col: str, value_col: str,
                 "__v": pa.array(m["__v"], pa.int64()),
                 "__c": pa.array(m["__c"], pa.int64())})
 
-        # nonempty: a partition that got no pairs emits a schema-less
-        # block, and one leading the group fold below can crash its
-        # hash shuffle ("Invalid sort key column")
-        hist = nonempty(hist.map_batches(bucket, batch_format="pyarrow")
-                        .groupby("__p", num_partitions=nb)
-                        .map_groups(merge, batch_format="pyarrow"),
+        hist = exchange(hist.map_batches(bucket, batch_format="pyarrow"),
+                        "__p", merge, nb,
                         pa.table({"__g": pa.array([], pa.string()),
                                   "__v": pa.array([], pa.int64()),
                                   "__c": pa.array([], pa.int64())}))
@@ -200,17 +199,13 @@ def group_quantiles(ds, group_col: str, value_col: str,
     if n_part > KEYED_FOLD_DRIVER_MAX:
         # merged histogram still big (10^9 distinct pairs at 100 TB):
         # distributed per-group threshold fold over the merged rows
-        return hist.groupby("__g", num_partitions=groupby_partitions()) \
-            .map_groups(lambda g: _fold_thresholds(g, q_list),
-                        batch_format="pyarrow")
+        return exchange(hist, "__g", lambda g: _fold_thresholds(g, q_list),
+                        groupby_partitions(), empty)
     parts = [pa.table(b)
              for b in hist.iter_batches(batch_format="pyarrow")]
     parts = [t for t in parts if t.num_rows]
     if not parts:
-        cols = {"group": pa.array([], pa.string())}
-        for j in range(len(q_list)):
-            cols[f"q{j}"] = pa.array([], pa.int64())
-        return rd.from_arrow(pa.table(cols))
+        return rd.from_arrow(empty)
     return rd.from_arrow(
         _fold_thresholds(pa.concat_tables(parts), q_list))
 
@@ -267,6 +262,9 @@ def group_quantiles_continuous(ds, group_col: str, value_col: str,
 
     q_list = [qs] if isinstance(qs, float) else list(qs)
     shift = int(coarse_shift)
+    empty = pa.table({"group": pa.array([], pa.string()),
+                      **{f"q{j}": pa.array([], pa.float64())
+                         for j in range(len(q_list))}})
 
     def hist1(batch: pa.Table) -> pa.Table:
         import pandas as pd
@@ -320,18 +318,18 @@ def group_quantiles_continuous(ds, group_col: str, value_col: str,
     n1 = hist.count()
     if stats is not None:
         stats["pass1_rows"] = n1
+    hist_empty = pa.table({"__g": pa.array([], pa.string()),
+                           "__b": pa.array([], pa.int64()),
+                           "__c": pa.array([], pa.int64())})
     if n1 <= KEYED_FOLD_DRIVER_MAX:
         parts = [pa.table(b)
                  for b in hist.iter_batches(batch_format="pyarrow")]
         parts = [t for t in parts if t.num_rows]
-        cand = (fold1(pa.concat_tables(parts)).to_pandas() if parts
-                else fold1(pa.table(
-                    {"__g": pa.array([], pa.string()),
-                     "__b": pa.array([], pa.int64()),
-                     "__c": pa.array([], pa.int64())})).to_pandas())
+        cand = fold1(pa.concat_tables(parts) if parts else hist_empty) \
+            .to_pandas()
     else:
-        cand = hist.groupby("__g", num_partitions=groupby_partitions()) \
-            .map_groups(fold1, batch_format="pyarrow").to_pandas()
+        cand = exchange(hist, "__g", fold1, groupby_partitions(),
+                        fold1(hist_empty)).to_pandas()
     # one row per (group, quantile) — inherently tiny; broadcast
     targets: dict[str, dict] = {}
     for gname, sub in cand.groupby("__g", sort=False):
@@ -339,10 +337,7 @@ def group_quantiles_continuous(ds, group_col: str, value_col: str,
             "bins": np.unique(sub["__b"].to_numpy(np.int64)),
             "picks": list(zip(sub["__j"], sub["__b"], sub["__r"]))}
     if not targets:
-        cols = {"group": pa.array([], pa.string())}
-        for j in range(len(q_list)):
-            cols[f"q{j}"] = pa.array([], pa.float64())
-        return rd.from_arrow(pa.table(cols))
+        return rd.from_arrow(empty)
     t_ref = ray.put(targets)
 
     def keep2(batch: pa.Table) -> pa.Table:
@@ -412,13 +407,9 @@ def group_quantiles_continuous(ds, group_col: str, value_col: str,
                  for b in inbin.iter_batches(batch_format="pyarrow")]
         parts = [t for t in parts if t.num_rows]
         if not parts:
-            cols = {"group": pa.array([], pa.string())}
-            for j in range(len(q_list)):
-                cols[f"q{j}"] = pa.array([], pa.float64())
-            return rd.from_arrow(pa.table(cols))
+            return rd.from_arrow(empty)
         return rd.from_arrow(fold2(pa.concat_tables(parts)))
-    return inbin.groupby("__g", num_partitions=groupby_partitions()) \
-        .map_groups(fold2, batch_format="pyarrow")
+    return exchange(inbin, "__g", fold2, groupby_partitions(), empty)
 
 
 def quantile_filter(ds, group_col: str, value_col: str, q: float,
@@ -476,7 +467,8 @@ def quantile_bins(ds, group_col: str, value_col: str, qs: list[float],
     with edges the exact per-group discrete quantiles; bin 0 is
     everything at-or-below the first edge, the last bin everything
     above the last edge (``searchsorted(edges, v, side="left")``
-    semantics on ascending edges).
+    semantics on ascending edges). Rows with a null group belong to no
+    group and get a null bin.
 
     Same cost model as :func:`quantile_filter`: histogram scan + tiny
     shuffle for the edges, broadcast dict, stateless vectorised assign.
@@ -499,12 +491,14 @@ def quantile_bins(ds, group_col: str, value_col: str, qs: list[float],
         groups = batch[group_col].to_pylist()
         vals = np.asarray(batch[value_col].to_numpy(zero_copy_only=False),
                           edtype)
-        out = np.empty(len(vals), np.int64)
+        out = np.zeros(len(vals), np.int64)
         df = pd.DataFrame({"g": groups, "i": np.arange(len(vals))})
-        for gname, sub in df.groupby("g", sort=False):
+        for gname, sub in df.groupby("g", sort=False):  # drops null keys
             idx = sub["i"].to_numpy()
             out[idx] = np.searchsorted(ed[gname], vals[idx], side="left")
-        return batch.append_column(out_col, pa.array(out, pa.int64()))
+        null = batch[group_col].is_null().to_numpy(zero_copy_only=False)
+        return batch.append_column(out_col,
+                                   pa.array(out, pa.int64(), mask=null))
 
     return ds.map_batches(assign, batch_format="pyarrow")
 

@@ -101,6 +101,8 @@ def assign_splits_sql(id_expr: str, splits: dict[str, int],
                       seed: int = 23) -> str:
     """CASE-expression twin of :func:`assign_splits` (bit-identical)."""
     names = list(splits)
+    if len(names) == 1:  # a CASE needs at least one WHEN
+        return f"'{names[0]}'"
     weights = [int(splits[n]) for n in names]
     total = sum(weights)
     h = hash64_sql(f"CAST({id_expr} AS UBIGINT)", seed)

@@ -12,16 +12,17 @@ join semantics (unmatched rows keep nulls).
 RIGHT rows of the same key whose timestamp falls in
 ``[left.ts - band_s, left.ts]`` (inclusive).
 
-Execution shape (all three): ONE hash shuffle co-partitions every key's
-whole stream — keys bucket by ``hash64(key) % nb`` so the downstream
-``map_groups`` fold runs once per BUCKET (~2x cluster CPUs of them), not
-once per key, and the fold is segmented numpy over ALL keys in the
-bucket at once: lexsort by (key, ts, …), key-run boundaries via
-``diff``, segmented forward-fill / cumulative counts for the join
-matches, ``np.add.reduceat`` for the session sums. No per-key Python
+Execution shape (all three): ONE raw-task exchange
+(:func:`pyrosm_ray.stages.blocks.exchange`) co-partitions every key's
+whole stream — keys bucket by ``hash64(key) % nb`` so the fold runs
+once per BUCKET (~2x cluster CPUs of them), not once per key, and the
+fold is segmented numpy over ALL keys in the bucket at once: lexsort
+by (key, ts, …), key-run boundaries via ``diff``, segmented
+forward-fill / cumulative counts for the join matches,
+``np.add.reduceat`` for the session sums. No per-key Python
 call anywhere — with 10^8 users the old per-key fold would make 10^8
 interpreter round-trips; this shape makes ~2x-CPUs. The joins union the
-two sides under a flag column first so one shuffle moves both.
+two sides under a flag column first so one exchange moves both.
 
 The as-of match itself is the sorted-merge trick: order rows by
 (key, ts, rights-before-lefts, id), mark right rows with their
@@ -35,7 +36,7 @@ Partitioning assumption (documented per the custom-operator contract):
 a bucket's rows must fit worker memory; salt ``nb`` up for pathological
 single-key skew — correctness only needs all rows of ONE key in one
 bucket, which the key-hash guarantees at any nb. Key columns must be
-integer-typed (they ride the shuffle as int64).
+integer-typed (they ride the exchange, and come out, as int64).
 
 Money-safe values: per-session sums are integer cents rounded
 half-away-from-zero (the SQL ROUND rule, so the DuckDB oracle reproduces
@@ -47,7 +48,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from pyrosm_ray.stages.blocks import sized_partitions
+from pyrosm_ray.stages.blocks import exchange, groupby_partitions
 from pyrosm_ray.stages.hashing import hash64
 
 
@@ -71,7 +72,15 @@ def sessionize(ds, gap_s: int = 1800, user_col: str = "user_id",
     """-> one row per (user, session): start/end ts, event count, integer
     cent sum. Session ids number 1.. per user in (ts, order_col) order."""
     gap_us = int(gap_s) * 1_000_000
-    nb = num_partitions or sized_partitions(ds)
+    nb = num_partitions or groupby_partitions()
+    empty = pa.table({
+        user_col: pa.array([], pa.int64()),
+        "session_id": pa.array([], pa.int64()),
+        "session_start": pa.array([], pa.timestamp("us")),
+        "session_end": pa.array([], pa.timestamp("us")),
+        "n_events": pa.array([], pa.int64()),
+        "value_cents": pa.array([], pa.int64()),
+    })
 
     def add_bucket(b: pa.Table) -> pa.Table:
         u = np.asarray(b[user_col].to_numpy(zero_copy_only=False),
@@ -79,16 +88,6 @@ def sessionize(ds, gap_s: int = 1800, user_col: str = "user_id",
         return b.append_column("__p", pa.array(_bucket_of(u, nb)))
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        utype = g[user_col].type
-        if g.num_rows == 0:
-            return pa.table({
-                user_col: pa.array([], utype),
-                "session_id": pa.array([], pa.int64()),
-                "session_start": pa.array([], pa.timestamp("us")),
-                "session_end": pa.array([], pa.timestamp("us")),
-                "n_events": pa.array([], pa.int64()),
-                "value_cents": pa.array([], pa.int64()),
-            })
         u = np.asarray(g[user_col].to_numpy(zero_copy_only=False),
                        np.int64)
         ts = np.asarray(g[ts_col].cast(pa.timestamp("us")).to_numpy(
@@ -115,7 +114,7 @@ def sessionize(ds, gap_s: int = 1800, user_col: str = "user_id",
         # 112.5 would round to 112 and diverge from the oracle)
         cents = np.trunc(val * 100.0 + 0.5 * np.sign(val)).astype(np.int64)
         return pa.table({
-            user_col: pa.array(u[starts], pa.int64()).cast(utype),
+            user_col: pa.array(u[starts], pa.int64()),
             "session_id": pa.array(session_id, pa.int64()),
             "session_start": pa.array(ts[starts], pa.timestamp("us")),
             "session_end": pa.array(ts[ends], pa.timestamp("us")),
@@ -125,15 +124,14 @@ def sessionize(ds, gap_s: int = 1800, user_col: str = "user_id",
                                     pa.int64()),
         })
 
-    return ds.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("__p", num_partitions=nb) \
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return exchange(ds.map_batches(add_bucket, batch_format="pyarrow"),
+                    "__p", per_bucket, nb, empty)
 
 
 def _keyed_union(left_ds, right_ds, by_col: str, ts_col: str,
                  left_id: str, right_id: str, nb: int):
     """Union the two join sides under one schema: (key, ts-µs, id, side,
-    bucket). One hash shuffle on ``bucket`` then co-locates both sides
+    bucket). One exchange on ``bucket`` then co-locates both sides
     of every key."""
     def tag(id_col: str, side: int):
         def f(b: pa.Table) -> pa.Table:
@@ -215,11 +213,10 @@ def asof_join(left_ds, right_ds, by_col: str = "user_id",
                                pa.int64(), mask=~valid),
         })
 
-    nb = num_partitions or sized_partitions(left_ds, right_ds)
+    nb = num_partitions or groupby_partitions()
     u = _keyed_union(left_ds, right_ds, by_col, ts_col, left_id,
                      right_id, nb)
-    return u.groupby("__p", num_partitions=nb) \
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return exchange(u, "__p", per_bucket, nb, empty)
 
 
 def _rights_before(k, t, isr, left_eval_t, inclusive: bool):
@@ -272,11 +269,10 @@ def band_join(left_ds, right_ds, band_s: int, by_col: str = "user_id",
             "n_in_band": pa.array(upper - lower, pa.int64()),
         })
 
-    nb = num_partitions or sized_partitions(left_ds, right_ds)
+    nb = num_partitions or groupby_partitions()
     u = _keyed_union(left_ds, right_ds, by_col, ts_col, left_id,
                      right_id, nb)
-    return u.groupby("__p", num_partitions=nb) \
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return exchange(u, "__p", per_bucket, nb, empty)
 
 
 def rolling_agg(ds, window_rows: int, by_col: str = "user_id",
@@ -287,7 +283,7 @@ def rolling_agg(ds, window_rows: int, by_col: str = "user_id",
     ``SUM/COUNT(...) OVER (PARTITION BY key ORDER BY ts, id ROWS
     BETWEEN window_rows-1 PRECEDING AND CURRENT ROW)``.
 
-    Same execution shape as the other windows: one key-hash shuffle,
+    Same execution shape as the other windows: one key-hash exchange,
     then one segmented-numpy fold per BUCKET — rows lexsort by
     (key, ts, id), values cumsum once, and every row's window sum is
     ``cs[i+1] - cs[max(i-w+1, run_start_i)]`` (two gathers, no loop).
@@ -297,7 +293,7 @@ def rolling_agg(ds, window_rows: int, by_col: str = "user_id",
     w = int(window_rows)
     if w < 1:
         raise ValueError("window_rows must be >= 1")
-    nb = num_partitions or sized_partitions(ds)
+    nb = num_partitions or groupby_partitions()
 
     def add_bucket(b: pa.Table) -> pa.Table:
         keys = np.asarray(b[by_col].to_numpy(zero_copy_only=False),
@@ -333,9 +329,12 @@ def rolling_agg(ds, window_rows: int, by_col: str = "user_id",
             "rolling_n": pa.array(idx - lo + 1, pa.int64()),
         })
 
-    return ds.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("__p", num_partitions=nb) \
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return exchange(ds.map_batches(add_bucket, batch_format="pyarrow"),
+                    "__p", per_bucket, nb, pa.table({
+                        id_col: pa.array([], pa.int64()),
+                        by_col: pa.array([], pa.int64()),
+                        "rolling_sum_cents": pa.array([], pa.int64()),
+                        "rolling_n": pa.array([], pa.int64())}))
 
 
 def funnel_stages(ds, stages: tuple[str, ...] = ("view", "click",
@@ -351,7 +350,7 @@ def funnel_stages(ds, stages: tuple[str, ...] = ("view", "click",
     (first-touch semantics; order = (ts, order_col), unique because
     order_col is).
 
-    Same one-shuffle shape as :func:`sessionize` (user-hash bucket →
+    Same one-exchange shape as :func:`sessionize` (user-hash bucket →
     per-partition segmented numpy): within each user segment the stage
     chain resolves with one boolean mask + segment-min per stage —
     ``first_k+1 = min rank of a stage-(k+1) row with rank > first_k`` —
@@ -361,7 +360,7 @@ def funnel_stages(ds, stages: tuple[str, ...] = ("view", "click",
     len(stages) = completed. DuckDB twin: ROW_NUMBER + chained
     MIN-after-prev joins, exact.
     """
-    nb = num_partitions or sized_partitions(ds)
+    nb = num_partitions or groupby_partitions()
 
     def add_bucket(b: pa.Table) -> pa.Table:
         u = np.asarray(b[user_col].to_numpy(zero_copy_only=False),
@@ -369,9 +368,6 @@ def funnel_stages(ds, stages: tuple[str, ...] = ("view", "click",
         return b.append_column("__p", pa.array(_bucket_of(u, nb)))
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return pa.table({user_col: pa.array([], pa.int64()),
-                             "funnel_stage": pa.array([], pa.int64())})
         u = np.asarray(g[user_col].to_numpy(zero_copy_only=False),
                        np.int64)
         ts = np.asarray(g[ts_col].cast(pa.timestamp("us")).to_numpy(
@@ -401,9 +397,10 @@ def funnel_stages(ds, stages: tuple[str, ...] = ("view", "click",
             user_col: pa.array(u[seg], pa.int64()),
             "funnel_stage": pa.array(stage, pa.int64())})
 
-    return ds.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("__p", num_partitions=nb) \
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return exchange(ds.map_batches(add_bucket, batch_format="pyarrow"),
+                    "__p", per_bucket, nb, pa.table({
+                        user_col: pa.array([], pa.int64()),
+                        "funnel_stage": pa.array([], pa.int64())}))
 
 
 def funnel_stages_sql(events_table: str = "events",
@@ -450,7 +447,7 @@ def retention_cohorts(ds, user_col: str = "user_id", ts_col: str = "ts",
     epoch-week; each later active week contributes one (cohort_week,
     week_offset) cell count.
 
-    One user-hash shuffle (the sessionize shape): per partition each
+    One user-hash exchange (the sessionize shape): per bucket each
     user's distinct active weeks resolve with one lexsort + run-length
     pass, emitting (cohort, offset) partial counts; the final fold runs
     over the tiny weeks² cell domain (:func:`keyed_sum_fold` keyed by
@@ -462,7 +459,7 @@ def retention_cohorts(ds, user_col: str = "user_id", ts_col: str = "ts",
     """
     from pyrosm_ray.stages.blocks import keyed_sum_auto
 
-    nb = num_partitions or sized_partitions(ds)
+    nb = num_partitions or groupby_partitions()
 
     def add_bucket(b: pa.Table) -> pa.Table:
         u = np.asarray(b[user_col].to_numpy(zero_copy_only=False),
@@ -470,9 +467,6 @@ def retention_cohorts(ds, user_col: str = "user_id", ts_col: str = "ts",
         return b.append_column("__p", pa.array(_bucket_of(u, nb)))
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return pa.table({"cell": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
         u = np.asarray(g[user_col].to_numpy(zero_copy_only=False),
                        np.int64)
         ts = np.asarray(g[ts_col].cast(pa.timestamp("us")).to_numpy(
@@ -493,9 +487,10 @@ def retention_cohorts(ds, user_col: str = "user_id", ts_col: str = "ts",
         return pa.table({"cell": pa.array(vals, pa.int64()),
                          "n": pa.array(cnt.astype(np.int64), pa.int64())})
 
-    partials = ds.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("__p", num_partitions=nb) \
-        .map_groups(per_bucket, batch_format="pyarrow")
+    partials = exchange(ds.map_batches(add_bucket, batch_format="pyarrow"),
+                        "__p", per_bucket, nb, pa.table({
+                            "cell": pa.array([], pa.int64()),
+                            "n": pa.array([], pa.int64())}))
     folded = keyed_sum_auto(ds, partials, "cell", ["n"],
                             num_partitions=num_partitions)
 

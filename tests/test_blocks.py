@@ -176,8 +176,19 @@ def test_keyed_sum_auto_executes_upstream_once(ray_session):
 
 
 def _keyed(case: str):
-    """(k, v) Dataset for one edge case; ``k`` is int64 except "str"."""
+    """(k, v) Dataset for one edge case; ``k`` is int64 except "str*"."""
     n = 40
+    if case.endswith("_null"):
+        # nulls are one group; the second block has none, so a null-free
+        # block must place key 1 where a block with nulls does
+        keys = [1, None, 2, None, None, 1], [1, 2, 1, 2]
+        if case == "str_null":
+            keys = [[None if k is None else f"k{k}" for k in ks]
+                    for ks in keys]
+        tables = [pa.table({"k": ks, "v": pa.array(range(len(ks)),
+                                                   pa.int64())})
+                  for ks in keys]
+        return rd.from_arrow(tables)
     if case == "str":
         keys = pa.array([f"k{i % 5}" for i in range(n)], pa.string())
     elif case == "one_key":
@@ -208,17 +219,23 @@ def _group_stats():
 
 
 def _sorted(df, cols):
-    return sorted(map(tuple, df[cols].itertuples(index=False))) \
-        if len(df) else []
+    """Rows as tuples in a stable order; null keys (None/NaN) -> None."""
+    import pandas as pd
+    if not len(df):
+        return []
+    rows = [tuple(None if pd.isna(v) else v for v in r)
+            for r in df[cols].itertuples(index=False)]
+    return sorted(rows, key=repr)
 
 
-_CASES = ["int", "str", "one_key", "zero_row_blocks", "empty"]
+_CASES = ["int", "str", "one_key", "zero_row_blocks", "empty", "int_null",
+          "str_null"]
 
 
 @pytest.mark.parametrize("case", _CASES)
 def test_exchange_matches_map_groups(ray_session, case):
     ds = _keyed(case)
-    ktype = pa.string() if case == "str" else pa.int64()
+    ktype = pa.string() if case.startswith("str") else pa.int64()
     empty = pa.table({"k": pa.array([], ktype),
                       "n": pa.array([], pa.int64()),
                       "s": pa.array([], pa.int64())})
@@ -233,8 +250,9 @@ def test_exchange_matches_map_groups(ray_session, case):
 @pytest.mark.parametrize("case", _CASES)
 def test_co_join_matches_dataset_join(ray_session, case):
     left = _keyed(case)
-    keys = [f"k{i}" for i in (0, 2, 9)] if case == "str" else [0, 2, 7, 9]
-    ktype = pa.string() if case == "str" else pa.int64()
+    keys = [f"k{i}" for i in (0, 2, 9)] if case.startswith("str") \
+        else [0, 2, 7, 9]
+    ktype = pa.string() if case.startswith("str") else pa.int64()
     right = rd.from_arrow(pa.table({
         "k": pa.array(keys, ktype),
         "w": pa.array([10 * i for i in range(len(keys))], pa.int64())}))

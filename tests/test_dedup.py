@@ -764,6 +764,46 @@ def test_snapshot_diff_statuses(ray_session):
     assert list(dist.status) == list(out.status)
 
 
+def test_snapshot_diff_executes_each_upstream_once(ray_session):
+    """Neither snapshot's plan runs twice: no row-count gate executes an
+    upstream before the fold reads it (each UDF runs once per block)."""
+    import ray
+    import ray.data as rd
+
+    from pyrosm_ray.stages.dedup import snapshot_diff
+
+    @ray.remote
+    class Counter:
+        def __init__(self):
+            self.n = {}
+
+        def bump(self, side):
+            self.n[side] = self.n.get(side, 0) + 1
+
+        def get(self):
+            return self.n
+
+    c = Counter.remote()
+
+    def tagged(side):
+        def f(b: pa.Table) -> pa.Table:
+            ray.get(c.bump.remote(side))
+            return b
+        return f
+
+    old = pa.table({"doc_id": pa.array(range(40), pa.int64()),
+                    "text": pa.array([f"t{i}" for i in range(40)])})
+    new = old.slice(10)
+    out = snapshot_diff(
+        rd.from_arrow(old).repartition(2).map_batches(
+            tagged("old"), batch_format="pyarrow"),
+        rd.from_arrow(new).repartition(3).map_batches(
+            tagged("new"), batch_format="pyarrow")).to_pandas()
+    assert sorted(out.status.value_counts().items()) == [
+        ("removed", 10), ("same", 30)]
+    assert ray.get(c.get.remote()) == {"old": 2, "new": 3}
+
+
 def test_exact_dedup_route_parity(ray_session, monkeypatch):
     import ray.data as rd
 

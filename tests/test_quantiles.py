@@ -251,3 +251,24 @@ def test_group_quantiles_null_group_keys(ray_session, monkeypatch, values,
     assert got == {"en": values[0].as_py(), "fi": values[2].as_py()}
     kept = Q.quantile_filter(rd.from_arrow(t), "g", "v", 0.5).to_pandas()
     assert sorted(kept["g"]) == ["en", "fi"]
+
+
+@pytest.mark.parametrize("driver_max", [None, 0])
+def test_quantile_bins_null_group_rows(ray_session, monkeypatch, driver_max):
+    """Rows with a null group get a null bin on the driver fold and, with
+    the ceiling forced to 0, on the distributed fold; real groups keep
+    their bins."""
+    from pyrosm_ray.stages import blocks
+
+    if driver_max is not None:
+        monkeypatch.setattr(blocks, "KEYED_FOLD_DRIVER_MAX", driver_max)
+    t = pa.table({"g": pa.array(["a", None, "a", "b", None, "b"]),
+                  "v": pa.array([1, 7, 3, 10, 9, 30], pa.int64())})
+    out = pa.concat_tables(Q.quantile_bins(
+        rd.from_arrow(t), "g", "v", [0.5]).iter_batches(
+        batch_format="pyarrow"))
+    got = sorted(zip(out["g"].to_pylist(), out["v"].to_pylist(),
+                     out["bin"].to_pylist()), key=repr)
+    assert got == sorted([("a", 1, 0), ("a", 3, 1), ("b", 10, 0),
+                          ("b", 30, 1), (None, 7, None), (None, 9, None)],
+                         key=repr)

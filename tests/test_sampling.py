@@ -303,3 +303,23 @@ def test_assign_splits_deterministic_and_sql_twin(ray_session):
     import pytest
     with pytest.raises(ValueError):
         sampling.assign_splits(rd.from_arrow(t), {"a": 0})
+
+
+def test_assign_splits_single_split_sql_twin(ray_session):
+    """One split: every row gets its name, and the SQL twin is a valid
+    expression that agrees (a CASE with no WHEN is a syntax error)."""
+    import duckdb
+    import ray.data as rd
+
+    from pyrosm_ray.stages import sampling
+
+    t = pa.table({"doc_id": pa.array(np.arange(50), pa.int64())})
+    got = sampling.assign_splits(rd.from_arrow(t), {"all": 3}).to_pandas() \
+        .sort_values("doc_id")
+    con = duckdb.connect()
+    con.register("t", t)
+    want = con.execute(
+        "SELECT doc_id, " + sampling.assign_splits_sql("doc_id", {"all": 3})
+        + " AS split FROM t ORDER BY doc_id").fetchdf()
+    assert list(got.split) == ["all"] * 50
+    assert list(want.split) == list(got.split)
