@@ -11,11 +11,12 @@ similarity operators, and per-partition checkpointing.
 
 __version__ = "0.1.0"
 
-# Route all-to-alls through the hash-shuffle strategy from the start
-# (groupby co-partitioning needs key bucketing, not the default global
-# SORT — see stages/blocks.py:tune_shuffle_context for measurements).
-# Re-invoked by the partition-sizing helpers once the cluster is up so
-# the parallelism knobs match the live CPU count.
+# Size Ray Data's own hash shuffle from the start (the package's keyed
+# steps run on raw-task exchanges; the plain Ray Data oracle queries and
+# calibrations still group on Ray's shuffle — see
+# stages/blocks.py:tune_shuffle_context). Re-invoked by
+# groupby_partitions once the cluster is up so the knobs match the live
+# CPU count.
 from pyrosm_ray.stages.blocks import tune_shuffle_context as _tune
 
 _tune()

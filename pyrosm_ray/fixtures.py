@@ -78,11 +78,6 @@ def fixture_dir(sf: str | float, root: str = "/tmp/geograft_fixtures") -> Path:
 # pages geocode (engine-side AND SQL-side, bit-identical integer arithmetic)
 # ---------------------------------------------------------------------------
 
-def page_url(page_id: np.ndarray) -> list[str]:
-    site = page_id % 97
-    return [f"https://site{s}.example/p/{p}" for s, p in zip(site, page_id)]
-
-
 def page_id_sql(url_expr: str = "url") -> str:
     """Extract the page id back out of the url in DuckDB SQL."""
     return f"CAST(regexp_extract({url_expr}, 'p/([0-9]+)$', 1) AS BIGINT)"

@@ -89,16 +89,20 @@ def directed_edges(edges_ds, direction: str = "oneway",
 
 def street_count_per_node(edges_ds):
     """Undirected incident-segment count per node (A6)."""
-    def explode(batch: pa.Table) -> pa.Table:
+    from pyrosm_ray.stages.blocks import keyed_sum_auto
+
+    def partial(batch: pa.Table) -> pa.Table:
         u = np.asarray(batch["u"].to_numpy(zero_copy_only=False))
         v = np.asarray(batch["v"].to_numpy(zero_copy_only=False))
-        return pa.table({"node_id": pa.array(np.concatenate([u, v]),
-                                             pa.int64())})
+        codes, uniq = pd.factorize(np.concatenate([u, v]).astype(np.int64))
+        return pa.table({"node_id": pa.array(uniq, pa.int64()),
+                         "street_count": pa.array(
+                             np.bincount(codes, minlength=len(uniq)),
+                             pa.int64())})
 
-    out = edges_ds.map_batches(explode, batch_format="pyarrow") \
-        .groupby("node_id").count().to_pandas()
-    return out.rename(columns={"count()": "street_count"}) \
-        .sort_values("node_id").reset_index(drop=True)
+    out = keyed_sum_auto(edges_ds.map_batches(partial, batch_format="pyarrow"),
+                         "node_id", ["street_count"]).to_pandas()
+    return out.sort_values("node_id").reset_index(drop=True)
 
 
 def largest_scc_edges(edges_df: pd.DataFrame) -> pd.DataFrame:

@@ -20,7 +20,7 @@ pois,boundary,networks,user_defined}.py) and the assembly lifecycle
    (the reference holds the kept set fully in memory per shard,
    data_manager.pyx:64-92), so under ``strategy='broadcast'`` the chains are
    collected and assembled driver-side; ``strategy='shuffle'`` keeps the
-   whole path distributed (groupby + join) for beyond-memory relation sets;
+   whole path distributed (exchange + join) for beyond-memory relation sets;
 5. node features as Point rows; the three element kinds union into one
    Dataset with an ``osm_type`` column (M26). The union schema is computed
    statically (promote_tags emits the full requested column list), so no
@@ -53,7 +53,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from pyrosm_ray.stages.blocks import shuffle_join_args
+from pyrosm_ray.stages.blocks import co_join, exchange, groupby_partitions
 
 from pyrosm_ray import config
 from pyrosm_ray.filters.compiler import CompiledFilter, compile_custom_filter
@@ -776,7 +776,7 @@ class OSM:
         return topology.assemble_ways(
             ways_ds, self.nodes(columns=["id", "lon", "lat"]), mode=mode,
             strategy="shuffle",
-            num_partitions=self.num_partitions or 32)
+            num_partitions=self.num_partitions)
 
     def _node_features(self, osm_keys, data_filter, filter_type, keep_all,
                        tag_columns):
@@ -1085,7 +1085,7 @@ class OSM:
         ``strategy='broadcast'`` (relations fit the driver — the same
         contract as :meth:`_kept_relations`): chains are collected and the
         per-relation assembly loop runs driver-side, zero shuffles.
-        ``strategy='shuffle'``: groupby(relation_id) + acero join, fully
+        ``strategy='shuffle'``: exchange by relation_id + hash join, fully
         distributed. Auto-routes to the distributed path when the kept
         relation set outgrows the driver contract (mirrors
         :meth:`_assemble`'s node-table auto-route), so a planet-scale
@@ -1142,15 +1142,10 @@ class OSM:
     def _assemble_relations_distributed(self, rel_kept, member_ways_ds,
                                         tag_columns):
         """Distributed J3: chains grouped per relation
-        (``groupby.map_groups``), payload joined back by relation id."""
-        payload = rd.from_arrow(self._rel_payload(rel_kept, tag_columns))
+        (``blocks.exchange``), payload joined back by relation id
+        (``blocks.co_join``)."""
+        payload = self._rel_payload(rel_kept, tag_columns)
         chains = self._member_chains(rel_kept, member_ways_ds)
-        # guard unconditionally: a layer whose kept relations resolve no
-        # member ways would feed an empty/schema-less grouped side into the
-        # acero join and fail at execution
-        chains = chains.materialize()
-        if chains.count() == 0:
-            return None
 
         def assemble(group: pa.Table) -> pa.Table:
             rel_id = group["relation_id"][0].as_py()
@@ -1170,11 +1165,14 @@ class OSM:
                 "__lens": pa.array([lens.tobytes()], pa.binary()),
             })
 
-        grouped = chains.groupby("relation_id").map_groups(
-            assemble, batch_format="pyarrow")
-        nparts = max(2, (self.num_partitions or 32) // 8)
-        joined = payload.join(grouped, "inner", on=("id",),
-                              **shuffle_join_args(nparts))
+        nb = self.num_partitions or groupby_partitions()
+        blob = pa.array([], pa.binary())
+        grouped = exchange(chains, "relation_id", assemble, nb, pa.table(
+            {"id": pa.array([], pa.int64()), "__lines": blob,
+             "__lens": blob}))
+        joined = co_join(rd.from_arrow(payload), grouped, "id", nb,
+                         payload.slice(0, 0).append_column("__lines", blob)
+                         .append_column("__lens", blob))
 
         def finalize(batch: pa.Table) -> pa.Table:
             force = np.asarray(batch["__force_line"].to_numpy(
@@ -1225,17 +1223,8 @@ def collect_layer(ds, drop_empty: bool = True):
     return ds.to_pandas()
 
 
-def write_layer(ds, path: str, drop_empty: bool = True, **write_kwargs):
-    """GeoParquet-style sink (S8): schema-aligned layer rows written as
-    partitioned Parquet, empty tag columns dropped at the boundary."""
-    from pyrosm_ray.stages.tags import drop_empty_columns
-    if drop_empty:
-        ds = drop_empty_columns(ds, _empty_tag_candidates(ds))
-    ds.write_parquet(path, **write_kwargs)
-
-
 # ---------------------------------------------------------------------------
-# union / bbox helpers
+# bbox helpers
 # ---------------------------------------------------------------------------
 
 def _way_touches_nodes(batch: pa.Table, sorted_ids: np.ndarray) -> np.ndarray:
@@ -1248,45 +1237,6 @@ def _way_touches_nodes(batch: pa.Table, sorted_ids: np.ndarray) -> np.ndarray:
     cs = np.zeros(len(flat) + 1, dtype=np.int64)
     np.cumsum(hit, out=cs[1:])
     return (cs[off[1:]] - cs[off[:-1]]) > 0
-
-
-def union_aligned(datasets: list[rd.Dataset]) -> rd.Dataset:
-    """Union by column name with null padding (the reference's pd.concat /
-    write-time schema union, pyrosm/engine/geoparquet.py:23-50)."""
-    datasets = [d for d in datasets if d is not None]
-    if not datasets:
-        raise ValueError("no datasets to union")
-    schemas = [d.schema() for d in datasets]
-    # drop fully-empty datasets (schema unresolvable) from the union
-    keep = [i for i, s in enumerate(schemas) if s is not None and s.names]
-    if not keep:
-        return datasets[0]
-    datasets = [datasets[i] for i in keep]
-    schemas = [schemas[i] for i in keep]
-    target: dict[str, pa.DataType] = {}
-    for s in schemas:
-        for name, typ in zip(s.names, s.types):
-            if name not in target or pa.types.is_null(target[name]):
-                target[name] = typ
-    names = list(target.keys())
-
-    def align(batch: pa.Table) -> pa.Table:
-        cols = {}
-        for name in names:
-            if name in batch.column_names:
-                col = batch[name]
-                if col.type != target[name] and pa.types.is_null(col.type):
-                    col = pa.nulls(len(batch), target[name])
-                cols[name] = col
-            else:
-                cols[name] = pa.nulls(len(batch), target[name])
-        return pa.table(cols)
-
-    aligned = [d.map_batches(align, batch_format="pyarrow") for d in datasets]
-    out = aligned[0]
-    for d in aligned[1:]:
-        out = out.union(d)
-    return out
 
 
 def _latest_at_table(t: pa.Table, timestamp) -> pa.Table:

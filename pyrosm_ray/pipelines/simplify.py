@@ -7,8 +7,8 @@ length and the merged attributes — the semantics of the reference's
 endpoint rules at :48-101, following OSMnx/Boeing 2025), re-derived here:
 
 * endpoint/degree statistics (A7) are DISTRIBUTED Dataset aggregates
-  (:func:`degree_stats`, :func:`endpoints_ds`): per-batch partial counts,
-  one groupby — usable on the full-scale edge stream;
+  (:func:`degree_stats`, :func:`endpoints_ds`): one bucketed keyed
+  exchange — usable on the full-scale edge stream;
 * the chain walk itself is inherently sequential (the reference runs it
   in-process too — graph_simplify.py:120-168); it runs driver-side over
   the collected ``(u, v)`` pairs of the *filtered network layer* (the
@@ -37,34 +37,55 @@ def degree_stats(edges_ds):
     """Per-node directed degree stats as a Dataset:
     (node, out_deg, in_deg, distinct_nbrs, self_loop).
 
-    One hash shuffle keyed on node; the stats reduce per group
-    (vectorised numpy inside each group)."""
+    One raw-task exchange on a coarse node-hash bucket; each bucket's
+    stats reduce in one vectorised factorize pass."""
+    from pyrosm_ray.stages.blocks import exchange, groupby_partitions
+    from pyrosm_ray.stages.hashing import hash64
+
+    nb = groupby_partitions()
+
     def explode(batch: pa.Table) -> pa.Table:
         u = np.asarray(batch["u"].to_numpy(zero_copy_only=False),
                        dtype=np.int64)
         v = np.asarray(batch["v"].to_numpy(zero_copy_only=False),
                        dtype=np.int64)
+        node = np.concatenate([u, v])
         return pa.table({
-            "node": pa.array(np.concatenate([u, v])),
+            "node": pa.array(node),
             "nbr": pa.array(np.concatenate([v, u])),
             "is_out": pa.array(np.concatenate([
                 np.ones(len(u), np.int64), np.zeros(len(v), np.int64)])),
+            "__q": pa.array((hash64(node.view(np.uint64), 13)
+                             % np.uint64(nb)).astype(np.int64)),
         })
 
-    def per_node(group: pa.Table) -> pa.Table:
-        node = group["node"][0].as_py()
+    def per_bucket(group: pa.Table) -> pa.Table:
+        node = np.asarray(group["node"].to_numpy(zero_copy_only=False))
         nbr = np.asarray(group["nbr"].to_numpy(zero_copy_only=False))
         is_out = np.asarray(group["is_out"].to_numpy(zero_copy_only=False))
+        codes, uniq = pd.factorize(node)
+        n = len(uniq)
+        out_deg = np.bincount(codes, weights=is_out, minlength=n)
+        deg = np.bincount(codes, minlength=n)
+        pair = np.unique(np.stack([codes, nbr]), axis=1)
+        self_loop = np.zeros(n, bool)
+        self_loop[codes[nbr == node]] = True
         return pa.table({
-            "node": pa.array([node], pa.int64()),
-            "out_deg": pa.array([int(is_out.sum())], pa.int64()),
-            "in_deg": pa.array([int((1 - is_out).sum())], pa.int64()),
-            "distinct_nbrs": pa.array([len(np.unique(nbr))], pa.int64()),
-            "self_loop": pa.array([bool((nbr == node).any())], pa.bool_()),
+            "node": pa.array(uniq, pa.int64()),
+            "out_deg": pa.array(out_deg.astype(np.int64), pa.int64()),
+            "in_deg": pa.array((deg - out_deg).astype(np.int64),
+                               pa.int64()),
+            "distinct_nbrs": pa.array(
+                np.bincount(pair[0], minlength=n).astype(np.int64),
+                pa.int64()),
+            "self_loop": pa.array(self_loop, pa.bool_()),
         })
 
-    return edges_ds.map_batches(explode, batch_format="pyarrow") \
-        .groupby("node").map_groups(per_node, batch_format="pyarrow")
+    empty = pa.table({c: pa.array([], pa.int64()) for c in
+                      ("node", "out_deg", "in_deg", "distinct_nbrs")}) \
+        .append_column("self_loop", pa.array([], pa.bool_()))
+    return exchange(edges_ds.map_batches(explode, batch_format="pyarrow"),
+                    "__q", per_bucket, nb, empty)
 
 
 def endpoints_ds(edges_ds):

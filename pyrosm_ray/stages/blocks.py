@@ -1,22 +1,18 @@
-"""Keyed exchanges: raw-task primitives plus hash-shuffle hygiene.
+"""Keyed exchanges on raw Ray tasks: the engine's one way to move rows
+by key.
 
 :func:`exchange` (``groupby(key).map_groups(fn)`` semantics) and
-:func:`co_join` (an inner hash join) move Arrow shards between plain Ray
-tasks: one split task per non-empty block (``num_returns=nb``), one
-reduce task per partition, reduce refs wrapped by ``rd.from_arrow_refs``.
-No aggregator-actor pool starts, zero-row blocks are skipped from their
-metadata, and an empty partition returns a typed table. Outputs stay
-object refs; nothing is gathered on the driver. The geo family, the
-corpus folds (dedup, windows, quantiles, pagerank) and
-:func:`keyed_sum_fold` run on them.
+:func:`co_join` (an inner, left outer or left anti hash join) move Arrow
+shards between plain Ray tasks: one split task per non-empty block
+(``num_returns=nb``), one reduce task per partition, reduce refs wrapped
+by ``rd.from_arrow_refs``. No aggregator-actor pool starts, zero-row
+blocks are skipped from their metadata, and an empty partition returns a
+typed table. Outputs stay object refs; nothing is gathered on the
+driver. Every keyed step in the package runs on them, directly or
+through :func:`keyed_sum_fold`.
 
-The hash-shuffle helpers (:func:`tune_shuffle_context`, :func:`nonempty`,
-:func:`scrub_empty_blocks`, :func:`shuffle_join_args`,
-:func:`sized_partitions`) serve the Dataset ``groupby``/``join`` sites
-still on Ray Data's hash shuffle (components, topology, layers, urls,
-similarity, triangles, spans, sampling, search, report and the
-``__ray_entry__`` queries), whose empty partitions emit ZERO-COLUMN
-blocks that downstream acero joins reject."""
+:func:`tune_shuffle_context` only sizes Ray Data's own hash shuffle for
+the callers outside the package that still use it."""
 
 from __future__ import annotations
 
@@ -34,87 +30,28 @@ def _cluster_cpus(default: int = 8) -> int:
         return default
 
 
-def _install_hash_shuffle_empty_block_guard() -> None:
-    """Driver-side guard for a Ray 2.49 hash-shuffle defect: a 0-row
-    block that skips a map UDF (Ray's map operator passes empty blocks
-    through without invoking the UDF) loses its schema, and when such a
-    schema-less block is the FIRST input a hash-shuffle operator sees,
-    its empty schema is broadcast to every aggregator — partitions fed
-    only by the broadcast then crash in ``finalize`` ("Invalid sort key
-    column: No match for FieldRef" for keyed groupbys, "No match or
-    multiple matches for key field reference" for joins). Arrival order
-    decides, so the failure is nondeterministic.
-
-    Two Ray behaviors conspire: the executor's schema dedupe keeps the
-    OLD (typed) schema on the BUNDLE even after the block degraded, and
-    ``_shuffle_block`` short-circuits EVERY zero-row block before the
-    ``send_empty_blocks`` broadcast runs — so a zero-row first bundle
-    burns the one schema-broadcast opportunity without delivering any
-    schema (this also breaks VANILLA hash joins whose one side is a
-    fully-empty typed Dataset). The guard therefore (a) never forwards a
-    zero-row bundle, and (b) when the input's schema broadcast is still
-    pending and the bundle carries a typed schema, performs the
-    broadcast ITSELF: one typed empty shard submitted straight to every
-    aggregator from the driver (same-caller actor ordering guarantees
-    they land before any finalize). Empty partitions then finalize to
-    TYPED zero-row blocks, which also stops schema-less blocks from
-    propagating into downstream joins."""
-    from ray.data._internal.execution.operators import hash_shuffle as _hs
-    base = _hs.HashShufflingOperatorBase
-    if getattr(base, "_pyrosm_ray_empty_guard", False):
-        return
-    from ray.data.block import _is_empty_schema
-    orig = base._do_add_input_inner
-
-    def guarded(self, input_bundle, input_index):
-        if sum(m.num_rows or 0 for m in input_bundle.metadata) != 0:
-            return orig(self, input_bundle, input_index)
-        sch = input_bundle.schema
-        if _is_empty_schema(sch) or \
-                self._has_schemas_broadcasted.get(input_index):
-            # no data AND (no schema to offer, or schema already
-            # delivered) -> the bundle contributes nothing
-            return None
-        try:
-            tbl = sch.empty_table()
-        except AttributeError:   # pandas-block schema; nothing to offer
-            return None
-        pool = self._aggregator_pool
-        for pid in range(pool.num_partitions):
-            pool.get_aggregator_for_partition(pid).submit.remote(
-                input_index, pid, tbl)
-        self._has_schemas_broadcasted[input_index] = True
-        return None
-
-    base._do_add_input_inner = guarded
-    base._pyrosm_ray_empty_guard = True
-
-
 def tune_shuffle_context() -> None:
-    """Route all-to-alls through Ray's HASH_SHUFFLE strategy, sized to
-    the live cluster.
+    """Size Ray Data's own hash shuffle to the live cluster.
 
-    The default SORT_SHUFFLE_PULL_BASED executes every keyed groupby as
-    a full distributed SORT of the input — a global order no
-    co-partitioning kernel needs. Measured at sf3/8 CPUs on the
-    co-partitioned PIP join: the Sort operator alone took 96.7 s of a
-    107.8 s wall; the identical plan under HASH_SHUFFLE ran 45.7 s
-    back-to-back (key-hash bucketing straight into aggregator
-    partitions). Hash bucketing is also the shape that scales on a real
-    cluster: map outputs stream to per-partition aggregators with no
-    global sample/merge barrier.
+    No package code uses that shuffle (its keyed steps run on
+    :func:`exchange`/:func:`co_join`). Its remaining users are the
+    ``__ray_entry__`` relational oracle queries written in plain Ray Data
+    (``q_agg_pricing``, ``q_join_revenue_by_segment``,
+    ``q_events_window``, ``q_tile_counts``, ``q_pages_by_lang``) and the
+    ``ray.hash_exchange`` calibrations in ``perfbench`` and
+    ``bench_families.py``.
 
-    When a groupby omits ``num_partitions`` Ray would use 200 partitions
-    and up to 64 aggregator ACTORS regardless of cluster size (pure
-    actor thrash on small clusters), so both knobs are resized to the
-    cluster. Called at package import (strategy) and again from the
-    partition-sizing helpers below. The cluster size is only known after
-    ``ray.init``; before it the knobs take the smallest cluster's sizing.
-    A larger guess outlives the import and over-sizes every shuffle on a
-    small cluster until the first partition-sizing call (an 8-CPU guess
-    at 2 CPUs cost the first geo pass ~6 s), and Ray's own defaults (200
-    partitions, 64 aggregator actors) hang a 2-CPU groupby outright."""
-    _install_hash_shuffle_empty_block_guard()
+    HASH_SHUFFLE replaces the default SORT_SHUFFLE_PULL_BASED, which runs
+    every keyed groupby as a full distributed sort (measured at sf3/8
+    CPUs on a co-partitioned join: the Sort operator took 96.7 s of a
+    107.8 s wall; the same plan under HASH_SHUFFLE ran 45.7 s). Ray's
+    default sizing (200 partitions, up to 64 aggregator actors whatever
+    the cluster size) hangs a 2-CPU groupby outright, so both knobs are
+    resized to the cluster. Called at package import and again from
+    :func:`groupby_partitions`. The cluster size is only known after
+    ``ray.init``; before it the knobs take the smallest cluster's
+    sizing, since a larger guess would over-size every shuffle on a
+    small cluster until the next call."""
     ctx = rd.DataContext.get_current()
     ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
     cpus = _cluster_cpus() if ray.is_initialized() else 1
@@ -124,12 +61,9 @@ def tune_shuffle_context() -> None:
 
 def groupby_partitions(n_keys: int | None = None) -> int:
     """Partition count for a keyed exchange (:func:`exchange`,
-    :func:`co_join`) or a hash-shuffle ``groupby``: ~2x the cluster's
-    CPUs, capped by the key-domain size. Ray's default is 200 partitions
-    and up to 64 aggregator ACTORS regardless of cluster size — on a
-    2-CPU run that is pure actor thrash, and at toy scale the spin-up is
-    the whole stage wall. Partition count only controls the shuffle
-    fan-out; ``map_groups`` still sees one call per distinct key."""
+    :func:`co_join`): ~2x the cluster's CPUs, capped by the key-domain
+    size. Partition count only controls the fan-out; ``fn`` still sees
+    one call per distinct key."""
     tune_shuffle_context()
     cpus = _cluster_cpus()
     p = max(2, 2 * cpus)
@@ -214,17 +148,23 @@ def _groups_reduce(fn, key: str, empty: pa.Table, *parts) -> pa.Table:
 
 
 @ray.remote
-def _join_reduce(keys: list[str], empty: pa.Table, n_left: int,
-                 *parts) -> pa.Table:
-    if n_left == 0 or n_left == len(parts):
+def _join_reduce(keys: list[str], join_type: str, empty: pa.Table,
+                 n_left: int, *parts) -> pa.Table:
+    if n_left == 0 or (n_left == len(parts) and join_type == "inner"):
         return empty
     # zero-row shards still carry their block's schema, so a partition
     # with no matches yields a zero-row table typed by the data itself
     left = pa.concat_tables(parts[:n_left], promote_options="default")
-    right = pa.concat_tables(parts[n_left:], promote_options="default")
-    if not (left.num_rows and right.num_rows):  # skip the hash build
-        left, right = left.slice(0, 0), right.slice(0, 0)
-    return left.join(right, keys, join_type="inner")
+    if n_left < len(parts):
+        right = pa.concat_tables(parts[n_left:], promote_options="default")
+    else:
+        # the right side has no rows at all: a left outer/anti join keeps
+        # every left row, joined against a typed empty right side
+        right = empty.select(keys + [c for c in empty.column_names
+                                     if c not in left.column_names])
+    if not left.num_rows or (join_type == "inner" and not right.num_rows):
+        left, right = left.slice(0, 0), right.slice(0, 0)  # no hash build
+    return left.join(right, keys, join_type=join_type)
 
 
 def exchange(ds, key: str, fn, nb: int, empty: pa.Table) -> rd.Dataset:
@@ -239,20 +179,28 @@ def exchange(ds, key: str, fn, nb: int, empty: pa.Table) -> rd.Dataset:
         [_groups_reduce.remote(fn, key, empty, *p) for p in parts])
 
 
-def co_join(left, right, keys, nb: int, empty: pa.Table) -> rd.Dataset:
-    """Inner hash join of two Datasets on same-named ``keys`` on raw Ray
+def co_join(left, right, keys, nb: int, empty: pa.Table,
+            join_type: str = "inner") -> rd.Dataset:
+    """Hash join of two Datasets on same-named ``keys`` on raw Ray
     tasks: both sides hash-split identically into ``nb`` partitions and
     each partition runs one ``pa.Table.join`` (left columns first, then
-    right's non-key columns). Key columns must share a name: rename the
-    right-hand key in a map first. ``empty`` is the result when a side
-    has no rows at all; otherwise every partition joins its typed
-    shards, so a partition without matches is a zero-row table in the
-    data's own schema."""
+    right's non-key columns). ``join_type`` is pyarrow's: ``"inner"``,
+    ``"left outer"`` or ``"left anti"``. Key columns must share a name:
+    rename the right-hand key in a map first.
+
+    ``empty`` is the result's schema as a zero-row table. It is the
+    result when the left side (or, for an inner join, either side) has
+    no rows at all. When only the right side is empty, a left outer or
+    left anti join returns every left row, with ``empty``'s right-hand
+    columns null. Otherwise every partition joins its typed shards, so a
+    partition without matches is a zero-row table in the data's own
+    schema."""
     keys = [keys] if isinstance(keys, str) else list(keys)
     lp = _split(left, keys, nb)
     rp = _split(right, keys, nb)
     return rd.from_arrow_refs(
-        [_join_reduce.remote(keys, empty, len(lp[i]), *lp[i], *rp[i])
+        [_join_reduce.remote(keys, join_type, empty, len(lp[i]), *lp[i],
+                             *rp[i])
          for i in range(nb)])
 
 
@@ -319,12 +267,12 @@ def _fold_keyed(g: "pa.Table", key_col: str, val_cols: list[str]):
 
 # inputs up to this many rows take the driver fold (the dup_spans
 # driver policy: batch-local partials are already key-compressed, so the
-# driver sees ~num_blocks x keys rows — at these counts the shuffle's
-# aggregator-actor spin-up IS the operator wall)
+# driver sees ~num_blocks x keys rows — at these counts the exchange's
+# fixed cost IS the operator wall)
 KEYED_FOLD_DRIVER_MAX = 100_000
 
 
-def keyed_sum_auto(raw_ds, partials, key_col: str, val_cols: list[str],
+def keyed_sum_auto(partials, key_col: str, val_cols: list[str],
                    num_partitions: int | None = None):
     """Route a partial-count aggregate: driver fold when the partial
     stream is small, the exchanged bucket fold (:func:`keyed_sum_fold`)
@@ -338,8 +286,7 @@ def keyed_sum_auto(raw_ds, partials, key_col: str, val_cols: list[str],
     are narrow key-compressed (key, counts) rows — bounded by
     blocks x keys, the same rows the fold route would shuffle — so
     pinning them in the object store costs no more than the shuffle
-    itself.  ``raw_ds`` is kept for signature stability but unused."""
-    del raw_ds
+    itself."""
     parts = partials.materialize()
     n_part = parts.count()  # metadata-only on a materialized dataset
     if n_part > KEYED_FOLD_DRIVER_MAX:
@@ -385,69 +332,3 @@ def keyed_sum_driver(partials, key_col: str, val_cols: list[str],
         return rd.from_arrow(empty)
     return rd.from_arrow(
         _fold_keyed(pa.concat_tables(parts), key_col, val_cols))
-
-
-def sized_partitions(*dss, rows_per_part: int = 250_000) -> int:
-    """Shuffle width sized to the DATA, capped at the cluster width
-    (each hash-shuffle partition spins up an aggregator actor; 64
-    partitions over 100 k rows is pure actor spin-up). count() is
-    metadata-only on fresh reads, one cheap extra pass otherwise."""
-    import numpy as np
-    try:
-        n = sum(int(d.count()) for d in dss)
-        return int(np.clip(n // rows_per_part + 1, 2, groupby_partitions()))
-    except Exception:
-        return groupby_partitions()
-
-
-def shuffle_join_args(num_partitions: int | None = None) -> dict:
-    """Join/shuffle kwargs sized so aggregator actors can never starve the
-    map side: the pool reserves at most ~half the cluster's CPUs.
-
-    Ray's hash-shuffle join spawns ``min(num_partitions, max)`` aggregator
-    ACTORS holding their CPU reservation for the operator's lifetime; a
-    fixed ``8 x 0.25`` recipe deadlocks a 2-CPU cluster (the whole
-    allotment goes to aggregators and no map task can run)."""
-    tune_shuffle_context()
-    cpus = _cluster_cpus()
-    np_ = num_partitions or max(2, min(8, cpus))
-    agg_cpus = max(0.05, min(0.25, (cpus / 2.0) / np_))
-    return {"num_partitions": np_,
-            "aggregator_ray_remote_args": {"num_cpus": agg_cpus}}
-
-
-def scrub_empty_blocks(ds, empty_schema: pa.Table | None = None) -> rd.Dataset:
-    """Drop the ZERO-COLUMN empty blocks hash-shuffle ``map_groups`` /
-    aggregates emit for partitions that received no groups.
-
-    Those schema-less blocks poison downstream acero joins ("No match
-    ... for key field reference" — a join partition fed only by them
-    builds a schema-less table). Neither ``map_batches`` (Ray's map
-    operator passes 0-row blocks through without invoking the UDF) nor
-    ``repartition`` (0-row blocks survive the split, measured) can fix
-    them, so this is a materialize + drop-by-row-count over the real
-    block refs — the only airtight scrub. The barrier cost is bounded:
-    every call site scrubs a groupby OUTPUT (already an all-to-all
-    product), never raw input. If every block is empty, returns a
-    one-block Dataset with ``empty_schema`` (or the dataset's own
-    schema when it has one)."""
-    mat = ds.materialize()
-    refs = []
-    for bundle in mat.iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:
-            if meta.num_rows:
-                refs.append(ref)
-    if refs:
-        return rd.from_arrow_refs(refs)
-    if empty_schema is None:
-        sch = mat.schema(fetch_if_missing=False)
-        base = getattr(sch, "base_schema", None) if sch is not None else None
-        empty_schema = base.empty_table() if base is not None \
-            else pa.table({})
-    return rd.from_arrow(empty_schema)
-
-
-def nonempty(ds, empty_schema: pa.Table) -> rd.Dataset:
-    """Materialize ``ds`` and drop empty blocks; if nothing remains, return
-    a one-block Dataset with ``empty_schema`` (a zero-row typed table)."""
-    return scrub_empty_blocks(ds, empty_schema)

@@ -70,8 +70,7 @@ def word_counts(ds, text_col: str = "text",
                          "n": pa.array(cnt.astype(np.int64))})
 
     from pyrosm_ray.stages.blocks import keyed_sum_auto
-    return keyed_sum_auto(ds,
-                          ds.map_batches(partial, batch_format="pyarrow"),
+    return keyed_sum_auto(ds.map_batches(partial, batch_format="pyarrow"),
                           "word", ["n"], num_partitions=num_partitions)
 
 
@@ -262,8 +261,8 @@ def bpe_encode(ds, merges: pa.Table, text_col: str = "text",
     Ray's lazy (1, N) pool to ever scale up (measured 3.2 s autoscaled
     vs 2.05 s pre-started on a 500 k-doc corpus at 8 CPUs), while a
     FIXED full-cluster pool holds every CPU and starves the upstream
-    read tasks outright (the shuffle_join_args aggregator rule — a
-    16-CPU session deadlocks). Half pre-started, cluster-capped, keeps
+    read tasks outright (a 16-CPU session deadlocks: an actor pool must
+    leave the map side CPUs). Half pre-started, cluster-capped, keeps
     both properties."""
     import ray
 

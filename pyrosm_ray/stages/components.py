@@ -1,15 +1,16 @@
 """Distributed connected components via min-label propagation.
 
 Replaces driver-side union-find for the dedup clustering step (and any
-other edge-contraction need): every round is a hash-partitioned
-``join + groupby().min`` over the edge list — no O(nodes) structure ever
+other edge-contraction need): every round is a raw-task hash join
+(``blocks.co_join``) plus a bucketed per-node min fold
+(``blocks.exchange``) over the edge list — no O(nodes) structure ever
 lands on the driver. Rounds needed = component diameter (near-dup clusters
 are shallow: usually 1-3 rounds).
 
 The per-round invariant: ``label(v) <- min(label(u) for u in N(v) ∪ {v})``.
 Labels only ever decrease, so the global label sum is strictly monotone and
-``sum unchanged`` is an exact convergence test (one cheap aggregate per
-round, no change-count join).
+``sum unchanged`` is an exact convergence test (the driver adds one
+partial sum per label block each round; no change-count join).
 
 Deep components (a mega-bucket's consecutive-id chain, or a long
 transitive near-dup path) would need diameter rounds under plain
@@ -24,15 +25,16 @@ rather than silently returning fragmented components.
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data as rd
 
-from pyrosm_ray.stages.blocks import nonempty, shuffle_join_args
+from pyrosm_ray.stages.blocks import co_join, exchange, groupby_partitions
+from pyrosm_ray.stages.hashing import hash64
 
 DOUBLING_START = 2  # propagation-only rounds before pointer doubling kicks in
 
-_EDGES_EMPTY = pa.table({"src": pa.array([], pa.int64()),
-                         "dst": pa.array([], pa.int64())})
 _LABELS_EMPTY = pa.table({"node": pa.array([], pa.int64()),
                           "label": pa.array([], pa.int64())})
 
@@ -48,22 +50,54 @@ def _sym_edges(batch: pa.Table, a_col: str, b_col: str) -> pa.Table:
     return pa.table({"src": pa.array(src), "dst": pa.array(dst)})
 
 
+def _min_per_node(ds, node_col: str, val_col: str, nb: int):
+    """(node, label) = min ``val_col`` per ``node_col``: one coarse hash
+    bucket per row and one factorize/minimum.at fold per bucket (a
+    per-node call would pay per distinct node)."""
+    def bucket(t: pa.Table) -> pa.Table:
+        n = np.asarray(t[node_col].to_numpy(zero_copy_only=False),
+                       np.int64)
+        return pa.table({
+            "node": pa.array(n, pa.int64()), "label": t[val_col],
+            "__q": pa.array((hash64(n.view(np.uint64), 13)
+                             % np.uint64(nb)).astype(np.int64))})
+
+    def fold(g: pa.Table) -> pa.Table:
+        codes, uniq = pd.factorize(
+            np.asarray(g["node"].to_numpy(zero_copy_only=False), np.int64))
+        m = np.full(len(uniq), np.iinfo(np.int64).max, np.int64)
+        np.minimum.at(m, codes, np.asarray(
+            g["label"].to_numpy(zero_copy_only=False), np.int64))
+        return pa.table({"node": pa.array(uniq, pa.int64()),
+                         "label": pa.array(m, pa.int64())})
+
+    return exchange(ds.map_batches(bucket, batch_format="pyarrow"), "__q",
+                    fold, nb, _LABELS_EMPTY).materialize()
+
+
+def _label_sum(labels) -> int:
+    """Sum of every label, one partial per (materialized) block."""
+    parts = labels.map_batches(lambda b: pa.table(
+        {"s": pa.array([pc.sum(b["label"]).as_py() or 0], pa.int64())}),
+        batch_format="pyarrow")
+    return sum(sum(b["s"].to_pylist())
+               for b in parts.iter_batches(batch_format="pyarrow"))
+
+
 def connected_components(edges_ds, a_col: str = "a", b_col: str = "b",
-                         num_partitions: int = 8,
+                         num_partitions: int | None = None,
                          max_iter: int = 25) -> rd.Dataset | None:
     """Edge list Dataset (a, b) -> Dataset (node, comp) where ``comp`` is
     the minimum node id of the node's component. Covers every node that
     appears in an edge (isolated nodes are their own component — attach
     with a left-outer join + coalesce). Returns None for an empty edge
     list."""
-    edges = nonempty(edges_ds.map_batches(
+    edges = edges_ds.map_batches(
         lambda b: _sym_edges(b, a_col, b_col),
-        batch_format="pyarrow"), _EDGES_EMPTY)
+        batch_format="pyarrow").materialize()
     if edges.count() == 0:
         return None
-
-    def rename(batch: pa.Table, src_name: str) -> pa.Table:
-        return pa.table({"node": batch["dst"], "label": batch[src_name]})
+    nb = num_partitions or groupby_partitions()
 
     def double(labels):
         """Pointer doubling: label(v) <- label(label(v)). Every label IS a
@@ -72,30 +106,32 @@ def connected_components(edges_ds, a_col: str = "a", b_col: str = "b",
         label map, so the inner self-join is total. label(l) <= l, so the
         monotone-sum convergence test still holds."""
         rhs = labels.map_batches(
-            lambda b: pa.table({"lnode": b["node"], "llabel": b["label"]}),
+            lambda b: pa.table({"label": b["node"], "llabel": b["label"]}),
             batch_format="pyarrow")
-        j = labels.join(rhs, "inner", on=("label",), right_on=("lnode",),
-                        **shuffle_join_args(num_partitions))
-        return nonempty(j.map_batches(
+        j = co_join(labels, rhs, "label", nb, pa.table({
+            "node": pa.array([], pa.int64()),
+            "label": pa.array([], pa.int64()),
+            "llabel": pa.array([], pa.int64())}))
+        return j.map_batches(
             lambda b: pa.table({"node": b["node"], "label": b["llabel"]}),
-            batch_format="pyarrow"), _LABELS_EMPTY)
+            batch_format="pyarrow").materialize()
 
     # round 0 fused with init (labels start as node ids, so the first
     # min over neighbors is just min(src) per dst)
-    labels = nonempty(edges.groupby("dst").min("src").map_batches(
-        lambda b: rename(b, "min(src)"), batch_format="pyarrow"),
-        _LABELS_EMPTY)
-    prev_sum = labels.sum("label")
+    labels = _min_per_node(edges, "dst", "src", nb)
+    prev_sum = _label_sum(labels)
+    joined_empty = pa.table({"src": pa.array([], pa.int64()),
+                             "dst": pa.array([], pa.int64()),
+                             "label": pa.array([], pa.int64())})
     converged = False
     for round_i in range(max_iter):
-        j = edges.join(labels, "inner", on=("src",), right_on=("node",),
-                       **shuffle_join_args(num_partitions))
-        labels = nonempty(j.groupby("dst").min("label").map_batches(
-            lambda b: rename(b, "min(label)"), batch_format="pyarrow"),
-            _LABELS_EMPTY)
+        j = co_join(edges, labels.map_batches(
+            lambda b: pa.table({"src": b["node"], "label": b["label"]}),
+            batch_format="pyarrow"), "src", nb, joined_empty)
+        labels = _min_per_node(j, "dst", "label", nb)
         if round_i >= DOUBLING_START:
             labels = double(labels)
-        new_sum = labels.sum("label")
+        new_sum = _label_sum(labels)
         if new_sum == prev_sum:
             converged = True
             break
@@ -138,7 +174,7 @@ def _attach_broadcast(ds, node: np.ndarray, comp: np.ndarray, id_col: str,
 
 def attach_components(ds, labels, id_col: str,
                       out_col: str = "dup_of",
-                      num_partitions: int = 8) -> rd.Dataset:
+                      num_partitions: int | None = None) -> rd.Dataset:
     """Attach ``comp`` onto ``ds`` by id; nodes without an edge map to
     themselves. ``labels`` is a (node, comp) Dataset, a plain
     ``(node_array, comp_array)`` tuple (driver-computed label maps), or
@@ -160,11 +196,14 @@ def attach_components(ds, labels, id_col: str,
         return _attach_broadcast(
             ds, np.asarray(lab["node"], dtype=np.int64),
             np.asarray(lab["comp"], dtype=np.int64), id_col, out_col)
-    j = ds.join(labels, "left_outer", on=(id_col,), right_on=("node",),
-                **shuffle_join_args(num_partitions))
+    right = labels.map_batches(lambda b: pa.table(
+        {id_col: b["node"], "comp": b["comp"]}), batch_format="pyarrow")
+    empty = ds.schema().base_schema.empty_table().append_column(
+        "comp", pa.array([], pa.int64()))
+    j = co_join(ds, right, id_col, num_partitions or groupby_partitions(),
+                empty, join_type="left outer")
 
     def coalesce(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         comp = pc.coalesce(batch["comp"], batch[id_col])
         out = batch.drop_columns(["comp"])
         return out.append_column(out_col, comp)

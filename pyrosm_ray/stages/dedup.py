@@ -45,8 +45,7 @@ from pyrosm_ray.stages.similarity import _emb_matrix
 from pyrosm_ray.stages.blocks import co_join, exchange, groupby_partitions
 from pyrosm_ray.stages.components import attach_components, \
     connected_components
-from pyrosm_ray.stages.hashing import combine3, hash64, stable64, \
-    stable64_many
+from pyrosm_ray.stages.hashing import combine3, hash64, stable64_many
 
 _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
@@ -1150,9 +1149,6 @@ def similarity_join(left_ds, right_ds, id_col: str = "doc_id",
         .map_batches(unshift, batch_format="pyarrow")
 
 
-_LSH_PREFIX_BITS = 16
-_LSH_SEED = 0x5EED
-
 # driver-gate work counters from the last embedding_near_dup call
 # (observability for the sub-quadratic-gate contract; tests assert on it)
 _LAST_GATE_STATS: dict | None = None
@@ -1196,11 +1192,6 @@ def _segment_cones(cents: np.ndarray, caps: np.ndarray, lo: int, hi: int,
         out.append((c, cap, i, j))
         i = j
     return out
-
-
-def _lsh_hyperplanes(dim: int, nbits: int = _LSH_PREFIX_BITS) -> np.ndarray:
-    """Deterministic random hyperplanes (fixed seed -> reproducible keys)."""
-    return np.random.default_rng(_LSH_SEED).standard_normal((dim, nbits))
 
 
 def _gate_block_pairs(summaries: list[tuple[np.ndarray, float]],

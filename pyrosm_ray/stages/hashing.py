@@ -136,11 +136,6 @@ def combine3_sql(h1: str, h2: str, h3: str) -> str:
     return hash64_sql(acc, 1)
 
 
-def stable64_sql(expr: str) -> str:
-    """SQL rendering of :func:`stable64` (UBIGINT result)."""
-    return f"md5_number_lower({expr})"
-
-
 def hash64(arr: np.ndarray, seed: int) -> np.ndarray:
     """Vectorised xorshift-multiply mix of uint64 -> uint64.
 

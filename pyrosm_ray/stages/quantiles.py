@@ -512,20 +512,3 @@ def quantile_bins_sql(table: str, group_col: str, value_expr: str,
     cases = " ".join(
         f"WHEN {value_expr} <= e.q{j} THEN {j}" for j in range(len(qs)))
     return f"(CASE {cases} ELSE {len(qs)} END)"
-
-
-def quantile_edges_sql(table: str, group_col: str, value_expr: str,
-                       qs: list[float]) -> str:
-    """The grouped-edges CTE body pairing with
-    :func:`quantile_bins_sql` (alias it ``e`` and join on group)."""
-    qs = sorted(qs)
-    cols = ", ".join(
-        f"quantile_disc({value_expr}, {q!r}) AS q{j}"
-        for j, q in enumerate(qs))
-    return (f"SELECT {group_col}, {cols} FROM {table} "
-            f"GROUP BY {group_col}")
-
-
-def quantile_disc_sql(value_expr: str, q: float) -> str:
-    """DuckDB twin of one exact discrete quantile."""
-    return f"quantile_disc({value_expr}, {q!r})"

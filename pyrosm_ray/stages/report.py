@@ -9,15 +9,15 @@ Scale shape: ONE scan of the corpus emits a combined partial table —
 one row per batch-local (source, lang, content-hash) group, carrying
 that group's doc/token/char sums — so the text is read once and never
 shuffled. The partial rows (no text, ≤1 per document) then make ONE
-hash-shuffle pass: they are bucketed by ``content-hash % nparts``, so
-every occurrence of a hash lands in the same partition and a single
-per-partition fold computes doc/token/char sums, exact distinct-content
-counts AND the partition's distinct (source, lang) pairs — emitting a
-handful of rows per source. The final merge runs on the driver because
+raw-task exchange (``blocks.exchange``): they are bucketed by
+``content-hash % nparts``, so every occurrence of a hash lands in the
+same partition and a single per-partition fold computes doc/token/char
+sums, exact distinct-content counts AND the partition's distinct
+(source, lang) pairs — emitting a handful of rows per source. The final merge runs on the driver because
 a per-source report is inherently tiny (#sources × #partitions rows).
-Measured motivation: each keyed Ray groupby carries ~2-3 s of fixed
-shuffle machinery regardless of data size; the previous shape spent 4
-of them, this one spends 1.
+Measured motivation: each keyed Ray groupby carried ~2-3 s of fixed
+shuffle machinery regardless of data size; an earlier shape spent 4 of
+them, this one spends one exchange.
 """
 
 from __future__ import annotations
@@ -63,11 +63,19 @@ def _partial(batch: pa.Table, source_col: str, text_col: str,
                      "nc": pa.array(g["nc"], pa.int64())})
 
 
-def _fold(g: pd.DataFrame) -> pa.Table:
+_FOLD_EMPTY = pa.table({
+    "__s": pa.array([], pa.string()),
+    **{c: pa.array([], pa.int64()) for c in
+       ["n_docs", "n_tokens", "sum_chars", "n_distinct", "n_dups"]},
+    "langs": pa.array([], pa.list_(pa.string()))})
+
+
+def _fold(t: pa.Table) -> pa.Table:
     """Per-partition fold: every occurrence of a content hash is local
     (the group key is ``hash % nparts``), so distinct/dup counts are
     exact here. One output row per source seen in the partition, with
     the partition's distinct langs as a list column."""
+    g = t.to_pandas()
     agg = g.groupby("__s", sort=False).agg(
         n_docs=("c", "sum"), n_tokens=("nt", "sum"),
         sum_chars=("nc", "sum"))
@@ -95,14 +103,13 @@ def corpus_report(ds, source_col: str = "source", text_col: str = "text",
     n_langs, n_distinct, n_dups`` (n_dups = docs minus distinct raw
     contents). Small by definition — the only driver-side state is the
     final #sources × #partitions-row merge."""
-    from pyrosm_ray.stages.blocks import sized_partitions
+    from pyrosm_ray.stages.blocks import exchange, groupby_partitions
 
-    nparts = sized_partitions(ds)
-    folded = ds.map_batches(
+    nparts = groupby_partitions()
+    folded = exchange(ds.map_batches(
         lambda b: _partial(b, source_col, text_col, lang_col, nparts),
-        batch_format="pyarrow").groupby(
-        "__p", num_partitions=nparts).map_groups(
-        _fold, batch_format="pandas").to_pandas()
+        batch_format="pyarrow"), "__p", _fold, nparts,
+        _FOLD_EMPTY).to_pandas()
 
     if folded.empty:
         return pd.DataFrame({source_col: pd.Series([], dtype=object),
@@ -187,7 +194,7 @@ def slice_divergence(ds, slice_col: str = "source",
                          "n": pa.array(cnt.astype(np.int64))})
 
     folded = keyed_sum_auto(
-        ds, ds.map_batches(partial, batch_format="pyarrow"), "sw", ["n"],
+        ds.map_batches(partial, batch_format="pyarrow"), "sw", ["n"],
         num_partitions=num_partitions)
     keys_l, n_l = [], []
     for b in folded.iter_batches(batch_format="pyarrow"):

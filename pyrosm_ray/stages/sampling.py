@@ -38,7 +38,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from pyrosm_ray.stages.blocks import groupby_partitions
+from pyrosm_ray.stages.blocks import exchange, groupby_partitions, \
+    keyed_sum_auto
 from pyrosm_ray.stages.hashing import hash64, hash64_sql
 
 
@@ -146,8 +147,6 @@ def topk_per_group(ds, group_col: str, order_col: str, k: int,
 
     def fold(g: pa.Table) -> pa.Table:
         g = g.drop_columns(["__q"])
-        if g.num_rows == 0:
-            return g.append_column(out_rank, pa.array([], pa.int64()))
         import pandas as pd
         col = g[group_col]
         keys = col.to_numpy(zero_copy_only=False) \
@@ -194,10 +193,11 @@ def topk_per_group(ds, group_col: str, order_col: str, k: int,
         rank = np.arange(len(sc), dtype=np.int64) - seg_start[seg_of]
         return t.take(pa.array(perm[rank < k], pa.int64()))
 
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .map_batches(bucket, batch_format="pyarrow") \
-        .groupby("__q", num_partitions=nb) \
-        .map_groups(fold, batch_format="pyarrow")
+    empty = ds.schema().base_schema.empty_table().append_column(
+        out_rank, pa.array([], pa.int64()))
+    return exchange(ds.map_batches(partial, batch_format="pyarrow")
+                    .map_batches(bucket, batch_format="pyarrow"),
+                    "__q", fold, nb, empty)
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +250,9 @@ def _scan_buckets(ds, key_fn, val_fn, emit_fn, num_buckets: int):
 
     # driver fast path (the dedup-family policy): below the row ceiling
     # the whole scan — histogram, prefix, per-bucket emit — runs locally
-    # with the SAME kernels; two hash-shuffle operators on a few hundred
-    # rows are pure machinery (~6 s measured in the composed
-    # dedup->mix->rank->pack chain)
+    # with the SAME kernels; two keyed exchanges on a few hundred rows
+    # are pure machinery (~6 s measured in the composed
+    # dedup->mix->rank->pack chain, on Ray's hash shuffle)
     from pyrosm_ray.stages.blocks import KEYED_FOLD_DRIVER_MAX
     if tagged.count() <= KEYED_FOLD_DRIVER_MAX:
         import ray.data as rd
@@ -284,21 +284,23 @@ def _scan_buckets(ds, key_fn, val_fn, emit_fn, num_buckets: int):
                                    base, emit_fn))
         return rd.from_arrow(pa.concat_tables(outs))
 
-    sums = tagged.groupby("__bucket").sum("__val").to_pandas()
-    sums = sums.sort_values("__bucket")
+    sums = keyed_sum_auto(tagged.map_batches(
+        lambda b: b.select(["__bucket", "__val"]), batch_format="pyarrow"),
+        "__bucket", ["__val"]).to_pandas().sort_values("__bucket")
     base = {}
     acc = 0
-    for b, s in zip(sums["__bucket"], sums["sum(__val)"]):
+    for b, s in zip(sums["__bucket"], sums["__val"]):
         base[int(b)] = acc
         acc += int(s)
 
     def per_bucket(group: pa.Table) -> pa.Table:
         return _scan_emit(group, base, emit_fn)
 
-    return tagged.groupby("__bucket",
-                          num_partitions=groupby_partitions(
-                              len(base) or 1)).map_groups(
-        per_bucket, batch_format="pyarrow")
+    none = np.zeros(0, np.int64)
+    empty = emit_fn(tagged.schema().base_schema.empty_table().drop_columns(
+        ["__prim", "__tie", "__bucket", "__val"]), none, none)
+    return exchange(tagged, "__bucket", per_bucket,
+                    groupby_partitions(len(base)), empty)
 
 
 def shuffle_rank(ds, id_col: str = "doc_id", seed: int = 11,
@@ -535,8 +537,9 @@ def mix_sources(ds, weights: dict[str, int], budget: int,
 
     Two stages in the aggregate→broadcast→filter shape:
 
-    1. per-source token supply via ``groupby(source).sum(size_col)`` —
-       sources number in the tens, the aggregate is a handful of rows;
+    1. per-source token supply via a keyed sum of ``size_col``
+       (:func:`~pyrosm_ray.stages.blocks.keyed_sum_auto`) — sources
+       number in the tens, the aggregate is a handful of rows;
     2. one stateless vectorised filter: ``hash64(id, seed) % den <
        num_source`` with the integer numerators from :func:`mix_rates`
        mapped per row (factorize + lookup).
@@ -545,9 +548,11 @@ def mix_sources(ds, weights: dict[str, int], budget: int,
     size (the hash predicate owns the decision, not task boundaries).
     Expected sampled tokens per source ≈ its target (hash uniformity);
     the EXACT membership is pinned by the SQL twin."""
-    agg = ds.groupby(source_col).sum(size_col)
-    supply = {r[source_col]: int(r[f"sum({size_col})"])
-              for r in agg.take_all()}
+    agg = keyed_sum_auto(ds.map_batches(lambda b: pa.table({
+        source_col: b[source_col],
+        size_col: b[size_col].cast(pa.int64())}), batch_format="pyarrow"),
+        source_col, [size_col])
+    supply = {r[source_col]: int(r[size_col]) for r in agg.take_all()}
     nums = mix_rates(supply, weights, budget, den)
 
     def pick(batch: pa.Table) -> pa.Table:
@@ -675,9 +680,7 @@ def dsir_weights(ds, target_col: str = "lang", target_value: str = "en",
                          "n_raw": pa.array(cr.astype(np.int64)),
                          "n_tgt": pa.array(ct.astype(np.int64))})
 
-    from pyrosm_ray.stages.blocks import keyed_sum_auto
-    cnt = keyed_sum_auto(ds,
-                         ds.map_batches(partial, batch_format="pyarrow"),
+    cnt = keyed_sum_auto(ds.map_batches(partial, batch_format="pyarrow"),
                          "feat", ["n_raw", "n_tgt"],
                          num_partitions=num_partitions)
     feats_l, cr_l, ct_l = [], [], []

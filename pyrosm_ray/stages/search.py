@@ -269,9 +269,6 @@ def write_postings(ds, path: str, id_col: str = "doc_id",
 
     def write_bucket(g: pa.Table) -> pa.Table:
         import pyarrow.parquet as pq
-        if g.num_rows == 0:
-            return pa.table({"bucket": pa.array([], pa.int64()),
-                             "rows": pa.array([], pa.int64())})
         bkt = int(g["__b"][0].as_py())
         d = os.path.join(path, f"bucket={bkt}")
         f = os.path.join(d, "part.parquet")
@@ -290,15 +287,14 @@ def write_postings(ds, path: str, id_col: str = "doc_id",
         return pa.table({"bucket": pa.array([bkt], pa.int64()),
                          "rows": pa.array([g.num_rows], pa.int64())})
 
-    # shuffle width sized to the CLUSTER, not the bucket count:
-    # map_groups still sees one call per bucket at any partition count,
-    # but 64 aggregator actors on a 2-CPU run is pure spin-up thrash
-    # (measured: the sf-scaling 2-CPU leg sat 20+ min in this stage
-    # before the fix vs ~2 min after)
-    from pyrosm_ray.stages.blocks import groupby_partitions
-    manifest = post.map_batches(bucket, batch_format="pyarrow") \
-        .groupby("__b", num_partitions=groupby_partitions(num_buckets)) \
-        .map_groups(write_bucket, batch_format="pyarrow").to_pandas()
+    # exchange width sized to the CLUSTER, not the bucket count:
+    # write_bucket still sees one call per bucket at any partition count
+    from pyrosm_ray.stages.blocks import exchange, groupby_partitions
+    manifest = exchange(
+        post.map_batches(bucket, batch_format="pyarrow"), "__b",
+        write_bucket, groupby_partitions(num_buckets),
+        pa.table({"bucket": pa.array([], pa.int64()),
+                  "rows": pa.array([], pa.int64())})).to_pandas()
     meta = {"n_docs": n_docs, "total_tokens": toks,
             "num_buckets": num_buckets, "id_col": id_col,
             "buckets_written": int(len(manifest)),
@@ -383,8 +379,7 @@ def bm25_topk_from_postings(path: str, query: str, k: int = 10,
 
     from pyrosm_ray.stages.blocks import keyed_sum_auto
     folded = keyed_sum_auto(
-        None, hits.map_batches(score, batch_format="pyarrow"),
-        id_col, ["m"])
+        hits.map_batches(score, batch_format="pyarrow"), id_col, ["m"])
 
     def part_topk(bt: pa.Table) -> pa.Table:
         d = bt.to_pandas()

@@ -93,7 +93,7 @@ def filtered_topk_cosine(ds, allowed_ds, queries: np.ndarray, k: int = 10,
     Arrow's hash join rejects ``list<float>`` payload columns, so each
     vector rides through the shuffle as ONE fixed-size-binary value
     (zero-copy views both ways — no per-row Python)."""
-    from pyrosm_ray.stages.blocks import shuffle_join_args
+    from pyrosm_ray.stages.blocks import co_join, groupby_partitions
 
     def pack(batch: pa.Table) -> pa.Table:
         n = len(batch)
@@ -122,18 +122,14 @@ def filtered_topk_cosine(ds, allowed_ds, queries: np.ndarray, k: int = 10,
             pa.array(list_off, pa.int32()), pa.array(flat, pa.float64()))
         return pa.table({id_col: batch[id_col], emb_col: emb})
 
-    # planner-level projection (NOT map_batches): keeps the schema even
-    # when the filter side is empty, so the join still sees __fid; the
-    # scrub drops the zero-column blocks an all-empty side would feed
-    # the join partitioner (see blocks.scrub_empty_blocks)
-    from pyrosm_ray.stages.blocks import nonempty
-    keep = nonempty(
-        allowed_ds.select_columns([allowed_id_col])
-        .rename_columns({allowed_id_col: "__fid"}),
-        pa.table({"__fid": pa.array([], pa.int64())}))
-    filtered = ds.map_batches(pack, batch_format="pyarrow") \
-        .join(keep, "inner", on=(id_col,), right_on=("__fid",),
-              **shuffle_join_args(num_partitions)) \
+    keep = allowed_ds.map_batches(
+        lambda b: pa.table({id_col: b[allowed_id_col].cast(pa.int64())}),
+        batch_format="pyarrow")
+    filtered = co_join(
+        ds.map_batches(pack, batch_format="pyarrow"), keep, id_col,
+        num_partitions or groupby_partitions(),
+        pa.table({id_col: pa.array([], pa.int64()),
+                  "__ebin": pa.array([], pa.binary())})) \
         .map_batches(unpack, batch_format="pyarrow")
     return topk_cosine(filtered, queries, k=k, id_col=id_col,
                        emb_col=emb_col)

@@ -18,11 +18,12 @@ Execution shape (no window strings are ever built):
    constants; vectorised as W shifted multiply-adds over the flat token
    stream, doc boundaries masked). Batch-local (doc, fingerprint)
    counting collapses within-doc repeats before the wire;
-2. ONE coarse hash shuffle co-buckets equal fingerprints (the manual
-   bucket+fold pattern — Ray's HashAggregate pays per distinct key);
+2. ONE coarse raw-task exchange co-buckets equal fingerprints (the
+   manual bucket+fold pattern — a per-key call pays per distinct key);
    the per-bucket fold computes each fingerprint's corpus total and
    re-emits per-doc partials ``(doc, n_windows, n_dup)``;
-3. a tiny doc-keyed groupby sums the partials.
+3. a doc-keyed :func:`~pyrosm_ray.stages.blocks.keyed_sum_fold` sums
+   the partials.
 
 Docs with fewer than W tokens have no windows and are absent from the
 output (the SQL twin shares the rule).
@@ -40,6 +41,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from pyrosm_ray.stages.blocks import exchange, groupby_partitions, \
+    keyed_sum_fold
 from pyrosm_ray.stages.dedup import BANDED_DRIVER_MAX
 from pyrosm_ray.stages.hashing import (_addmod_sql, _mulmod_sql, hash64,
                                        stable64_many)
@@ -98,7 +101,6 @@ def dup_span_stats(ds, window: int = 8, id_col: str = "doc_id",
     where cluster width is the regime. Measured: 500 k docs / 95 M
     windows went 2-partition → cluster-wide, 2→8-CPU efficiency
     0.58 → ~0.9."""
-    from pyrosm_ray.stages.blocks import groupby_partitions
     nb = num_partitions or groupby_partitions()
     c_lo, c_hi = _window_constants(window)
 
@@ -134,10 +136,6 @@ def dup_span_stats(ds, window: int = 8, id_col: str = "doc_id",
             "__p", pa.array((h1 % np.uint64(nb)).astype(np.int64)))
 
     def fold(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "nw": pa.array([], pa.int64()),
-                             "nd": pa.array([], pa.int64())})
         h1 = np.asarray(g["__h1"].to_numpy(zero_copy_only=False),
                         np.int64)
         h2 = np.asarray(g["__h2"].to_numpy(zero_copy_only=False),
@@ -154,7 +152,7 @@ def dup_span_stats(ds, window: int = 8, id_col: str = "doc_id",
         np.add.at(tot, gid, k)
         dup = tot[gid] >= 2
         # pre-aggregate per doc before the wire: the downstream doc
-        # groupby sees <=|docs| rows per bucket, not one per window
+        # fold sees <=|docs| rows per bucket, not one per window
         import pandas as pd
         codes, udocs = pd.factorize(ids)
         nw = np.zeros(len(udocs), np.int64)
@@ -172,7 +170,7 @@ def dup_span_stats(ds, window: int = 8, id_col: str = "doc_id",
     # small-corpus fast path (the dedup-family driver policy): the
     # (doc, fp, k) rows are 32 B each — under BANDED_DRIVER_MAX they
     # collect and the whole total/dup computation is the fold body run
-    # once, skipping both shuffles' fixed cost. Identical output. The
+    # once, skipping both exchanges' fixed cost. Identical output. The
     # doc-count pre-gate keeps the at-scale route streaming (the
     # exploded table is token-sized; it must never materialize just to
     # be counted).
@@ -202,46 +200,18 @@ def dup_span_stats(ds, window: int = 8, id_col: str = "doc_id",
                                       pa.int64()),
         }))
 
-    partials = exploded \
-        .map_batches(bucket, batch_format="pyarrow") \
-        .groupby("__p", num_partitions=nb) \
-        .map_groups(fold, batch_format="pyarrow")
-
-    # final per-doc sum through the manual bucket+fold, NOT
-    # groupby(doc).sum: Ray's HashAggregate pays per distinct key
-    # (|docs| of them; the line_dedup 7x pathology) while the fold pays
-    # per partition — measured 180 s -> 60 s on a 500 k-doc corpus
-    def bucket_doc(t: pa.Table) -> pa.Table:
-        ids = np.asarray(t[id_col].to_numpy(zero_copy_only=False),
-                         np.int64).view(np.uint64)
-        h = hash64(ids, 13)
-        return t.append_column(
-            "__q", pa.array((h % np.uint64(nb)).astype(np.int64)))
-
-    def fold_doc(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return _EMPTY
-        import pandas as pd
-        ids = np.asarray(g[id_col].to_numpy(zero_copy_only=False),
-                         np.int64)
-        nw = np.asarray(g["nw"].to_numpy(zero_copy_only=False),
-                        np.int64)
-        nd = np.asarray(g["nd"].to_numpy(zero_copy_only=False),
-                        np.int64)
-        codes, udocs = pd.factorize(ids)
-        snw = np.zeros(len(udocs), np.int64)
-        snd = np.zeros(len(udocs), np.int64)
-        np.add.at(snw, codes, nw)
-        np.add.at(snd, codes, nd)
-        return pa.table({
-            id_col: pa.array(udocs, pa.int64()),
-            "n_windows": pa.array(snw, pa.int64()),
-            "n_dup_windows": pa.array(snd, pa.int64()),
-        })
-
-    return partials.map_batches(bucket_doc, batch_format="pyarrow") \
-        .groupby("__q", num_partitions=nb) \
-        .map_groups(fold_doc, batch_format="pyarrow")
+    partials = exchange(exploded.map_batches(bucket, batch_format="pyarrow"),
+                        "__p", fold, nb, pa.table({
+                            id_col: pa.array([], pa.int64()),
+                            "nw": pa.array([], pa.int64()),
+                            "nd": pa.array([], pa.int64())}))
+    # final per-doc sum through the bucketed keyed-sum fold, NOT a
+    # per-doc group call: that pays per distinct doc (the line_dedup 7x
+    # pathology) while the fold pays per partition — measured 180 s ->
+    # 60 s on a 500 k-doc corpus
+    return keyed_sum_fold(partials, id_col, ["nw", "nd"], nb).map_batches(
+        lambda t: t.rename_columns([id_col, "n_windows", "n_dup_windows"]),
+        batch_format="pyarrow")
 
 
 def dup_span_stats_sql(window: int = 8, doc_table: str = "documents",

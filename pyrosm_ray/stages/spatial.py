@@ -112,7 +112,7 @@ def hot_cells(ds_with_tiles, res: int, threshold: int,
                          "n": pa.array(counts, pa.int64())})
 
     agg = keyed_sum_auto(
-        None, ds_with_tiles.map_batches(partial, batch_format="pyarrow"),
+        ds_with_tiles.map_batches(partial, batch_format="pyarrow"),
         col, ["n"]).to_pandas()
     out = {}
     for cell, n in zip(agg[col], agg["n"]):
@@ -189,8 +189,8 @@ def tile_rollup(pages_ds, res_fine: int = 9, res_coarse: int = 5):
                          "n_pages": pa.array(cnt, pa.int64())})
 
     level = keyed_sum_auto(
-        None, tiled.map_batches(partial, batch_format="pyarrow"),
-        "cell", ["n_pages"])
+        tiled.map_batches(partial, batch_format="pyarrow"), "cell",
+        ["n_pages"])
 
     def with_res(ds_level, r):
         def add(b: pa.Table) -> pa.Table:
@@ -221,8 +221,8 @@ def tile_rollup(pages_ds, res_fine: int = 9, res_coarse: int = 5):
         # 0.29 scaling efficiency at sf3 BECAUSE of it; the fold route
         # still engages for a 10^8-cell res-9 table at 100 TB)
         level = keyed_sum_auto(
-            None, level.map_batches(up, batch_format="pyarrow"),
-            "cell", ["n_pages"])
+            level.map_batches(up, batch_format="pyarrow"), "cell",
+            ["n_pages"])
         out = out.union(with_res(level, r))
     return out
 
@@ -576,13 +576,6 @@ def pack_polygon_index(polygons_ds, id_col: str = "id",
                     "layer": lay})
 
 
-def _poly_rings(index, poly_idx: int) -> list[np.ndarray]:
-    r0 = index["poly_ring_offsets"][poly_idx]
-    r1 = index["poly_ring_offsets"][poly_idx + 1]
-    ro = index["ring_offsets"]
-    return [index["coords"][ro[j]:ro[j + 1]] for j in range(r0, r1)]
-
-
 _CONFIRM_CHUNK_EDGES = 1 << 19  # ~512k expanded edge rows ≈ 30 MB temporaries
 
 
@@ -750,19 +743,6 @@ def pip_join_batch(batch: pa.Table, *, index_ref, how: str = "inner",
     return out.append_column(
         "polygon_layer",
         pa.array([man["layer"]] * len(out), pa.string()))
-
-
-class PipJoiner:
-    """Actor-form of :func:`pip_join_batch` (kept for callers that want an
-    explicit actor pool; the index is fetched once per actor)."""
-
-    def __init__(self, index_ref, how: str = "inner",
-                 lon_col: str = "lon", lat_col: str = "lat"):
-        self.kwargs = dict(index_ref=index_ref, how=how,
-                           lon_col=lon_col, lat_col=lat_col)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return pip_join_batch(batch, **self.kwargs)
 
 
 def pip_join(pages_ds, polygons_ds=None, how: str = "inner",

@@ -93,16 +93,18 @@ def promote_tags(batch: pa.Table, keep_keys: list[str],
 
 
 def nonnull_counts(ds, columns: list[str]) -> dict[str, int]:
-    """Distributed non-null count per column (partial per batch + driver sum)."""
+    """Distributed non-null count per column (partial per batch + keyed
+    sum)."""
     def partial(batch: pa.Table) -> pa.Table:
         return pa.table({
             "column": pa.array(columns, pa.string()),
             "n": pa.array([len(batch) - batch[c].null_count for c in columns],
                           pa.int64()),
         })
-    agg = ds.map_batches(partial, batch_format="pyarrow") \
-            .groupby("column").sum("n").to_pandas()
-    return dict(zip(agg["column"], agg["sum(n)"]))
+    from pyrosm_ray.stages.blocks import keyed_sum_auto
+    agg = keyed_sum_auto(ds.map_batches(partial, batch_format="pyarrow"),
+                         "column", ["n"]).to_pandas()
+    return dict(zip(agg["column"], agg["n"]))
 
 
 def drop_empty_columns(ds, candidate_columns: list[str]):

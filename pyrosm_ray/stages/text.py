@@ -250,8 +250,6 @@ def vocab_topk(ds, text_col: str = "text", k: int = 50):
     """
     import pandas as pd
 
-    from pyrosm_ray.stages.blocks import groupby_partitions
-
     def partial(batch: pa.Table) -> pa.Table:
         words: list[str] = []
         for t in batch[text_col].to_pylist():
@@ -265,8 +263,7 @@ def vocab_topk(ds, text_col: str = "text", k: int = 50):
                          "n_partial": pa.array(cnt.astype(np.int64))})
 
     from pyrosm_ray.stages.blocks import keyed_sum_auto
-    agg = keyed_sum_auto(ds,
-                         ds.map_batches(partial, batch_format="pyarrow"),
+    agg = keyed_sum_auto(ds.map_batches(partial, batch_format="pyarrow"),
                          "word", ["n_partial"])
 
     def rename(batch: pa.Table) -> pa.Table:
@@ -316,8 +313,6 @@ def unigram_logprob(ds, text_col: str = "text", id_col: str = "doc_id"):
 
     import pandas as pd
 
-    from pyrosm_ray.stages.blocks import groupby_partitions
-
     def partial(batch: pa.Table) -> pa.Table:
         words: list[str] = []
         for t in batch[text_col].to_pylist():
@@ -331,8 +326,7 @@ def unigram_logprob(ds, text_col: str = "text", id_col: str = "doc_id"):
                          "n_partial": pa.array(cnt.astype(np.int64))})
 
     from pyrosm_ray.stages.blocks import keyed_sum_auto
-    freq = keyed_sum_auto(ds,
-                          ds.map_batches(partial, batch_format="pyarrow"),
+    freq = keyed_sum_auto(ds.map_batches(partial, batch_format="pyarrow"),
                           "word", ["n_partial"])
     words_l, counts_l = [], []
     for b in freq.iter_batches(batch_format="pyarrow"):
@@ -402,8 +396,6 @@ def bigram_logprob(ds, text_col: str = "text", id_col: str = "doc_id"):
 
     import pandas as pd
 
-    from pyrosm_ray.stages.blocks import groupby_partitions
-
     def _bigrams(texts):
         keys: list[str] = []
         counts = np.empty(len(texts), dtype=np.int64)
@@ -425,8 +417,7 @@ def bigram_logprob(ds, text_col: str = "text", id_col: str = "doc_id"):
                          "n_partial": pa.array(cnt.astype(np.int64))})
 
     from pyrosm_ray.stages.blocks import keyed_sum_auto
-    freq = keyed_sum_auto(ds,
-                          ds.map_batches(partial, batch_format="pyarrow"),
+    freq = keyed_sum_auto(ds.map_batches(partial, batch_format="pyarrow"),
                           "bg", ["n_partial"])
     bgs_l, counts_l = [], []
     for b in freq.iter_batches(batch_format="pyarrow"):
@@ -518,8 +509,7 @@ def pmi_topk(ds, k: int = 50, min_count: int = 5,
         return pa.table({"bg": pa.array(uniq, pa.string()),
                          "n_partial": pa.array(cnt.astype(np.int64))})
 
-    freq = keyed_sum_auto(ds,
-                          ds.map_batches(partial, batch_format="pyarrow"),
+    freq = keyed_sum_auto(ds.map_batches(partial, batch_format="pyarrow"),
                           "bg", ["n_partial"])
     bgs_l, counts_l = [], []
     for b in freq.iter_batches(batch_format="pyarrow"):

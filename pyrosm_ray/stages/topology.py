@@ -35,7 +35,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from pyrosm_ray.stages.blocks import shuffle_join_args
+from pyrosm_ray.stages.blocks import co_join, exchange, \
+    groupby_partitions
 
 from pyrosm_ray.geom import ops, wkb
 
@@ -410,25 +411,6 @@ def assemble_ways_batch(batch: pa.Table, *, coord_ref, mode: str = "area",
     return _assemble_ways_impl(batch, coords, mode, drop_refs)
 
 
-class WayAssembler:
-    """map_batches callable: ways batch (with promoted area/highway/barrier/
-    route columns and ``refs``) -> rows with WKB ``geometry`` (+``length``).
-
-    Stateful stage: the coordinate index is fetched from the object store once
-    per actor in ``__init__`` (reference ST1), never per batch.
-    """
-
-    def __init__(self, coord_ref, mode: str = "area",
-                 drop_refs: bool = True):
-        self.coords = ray.get(coord_ref) if coord_ref is not None else None
-        self.mode = mode
-        self.drop_refs = drop_refs
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return _assemble_ways_impl(batch, self.coords, self.mode,
-                                   self.drop_refs)
-
-
 def _assemble_ways_impl(batch: pa.Table, coords_idx, mode: str,
                         drop_refs: bool) -> pa.Table:
         import os as _os
@@ -533,8 +515,8 @@ def explode_refs(ways_ds):
 
 def _collect_way_coords(group: pa.Table) -> pa.Table:
     """One way-bucket group of joined (way_id, seq, lon, lat) -> per-way
-    seq-ordered coordinates, packed to binary (acero hash joins, which back
-    ``Dataset.join``, reject nested list payload columns)."""
+    (``id``) seq-ordered coordinates, packed to binary (acero hash joins,
+    which back ``co_join``, reject nested list payload columns)."""
     wid = np.asarray(group["way_id"].to_numpy(zero_copy_only=False))
     seq = np.asarray(group["seq"].to_numpy(zero_copy_only=False))
     lon = np.asarray(group["lon"].to_numpy(zero_copy_only=False))
@@ -546,7 +528,7 @@ def _collect_way_coords(group: pa.Table) -> pa.Table:
     coords = np.column_stack([lon, lat]).astype("<f8")
     raw = coords.tobytes()
     bufs = [raw[16 * s:16 * e] for s, e in zip(off[:-1], off[1:])]
-    return pa.table({"way_id": pa.array(uniq, pa.int64()),
+    return pa.table({"id": pa.array(uniq, pa.int64()),
                      "__coords": pa.array(bufs, pa.binary())})
 
 
@@ -627,7 +609,7 @@ def _joined_way_assemble(batch: pa.Table, mode: str) -> pa.Table:
 
 def assemble_ways(ways_ds, nodes_ds, mode: str = "area",
                   strategy: str = "broadcast",
-                  num_partitions: int = 32,
+                  num_partitions: int | None = None,
                   num_buckets: int = 64,
                   batch_size: int = 32 * 1024):
     """Full node-ref join + geometry assembly with the chosen strategy.
@@ -648,26 +630,35 @@ def assemble_ways(ways_ds, nodes_ds, mode: str = "area",
             batch_format="pyarrow", batch_size=batch_size)
     if strategy != "shuffle":
         raise ValueError(f"unknown strategy {strategy!r}")
-    refs = explode_refs(ways_ds)
-    nodes_proj = nodes_ds.select_columns(["id", "lon", "lat"])
-    joined = refs.join(nodes_proj, "inner",
-                       on=("node_id",), right_on=("id",),
-                       **shuffle_join_args(num_partitions))
+    nb = num_partitions or groupby_partitions()
+    coords = nodes_ds.map_batches(lambda b: pa.table({
+        "node_id": b["id"].cast(pa.int64()),
+        "lon": b["lon"].cast(pa.float64()),
+        "lat": b["lat"].cast(pa.float64())}), batch_format="pyarrow")
+    joined = co_join(explode_refs(ways_ds), coords, "node_id", nb,
+                     pa.table({"way_id": pa.array([], pa.int64()),
+                               "seq": pa.array([], pa.int32()),
+                               "node_id": pa.array([], pa.int64()),
+                               "lon": pa.array([], pa.float64()),
+                               "lat": pa.array([], pa.float64())}))
+
     def _bucket(b: pa.Table) -> pa.Table:
         wid = np.asarray(b["way_id"].to_numpy(zero_copy_only=False),
                          dtype=np.int64)
         return b.append_column("way_bucket",
                                pa.array(wid % num_buckets, pa.int64()))
 
-    joined = joined.map_batches(_bucket, batch_format="pyarrow")
-    per_way = joined.groupby("way_bucket").map_groups(
-        _collect_way_coords, batch_format="pyarrow")
+    per_way = exchange(
+        joined.map_batches(_bucket, batch_format="pyarrow"), "way_bucket",
+        _collect_way_coords, nb, pa.table({
+            "id": pa.array([], pa.int64()),
+            "__coords": pa.array([], pa.binary())}))
     payload = ways_ds.map_batches(pack_refs, batch_format="pyarrow")
-    withc = payload.join(per_way, "left_outer",
-                         on=("id",), right_on=("way_id",),
-                         **shuffle_join_args(num_partitions))
-    # the joined assembler holds no per-actor state -> plain tasks (no actor
-    # pool competing with the join aggregators for CPU slots)
+    withc = co_join(payload, per_way, "id", nb,
+                    payload.schema().base_schema.empty_table()
+                    .append_column("__coords", pa.array([], pa.binary())),
+                    join_type="left outer")
+    # the joined assembler holds no per-actor state -> plain tasks
     import functools
     return withc.map_batches(
         functools.partial(_joined_way_assemble, mode=mode),

@@ -44,7 +44,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from pyrosm_ray.stages.blocks import keyed_sum_fold, sized_partitions
+from pyrosm_ray.stages.blocks import exchange, groupby_partitions, \
+    keyed_sum_fold
 from pyrosm_ray.stages.hashing import hash64
 
 TRI_DRIVER_MAX = 1 << 21   # canonical edges (16 B/row) the driver collects
@@ -191,10 +192,13 @@ def _triangles_np(a: np.ndarray, b: np.ndarray) -> pa.Table:
 # per-partition segmented fold
 # ---------------------------------------------------------------------------
 
-def _bucketed(ds, bucket_fn, fold_fn, nb: int):
-    return ds.map_batches(bucket_fn, batch_format="pyarrow") \
-        .groupby("__q", num_partitions=nb) \
-        .map_groups(fold_fn, batch_format="pyarrow")
+def _int64_empty(*cols: str) -> pa.Table:
+    return pa.table({c: pa.array([], pa.int64()) for c in cols})
+
+
+def _bucketed(ds, bucket_fn, fold_fn, nb: int, empty: pa.Table):
+    return exchange(ds.map_batches(bucket_fn, batch_format="pyarrow"),
+                    "__q", fold_fn, nb, empty)
 
 
 def _distinct_canonical(edges, src_col: str, dst_col: str, nb: int):
@@ -211,7 +215,7 @@ def _distinct_canonical(edges, src_col: str, dst_col: str, nb: int):
         return pa.table({"a": pa.array(a, pa.int64()),
                          "b": pa.array(b, pa.int64())})
 
-    return _bucketed(edges, bucket, fold, nb)
+    return _bucketed(edges, bucket, fold, nb, _int64_empty("a", "b"))
 
 
 def _attach_deg(rows, deg, key_col: str, keep: list[str], out_col: str,
@@ -258,13 +262,13 @@ def _attach_deg(rows, deg, key_col: str, keep: list[str], out_col: str,
         cols[out_col] = pa.array(dv[codes[m]], pa.int64())
         return pa.table(cols)
 
-    return u.groupby("__q", num_partitions=nb) \
-        .map_groups(fold, batch_format="pyarrow")
+    return exchange(u, "__q", fold, nb,
+                    _int64_empty(*keep, key_col, out_col))
 
 
 def _triangles_distributed(edges, src_col: str, dst_col: str,
                            num_partitions: int | None):
-    nb = num_partitions or sized_partitions(edges)
+    nb = num_partitions or groupby_partitions()
     canon = _distinct_canonical(edges, src_col, dst_col, nb) \
         .materialize()
 
@@ -310,10 +314,6 @@ def _triangles_distributed(edges, src_col: str, dst_col: str,
         u = np.asarray(g["u"].to_numpy(zero_copy_only=False), np.int64)
         v = np.asarray(g["v"].to_numpy(zero_copy_only=False), np.int64)
         dv = np.asarray(g["dv"].to_numpy(zero_copy_only=False), np.int64)
-        if not len(u):
-            return pa.table({"v": pa.array([], pa.int64()),
-                             "w": pa.array([], pa.int64()),
-                             "u": pa.array([], pa.int64())})
         codes, uniq = pd.factorize(u)
         order = np.lexsort((v, dv, codes))
         vs = v[order]
@@ -325,7 +325,8 @@ def _triangles_distributed(edges, src_col: str, dst_col: str,
                          "w": pa.array(w2, pa.int64()),
                          "u": pa.array(uniq[row], pa.int64())})
 
-    wedge_ds = _bucketed(oriented, bucket_u, wedge_fold, nb)
+    wedge_ds = _bucketed(oriented, bucket_u, wedge_fold, nb,
+                         _int64_empty("v", "w", "u"))
 
     # closing-edge test: union wedges with oriented edges keyed by the
     # (v, w) pair hash; per partition one compact-remap membership pass
@@ -364,8 +365,8 @@ def _triangles_distributed(edges, src_col: str, dst_col: str,
                          "deg": pa.array(np.zeros(len(uniq), np.int64),
                                          pa.int64())})
 
-    tri = u3.groupby("__q", num_partitions=nb) \
-        .map_groups(close_fold, batch_format="pyarrow")
+    tri = exchange(u3, "__q", close_fold, nb,
+                   _int64_empty("node", "n_triangles", "deg"))
 
     # degree rows carry (n_triangles=0, deg) so ONE fold sums both and
     # every node appears in the output

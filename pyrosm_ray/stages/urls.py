@@ -73,8 +73,8 @@ def host_filter(ds, blocked, url_col: str = "url",
       array, ``np.isin`` per batch (zero shuffle; right for the
       real-world few-MB blocklists);
     * a Ray ``Dataset`` with a ``host`` column → distributed hash
-      anti-join (left_outer + null-marker filter), for blocklists too
-      large to broadcast.
+      left anti join (``blocks.co_join``), for blocklists too large to
+      broadcast.
     """
     import numpy as np
     import ray
@@ -93,21 +93,16 @@ def host_filter(ds, blocked, url_col: str = "url",
 
         return withhost.map_batches(drop, batch_format="pyarrow")
 
-    from pyrosm_ray.stages.blocks import shuffle_join_args
-    marker = blocked.map_batches(
-        lambda b: pa.table({
-            "__bhost": pc.utf8_lower(b["host"]),
-            "__blocked": pa.array(np.ones(len(b), np.int64), pa.int64()),
-        }), batch_format="pyarrow")
-    j = withhost.join(marker, "left_outer", on=("__host",),
-                      right_on=("__bhost",),
-                      **shuffle_join_args(num_partitions))
-
-    def unblocked(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.is_null(batch["__blocked"])) \
-            .drop_columns(["__host", "__blocked"])
-
-    return j.map_batches(unblocked, batch_format="pyarrow")
+    from pyrosm_ray.stages.blocks import co_join, groupby_partitions
+    hosts = blocked.map_batches(
+        lambda b: pa.table({"__host": pc.utf8_lower(b["host"])}),
+        batch_format="pyarrow")
+    kept = co_join(withhost, hosts, "__host",
+                   num_partitions or groupby_partitions(),
+                   withhost.schema().base_schema.empty_table(),
+                   join_type="left anti")
+    return kept.map_batches(lambda b: b.drop_columns(["__host"]),
+                            batch_format="pyarrow")
 
 
 def host_reputation_filter(ds, url_col: str = "url",
@@ -131,7 +126,7 @@ def host_reputation_filter(ds, url_col: str = "url",
     import numpy as np
     import ray
 
-    from pyrosm_ray.stages.blocks import groupby_partitions
+    from pyrosm_ray.stages.blocks import keyed_sum_auto
     from pyrosm_ray.stages.quantiles import quantile_disc_index
     from pyrosm_ray.stages.text import _count_re
 
@@ -146,14 +141,13 @@ def host_reputation_filter(ds, url_col: str = "url",
         return pa.table({"__host": pa.array(g["__host"], pa.string()),
                          "nt": pa.array(g["nt"], pa.int64())})
 
-    sums = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("__host", num_partitions=groupby_partitions()) \
-        .sum("nt").to_pandas()
-    vals = np.sort(sums["sum(nt)"].to_numpy(np.int64))
+    sums = keyed_sum_auto(ds.map_batches(partial, batch_format="pyarrow"),
+                          "__host", ["nt"]).to_pandas()
+    vals = np.sort(sums["nt"].to_numpy(np.int64))
     thr = int(vals[quantile_disc_index(len(vals), q)])
-    good = sums.loc[sums["sum(nt)"] >= thr]
-    good_ref = ray.put(dict(zip(good["__host"], good["sum(nt)"]
-                                .astype(np.int64))))
+    good = sums.loc[sums["nt"] >= thr]
+    good_ref = ray.put(dict(zip(good["__host"],
+                                good["nt"].astype(np.int64))))
 
     def pick(batch: pa.Table) -> pa.Table:
         import pandas as pd

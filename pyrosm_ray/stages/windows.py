@@ -491,7 +491,7 @@ def retention_cohorts(ds, user_col: str = "user_id", ts_col: str = "ts",
                         "__p", per_bucket, nb, pa.table({
                             "cell": pa.array([], pa.int64()),
                             "n": pa.array([], pa.int64())}))
-    folded = keyed_sum_auto(ds, partials, "cell", ["n"],
+    folded = keyed_sum_auto(partials, "cell", ["n"],
                             num_partitions=num_partitions)
 
     def unpack(t: pa.Table) -> pa.Table:

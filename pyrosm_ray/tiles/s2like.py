@@ -79,13 +79,3 @@ def parent(cell, levels_up: int = 1) -> np.ndarray:
     shift = np.uint64(2 * levels_up)
     return (((cell >> np.uint64(1)) >> shift << np.uint64(1))
             | np.uint64(1)).astype(np.int64)
-
-
-def cell_level(cell, max_level: int = MAX_LEVEL) -> np.ndarray:
-    """Recover the level from the face bits' position (faces < 6 ⇒ the top
-    nonzero bits above 2*level+1 encode the face; level = (msb_pos - 3) // 2
-    only holds for faces >= 4, so instead derive from a known max level by
-    counting trailing zero pairs above the sentinel)."""
-    raise NotImplementedError(
-        "s2like ids are fixed-level per pipeline stage; carry the level "
-        "out-of-band (the engine always knows its stage resolution)")

@@ -1,12 +1,9 @@
 """Keyed exchanges (stages/blocks.py).
 
-The raw-task primitives ``exchange`` and ``co_join`` must match Ray
-Data's ``groupby().map_groups`` and ``Dataset.join`` on edge inputs and
-return typed blocks for empty partitions. The hash-shuffle hygiene
-(scrub_empty_blocks) must neutralise the ZERO-COLUMN empty blocks
-hash-shuffle groupbys/aggregates emit for partitions that received no
-groups — those blocks otherwise poison a downstream acero join ("No
-match ... for key field reference")."""
+The raw-task primitives ``exchange`` and ``co_join`` must match an
+in-memory pyarrow reference (per-key groups, ``pa.Table.join``) on edge
+inputs, for every join type, and return typed blocks for empty
+partitions."""
 
 import os
 import subprocess
@@ -17,91 +14,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
-from pyrosm_ray.stages.blocks import (co_join, exchange, scrub_empty_blocks,
-                                      shuffle_join_args)
-
-
-def _grouped_min(n_keys: int, num_partitions: int):
-    """Aggregate with far more shuffle partitions than keys -> some
-    partitions are empty and (under HASH_SHUFFLE) emit schema-less
-    blocks."""
-    ds = rd.from_items([{"k": i % n_keys, "v": i} for i in range(40)])
-    return ds.groupby("k", num_partitions=num_partitions).map_groups(
-        lambda g: pa.table({"k": pa.array([g["k"][0].as_py()], pa.int64()),
-                            "m": pa.array([min(g["v"].to_pylist())],
-                                          pa.int64())}),
-        batch_format="pyarrow")
-
-
-def test_scrub_empty_blocks_unblocks_join(ray_session):
-    left = rd.from_items([{"k": i % 3, "pid": i} for i in range(30)])
-    right = scrub_empty_blocks(_grouped_min(3, 16))
-    j = left.join(right, "inner", on=("k",), **shuffle_join_args(8))
-    df = j.to_pandas()
-    assert len(df) == 30
-    assert set(df.columns) == {"k", "pid", "m"}
-    # every key's m is the min over its group
-    assert df.groupby("k")["m"].nunique().eq(1).all()
-
-
-def test_scrub_empty_blocks_drops_schemaless(ray_session):
-    scrubbed = scrub_empty_blocks(_grouped_min(3, 16))
-    mat = scrubbed.materialize()
-    assert mat.schema().names == ["k", "m"]
-    # no zero-row (schema-less) block survives the scrub
-    for bundle in mat.iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:
-            assert meta.num_rows
-    assert mat.count() == 3
-
-
-def test_hash_shuffle_guard_degraded_empty_block(ray_session):
-    """A 0-row block skips map UDFs and loses its schema; un-guarded,
-    hash-shuffle groupby broadcasts that empty schema when it arrives
-    first and aggregators crash sorting by the key ("Invalid sort key
-    column"). The empty-block guard drops such bundles at the operator
-    input, so the keyed groupby over a mixed (typed + degraded-empty)
-    dataset must succeed and see every real row."""
-    t_empty = pa.table({"v": pa.array([], pa.int64())})
-    t_full = pa.table({"v": pa.array(list(range(12)), pa.int64())})
-    # the empty block rides FIRST in the union so, absent the guard, it
-    # is typically the first bundle the shuffle sees
-    ds = rd.from_arrow(t_empty).union(rd.from_arrow(t_full))
-    # map adds the GROUP KEY -> the empty block skips the UDF and
-    # arrives at the shuffle schema-less and key-less
-    keyed = ds.map_batches(
-        lambda b: b.append_column(
-            "k", pa.array([int(x) % 3 for x in b["v"].to_pylist()],
-                          pa.int64())),
-        batch_format="pyarrow")
-    out = keyed.groupby("k", num_partitions=8).map_groups(
-        lambda g: pa.table({"k": pa.array([g["k"][0].as_py()], pa.int64()),
-                            "n": pa.array([len(g)], pa.int64())}),
-        batch_format="pyarrow").to_pandas()
-    assert sorted(out.k) == [0, 1, 2]
-    assert int(out.n.sum()) == 12
-
-
-def test_hash_join_fully_empty_side(ray_session):
-    """Vanilla Ray 2.49 hash join crashes when one side is a fully-empty
-    typed Dataset (zero-row blocks short-circuit before the schema
-    broadcast, so aggregator partitions finalize schema-less). The
-    guard's driver-side broadcast must make this return 0 rows."""
-    left = rd.from_items([{"k": i % 3, "pid": i} for i in range(10)])
-    empty = pa.table({"k": pa.array([], pa.int64()),
-                      "v": pa.array([], pa.float64())})
-    j = left.join(rd.from_arrow(empty), "inner", on=("k",),
-                  **shuffle_join_args(4))
-    assert j.count() == 0
-
-
-def test_scrub_empty_blocks_all_empty_uses_schema(ray_session):
-    ds = rd.from_items([{"k": 1, "v": 1}]).filter(lambda r: False)
-    empty = pa.table({"k": pa.array([], pa.int64()),
-                      "m": pa.array([], pa.int64())})
-    out = scrub_empty_blocks(ds, empty)
-    assert out.count() == 0
-    assert out.schema().names == ["k", "m"]
+from pyrosm_ray.stages.blocks import co_join, exchange
 
 
 def test_keyed_sum_auto_route_parity(ray_session, monkeypatch):
@@ -121,12 +34,12 @@ def test_keyed_sum_auto_route_parity(ray_session, monkeypatch):
         return b  # rows already (key, val) shaped
 
     ds = rd.from_arrow(t).repartition(6)
-    fast = blocks.keyed_sum_auto(ds, ds.map_batches(
+    fast = blocks.keyed_sum_auto(ds.map_batches(
         partial, batch_format="pyarrow"), "k", ["v"]).to_pandas() \
         .sort_values("k").reset_index(drop=True)
     monkeypatch.setattr(blocks, "KEYED_FOLD_DRIVER_MAX", 0)
     ds2 = rd.from_arrow(t).repartition(6)
-    slow = blocks.keyed_sum_auto(ds2, ds2.map_batches(
+    slow = blocks.keyed_sum_auto(ds2.map_batches(
         partial, batch_format="pyarrow"), "k", ["v"]).to_pandas() \
         .sort_values("k").reset_index(drop=True)
     assert list(fast.k) == list(slow.k)
@@ -167,7 +80,7 @@ def test_keyed_sum_auto_executes_upstream_once(ray_session):
                   "n": pa.array([1] * 40, pa.int64())})
     ds = rd.from_arrow(t).repartition(2)
     partials = ds.map_batches(partial, batch_format="pyarrow")
-    out = blocks.keyed_sum_auto(ds, partials, "k", ["n"]).to_pandas() \
+    out = blocks.keyed_sum_auto(partials, "k", ["n"]).to_pandas() \
         .sort_values("k").reset_index(drop=True)
     assert dict(zip(out.k, out.n)) == {"a": 20, "b": 10, "c": 10}
     # the partial UDF ran exactly once per input block (2 blocks), not
@@ -175,8 +88,8 @@ def test_keyed_sum_auto_executes_upstream_once(ray_session):
     assert ray.get(c.get.remote()) == 2
 
 
-def _keyed(case: str):
-    """(k, v) Dataset for one edge case; ``k`` is int64 except "str*"."""
+def _tables(case: str) -> list[pa.Table]:
+    """(k, v) blocks for one edge case; ``k`` is int64 except "str*"."""
     n = 40
     if case.endswith("_null"):
         # nulls are one group; the second block has none, so a null-free
@@ -185,10 +98,9 @@ def _keyed(case: str):
         if case == "str_null":
             keys = [[None if k is None else f"k{k}" for k in ks]
                     for ks in keys]
-        tables = [pa.table({"k": ks, "v": pa.array(range(len(ks)),
-                                                   pa.int64())})
-                  for ks in keys]
-        return rd.from_arrow(tables)
+        return [pa.table({"k": ks, "v": pa.array(range(len(ks)),
+                                                 pa.int64())})
+                for ks in keys]
     if case == "str":
         keys = pa.array([f"k{i % 5}" for i in range(n)], pa.string())
     elif case == "one_key":
@@ -197,14 +109,23 @@ def _keyed(case: str):
         keys = pa.array([i % 5 for i in range(n)], pa.int64())
     t = pa.table({"k": keys, "v": pa.array(range(n), pa.int64())})
     if case == "empty":
-        return rd.from_arrow(t.slice(0, 0))
+        return [t.slice(0, 0)]
+    if case == "zero_row_blocks":
+        return [t.slice(0, 0), t, t.slice(0, 0)]
+    return [t]
+
+
+def _keyed(case: str):
+    """The ``_tables(case)`` rows as a Dataset."""
+    tables = _tables(case)
     if case == "zero_row_blocks":
         # the zero-row blocks skip the map UDF and leave schema-less
-        empty = t.slice(0, 0)
-        return rd.from_arrow(empty).union(rd.from_arrow(t)) \
-            .union(rd.from_arrow(empty)) \
+        return rd.from_arrow(tables[0]).union(rd.from_arrow(tables[1])) \
+            .union(rd.from_arrow(tables[2])) \
             .map_batches(lambda b: b, batch_format="pyarrow")
-    return rd.from_arrow(t).repartition(3)
+    if case in ("int", "str", "one_key"):
+        return rd.from_arrow(tables[0]).repartition(3)
+    return rd.from_arrow(tables)
 
 
 def _group_stats():
@@ -232,39 +153,89 @@ _CASES = ["int", "str", "one_key", "zero_row_blocks", "empty", "int_null",
           "str_null"]
 
 
+def _ktype(case: str) -> pa.DataType:
+    return pa.string() if case.startswith("str") else pa.int64()
+
+
+def _right(case: str) -> pa.Table:
+    keys = [f"k{i}" for i in (0, 2, 9)] if case.startswith("str") \
+        else [0, 2, 7, 9]
+    return pa.table({
+        "k": pa.array(keys, _ktype(case)),
+        "w": pa.array([10 * i for i in range(len(keys))], pa.int64())})
+
+
 @pytest.mark.parametrize("case", _CASES)
 def test_exchange_matches_map_groups(ray_session, case):
     ds = _keyed(case)
-    ktype = pa.string() if case.startswith("str") else pa.int64()
-    empty = pa.table({"k": pa.array([], ktype),
+    empty = pa.table({"k": pa.array([], _ktype(case)),
                       "n": pa.array([], pa.int64()),
                       "s": pa.array([], pa.int64())})
-    want = _sorted(ds.groupby("k", num_partitions=4).map_groups(
-        _group_stats(), batch_format="pyarrow").to_pandas(), ["k", "n", "s"])
+    # reference: one kernel call per distinct key (nulls are one group)
+    t = pa.concat_tables(_tables(case))
+    keys = t["k"].to_pylist()
+    groups = [[i for i, k in enumerate(keys) if k == u]
+              for u in dict.fromkeys(keys)]
+    want = _sorted(pa.concat_tables(
+        [empty] + [_group_stats()(t.take(g)) for g in groups]).to_pandas(),
+        ["k", "n", "s"])
     for nb in (1, 4):
         got = exchange(ds, "k", _group_stats(), nb, empty)
         assert got.schema().names == ["k", "n", "s"]
         assert _sorted(got.to_pandas(), ["k", "n", "s"]) == want
 
 
+def _check_co_join(case: str, join_type: str):
+    right = _right(case)
+    cols = ["k", "v"] if join_type == "left anti" else ["k", "v", "w"]
+    empty = pa.table({"k": pa.array([], _ktype(case)),
+                      "v": pa.array([], pa.int64()),
+                      "w": pa.array([], pa.int64())}).select(cols)
+    want = _sorted(pa.concat_tables(_tables(case)).join(
+        right, "k", join_type=join_type).to_pandas(), cols)
+    for nb in (1, 4):
+        got = co_join(_keyed(case), rd.from_arrow(right), "k", nb, empty,
+                      join_type=join_type)
+        assert got.schema().names == cols
+        assert _sorted(got.to_pandas(), cols) == want
+
+
 @pytest.mark.parametrize("case", _CASES)
 def test_co_join_matches_dataset_join(ray_session, case):
-    left = _keyed(case)
-    keys = [f"k{i}" for i in (0, 2, 9)] if case.startswith("str") \
-        else [0, 2, 7, 9]
-    ktype = pa.string() if case.startswith("str") else pa.int64()
-    right = rd.from_arrow(pa.table({
-        "k": pa.array(keys, ktype),
-        "w": pa.array([10 * i for i in range(len(keys))], pa.int64())}))
-    empty = pa.table({"k": pa.array([], ktype), "v": pa.array([], pa.int64()),
-                      "w": pa.array([], pa.int64())})
-    want = _sorted(left.join(right, "inner", on=("k",),
-                             **shuffle_join_args(4)).to_pandas(),
-                   ["k", "v", "w"])
-    for nb in (1, 4):
-        got = co_join(left, right, "k", nb, empty)
-        assert got.schema().names == ["k", "v", "w"]
-        assert _sorted(got.to_pandas(), ["k", "v", "w"]) == want
+    _check_co_join(case, "inner")
+
+
+@pytest.mark.parametrize("join_type", ["left outer", "left anti"])
+@pytest.mark.parametrize("case", _CASES)
+def test_co_join_left_joins_match_table_join(ray_session, case, join_type):
+    _check_co_join(case, join_type)
+
+
+def test_co_join_fully_empty_right_side(ray_session):
+    """A typed right side with no rows at all: an inner join is zero rows
+    in the data's schema; a left outer join keeps every left row with
+    null right-hand columns; a left anti join keeps every left row."""
+    import ray
+
+    left = pa.table({"k": pa.array([i % 3 for i in range(10)], pa.int64()),
+                     "pid": pa.array(range(10), pa.int64())})
+    right = rd.from_arrow(pa.table({"k": pa.array([], pa.int64()),
+                                    "w": pa.array([], pa.float64())}))
+    joined = pa.schema([("k", pa.int64()), ("pid", pa.int64()),
+                        ("w", pa.float64())])
+    for join_type, schema, n in (("inner", joined, 0),
+                                 ("left outer", joined, 10),
+                                 ("left anti", left.schema, 10)):
+        out = co_join(rd.from_arrow(left).repartition(2), right, "k", 4,
+                      schema.empty_table(), join_type=join_type)
+        tables = [ray.get(ref) for b in out.iter_internal_ref_bundles()
+                  for ref, _ in b.blocks]
+        assert all(t.schema == schema for t in tables), join_type
+        got = pa.concat_tables(tables)
+        assert got.num_rows == n
+        assert sorted(got["pid"].to_pylist()) == list(range(n))
+        if join_type == "left outer":
+            assert got["w"].null_count == n
 
 
 def test_exchange_empty_partitions_are_typed(ray_session):

@@ -108,6 +108,31 @@ def test_connected_components_deep_chain(ray_session):
     assert set(labels.comp) == {0}
 
 
+def test_attach_components_join_route_parity(ray_session, monkeypatch):
+    """The distributed left-outer-join route of ``attach_components``
+    (label map above ``ATTACH_BROADCAST_MAX``) attaches the same
+    components as the broadcast route; ids without an edge map to
+    themselves on both."""
+    from pyrosm_ray.stages import components
+
+    eds = rd.from_arrow(pa.table({"a": pa.array([1, 2, 10], pa.int64()),
+                                  "b": pa.array([2, 3, 11], pa.int64())}))
+    labels = connected_components(eds).materialize()
+    ids = [1, 2, 3, 5, 10, 11, 12]
+    ds = rd.from_arrow(pa.table({"doc_id": pa.array(ids, pa.int64()),
+                                 "x": pa.array(range(7), pa.int64())}))
+
+    def attached():
+        out = attach_components(ds, labels, "doc_id").to_pandas()
+        return sorted(zip(out.doc_id, out.x, out.dup_of))
+
+    broadcast = attached()
+    monkeypatch.setattr(components, "ATTACH_BROADCAST_MAX", 0)
+    assert attached() == broadcast == [
+        (1, 0, 1), (2, 1, 1), (3, 2, 1), (5, 3, 5), (10, 4, 10),
+        (11, 5, 10), (12, 6, 12)]
+
+
 def test_attach_components_self_map(ray_session):
     ds = rd.from_arrow(pa.table({"doc_id": pa.array([1, 2, 3], pa.int64())}))
     out = attach_components(ds, None, "doc_id").to_pandas()

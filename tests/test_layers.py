@@ -326,6 +326,27 @@ def test_relation_assembly_autoroutes_distributed(src, buildings_df,
     assert all(x == y for x, y in zip(a.geometry, b.geometry))
 
 
+def test_relation_assembly_distributed_without_member_ways(src,
+                                                          ray_session):
+    """Kept relations whose member ways all fall away: the distributed
+    route's exchange and join return zero typed rows (no count gate
+    before them), and the layer union accepts the empty part."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    o = OSM(src)
+    rel_kept = pq.read_table(o._path("osm_relations"))
+    assert rel_kept.num_rows
+    no_ways = rd.from_arrow(pq.read_table(
+        o._path("osm_ways"), columns=["id", "refs"]).slice(0, 0))
+    rows = o._assemble_relations_distributed(rel_kept, no_ways,
+                                             ["building"])
+    assert rows.count() == 0
+    union = o._union_parts([("relation", rows)], ["building"], "area",
+                           False)
+    assert len(union.to_pandas()) == 0
+
+
 def test_sharded_coord_index_parity(src, buildings_df, ray_session):
     """Distributed sharded coordinate index gathers identically to the
     single-array driver index (hits + misses), and a buildings layer built

@@ -87,6 +87,31 @@ def test_pack_sequences_prefix_and_budget(ray_session):
     assert (out.seq_offset == prefix % 1000).all()
 
 
+def test_scan_routes_agree(ray_session, monkeypatch):
+    """``shuffle_rank`` and ``pack_sequences`` give the same rows on the
+    driver scan and on the distributed two-pass scan
+    (``KEYED_FOLD_DRIVER_MAX = 0``)."""
+    from pyrosm_ray.stages import blocks
+
+    t = _docs(300)
+
+    def run():
+        rank = sampling.shuffle_rank(rd.from_arrow(t).repartition(4),
+                                     seed=5, num_buckets=8).to_pandas()
+        pack = sampling.pack_sequences(rd.from_arrow(t).repartition(4),
+                                       budget=700, num_buckets=8)
+        pack = pack.to_pandas()
+        return (sorted(zip(rank.doc_id, rank.shuffle_rank)),
+                sorted(zip(pack.doc_id, pack.n_chars, pack.seq_id,
+                           pack.seq_offset)))
+
+    driver = run()
+    monkeypatch.setattr(blocks, "KEYED_FOLD_DRIVER_MAX", 0)
+    assert run() == driver
+    assert [r for _, r in sorted(driver[0], key=lambda x: x[1])] == \
+        list(range(1, 301))
+
+
 def test_redact_pii_patterns(ray_session):
     t = pa.table({
         "doc_id": pa.array([1, 2, 3], pa.int64()),
