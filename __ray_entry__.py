@@ -160,7 +160,8 @@ def q_unigram_logprob(sf_dir: str):
 def q_pagerank(sf_dir: str):
     """Click-graph PageRank over the event stream: consecutive events
     per user -> distinct node edges -> 5 integer-exact iterations
-    (rank vector broadcast per iteration; edges scan in place)."""
+    (driver numpy loop up to EDGES_DRIVER_MAX edges, BSP shards
+    above)."""
     from pyrosm_ray.stages.pagerank import (click_edges, event_nodes,
                                             pagerank)
     ds = _read(sf_dir, "events",
@@ -171,9 +172,10 @@ def q_pagerank(sf_dir: str):
 
 
 def q_pagerank_partitioned(sf_dir: str):
-    """The beyond-broadcast PageRank route (BSP co-partitioned shards;
-    rank never collected to the driver) over the same click graph —
-    same oracle as q_pagerank, exercising the scale-path code."""
+    """PageRank's BSP route (hash-co-partitioned shards on raw Ray
+    tasks; edges and ranks never collected to the driver) forced at any
+    size over the same click graph — same oracle as q_pagerank,
+    exercising the route q_pagerank takes past EDGES_DRIVER_MAX."""
     from pyrosm_ray.stages.pagerank import (click_edges, event_nodes,
                                             pagerank_partitioned)
     ds = _read(sf_dir, "events",

@@ -336,10 +336,10 @@ def run_benchmarks(sf_dir: str, num_cpus: int) -> dict:
                                      columns=["event_id", "ts",
                                               "user_id", "props"]))),
                   iters=5).count())
-        # the beyond-broadcast route (rank stays a Dataset; one hash
-        # join + zero-union groupby per iteration) — benched like the
-        # partitioned spatial joins: fixed-cost-bound at toy scale, the
-        # contract shape at 10^12-page graphs
+        # the BSP route pagerank takes past EDGES_DRIVER_MAX (hash-co-
+        # partitioned shards on raw tasks, forced here at any size) —
+        # benched like the partitioned spatial joins: fixed-cost-bound
+        # at toy scale, the scale shape for large graphs
         from pyrosm_ray.stages.pagerank import pagerank_partitioned
         timed("pagerank_partitioned",
               lambda: pagerank_partitioned(click_edges(event_nodes(

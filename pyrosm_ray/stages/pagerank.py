@@ -13,13 +13,13 @@ Execution shape:
   per-BUCKET segmented numpy, no per-user Python); consecutive-pair
   edges then dedupe through the same coarse hash-bucket fold the dedup
   family uses, so exchanged bytes are bounded by distinct edges.
-- ``pagerank``: the rank vector is per-NODE (hosts: ~10^8 at web scale,
-  16 B/node — the broadcast-state contract used by the coordinate
-  index), so each iteration is one stateless ``map_batches`` over the
-  partitioned EDGES (batch-local factorize+bincount partial sums per
-  dst) + one tiny node-keyed groupby; edges never re-shuffle across
-  iterations. Beyond broadcast, the same iteration body becomes a
-  rank⋈edges hash join by src — the documented scale path.
+- ``pagerank``: one gate over two routes. Edge sets up to
+  :data:`EDGES_DRIVER_MAX` collect once and iterate in numpy on the
+  driver; larger ones run :func:`pagerank_partitioned`, a Pregel-style
+  BSP loop over hash-co-partitioned Arrow shards on raw Ray tasks
+  (edges partition by src once; each iteration routes pre-aggregated
+  per-dst partial sums between shards as refs, so neither the edges
+  nor the rank vector pass through the driver).
 
 Exactness contract: ranks are integer micro-units. With damping d=0.85,
 
@@ -43,8 +43,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from pyrosm_ray.stages.blocks import co_join, exchange, groupby_partitions
-from pyrosm_ray.stages.windows import _bucket_of, _run_starts
+from pyrosm_ray.stages.blocks import exchange, groupby_partitions
+from pyrosm_ray.stages.windows import _bucket_of
 
 R0_MICRO = 1_000_000
 TELEPORT_MICRO = 150_000     # (1-d) = 0.15
@@ -109,12 +109,14 @@ def click_edges(ds, user_col: str = "user_id", ts_col: str = "ts",
         return pa.table({"src": pa.array(src[first], pa.int64()),
                          "dst": pa.array(dst[first], pa.int64())})
 
-    cols = [user_col, ts_col, node_col, order_col]
+    # materialize once: the count and the chosen route read the same
+    # blocks, so the upstream plan runs once
+    ds = ds.select_columns([user_col, ts_col, node_col,
+                            order_col]).materialize()
     if ds.count() <= EVENTS_DRIVER_MAX:
         import ray.data as rd
         parts = [pa.table(b) for b in
-                 ds.select_columns(cols).iter_batches(
-                     batch_size=1 << 18, batch_format="pyarrow")]
+                 ds.iter_batches(batch_size=1 << 18, batch_format="pyarrow")]
         tbl = pa.concat_tables(parts) if parts else None
         if tbl is None or not len(tbl):
             return rd.from_arrow(empty)
@@ -160,20 +162,22 @@ def _distinct_edges(pairs, nb: int):
 EDGES_DRIVER_MAX = 1 << 22  # 16 B/edge -> <=64 MB collects to the driver
 
 
+def _ranks(nodes, rank) -> pa.Table:
+    return pa.table({"node": pa.array(nodes, pa.int64()),
+                     "rank_micro": pa.array(rank, pa.int64())})
+
+
 def pagerank(edges, iters: int = 5, src_col: str = "src",
              dst_col: str = "dst", tol_micro: int | None = None,
              stats: dict | None = None):
     """Integer-exact PageRank over a distinct edge Dataset.
 
     Returns (node, rank_micro) for every node appearing as src or dst.
-    Edge sets under :data:`EDGES_DRIVER_MAX` collect once and iterate
-    in pure numpy (one Ray job total — the shuffle/broadcast fixed cost
-    dominates at that size; same policy as the dedup family's
-    BANDED_DRIVER_MAX). Larger graphs materialize the edge Dataset once
-    and re-scan it per iteration with the current rank vector broadcast
-    via ``ray.put``; per-batch per-dst partial sums merge on the driver
-    (per-node state — the scale contract in the module docstring), so
-    no shuffle runs inside the loop. Both routes execute the identical
+    Edge sets up to :data:`EDGES_DRIVER_MAX` collect once and iterate
+    in pure numpy (one Ray job total — the BSP route's per-iteration
+    task rounds dominate at that size; same policy as the dedup family's
+    BANDED_DRIVER_MAX). Larger edge sets run
+    :func:`pagerank_partitioned`. Both routes execute the identical
     integer recurrence and are parity-tested.
 
     ``tol_micro``: optional convergence stop — iterate at most ``iters``
@@ -182,129 +186,41 @@ def pagerank(edges, iters: int = 5, src_col: str = "src",
     delta is a deterministic integer, so every route adapts to the SAME
     iteration count (route parity preserved by construction). Pass
     ``stats={}`` to receive ``iterations`` (and ``l1_delta_micro``)."""
+    import ray.data as rd
+
     edges = edges.materialize()
-    n_edges = edges.count()
-    if n_edges <= EDGES_DRIVER_MAX:
-        import ray.data as rd
-        parts = [pa.table(b) for b in
-                 edges.select_columns([src_col, dst_col]).iter_batches(
-                     batch_size=1 << 18, batch_format="pyarrow")]
-        tbl = pa.concat_tables(parts) if parts else None
-        if tbl is None or not len(tbl):
-            return rd.from_arrow(pa.table({
-                "node": pa.array([], pa.int64()),
-                "rank_micro": pa.array([], pa.int64())}))
-        s = np.asarray(tbl[src_col].to_numpy(zero_copy_only=False),
-                       np.int64)
-        d = np.asarray(tbl[dst_col].to_numpy(zero_copy_only=False),
-                       np.int64)
-        nodes = np.unique(np.concatenate([s, d]))
-        deg = np.zeros(len(nodes), np.int64)
-        si = np.searchsorted(nodes, s)
-        di = np.searchsorted(nodes, d)
-        np.add.at(deg, si, 1)
-        rank = np.full(len(nodes), R0_MICRO, dtype=np.int64)
-        it_done = 0
-        delta = None
-        for _ in range(iters):
-            c = (DAMP_NUM * rank[si]) // (DAMP_DEN * deg[si])
-            nxt = np.full(len(nodes), TELEPORT_MICRO, dtype=np.int64)
-            np.add.at(nxt, di, c)
-            delta = int(np.abs(nxt - rank).sum())
-            rank = nxt
-            it_done += 1
-            if tol_micro is not None and delta <= tol_micro:
-                break
-        if stats is not None:
-            stats["iterations"] = it_done
-            stats["l1_delta_micro"] = delta
-        return rd.from_arrow(pa.table({
-            "node": pa.array(nodes, pa.int64()),
-            "rank_micro": pa.array(rank, pa.int64())}))
-
-    # node universe + outdeg: batch partials -> tiny keyed groupby
-    def deg_partial(b: pa.Table) -> pa.Table:
-        import pandas as pd
-        s = np.asarray(b[src_col].to_numpy(zero_copy_only=False),
-                       np.int64)
-        d = np.asarray(b[dst_col].to_numpy(zero_copy_only=False),
-                       np.int64)
-        codes, uniq = pd.factorize(s)
-        cnt = np.bincount(codes, minlength=len(uniq)).astype(np.int64)
-        dn = np.unique(d)
-        return pa.table({
-            "node": pa.array(np.concatenate([uniq, dn]), pa.int64()),
-            "deg": pa.array(np.concatenate(
-                [cnt, np.zeros(len(dn), np.int64)]), pa.int64()),
-        })
-
-    from pyrosm_ray.stages.blocks import keyed_sum_fold
+    if edges.count() > EDGES_DRIVER_MAX:
+        return pagerank_partitioned(edges, iters, src_col, dst_col,
+                                    tol_micro=tol_micro, stats=stats)
     parts = [pa.table(b) for b in
-             keyed_sum_fold(
-                 edges.map_batches(deg_partial, batch_format="pyarrow"),
-                 "node", ["deg"])
-             .iter_batches(batch_format="pyarrow")]
-    if not parts or not sum(t.num_rows for t in parts):
-        import ray.data as rd
-        return rd.from_arrow(pa.table({
-            "node": pa.array([], pa.int64()),
-            "rank_micro": pa.array([], pa.int64())}))
-    degt = pa.concat_tables(parts)
-    nodes = np.asarray(degt["node"].to_numpy(zero_copy_only=False),
-                       np.int64)
-    deg = np.asarray(degt["deg"].to_numpy(zero_copy_only=False),
-                     np.int64)
-    o = np.argsort(nodes)
-    nodes, deg = nodes[o], deg[o]
+             edges.select_columns([src_col, dst_col]).iter_batches(
+                 batch_size=1 << 18, batch_format="pyarrow")]
+    tbl = pa.concat_tables(parts) if parts else None
+    if tbl is None or not len(tbl):
+        return rd.from_arrow(_ranks([], []))
+    s = np.asarray(tbl[src_col].to_numpy(zero_copy_only=False), np.int64)
+    d = np.asarray(tbl[dst_col].to_numpy(zero_copy_only=False), np.int64)
+    nodes = np.unique(np.concatenate([s, d]))
+    deg = np.zeros(len(nodes), np.int64)
+    si = np.searchsorted(nodes, s)
+    di = np.searchsorted(nodes, d)
+    np.add.at(deg, si, 1)
     rank = np.full(len(nodes), R0_MICRO, dtype=np.int64)
-
     it_done = 0
     delta = None
     for _ in range(iters):
-        state = ray.put((nodes, deg, rank))
-
-        def contrib(b: pa.Table) -> pa.Table:
-            import pandas as pd
-            nds, dg, rk = ray.get(state)
-            s = np.asarray(b[src_col].to_numpy(zero_copy_only=False),
-                           np.int64)
-            d = np.asarray(b[dst_col].to_numpy(zero_copy_only=False),
-                           np.int64)
-            ps = np.searchsorted(nds, s)
-            c = (DAMP_NUM * rk[ps]) // (DAMP_DEN * dg[ps])
-            codes, uniq = pd.factorize(d)
-            # integer-exact per-dst sums (bincount weights are float —
-            # add.at keeps int64)
-            acc = np.zeros(len(uniq), np.int64)
-            np.add.at(acc, codes, c)
-            return pa.table({"node": pa.array(uniq, pa.int64()),
-                             "s": pa.array(acc, pa.int64())})
-
-        # per-batch per-dst partials merge on the driver (node-bounded;
-        # no shuffle inside the loop)
-        new_rank = np.full(len(nodes), TELEPORT_MICRO, dtype=np.int64)
-        for b in edges.map_batches(contrib, batch_format="pyarrow") \
-                .iter_batches(batch_format="pyarrow"):
-            if not b.num_rows:
-                continue
-            an = np.asarray(b["node"].to_numpy(zero_copy_only=False),
-                            np.int64)
-            av = np.asarray(b["s"].to_numpy(zero_copy_only=False),
-                            np.int64)
-            np.add.at(new_rank, np.searchsorted(nodes, an), av)
-        delta = int(np.abs(new_rank - rank).sum())
-        rank = new_rank
+        c = (DAMP_NUM * rank[si]) // (DAMP_DEN * deg[si])
+        nxt = np.full(len(nodes), TELEPORT_MICRO, dtype=np.int64)
+        np.add.at(nxt, di, c)
+        delta = int(np.abs(nxt - rank).sum())
+        rank = nxt
         it_done += 1
         if tol_micro is not None and delta <= tol_micro:
             break
-
     if stats is not None:
         stats["iterations"] = it_done
         stats["l1_delta_micro"] = delta
-    import ray.data as rd
-    return rd.from_arrow(pa.table({
-        "node": pa.array(nodes, pa.int64()),
-        "rank_micro": pa.array(rank, pa.int64())}))
+    return rd.from_arrow(_ranks(nodes, rank))
 
 
 def host_edges(links, url_col: str = "url", href_col: str = "href",
@@ -430,13 +346,12 @@ def pagerank_named(edges, iters: int = 5, src_col: str = "src_host",
     return ranks.map_batches(attach, batch_format="pyarrow")
 
 
-# BSP route sizing: shards grow to ~1M edges before adding parts; the
+# BSP shard sizing: shards grow to ~1M edges before adding parts. The
 # driver holds nb^2 SMALL refs per iteration (dst-bucketed partial-sum
-# tables), so the part count caps at 256 (64 k refs/iter) and edge sets
-# past PAGERANK_BSP_MAX_EDGES fall through to the Dataset-join route.
+# tables), so the part count caps at 256 (64 k refs/iter); past that the
+# shards grow instead.
 PAGERANK_BSP_ROWS_PER_SHARD = 1 << 20
 PAGERANK_BSP_MAX_PARTS = 256
-PAGERANK_BSP_MAX_EDGES = PAGERANK_BSP_MAX_PARTS * (1 << 22)
 
 
 def _pr_bucket_ids(x: np.ndarray, nb: int) -> np.ndarray:
@@ -517,9 +432,7 @@ def _pr_rebuild(static, *cparts):
 
 
 def _pr_out(static, r: np.ndarray) -> pa.Table:
-    nodes, _deg, _plan = static
-    return pa.table({"node": pa.array(nodes, pa.int64()),
-                     "rank_micro": pa.array(r, pa.int64())})
+    return _ranks(static[0], r)
 
 
 def _pr_l1(prev: np.ndarray, new: np.ndarray) -> int:
@@ -527,24 +440,32 @@ def _pr_l1(prev: np.ndarray, new: np.ndarray) -> int:
     return int(np.abs(new - prev).sum())
 
 
-def _pagerank_bsp(edges, iters: int, src_col: str, dst_col: str,
-                  nb: int, tol_micro: int | None = None,
-                  stats: dict | None = None):
-    """Raw-task BSP PageRank over hash-co-partitioned Arrow shards.
+def pagerank_partitioned(edges, iters: int = 5, src_col: str = "src",
+                         dst_col: str = "dst",
+                         num_partitions: int | None = None,
+                         tol_micro: int | None = None,
+                         stats: dict | None = None):
+    """PageRank as a Pregel-style BSP loop on raw Ray tasks; the route
+    :func:`pagerank` takes past :data:`EDGES_DRIVER_MAX`.
 
-    The Dataset API can't express a cheap iterative fixpoint — every
-    iteration of the join route pays two hash-shuffle operators'
-    aggregator-pool spin-up (measured ~4.5 s/iter of pure fixed cost at
-    toy scale) — so this is the documented raw-Ray escape hatch:
-    partitioning assumption is h(node) co-partitioning of edges (by
-    src) and rank state, contributions route between buckets as nb^2
-    SMALL pre-aggregated refs per iteration that never touch the
-    driver's heap (refs only). Identical integer recurrence as
-    :func:`pagerank`; route-parity-tested."""
-    block_refs = edges.to_arrow_refs()
+    Edges hash-partition by src into ``num_partitions`` shards (default:
+    one per :data:`PAGERANK_BSP_ROWS_PER_SHARD` edges, at most
+    :data:`PAGERANK_BSP_MAX_PARTS`); each shard holds its nodes' rank
+    state and a pre-factorized contribution plan. Per iteration every
+    shard emits nb per-dst-bucket partial sums (a hub's contributions
+    collapse to one row per shard) and every shard rebuilds its ranks
+    from the nb parts addressed to it: nb^2 SMALL refs, passed task to
+    task, never through the driver's heap. Edges and ranks are never
+    collected, so node universes past the driver ceiling still run.
+    Executes the identical integer recurrence as :func:`pagerank`
+    (parity-tested); ``tol_micro``/``stats`` as there."""
+    edges = edges.select_columns([src_col, dst_col]).materialize()
+    nb = int(num_partitions or np.clip(
+        edges.count() // PAGERANK_BSP_ROWS_PER_SHARD + 1, 1,
+        PAGERANK_BSP_MAX_PARTS))
     shard = ray.remote(_pr_shard_block)
     parts: list[list] = [[] for _ in range(nb)]
-    for br in block_refs:
+    for br in edges.to_arrow_refs():
         if nb > 1:
             refs = shard.options(num_returns=nb).remote(
                 br, src_col, dst_col, nb)
@@ -591,159 +512,6 @@ def _pagerank_bsp(edges, iters: int, src_col: str, dst_col: str,
     import ray.data as rd
     return rd.from_arrow_refs(
         [out.remote(statics[j], ranks[j]) for j in range(nb)])
-
-
-def pagerank_partitioned(edges, iters: int = 5, src_col: str = "src",
-                         dst_col: str = "dst",
-                         num_partitions: int | None = None,
-                         route: str | None = None,
-                         tol_micro: int | None = None,
-                         stats: dict | None = None):
-    """The beyond-broadcast PageRank route: the rank vector stays a
-    DATASET throughout (never collected, never broadcast), so node
-    universes past the driver/object-store ceiling (per-PAGE graphs at
-    10^12 pages, not per-host) still run.
-
-    Per iteration: one raw-task hash join (``blocks.co_join``) ships
-    each edge its source's current (rank, outdeg) — contributions
-    compute vectorised per batch with batch-local per-dst
-    pre-aggregation — then a node-keyed groupby-sum unioned with the
-    zero-contribution node universe rebuilds the next state. Partitioning assumption (custom-operator contract): edges
-    and state co-partition by the join key hash; skewed in-degree hubs
-    are absorbed by the batch-local pre-aggregation (a hub's
-    contributions collapse to one row per batch before the shuffle).
-    Executes the identical integer recurrence as :func:`pagerank`
-    (parity-tested).
-
-    Routing: edge sets up to :data:`PAGERANK_BSP_MAX_EDGES` run the
-    :func:`_pagerank_bsp` co-partitioned raw-task route (no shuffle
-    operator inside the loop); beyond it — or with ``route="join"`` —
-    the co-joined iteration below is the unbounded-scale
-    contract. Both routes produce identical integers."""
-    import pandas as pd
-
-    edges = edges.select_columns([src_col, dst_col]).materialize()
-    n_edges = edges.count()
-    if route not in (None, "bsp", "join"):
-        raise ValueError(f"unknown pagerank route: {route!r}")
-    if n_edges and route != "join" and (
-            route == "bsp" or n_edges <= PAGERANK_BSP_MAX_EDGES):
-        nb = num_partitions or int(np.clip(
-            n_edges // PAGERANK_BSP_ROWS_PER_SHARD + 1, 1,
-            PAGERANK_BSP_MAX_PARTS))
-        return _pagerank_bsp(edges, iters, src_col, dst_col, int(nb),
-                             tol_micro=tol_micro, stats=stats)
-
-    # node universe + outdeg (one pass, tiny keyed aggregate)
-    def deg_partial(b: pa.Table) -> pa.Table:
-        s = np.asarray(b[src_col].to_numpy(zero_copy_only=False),
-                       np.int64)
-        d = np.asarray(b[dst_col].to_numpy(zero_copy_only=False),
-                       np.int64)
-        codes, uniq = pd.factorize(s)
-        cnt = np.bincount(codes, minlength=len(uniq)).astype(np.int64)
-        dn = np.unique(d)
-        return pa.table({
-            "node": pa.array(np.concatenate([uniq, dn]), pa.int64()),
-            "deg": pa.array(np.concatenate(
-                [cnt, np.zeros(len(dn), np.int64)]), pa.int64()),
-        })
-
-    from pyrosm_ray.stages.blocks import keyed_sum_fold
-    nodes_deg = keyed_sum_fold(
-        edges.map_batches(deg_partial, batch_format="pyarrow"),
-        "node", ["deg"]).materialize()
-    if nodes_deg.count() == 0:
-        import ray.data as rd
-        return rd.from_arrow(pa.table({
-            "node": pa.array([], pa.int64()),
-            "rank_micro": pa.array([], pa.int64())}))
-
-    def init_state(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "r", pa.array(np.full(b.num_rows, R0_MICRO, np.int64)))
-
-    state = nodes_deg.map_batches(init_state,
-                                  batch_format="pyarrow").materialize()
-
-    # deg AND the previous rank ride the fold (s=0, deg=deg, rp=r rows
-    # union the contributions), so rebuilding the next state needs NO
-    # second join per iteration — one edges⋈state hash join + one keyed
-    # fold is the whole step; the carried rp makes the convergence
-    # delta a cheap aggregate over the already-materialized state
-    nb = num_partitions or groupby_partitions()
-    joined_empty = pa.table({c: pa.array([], pa.int64())
-                             for c in (src_col, dst_col, "deg", "r")})
-
-    def as_src(b: pa.Table) -> pa.Table:
-        return pa.table({src_col: b["node"], "deg": b["deg"], "r": b["r"]})
-
-    def state_zeros(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": b["node"],
-            "s": pa.array(np.zeros(b.num_rows, np.int64), pa.int64()),
-            "deg": b["deg"],
-            "rp": b["r"]})
-
-    def contrib(b: pa.Table) -> pa.Table:
-        d = np.asarray(b[dst_col].to_numpy(zero_copy_only=False),
-                       np.int64)
-        r = np.asarray(b["r"].to_numpy(zero_copy_only=False), np.int64)
-        dg = np.asarray(b["deg"].to_numpy(zero_copy_only=False),
-                        np.int64)
-        c = (DAMP_NUM * r) // (DAMP_DEN * dg)
-        codes, uniq = pd.factorize(d)
-        acc = np.zeros(len(uniq), np.int64)
-        np.add.at(acc, codes, c)
-        z = np.zeros(len(uniq), np.int64)
-        return pa.table({"node": pa.array(uniq, pa.int64()),
-                         "s": pa.array(acc, pa.int64()),
-                         "deg": pa.array(z, pa.int64()),
-                         "rp": pa.array(z, pa.int64())})
-
-    def finish(b: pa.Table) -> pa.Table:
-        s = np.asarray(b["s"].to_numpy(zero_copy_only=False),
-                       np.int64)
-        return pa.table({
-            "node": b["node"],
-            "deg": b["deg"],
-            "r": pa.array(TELEPORT_MICRO + s, pa.int64()),
-            "rp": b["rp"]})
-
-    def delta_partial(b: pa.Table) -> pa.Table:
-        r = np.asarray(b["r"].to_numpy(zero_copy_only=False), np.int64)
-        rp = np.asarray(b["rp"].to_numpy(zero_copy_only=False),
-                        np.int64)
-        return pa.table({"d": pa.array([int(np.abs(r - rp).sum())],
-                                       pa.int64())})
-
-    it_done = 0
-    delta = None
-    for _ in range(iters):
-        joined = co_join(edges, state.map_batches(
-            as_src, batch_format="pyarrow"), src_col, nb, joined_empty)
-        zeros = state.map_batches(state_zeros, batch_format="pyarrow")
-        state = keyed_sum_fold(
-            joined.map_batches(contrib, batch_format="pyarrow")
-            .union(zeros), "node", ["s", "deg", "rp"]) \
-            .map_batches(finish, batch_format="pyarrow").materialize()
-        it_done += 1
-        if tol_micro is not None:
-            # one tiny map over the just-materialized state blocks
-            delta = sum(sum(b["d"].to_pylist()) for b in state.map_batches(
-                delta_partial, batch_format="pyarrow").iter_batches(
-                batch_format="pyarrow"))
-            if delta <= tol_micro:
-                break
-
-    if stats is not None:
-        stats["iterations"] = it_done
-        stats["l1_delta_micro"] = delta
-
-    def out(b: pa.Table) -> pa.Table:
-        return pa.table({"node": b["node"], "rank_micro": b["r"]})
-
-    return state.map_batches(out, batch_format="pyarrow")
 
 
 def _pagerank_iter_ctes(iters: int, node_type: str = "BIGINT") -> str:

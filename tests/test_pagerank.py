@@ -1,5 +1,6 @@
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
 from pyrosm_ray.stages import pagerank as pr
@@ -36,7 +37,7 @@ def test_pagerank_matches_brute_force(ray_session):
 
 
 def test_pagerank_route_parity(ray_session, monkeypatch):
-    """Driver fast path and distributed broadcast-iterate route run the
+    """Driver fast path and the BSP route past the ceiling run the
     identical integer recurrence."""
     pairs = [(1, 2), (2, 3), (3, 1), (1, 3), (4, 1), (5, 2), (2, 5)]
     fast = pr.pagerank(rd.from_arrow(_edges_tbl(pairs)),
@@ -122,17 +123,15 @@ def test_pagerank_named_matches_int_pagerank(ray_session):
 
 
 def test_pagerank_partitioned_parity(ray_session):
-    """The beyond-broadcast (rank-as-Dataset) route must execute the
-    identical integer recurrence."""
+    """The BSP route must execute the identical integer recurrence."""
     pairs = [(1, 2), (2, 3), (3, 1), (1, 3), (4, 1), (5, 2), (2, 5),
              (3, 4)]
     base = pr.pagerank(rd.from_arrow(_edges_tbl(pairs)),
                        iters=4).to_pandas()
-    for route in ("bsp", "join"):
-        part = pr.pagerank_partitioned(rd.from_arrow(_edges_tbl(pairs)),
-                                       iters=4, route=route).to_pandas()
-        assert dict(zip(part.node, part.rank_micro)) == \
-            dict(zip(base.node, base.rank_micro)), route
+    part = pr.pagerank_partitioned(rd.from_arrow(_edges_tbl(pairs)),
+                                   iters=4).to_pandas()
+    assert dict(zip(part.node, part.rank_micro)) == \
+        dict(zip(base.node, base.rank_micro))
 
 
 def test_pagerank_bsp_multibucket_parity(ray_session):
@@ -144,8 +143,8 @@ def test_pagerank_bsp_multibucket_parity(ray_session):
     base = pr.pagerank(rd.from_arrow(_edges_tbl(pairs)),
                        iters=3).to_pandas()
     part = pr.pagerank_partitioned(rd.from_arrow(_edges_tbl(pairs)),
-                                   iters=3, num_partitions=5,
-                                   route="bsp").to_pandas()
+                                   iters=3,
+                                   num_partitions=5).to_pandas()
     assert dict(zip(part.node, part.rank_micro)) == \
         dict(zip(base.node, base.rank_micro))
 
@@ -198,7 +197,7 @@ def test_pagerank_convergence_stop_all_routes(ray_session):
     assert 1 < st_drv["iterations"] < MAXI  # adapted, not exhausted
     assert st_drv["l1_delta_micro"] <= TOL
 
-    # broadcast loop route (force past the driver ceiling)
+    # BSP route through the gate (force past the driver ceiling)
     orig = pr.EDGES_DRIVER_MAX
     pr.EDGES_DRIVER_MAX = 0
     try:
@@ -211,18 +210,12 @@ def test_pagerank_convergence_stop_all_routes(ray_session):
 
     st_bsp: dict = {}
     c = pr.pagerank_partitioned(rd.from_arrow(edges).repartition(4),
-                                iters=MAXI, tol_micro=TOL, route="bsp",
+                                iters=MAXI, tol_micro=TOL,
                                 num_partitions=3,
                                 stats=st_bsp).to_pandas()
     assert st_bsp["iterations"] == st_drv["iterations"]
 
-    st_join: dict = {}
-    d = pr.pagerank_partitioned(rd.from_arrow(edges).repartition(4),
-                                iters=MAXI, tol_micro=TOL, route="join",
-                                stats=st_join).to_pandas()
-    assert st_join["iterations"] == st_drv["iterations"]
-
-    for other in (b, c, d):
+    for other in (b, c):
         o = other.sort_values("node").reset_index(drop=True)
         aa = a.sort_values("node").reset_index(drop=True)
         assert list(o.node) == list(aa.node)
@@ -232,3 +225,96 @@ def test_pagerank_convergence_stop_all_routes(ray_session):
     st_fix: dict = {}
     pr.pagerank(rd.from_arrow(edges), iters=3, stats=st_fix).to_pandas()
     assert st_fix["iterations"] == 3
+
+
+def test_click_edges_executes_each_upstream_once(ray_session,
+                                                 monkeypatch):
+    """The route gate reads the row count from the materialized input,
+    so neither route runs the upstream plan twice (one UDF call per
+    upstream block)."""
+    import ray
+
+    @ray.remote
+    class Counter:
+        def __init__(self):
+            self.n = 0
+
+        def bump(self):
+            self.n += 1
+
+        def get(self):
+            return self.n
+
+    t = pa.table({
+        "user_id": pa.array([1, 1, 2, 2, 3, 3, 4, 4], pa.int64()),
+        "ts": pa.array(np.arange(8).astype("datetime64[us]")),
+        "event_id": pa.array(np.arange(8), pa.int64()),
+        "node": pa.array([10, 11, 20, 21, 30, 31, 40, 41], pa.int64()),
+    })
+    want = {(10, 11), (20, 21), (30, 31), (40, 41)}
+    for ceiling in (pr.EVENTS_DRIVER_MAX, 0):
+        monkeypatch.setattr(pr, "EVENTS_DRIVER_MAX", ceiling)
+        c = Counter.remote()
+
+        def tagged(b: pa.Table, c=c) -> pa.Table:
+            ray.get(c.bump.remote())
+            return b
+
+        got = pr.click_edges(rd.from_arrow(t).repartition(4).map_batches(
+            tagged, batch_format="pyarrow")).to_pandas()
+        assert set(zip(got.src, got.dst)) == want, ceiling
+        assert ray.get(c.get.remote()) == 4, ceiling
+
+
+_PARITY_INPUTS = {
+    "empty": [[]],
+    "single_edge": [[(1, 2)]],
+    "hub": [[(0, i) for i in range(1, 500)]],
+    "sink_only_dsts": [[(1, 100), (2, 100), (3, 101), (1, 101), (2, 3)]],
+    "zero_row_blocks": [[], [(1, 2), (2, 3)], [], [(3, 1), (4, 1)], []],
+}
+
+
+def _run_route(route, blocks, monkeypatch):
+    ds = rd.from_arrow([_edges_tbl(b) for b in blocks])
+    if route == "bsp7":
+        return pr.pagerank_partitioned(ds, iters=4, num_partitions=7)
+    n = sum(len(b) for b in blocks)
+    monkeypatch.setattr(pr, "EDGES_DRIVER_MAX", {
+        "driver": pr.EDGES_DRIVER_MAX, "gate0": 0,
+        "ceiling_n": n, "ceiling_n_minus_1": n - 1}[route])
+    return pr.pagerank(ds, iters=4)
+
+
+@pytest.mark.parametrize("case", sorted(_PARITY_INPUTS))
+@pytest.mark.parametrize("route", ["driver", "gate0", "ceiling_n",
+                                   "ceiling_n_minus_1", "bsp7"])
+def test_pagerank_routes_match_brute_force(ray_session, monkeypatch,
+                                           route, case):
+    """Every PageRank route, including the ceiling set to the input's
+    edge count n and to n - 1, returns the brute-force ranks with a
+    typed (int64 node, int64 rank_micro) schema on edge inputs."""
+    blocks = _PARITY_INPUTS[case]
+    ds = _run_route(route, blocks, monkeypatch)
+    schema = ds.schema()
+    assert schema.names == ["node", "rank_micro"]
+    assert schema.types == [pa.int64(), pa.int64()]
+    rows = ds.take_all()
+    want = _brute_pagerank([p for b in blocks for p in b], 4)
+    assert {r["node"]: r["rank_micro"] for r in rows} == want
+    assert len(rows) == len(want)
+
+
+def test_pagerank_named_gate_parity(ray_session, monkeypatch):
+    """pagerank_named past the driver ceiling matches its default
+    route."""
+    e = pa.table({
+        "src_host": pa.array(["a", "b", "c", "a", "d"], pa.string()),
+        "dst_host": pa.array(["b", "c", "a", "c", "a"], pa.string()),
+    })
+    base = pr.pagerank_named(rd.from_arrow(e), iters=4).to_pandas()
+    monkeypatch.setattr(pr, "EDGES_DRIVER_MAX", 0)
+    forced = pr.pagerank_named(rd.from_arrow(e), iters=4).to_pandas()
+    assert dict(zip(forced.host, forced.rank_micro)) == \
+        dict(zip(base.host, base.rank_micro))
+    assert len(forced) == len(base) == 4

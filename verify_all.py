@@ -39,6 +39,9 @@ def _to_pandas(res):
     return res
 
 
+FLOAT_TOL = 1e-6
+
+
 def _canon(df: pd.DataFrame) -> pd.DataFrame:
     """Driver-compare canonical form: columns sorted by name, rows sorted by
     all columns, timestamps as int64 ns, floats rounded."""
@@ -58,13 +61,17 @@ def _canon(df: pd.DataFrame) -> pd.DataFrame:
 
 
 def _frames_equal(a: pd.DataFrame, b: pd.DataFrame) -> bool:
+    """Integer, string and timestamp columns compare exactly. Float
+    columns (already rounded to 6 dp by ``_canon``) compare with
+    ``allclose(rtol=atol=FLOAT_TOL)``, NaN equal to NaN."""
     if list(a.columns) != list(b.columns) or len(a) != len(b):
         return False
     for c in a.columns:
         av, bv = a[c].to_numpy(), b[c].to_numpy()
         if pd.api.types.is_float_dtype(a[c]) or pd.api.types.is_float_dtype(b[c]):
             ok = np.allclose(av.astype(float), bv.astype(float),
-                             rtol=1e-6, atol=1e-6, equal_nan=True)
+                             rtol=FLOAT_TOL, atol=FLOAT_TOL,
+                             equal_nan=True)
         else:
             ok = (pd.Series(av).fillna("\x00NA") ==
                   pd.Series(bv).fillna("\x00NA")).all()
@@ -151,6 +158,7 @@ def main() -> int:
     res["wall_sec"] = round(time.perf_counter() - t0, 1)
     summary = {k: res[k] for k in
                ("pass", "rows_only", "fail", "total", "wall_sec", "sf_dir")}
+    summary["float_tol"] = FLOAT_TOL
     print(json.dumps(summary))
     if args.out:
         with open(args.out, "w") as f:
