@@ -1637,21 +1637,25 @@ def _word_shingle_cte(doc_table: str = "documents") -> str:
     """CTE fragment: ``sh(doc_id, h)`` = distinct 3-word-shingle hashes
     (pads with empty words below 3). The shingle hash is combine3 over the
     per-WORD md5 hashes — bit-identical to dedup._word_shingles_many,
-    which never materialises shingle strings."""
+    which never materialises shingle strings. Every CTE is MATERIALIZED
+    (DuckDB 1.0 otherwise inlines a CTE at each reference)."""
     from pyrosm_ray.stages.hashing import combine3_sql
     comb = combine3_sql("md5_number_lower(ws[i])",
                         "md5_number_lower(ws[i+1])",
                         "md5_number_lower(ws[i+2])")
     return f"""
-        w AS (SELECT doc_id, regexp_extract_all(lower(text), '\\S+') AS ws
-              FROM {doc_table}),
-        wp AS (SELECT doc_id, CASE WHEN len(ws) >= 3 THEN ws
-                    ELSE ws || (['','',''])[1:3-len(ws)] END AS ws FROM w),
-        shi AS (SELECT doc_id, ws,
-                       unnest(generate_series(1, greatest(len(ws) - 2, 1)))
-                           AS i FROM wp),
-        sh AS (SELECT DISTINCT doc_id, {comb} AS h
-               FROM shi)"""
+        w AS MATERIALIZED (
+            SELECT doc_id, regexp_extract_all(lower(text), '\\S+') AS ws
+            FROM {doc_table}),
+        wp AS MATERIALIZED (
+            SELECT doc_id, CASE WHEN len(ws) >= 3 THEN ws
+                ELSE ws || (['','',''])[1:3-len(ws)] END AS ws FROM w),
+        shi AS MATERIALIZED (
+            SELECT doc_id, ws,
+                   unnest(generate_series(1, greatest(len(ws) - 2, 1)))
+                       AS i FROM wp),
+        sh AS MATERIALIZED (
+            SELECT DISTINCT doc_id, {comb} AS h FROM shi)"""
 
 
 def _ngram_jaccard_sql(threshold: float = 0.6) -> str:
@@ -1745,49 +1749,59 @@ def _minhash_dedup_sql(threshold: float = 0.5, num_perm: int = 64,
     """Full replication of minhash_dedup: md5 shingles -> 64 xorshift
     minhash perms (HUGEINT modular arithmetic) -> banded buckets ->
     candidate pairs -> exact-Jaccard edges -> connected components via a
-    recursive CTE -> min-id dup_of per doc."""
+    recursive CTE -> min-id dup_of per doc. Every non-recursive CTE is
+    MATERIALIZED: DuckDB 1.0 otherwise inlines each one at every
+    reference, which re-ran ``cand`` and ``sym`` inside the recursion
+    (~110 s per query at sf0.01)."""
     from pyrosm_ray.stages.hashing import hash64_sql_dynamic
     rows = num_perm // bands
     h = hash64_sql_dynamic("h", "p")
     return f"""
         WITH RECURSIVE {_word_shingle_cte()},
-        mh AS (SELECT doc_id, p, MIN({h}) AS m
-               FROM sh, generate_series(1, {num_perm}) AS gp(p)
-               GROUP BY doc_id, p),
-        band AS (SELECT doc_id, (p - 1) // {rows} AS band,
-                        string_agg(CAST(m AS VARCHAR), ',' ORDER BY p)
-                            AS bucket
-                 FROM mh GROUP BY doc_id, (p - 1) // {rows}),
-        grp AS (SELECT band, bucket, doc_id,
-                       COUNT(*) OVER (PARTITION BY band, bucket) AS gsz,
-                       LEAD(doc_id) OVER (PARTITION BY band, bucket
-                                          ORDER BY doc_id) AS nxt
-                FROM band),
-        cand AS (SELECT DISTINCT a, b FROM (
-                   SELECT g1.doc_id AS a, g2.doc_id AS b
-                   FROM grp g1 JOIN grp g2 ON g1.band = g2.band
-                        AND g1.bucket = g2.bucket
-                        AND g1.doc_id < g2.doc_id AND g1.gsz <= {bucket_cap}
-                   UNION ALL
-                   SELECT doc_id AS a, nxt AS b FROM grp
-                   WHERE gsz > {bucket_cap} AND nxt IS NOT NULL)),
-        sz AS (SELECT doc_id, COUNT(*) AS n FROM sh GROUP BY doc_id),
-        inter AS (SELECT c.a, c.b, COUNT(*) AS i
-                  FROM cand c JOIN sh sa ON sa.doc_id = c.a
-                       JOIN sh sb ON sb.doc_id = c.b AND sb.h = sa.h
-                  GROUP BY c.a, c.b),
-        edges AS (SELECT a, b FROM inter
-                  JOIN sz za ON za.doc_id = a JOIN sz zb ON zb.doc_id = b
-                  WHERE CAST(i AS DOUBLE) / (za.n + zb.n - i)
-                        >= {threshold}),
-        sym AS (SELECT a AS s, b AS d FROM edges
-                UNION SELECT b, a FROM edges),
+        mh AS MATERIALIZED (
+            SELECT doc_id, p, MIN({h}) AS m
+            FROM sh, generate_series(1, {num_perm}) AS gp(p)
+            GROUP BY doc_id, p),
+        band AS MATERIALIZED (
+            SELECT doc_id, (p - 1) // {rows} AS band,
+                   string_agg(CAST(m AS VARCHAR), ',' ORDER BY p) AS bucket
+            FROM mh GROUP BY doc_id, (p - 1) // {rows}),
+        grp AS MATERIALIZED (
+            SELECT band, bucket, doc_id,
+                   COUNT(*) OVER (PARTITION BY band, bucket) AS gsz,
+                   LEAD(doc_id) OVER (PARTITION BY band, bucket
+                                      ORDER BY doc_id) AS nxt
+            FROM band),
+        cand AS MATERIALIZED (
+            SELECT DISTINCT a, b FROM (
+                SELECT g1.doc_id AS a, g2.doc_id AS b
+                FROM grp g1 JOIN grp g2 ON g1.band = g2.band
+                     AND g1.bucket = g2.bucket
+                     AND g1.doc_id < g2.doc_id AND g1.gsz <= {bucket_cap}
+                UNION ALL
+                SELECT doc_id AS a, nxt AS b FROM grp
+                WHERE gsz > {bucket_cap} AND nxt IS NOT NULL)),
+        sz AS MATERIALIZED (
+            SELECT doc_id, COUNT(*) AS n FROM sh GROUP BY doc_id),
+        inter AS MATERIALIZED (
+            SELECT c.a, c.b, COUNT(*) AS i
+            FROM cand c JOIN sh sa ON sa.doc_id = c.a
+                 JOIN sh sb ON sb.doc_id = c.b AND sb.h = sa.h
+            GROUP BY c.a, c.b),
+        edges AS MATERIALIZED (
+            SELECT a, b FROM inter
+            JOIN sz za ON za.doc_id = a JOIN sz zb ON zb.doc_id = b
+            WHERE CAST(i AS DOUBLE) / (za.n + zb.n - i) >= {threshold}),
+        sym AS MATERIALIZED (
+            SELECT a AS s, b AS d FROM edges
+            UNION SELECT b, a FROM edges),
         reach(id, t) AS (
             SELECT s, d FROM sym
             UNION
             SELECT reach.id, sym.d FROM reach JOIN sym ON sym.s = reach.t),
-        comp AS (SELECT id, LEAST(MIN(t), id) AS dup_of FROM reach
-                 GROUP BY id)
+        comp AS MATERIALIZED (
+            SELECT id, LEAST(MIN(t), id) AS dup_of FROM reach
+            GROUP BY id)
         SELECT d.doc_id, COALESCE(c.dup_of, d.doc_id) AS dup_of
         FROM documents d LEFT JOIN comp c ON c.id = d.doc_id
         ORDER BY d.doc_id"""

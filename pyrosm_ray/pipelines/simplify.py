@@ -7,8 +7,8 @@ length and the merged attributes — the semantics of the reference's
 endpoint rules at :48-101, following OSMnx/Boeing 2025), re-derived here:
 
 * endpoint/degree statistics (A7) are DISTRIBUTED Dataset aggregates
-  (:func:`degree_stats`, :func:`endpoints_ds`): one bucketed keyed
-  exchange — usable on the full-scale edge stream;
+  (:func:`degree_stats`, :func:`endpoints_ds`): one fold on the node
+  — usable on the full-scale edge stream;
 * the chain walk itself is inherently sequential (the reference runs it
   in-process too — graph_simplify.py:120-168); it runs driver-side over
   the collected ``(u, v)`` pairs of the *filtered network layer* (the
@@ -37,12 +37,9 @@ def degree_stats(edges_ds):
     """Per-node directed degree stats as a Dataset:
     (node, out_deg, in_deg, distinct_nbrs, self_loop).
 
-    One raw-task exchange on a coarse node-hash bucket; each bucket's
-    stats reduce in one vectorised factorize pass."""
-    from pyrosm_ray.stages.blocks import exchange, groupby_partitions
-    from pyrosm_ray.stages.hashing import hash64
-
-    nb = groupby_partitions()
+    One raw-task fold on the node; each partition's stats reduce in
+    one vectorised factorize pass."""
+    from pyrosm_ray.stages.blocks import fold
 
     def explode(batch: pa.Table) -> pa.Table:
         u = np.asarray(batch["u"].to_numpy(zero_copy_only=False),
@@ -55,11 +52,9 @@ def degree_stats(edges_ds):
             "nbr": pa.array(np.concatenate([v, u])),
             "is_out": pa.array(np.concatenate([
                 np.ones(len(u), np.int64), np.zeros(len(v), np.int64)])),
-            "__q": pa.array((hash64(node.view(np.uint64), 13)
-                             % np.uint64(nb)).astype(np.int64)),
         })
 
-    def per_bucket(group: pa.Table) -> pa.Table:
+    def per_part(group: pa.Table) -> pa.Table:
         node = np.asarray(group["node"].to_numpy(zero_copy_only=False))
         nbr = np.asarray(group["nbr"].to_numpy(zero_copy_only=False))
         is_out = np.asarray(group["is_out"].to_numpy(zero_copy_only=False))
@@ -84,8 +79,8 @@ def degree_stats(edges_ds):
     empty = pa.table({c: pa.array([], pa.int64()) for c in
                       ("node", "out_deg", "in_deg", "distinct_nbrs")}) \
         .append_column("self_loop", pa.array([], pa.bool_()))
-    return exchange(edges_ds.map_batches(explode, batch_format="pyarrow"),
-                    "__q", per_bucket, nb, empty)
+    return fold(edges_ds.map_batches(explode, batch_format="pyarrow"),
+                "node", per_part, None, empty)
 
 
 def endpoints_ds(edges_ds):

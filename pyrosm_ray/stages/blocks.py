@@ -1,26 +1,45 @@
-"""Keyed exchanges on raw Ray tasks: the engine's one way to move rows
-by key.
+"""Keyed folds on raw Ray tasks: the engine's one way to move rows by
+key.
 
-:func:`exchange` (``groupby(key).map_groups(fn)`` semantics) and
-:func:`co_join` (an inner, left outer or left anti hash join) move Arrow
-shards between plain Ray tasks: one split task per non-empty block
-(``num_returns=nb``), one reduce task per partition, reduce refs wrapped
-by ``rd.from_arrow_refs``. No aggregator-actor pool starts, zero-row
-blocks are skipped from their metadata, and an empty partition returns a
-typed table. Outputs stay object refs; nothing is gathered on the
-driver. Every keyed step in the package runs on them, directly or
-through :func:`keyed_sum_fold`.
+:func:`fold` hash-splits a Dataset on its real key columns and runs one
+reduce task per partition, which calls ``fn`` once over all of that
+partition's rows. :func:`exchange` (``groupby(key).map_groups(fn)``
+semantics: ``fn`` once per distinct key, nulls as one group) is a fold
+whose ``fn`` slices each key's run, and :func:`co_join` (an inner, left
+outer or left anti hash join) shares the same split. Shards move
+between plain Ray tasks: one split task per non-empty upstream block
+(``num_returns=nb``), reduce refs wrapped by ``rd.from_arrow_refs``. No
+aggregator-actor pool starts, zero-row blocks are skipped from their
+metadata, and an empty partition returns a typed table. Outputs stay
+object refs; nothing is gathered on the driver.
+
+``nb=None`` sizes the split from the input as its blocks stream out:
+while the non-empty rows seen stay within :data:`KEYED_FOLD_DRIVER_MAX`
+the blocks are held unsplit, and if the stream ends there ONE reduce
+task runs over the raw blocks (a one-way split is the identity, so no
+split task runs). Past the ceiling the held blocks and everything after
+them split :func:`groupby_partitions` wide. The row count comes from
+block metadata, so nothing materializes or counts first. An explicit
+``nb`` always splits ``nb`` ways.
 
 :func:`tune_shuffle_context` only sizes Ray Data's own hash shuffle for
 the callers outside the package that still use it."""
 
 from __future__ import annotations
 
+import functools
+
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data as rd
 from ray.data.context import ShuffleStrategy
+
+# ``nb=None`` folds inputs of at most this many non-empty rows in ONE
+# reduce task over the raw blocks: at these sizes the split's fixed cost
+# would be the operator wall (the name predates the fold; perfbench
+# reads it)
+KEYED_FOLD_DRIVER_MAX = 100_000
 
 
 def _cluster_cpus(default: int = 8) -> int:
@@ -94,57 +113,92 @@ def _key_hash(t: pa.Table, keys: list[str]):
     return h
 
 
+def _table(block) -> pa.Table:
+    return block if isinstance(block, pa.Table) \
+        else pa.Table.from_pandas(block, preserve_index=False)
+
+
 @ray.remote
 def _split_block(block, keys: list[str], nb: int):
-    """One upstream block -> ``nb`` hash partitions (typed, possibly
-    zero-row tables; one return value each)."""
+    """One upstream block -> ``nb`` >= 2 hash partitions (typed,
+    possibly zero-row tables; one return value each)."""
     import numpy as np
 
-    t = block if isinstance(block, pa.Table) \
-        else pa.Table.from_pandas(block, preserve_index=False)
+    t = _table(block)
     part = (_key_hash(t, keys) % np.uint64(nb)).astype(np.int64)
     order = np.argsort(part, kind="stable")
     cut = np.searchsorted(part[order], np.arange(nb + 1))
-    out = tuple(t.take(order[cut[i]:cut[i + 1]]) for i in range(nb))
-    return out if nb > 1 else out[0]
+    return tuple(t.take(order[cut[i]:cut[i + 1]]) for i in range(nb))
 
 
-def _split(ds, keys: list[str], nb: int) -> list[list]:
-    """Submit one split task per non-empty block as the upstream plan
-    streams them out -> ``nb`` lists of partition refs."""
-    parts: list[list] = [[] for _ in range(nb)]
-    for bundle in ds.iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:
-            if meta.num_rows == 0:
-                continue
-            out = _split_block.options(num_returns=nb).remote(ref, keys, nb)
-            for i, r in enumerate(out if nb > 1 else [out]):
-                parts[i].append(r)
-    return parts
+def _partition(sides, keys: list[str], nb: int | None):
+    """Stream each Dataset of ``sides`` in turn -> (per side, a list of
+    partition ref lists; per side, the first schema its blocks carried).
+
+    ``nb=None`` holds non-empty blocks unsplit until the rows of all
+    sides together pass :data:`KEYED_FOLD_DRIVER_MAX`; then the held
+    blocks and every later one split :func:`groupby_partitions` wide."""
+    width = nb or 1
+    parts = [[[] for _ in range(width)] for _ in sides]
+    schemas: list = [None] * len(sides)
+    rows = 0
+
+    def put(side: list, ref) -> None:
+        if width == 1:  # a one-way split is the identity
+            side[0].append(ref)
+            return
+        out = _split_block.options(num_returns=width).remote(
+            ref, keys, width)
+        for p, r in zip(side, out):
+            p.append(r)
+
+    for i, ds in enumerate(sides):
+        for bundle in ds.iter_internal_ref_bundles():
+            if schemas[i] is None and isinstance(bundle.schema, pa.Schema) \
+                    and bundle.schema.names:
+                schemas[i] = bundle.schema
+            for ref, meta in bundle.blocks:
+                if meta.num_rows == 0:
+                    continue
+                rows += meta.num_rows
+                if nb is None and rows > KEYED_FOLD_DRIVER_MAX:
+                    nb = width = groupby_partitions()
+                    held = [p[0] for p in parts]
+                    parts = [[[] for _ in range(width)] for _ in sides]
+                    for side, refs in zip(parts, held):
+                        for r in refs:
+                            put(side, r)
+                put(parts[i], ref)
+    return parts, schemas
 
 
 def _concat_rows(parts) -> pa.Table | None:
-    rows = [p for p in parts if p.num_rows]
+    rows = [t for t in map(_table, parts) if t.num_rows]
     return pa.concat_tables(rows, promote_options="default") if rows \
         else None
 
 
 @ray.remote
-def _groups_reduce(fn, key: str, empty: pa.Table, *parts) -> pa.Table:
+def _fold_reduce(fn, empty: pa.Table, *parts) -> pa.Table:
+    t = _concat_rows(parts)
+    out = None if t is None else fn(t)
+    return empty if out is None or not out.num_rows else out
+
+
+def _per_key(fn, key: str, t: pa.Table) -> pa.Table | None:
+    """Call ``fn`` once per distinct ``key`` run of ``t`` (the
+    :func:`exchange` fold body); None when every group maps to zero
+    rows."""
     import numpy as np
 
-    t = _concat_rows(parts)
-    if t is None:
-        return empty
     t = t.sort_by(key)  # nulls sort last, as one run
     k = t[key].combine_chunks()
     null = k.is_null().to_numpy(zero_copy_only=False)
     new = pc.fill_null(pc.not_equal(k[1:], k[:-1]), True) \
         .to_numpy(zero_copy_only=False) & ~(null[1:] & null[:-1])
     cut = np.concatenate([[0], np.flatnonzero(new) + 1, [len(k)]])
-    out = _concat_rows([fn(t.slice(s, e - s))
-                        for s, e in zip(cut[:-1], cut[1:])])
-    return empty if out is None else out
+    return _concat_rows([fn(t.slice(s, e - s))
+                         for s, e in zip(cut[:-1], cut[1:])])
 
 
 @ray.remote
@@ -154,6 +208,7 @@ def _join_reduce(keys: list[str], join_type: str, empty: pa.Table,
         return empty
     # zero-row shards still carry their block's schema, so a partition
     # with no matches yields a zero-row table typed by the data itself
+    parts = [_table(p) for p in parts]
     left = pa.concat_tables(parts[:n_left], promote_options="default")
     if n_left < len(parts):
         right = pa.concat_tables(parts[n_left:], promote_options="default")
@@ -167,78 +222,76 @@ def _join_reduce(keys: list[str], join_type: str, empty: pa.Table,
     return left.join(right, keys, join_type=join_type)
 
 
-def exchange(ds, key: str, fn, nb: int, empty: pa.Table) -> rd.Dataset:
-    """``ds.groupby(key).map_groups(fn, batch_format="pyarrow")`` on raw
-    Ray tasks: rows hash-partition by ``key`` into ``nb`` reduce tasks,
-    each sorts its rows by key and calls ``fn`` once per distinct key
-    (with that key's rows as one ``pa.Table``). A partition that
-    receives no rows — or whose groups all map to zero rows — returns
-    ``empty``, so every output block is typed."""
-    parts = _split(ds, [key], nb)
+def _keys(keys) -> list[str]:
+    return [keys] if isinstance(keys, str) else list(keys)
+
+
+def fold(ds, keys, fn, nb: int | None, empty: pa.Table) -> rd.Dataset:
+    """Hash-split ``ds`` on its real ``keys`` (a column name or a list)
+    into ``nb`` partitions (``None``: sized from the input, see the
+    module docstring) and call ``fn`` once per partition with all of its
+    rows as one ``pa.Table``; every row of a key lands in the same call.
+    A partition that receives no rows, or whose ``fn`` output has none,
+    returns ``empty``, so every output block is typed."""
+    (parts,), _ = _partition([ds], _keys(keys), nb)
     return rd.from_arrow_refs(
-        [_groups_reduce.remote(fn, key, empty, *p) for p in parts])
+        [_fold_reduce.remote(fn, empty, *p) for p in parts])
 
 
-def co_join(left, right, keys, nb: int, empty: pa.Table,
+def exchange(ds, key: str, fn, nb: int | None,
+             empty: pa.Table) -> rd.Dataset:
+    """``ds.groupby(key).map_groups(fn, batch_format="pyarrow")`` as a
+    :func:`fold`: each partition sorts its rows by key and calls ``fn``
+    once per distinct key (nulls are one group) with that key's rows as
+    one ``pa.Table``."""
+    return fold(ds, key, functools.partial(_per_key, fn, key), nb, empty)
+
+
+def co_join(left, right, keys, nb: int | None, empty: pa.Table | None,
             join_type: str = "inner") -> rd.Dataset:
     """Hash join of two Datasets on same-named ``keys`` on raw Ray
-    tasks: both sides hash-split identically into ``nb`` partitions and
-    each partition runs one ``pa.Table.join`` (left columns first, then
-    right's non-key columns). ``join_type`` is pyarrow's: ``"inner"``,
-    ``"left outer"`` or ``"left anti"``. Key columns must share a name:
-    rename the right-hand key in a map first.
+    tasks: both sides split like :func:`fold` (for ``nb=None`` the
+    ceiling counts both sides' rows) and each partition runs one
+    ``pa.Table.join`` (left columns first, then right's non-key
+    columns). ``join_type`` is pyarrow's: ``"inner"``, ``"left outer"``
+    or ``"left anti"``. Key columns must share a name: rename the
+    right-hand key in a map first.
 
-    ``empty`` is the result's schema as a zero-row table. It is the
-    result when the left side (or, for an inner join, either side) has
-    no rows at all. When only the right side is empty, a left outer or
-    left anti join returns every left row, with ``empty``'s right-hand
-    columns null. Otherwise every partition joins its typed shards, so a
-    partition without matches is a zero-row table in the data's own
-    schema."""
-    keys = [keys] if isinstance(keys, str) else list(keys)
-    lp = _split(left, keys, nb)
-    rp = _split(right, keys, nb)
+    ``empty`` is the result's schema as a zero-row table; ``None`` takes
+    the left side's schema as its blocks stream (a semi-join against a
+    keys-only right side). It is the result when the left side (or, for
+    an inner join, either side) has no rows at all. When only the right
+    side is empty, a left outer or left anti join returns every left
+    row, with ``empty``'s right-hand columns null. Otherwise every
+    partition joins its typed shards, so a partition without matches is
+    a zero-row table in the data's own schema."""
+    keys = _keys(keys)
+    (lp, rp), schemas = _partition([left, right], keys, nb)
+    if empty is None:
+        empty = schemas[0].empty_table() if schemas[0] is not None \
+            else pa.table({})
     return rd.from_arrow_refs(
         [_join_reduce.remote(keys, join_type, empty, len(lp[i]), *lp[i],
                              *rp[i])
-         for i in range(nb)])
+         for i in range(len(lp))])
 
 
 def keyed_sum_fold(ds, key_col: str, val_cols: list[str],
                    num_partitions: int | None = None):
-    """``groupby(key).sum(vals)`` through ONE coarse hash bucket + an
-    in-partition factorize/add.at fold, exchanged on raw tasks
-    (:func:`exchange`). A per-key aggregate pays per DISTINCT KEY (the
-    measured 7x line_dedup pathology; dup_spans' 500 k-doc final sum went
-    180 -> 60 s on this switch), the fold pays per BUCKET — the right
-    shape whenever the key domain is large (vocabularies, node ids, doc
-    ids). Output columns keep their input names. Keys may be int64 or
-    string (an empty partition is typed from ``ds``'s schema when it is
-    known without executing the plan, else int64); values must be
-    int64."""
-    import numpy as np
-
-    from pyrosm_ray.stages.hashing import hash64, stable64_many
-
-    nb = num_partitions or groupby_partitions()
+    """``groupby(key).sum(vals)`` as one :func:`fold` on the key: each
+    partition runs one factorize/add.at pass over all of its rows, so
+    the cost is per partition, not per distinct key. Output columns
+    keep their input names. Keys may be int64 or string (an empty
+    partition is typed from ``ds``'s schema when it is known without
+    executing the plan, else int64); values must be int64."""
     sch = ds.schema(fetch_if_missing=False)
     ktype = sch.types[sch.names.index(key_col)] \
         if sch is not None and key_col in sch.names else pa.int64()
     empty = pa.table({key_col: pa.array([], ktype),
                       **{c: pa.array([], pa.int64()) for c in val_cols}})
-
-    def bucket(t: pa.Table) -> pa.Table:
-        col = t[key_col]
-        if pa.types.is_integer(col.type):
-            h = hash64(np.asarray(col.to_numpy(zero_copy_only=False),
-                                  np.int64).view(np.uint64), 13)
-        else:
-            h = stable64_many(col.to_pylist())
-        return t.append_column(
-            "__q", pa.array((h % np.uint64(nb)).astype(np.int64)))
-
-    return exchange(ds.map_batches(bucket, batch_format="pyarrow"), "__q",
-                    lambda g: _fold_keyed(g, key_col, val_cols), nb, empty)
+    return fold(ds, key_col, functools.partial(
+        _fold_keyed, key_col=key_col, val_cols=val_cols), num_partitions,
+        empty)
 
 
 def _fold_keyed(g: "pa.Table", key_col: str, val_cols: list[str]):
@@ -265,27 +318,17 @@ def _fold_keyed(g: "pa.Table", key_col: str, val_cols: list[str]):
     return pa.table(out)
 
 
-# inputs up to this many rows take the driver fold (the dup_spans
-# driver policy: batch-local partials are already key-compressed, so the
-# driver sees ~num_blocks x keys rows — at these counts the exchange's
-# fixed cost IS the operator wall)
-KEYED_FOLD_DRIVER_MAX = 100_000
-
-
 def keyed_sum_auto(partials, key_col: str, val_cols: list[str],
                    num_partitions: int | None = None):
-    """Route a partial-count aggregate: driver fold when the partial
-    stream is small, the exchanged bucket fold (:func:`keyed_sum_fold`)
-    beyond. Identical output either way.
+    """:func:`keyed_sum_fold` over a partial-count stream, with a
+    map-side combine first when the stream is past
+    :data:`KEYED_FOLD_DRIVER_MAX` rows.
 
-    The partials pipeline (and its upstream plan) executes exactly ONCE —
-    it is materialized here and the route gate reads the materialized row
-    count, so a non-fresh-read upstream is never re-executed just to pick
-    a route (round-4 advice: the old ``raw_ds.count()`` gate ran the whole
-    upstream plan and the chosen route then ran it again). The partials
-    are narrow key-compressed (key, counts) rows — bounded by
-    blocks x keys, the same rows the fold route would shuffle — so
-    pinning them in the object store costs no more than the shuffle
+    The partials pipeline (and its upstream plan) executes exactly ONCE:
+    it is materialized here and the combine gate reads the materialized
+    row count. The partials are narrow key-compressed (key, counts) rows
+    — bounded by blocks x keys, the same rows the fold moves — so
+    pinning them in the object store costs no more than the fold
     itself."""
     parts = partials.materialize()
     n_part = parts.count()  # metadata-only on a materialized dataset
@@ -296,39 +339,11 @@ def keyed_sum_auto(partials, key_col: str, val_cols: list[str],
         # to ~cluster-width blocks (repartition(shuffle=False) = minimal
         # block-level movement, NO keyed exchange) and re-fold each —
         # tile_rollup's sf3 fine level shrinks 2M partial rows to ~2%
-        # of that before any exchange or driver collect runs.
+        # of that before any fold runs.
         cpus = _cluster_cpus()
         merged = parts.repartition(max(2, cpus)).map_batches(
             lambda b: _fold_keyed(b, key_col, val_cols),
             batch_format="pyarrow").materialize()
-        n_merged = merged.count()
-        if n_merged < n_part:
-            parts, n_part = merged, n_merged
-    if n_part <= KEYED_FOLD_DRIVER_MAX:
-        return keyed_sum_driver(parts, key_col, val_cols)
+        if merged.count() < n_part:
+            parts = merged
     return keyed_sum_fold(parts, key_col, val_cols, num_partitions)
-
-
-def keyed_sum_driver(partials, key_col: str, val_cols: list[str],
-                     schema: "pa.Schema | None" = None):
-    """Driver twin of :func:`keyed_sum_fold` over an already-partial
-    Dataset: stream the partial batches to the driver and run ONE fold —
-    identical output (as a one-block Dataset, like the fold), no shuffle
-    fixed cost. Callers (``keyed_sum_auto``) pass MATERIALIZED partials,
-    so gating on their count and then streaming them here never
-    re-executes the upstream plan."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    all_parts = [pa.table(b)
-                 for b in partials.iter_batches(batch_format="pyarrow")]
-    parts = [t for t in all_parts if t.num_rows]
-    if not parts:
-        # typed-empty: a zero-row partial still carries the UDF's schema
-        empty = all_parts[0] if all_parts else (
-            schema.empty_table() if schema is not None else pa.table(
-                {key_col: pa.array([], pa.string()),
-                 **{c: pa.array([], pa.int64()) for c in val_cols}}))
-        return rd.from_arrow(empty)
-    return rd.from_arrow(
-        _fold_keyed(pa.concat_tables(parts), key_col, val_cols))

@@ -2,8 +2,8 @@
 
 Replaces driver-side union-find for the dedup clustering step (and any
 other edge-contraction need): every round is a raw-task hash join
-(``blocks.co_join``) plus a bucketed per-node min fold
-(``blocks.exchange``) over the edge list — no O(nodes) structure ever
+(``blocks.co_join``) plus a per-node min fold (``blocks.fold`` on the
+node) over the edge list — no O(nodes) structure ever
 lands on the driver. Rounds needed = component diameter (near-dup clusters
 are shallow: usually 1-3 rounds).
 
@@ -30,8 +30,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from pyrosm_ray.stages.blocks import co_join, exchange, groupby_partitions
-from pyrosm_ray.stages.hashing import hash64
+from pyrosm_ray.stages.blocks import co_join, fold
 
 DOUBLING_START = 2  # propagation-only rounds before pointer doubling kicks in
 
@@ -50,29 +49,20 @@ def _sym_edges(batch: pa.Table, a_col: str, b_col: str) -> pa.Table:
     return pa.table({"src": pa.array(src), "dst": pa.array(dst)})
 
 
-def _min_per_node(ds, node_col: str, val_col: str, nb: int):
-    """(node, label) = min ``val_col`` per ``node_col``: one coarse hash
-    bucket per row and one factorize/minimum.at fold per bucket (a
-    per-node call would pay per distinct node)."""
-    def bucket(t: pa.Table) -> pa.Table:
-        n = np.asarray(t[node_col].to_numpy(zero_copy_only=False),
-                       np.int64)
-        return pa.table({
-            "node": pa.array(n, pa.int64()), "label": t[val_col],
-            "__q": pa.array((hash64(n.view(np.uint64), 13)
-                             % np.uint64(nb)).astype(np.int64))})
-
-    def fold(g: pa.Table) -> pa.Table:
-        codes, uniq = pd.factorize(
-            np.asarray(g["node"].to_numpy(zero_copy_only=False), np.int64))
+def _min_per_node(ds, node_col: str, val_col: str, nb: int | None):
+    """(node, label) = min ``val_col`` per ``node_col``: one fold on the
+    node with one factorize/minimum.at pass per partition (a per-node
+    call would pay per distinct node)."""
+    def min_fold(g: pa.Table) -> pa.Table:
+        codes, uniq = pd.factorize(np.asarray(
+            g[node_col].to_numpy(zero_copy_only=False), np.int64))
         m = np.full(len(uniq), np.iinfo(np.int64).max, np.int64)
         np.minimum.at(m, codes, np.asarray(
-            g["label"].to_numpy(zero_copy_only=False), np.int64))
+            g[val_col].to_numpy(zero_copy_only=False), np.int64))
         return pa.table({"node": pa.array(uniq, pa.int64()),
                          "label": pa.array(m, pa.int64())})
 
-    return exchange(ds.map_batches(bucket, batch_format="pyarrow"), "__q",
-                    fold, nb, _LABELS_EMPTY).materialize()
+    return fold(ds, node_col, min_fold, nb, _LABELS_EMPTY).materialize()
 
 
 def _label_sum(labels) -> int:
@@ -97,7 +87,6 @@ def connected_components(edges_ds, a_col: str = "a", b_col: str = "b",
         batch_format="pyarrow").materialize()
     if edges.count() == 0:
         return None
-    nb = num_partitions or groupby_partitions()
 
     def double(labels):
         """Pointer doubling: label(v) <- label(label(v)). Every label IS a
@@ -108,7 +97,7 @@ def connected_components(edges_ds, a_col: str = "a", b_col: str = "b",
         rhs = labels.map_batches(
             lambda b: pa.table({"label": b["node"], "llabel": b["label"]}),
             batch_format="pyarrow")
-        j = co_join(labels, rhs, "label", nb, pa.table({
+        j = co_join(labels, rhs, "label", num_partitions, pa.table({
             "node": pa.array([], pa.int64()),
             "label": pa.array([], pa.int64()),
             "llabel": pa.array([], pa.int64())}))
@@ -118,7 +107,7 @@ def connected_components(edges_ds, a_col: str = "a", b_col: str = "b",
 
     # round 0 fused with init (labels start as node ids, so the first
     # min over neighbors is just min(src) per dst)
-    labels = _min_per_node(edges, "dst", "src", nb)
+    labels = _min_per_node(edges, "dst", "src", num_partitions)
     prev_sum = _label_sum(labels)
     joined_empty = pa.table({"src": pa.array([], pa.int64()),
                              "dst": pa.array([], pa.int64()),
@@ -127,8 +116,8 @@ def connected_components(edges_ds, a_col: str = "a", b_col: str = "b",
     for round_i in range(max_iter):
         j = co_join(edges, labels.map_batches(
             lambda b: pa.table({"src": b["node"], "label": b["label"]}),
-            batch_format="pyarrow"), "src", nb, joined_empty)
-        labels = _min_per_node(j, "dst", "label", nb)
+            batch_format="pyarrow"), "src", num_partitions, joined_empty)
+        labels = _min_per_node(j, "dst", "label", num_partitions)
         if round_i >= DOUBLING_START:
             labels = double(labels)
         new_sum = _label_sum(labels)
@@ -200,8 +189,8 @@ def attach_components(ds, labels, id_col: str,
         {id_col: b["node"], "comp": b["comp"]}), batch_format="pyarrow")
     empty = ds.schema().base_schema.empty_table().append_column(
         "comp", pa.array([], pa.int64()))
-    j = co_join(ds, right, id_col, num_partitions or groupby_partitions(),
-                empty, join_type="left outer")
+    j = co_join(ds, right, id_col, num_partitions, empty,
+                join_type="left outer")
 
     def coalesce(batch: pa.Table) -> pa.Table:
         comp = pc.coalesce(batch["comp"], batch[id_col])

@@ -42,7 +42,8 @@ import pyarrow.compute as pc
 import ray
 
 from pyrosm_ray.stages.similarity import _emb_matrix
-from pyrosm_ray.stages.blocks import co_join, exchange, groupby_partitions
+from pyrosm_ray.stages.blocks import co_join, exchange, fold, \
+    groupby_partitions
 from pyrosm_ray.stages.components import attach_components, \
     connected_components
 from pyrosm_ray.stages.hashing import combine3, hash64, stable64_many
@@ -127,12 +128,12 @@ def _char_ngrams(text: str, n: int = 3) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
-                num_partitions: int = 8):
+                num_partitions: int | None = None):
     """Keep the minimum-id row per normalised-content hash.
 
-    Normalisation = lower + whitespace collapse. The groupby shuffles only
-    (hash, id) pairs — content never moves; survivors are re-selected by a
-    distributed semi-join on id (no driver keep-set)."""
+    Normalisation = lower + whitespace collapse. One fold on the hash
+    moves only (hash, id) pairs — content never moves; survivors are
+    re-selected by a distributed semi-join on id (no driver keep-set)."""
     import hashlib
 
     def add_hash(batch: pa.Table) -> pa.Table:
@@ -144,74 +145,21 @@ def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
             id_col: batch[id_col],
         })
 
-    # the (hash, id) projection materializes ONCE and both the route gate
-    # and the chosen route read it — the upstream plan is never executed
-    # a second time just to pick a route (round-4 advice; the survivor
-    # re-select below still re-reads ``ds`` for the payload, the one
-    # inherent second pass shared by both routes). Narrow rows: ~50 B
-    # each, the same rows the shuffle route moves anyway.
-    hashed = ds.map_batches(add_hash, batch_format="pyarrow").materialize()
-
-    # driver fast path (the family policy): under the row ceiling the
-    # (hash, id) stream collects once, the min-id winner set resolves in
-    # one factorize pass, and survivors re-select by a broadcast
-    # membership filter — the groupby + hash-join machinery costs ~6 s
-    # on a 5 k-doc corpus regardless of data. Output-identical
-    # (route-parity-tested).
-    from pyrosm_ray.stages.blocks import KEYED_FOLD_DRIVER_MAX
-    if hashed.count() <= KEYED_FOLD_DRIVER_MAX:
-        import pandas as pd
-
-        import ray
-
-        hs_l, id_l = [], []
-        for b in hashed.iter_batches(batch_format="pyarrow"):
-            hs_l.append(np.asarray(b["content_hash"].to_pylist(),
-                                   dtype=object))
-            id_l.append(np.asarray(
-                b[id_col].to_numpy(zero_copy_only=False), np.int64))
-        if not hs_l:
-            return ds
-        codes, _ = pd.factorize(np.concatenate(hs_l))
-        ids = np.concatenate(id_l)
-        winners = np.full(codes.max() + 1 if len(codes) else 0,
-                          np.iinfo(np.int64).max, np.int64)
-        np.minimum.at(winners, codes, ids)
-        keep_sorted = np.sort(winners)
-        ref = ray.put(keep_sorted)
-
-        def member(batch: pa.Table) -> pa.Table:
-            ks = ray.get(ref)
-            bid = np.asarray(batch[id_col].to_numpy(
-                zero_copy_only=False), np.int64)
-            pos = np.clip(np.searchsorted(ks, bid), 0,
-                          max(len(ks) - 1, 0))
-            hit = (len(ks) > 0) & (ks[pos] == bid)
-            return batch.filter(pa.array(hit))
-
-        return ds.map_batches(member, batch_format="pyarrow")
-
-    nb = num_partitions or groupby_partitions()
-    id_type = hashed.schema().base_schema.field(id_col).type
-
-    def bucket(b: pa.Table) -> pa.Table:
-        h = stable64_many(b["content_hash"].to_pylist())
-        return b.append_column(
-            "__p", pa.array((h % np.uint64(nb)).astype(np.int64)))
-
     def pick(g: pa.Table) -> pa.Table:
         import pandas as pd
         m = pd.DataFrame({
             "h": g["content_hash"].to_pylist(),
             "i": g[id_col].to_numpy(zero_copy_only=False)}) \
             .groupby("h", sort=False)["i"].min()
-        return pa.table({id_col: pa.array(m.to_numpy(), id_type)})
+        return pa.table({id_col: pa.array(m.to_numpy(), g[id_col].type)})
 
-    keep_empty = pa.table({id_col: pa.array([], id_type)})
-    keep = exchange(hashed.map_batches(bucket, batch_format="pyarrow"),
-                    "__p", pick, nb, keep_empty)
-    # both sides hold rows here (an empty input took the driver route)
-    return co_join(ds, keep, id_col, nb, keep_empty)
+    # the (hash, id) projection streams once into the fold; the survivor
+    # re-select reads ``ds`` again for the payload, and an empty ``ds``
+    # yields a zero-row result in its own schema
+    keep = fold(ds.map_batches(add_hash, batch_format="pyarrow"),
+                "content_hash", pick, num_partitions,
+                pa.table({id_col: pa.array([], pa.int64())}))
+    return co_join(ds, keep, id_col, num_partitions, None)
 
 
 # ---------------------------------------------------------------------------
@@ -330,57 +278,38 @@ _PAIRS_EMPTY = pa.table({"a": pa.array([], pa.int64()),
 
 
 def _distinct_pairs(pairs_ds, num_partitions: int | None = None):
-    """Distinct (a, b) pairs, exchanged on raw tasks (the result holds
-    reduce refs, so callers' count()/join reuse them).
-
-    Manual bucket + in-group lexsort-dedupe, NOT ``groupby(["a","b"])``:
-    Ray's HashAggregate treats every distinct pair as a group key (the
-    many-distinct-key pathology measured at 7x on line_dedup); one
-    coarse hash bucket per partition does the same dedupe in one
-    C-level pass per group."""
-    nb = num_partitions or groupby_partitions()
-
-    def bucket(t: pa.Table) -> pa.Table:
-        a = np.asarray(t["a"].to_numpy(zero_copy_only=False), np.int64) \
-            .view(np.uint64)
-        b = np.asarray(t["b"].to_numpy(zero_copy_only=False), np.int64) \
-            .view(np.uint64)
-        key = a * np.uint64(0x9E3779B97F4A7C15) ^ b
-        return t.append_column(
-            "__p", pa.array((key % np.uint64(nb)).astype(np.int64)))
-
-    def fold(g: pa.Table) -> pa.Table:
+    """Distinct (a, b) pairs: one fold on the pair with an in-partition
+    lexsort-dedupe (the result holds reduce refs, so callers'
+    count()/join reuse them)."""
+    def distinct(g: pa.Table) -> pa.Table:
         a, b = _distinct_pairs_np(
             np.asarray(g["a"].to_numpy(zero_copy_only=False), np.int64),
             np.asarray(g["b"].to_numpy(zero_copy_only=False), np.int64))
         return pa.table({"a": pa.array(a, pa.int64()),
                          "b": pa.array(b, pa.int64())})
 
-    return exchange(pairs_ds.map_batches(bucket, batch_format="pyarrow"),
-                    "__p", fold, nb, _PAIRS_EMPTY)
+    return fold(pairs_ds, ["a", "b"], distinct, num_partitions,
+                _PAIRS_EMPTY)
 
 
 def _keyed_pairs_bucketed(rows_ds, key_cols: list[str], id_col: str,
                           num_partitions: int | None = None,
                           cap: int = 1 << 30):
     """Candidate (a, b) pairs within each exact ``key_cols`` group,
-    via ONE coarse raw-task exchange: rows bucket by key-hash % nb (same-key
-    rows always co-bucket), and the per-bucket fold generates every
-    group's pairs in one vectorised pass — segment the sorted rows by
-    key, then for row j of its segment emit (all earlier ids, id_j)
-    with the standard repeat/arange construction. Groups above ``cap``
-    degrade to the consecutive chain (connectivity preserved — same
-    rule as the per-group form). Replaces
-    ``groupby(key).map_groups(_bucket_pairs)``: Ray's HashAggregate
-    pays per distinct key (band-buckets / grams are ~|corpus| distinct),
-    the fold pays per PARTITION.
+    via ONE raw-task fold on ``key_cols``: every group's rows share a
+    partition, and each partition generates every group's pairs in one
+    vectorised pass — segment the sorted rows by key, then for row j of
+    its segment emit (all earlier ids, id_j) with the standard
+    repeat/arange construction. Groups above ``cap`` degrade to the
+    consecutive chain (connectivity preserved — same rule as the
+    per-group form). The fold pays per PARTITION, not per distinct key
+    (band-buckets / grams are ~|corpus| distinct).
 
-    Key columns of any type collapse to one 64-bit digest (ints through
-    :func:`hash64`, everything else through the stable string hash); a
-    digest collision can only ADD a candidate pair, and every caller
-    exact-verifies candidates downstream, so outputs stay exact."""
-    nb = num_partitions or groupby_partitions()
-
+    Inside a partition, key columns of any type collapse to one 64-bit
+    digest (ints through :func:`hash64`, everything else through the
+    stable string hash); a digest collision can only ADD a candidate
+    pair, and every caller exact-verifies candidates downstream, so
+    outputs stay exact."""
     def digest(t: pa.Table) -> np.ndarray:
         key = np.zeros(t.num_rows, np.uint64)
         for c in key_cols:
@@ -395,33 +324,19 @@ def _keyed_pairs_bucketed(rows_ds, key_cols: list[str], id_col: str,
             key = key * np.uint64(0x100000001B3) ^ h
         return key
 
-    def bucket(t: pa.Table) -> pa.Table:
-        key = digest(t)
-        return pa.table({
-            "__k": pa.array(key.view(np.int64), pa.int64()),
-            id_col: t[id_col],
-            "__p": pa.array((key % np.uint64(nb)).astype(np.int64)),
-        })
-
-    def fold(g: pa.Table) -> pa.Table:
-        keys = np.asarray(g["__k"].to_numpy(zero_copy_only=False),
-                          np.int64)
+    def pairs(g: pa.Table) -> pa.Table:
+        keys = digest(g).view(np.int64)
         ids = np.asarray(g[id_col].to_numpy(zero_copy_only=False),
                          np.int64)
         order = np.lexsort((ids, keys))
         ids, keys = ids[order], keys[order]
-        # drop duplicate (key, id) rows
-        if len(ids):
-            keep = np.ones(len(ids), bool)
-            keep[1:] = ~((keys[1:] == keys[:-1]) & (ids[1:] == ids[:-1]))
-            ids, keys = ids[keep], keys[keep]
-            seg_id = np.zeros(len(ids), np.int64)
-            seg_id[1:] = np.cumsum(keys[1:] != keys[:-1])
-        else:
-            seg_id = ids
+        # drop duplicate (key, id) rows (a fold never sees zero rows)
+        keep = np.ones(len(ids), bool)
+        keep[1:] = ~((keys[1:] == keys[:-1]) & (ids[1:] == ids[:-1]))
+        ids, keys = ids[keep], keys[keep]
+        seg_id = np.zeros(len(ids), np.int64)
+        seg_id[1:] = np.cumsum(keys[1:] != keys[:-1])
         n = len(ids)
-        if n == 0:
-            return _PAIRS_EMPTY
         first = np.nonzero(np.r_[True, seg_id[1:] != seg_id[:-1]])[0]
         seg_start = first[seg_id]                     # start row per row
         seg_len = np.bincount(seg_id)
@@ -441,8 +356,7 @@ def _keyed_pairs_bucketed(rows_ds, key_cols: list[str], id_col: str,
         return pa.table({"a": pa.array(ids[a_idx], pa.int64()),
                          "b": pa.array(ids[b_idx], pa.int64())})
 
-    return exchange(rows_ds.map_batches(bucket, batch_format="pyarrow"),
-                    "__p", fold, nb, _PAIRS_EMPTY)
+    return fold(rows_ds, key_cols, pairs, num_partitions, _PAIRS_EMPTY)
 
 
 def _binary_u64_csr(col) -> tuple[np.ndarray, np.ndarray]:
@@ -1648,7 +1562,8 @@ KEEP_BROADCAST_MAX = 1 << 22  # survivor-id broadcast ceiling (32 MB)
 
 
 def incremental_dedup(new_ds, ref_ds, id_col: str = "doc_id",
-                      text_col: str = "text", num_partitions: int = 8,
+                      text_col: str = "text",
+                      num_partitions: int | None = None,
                       bloom_bits_per_item: int = 0):
     """Cross-snapshot ingest dedup: keep a NEW document iff its
     normalised content (lower + whitespace collapse) appears in neither
@@ -1657,10 +1572,10 @@ def incremental_dedup(new_ds, ref_ds, id_col: str = "doc_id",
 
     The shape that holds when the reference corpus is the 100-TB side:
     only (hash, id) pairs shuffle — content never moves — and the
-    reference reduces to hash rows carrying a -1 sentinel; hashes bucket
-    by ``hash % nb`` so the decision fold runs once per BUCKET with one
-    C-level groupby-min inside (a -1 min marks a reference hit), not
-    once per distinct hash; winners re-select their full rows by a
+    reference reduces to hash rows carrying a -1 sentinel; one fold on
+    the hash runs the decision once per PARTITION with one C-level
+    groupby-min inside (a -1 min marks a reference hit), not once per
+    distinct hash; winners re-select their full rows by a
     distributed semi-join (no driver keep-set, no broadcast of the big
     side).
 
@@ -1677,7 +1592,6 @@ def incremental_dedup(new_ds, ref_ds, id_col: str = "doc_id",
     ref_h = ref_ds.map_batches(
         lambda b: _content_hash_tbl(b, id_col, text_col, True),
         batch_format="pyarrow")
-    nbk = num_partitions or groupby_partitions()
 
     if bloom_bits_per_item > 0:
         # pass 1 (map-only): candidate hashes = new docs possibly in ref
@@ -1694,12 +1608,6 @@ def incremental_dedup(new_ds, ref_ds, id_col: str = "doc_id",
         ref_h = _bloom_filter_ds(ref_h, cand_words, mc, kc,
                                  keep_hits=True)
 
-    def bucket(b: pa.Table) -> pa.Table:
-        h = np.asarray(b["__h"].to_numpy(zero_copy_only=False),
-                       np.int64).view(np.uint64)
-        return b.append_column(
-            "__p", pa.array((h % np.uint64(nbk)).astype(np.int64)))
-
     def pick(group: pa.Table) -> pa.Table:
         import pandas as pd
         df = pd.DataFrame({
@@ -1708,47 +1616,24 @@ def incremental_dedup(new_ds, ref_ds, id_col: str = "doc_id",
         m = df.groupby("h", sort=False)["i"].min().to_numpy(np.int64)
         return pa.table({id_col: pa.array(m[m >= 0], pa.int64())})
 
-    # decision-fold driver gate (family policy): under the row ceiling
-    # the whole (hash, id) stream collects once and ONE pick pass
-    # replaces the union exchange's task fan-out — identical
-    # semantics (min per hash is global either way)
-    from pyrosm_ray.stages.blocks import KEYED_FOLD_DRIVER_MAX
     keep_empty = pa.table({id_col: pa.array([], pa.int64())})
-    try:
-        small = int(new_ds.count()) + int(ref_ds.count()) \
-            <= KEYED_FOLD_DRIVER_MAX
-    except Exception:
-        small = False
-    if small:
-        import ray.data as rd
-        parts = [pa.table(b) for b in new_h.union(ref_h).iter_batches(
-            batch_format="pyarrow")]
-        parts = [t for t in parts if t.num_rows]
-        keep = rd.from_arrow(
-            pick(pa.concat_tables(parts)) if parts else keep_empty)
-    else:
-        keep = exchange(new_h.union(ref_h).map_batches(
-            bucket, batch_format="pyarrow"), "__p", pick, nbk, keep_empty)
+    keep = fold(new_h.union(ref_h), "__h", pick, num_partitions,
+                keep_empty)
     # winner re-select: the keep set is ids-only (8 B/row, already an
     # all-to-all output), so materialize it and gate on ITS size — up
     # to KEEP_BROADCAST_MAX ids (<=32 MB) the survivors broadcast once
     # and the re-select is a map-only searchsorted filter; past that
     # the distributed hash semi-join below is the contract (no driver
-    # keep-set).
+    # keep-set). No survivors also takes the semi-join, which types its
+    # zero-row result from ``new_ds``'s blocks.
     keep = keep.materialize()
-    if keep.count() <= KEEP_BROADCAST_MAX:
-        parts = [np.asarray(t[id_col].to_numpy(
-                     zero_copy_only=False), np.int64)
-                 for t in keep.to_arrow_refs()
-                 for t in [ray.get(t)] if t.num_rows]
-        ids = np.sort(np.concatenate(parts)) if parts \
-            else np.empty(0, np.int64)
-        ids_ref = ray.put(ids)
+    if 0 < keep.count() <= KEEP_BROADCAST_MAX:
+        ids_ref = ray.put(np.sort(np.concatenate([
+            np.asarray(t[id_col].to_numpy(zero_copy_only=False), np.int64)
+            for t in map(ray.get, keep.to_arrow_refs())])))
 
         def keep_filter(b: pa.Table) -> pa.Table:
             arr = ray.get(ids_ref)
-            if not len(arr) or not b.num_rows:
-                return b.slice(0, 0)
             v = np.asarray(b[id_col].to_numpy(zero_copy_only=False),
                            np.int64)
             pos = np.searchsorted(arr, v)
@@ -1757,7 +1642,7 @@ def incremental_dedup(new_ds, ref_ds, id_col: str = "doc_id",
             return b.filter(pa.array(m))
 
         return new_ds.map_batches(keep_filter, batch_format="pyarrow")
-    return co_join(new_ds, keep, id_col, nbk, keep_empty)
+    return co_join(new_ds, keep, id_col, num_partitions, None)
 
 
 # ---------------------------------------------------------------------------
@@ -1853,9 +1738,9 @@ def line_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
       (:func:`hashing.stable128_many`; collision odds ~2^-64 at 10^12
       distinct lines), so only three int64s per line cross the wire;
       line TEXT moves exactly once — survivors and exploded lines
-      co-bucket by doc-id hash (a keep-key's doc IS its surviving doc:
-      ``ordkey >> 20``) in ONE union+groupby shuffle whose in-group fold
-      is a sorted ``np.isin`` + the vectorised reassembly.
+      co-locate by doc id (a keep-key's doc IS its surviving doc:
+      ``ordkey >> 20``) in ONE union fold whose per-partition pass is a
+      sorted ``np.isin`` + the vectorised reassembly.
     * ``shuffle_key="line"``: groups on the raw line string — exact with
       no hash caveat, at the cost of shuffling text in the groupby and
       the survivor join. The bit-replicable oracle route.
@@ -1873,23 +1758,13 @@ def line_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
     if shuffle_key != "line":
         raise ValueError(f"shuffle_key must be 'hash' or 'line', "
                          f"got {shuffle_key!r}")
-    nb = num_partitions or groupby_partitions()
     ex = ds.map_batches(
         lambda b: _explode_lines(b, id_col, text_col, delim, carry_cols),
         batch_format="pyarrow")
 
-    # first-occurrence decision: bucket by the LINE's hash (all copies of
-    # a line co-locate), fold per bucket with an in-group pandas groupby
-    # on the raw string — exact even under hash collision. Manual
-    # bucket + fold, not Ray's HashAggregate: a many-distinct-key
-    # aggregate is ~7x slower than a 64-bucket map_groups whose fold is
-    # one C-level groupby (measured at sf0.1: 21.7 s vs 3.2 s).
-    def line_bucket(b: pa.Table) -> pa.Table:
-        from pyrosm_ray.stages.hashing import stable64_many
-        h = stable64_many(b["__line"].to_pylist())
-        return b.append_column(
-            "__p", pa.array((h % np.uint64(nb)).astype(np.int64)))
-
+    # first-occurrence decision: fold on the LINE (all copies of a line
+    # co-locate), one in-partition pandas groupby on the raw string —
+    # exact even under hash collision
     def fold_first(g: pa.Table) -> pa.Table:
         import pandas as pd
         df = pd.DataFrame({
@@ -1899,24 +1774,13 @@ def line_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
         return pa.table({"__ordkey": pa.array(m.to_numpy(np.int64))})
 
     keep_empty = pa.table({"__ordkey": pa.array([], pa.int64())})
-    keep = exchange(ex.select_columns(["__line", "__ordkey"])
-                    .map_batches(line_bucket, batch_format="pyarrow"),
-                    "__p", fold_first, nb, keep_empty)
+    keep = fold(ex.select_columns(["__line", "__ordkey"]), "__line",
+                fold_first, num_partitions, keep_empty)
     # an empty input leaves no keys, so the reassembly below sees no rows
-    surv = co_join(ex, keep, "__ordkey", nb, keep_empty)
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        ids = np.asarray(b[id_col].to_numpy(zero_copy_only=False),
-                         np.uint64)
-        return b.append_column(
-            "__bucket", pa.array((hash64(ids, 7) % np.uint64(nb))
-                                 .astype(np.int64), pa.int64()))
-
-    return exchange(surv.map_batches(add_bucket, batch_format="pyarrow"),
-                    "__bucket", lambda g: _reassemble_lines(
-                        g, id_col, delim, out_col, carry_cols), nb,
-                    _reassemble_lines(pa.table({}), id_col, delim, out_col,
-                                      carry_cols))
+    surv = co_join(ex, keep, "__ordkey", num_partitions, keep_empty)
+    return fold(surv, id_col, lambda g: _reassemble_lines(
+        g, id_col, delim, out_col, carry_cols), num_partitions,
+        _reassemble_lines(pa.table({}), id_col, delim, out_col, carry_cols))
 
 
 def _line_dedup_hash(ds, id_col: str, text_col: str, delim: str,
@@ -1924,8 +1788,6 @@ def _line_dedup_hash(ds, id_col: str, text_col: str, delim: str,
                      num_partitions: int | None):
     """Hash-keyed route: ints decide, text moves once (see line_dedup)."""
     from pyrosm_ray.stages.hashing import stable128_many
-
-    nb = num_partitions or groupby_partitions()
 
     def explode_hashed(batch: pa.Table) -> pa.Table:
         ex = _explode_lines(batch, id_col, text_col, delim, carry_cols)
@@ -1935,17 +1797,9 @@ def _line_dedup_hash(ds, id_col: str, text_col: str, delim: str,
 
     ex = ds.map_batches(explode_hashed, batch_format="pyarrow")
 
-    # manual bucket + in-group C-level fold, not Ray's HashAggregate —
-    # see the exact route's comment (7x, measured)
-    def hash_bucket(b: pa.Table) -> pa.Table:
-        h1 = np.asarray(b["__h1"].to_numpy(zero_copy_only=False),
-                        np.int64).view(np.uint64)
-        return b.append_column(
-            "__p", pa.array((h1 % np.uint64(nb)).astype(np.int64)))
-
     def fold_first(g: pa.Table) -> pa.Table:
         # a keep-key's doc IS the doc that keeps the line, so the keep
-        # row routes straight to that doc's reassembly bucket
+        # row carries that doc's id and folds with its lines
         import pandas as pd
         df = pd.DataFrame({
             "h1": g["__h1"].to_numpy(zero_copy_only=False),
@@ -1953,30 +1807,22 @@ def _line_dedup_hash(ds, id_col: str, text_col: str, delim: str,
             "k": g["__ordkey"].to_numpy(zero_copy_only=False)})
         k = df.groupby(["h1", "h2"], sort=False)["k"].min() \
             .to_numpy(np.int64)
-        docs = (k >> _ORD_BITS).astype(np.uint64)
         return pa.table({
-            "__bucket": pa.array(
-                (hash64(docs, 7) % np.uint64(nb)).astype(np.int64)),
             "__side": pa.array(np.ones(len(k), np.int64)),
             "__ordkey": pa.array(k),
-            id_col: pa.nulls(len(k), pa.int64()),
+            id_col: pa.array(k >> _ORD_BITS, pa.int64()),
             "__ord": pa.nulls(len(k), pa.int64()),
             "__line": pa.nulls(len(k), pa.string()),
             **{c: pa.nulls(len(k), pa.string()) for c in carry_cols},
         })
 
     keys = ["__h1", "__h2", "__ordkey"]
-    keep = exchange(ex.select_columns(keys)
-                    .map_batches(hash_bucket, batch_format="pyarrow"),
-                    "__p", fold_first, nb, fold_first(pa.table(
-                        {c: pa.array([], pa.int64()) for c in keys})))
+    keep = fold(ex.select_columns(keys), ["__h1", "__h2"], fold_first,
+                num_partitions, fold_first(pa.table(
+                    {c: pa.array([], pa.int64()) for c in keys})))
 
-    def lines_bucketed(b: pa.Table) -> pa.Table:
-        ids = np.asarray(b[id_col].to_numpy(zero_copy_only=False),
-                         np.uint64)
+    def lines(b: pa.Table) -> pa.Table:
         cols = {
-            "__bucket": pa.array(
-                (hash64(ids, 7) % np.uint64(nb)).astype(np.int64)),
             "__side": pa.array(np.zeros(len(b), np.int64)),
             "__ordkey": b["__ordkey"],
             id_col: b[id_col],
@@ -1987,10 +1833,9 @@ def _line_dedup_hash(ds, id_col: str, text_col: str, delim: str,
             cols[c] = b[c]
         return pa.table(cols)
 
-    both = ex.map_batches(lines_bucketed, batch_format="pyarrow") \
-        .union(keep)
+    both = ex.map_batches(lines, batch_format="pyarrow").union(keep)
 
-    def fold(g: pa.Table) -> pa.Table:
+    def survivors(g: pa.Table) -> pa.Table:
         side = np.asarray(g["__side"].to_numpy(zero_copy_only=False),
                           np.int64)
         ok = np.asarray(g["__ordkey"].to_numpy(zero_copy_only=False),
@@ -2005,7 +1850,7 @@ def _line_dedup_hash(ds, id_col: str, text_col: str, delim: str,
             .select([id_col, "__ord", "__line"] + carry_cols)
         return _reassemble_lines(surv, id_col, delim, out_col, carry_cols)
 
-    return exchange(both, "__bucket", fold, nb, _reassemble_lines(
+    return fold(both, id_col, survivors, num_partitions, _reassemble_lines(
         pa.table({}), id_col, delim, out_col, carry_cols))
 
 
@@ -2116,9 +1961,9 @@ def snapshot_diff(old_ds, new_ds, id_col: str = "doc_id",
 
     Scale shape (the :func:`incremental_dedup` contract): each side
     reduces in ONE stateless pass to (id, side, 128-bit content key)
-    rows — text never shuffles — then one id-bucketed union fold
-    (:func:`pyrosm_ray.stages.blocks.exchange`) decides every id's status
-    with a factorize + scatter compare per BUCKET. Each upstream plan
+    rows — text never shuffles — then one union fold on the id
+    (:func:`pyrosm_ray.stages.blocks.fold`) decides every id's status
+    with a factorize + scatter compare per partition. Each upstream plan
     runs once.
     Ids are unique per snapshot (the document-key contract). The DuckDB
     twin is the FULL OUTER JOIN with a raw text-equality CASE; md5-128
@@ -2127,9 +1972,7 @@ def snapshot_diff(old_ds, new_ds, id_col: str = "doc_id",
 
     Output: ``(doc_id, status)``, one row per id in either snapshot.
     """
-    from pyrosm_ray.stages.hashing import hash64, stable128_many
-
-    nb = num_partitions or groupby_partitions()
+    from pyrosm_ray.stages.hashing import stable128_many
 
     def keyed(side: int):
         def run(b: pa.Table) -> pa.Table:
@@ -2141,16 +1984,13 @@ def snapshot_diff(old_ds, new_ds, id_col: str = "doc_id",
                 "side": pa.array(np.full(len(ids), side, np.int64)),
                 "lo": pa.array(lo.view(np.int64), pa.int64()),
                 "hi": pa.array(hi.view(np.int64), pa.int64()),
-                "__q": pa.array(
-                    (hash64(ids.view(np.uint64), 41)
-                     % np.uint64(nb)).astype(np.int64)),
             })
         return run
 
     u = old_ds.map_batches(keyed(0), batch_format="pyarrow") \
         .union(new_ds.map_batches(keyed(1), batch_format="pyarrow"))
 
-    def fold(g: pa.Table) -> pa.Table:
+    def status(g: pa.Table) -> pa.Table:
         import pandas as pd
         ids = np.asarray(g["id"].to_numpy(zero_copy_only=False),
                          np.int64)
@@ -2176,7 +2016,7 @@ def snapshot_diff(old_ds, new_ds, id_col: str = "doc_id",
                          "status": pa.array(status.astype(object),
                                             pa.string())})
 
-    return exchange(u, "__q", fold, nb, pa.table({
+    return fold(u, "id", status, num_partitions, pa.table({
         id_col: pa.array([], pa.int64()),
         "status": pa.array([], pa.string())}))
 

@@ -2,9 +2,9 @@
 latest version per element; an invisible latest drops the element —
 /root/reference/pyrosm/data_filter.pyx:340-343).
 
-Fully distributed and vectorised: rows hash-bucket by id through one
-raw-task exchange (:func:`pyrosm_ray.stages.blocks.exchange`), and each
-bucket picks every id's last version with a lexsort + last-per-id mask.
+Fully distributed and vectorised: rows co-partition by id through one
+raw-task fold (:func:`pyrosm_ray.stages.blocks.fold`), and each
+partition picks every id's last version with a lexsort + last-per-id mask.
 No per-id Python groups and no join, so nested ``refs``/``tags``
 columns ride through untouched."""
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from pyrosm_ray.stages.blocks import exchange, groupby_partitions
+from pyrosm_ray.stages.blocks import fold
 
 
 def latest_versions(ds, id_col: str = "id", version_col: str = "version",
@@ -111,31 +111,19 @@ def _last_per_id(k):
 def latest_at_bucketed(ds, timestamp, id_col: str = "id",
                        version_col: str = "version",
                        visible_col: str | None = "visible",
-                       ts_col: str = "timestamp",
-                       num_buckets: int = 64):
+                       ts_col: str = "timestamp"):
     """Fully distributed ``latest_at`` for payload-agnostic tables whose
     live-key set exceeds the broadcast contract of :func:`latest_at_any`:
-    rows hash-bucket by id (one exchange carrying the payload once), and
-    each bucket picks every id's max surviving version vectorised. The
-    number of buckets bounds group size; one id's versions must fit a
-    worker. ``timestamp=None`` applies no cutoff."""
+    one fold on the id carries the payload once, and each partition
+    picks every id's max surviving version vectorised. One id's versions
+    must fit a worker. ``timestamp=None`` applies no cutoff."""
     import numpy as np
 
-    cutoff = None if timestamp is None else normalize_timestamp(timestamp)
+    limit = None if timestamp is None else normalize_timestamp(timestamp)
 
-    def cutoff_and_bucket(batch: pa.Table) -> pa.Table:
-        if cutoff is not None:
-            ts = pc.cast(pc.cast(batch[ts_col], pa.timestamp("s")),
-                         pa.int64())
-            batch = batch.filter(
-                pc.fill_null(pc.less_equal(ts, cutoff), False))
-        ids = np.asarray(batch[id_col].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
-        # multiplicative hash: dense OSM id ranges spread evenly
-        h = (ids.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) \
-            >> np.uint64(52)
-        return batch.append_column(
-            "__bucket", pa.array((h % num_buckets).astype(np.int64)))
+    def cutoff(batch: pa.Table) -> pa.Table:
+        ts = pc.cast(pc.cast(batch[ts_col], pa.timestamp("s")), pa.int64())
+        return batch.filter(pc.fill_null(pc.less_equal(ts, limit), False))
 
     def pick_latest(group: pa.Table) -> pa.Table:
         n = group.num_rows
@@ -152,13 +140,12 @@ def latest_at_bucketed(ds, timestamp, id_col: str = "id",
             vis = np.asarray(pc.fill_null(group[visible_col], False)
                              .to_numpy(zero_copy_only=False))
             keep = keep[vis[keep]]
-        return group.take(pa.array(np.sort(keep))) \
-            .drop_columns(["__bucket"])
+        return group.take(pa.array(np.sort(keep)))
 
     empty = ds.schema().base_schema.empty_table()
-    return exchange(ds.map_batches(cutoff_and_bucket, batch_format="pyarrow"),
-                    "__bucket", pick_latest, groupby_partitions(num_buckets),
-                    empty)
+    if limit is not None:
+        ds = ds.map_batches(cutoff, batch_format="pyarrow")
+    return fold(ds, id_col, pick_latest, None, empty)
 
 
 def latest_at(ds, timestamp, id_col: str = "id",

@@ -8,11 +8,11 @@ runs an integer-exact PageRank over it.
 
 Execution shape:
 
-- ``click_edges``: ONE raw-task exchange co-partitions each user's whole
-  stream (the :mod:`pyrosm_ray.stages.windows` bucketed-fold pattern —
-  per-BUCKET segmented numpy, no per-user Python); consecutive-pair
-  edges then dedupe through the same coarse hash-bucket fold the dedup
-  family uses, so exchanged bytes are bounded by distinct edges.
+- ``click_edges``: ONE raw-task fold on the user co-partitions each
+  user's whole stream (the :mod:`pyrosm_ray.stages.windows` pattern —
+  per-partition segmented numpy, no per-user Python); consecutive-pair
+  edges then dedupe through one fold on the (src, dst) pair, so
+  exchanged bytes are bounded by distinct edges.
 - ``pagerank``: one gate over two routes. Edge sets up to
   :data:`EDGES_DRIVER_MAX` collect once and iterate in numpy on the
   driver; larger ones run :func:`pagerank_partitioned`, a Pregel-style
@@ -43,8 +43,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from pyrosm_ray.stages.blocks import exchange, groupby_partitions
-from pyrosm_ray.stages.windows import _bucket_of
+from pyrosm_ray.stages.blocks import fold
 
 R0_MICRO = 1_000_000
 TELEPORT_MICRO = 150_000     # (1-d) = 0.15
@@ -74,19 +73,12 @@ def click_edges(ds, user_col: str = "user_id", ts_col: str = "ts",
 
     Event streams under :data:`EVENTS_DRIVER_MAX` rows collect and fold
     once on the driver (the dedup-family driver policy — two shuffles'
-    fixed cost dominates at that size); the bucketed fold below is the
+    fixed cost dominates at that size); the per-user fold below is the
     10^12-event shape. Identical output, route-parity-tested."""
-    nb = num_partitions or groupby_partitions()
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        u = np.asarray(b[user_col].to_numpy(zero_copy_only=False),
-                       np.int64)
-        return b.append_column("__p", pa.array(_bucket_of(u, nb)))
-
     empty = pa.table({"src": pa.array([], pa.int64()),
                       "dst": pa.array([], pa.int64())})
 
-    def per_bucket(g: pa.Table) -> pa.Table:
+    def per_part(g: pa.Table) -> pa.Table:
         u = np.asarray(g[user_col].to_numpy(zero_copy_only=False),
                        np.int64)
         ts = np.asarray(g[ts_col].to_numpy(zero_copy_only=False)
@@ -120,32 +112,22 @@ def click_edges(ds, user_col: str = "user_id", ts_col: str = "ts",
         tbl = pa.concat_tables(parts) if parts else None
         if tbl is None or not len(tbl):
             return rd.from_arrow(empty)
-        # the whole stream is one "bucket": the fold body already
+        # the whole stream is one partition: the fold body already
         # dedupes, so its single-pass output IS the distinct edge set
-        return rd.from_arrow(per_bucket(tbl))
+        return rd.from_arrow(per_part(tbl))
 
-    pairs = exchange(ds.map_batches(add_bucket, batch_format="pyarrow"),
-                     "__p", per_bucket, nb, empty)
-    return _distinct_edges(pairs, nb)
+    pairs = fold(ds, user_col, per_part, num_partitions, empty)
+    return _distinct_edges(pairs, num_partitions)
 
 
-def _distinct_edges(pairs, nb: int):
-    """Global distinct over (src, dst) int64 edges through the coarse-
-    hash fold (same shape as the dedup family's _distinct_pairs; bytes
+def _distinct_edges(pairs, nb: int | None):
+    """Global distinct over (src, dst) int64 edges: one fold on the
+    pair (same shape as the dedup family's _distinct_pairs; bytes
     bounded by distinct edges)."""
     empty = pa.table({"src": pa.array([], pa.int64()),
                       "dst": pa.array([], pa.int64())})
 
-    def bucket_e(t: pa.Table) -> pa.Table:
-        s = np.asarray(t["src"].to_numpy(zero_copy_only=False),
-                       np.int64).view(np.uint64)
-        d = np.asarray(t["dst"].to_numpy(zero_copy_only=False),
-                       np.int64).view(np.uint64)
-        h = s * np.uint64(0x9E3779B97F4A7C15) ^ d
-        return t.append_column(
-            "__q", pa.array((h % np.uint64(nb)).astype(np.int64)))
-
-    def fold(g: pa.Table) -> pa.Table:
+    def distinct(g: pa.Table) -> pa.Table:
         s = np.asarray(g["src"].to_numpy(zero_copy_only=False), np.int64)
         d = np.asarray(g["dst"].to_numpy(zero_copy_only=False), np.int64)
         o = np.lexsort((d, s))
@@ -155,8 +137,7 @@ def _distinct_edges(pairs, nb: int):
         return pa.table({"src": pa.array(s[first], pa.int64()),
                          "dst": pa.array(d[first], pa.int64())})
 
-    return exchange(pairs.map_batches(bucket_e, batch_format="pyarrow"),
-                    "__q", fold, nb, empty)
+    return fold(pairs, ["src", "dst"], distinct, nb, empty)
 
 
 EDGES_DRIVER_MAX = 1 << 22  # 16 B/edge -> <=64 MB collects to the driver
@@ -230,8 +211,6 @@ def host_edges(links, url_col: str = "url", href_col: str = "href",
     Relative hrefs (no scheme://host) and self-host links drop."""
     from pyrosm_ray.stages.urls import extract_host_batch
 
-    nb = num_partitions or groupby_partitions()
-
     def hosts(b: pa.Table) -> pa.Table:
         b = extract_host_batch(b, url_col=url_col, out_col="src_host")
         b = extract_host_batch(b, url_col=href_col, out_col="dst_host")
@@ -253,17 +232,7 @@ def host_edges(links, url_col: str = "url", href_col: str = "href",
 
     pairs = links.map_batches(hosts, batch_format="pyarrow")
 
-    # global distinct through the same coarse-hash fold, keyed on the
-    # 64-bit content hash of the pair (names ride the exchange once)
-    from pyrosm_ray.stages.hashing import stable64_many
-
-    def bucket_s(t: pa.Table) -> pa.Table:
-        h = stable64_many([a + "\x00" + b for a, b in
-                           zip(t["src_host"].to_pylist(),
-                               t["dst_host"].to_pylist())])
-        return t.append_column(
-            "__q", pa.array((h % np.uint64(nb)).astype(np.int64)))
-
+    # global distinct: one fold on the host pair
     def fold_s(g: pa.Table) -> pa.Table:
         import pandas as pd
         df = pd.DataFrame({"src_host": g["src_host"].to_pylist(),
@@ -274,10 +243,9 @@ def host_edges(links, url_col: str = "url", href_col: str = "href",
             "dst_host": pa.array(df["dst_host"].to_numpy(), pa.string()),
         })
 
-    return exchange(pairs.map_batches(bucket_s, batch_format="pyarrow"),
-                    "__q", fold_s, nb,
-                    pa.table({"src_host": pa.array([], pa.string()),
-                              "dst_host": pa.array([], pa.string())}))
+    return fold(pairs, ["src_host", "dst_host"], fold_s, num_partitions,
+                pa.table({"src_host": pa.array([], pa.string()),
+                          "dst_host": pa.array([], pa.string())}))
 
 
 def pagerank_named(edges, iters: int = 5, src_col: str = "src_host",

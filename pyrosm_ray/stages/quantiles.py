@@ -38,7 +38,7 @@ import math
 import numpy as np
 import pyarrow as pa
 
-from pyrosm_ray.stages.blocks import exchange, groupby_partitions
+from pyrosm_ray.stages.blocks import exchange, fold
 
 
 def _histogram_batch(batch: pa.Table, group_col: str,
@@ -99,6 +99,22 @@ def _fold_thresholds(group: pa.Table, qs: list[float]) -> pa.Table:
     return pa.table(cols)
 
 
+def _merge_hist(t: pa.Table) -> pa.Table:
+    """Sum the counts of duplicate (group, value) histogram rows."""
+    import pandas as pd
+    codes, uniq = pd.factorize(
+        np.asarray(t["__g"].to_pylist(), dtype=object))
+    df = pd.DataFrame({
+        "__gc": codes,
+        "__v": t["__v"].to_numpy(zero_copy_only=False),
+        "__c": t["__c"].to_numpy(zero_copy_only=False)})
+    m = df.groupby(["__gc", "__v"], sort=False)["__c"].sum().reset_index()
+    return pa.table({
+        "__g": pa.array(uniq[m["__gc"].to_numpy()], pa.string()),
+        "__v": pa.array(m["__v"], pa.int64()),
+        "__c": pa.array(m["__c"], pa.int64())})
+
+
 def group_quantiles(ds, group_col: str, value_col: str,
                     qs: float | list[float]):
     """Exact per-group discrete quantiles of an integer metric column.
@@ -107,19 +123,17 @@ def group_quantiles(ds, group_col: str, value_col: str,
     ``q0..qN`` (one per requested quantile) — computed via the compact
     histogram route described in the module docstring.
 
-    Shuffle shape: the batch partials first merge on the COMPOUND
-    (group, value) hash — full cluster parallelism even with a handful
-    of groups (a group-keyed shuffle serialized ALL partial rows into
-    #groups partitions: measured 8 s of an 11.9 s wall on a 2 M-doc /
-    5-language corpus; merged-first it is ~1 s). The threshold read-off
-    then runs on the driver when the MERGED histogram fits the keyed
-    ceiling, else as a per-group fold over the (strictly smaller)
-    merged rows.
+    Shuffle shape: past the keyed ceiling the batch partials first merge
+    on the COMPOUND (group, value) key — full cluster parallelism even
+    with a handful of groups (a group-keyed shuffle serialized ALL
+    partial rows into #groups partitions: measured 8 s of an 11.9 s wall
+    on a 2 M-doc / 5-language corpus; merged-first it is ~1 s). The
+    threshold read-off then runs per group over the (strictly smaller)
+    merged rows, in one task while they fit the ceiling.
     """
-    import ray.data as rd
+    import ray
 
     from pyrosm_ray.stages.blocks import KEYED_FOLD_DRIVER_MAX
-    from pyrosm_ray.stages.hashing import hash64
 
     q_list = [qs] if isinstance(qs, float) else list(qs)
     empty = pa.table({"group": pa.array([], pa.string()),
@@ -133,81 +147,23 @@ def group_quantiles(ds, group_col: str, value_col: str,
     if n_part > KEYED_FOLD_DRIVER_MAX:
         # map-side combine (the keyed_sum_auto level): coalesce the
         # per-block histograms to cluster-width blocks without a keyed
-        # exchange and re-merge each — distinct (group, value) pairs
-        # repeat across blocks, so this usually collapses the stream
-        # under the driver ceiling and the bucket shuffle below never
-        # runs
-        import ray
-
+        # fold and re-merge each — distinct (group, value) pairs repeat
+        # across blocks, so this usually collapses the stream under the
+        # ceiling and the compound-key fold below never runs
         cpus = max(2, int(ray.cluster_resources().get("CPU", 8)))
-
-        def merge_b(t: pa.Table) -> pa.Table:
-            import pandas as pd
-            codes, uniq = pd.factorize(
-                np.asarray(t["__g"].to_pylist(), dtype=object))
-            df = pd.DataFrame({
-                "__gc": codes,
-                "__v": t["__v"].to_numpy(zero_copy_only=False),
-                "__c": t["__c"].to_numpy(zero_copy_only=False)})
-            m = df.groupby(["__gc", "__v"], sort=False)["__c"].sum() \
-                .reset_index()
-            return pa.table({
-                "__g": pa.array(uniq[m["__gc"].to_numpy()], pa.string()),
-                "__v": pa.array(m["__v"], pa.int64()),
-                "__c": pa.array(m["__c"], pa.int64())})
-
         merged = hist.repartition(cpus).map_batches(
-            merge_b, batch_format="pyarrow").materialize()
+            _merge_hist, batch_format="pyarrow").materialize()
         n_merged = merged.count()
         if n_merged < n_part:
             hist, n_part = merged, n_merged
 
     if n_part > KEYED_FOLD_DRIVER_MAX:
-        # merge duplicates on the compound key at full parallelism
-        nb = groupby_partitions()
-
-        def bucket(t: pa.Table) -> pa.Table:
-            from pyrosm_ray.stages.hashing import stable64_many
-            gh = stable64_many(t["__g"].to_pylist())
-            v = np.asarray(t["__v"].to_numpy(zero_copy_only=False),
-                           np.int64).view(np.uint64)
-            return t.append_column("__p", pa.array(
-                ((gh ^ hash64(v, 11)) % np.uint64(nb)).astype(np.int64)))
-
-        def merge(g: pa.Table) -> pa.Table:
-            import pandas as pd
-            codes, uniq = pd.factorize(
-                np.asarray(g["__g"].to_pylist(), dtype=object))
-            df = pd.DataFrame({
-                "__gc": codes,
-                "__v": g["__v"].to_numpy(zero_copy_only=False),
-                "__c": g["__c"].to_numpy(zero_copy_only=False)})
-            m = df.groupby(["__gc", "__v"], sort=False)["__c"].sum() \
-                .reset_index()
-            return pa.table({
-                "__g": pa.array(uniq[m["__gc"].to_numpy()], pa.string()),
-                "__v": pa.array(m["__v"], pa.int64()),
-                "__c": pa.array(m["__c"], pa.int64())})
-
-        hist = exchange(hist.map_batches(bucket, batch_format="pyarrow"),
-                        "__p", merge, nb,
-                        pa.table({"__g": pa.array([], pa.string()),
-                                  "__v": pa.array([], pa.int64()),
-                                  "__c": pa.array([], pa.int64())}))
-        n_part = hist.count()
-
-    if n_part > KEYED_FOLD_DRIVER_MAX:
-        # merged histogram still big (10^9 distinct pairs at 100 TB):
-        # distributed per-group threshold fold over the merged rows
-        return exchange(hist, "__g", lambda g: _fold_thresholds(g, q_list),
-                        groupby_partitions(), empty)
-    parts = [pa.table(b)
-             for b in hist.iter_batches(batch_format="pyarrow")]
-    parts = [t for t in parts if t.num_rows]
-    if not parts:
-        return rd.from_arrow(empty)
-    return rd.from_arrow(
-        _fold_thresholds(pa.concat_tables(parts), q_list))
+        hist = fold(hist, ["__g", "__v"], _merge_hist, None, pa.table({
+            "__g": pa.array([], pa.string()),
+            "__v": pa.array([], pa.int64()),
+            "__c": pa.array([], pa.int64())}))
+    return exchange(hist, "__g", lambda g: _fold_thresholds(g, q_list),
+                    None, empty)
 
 
 def _float_order_key(v: np.ndarray) -> np.ndarray:
@@ -306,38 +262,26 @@ def group_quantiles_continuous(ds, group_col: str, value_col: str,
                          "__b": pa.array(out["__b"], pa.int64()),
                          "__r": pa.array(out["__r"], pa.int64())})
 
-    from pyrosm_ray.stages.blocks import KEYED_FOLD_DRIVER_MAX
-
-    # both folds follow the family driver-fast-path policy: the partial
-    # histograms are bounded by blocks x bins (pass 1) / candidate rows
-    # (pass 2) — usually far below the keyed ceiling, where a shuffle is
-    # pure aggregator spin-up. Beyond the ceiling the group-keyed fold
-    # engages (per-group work is bin-bounded, so a group task stays
-    # small at any corpus size). Identical output either way.
-    hist = ds.map_batches(hist1, batch_format="pyarrow").materialize()
-    n1 = hist.count()
+    # both read-offs are group-keyed exchanges sized from their input:
+    # the partial histograms are bounded by blocks x bins (pass 1) /
+    # candidate rows (pass 2), usually within the keyed ceiling, where
+    # one task folds them; per-group work is bin-bounded, so a group
+    # task stays small at any corpus size
+    hist = ds.map_batches(hist1, batch_format="pyarrow")
     if stats is not None:
-        stats["pass1_rows"] = n1
-    hist_empty = pa.table({"__g": pa.array([], pa.string()),
-                           "__b": pa.array([], pa.int64()),
-                           "__c": pa.array([], pa.int64())})
-    if n1 <= KEYED_FOLD_DRIVER_MAX:
-        parts = [pa.table(b)
-                 for b in hist.iter_batches(batch_format="pyarrow")]
-        parts = [t for t in parts if t.num_rows]
-        cand = fold1(pa.concat_tables(parts) if parts else hist_empty) \
-            .to_pandas()
-    else:
-        cand = exchange(hist, "__g", fold1, groupby_partitions(),
-                        fold1(hist_empty)).to_pandas()
+        hist = hist.materialize()
+        stats["pass1_rows"] = hist.count()
+    cand = exchange(hist, "__g", fold1, None, fold1(pa.table({
+        "__g": pa.array([], pa.string()), "__b": pa.array([], pa.int64()),
+        "__c": pa.array([], pa.int64())}))).to_pandas()
+    if cand.empty:
+        return rd.from_arrow(empty)
     # one row per (group, quantile) — inherently tiny; broadcast
     targets: dict[str, dict] = {}
     for gname, sub in cand.groupby("__g", sort=False):
         targets[gname] = {
             "bins": np.unique(sub["__b"].to_numpy(np.int64)),
             "picks": list(zip(sub["__j"], sub["__b"], sub["__r"]))}
-    if not targets:
-        return rd.from_arrow(empty)
     t_ref = ray.put(targets)
 
     def keep2(batch: pa.Table) -> pa.Table:
@@ -398,18 +342,11 @@ def group_quantiles_continuous(ds, group_col: str, value_col: str,
             cols[f"q{j}"] = pa.array(rows[f"q{j}"], pa.float64())
         return pa.table(cols)
 
-    inbin = ds.map_batches(keep2, batch_format="pyarrow").materialize()
-    n2 = inbin.count()
+    inbin = ds.map_batches(keep2, batch_format="pyarrow")
     if stats is not None:
-        stats["pass2_rows"] = n2
-    if n2 <= KEYED_FOLD_DRIVER_MAX:
-        parts = [pa.table(b)
-                 for b in inbin.iter_batches(batch_format="pyarrow")]
-        parts = [t for t in parts if t.num_rows]
-        if not parts:
-            return rd.from_arrow(empty)
-        return rd.from_arrow(fold2(pa.concat_tables(parts)))
-    return exchange(inbin, "__g", fold2, groupby_partitions(), empty)
+        inbin = inbin.materialize()
+        stats["pass2_rows"] = inbin.count()
+    return exchange(inbin, "__g", fold2, None, empty)
 
 
 def quantile_filter(ds, group_col: str, value_col: str, q: float,

@@ -9,15 +9,12 @@ Scale shape: ONE scan of the corpus emits a combined partial table —
 one row per batch-local (source, lang, content-hash) group, carrying
 that group's doc/token/char sums — so the text is read once and never
 shuffled. The partial rows (no text, ≤1 per document) then make ONE
-raw-task exchange (``blocks.exchange``): they are bucketed by
-``content-hash % nparts``, so every occurrence of a hash lands in the
-same partition and a single per-partition fold computes doc/token/char
-sums, exact distinct-content counts AND the partition's distinct
-(source, lang) pairs — emitting a handful of rows per source. The final merge runs on the driver because
+raw-task fold on the content hash (``blocks.fold``), so every
+occurrence of a hash lands in the same partition and a single
+per-partition pass computes doc/token/char sums, exact distinct-content
+counts AND the partition's distinct (source, lang) pairs — emitting a
+handful of rows per source. The final merge runs on the driver because
 a per-source report is inherently tiny (#sources × #partitions rows).
-Measured motivation: each keyed Ray groupby carried ~2-3 s of fixed
-shuffle machinery regardless of data size; an earlier shape spent 4 of
-them, this one spends one exchange.
 """
 
 from __future__ import annotations
@@ -35,9 +32,8 @@ _REPORT_COLS = ["n_docs", "n_tokens", "sum_chars", "n_langs",
 
 
 def _partial(batch: pa.Table, source_col: str, text_col: str,
-             lang_col: str, nparts: int) -> pa.Table:
-    """One row per batch-local (source, lang, hash): c, nt, nc sums,
-    plus the hash's shuffle bucket ``__p`` (uint64 hash mod nparts)."""
+             lang_col: str) -> pa.Table:
+    """One row per batch-local (source, lang, hash): c, nt, nc sums."""
     import pyarrow.compute as pc
     hs = stable64_many(batch[text_col].to_pylist())
     df = pd.DataFrame({
@@ -46,18 +42,16 @@ def _partial(batch: pa.Table, source_col: str, text_col: str,
         # int64 VIEW of the uint64 hash: Ray round-trips uint64 through
         # pandas as object and falls back to pickling
         "__h": hs.view(np.int64),
-        "__p": (hs % np.uint64(nparts)).astype(np.int64),
         "nt": _count_re(batch[text_col], r"\S+"),
         "nc": np.asarray(pc.utf8_length(batch[text_col])
                          .to_numpy(zero_copy_only=False), np.int64),
     })
-    g = df.groupby(["__s", "__l", "__h", "__p"], sort=False).agg(
+    g = df.groupby(["__s", "__l", "__h"], sort=False).agg(
         c=("nt", "size"), nt=("nt", "sum"),
         nc=("nc", "sum")).reset_index()
     return pa.table({"__s": pa.array(g["__s"], pa.string()),
                      "__l": pa.array(g["__l"], pa.string()),
                      "__h": pa.array(g["__h"], pa.int64()),
-                     "__p": pa.array(g["__p"], pa.int64()),
                      "c": pa.array(g["c"], pa.int64()),
                      "nt": pa.array(g["nt"], pa.int64()),
                      "nc": pa.array(g["nc"], pa.int64())})
@@ -72,8 +66,7 @@ _FOLD_EMPTY = pa.table({
 
 def _fold(t: pa.Table) -> pa.Table:
     """Per-partition fold: every occurrence of a content hash is local
-    (the group key is ``hash % nparts``), so distinct/dup counts are
-    exact here. One output row per source seen in the partition, with
+    (the fold key is the hash), so distinct/dup counts are exact here. One output row per source seen in the partition, with
     the partition's distinct langs as a list column."""
     g = t.to_pandas()
     agg = g.groupby("__s", sort=False).agg(
@@ -103,12 +96,11 @@ def corpus_report(ds, source_col: str = "source", text_col: str = "text",
     n_langs, n_distinct, n_dups`` (n_dups = docs minus distinct raw
     contents). Small by definition — the only driver-side state is the
     final #sources × #partitions-row merge."""
-    from pyrosm_ray.stages.blocks import exchange, groupby_partitions
+    from pyrosm_ray.stages.blocks import fold
 
-    nparts = groupby_partitions()
-    folded = exchange(ds.map_batches(
-        lambda b: _partial(b, source_col, text_col, lang_col, nparts),
-        batch_format="pyarrow"), "__p", _fold, nparts,
+    folded = fold(ds.map_batches(
+        lambda b: _partial(b, source_col, text_col, lang_col),
+        batch_format="pyarrow"), "__h", _fold, None,
         _FOLD_EMPTY).to_pandas()
 
     if folded.empty:
@@ -156,8 +148,8 @@ def slice_divergence(ds, slice_col: str = "source",
 
     Scale shape: ONE combined partial pass keyed by the compound
     ``slice\\x1fword`` string (words are whitespace-split so the
-    separator is unambiguous), ONE auto-routed keyed fold (driver below
-    the row ceiling, coarse hash fold beyond — the key domain is
+    separator is unambiguous), ONE keyed fold (one task below the row
+    ceiling, split cluster-wide beyond — the key domain is
     #slices × vocabulary, still Zipf-bounded), then driver math over the
     compact count table. Output: one row per slice
     ``(slice, n_tokens, n_distinct_words, kl_token_micro)``.

@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from pyrosm_ray.stages.blocks import exchange, groupby_partitions, \
+from pyrosm_ray.stages.blocks import exchange, fold, groupby_partitions, \
     keyed_sum_auto
 from pyrosm_ray.stages.hashing import hash64, hash64_sql
 
@@ -126,55 +126,12 @@ def topk_per_group(ds, group_col: str, order_col: str, k: int,
     ``order_col``, ties broken by ascending ``id_col`` (fully
     deterministic). Output adds the 1-based ``out_rank``.
 
-    One coarse hash bucket + a per-PARTITION segmented lexsort fold
-    (Ray's per-distinct-key map_groups is the documented pathology —
-    measured 33 s over 476 clusters in near_dup_keep_best; the fold
-    pays per partition). SQL twin: ``ROW_NUMBER() OVER (PARTITION BY
-    group ORDER BY order DESC, id) <= k``."""
-    from pyrosm_ray.stages.hashing import hash64, stable64_many
-
-    nb = groupby_partitions()
-
-    def bucket(t: pa.Table) -> pa.Table:
-        col = t[group_col]
-        if pa.types.is_integer(col.type):
-            h = hash64(np.asarray(col.to_numpy(zero_copy_only=False),
-                                  np.int64).view(np.uint64), 17)
-        else:
-            h = stable64_many(col.to_pylist())
-        return t.append_column(
-            "__q", pa.array((h % np.uint64(nb)).astype(np.int64)))
-
-    def fold(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__q"])
-        import pandas as pd
-        col = g[group_col]
-        keys = col.to_numpy(zero_copy_only=False) \
-            if pa.types.is_integer(col.type) \
-            else np.asarray(col.to_pylist(), dtype=object)
-        codes, _ = pd.factorize(keys)
-        ids = np.asarray(g[id_col].to_numpy(zero_copy_only=False),
-                         np.int64)
-        order = np.asarray(g[order_col].to_numpy(zero_copy_only=False))
-        perm = np.lexsort((ids, -order, codes))
-        sc = codes[perm]
-        starts = np.zeros(len(sc), np.int64)
-        news = np.ones(len(sc), bool)
-        news[1:] = sc[1:] != sc[:-1]
-        seg_start = np.flatnonzero(news)
-        seg_of = np.cumsum(news) - 1
-        rank = np.arange(len(sc), dtype=np.int64) - seg_start[seg_of]
-        keep = rank < k
-        out = g.take(pa.array(perm[keep], pa.int64()))
-        return out.append_column(
-            out_rank, pa.array(rank[keep] + 1, pa.int64()))
-
-    def partial(t: pa.Table) -> pa.Table:
-        # batch-local combiner: top-k per group is a monoid, so keeping
-        # at most k best rows per group per BATCH is exact and shrinks
-        # the shuffle from all rows to <= k x groups x blocks rows
-        if t.num_rows == 0:
-            return t
+    One fold on the group with a per-PARTITION segmented lexsort pass
+    (a per-group call would pay per distinct group). SQL twin:
+    ``ROW_NUMBER() OVER (PARTITION BY group ORDER BY order DESC, id)
+    <= k``."""
+    def ranked(t: pa.Table):
+        """(row order, 0-based rank of each ordered row in its group)."""
         import pandas as pd
         col = t[group_col]
         keys = col.to_numpy(zero_copy_only=False) \
@@ -190,14 +147,27 @@ def topk_per_group(ds, group_col: str, order_col: str, k: int,
         news[1:] = sc[1:] != sc[:-1]
         seg_start = np.flatnonzero(news)
         seg_of = np.cumsum(news) - 1
-        rank = np.arange(len(sc), dtype=np.int64) - seg_start[seg_of]
+        return perm, np.arange(len(sc), dtype=np.int64) - seg_start[seg_of]
+
+    def top(g: pa.Table) -> pa.Table:
+        perm, rank = ranked(g)
+        keep = rank < k
+        return g.take(pa.array(perm[keep], pa.int64())).append_column(
+            out_rank, pa.array(rank[keep] + 1, pa.int64()))
+
+    def partial(t: pa.Table) -> pa.Table:
+        # batch-local combiner: top-k per group is a monoid, so keeping
+        # at most k best rows per group per BATCH is exact and shrinks
+        # the fold's input from all rows to <= k x groups x blocks rows
+        if t.num_rows == 0:
+            return t
+        perm, rank = ranked(t)
         return t.take(pa.array(perm[rank < k], pa.int64()))
 
     empty = ds.schema().base_schema.empty_table().append_column(
         out_rank, pa.array([], pa.int64()))
-    return exchange(ds.map_batches(partial, batch_format="pyarrow")
-                    .map_batches(bucket, batch_format="pyarrow"),
-                    "__q", fold, nb, empty)
+    return fold(ds.map_batches(partial, batch_format="pyarrow"), group_col,
+                top, None, empty)
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +218,11 @@ def _scan_buckets(ds, key_fn, val_fn, emit_fn, num_buckets: int):
     # pack chain; the object store spills rather than re-computing)
     tagged = ds.map_batches(tag, batch_format="pyarrow").materialize()
 
-    # driver fast path (the dedup-family policy): below the row ceiling
-    # the whole scan — histogram, prefix, per-bucket emit — runs locally
-    # with the SAME kernels; two keyed exchanges on a few hundred rows
-    # are pure machinery (~6 s measured in the composed
-    # dedup->mix->rank->pack chain, on Ray's hash shuffle)
+    # driver fast path: below the row ceiling the whole scan —
+    # histogram, prefix, per-bucket emit — runs locally with the SAME
+    # kernels. It still wins over the two folds with nb=None:
+    # shuffle_rank on 500 pre-materialized docs took 0.14 s here
+    # against 0.26 s (2 Ray CPUs on a 4-vCPU VM, median of 9)
     from pyrosm_ray.stages.blocks import KEYED_FOLD_DRIVER_MAX
     if tagged.count() <= KEYED_FOLD_DRIVER_MAX:
         import ray.data as rd

@@ -18,10 +18,10 @@ Execution shape (no window strings are ever built):
    constants; vectorised as W shifted multiply-adds over the flat token
    stream, doc boundaries masked). Batch-local (doc, fingerprint)
    counting collapses within-doc repeats before the wire;
-2. ONE coarse raw-task exchange co-buckets equal fingerprints (the
-   manual bucket+fold pattern — a per-key call pays per distinct key);
-   the per-bucket fold computes each fingerprint's corpus total and
-   re-emits per-doc partials ``(doc, n_windows, n_dup)``;
+2. ONE raw-task :func:`~pyrosm_ray.stages.blocks.fold` on the
+   fingerprint co-locates equal fingerprints; each partition's pass
+   computes every fingerprint's corpus total and re-emits per-doc
+   partials ``(doc, n_windows, n_dup)``;
 3. a doc-keyed :func:`~pyrosm_ray.stages.blocks.keyed_sum_fold` sums
    the partials.
 
@@ -41,16 +41,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from pyrosm_ray.stages.blocks import exchange, groupby_partitions, \
-    keyed_sum_fold
-from pyrosm_ray.stages.dedup import BANDED_DRIVER_MAX
+from pyrosm_ray.stages.blocks import fold, keyed_sum_fold
 from pyrosm_ray.stages.hashing import (_addmod_sql, _mulmod_sql, hash64,
                                        stable64_many)
-
-_EMPTY = pa.table({"doc_id": pa.array([], pa.int64()),
-                   "n_windows": pa.array([], pa.int64()),
-                   "n_dup_windows": pa.array([], pa.int64())})
-
 
 def _window_constants(window: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic per-position odd multipliers for the two
@@ -94,14 +87,10 @@ def dup_span_stats(ds, window: int = 8, id_col: str = "doc_id",
                    num_partitions: int | None = None):
     """-> (doc_id, n_windows, n_dup_windows) per doc with >=1 window.
 
-    Shuffle width defaults to cluster width (``groupby_partitions``),
-    NOT doc-row-sized: the fold's input is ~tokens-per-corpus window
-    rows (two orders denser than the doc table the row-count heuristic
-    would see), and the shuffle route only runs past the driver gate,
-    where cluster width is the regime. Measured: 500 k docs / 95 M
-    windows went 2-partition → cluster-wide, 2→8-CPU efficiency
-    0.58 → ~0.9."""
-    nb = num_partitions or groupby_partitions()
+    Both folds size themselves from the rows they see
+    (``num_partitions=None``): the fingerprint fold's input is the
+    window stream (~tokens per corpus), so any real corpus splits it
+    cluster-wide, and the streamed upstream runs once."""
     c_lo, c_hi = _window_constants(window)
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -129,13 +118,7 @@ def dup_span_stats(ds, window: int = 8, id_col: str = "doc_id",
             "k": pa.array(k, pa.int64()),
         })
 
-    def bucket(t: pa.Table) -> pa.Table:
-        h1 = np.asarray(t["__h1"].to_numpy(zero_copy_only=False),
-                        np.int64).view(np.uint64)
-        return t.append_column(
-            "__p", pa.array((h1 % np.uint64(nb)).astype(np.int64)))
-
-    def fold(g: pa.Table) -> pa.Table:
+    def totals(g: pa.Table) -> pa.Table:
         h1 = np.asarray(g["__h1"].to_numpy(zero_copy_only=False),
                         np.int64)
         h2 = np.asarray(g["__h2"].to_numpy(zero_copy_only=False),
@@ -152,7 +135,7 @@ def dup_span_stats(ds, window: int = 8, id_col: str = "doc_id",
         np.add.at(tot, gid, k)
         dup = tot[gid] >= 2
         # pre-aggregate per doc before the wire: the downstream doc
-        # fold sees <=|docs| rows per bucket, not one per window
+        # fold sees <=|docs| rows per partition, not one per window
         import pandas as pd
         codes, udocs = pd.factorize(ids)
         nw = np.zeros(len(udocs), np.int64)
@@ -161,57 +144,15 @@ def dup_span_stats(ds, window: int = 8, id_col: str = "doc_id",
         np.add.at(nd, codes, np.where(dup, k, 0))
         return pa.table({
             id_col: pa.array(udocs, pa.int64()),
-            "nw": pa.array(nw, pa.int64()),
-            "nd": pa.array(nd, pa.int64()),
+            "n_windows": pa.array(nw, pa.int64()),
+            "n_dup_windows": pa.array(nd, pa.int64()),
         })
 
-    exploded = ds.map_batches(explode, batch_format="pyarrow")
-
-    # small-corpus fast path (the dedup-family driver policy): the
-    # (doc, fp, k) rows are 32 B each — under BANDED_DRIVER_MAX they
-    # collect and the whole total/dup computation is the fold body run
-    # once, skipping both exchanges' fixed cost. Identical output. The
-    # doc-count pre-gate keeps the at-scale route streaming (the
-    # exploded table is token-sized; it must never materialize just to
-    # be counted).
-    n_rows = BANDED_DRIVER_MAX + 1
-    if ds.count() <= 100_000:
-        exploded = exploded.materialize()
-        n_rows = exploded.count()
-    if n_rows <= BANDED_DRIVER_MAX:
-        import ray.data as rd
-        parts = [pa.table(b) for b in
-                 exploded.iter_batches(batch_size=1 << 18,
-                                       batch_format="pyarrow")]
-        if not parts or not sum(t.num_rows for t in parts):
-            return rd.from_arrow(_EMPTY)
-        folded = fold(pa.concat_tables(parts))
-        import pandas as pd
-        df = pd.DataFrame({
-            id_col: folded[id_col].to_numpy(zero_copy_only=False),
-            "nw": folded["nw"].to_numpy(zero_copy_only=False),
-            "nd": folded["nd"].to_numpy(zero_copy_only=False)})
-        agg = df.groupby(id_col, sort=True).sum().reset_index()
-        return rd.from_arrow(pa.table({
-            id_col: pa.array(agg[id_col].to_numpy(np.int64), pa.int64()),
-            "n_windows": pa.array(agg["nw"].to_numpy(np.int64),
-                                  pa.int64()),
-            "n_dup_windows": pa.array(agg["nd"].to_numpy(np.int64),
-                                      pa.int64()),
-        }))
-
-    partials = exchange(exploded.map_batches(bucket, batch_format="pyarrow"),
-                        "__p", fold, nb, pa.table({
-                            id_col: pa.array([], pa.int64()),
-                            "nw": pa.array([], pa.int64()),
-                            "nd": pa.array([], pa.int64())}))
-    # final per-doc sum through the bucketed keyed-sum fold, NOT a
-    # per-doc group call: that pays per distinct doc (the line_dedup 7x
-    # pathology) while the fold pays per partition — measured 180 s ->
-    # 60 s on a 500 k-doc corpus
-    return keyed_sum_fold(partials, id_col, ["nw", "nd"], nb).map_batches(
-        lambda t: t.rename_columns([id_col, "n_windows", "n_dup_windows"]),
-        batch_format="pyarrow")
+    cols = [id_col, "n_windows", "n_dup_windows"]
+    partials = fold(ds.map_batches(explode, batch_format="pyarrow"),
+                    ["__h1", "__h2"], totals, num_partitions, pa.table(
+                        {c: pa.array([], pa.int64()) for c in cols}))
+    return keyed_sum_fold(partials, id_col, cols[1:], num_partitions)
 
 
 def dup_span_stats_sql(window: int = 8, doc_table: str = "documents",

@@ -35,8 +35,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from pyrosm_ray.stages.blocks import co_join, exchange, \
-    groupby_partitions
+from pyrosm_ray.stages.blocks import co_join, fold
 
 from pyrosm_ray.geom import ops, wkb
 
@@ -514,7 +513,7 @@ def explode_refs(ways_ds):
 
 
 def _collect_way_coords(group: pa.Table) -> pa.Table:
-    """One way-bucket group of joined (way_id, seq, lon, lat) -> per-way
+    """One partition of joined (way_id, seq, lon, lat) -> per-way
     (``id``) seq-ordered coordinates, packed to binary (acero hash joins,
     which back ``co_join``, reject nested list payload columns)."""
     wid = np.asarray(group["way_id"].to_numpy(zero_copy_only=False))
@@ -610,7 +609,6 @@ def _joined_way_assemble(batch: pa.Table, mode: str) -> pa.Table:
 def assemble_ways(ways_ds, nodes_ds, mode: str = "area",
                   strategy: str = "broadcast",
                   num_partitions: int | None = None,
-                  num_buckets: int = 64,
                   batch_size: int = 32 * 1024):
     """Full node-ref join + geometry assembly with the chosen strategy.
 
@@ -630,31 +628,22 @@ def assemble_ways(ways_ds, nodes_ds, mode: str = "area",
             batch_format="pyarrow", batch_size=batch_size)
     if strategy != "shuffle":
         raise ValueError(f"unknown strategy {strategy!r}")
-    nb = num_partitions or groupby_partitions()
     coords = nodes_ds.map_batches(lambda b: pa.table({
         "node_id": b["id"].cast(pa.int64()),
         "lon": b["lon"].cast(pa.float64()),
         "lat": b["lat"].cast(pa.float64())}), batch_format="pyarrow")
-    joined = co_join(explode_refs(ways_ds), coords, "node_id", nb,
-                     pa.table({"way_id": pa.array([], pa.int64()),
-                               "seq": pa.array([], pa.int32()),
-                               "node_id": pa.array([], pa.int64()),
-                               "lon": pa.array([], pa.float64()),
-                               "lat": pa.array([], pa.float64())}))
-
-    def _bucket(b: pa.Table) -> pa.Table:
-        wid = np.asarray(b["way_id"].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
-        return b.append_column("way_bucket",
-                               pa.array(wid % num_buckets, pa.int64()))
-
-    per_way = exchange(
-        joined.map_batches(_bucket, batch_format="pyarrow"), "way_bucket",
-        _collect_way_coords, nb, pa.table({
-            "id": pa.array([], pa.int64()),
-            "__coords": pa.array([], pa.binary())}))
+    joined = co_join(explode_refs(ways_ds), coords, "node_id",
+                     num_partitions, pa.table({
+                         "way_id": pa.array([], pa.int64()),
+                         "seq": pa.array([], pa.int32()),
+                         "node_id": pa.array([], pa.int64()),
+                         "lon": pa.array([], pa.float64()),
+                         "lat": pa.array([], pa.float64())}))
+    per_way = fold(joined, "way_id", _collect_way_coords, num_partitions,
+                   pa.table({"id": pa.array([], pa.int64()),
+                             "__coords": pa.array([], pa.binary())}))
     payload = ways_ds.map_batches(pack_refs, batch_format="pyarrow")
-    withc = co_join(payload, per_way, "id", nb,
+    withc = co_join(payload, per_way, "id", num_partitions,
                     payload.schema().base_schema.empty_table()
                     .append_column("__coords", pa.array([], pa.binary())),
                     join_type="left outer")

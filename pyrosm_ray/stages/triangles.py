@@ -16,16 +16,14 @@ Two routes, output-identical (route-parity-tested):
   membership test are all pure numpy — the wedge pair list is built
   with the concatenated-ranges trick (repeat + cumsum arithmetic, no
   Python loop, no float unranking).
-* **distributed**: every keyed step is a MANUAL hash-bucket + one
-  per-partition segmented numpy fold (the keyed_sum_fold policy — Ray's
-  per-distinct-key map_groups is the documented 7x pathology on large
-  key domains): canonical-dedup by pair-hash bucket, degrees via one
-  keyed fold over the endpoint stream, degree attachment via
-  co-partitioned union-folds (degree rows ride the same bucket as the
-  edge rows keyed by that endpoint — the pagerank_partitioned idiom, no
-  broadcast), wedge emission via a u-bucketed segmented CSR pass, and
-  the closing-edge test via one union-fold keyed by the (v, w) pair
-  hash with a compact-remap combined-key membership search. Nothing
+* **distributed**: every keyed step is one :func:`blocks.fold` on its
+  real key with a per-partition segmented numpy body: canonical-dedup
+  on the (a, b) pair, degrees via one keyed fold over the endpoint
+  stream, degree attachment via co-partitioned union-folds (degree rows
+  ride the same partition as the edge rows keyed by that endpoint — no
+  broadcast), wedge emission via a per-u segmented CSR pass, and the
+  closing-edge test via one union-fold on the (v, w) pair with a
+  compact-remap combined-key membership search. Nothing
   broadcasts, nothing collects; the documented volume contract is the
   O(m^1.5) wedge stream.
 
@@ -35,7 +33,7 @@ same orientation as a three-way self-join).
 
 No reference equivalent (pyrosm has no graph analytics beyond A9);
 conventions follow stages/pagerank.py (driver policy, union-fold
-co-partitioning) and stages/dedup.py (bucketed pair folds).
+co-partitioning) and stages/dedup.py (pair folds).
 """
 
 from __future__ import annotations
@@ -44,9 +42,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from pyrosm_ray.stages.blocks import exchange, groupby_partitions, \
-    keyed_sum_fold
-from pyrosm_ray.stages.hashing import hash64
+from pyrosm_ray.stages.blocks import fold, keyed_sum_fold
 
 TRI_DRIVER_MAX = 1 << 21   # canonical edges (16 B/row) the driver collects
 
@@ -135,16 +131,6 @@ def _pair_member(ev: np.ndarray, ew: np.ndarray,
     return key_e[pos] == key_q
 
 
-def _bucket_col(x: np.ndarray, nb: int, seed: int = 29) -> np.ndarray:
-    return (hash64(x.view(np.uint64), seed)
-            % np.uint64(nb)).astype(np.int64)
-
-
-def _pair_bucket(v: np.ndarray, w: np.ndarray, nb: int) -> np.ndarray:
-    h = hash64(v.view(np.uint64), 29) ^ hash64(w.view(np.uint64), 31)
-    return (h % np.uint64(nb)).astype(np.int64)
-
-
 # ---------------------------------------------------------------------------
 # driver route
 # ---------------------------------------------------------------------------
@@ -188,48 +174,39 @@ def _triangles_np(a: np.ndarray, b: np.ndarray) -> pa.Table:
 
 
 # ---------------------------------------------------------------------------
-# distributed route — every keyed step is a manual bucket + one
-# per-partition segmented fold
+# distributed route — every keyed step is one per-partition segmented fold
 # ---------------------------------------------------------------------------
 
 def _int64_empty(*cols: str) -> pa.Table:
     return pa.table({c: pa.array([], pa.int64()) for c in cols})
 
 
-def _bucketed(ds, bucket_fn, fold_fn, nb: int, empty: pa.Table):
-    return exchange(ds.map_batches(bucket_fn, batch_format="pyarrow"),
-                    "__q", fold_fn, nb, empty)
-
-
-def _distinct_canonical(edges, src_col: str, dst_col: str, nb: int):
-    def bucket(t: pa.Table) -> pa.Table:
-        t = _canon_batch(t, src_col, dst_col)
-        a = np.asarray(t["a"].to_numpy(zero_copy_only=False), np.int64)
-        b = np.asarray(t["b"].to_numpy(zero_copy_only=False), np.int64)
-        return t.append_column("__q", pa.array(_pair_bucket(a, b, nb)))
-
-    def fold(g: pa.Table) -> pa.Table:
+def _distinct_canonical(edges, src_col: str, dst_col: str,
+                        nb: int | None):
+    def distinct(g: pa.Table) -> pa.Table:
         a = np.asarray(g["a"].to_numpy(zero_copy_only=False), np.int64)
         b = np.asarray(g["b"].to_numpy(zero_copy_only=False), np.int64)
         a, b = _dedup_pairs(a, b)
         return pa.table({"a": pa.array(a, pa.int64()),
                          "b": pa.array(b, pa.int64())})
 
-    return _bucketed(edges, bucket, fold, nb, _int64_empty("a", "b"))
+    return fold(edges.map_batches(
+        lambda t: _canon_batch(t, src_col, dst_col),
+        batch_format="pyarrow"), ["a", "b"], distinct, nb,
+        _int64_empty("a", "b"))
 
 
 def _attach_deg(rows, deg, key_col: str, keep: list[str], out_col: str,
-                nb: int):
+                nb: int | None):
     """Attach ``deg[key_col]`` to every row as ``out_col`` without
-    broadcasting: degree rows ride the same key bucket, one factorize
+    broadcasting: degree rows ride the same key partition, one factorize
     scatter per partition resolves every row's lookup."""
     def tag_rows(t: pa.Table) -> pa.Table:
         k = np.asarray(t[key_col].to_numpy(zero_copy_only=False),
                        np.int64)
         cols = {"k": pa.array(k, pa.int64()),
                 "__deg": pa.array(np.full(t.num_rows, -1, np.int64),
-                                  pa.int64()),
-                "__q": pa.array(_bucket_col(k, nb))}
+                                  pa.int64())}
         for c in keep:
             cols[c] = t[c]
         return pa.table(cols)
@@ -238,8 +215,7 @@ def _attach_deg(rows, deg, key_col: str, keep: list[str], out_col: str,
         k = np.asarray(t["node"].to_numpy(zero_copy_only=False),
                        np.int64)
         z = pa.array(np.zeros(t.num_rows, np.int64), pa.int64())
-        cols = {"k": pa.array(k, pa.int64()), "__deg": t["deg"],
-                "__q": pa.array(_bucket_col(k, nb))}
+        cols = {"k": pa.array(k, pa.int64()), "__deg": t["deg"]}
         for c in keep:
             cols[c] = z
         return pa.table(cols)
@@ -247,7 +223,7 @@ def _attach_deg(rows, deg, key_col: str, keep: list[str], out_col: str,
     u = rows.map_batches(tag_rows, batch_format="pyarrow") \
         .union(deg.map_batches(tag_deg, batch_format="pyarrow"))
 
-    def fold(g: pa.Table) -> pa.Table:
+    def attach(g: pa.Table) -> pa.Table:
         k = np.asarray(g["k"].to_numpy(zero_copy_only=False), np.int64)
         d = np.asarray(g["__deg"].to_numpy(zero_copy_only=False),
                        np.int64)
@@ -262,13 +238,11 @@ def _attach_deg(rows, deg, key_col: str, keep: list[str], out_col: str,
         cols[out_col] = pa.array(dv[codes[m]], pa.int64())
         return pa.table(cols)
 
-    return exchange(u, "__q", fold, nb,
-                    _int64_empty(*keep, key_col, out_col))
+    return fold(u, "k", attach, nb, _int64_empty(*keep, key_col, out_col))
 
 
 def _triangles_distributed(edges, src_col: str, dst_col: str,
-                           num_partitions: int | None):
-    nb = num_partitions or groupby_partitions()
+                           nb: int | None):
     canon = _distinct_canonical(edges, src_col, dst_col, nb) \
         .materialize()
 
@@ -305,11 +279,7 @@ def _triangles_distributed(edges, src_col: str, dst_col: str,
     oriented = both.map_batches(orient,
                                 batch_format="pyarrow").materialize()
 
-    # wedges: bucket by u, per-partition segmented CSR enumeration
-    def bucket_u(t: pa.Table) -> pa.Table:
-        u = np.asarray(t["u"].to_numpy(zero_copy_only=False), np.int64)
-        return t.append_column("__q", pa.array(_bucket_col(u, nb)))
-
+    # wedges: fold on u, per-partition segmented CSR enumeration
     def wedge_fold(g: pa.Table) -> pa.Table:
         u = np.asarray(g["u"].to_numpy(zero_copy_only=False), np.int64)
         v = np.asarray(g["v"].to_numpy(zero_copy_only=False), np.int64)
@@ -325,27 +295,18 @@ def _triangles_distributed(edges, src_col: str, dst_col: str,
                          "w": pa.array(w2, pa.int64()),
                          "u": pa.array(uniq[row], pa.int64())})
 
-    wedge_ds = _bucketed(oriented, bucket_u, wedge_fold, nb,
-                         _int64_empty("v", "w", "u"))
+    wedge_ds = fold(oriented, "u", wedge_fold, nb,
+                    _int64_empty("v", "w", "u"))
 
-    # closing-edge test: union wedges with oriented edges keyed by the
-    # (v, w) pair hash; per partition one compact-remap membership pass
-    def key_wedge(t: pa.Table) -> pa.Table:
-        v = np.asarray(t["v"].to_numpy(zero_copy_only=False), np.int64)
-        w = np.asarray(t["w"].to_numpy(zero_copy_only=False), np.int64)
-        return t.append_column("__q", pa.array(_pair_bucket(v, w, nb)))
-
+    # closing-edge test: union wedges with oriented edges, fold on the
+    # (v, w) pair; per partition one compact-remap membership pass
     def key_edge(t: pa.Table) -> pa.Table:
-        v = np.asarray(t["u"].to_numpy(zero_copy_only=False), np.int64)
-        w = np.asarray(t["v"].to_numpy(zero_copy_only=False), np.int64)
         return pa.table({
-            "v": pa.array(v, pa.int64()),
-            "w": pa.array(w, pa.int64()),
-            "u": pa.array(np.full(len(v), -1, np.int64), pa.int64()),
-            "__q": pa.array(_pair_bucket(v, w, nb))})
+            "v": t["u"], "w": t["v"],
+            "u": pa.array(np.full(t.num_rows, -1, np.int64), pa.int64())})
 
-    u3 = wedge_ds.map_batches(key_wedge, batch_format="pyarrow") \
-        .union(oriented.map_batches(key_edge, batch_format="pyarrow"))
+    u3 = wedge_ds.union(oriented.map_batches(key_edge,
+                                             batch_format="pyarrow"))
 
     def close_fold(g: pa.Table) -> pa.Table:
         v = np.asarray(g["v"].to_numpy(zero_copy_only=False), np.int64)
@@ -365,8 +326,8 @@ def _triangles_distributed(edges, src_col: str, dst_col: str,
                          "deg": pa.array(np.zeros(len(uniq), np.int64),
                                          pa.int64())})
 
-    tri = exchange(u3, "__q", close_fold, nb,
-                   _int64_empty("node", "n_triangles", "deg"))
+    tri = fold(u3, ["v", "w"], close_fold, nb,
+               _int64_empty("node", "n_triangles", "deg"))
 
     # degree rows carry (n_triangles=0, deg) so ONE fold sums both and
     # every node appears in the output

@@ -12,17 +12,16 @@ join semantics (unmatched rows keep nulls).
 RIGHT rows of the same key whose timestamp falls in
 ``[left.ts - band_s, left.ts]`` (inclusive).
 
-Execution shape (all three): ONE raw-task exchange
-(:func:`pyrosm_ray.stages.blocks.exchange`) co-partitions every key's
-whole stream — keys bucket by ``hash64(key) % nb`` so the fold runs
-once per BUCKET (~2x cluster CPUs of them), not once per key, and the
-fold is segmented numpy over ALL keys in the bucket at once: lexsort
+Execution shape (all three): ONE raw-task fold
+(:func:`pyrosm_ray.stages.blocks.fold`) on the key co-partitions every
+key's whole stream, and each partition's fold runs once, not once per
+key, as segmented numpy over ALL keys in the partition at once: lexsort
 by (key, ts, …), key-run boundaries via ``diff``, segmented
 forward-fill / cumulative counts for the join matches,
 ``np.add.reduceat`` for the session sums. No per-key Python
-call anywhere — with 10^8 users the old per-key fold would make 10^8
-interpreter round-trips; this shape makes ~2x-CPUs. The joins union the
-two sides under a flag column first so one exchange moves both.
+call anywhere — with 10^8 users a per-key call would make 10^8
+interpreter round-trips; this shape makes one per partition. The joins
+union the two sides under a flag column first so one fold moves both.
 
 The as-of match itself is the sorted-merge trick: order rows by
 (key, ts, rights-before-lefts, id), mark right rows with their
@@ -33,10 +32,10 @@ leaked across a key boundary. The band count is the same scan run twice
 baselined per key run.
 
 Partitioning assumption (documented per the custom-operator contract):
-a bucket's rows must fit worker memory; salt ``nb`` up for pathological
-single-key skew — correctness only needs all rows of ONE key in one
-bucket, which the key-hash guarantees at any nb. Key columns must be
-integer-typed (they ride the exchange, and come out, as int64).
+a partition's rows must fit worker memory; raise ``num_partitions``
+for skew — correctness only needs all rows of ONE key in one
+partition, which the key hash guarantees at any width. Key columns must
+be integer-typed (they come out as int64).
 
 Money-safe values: per-session sums are integer cents rounded
 half-away-from-zero (the SQL ROUND rule, so the DuckDB oracle reproduces
@@ -48,13 +47,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from pyrosm_ray.stages.blocks import exchange, groupby_partitions
-from pyrosm_ray.stages.hashing import hash64
-
-
-def _bucket_of(keys: np.ndarray, nb: int) -> np.ndarray:
-    return (hash64(keys.astype(np.int64).view(np.uint64), 5)
-            % np.uint64(nb)).astype(np.int64)
+from pyrosm_ray.stages.blocks import fold
 
 
 def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
@@ -72,7 +65,6 @@ def sessionize(ds, gap_s: int = 1800, user_col: str = "user_id",
     """-> one row per (user, session): start/end ts, event count, integer
     cent sum. Session ids number 1.. per user in (ts, order_col) order."""
     gap_us = int(gap_s) * 1_000_000
-    nb = num_partitions or groupby_partitions()
     empty = pa.table({
         user_col: pa.array([], pa.int64()),
         "session_id": pa.array([], pa.int64()),
@@ -82,12 +74,7 @@ def sessionize(ds, gap_s: int = 1800, user_col: str = "user_id",
         "value_cents": pa.array([], pa.int64()),
     })
 
-    def add_bucket(b: pa.Table) -> pa.Table:
-        u = np.asarray(b[user_col].to_numpy(zero_copy_only=False),
-                       np.int64)
-        return b.append_column("__p", pa.array(_bucket_of(u, nb)))
-
-    def per_bucket(g: pa.Table) -> pa.Table:
+    def per_part(g: pa.Table) -> pa.Table:
         u = np.asarray(g[user_col].to_numpy(zero_copy_only=False),
                        np.int64)
         ts = np.asarray(g[ts_col].cast(pa.timestamp("us")).to_numpy(
@@ -124,15 +111,14 @@ def sessionize(ds, gap_s: int = 1800, user_col: str = "user_id",
                                     pa.int64()),
         })
 
-    return exchange(ds.map_batches(add_bucket, batch_format="pyarrow"),
-                    "__p", per_bucket, nb, empty)
+    return fold(ds, user_col, per_part, num_partitions, empty)
 
 
 def _keyed_union(left_ds, right_ds, by_col: str, ts_col: str,
-                 left_id: str, right_id: str, nb: int):
-    """Union the two join sides under one schema: (key, ts-µs, id, side,
-    bucket). One exchange on ``bucket`` then co-locates both sides
-    of every key."""
+                 left_id: str, right_id: str):
+    """Union the two join sides under one schema: (key, ts-µs, id,
+    side). One fold on the key then co-locates both sides of every
+    key."""
     def tag(id_col: str, side: int):
         def f(b: pa.Table) -> pa.Table:
             ts = b[ts_col].cast(pa.timestamp("us"))
@@ -146,7 +132,6 @@ def _keyed_union(left_ds, right_ds, by_col: str, ts_col: str,
                     pa.int64()),
                 "__id": b[id_col].cast(pa.int64()),
                 "__side": pa.array(np.full(n, side, np.int8), pa.int8()),
-                "__p": pa.array(_bucket_of(k, nb)),
             })
         return f
 
@@ -155,7 +140,7 @@ def _keyed_union(left_ds, right_ds, by_col: str, ts_col: str,
                                     batch_format="pyarrow"))
 
 
-def _bucket_arrays(g: pa.Table):
+def _side_arrays(g: pa.Table):
     side = np.asarray(g["__side"].to_numpy(zero_copy_only=False))
     ts = np.asarray(g["__t"].to_numpy(zero_copy_only=False), np.int64)
     ids = np.asarray(g["__id"].to_numpy(zero_copy_only=False), np.int64)
@@ -177,8 +162,8 @@ def asof_join(left_ds, right_ds, by_col: str = "user_id",
                       "matched_id": pa.array([], pa.int64()),
                       "lag_us": pa.array([], pa.int64())})
 
-    def per_bucket(g: pa.Table) -> pa.Table:
-        k, t, ids, isr = _bucket_arrays(g)
+    def per_part(g: pa.Table) -> pa.Table:
+        k, t, ids, isr = _side_arrays(g)
         if not isr.any() or isr.all():
             lefts = ~isr
             n_l = int(lefts.sum())
@@ -213,10 +198,9 @@ def asof_join(left_ds, right_ds, by_col: str = "user_id",
                                pa.int64(), mask=~valid),
         })
 
-    nb = num_partitions or groupby_partitions()
     u = _keyed_union(left_ds, right_ds, by_col, ts_col, left_id,
-                     right_id, nb)
-    return exchange(u, "__p", per_bucket, nb, empty)
+                     right_id)
+    return fold(u, "__k", per_part, num_partitions, empty)
 
 
 def _rights_before(k, t, isr, left_eval_t, inclusive: bool):
@@ -255,8 +239,8 @@ def band_join(left_ds, right_ds, band_s: int, by_col: str = "user_id",
                       by_col: pa.array([], pa.int64()),
                       "n_in_band": pa.array([], pa.int64())})
 
-    def per_bucket(g: pa.Table) -> pa.Table:
-        k, t, ids, isr = _bucket_arrays(g)
+    def per_part(g: pa.Table) -> pa.Table:
+        k, t, ids, isr = _side_arrays(g)
         lefts = ~isr
         if not lefts.any():
             return empty
@@ -269,10 +253,9 @@ def band_join(left_ds, right_ds, band_s: int, by_col: str = "user_id",
             "n_in_band": pa.array(upper - lower, pa.int64()),
         })
 
-    nb = num_partitions or groupby_partitions()
     u = _keyed_union(left_ds, right_ds, by_col, ts_col, left_id,
-                     right_id, nb)
-    return exchange(u, "__p", per_bucket, nb, empty)
+                     right_id)
+    return fold(u, "__k", per_part, num_partitions, empty)
 
 
 def rolling_agg(ds, window_rows: int, by_col: str = "user_id",
@@ -283,8 +266,8 @@ def rolling_agg(ds, window_rows: int, by_col: str = "user_id",
     ``SUM/COUNT(...) OVER (PARTITION BY key ORDER BY ts, id ROWS
     BETWEEN window_rows-1 PRECEDING AND CURRENT ROW)``.
 
-    Same execution shape as the other windows: one key-hash exchange,
-    then one segmented-numpy fold per BUCKET — rows lexsort by
+    Same execution shape as the other windows: one fold on the key,
+    one segmented-numpy pass per partition — rows lexsort by
     (key, ts, id), values cumsum once, and every row's window sum is
     ``cs[i+1] - cs[max(i-w+1, run_start_i)]`` (two gathers, no loop).
     Values aggregate as integer cents (ROUND half-away), so sums are
@@ -293,14 +276,8 @@ def rolling_agg(ds, window_rows: int, by_col: str = "user_id",
     w = int(window_rows)
     if w < 1:
         raise ValueError("window_rows must be >= 1")
-    nb = num_partitions or groupby_partitions()
 
-    def add_bucket(b: pa.Table) -> pa.Table:
-        keys = np.asarray(b[by_col].to_numpy(zero_copy_only=False),
-                          np.int64)
-        return b.append_column("__p", pa.array(_bucket_of(keys, nb)))
-
-    def per_bucket(g: pa.Table) -> pa.Table:
+    def per_part(g: pa.Table) -> pa.Table:
         k = np.asarray(g[by_col].to_numpy(zero_copy_only=False),
                        np.int64)
         t = np.asarray(g[ts_col].to_numpy(zero_copy_only=False))
@@ -329,12 +306,11 @@ def rolling_agg(ds, window_rows: int, by_col: str = "user_id",
             "rolling_n": pa.array(idx - lo + 1, pa.int64()),
         })
 
-    return exchange(ds.map_batches(add_bucket, batch_format="pyarrow"),
-                    "__p", per_bucket, nb, pa.table({
-                        id_col: pa.array([], pa.int64()),
-                        by_col: pa.array([], pa.int64()),
-                        "rolling_sum_cents": pa.array([], pa.int64()),
-                        "rolling_n": pa.array([], pa.int64())}))
+    return fold(ds, by_col, per_part, num_partitions, pa.table({
+        id_col: pa.array([], pa.int64()),
+        by_col: pa.array([], pa.int64()),
+        "rolling_sum_cents": pa.array([], pa.int64()),
+        "rolling_n": pa.array([], pa.int64())}))
 
 
 def funnel_stages(ds, stages: tuple[str, ...] = ("view", "click",
@@ -350,7 +326,7 @@ def funnel_stages(ds, stages: tuple[str, ...] = ("view", "click",
     (first-touch semantics; order = (ts, order_col), unique because
     order_col is).
 
-    Same one-exchange shape as :func:`sessionize` (user-hash bucket →
+    Same one-fold shape as :func:`sessionize` (fold on the user →
     per-partition segmented numpy): within each user segment the stage
     chain resolves with one boolean mask + segment-min per stage —
     ``first_k+1 = min rank of a stage-(k+1) row with rank > first_k`` —
@@ -360,14 +336,7 @@ def funnel_stages(ds, stages: tuple[str, ...] = ("view", "click",
     len(stages) = completed. DuckDB twin: ROW_NUMBER + chained
     MIN-after-prev joins, exact.
     """
-    nb = num_partitions or groupby_partitions()
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        u = np.asarray(b[user_col].to_numpy(zero_copy_only=False),
-                       np.int64)
-        return b.append_column("__p", pa.array(_bucket_of(u, nb)))
-
-    def per_bucket(g: pa.Table) -> pa.Table:
+    def per_part(g: pa.Table) -> pa.Table:
         u = np.asarray(g[user_col].to_numpy(zero_copy_only=False),
                        np.int64)
         ts = np.asarray(g[ts_col].cast(pa.timestamp("us")).to_numpy(
@@ -397,10 +366,9 @@ def funnel_stages(ds, stages: tuple[str, ...] = ("view", "click",
             user_col: pa.array(u[seg], pa.int64()),
             "funnel_stage": pa.array(stage, pa.int64())})
 
-    return exchange(ds.map_batches(add_bucket, batch_format="pyarrow"),
-                    "__p", per_bucket, nb, pa.table({
-                        user_col: pa.array([], pa.int64()),
-                        "funnel_stage": pa.array([], pa.int64())}))
+    return fold(ds, user_col, per_part, num_partitions, pa.table({
+        user_col: pa.array([], pa.int64()),
+        "funnel_stage": pa.array([], pa.int64())}))
 
 
 def funnel_stages_sql(events_table: str = "events",
@@ -447,7 +415,7 @@ def retention_cohorts(ds, user_col: str = "user_id", ts_col: str = "ts",
     epoch-week; each later active week contributes one (cohort_week,
     week_offset) cell count.
 
-    One user-hash exchange (the sessionize shape): per bucket each
+    One fold on the user (the sessionize shape): per partition each
     user's distinct active weeks resolve with one lexsort + run-length
     pass, emitting (cohort, offset) partial counts; the final fold runs
     over the tiny weeks² cell domain (:func:`keyed_sum_fold` keyed by
@@ -459,14 +427,7 @@ def retention_cohorts(ds, user_col: str = "user_id", ts_col: str = "ts",
     """
     from pyrosm_ray.stages.blocks import keyed_sum_auto
 
-    nb = num_partitions or groupby_partitions()
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        u = np.asarray(b[user_col].to_numpy(zero_copy_only=False),
-                       np.int64)
-        return b.append_column("__p", pa.array(_bucket_of(u, nb)))
-
-    def per_bucket(g: pa.Table) -> pa.Table:
+    def per_part(g: pa.Table) -> pa.Table:
         u = np.asarray(g[user_col].to_numpy(zero_copy_only=False),
                        np.int64)
         ts = np.asarray(g[ts_col].cast(pa.timestamp("us")).to_numpy(
@@ -487,10 +448,9 @@ def retention_cohorts(ds, user_col: str = "user_id", ts_col: str = "ts",
         return pa.table({"cell": pa.array(vals, pa.int64()),
                          "n": pa.array(cnt.astype(np.int64), pa.int64())})
 
-    partials = exchange(ds.map_batches(add_bucket, batch_format="pyarrow"),
-                        "__p", per_bucket, nb, pa.table({
-                            "cell": pa.array([], pa.int64()),
-                            "n": pa.array([], pa.int64())}))
+    partials = fold(ds, user_col, per_part, num_partitions, pa.table({
+        "cell": pa.array([], pa.int64()),
+        "n": pa.array([], pa.int64())}))
     folded = keyed_sum_auto(partials, "cell", ["n"],
                             num_partitions=num_partitions)
 

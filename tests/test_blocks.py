@@ -1,9 +1,9 @@
-"""Keyed exchanges (stages/blocks.py).
+"""Keyed folds (stages/blocks.py).
 
-The raw-task primitives ``exchange`` and ``co_join`` must match an
-in-memory pyarrow reference (per-key groups, ``pa.Table.join``) on edge
-inputs, for every join type, and return typed blocks for empty
-partitions."""
+The raw-task primitives ``fold``, ``exchange`` and ``co_join`` must
+match an in-memory pyarrow reference (per-key groups, ``pa.Table.join``)
+on edge inputs, for every join type, on both sides of the ``nb=None``
+row ceiling, and return typed blocks for empty partitions."""
 
 import os
 import subprocess
@@ -14,7 +14,8 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
-from pyrosm_ray.stages.blocks import co_join, exchange
+from pyrosm_ray.stages import blocks
+from pyrosm_ray.stages.blocks import co_join, exchange, fold
 
 
 def test_keyed_sum_auto_route_parity(ray_session, monkeypatch):
@@ -238,24 +239,100 @@ def test_co_join_fully_empty_right_side(ray_session):
             assert got["w"].null_count == n
 
 
+def _part_stats():
+    """Per-partition (k, n, s) kernel for ``fold``: one row per key of
+    the partition (nested for the same reason as ``_group_stats``)."""
+    def stats(g: pa.Table) -> pa.Table:
+        a = g.group_by("k").aggregate([("v", "count"), ("v", "sum")])
+        return pa.table({"k": a["k"], "n": a["v_count"], "s": a["v_sum"]})
+    return stats
+
+
+def _blocks_of(out) -> list[pa.Table]:
+    import ray
+    return [ray.get(ref) for b in out.iter_internal_ref_bundles()
+            for ref, _ in b.blocks]
+
+
 def test_exchange_empty_partitions_are_typed(ray_session):
     """Partitions that receive no rows (8 partitions, 2 keys) — and a
     fully empty input — yield zero-row blocks WITH the output schema,
-    not the schema-less blocks Ray's hash shuffle emits."""
-    import ray
-
+    not the schema-less blocks Ray's hash shuffle emits. An explicit
+    ``nb`` yields exactly ``nb`` blocks even for an all-empty stream;
+    ``nb=None`` yields one."""
     empty = pa.table({"k": pa.array([], pa.int64()),
                       "n": pa.array([], pa.int64()),
                       "s": pa.array([], pa.int64())})
     t = pa.table({"k": pa.array([1, 2, 1], pa.int64()),
                   "v": pa.array([1, 2, 3], pa.int64())})
     for ds in (rd.from_arrow(t), rd.from_arrow(t.slice(0, 0))):
-        out = exchange(ds, "k", _group_stats(), 8, empty)
-        tables = [ray.get(ref) for b in out.iter_internal_ref_bundles()
-                  for ref, _ in b.blocks]
-        assert len(tables) == 8
-        assert sum(t_.num_rows == 0 for t_ in tables) >= 6
-        assert all(t_.schema == empty.schema for t_ in tables)
+        for op, fn in ((exchange, _group_stats()), (fold, _part_stats())):
+            tables = _blocks_of(op(ds, "k", fn, 8, empty))
+            assert len(tables) == 8
+            assert sum(t_.num_rows == 0 for t_ in tables) >= 6
+            assert all(t_.schema == empty.schema for t_ in tables)
+            tables = _blocks_of(op(ds, "k", fn, None, empty))
+            assert len(tables) == 1
+            assert tables[0].schema == empty.schema
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_fold_ceiling_gate(ray_session, monkeypatch, extra):
+    """``nb=None``: inputs of exactly ``KEYED_FOLD_DRIVER_MAX`` non-empty
+    rows run one reduce over the raw blocks; one row more splits
+    ``groupby_partitions()`` wide. Both match the per-key reference, and
+    zero-row blocks do not count."""
+    n = 40
+    monkeypatch.setattr(blocks, "KEYED_FOLD_DRIVER_MAX", n)
+    rows = n + extra
+    t = pa.table({"k": pa.array([i % 7 for i in range(rows)], pa.int64()),
+                  "v": pa.array(range(rows), pa.int64())})
+    ds = rd.from_arrow([t.slice(0, 15), t.slice(0, 0), t.slice(15)])
+    empty = pa.table({"k": pa.array([], pa.int64()),
+                      "n": pa.array([], pa.int64()),
+                      "s": pa.array([], pa.int64())})
+    want = sorted(tuple(r.values()) for r in
+                  _part_stats()(t).to_pylist())
+    for op, fn in ((exchange, _group_stats()), (fold, _part_stats())):
+        tables = _blocks_of(op(ds, "k", fn, None, empty))
+        assert len(tables) == (blocks.groupby_partitions() if extra else 1)
+        got = sorted(tuple(r.values()) for t_ in tables
+                     for r in t_.to_pylist())
+        assert got == want
+
+
+def test_co_join_ceiling_counts_both_sides(ray_session, monkeypatch):
+    """The left side alone is within the ceiling, left plus right cross
+    it: the held left blocks must be split with the right side, and the
+    join still matches ``pa.Table.join``."""
+    monkeypatch.setattr(blocks, "KEYED_FOLD_DRIVER_MAX", 30)
+    left = pa.table({"k": pa.array([i % 9 for i in range(20)], pa.int64()),
+                     "v": pa.array(range(20), pa.int64())})
+    right = pa.table({"k": pa.array(range(20), pa.int64()),
+                      "w": pa.array(range(100, 120), pa.int64())})
+    empty = pa.table({"k": pa.array([], pa.int64()),
+                      "v": pa.array([], pa.int64()),
+                      "w": pa.array([], pa.int64())})
+    out = co_join(rd.from_arrow([left.slice(0, 10), left.slice(10)]),
+                  rd.from_arrow([right.slice(0, 10), right.slice(10)]),
+                  "k", None, empty)
+    tables = _blocks_of(out)
+    assert len(tables) == blocks.groupby_partitions()
+    got = sorted(tuple(r.values()) for t_ in tables for r in t_.to_pylist())
+    assert got == sorted(tuple(r.values()) for r in
+                         left.join(right, "k").to_pylist())
+
+
+def test_fold_balances_distinct_keys(ray_session):
+    """10 k distinct int keys over 8 partitions: max/mean rows per
+    partition stays within 1.3 (a bucket column hashed a second time,
+    ``hash % 8`` then 8 bucket ids into 8 partitions, gives 4.0)."""
+    t = pa.table({"k": pa.array(range(10_000), pa.int64())})
+    tables = _blocks_of(fold(rd.from_arrow(t).repartition(4), "k",
+                             lambda g: g, 8, t.slice(0, 0)))
+    sizes = [t_.num_rows for t_ in tables]
+    assert len(sizes) == 8 and sum(sizes) == 10_000
+    assert max(sizes) / (sum(sizes) / 8) <= 1.3
 
 
 def test_exchange_executes_upstream_once(ray_session):
@@ -321,3 +398,41 @@ def test_shuffle_sizing_waits_for_ray_init():
     lines = out.stdout.split("\n")
     assert lines[0].split() == ["2", "2"]
     assert lines[1].split() == ["4", "4", "2"]
+
+
+@pytest.mark.parametrize("ceiling", [0, 100])
+def test_fold_executes_upstream_once_on_both_routes(ray_session,
+                                                     monkeypatch, ceiling):
+    """``nb=None`` reads block row counts from the stream's metadata, so
+    neither the split route (ceiling 0) nor the one-reduce route runs
+    the upstream UDF more than once per block."""
+    import ray
+
+    @ray.remote
+    class Counter:
+        def __init__(self):
+            self.n = 0
+
+        def bump(self):
+            self.n += 1
+
+        def get(self):
+            return self.n
+
+    c = Counter.remote()
+
+    def tagged(b: pa.Table) -> pa.Table:
+        ray.get(c.bump.remote())
+        return b
+
+    monkeypatch.setattr(blocks, "KEYED_FOLD_DRIVER_MAX", ceiling)
+    t = pa.table({"k": pa.array([i % 3 for i in range(30)], pa.int64()),
+                  "v": pa.array(range(30), pa.int64())})
+    ds = rd.from_arrow(t).repartition(2).map_batches(
+        tagged, batch_format="pyarrow")
+    out = fold(ds, "k", _part_stats(), None, pa.table({
+        "k": pa.array([], pa.int64()), "n": pa.array([], pa.int64()),
+        "s": pa.array([], pa.int64())}))
+    assert sorted(out.to_pandas()["n"]) == [10, 10, 10]
+    assert out.count() == 3
+    assert ray.get(c.get.remote()) == 2

@@ -629,7 +629,7 @@ def test_latest_at_bucketed_parity(src, ray_session):
     a = latest_at_any(ds, ts).to_pandas().sort_values("id") \
         .reset_index(drop=True)
     b = latest_at_bucketed(rd.read_parquet(f"{src}/osm_history.parquet"),
-                           ts, num_buckets=7).to_pandas() \
+                           ts).to_pandas() \
         .sort_values("id").reset_index(drop=True)
     assert len(a) == len(b) > 0
     for col in ("id", "version", "lon", "lat"):

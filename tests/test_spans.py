@@ -2,7 +2,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
-from pyrosm_ray.stages import spans
+from pyrosm_ray.stages import blocks, spans
 
 
 def _tbl(docs):
@@ -61,15 +61,46 @@ def test_dup_span_no_cross_doc_window_bleed(ray_session):
 
 
 def test_dup_span_route_parity(ray_session, monkeypatch):
-    """Driver fast path and the shuffle route produce identical stats."""
+    """One-task folds (``nb=None`` within the ceiling) and split folds
+    (ceiling forced to 0) produce identical stats."""
     docs = {i: f"w{i % 4} common phrase tail t{i} extra pad words here"
             for i in range(1, 30)}
     fast = spans.dup_span_stats(rd.from_arrow(_tbl(docs)),
                                 window=4).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
-    monkeypatch.setattr(spans, "BANDED_DRIVER_MAX", 0)
+    monkeypatch.setattr(blocks, "KEYED_FOLD_DRIVER_MAX", 0)
     dist = spans.dup_span_stats(rd.from_arrow(_tbl(docs)),
                                 window=4).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
     assert fast.equals(dist)
     assert int(fast.n_dup_windows.sum()) > 0
+
+
+def test_dup_span_stats_executes_upstream_once(ray_session):
+    """Both folds stream the upstream plan once: no pre-gate count of an
+    unmaterialized Dataset runs it a second time."""
+    import ray
+
+    @ray.remote
+    class Counter:
+        def __init__(self):
+            self.n = 0
+
+        def bump(self):
+            self.n += 1
+
+        def get(self):
+            return self.n
+
+    c = Counter.remote()
+
+    def tagged(b: pa.Table) -> pa.Table:
+        ray.get(c.bump.remote())
+        return b
+
+    docs = {i: f"w{i % 4} common phrase tail t{i}" for i in range(1, 30)}
+    ds = rd.from_arrow(_tbl(docs)).repartition(3).map_batches(
+        tagged, batch_format="pyarrow")
+    got = spans.dup_span_stats(ds, window=4).to_pandas()
+    assert len(got) == len(_brute(docs, 4))
+    assert ray.get(c.get.remote()) == 3
