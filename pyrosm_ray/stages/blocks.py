@@ -3,24 +3,29 @@ key.
 
 :func:`fold` hash-splits a Dataset on its real key columns and runs one
 reduce task per partition, which calls ``fn`` once over all of that
-partition's rows. :func:`exchange` (``groupby(key).map_groups(fn)``
-semantics: ``fn`` once per distinct key, nulls as one group) is a fold
-whose ``fn`` slices each key's run, and :func:`co_join` (an inner, left
-outer or left anti hash join) shares the same split. Shards move
-between plain Ray tasks: one split task per non-empty upstream block
-(``num_returns=nb``), reduce refs wrapped by ``rd.from_arrow_refs``. No
-aggregator-actor pool starts, zero-row blocks are skipped from their
-metadata, and an empty partition returns a typed table. Outputs stay
-object refs; nothing is gathered on the driver.
+partition's rows. Given a tuple of Datasets (sides), it splits every
+side on the same key and calls ``fn`` with one table per side, so a
+two-input operator needs no side-tag column or sentinel value; a side
+without rows in a partition arrives as a typed zero-row table.
+:func:`exchange` (``groupby(key).map_groups(fn)`` semantics: ``fn``
+once per distinct key, nulls as one group) is a fold whose ``fn``
+slices each key's run, and :func:`co_join` (an inner, left outer or
+left anti hash join) is a two-sided fold whose ``fn`` is one
+``pa.Table.join``. Shards move between plain Ray tasks: one split task
+per non-empty upstream block (``num_returns=nb``), reduce refs wrapped
+by ``rd.from_arrow_refs``. No aggregator-actor pool starts, zero-row
+blocks are skipped from their metadata, and an empty partition returns
+a typed table. Outputs stay object refs; nothing is gathered on the
+driver.
 
 ``nb=None`` sizes the split from the input as its blocks stream out:
-while the non-empty rows seen stay within :data:`KEYED_FOLD_DRIVER_MAX`
-the blocks are held unsplit, and if the stream ends there ONE reduce
-task runs over the raw blocks (a one-way split is the identity, so no
-split task runs). Past the ceiling the held blocks and everything after
-them split :func:`groupby_partitions` wide. The row count comes from
-block metadata, so nothing materializes or counts first. An explicit
-``nb`` always splits ``nb`` ways.
+while the non-empty rows seen (all sides together) stay within
+:data:`KEYED_FOLD_DRIVER_MAX` the blocks are held unsplit, and if the
+stream ends there ONE reduce task runs over the raw blocks (a one-way
+split is the identity, so no split task runs). Past the ceiling the
+held blocks and everything after them split :func:`groupby_partitions`
+wide. The row count comes from block metadata, so nothing materializes
+or counts first. An explicit ``nb`` always splits ``nb`` ways.
 
 :func:`tune_shuffle_context` only sizes Ray Data's own hash shuffle for
 the callers outside the package that still use it."""
@@ -131,8 +136,23 @@ def _split_block(block, keys: list[str], nb: int):
     return tuple(t.take(order[cut[i]:cut[i + 1]]) for i in range(nb))
 
 
+def _bundles(sides):
+    """(side index, ref bundle) pairs from every Dataset of ``sides``,
+    taken in turn, so every side's plan streams at once (as a
+    ``union`` of them would)."""
+    live = [(i, iter(ds.iter_internal_ref_bundles()))
+            for i, ds in enumerate(sides)]
+    while live:
+        step, live = live, []
+        for i, it in step:
+            bundle = next(it, None)
+            if bundle is not None:
+                live.append((i, it))
+                yield i, bundle
+
+
 def _partition(sides, keys: list[str], nb: int | None):
-    """Stream each Dataset of ``sides`` in turn -> (per side, a list of
+    """Stream the Datasets of ``sides`` together -> (per side, a list of
     partition ref lists; per side, the first schema its blocks carried).
 
     ``nb=None`` holds non-empty blocks unsplit until the rows of all
@@ -152,23 +172,22 @@ def _partition(sides, keys: list[str], nb: int | None):
         for p, r in zip(side, out):
             p.append(r)
 
-    for i, ds in enumerate(sides):
-        for bundle in ds.iter_internal_ref_bundles():
-            if schemas[i] is None and isinstance(bundle.schema, pa.Schema) \
-                    and bundle.schema.names:
-                schemas[i] = bundle.schema
-            for ref, meta in bundle.blocks:
-                if meta.num_rows == 0:
-                    continue
-                rows += meta.num_rows
-                if nb is None and rows > KEYED_FOLD_DRIVER_MAX:
-                    nb = width = groupby_partitions()
-                    held = [p[0] for p in parts]
-                    parts = [[[] for _ in range(width)] for _ in sides]
-                    for side, refs in zip(parts, held):
-                        for r in refs:
-                            put(side, r)
-                put(parts[i], ref)
+    for i, bundle in _bundles(sides):
+        if schemas[i] is None and isinstance(bundle.schema, pa.Schema) \
+                and bundle.schema.names:
+            schemas[i] = bundle.schema
+        for ref, meta in bundle.blocks:
+            if meta.num_rows == 0:
+                continue
+            rows += meta.num_rows
+            if nb is None and rows > KEYED_FOLD_DRIVER_MAX:
+                nb = width = groupby_partitions()
+                held = [p[0] for p in parts]
+                parts = [[[] for _ in range(width)] for _ in sides]
+                for side, refs in zip(parts, held):
+                    for r in refs:
+                        put(side, r)
+            put(parts[i], ref)
     return parts, schemas
 
 
@@ -178,10 +197,27 @@ def _concat_rows(parts) -> pa.Table | None:
         else None
 
 
-@ray.remote
-def _fold_reduce(fn, empty: pa.Table, *parts) -> pa.Table:
+def _side_table(parts, schema) -> pa.Table:
+    """One side's rows in a partition. A side that sent the partition no
+    rows is a typed zero-row table: its schema comes from a split shard,
+    else from the side's streamed schema (zero columns if it had none)."""
     t = _concat_rows(parts)
-    out = None if t is None else fn(t)
+    if t is not None:
+        return t
+    if parts:
+        return _table(parts[0])
+    return schema.empty_table() if schema is not None else pa.table({})
+
+
+@ray.remote
+def _fold_reduce(fn, empty: pa.Table, schemas, counts, *parts) -> pa.Table:
+    sides, at = [], 0
+    for n, schema in zip(counts, schemas):
+        sides.append(_side_table(parts[at:at + n], schema))
+        at += n
+    if not any(t.num_rows for t in sides):
+        return empty
+    out = fn(*sides)
     return empty if out is None or not out.num_rows else out
 
 
@@ -201,24 +237,18 @@ def _per_key(fn, key: str, t: pa.Table) -> pa.Table | None:
                          for s, e in zip(cut[:-1], cut[1:])])
 
 
-@ray.remote
-def _join_reduce(keys: list[str], join_type: str, empty: pa.Table,
-                 n_left: int, *parts) -> pa.Table:
-    if n_left == 0 or (n_left == len(parts) and join_type == "inner"):
-        return empty
-    # zero-row shards still carry their block's schema, so a partition
-    # with no matches yields a zero-row table typed by the data itself
-    parts = [_table(p) for p in parts]
-    left = pa.concat_tables(parts[:n_left], promote_options="default")
-    if n_left < len(parts):
-        right = pa.concat_tables(parts[n_left:], promote_options="default")
-    else:
-        # the right side has no rows at all: a left outer/anti join keeps
-        # every left row, joined against a typed empty right side
-        right = empty.select(keys + [c for c in empty.column_names
-                                     if c not in left.column_names])
+def _join(keys: list[str], join_type: str, empty: pa.Table | None,
+          left: pa.Table, right: pa.Table) -> pa.Table | None:
+    """The :func:`co_join` fold body: one ``pa.Table.join`` per
+    partition."""
     if not left.num_rows or (join_type == "inner" and not right.num_rows):
-        left, right = left.slice(0, 0), right.slice(0, 0)  # no hash build
+        return None
+    if not right.num_rows:
+        # a left outer/anti join keeps every left row, joined against a
+        # right side typed from the result schema
+        typed = left.slice(0, 0) if empty is None else empty
+        right = typed.select(keys + [c for c in typed.column_names
+                                     if c not in left.column_names])
     return left.join(right, keys, join_type=join_type)
 
 
@@ -226,16 +256,29 @@ def _keys(keys) -> list[str]:
     return [keys] if isinstance(keys, str) else list(keys)
 
 
-def fold(ds, keys, fn, nb: int | None, empty: pa.Table) -> rd.Dataset:
+def fold(ds, keys, fn, nb: int | None, empty: pa.Table | None
+         ) -> rd.Dataset:
     """Hash-split ``ds`` on its real ``keys`` (a column name or a list)
     into ``nb`` partitions (``None``: sized from the input, see the
     module docstring) and call ``fn`` once per partition with all of its
     rows as one ``pa.Table``; every row of a key lands in the same call.
-    A partition that receives no rows, or whose ``fn`` output has none,
-    returns ``empty``, so every output block is typed."""
-    (parts,), _ = _partition([ds], _keys(keys), nb)
-    return rd.from_arrow_refs(
-        [_fold_reduce.remote(fn, empty, *p) for p in parts])
+
+    ``ds`` may be a tuple of Datasets (sides) that all carry ``keys``:
+    every side splits the same way and ``fn`` gets one table per side,
+    in order. A side that sent a partition no rows arrives as a typed
+    zero-row table (see :func:`_side_table`), so ``fn`` knows its sides
+    without a tag column. A partition with no rows on any side, or
+    whose ``fn`` output has none, returns ``empty`` (``None``: the first
+    side's streamed schema), so every output block is typed."""
+    sides = ds if isinstance(ds, tuple) else (ds,)
+    parts, schemas = _partition(sides, _keys(keys), nb)
+    if empty is None:
+        empty = schemas[0].empty_table() if schemas[0] is not None \
+            else pa.table({})
+    return rd.from_arrow_refs([
+        _fold_reduce.remote(fn, empty, schemas, [len(p[i]) for p in parts],
+                            *(r for p in parts for r in p[i]))
+        for i in range(len(parts[0]))])
 
 
 def exchange(ds, key: str, fn, nb: int | None,
@@ -249,31 +292,22 @@ def exchange(ds, key: str, fn, nb: int | None,
 
 def co_join(left, right, keys, nb: int | None, empty: pa.Table | None,
             join_type: str = "inner") -> rd.Dataset:
-    """Hash join of two Datasets on same-named ``keys`` on raw Ray
-    tasks: both sides split like :func:`fold` (for ``nb=None`` the
-    ceiling counts both sides' rows) and each partition runs one
-    ``pa.Table.join`` (left columns first, then right's non-key
-    columns). ``join_type`` is pyarrow's: ``"inner"``, ``"left outer"``
-    or ``"left anti"``. Key columns must share a name: rename the
-    right-hand key in a map first.
+    """Hash join of two Datasets on same-named ``keys``: a two-sided
+    :func:`fold` whose partition body is one ``pa.Table.join`` (left
+    columns first, then right's non-key columns). ``join_type`` is
+    pyarrow's: ``"inner"``, ``"left outer"`` or ``"left anti"``. Key
+    columns must share a name: rename the right-hand key in a map
+    first.
 
     ``empty`` is the result's schema as a zero-row table; ``None`` takes
     the left side's schema as its blocks stream (a semi-join against a
-    keys-only right side). It is the result when the left side (or, for
-    an inner join, either side) has no rows at all. When only the right
-    side is empty, a left outer or left anti join returns every left
-    row, with ``empty``'s right-hand columns null. Otherwise every
-    partition joins its typed shards, so a partition without matches is
-    a zero-row table in the data's own schema."""
+    keys-only right side). A partition with no left rows (or, for an
+    inner join, no rows on either side) returns it. A partition with
+    left rows but no right rows keeps every left row under a left outer
+    or left anti join, with ``empty``'s right-hand columns null."""
     keys = _keys(keys)
-    (lp, rp), schemas = _partition([left, right], keys, nb)
-    if empty is None:
-        empty = schemas[0].empty_table() if schemas[0] is not None \
-            else pa.table({})
-    return rd.from_arrow_refs(
-        [_join_reduce.remote(keys, join_type, empty, len(lp[i]), *lp[i],
-                             *rp[i])
-         for i in range(len(lp))])
+    return fold((left, right), keys,
+                functools.partial(_join, keys, join_type, empty), nb, empty)
 
 
 def keyed_sum_fold(ds, key_col: str, val_cols: list[str],

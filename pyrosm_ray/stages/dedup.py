@@ -1467,19 +1467,19 @@ def near_dup_keep_best(ds, id_col: str = "doc_id", text_col: str = "text",
 # cross-snapshot incremental dedup
 # ---------------------------------------------------------------------------
 
-def _content_hash_tbl(batch: pa.Table, id_col: str, text_col: str,
-                      is_ref: bool) -> pa.Table:
-    """(hash64-of-normalised-content, id) rows; reference rows carry the
-    -1 id sentinel so both sides share one schema through the union."""
+def _content_hash_tbl(batch: pa.Table, text_col: str,
+                      id_col: str | None = None) -> pa.Table:
+    """(hash64-of-normalised-content[, id]) rows; the id column is kept
+    only when ``id_col`` is given (the reference side needs none)."""
     texts = batch[text_col].to_pylist()
     # int64 VIEW of the uint64 hash (uint64 keys fall back to pickled
     # objects inside Ray's hash-shuffle pandas round-trip)
     hs = stable64_many([" ".join((t or "").lower().split())
                         for t in texts]).view(np.int64)
-    ids = np.full(len(texts), -1, dtype=np.int64) if is_ref else \
-        np.asarray(batch[id_col].to_numpy(zero_copy_only=False), np.int64)
-    return pa.table({"__h": pa.array(hs, pa.int64()),
-                     "__cid": pa.array(ids, pa.int64())})
+    cols = {"__h": pa.array(hs, pa.int64())}
+    if id_col is not None:
+        cols[id_col] = batch[id_col].cast(pa.int64())
+    return pa.table(cols)
 
 
 # ---- Bloom membership filter (sketch-proposed, exact-output) --------------
@@ -1572,12 +1572,12 @@ def incremental_dedup(new_ds, ref_ds, id_col: str = "doc_id",
 
     The shape that holds when the reference corpus is the 100-TB side:
     only (hash, id) pairs shuffle — content never moves — and the
-    reference reduces to hash rows carrying a -1 sentinel; one fold on
-    the hash runs the decision once per PARTITION with one C-level
-    groupby-min inside (a -1 min marks a reference hit), not once per
-    distinct hash; winners re-select their full rows by a
-    distributed semi-join (no driver keep-set, no broadcast of the big
-    side).
+    reference reduces to bare hash rows; one two-sided fold on the hash
+    (new rows, reference rows) runs the decision once per PARTITION: one
+    C-level groupby-min over the new rows, minus the hashes the
+    reference side holds, not once per distinct hash; winners re-select
+    their full rows by a distributed semi-join (no driver keep-set, no
+    broadcast of the big side).
 
     ``bloom_bits_per_item > 0`` adds the map-side Bloom prefilter (see
     module note above): the reference side is scanned twice map-only —
@@ -1587,11 +1587,10 @@ def incremental_dedup(new_ds, ref_ds, id_col: str = "doc_id",
     (parity-pinned); the bitmaps broadcast once (m/8 bytes, sized by
     ``_bloom_params``), which is the route's documented ceiling."""
     new_h = new_ds.map_batches(
-        lambda b: _content_hash_tbl(b, id_col, text_col, False),
+        lambda b: _content_hash_tbl(b, text_col, id_col),
         batch_format="pyarrow")
     ref_h = ref_ds.map_batches(
-        lambda b: _content_hash_tbl(b, id_col, text_col, True),
-        batch_format="pyarrow")
+        lambda b: _content_hash_tbl(b, text_col), batch_format="pyarrow")
 
     if bloom_bits_per_item > 0:
         # pass 1 (map-only): candidate hashes = new docs possibly in ref
@@ -1608,17 +1607,18 @@ def incremental_dedup(new_ds, ref_ds, id_col: str = "doc_id",
         ref_h = _bloom_filter_ds(ref_h, cand_words, mc, kc,
                                  keep_hits=True)
 
-    def pick(group: pa.Table) -> pa.Table:
+    def pick(new: pa.Table, ref: pa.Table) -> pa.Table | None:
         import pandas as pd
-        df = pd.DataFrame({
-            "h": group["__h"].to_numpy(zero_copy_only=False),
-            "i": group["__cid"].to_numpy(zero_copy_only=False)})
-        m = df.groupby("h", sort=False)["i"].min().to_numpy(np.int64)
-        return pa.table({id_col: pa.array(m[m >= 0], pa.int64())})
+        if not new.num_rows:
+            return None
+        m = pd.Series(new[id_col].to_numpy(zero_copy_only=False)).groupby(
+            new["__h"].to_numpy(zero_copy_only=False), sort=False).min()
+        if ref.num_rows:
+            m = m[~m.index.isin(ref["__h"].to_numpy(zero_copy_only=False))]
+        return pa.table({id_col: pa.array(m.to_numpy(np.int64), pa.int64())})
 
     keep_empty = pa.table({id_col: pa.array([], pa.int64())})
-    keep = fold(new_h.union(ref_h), "__h", pick, num_partitions,
-                keep_empty)
+    keep = fold((new_h, ref_h), "__h", pick, num_partitions, keep_empty)
     # winner re-select: the keep set is ids-only (8 B/row, already an
     # all-to-all output), so materialize it and gate on ITS size — up
     # to KEEP_BROADCAST_MAX ids (<=32 MB) the survivors broadcast once
@@ -1739,8 +1739,9 @@ def line_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
       distinct lines), so only three int64s per line cross the wire;
       line TEXT moves exactly once — survivors and exploded lines
       co-locate by doc id (a keep-key's doc IS its surviving doc:
-      ``ordkey >> 20``) in ONE union fold whose per-partition pass is a
-      sorted ``np.isin`` + the vectorised reassembly.
+      ``ordkey >> 20``) in ONE two-sided fold (lines, keep keys) whose
+      per-partition pass is an ``np.isin`` + the vectorised
+      reassembly.
     * ``shuffle_key="line"``: groups on the raw line string — exact with
       no hash caveat, at the cost of shuffling text in the groupby and
       the survivor join. The bit-replicable oracle route.
@@ -1807,51 +1808,30 @@ def _line_dedup_hash(ds, id_col: str, text_col: str, delim: str,
             "k": g["__ordkey"].to_numpy(zero_copy_only=False)})
         k = df.groupby(["h1", "h2"], sort=False)["k"].min() \
             .to_numpy(np.int64)
-        return pa.table({
-            "__side": pa.array(np.ones(len(k), np.int64)),
-            "__ordkey": pa.array(k),
-            id_col: pa.array(k >> _ORD_BITS, pa.int64()),
-            "__ord": pa.nulls(len(k), pa.int64()),
-            "__line": pa.nulls(len(k), pa.string()),
-            **{c: pa.nulls(len(k), pa.string()) for c in carry_cols},
-        })
+        return pa.table({"__ordkey": pa.array(k),
+                         id_col: pa.array(k >> _ORD_BITS, pa.int64())})
 
     keys = ["__h1", "__h2", "__ordkey"]
     keep = fold(ex.select_columns(keys), ["__h1", "__h2"], fold_first,
-                num_partitions, fold_first(pa.table(
-                    {c: pa.array([], pa.int64()) for c in keys})))
+                num_partitions, pa.table({
+                    "__ordkey": pa.array([], pa.int64()),
+                    id_col: pa.array([], pa.int64())}))
+    cols = [id_col, "__ord", "__line"] + carry_cols
 
-    def lines(b: pa.Table) -> pa.Table:
-        cols = {
-            "__side": pa.array(np.zeros(len(b), np.int64)),
-            "__ordkey": b["__ordkey"],
-            id_col: b[id_col],
-            "__ord": b["__ord"],
-            "__line": b["__line"],
-        }
-        for c in carry_cols:
-            cols[c] = b[c]
-        return pa.table(cols)
-
-    both = ex.map_batches(lines, batch_format="pyarrow").union(keep)
-
-    def survivors(g: pa.Table) -> pa.Table:
-        side = np.asarray(g["__side"].to_numpy(zero_copy_only=False),
-                          np.int64)
-        ok = np.asarray(g["__ordkey"].to_numpy(zero_copy_only=False),
-                        np.int64)
-        keepset = np.sort(ok[side == 1])
-        rows = g.filter(pa.array(side == 0))
+    def survivors(rows: pa.Table, kept: pa.Table) -> pa.Table | None:
+        if not rows.num_rows or not kept.num_rows:
+            return None
         hit = np.isin(
             np.asarray(rows["__ordkey"].to_numpy(zero_copy_only=False),
                        np.int64),
-            keepset, assume_unique=False)
-        surv = rows.filter(pa.array(hit)) \
-            .select([id_col, "__ord", "__line"] + carry_cols)
-        return _reassemble_lines(surv, id_col, delim, out_col, carry_cols)
+            np.asarray(kept["__ordkey"].to_numpy(zero_copy_only=False),
+                       np.int64))
+        return _reassemble_lines(rows.filter(pa.array(hit)).select(cols),
+                                 id_col, delim, out_col, carry_cols)
 
-    return fold(both, id_col, survivors, num_partitions, _reassemble_lines(
-        pa.table({}), id_col, delim, out_col, carry_cols))
+    return fold((ex.select_columns(cols + ["__ordkey"]), keep), id_col,
+                survivors, num_partitions, _reassemble_lines(
+                    pa.table({}), id_col, delim, out_col, carry_cols))
 
 
 # ---------------------------------------------------------------------------
@@ -1960,11 +1940,11 @@ def snapshot_diff(old_ds, new_ds, id_col: str = "doc_id",
     ``status`` ∈ {added, removed, changed, same} per document id.
 
     Scale shape (the :func:`incremental_dedup` contract): each side
-    reduces in ONE stateless pass to (id, side, 128-bit content key)
-    rows — text never shuffles — then one union fold on the id
+    reduces in ONE stateless pass to (id, 128-bit content key) rows —
+    text never shuffles — then one two-sided fold on the id
     (:func:`pyrosm_ray.stages.blocks.fold`) decides every id's status
-    with a factorize + scatter compare per partition. Each upstream plan
-    runs once.
+    with one full outer join per partition. Each upstream plan runs
+    once.
     Ids are unique per snapshot (the document-key contract). The DuckDB
     twin is the FULL OUTER JOIN with a raw text-equality CASE; md5-128
     collisions are below the birthday bound at any corpus size, so the
@@ -1974,51 +1954,34 @@ def snapshot_diff(old_ds, new_ds, id_col: str = "doc_id",
     """
     from pyrosm_ray.stages.hashing import stable128_many
 
-    def keyed(side: int):
-        def run(b: pa.Table) -> pa.Table:
-            ids = np.asarray(b[id_col].to_numpy(zero_copy_only=False),
-                             np.int64)
-            lo, hi = stable128_many(b[text_col].to_pylist())
-            return pa.table({
-                "id": pa.array(ids, pa.int64()),
-                "side": pa.array(np.full(len(ids), side, np.int64)),
-                "lo": pa.array(lo.view(np.int64), pa.int64()),
-                "hi": pa.array(hi.view(np.int64), pa.int64()),
-            })
-        return run
+    def keyed(b: pa.Table) -> pa.Table:
+        lo, hi = stable128_many(b[text_col].to_pylist())
+        return pa.table({"id": b[id_col].cast(pa.int64()),
+                         "lo": pa.array(lo.view(np.int64), pa.int64()),
+                         "hi": pa.array(hi.view(np.int64), pa.int64())})
 
-    u = old_ds.map_batches(keyed(0), batch_format="pyarrow") \
-        .union(new_ds.map_batches(keyed(1), batch_format="pyarrow"))
+    def status(old: pa.Table, new: pa.Table) -> pa.Table:
+        if not old.num_rows or not new.num_rows:
+            one = old if old.num_rows else new
+            return pa.table({id_col: one["id"], "status": pa.array(
+                ["removed" if old.num_rows else "added"] * one.num_rows,
+                pa.string())})
+        j = old.join(new, "id", join_type="full outer", left_suffix="_o",
+                     right_suffix="_n")
+        in_old = j["lo_o"].is_valid()
+        in_new = j["lo_n"].is_valid()
+        same = pc.and_(pc.equal(j["lo_o"], j["lo_n"]),
+                       pc.equal(j["hi_o"], j["hi_n"]))
+        return pa.table({id_col: j["id"], "status": pc.if_else(
+            pc.invert(in_old), "added", pc.if_else(
+                pc.invert(in_new), "removed",
+                pc.if_else(same, "same", "changed")))})
 
-    def status(g: pa.Table) -> pa.Table:
-        import pandas as pd
-        ids = np.asarray(g["id"].to_numpy(zero_copy_only=False),
-                         np.int64)
-        side = np.asarray(g["side"].to_numpy(zero_copy_only=False),
-                          np.int64)
-        lo = np.asarray(g["lo"].to_numpy(zero_copy_only=False), np.int64)
-        hi = np.asarray(g["hi"].to_numpy(zero_copy_only=False), np.int64)
-        codes, uniq = pd.factorize(ids)
-        n = len(uniq)
-        has = np.zeros((n, 2), bool)
-        klo = np.zeros((n, 2), np.int64)
-        khi = np.zeros((n, 2), np.int64)
-        has[codes, side] = True
-        klo[codes, side] = lo
-        khi[codes, side] = hi
-        in_old, in_new = has[:, 0], has[:, 1]
-        same = in_old & in_new & (klo[:, 0] == klo[:, 1]) \
-            & (khi[:, 0] == khi[:, 1])
-        status = np.where(~in_old, "added",
-                          np.where(~in_new, "removed",
-                                   np.where(same, "same", "changed")))
-        return pa.table({id_col: pa.array(uniq, pa.int64()),
-                         "status": pa.array(status.astype(object),
-                                            pa.string())})
-
-    return fold(u, "id", status, num_partitions, pa.table({
-        id_col: pa.array([], pa.int64()),
-        "status": pa.array([], pa.string())}))
+    return fold((old_ds.map_batches(keyed, batch_format="pyarrow"),
+                 new_ds.map_batches(keyed, batch_format="pyarrow")), "id",
+                status, num_partitions, pa.table({
+                    id_col: pa.array([], pa.int64()),
+                    "status": pa.array([], pa.string())}))
 
 
 def snapshot_diff_sql(old_sel: str, new_sel: str,

@@ -23,9 +23,9 @@ Pipelines:
   the polygon side outgrows a broadcast: both sides keyed by covering cell
   (polygons replicated to every cell their bbox covers), joined per cell.
   Uses a payload projection + re-join by url so ``text`` never shuffles.
-  The partitioned joins exchange rows on raw Ray tasks
-  (:func:`pyrosm_ray.stages.blocks.exchange` / ``co_join``), not on Ray
-  Data's hash shuffle.
+  The partitioned joins move rows on raw Ray tasks, as two-sided
+  :func:`pyrosm_ray.stages.blocks.fold` calls on the cell or polygon id
+  (and ``co_join``), not on Ray Data's hash shuffle.
 
 Reference seed for PIP semantics: the bbox sjoin of
 /root/reference/pyrosm/frames.pyx:231-241, generalised from one rectangle to
@@ -40,7 +40,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from pyrosm_ray.stages.blocks import (co_join, exchange, groupby_partitions,
+from pyrosm_ray.stages.blocks import (co_join, fold, groupby_partitions,
                                       keyed_sum_auto)
 
 import functools
@@ -305,6 +305,30 @@ def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     np.cumsum(counts, out=off[1:])
     return (np.arange(total, dtype=np.int64)
             - np.repeat(off[:-1], counts) + np.repeat(starts, counts))
+
+
+_PAIR_BUDGET = 1 << 22  # candidate pairs one kernel expands at a time
+
+
+def _cell_pairs(pcell: np.ndarray, qcell: np.ndarray):
+    """Every (page, q) row pair sharing a cell, in page chunks of about
+    :data:`_PAIR_BUDGET` pairs (a page over budget is a chunk alone): a
+    dense partition's whole cross product would OOM a worker. Yields
+    ``(s, e, pair_pg, pair_q)``: pages ``s:e``, pairs grouped by page in
+    page order, indices into the full arrays."""
+    qord = np.argsort(qcell, kind="stable")
+    qs = qcell[qord]
+    start = np.searchsorted(qs, pcell, side="left")
+    cnt = np.searchsorted(qs, pcell, side="right") - start
+    cum = np.cumsum(cnt)
+    s = 0
+    while s < len(pcell):
+        base = cum[s - 1] if s else 0
+        e = min(max(int(np.searchsorted(cum, base + _PAIR_BUDGET,
+                                        side="right")), s + 1), len(pcell))
+        yield s, e, np.repeat(np.arange(s, e, dtype=np.int64), cnt[s:e]), \
+            qord[_concat_ranges(start[s:e], cnt[s:e])]
+        s = e
 
 
 def _build_cell_bins(bboxes: np.ndarray, max_cover: int = 64):
@@ -1255,26 +1279,17 @@ _PIP_HITS_EMPTY = pa.table({
     "polygon_id": pa.array([], pa.int64())})
 
 
-def _with_shard(b: pa.Table, col: str, n: int) -> pa.Table:
-    """Append ``__shard`` = a multiplicative hash of the int64 column
-    ``col`` mod ``n`` — the exchange key that batches many cells into
-    one kernel call."""
-    v = np.asarray(b[col].to_numpy(zero_copy_only=False), np.int64)
-    h = (v.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-    return b.append_column(
-        "__shard", pa.array((h % np.uint64(n)).astype(np.int64)))
-
-
-def _pip_cells_pairs(group: pa.Table) -> pa.Table:
-    """One cell-hash shard of page rows + polygon cover-key rows ->
+def _pip_cells_pairs(pg: pa.Table, po: pa.Table) -> pa.Table | None:
+    """One cell partition's page rows and polygon cover-key rows ->
     bbox-pruned candidate (page, polygon) pairs, exact-confirmed
     in-kernel when the cover row carries inline geometry.
 
-    Pages and cover keys were co-partitioned by ONE groupby; candidates
-    are generated in here (page x cover keys sharing its exact cell id,
-    which encodes the ladder level in its top bits) and pruned against
-    the cover row's polygon bbox before anything leaves the kernel —
-    no pair row ever crosses the network un-pruned.
+    Pages and cover keys arrive as the two sides of one fold on the
+    cell; candidates are generated in here (page x cover keys sharing
+    its exact cell id, which encodes the ladder level in its top bits,
+    expanded in page chunks under :data:`_PAIR_BUDGET`) and pruned
+    against the cover row's polygon bbox before anything leaves the
+    kernel — no pair row ever crosses the network un-pruned.
 
     Cover rows whose ``coords`` column is non-null (small polygons whose
     packed geometry fit the inline-replication budget) are confirmed
@@ -1282,38 +1297,32 @@ def _pip_cells_pairs(group: pa.Table) -> pa.Table:
     ``confirmed=True`` hit rows — those polygons skip the second
     all-to-all entirely. Rows with null ``coords`` (large geometries,
     which must never replicate per covering cell) leave as
-    ``confirmed=False`` candidate pairs for the stage-2 polygon-hash
+    ``confirmed=False`` candidate pairs for the stage-2 polygon-keyed
     confirm."""
-    is_page = np.asarray(pc.is_valid(group["url"])
-                         .to_numpy(zero_copy_only=False))
-    pg = group.filter(pa.array(is_page))
-    po = group.filter(pa.array(~is_page))
     if pg.num_rows == 0 or po.num_rows == 0:
-        return _PIP_S1_EMPTY
-    pcell = np.asarray(pg["cell"].to_numpy(zero_copy_only=False), np.int64)
-    qcell = np.asarray(po["cell"].to_numpy(zero_copy_only=False), np.int64)
-    qord = np.argsort(qcell, kind="stable")
-    qcell_s = qcell[qord]
-    s0 = np.searchsorted(qcell_s, pcell, side="left")
-    cnt = np.searchsorted(qcell_s, pcell, side="right") - s0
-    pair_pg = np.repeat(np.arange(len(pcell), dtype=np.int64), cnt)
-    pair_q = qord[_concat_ranges(s0, cnt)]
-    lon = np.asarray(pg["lon"].to_numpy(zero_copy_only=False))[pair_pg]
-    lat = np.asarray(pg["lat"].to_numpy(zero_copy_only=False))[pair_pg]
-    bx = {c: np.asarray(po[c].to_numpy(zero_copy_only=False))[pair_q]
+        return None
+    lon_pg = np.asarray(pg["lon"].to_numpy(zero_copy_only=False))
+    lat_pg = np.asarray(pg["lat"].to_numpy(zero_copy_only=False))
+    bx = {c: np.asarray(po[c].to_numpy(zero_copy_only=False))
           for c in ("x0", "y0", "x1", "y1")}
-    m = ((lon >= bx["x0"]) & (lon <= bx["x1"])
-         & (lat >= bx["y0"]) & (lat <= bx["y1"]))
+    pgi_l, qi_l = [], []
+    for _, _, pair_pg, pair_q in _cell_pairs(
+            np.asarray(pg["cell"].to_numpy(zero_copy_only=False), np.int64),
+            np.asarray(po["cell"].to_numpy(zero_copy_only=False), np.int64)):
+        lon = lon_pg[pair_pg]
+        lat = lat_pg[pair_pg]
+        m = ((lon >= bx["x0"][pair_q]) & (lon <= bx["x1"][pair_q])
+             & (lat >= bx["y0"][pair_q]) & (lat <= bx["y1"][pair_q]))
+        pgi_l.append(pair_pg[m])
+        qi_l.append(pair_q[m])
     pid = np.asarray(po["polygon_id"].to_numpy(zero_copy_only=False),
                      np.int64)
-    pgi = pair_pg[m]
-    qi = pair_q[m]
-    plon = lon[m]
-    plat = lat[m]
-    has_geom = np.asarray(pc.is_valid(po["coords"])
-                          .to_numpy(zero_copy_only=False)) \
-        if "coords" in po.column_names else np.zeros(po.num_rows, bool)
-    inline = has_geom[qi]
+    pgi = np.concatenate(pgi_l)
+    qi = np.concatenate(qi_l)
+    plon = lon_pg[pgi]
+    plat = lat_pg[pgi]
+    inline = np.asarray(pc.is_valid(po["coords"])
+                        .to_numpy(zero_copy_only=False))[qi]
     parts = []
     d = ~inline
     if d.any():
@@ -1349,23 +1358,20 @@ def _pip_cells_pairs(group: pa.Table) -> pa.Table:
             "polygon_id": pa.array(pid[qs[keep]], pa.int64()),
             "confirmed": pa.array(np.ones(int(keep.sum()), bool)),
         }))
-    return pa.concat_tables(parts) if parts else _PIP_S1_EMPTY
+    return pa.concat_tables(parts) if parts else None
 
 
-def _pip_confirm_group(group: pa.Table) -> pa.Table:
-    """One polygon-hash shard of candidate pairs + packed geometry rows
-    -> exact even-odd confirmed (url, polygon_id) hits.
+def _pip_confirm_group(pairs: pa.Table, geoms: pa.Table) -> pa.Table | None:
+    """One polygon partition's candidate pairs and packed geometry rows
+    (the two sides of one fold on ``polygon_id``) -> exact even-odd
+    confirmed (url, polygon_id) hits.
 
-    The shard's polygons are unpacked ONCE (zero-copy CSR over the
+    The partition's polygons are unpacked ONCE (zero-copy CSR over the
     packed coord/ring-length buffers, one flat edge build) and every
-    pair in the shard confirms against that working set — the geometry
-    bytes arrived once per polygon, not once per pair."""
-    is_pair = np.asarray(pc.is_valid(group["url"])
-                         .to_numpy(zero_copy_only=False))
-    pairs = group.filter(pa.array(is_pair))
-    geoms = group.filter(pa.array(~is_pair))
+    pair confirms against that working set — the geometry bytes arrived
+    once per polygon, not once per pair."""
     if pairs.num_rows == 0 or geoms.num_rows == 0:
-        return _PIP_HITS_EMPTY
+        return None
     gpid = np.asarray(geoms["polygon_id"].to_numpy(zero_copy_only=False),
                       np.int64)
     gord = np.argsort(gpid, kind="stable")
@@ -1409,15 +1415,16 @@ def pip_join_partitioned(pages_ds, polygons_ds, cell_res: int = 7,
     key row per level the polygon side actually uses (a buildings-only
     layer uses one level — no page-side amplification).
 
-    Both wide steps are union + :func:`~pyrosm_ray.stages.blocks.exchange`
-    co-partitionings, NOT hash joins: stage 1 groups page rows with
-    (cover-key + bbox) rows by cell-hash and generates + bbox-prunes
-    candidate pairs inside the kernel; stage 2 groups the pruned pairs with ONE compact
-    packed-geometry row per polygon by polygon-hash and runs the exact
-    even-odd confirm against a per-shard edge build. The cover factor
-    multiplies only 48-byte key rows; geometry bytes cross the wire once
-    per polygon and are never materialized per pair (the join-based form
-    produced a 5.6 GB geometry-replicated join output at sf3). Only the
+    Both wide steps are two-sided :func:`~pyrosm_ray.stages.blocks.fold`
+    co-partitionings, NOT hash joins: stage 1 folds page rows with
+    (cover-key + bbox) rows on the cell and generates + bbox-prunes
+    candidate pairs inside the kernel; stage 2 folds the pruned pairs
+    with ONE compact packed-geometry row per polygon on the polygon id
+    and runs the exact even-odd confirm against a per-partition edge
+    build. The cover factor multiplies only 48-byte key rows; geometry
+    bytes cross the wire once per polygon and are never materialized
+    per pair (the join-based form produced a 5.6 GB
+    geometry-replicated join output at sf3). Only the
     (url, lon, lat, cell) projection ever shuffles — the full page
     payload (html/text) re-joins by url afterwards (SURVEY.md §7.4
     wide-binary-rows note), skippable via ``join_payload=False`` for
@@ -1540,53 +1547,30 @@ def pip_join_partitioned(pages_ds, polygons_ds, cell_res: int = 7,
         return pa.concat_tables(parts) if parts else empty
 
     # co-partitioning, stage 1: page rows keyed by their own cell at
-    # each used ladder level union polygon (cover-key + bbox) rows — ONE
-    # exchange on a cell hash co-locates both sides and candidate
-    # (page, polygon) pairs are generated AND bbox-pruned inside the
-    # group kernel. The previous hash-JOIN form shuffled the same inputs
-    # but then materialized every joined candidate row as join output and
-    # pushed it through a SECOND full join against the geometry (measured
+    # each used ladder level and polygon (cover-key + bbox) rows are the
+    # two sides of ONE fold on the cell, and candidate (page, polygon)
+    # pairs are generated AND bbox-pruned inside the partition kernel.
+    # The previous hash-JOIN form shuffled the same inputs but then
+    # materialized every joined candidate row as join output and pushed
+    # it through a SECOND full join against the geometry (measured
     # sf3/8cpu: cell join + prune 402 s, geometry join 219 s with a
     # 5.6 GB geometry-per-pair output, exact confirm 747 CPU-s).
     # Cluster-sized, not data-sized: the in-kernel PIP confirm is
-    # compute-heavy. ~8 shards per partition keep the per-partition
-    # kernel work even.
+    # compute-heavy.
     nb = groupby_partitions()
-    num_buckets = 8 * nb
-    poly_cells = packed.map_batches(cover_rows, batch_format="pyarrow")
 
-    def page_union_rows(batch: pa.Table) -> pa.Table:
+    def page_rows(batch: pa.Table) -> pa.Table:
         lon = np.asarray(batch["lon"].to_numpy(zero_copy_only=False))
         lat = np.asarray(batch["lat"].to_numpy(zero_copy_only=False))
-        n = len(batch)
-        parts = [pa.table({
+        return pa.concat_tables([pa.table({
             "url": batch["url"], "lon": batch["lon"], "lat": batch["lat"],
-            "polygon_id": pa.nulls(n, pa.int64()),
             "cell": pa.array(grid.cell_id(lon, lat, g), pa.int64()),
-            "x0": pa.nulls(n, pa.float64()), "y0": pa.nulls(n, pa.float64()),
-            "x1": pa.nulls(n, pa.float64()), "y1": pa.nulls(n, pa.float64()),
-            "coords": pa.nulls(n, pa.binary()),
-            "rlens": pa.nulls(n, pa.binary()),
-        }) for g in used]
-        return pa.concat_tables(parts)
-
-    def poly_union_rows(b: pa.Table) -> pa.Table:
-        n = len(b)
-        return pa.table({
-            "url": pa.nulls(n, pa.string()),
-            "lon": pa.nulls(n, pa.float64()),
-            "lat": pa.nulls(n, pa.float64()),
-            "polygon_id": b["polygon_id"], "cell": b["cell"],
-            "x0": b["x0"], "y0": b["y0"], "x1": b["x1"], "y1": b["y1"],
-            "coords": b["coords"], "rlens": b["rlens"],
-        })
+        }) for g in used])
 
     pg = geocode_pages(pages_ds.select_columns(["url"]))
-    both1 = pg.map_batches(page_union_rows, batch_format="pyarrow").union(
-        poly_cells.map_batches(poly_union_rows, batch_format="pyarrow")
-    ).map_batches(functools.partial(_with_shard, col="cell", n=num_buckets),
-                  batch_format="pyarrow")
-    s1 = exchange(both1, "__shard", _pip_cells_pairs, nb, _PIP_S1_EMPTY)
+    s1 = fold((pg.map_batches(page_rows, batch_format="pyarrow"),
+               packed.map_batches(cover_rows, batch_format="pyarrow")),
+              "cell", _pip_cells_pairs, nb, _PIP_S1_EMPTY)
     # split confirmed hits from deferred big-geometry pairs
     hits1 = s1.map_batches(
         lambda b: b.filter(b["confirmed"]).select(["url", "polygon_id"]),
@@ -1596,20 +1580,11 @@ def pip_join_partitioned(pages_ds, polygons_ds, cell_res: int = 7,
                    .drop_columns(["confirmed"]),
         batch_format="pyarrow").materialize()
 
-    # stage 2 (large geometries only): pair rows union ONE compact
-    # packed-geometry row per polygon, exchanged on a polygon hash — geometry
-    # crosses the wire once per polygon and is unpacked once per shard,
-    # never replicated per pair
-    def pair_union_rows(b: pa.Table) -> pa.Table:
-        n = len(b)
-        return pa.table({
-            "url": b["url"], "lon": b["lon"], "lat": b["lat"],
-            "polygon_id": b["polygon_id"],
-            "coords": pa.nulls(n, pa.binary()),
-            "rlens": pa.nulls(n, pa.binary()),
-        })
-
-    def big_geom_union_rows(b: pa.Table) -> pa.Table:
+    # stage 2 (large geometries only): the pairs and ONE compact
+    # packed-geometry row per polygon are the two sides of one fold on
+    # the polygon id — geometry crosses the wire once per polygon and is
+    # unpacked once per partition, never replicated per pair
+    def big_geom_rows(b: pa.Table) -> pa.Table:
         """ONE geometry row per NON-inline polygon (the inline ones were
         fully confirmed in stage 1 and never reach stage 2)."""
         if b.num_rows:
@@ -1617,25 +1592,15 @@ def pip_join_partitioned(pages_ds, polygons_ds, cell_res: int = 7,
                   for c in ("x0", "y0", "x1", "y1")}
             chosen = _choose_cover_res(bx, ladder, max_cover)
             b = b.filter(pa.array(~inline_mask(b, chosen)))
-        n = b.num_rows
-        return pa.table({
-            "url": pa.nulls(n, pa.string()),
-            "lon": pa.nulls(n, pa.float64()),
-            "lat": pa.nulls(n, pa.float64()),
-            "polygon_id": b["pid"],
-            "coords": b["coords"], "rlens": b["rlens"],
-        })
+        return pa.table({"polygon_id": b["pid"], "coords": b["coords"],
+                         "rlens": b["rlens"]})
 
     if deferred.count() == 0:
         hits = hits1
     else:
-        both2 = deferred.map_batches(
-            pair_union_rows, batch_format="pyarrow").union(
-            packed.map_batches(big_geom_union_rows, batch_format="pyarrow")
-        ).map_batches(functools.partial(_with_shard, col="polygon_id",
-                                        n=num_buckets), batch_format="pyarrow")
-        hits2 = exchange(both2, "__shard", _pip_confirm_group, nb,
-                         _PIP_HITS_EMPTY)
+        hits2 = fold((deferred, packed.map_batches(
+            big_geom_rows, batch_format="pyarrow")), "polygon_id",
+            _pip_confirm_group, nb, _PIP_HITS_EMPTY)
         hits = hits1.union(hits2)
     hits = hits.map_batches(
         lambda b: b.append_column("polygon_layer",
@@ -1696,9 +1661,11 @@ def _poi_ring_rows(batch: pa.Table, gres: int, radius: int) -> pa.Table:
     local = np.tile(np.arange(reps, dtype=np.int64), n)
     ox = local % side - radius
     oy = local // side - radius
-    ncx = cx[rows] + ox
+    # longitude WRAPS mod nx (the ring crosses the antimeridian, as the
+    # done test assumes), latitude clips (no wrap past the poles)
+    ncx = (cx[rows] + ox) % nx
     ncy = cy[rows] + oy
-    ok = (ncx >= 0) & (ncx < nx) & (ncy >= 0) & (ncy < nx)
+    ok = (ncy >= 0) & (ncy < nx)
     rows, ncx, ncy = rows[ok], ncx[ok], ncy[ok]
     cell = (np.int64(gres) << 58) | (ncx << 29) | ncy
     return pa.table({
@@ -1709,63 +1676,34 @@ def _poi_ring_rows(batch: pa.Table, gres: int, radius: int) -> pa.Table:
     })
 
 
-def _knn_cells_topk(group: pa.Table, k: int, gres: int,
-                    radius: int) -> pa.Table:
-    """One cell-hash shard of page rows + ring-replicated POI rows ->
-    per page its final top-k (done) or one undone marker (knn_rank 0).
+def _knn_cells_topk(pg: pa.Table, po: pa.Table, k: int, gres: int,
+                    radius: int) -> pa.Table | None:
+    """One cell partition's page rows and ring-replicated POI rows (the
+    two sides of one fold on the cell) -> per page its final top-k
+    (done) or one undone marker (knn_rank 0).
 
-    Candidate pairs are GENERATED in here — pages cross the POIs
-    replicated into their own cell, which is exactly the Chebyshev-ring
-    candidate set — so the pair rows never shuffle (the old
-    join-then-rebucket form moved every candidate through TWO
-    all-to-alls). Done test: a page is final when its kth distance fits
-    inside the conservative inscribed radius of the ring-``radius`` cell
-    block around its own cell (a POI outside the block could otherwise
-    be closer), mirroring the broadcast KnnJoiner."""
-    is_page = np.asarray(pc.is_valid(group["url"])
-                         .to_numpy(zero_copy_only=False))
-    pg = group.filter(pa.array(is_page))
+    Candidate pairs are GENERATED in here, in page chunks under
+    :data:`_PAIR_BUDGET` — pages cross the POIs replicated into their
+    own cell, which is exactly the Chebyshev-ring candidate set — so
+    the pair rows never shuffle (the old join-then-rebucket form moved
+    every candidate through TWO all-to-alls). Done test: a page is final
+    when its kth distance fits inside the conservative inscribed radius
+    of the ring-``radius`` cell block around its own cell (a POI outside
+    the block could otherwise be closer), mirroring the broadcast
+    KnnJoiner."""
     if pg.num_rows == 0:
-        return _KNN_RANKED_EMPTY
-    po = group.filter(pa.array(~is_page))
+        return None
     urls = np.asarray(pg["url"].to_numpy(zero_copy_only=False),
                       dtype=object)
     lon = np.asarray(pg["lon"].to_numpy(zero_copy_only=False), np.float64)
     lat = np.asarray(pg["lat"].to_numpy(zero_copy_only=False), np.float64)
     pcell = np.asarray(pg["cell"].to_numpy(zero_copy_only=False), np.int64)
-    qcell = np.asarray(po["cell"].to_numpy(zero_copy_only=False), np.int64)
-    qid = np.asarray(po["poi_id"].to_numpy(zero_copy_only=False), np.int64)
-    qlon = np.asarray(po["plon"].to_numpy(zero_copy_only=False), np.float64)
-    qlat = np.asarray(po["plat"].to_numpy(zero_copy_only=False), np.float64)
-    qord = np.argsort(qcell, kind="stable")
-    qcell_s = qcell[qord]
-    s0 = np.searchsorted(qcell_s, pcell, side="left")
-    s1 = np.searchsorted(qcell_s, pcell, side="right")
-    cnt = s1 - s0
-    npg = len(urls)
-    pair_pg = np.repeat(np.arange(npg, dtype=np.int64), cnt)
-    pair_q = qord[_concat_ranges(s0, cnt)]
-    # rank candidates by unit-vector dot product — trig per ROW, pure
-    # multiply-add per PAIR; the dense per-pair trig matrix is the FLOP
-    # wall of this kernel. Exact haversine runs only on the top-(k+4)
-    # selection per page (the margin absorbs float near-ties, so the
-    # final (distance, poi_id) order is identical to full evaluation).
-    pu = ops.unit_vecs(lat, lon)
-    qu = ops.unit_vecs(qlat, qlon)
-    negdot = -np.einsum("ij,ij->i", pu[pair_pg], qu[pair_q])
-    order = np.lexsort((qid[pair_q], negdot, pair_pg))
-    grp_full = np.zeros(npg + 1, np.int64)
-    np.cumsum(cnt, out=grp_full[1:])
-    msel = np.minimum(cnt, k + 4)
-    sel = _concat_ranges(grp_full[:-1], msel)
-    sp = pair_pg[order][sel]
-    sq = pair_q[order][sel]
-    d_sel = ops.haversine_m(lat[sp], lon[sp], qlat[sq], qlon[sq])
-    order2 = np.lexsort((qid[sq], d_sel, sp))
-    d_s = d_sel[order2]
-    q_s = sq[order2]
-    grp_start = np.zeros(npg + 1, np.int64)
-    np.cumsum(msel, out=grp_start[1:])
+    qcell, qid, qlon, qlat = (
+        np.asarray(po[c].to_numpy(zero_copy_only=False), t) if po.num_rows
+        else np.empty(0, t) for c, t in (("cell", np.int64),
+                                         ("poi_id", np.int64),
+                                         ("plon", np.float64),
+                                         ("plat", np.float64)))
     # conservative distance from the page to the edge of the covered block
     mask29 = (np.int64(1) << 29) - 1
     nx = np.int64(1) << gres
@@ -1781,38 +1719,62 @@ def _knn_cells_topk(group: pa.Table, k: int, gres: int,
     dlon = np.minimum(lon - lon0, lon1 - lon)
     coslat = np.cos(np.deg2rad(np.maximum(np.abs(lat0), np.abs(lat1))))
     safe_m = _DEG_M_CONSERVATIVE * np.minimum(dlat, dlon * coslat)
-    has = cnt > 0
-    kth_idx = np.minimum(grp_start[:-1] + k - 1,
-                         np.maximum(grp_start[1:] - 1, 0))
-    kth_d = np.full(npg, np.inf)
-    kth_d[has] = d_s[kth_idx[has]]
-    done_pg = (cnt >= k) & (kth_d <= safe_m)
-    rank = np.arange(len(d_s), dtype=np.int64) \
-        - np.repeat(grp_start[:-1], msel)
-    take = np.repeat(done_pg, msel) & (rank < k)
-    undone = ~done_pg
-    n_un = int(undone.sum())
-    pair_pg_s = sp[order2]
-    out_url = np.concatenate([urls[pair_pg_s][take], urls[undone]])
-    out_lon = np.concatenate([lon[pair_pg_s][take], lon[undone]])
-    out_lat = np.concatenate([lat[pair_pg_s][take], lat[undone]])
-    done_poi = qid[q_s[take]]
-    done_d = np.round(d_s[take], 3)
-    out_rank = np.concatenate([rank[take] + 1, np.zeros(n_un, np.int64)])
-    poi_arr = pa.concat_arrays([
-        pa.array(done_poi, pa.int64()),
-        pa.nulls(n_un, pa.int64())])
-    dist_arr = pa.concat_arrays([
-        pa.array(done_d, pa.float64()),
-        pa.nulls(n_un, pa.float64())])
-    return pa.table({
-        "url": pa.array(list(out_url), pa.string()),
-        "lon": pa.array(out_lon, pa.float64()),
-        "lat": pa.array(out_lat, pa.float64()),
-        "poi_id": poi_arr,
-        "distance_m": dist_arr,
-        "knn_rank": pa.array(out_rank, pa.int64()),
-    })
+    pu = ops.unit_vecs(lat, lon)
+    qu = ops.unit_vecs(qlat, qlon)
+
+    def chunk(s: int, e: int, pair_pg, pair_q) -> pa.Table:
+        npg = e - s
+        cnt = np.bincount(pair_pg - s, minlength=npg)
+        # rank candidates by unit-vector dot product — trig per ROW,
+        # pure multiply-add per PAIR; the dense per-pair trig matrix is
+        # the FLOP wall of this kernel. Exact haversine runs only on the
+        # top-(k+4) selection per page (the margin absorbs float
+        # near-ties, so the final (distance, poi_id) order is identical
+        # to full evaluation).
+        negdot = -np.einsum("ij,ij->i", pu[pair_pg], qu[pair_q])
+        order = np.lexsort((qid[pair_q], negdot, pair_pg))
+        grp_full = np.zeros(npg + 1, np.int64)
+        np.cumsum(cnt, out=grp_full[1:])
+        msel = np.minimum(cnt, k + 4)
+        sel = _concat_ranges(grp_full[:-1], msel)
+        sp = pair_pg[order][sel]
+        sq = pair_q[order][sel]
+        d_sel = ops.haversine_m(lat[sp], lon[sp], qlat[sq], qlon[sq])
+        order2 = np.lexsort((qid[sq], d_sel, sp))
+        d_s = d_sel[order2]
+        q_s = sq[order2]
+        grp_start = np.zeros(npg + 1, np.int64)
+        np.cumsum(msel, out=grp_start[1:])
+        has = cnt > 0
+        kth_idx = np.minimum(grp_start[:-1] + k - 1,
+                             np.maximum(grp_start[1:] - 1, 0))
+        kth_d = np.full(npg, np.inf)
+        kth_d[has] = d_s[kth_idx[has]]
+        done_pg = (cnt >= k) & (kth_d <= safe_m[s:e])
+        rank = np.arange(len(d_s), dtype=np.int64) \
+            - np.repeat(grp_start[:-1], msel)
+        take = np.repeat(done_pg, msel) & (rank < k)
+        undone = np.flatnonzero(~done_pg) + s
+        n_un = len(undone)
+        pair_pg_s = sp[order2][take]
+        return pa.table({
+            "url": pa.array(list(np.concatenate([
+                urls[pair_pg_s], urls[undone]])), pa.string()),
+            "lon": pa.array(np.concatenate([lon[pair_pg_s], lon[undone]]),
+                            pa.float64()),
+            "lat": pa.array(np.concatenate([lat[pair_pg_s], lat[undone]]),
+                            pa.float64()),
+            "poi_id": pa.concat_arrays([
+                pa.array(qid[q_s[take]], pa.int64()),
+                pa.nulls(n_un, pa.int64())]),
+            "distance_m": pa.concat_arrays([
+                pa.array(np.round(d_s[take], 3), pa.float64()),
+                pa.nulls(n_un, pa.float64())]),
+            "knn_rank": pa.array(np.concatenate([
+                rank[take] + 1, np.zeros(n_un, np.int64)]), pa.int64()),
+        })
+
+    return pa.concat_tables([chunk(*c) for c in _cell_pairs(pcell, qcell)])
 
 
 # one shuffle round is worth it only while unresolved x POIs exceeds what
@@ -1823,7 +1785,7 @@ _KNN_SWEEP_MAX_PAIRS = 1 << 28
 def knn_join_partitioned(pages_ds, pois_ds, k: int = 1,
                          cell_res: int | None = None,
                          num_partitions: int = 32, id_col: str = "id",
-                         num_buckets: int = 64, max_rounds: int = 3,
+                         max_rounds: int = 3,
                          sweep_max_pairs: int = _KNN_SWEEP_MAX_PAIRS,
                          join_payload: bool = True):
     """Cell-co-partitioned kNN join — the path for a POI side that outgrows
@@ -1831,11 +1793,12 @@ def knn_join_partitioned(pages_ds, pois_ds, k: int = 1,
     :func:`pip_join_partitioned`).
 
     Each round is ONE co-partitioning shuffle: pages keyed by their own
-    grid cell union POI rows replicated to the 3x3 Chebyshev ring around
-    their cell, grouped by a hash of the cell — candidate pairs are
-    generated inside the group kernel, so no pair row ever crosses the
-    network. A page is DONE when its kth distance fits inside the
-    conservative inscribed radius of the covered block. Later rounds keep
+    grid cell and POI rows replicated to the 3x3 Chebyshev ring around
+    their cell (longitude wrapping at the antimeridian) are the two
+    sides of one fold on the cell — candidate pairs are generated inside
+    the partition kernel, so no pair row ever crosses the network. A
+    page is DONE when its kth distance fits inside the conservative
+    inscribed radius of the covered block. Later rounds keep
     the ring at 3x3 but COARSEN the grid (cell side x4 per round): POI
     replication stays a constant 9x of the (narrow, repartitioned) coord
     table per round, instead of the (2R+1)^2 blow-up a growing radius
@@ -1916,19 +1879,13 @@ def knn_join_partitioned(pages_ds, pois_ds, k: int = 1,
     # round-0 count from read metadata; later rounds count the
     # materialized undone set
     n_unres = int(pages_ds.count())
-    nb = groupby_partitions(num_buckets)
+    nb = groupby_partitions()
 
     def page_cell_rows(batch: pa.Table, g: int) -> pa.Table:
         lo = np.asarray(batch["lon"].to_numpy(zero_copy_only=False))
         la = np.asarray(batch["lat"].to_numpy(zero_copy_only=False))
-        n = len(batch)
-        return pa.table({
-            "url": batch["url"], "lon": batch["lon"], "lat": batch["lat"],
-            "cell": pa.array(grid.cell_id(lo, la, g), pa.int64()),
-            "poi_id": pa.nulls(n, pa.int64()),
-            "plon": pa.nulls(n, pa.float64()),
-            "plat": pa.nulls(n, pa.float64()),
-        })
+        return batch.append_column(
+            "cell", pa.array(grid.cell_id(lo, la, g), pa.int64()))
 
     done_parts = []
     radius = 1
@@ -1936,32 +1893,20 @@ def knn_join_partitioned(pages_ds, pois_ds, k: int = 1,
     for _ in range(max_rounds):
         if n_unres * n_pois <= sweep_max_pairs:
             break  # broadcast exact sweep beats another shuffle round
-        # union page rows (keyed by their OWN cell) with POI rows
-        # replicated to ring cells: ONE exchange co-partitions both sides
-        # and the candidate pairs are generated inside the group — the
-        # old explode-pages + left-join + rebucket form pushed every
+        # page rows keyed by their OWN cell and POI rows replicated to
+        # ring cells are the two sides of ONE fold on the cell, and the
+        # candidate pairs are generated inside the partition — the old
+        # explode-pages + left-join + rebucket form pushed every
         # candidate row through two all-to-alls (11.4 s of a 35 s sf0.1
-        # wall in the round-0 join alone)
-        pages_keyed = unresolved.map_batches(
-            functools.partial(page_cell_rows, g=round_gres),
-            batch_format="pyarrow")
-        poi_ring = base.map_batches(
-            functools.partial(_poi_ring_rows, gres=round_gres,
-                              radius=radius),
-            batch_format="pyarrow").map_batches(
-            lambda b: pa.table({
-                "url": pa.nulls(len(b), pa.string()),
-                "lon": pa.nulls(len(b), pa.float64()),
-                "lat": pa.nulls(len(b), pa.float64()),
-                "cell": b["cell"], "poi_id": b["poi_id"],
-                "plon": b["plon"], "plat": b["plat"]}),
-            batch_format="pyarrow")
-        both = pages_keyed.union(poi_ring).map_batches(
-            functools.partial(_with_shard, col="cell", n=num_buckets),
-            batch_format="pyarrow")
-        # the round's output is refs already: done and undone are two
-        # filters over it, with no re-execution of the exchange
-        ranked = exchange(both, "__shard", functools.partial(
+        # wall in the round-0 join alone). The round's output is refs
+        # already: done and undone are two filters over it, with no
+        # re-execution of the fold
+        ranked = fold((
+            unresolved.map_batches(functools.partial(
+                page_cell_rows, g=round_gres), batch_format="pyarrow"),
+            base.map_batches(functools.partial(
+                _poi_ring_rows, gres=round_gres, radius=radius),
+                batch_format="pyarrow")), "cell", functools.partial(
             _knn_cells_topk, k=k, gres=round_gres, radius=radius),
             nb, _KNN_RANKED_EMPTY)
         done = ranked.filter(expr="knn_rank > 0")
@@ -2042,18 +1987,18 @@ def radius_join_partitioned(pages_ds, pois_ds, radius_m: float = 200.0,
     within ``radius_m`` of a page lies in the ring of the page's own
     cell).
 
-    One co-partitioning shuffle: pages keyed by their own cell union
-    POI coordinate rows replicated to their 3x3 ring (a constant 9x of
-    the narrow (id, lon, lat) projection — never the payload), grouped
-    by cell hash; the exact haversine filter runs inside the group
-    kernel, so no candidate pair ever crosses the network. Exact —
+    One co-partitioning shuffle: pages keyed by their own cell and POI
+    coordinate rows replicated to their 3x3 ring (a constant 9x of the
+    narrow (id, lon, lat) projection — never the payload) are the two
+    sides of one fold on the cell; the exact haversine filter runs
+    inside the partition kernel, in page chunks under
+    :data:`_PAIR_BUDGET`, so no candidate pair ever crosses the
+    network. Exact —
     output-identical to the broadcast :func:`radius_join`
     (parity-tested).
     """
     # grid: cell side >= covering radius at the worst latitude present.
     # One tiny stats pass over the POI coordinates bounds |lat|.
-    import pyarrow.compute as pc
-
     def lat_stat(b: pa.Table) -> pa.Table:
         lat = np.asarray(b["lat"].to_numpy(zero_copy_only=False))
         m = float(np.max(np.abs(lat))) if len(lat) else 0.0
@@ -2087,13 +2032,10 @@ def radius_join_partitioned(pages_ds, pois_ds, radius_m: float = 200.0,
     def page_rows(b: pa.Table) -> pa.Table:
         lon = np.asarray(b["lon"].to_numpy(zero_copy_only=False))
         lat = np.asarray(b["lat"].to_numpy(zero_copy_only=False))
-        key = _point_cell_keys(lon, lat, res)
         return pa.table({
-            "cell": pa.array(key, pa.int64()),
-            url_col: b[url_col],
-            "plon": pa.array(lon), "plat": pa.array(lat),
-            "pid": pa.array(np.full(len(lon), -1, np.int64), pa.int64()),
-        })
+            "cell": pa.array(_point_cell_keys(lon, lat, res), pa.int64()),
+            url_col: b[url_col], "plon": pa.array(lon),
+            "plat": pa.array(lat)})
 
     def poi_rows(b: pa.Table) -> pa.Table:
         lon = np.asarray(b["lon"].to_numpy(zero_copy_only=False))
@@ -2115,76 +2057,44 @@ def radius_join_partitioned(pages_ds, pois_ds, radius_m: float = 200.0,
                 ok = (gy >= 0) & (gy < nx)
                 reps.append(((gx[ok] << 29) | gy[ok], ids[ok], lon[ok],
                              lat[ok]))
-        key = np.concatenate([r[0] for r in reps])
         return pa.table({
-            "cell": pa.array(key, pa.int64()),
-            url_col: pa.array([""] * len(key), pa.string()),
-            "plon": pa.array(np.concatenate([r[2] for r in reps])),
-            "plat": pa.array(np.concatenate([r[3] for r in reps])),
+            "cell": pa.array(np.concatenate([r[0] for r in reps]),
+                             pa.int64()),
             "pid": pa.array(np.concatenate([r[1] for r in reps]),
                             pa.int64()),
+            "plon": pa.array(np.concatenate([r[2] for r in reps])),
+            "plat": pa.array(np.concatenate([r[3] for r in reps])),
         })
-
-    u = pages_ds.map_batches(page_rows, batch_format="pyarrow") \
-        .union(pois_nar.map_batches(poi_rows, batch_format="pyarrow"))
 
     empty = pa.table({url_col: pa.array([], pa.string()),
                       "poi_id": pa.array([], pa.int64()),
                       "distance_m": pa.array([], pa.float64())})
 
-    def kernel(g: pa.Table) -> pa.Table:
-        pid = np.asarray(g["pid"].to_numpy(zero_copy_only=False),
-                         np.int64)
-        cell = np.asarray(g["cell"].to_numpy(zero_copy_only=False),
-                          np.int64)
-        lon = np.asarray(g["plon"].to_numpy(zero_copy_only=False))
-        lat = np.asarray(g["plat"].to_numpy(zero_copy_only=False))
-        is_poi = pid >= 0
-        if not is_poi.any() or is_poi.all():
-            return empty
-        # within the partition, join page rows to poi rows per cell via
-        # sorted runs (both sides sorted by cell)
-        p_idx = np.flatnonzero(~is_poi)
-        o_idx = np.flatnonzero(is_poi)
-        pc_ = cell[p_idx]
-        oc = cell[o_idx]
-        po = np.argsort(pc_, kind="stable")
-        oo = np.argsort(oc, kind="stable")
-        p_idx, pc_ = p_idx[po], pc_[po]
-        o_idx, oc = o_idx[oo], oc[oo]
-        starts = np.searchsorted(oc, pc_, side="left")
-        ends = np.searchsorted(oc, pc_, side="right")
-        counts = ends - starts
-        # budget-chunk the pair materialization (dense cells hold
-        # 10^3-10^4 points; one whole-partition repeat OOMs a worker)
-        cum = np.cumsum(counts)
-        budget = 1 << 22
+    def kernel(pages: pa.Table, pois: pa.Table) -> pa.Table | None:
+        if not pages.num_rows or not pois.num_rows:
+            return None
+        lon, lat, plon, plat = (
+            np.asarray(t[c].to_numpy(zero_copy_only=False))
+            for t, c in ((pages, "plon"), (pages, "plat"), (pois, "plon"),
+                         (pois, "plat")))
         pg_l, oi_l, d_l = [], [], []
-        s = 0
-        np_pages = len(p_idx)
-        while s < np_pages:
-            base = cum[s - 1] if s else 0
-            e = int(np.searchsorted(cum, base + budget, side="left")) + 1
-            e = min(max(e, s + 1), np_pages)
-            qi = np.repeat(np.arange(s, e, dtype=np.int64),
-                           counts[s:e])
-            oi = o_idx[_concat_ranges(starts[s:e], counts[s:e])]
-            if len(qi):
-                pg = p_idx[qi]
-                d = ops.haversine_m(lat[pg], lon[pg], lat[oi], lon[oi])
-                keep = d <= radius_m
-                pg_l.append(pg[keep])
-                oi_l.append(oi[keep])
-                d_l.append(d[keep])
-            s = e
-        if not pg_l:
-            return empty
+        for _, _, pg, oi in _cell_pairs(
+                np.asarray(pages["cell"].to_numpy(zero_copy_only=False),
+                           np.int64),
+                np.asarray(pois["cell"].to_numpy(zero_copy_only=False),
+                           np.int64)):
+            d = ops.haversine_m(lat[pg], lon[pg], plat[oi], plon[oi])
+            keep = d <= radius_m
+            pg_l.append(pg[keep])
+            oi_l.append(oi[keep])
+            d_l.append(d[keep])
         pg = np.concatenate(pg_l)
-        oi = np.concatenate(oi_l)
+        if not len(pg):
+            return None
         d = np.concatenate(d_l)
-        urls = np.asarray(g[url_col].to_pylist(), dtype=object)
-        out_u = urls[pg]
-        out_p = pid[oi]
+        out_u = np.asarray(pages[url_col].to_pylist(), dtype=object)[pg]
+        out_p = np.asarray(pois["pid"].to_numpy(zero_copy_only=False),
+                           np.int64)[np.concatenate(oi_l)]
         order = np.lexsort((out_p, out_u))
         return pa.table({
             url_col: pa.array(out_u[order], pa.string()),
@@ -2192,6 +2102,6 @@ def radius_join_partitioned(pages_ds, pois_ds, radius_m: float = 200.0,
             "distance_m": pa.array(np.round(d[order], 3), pa.float64()),
         })
 
-    return exchange(u.map_batches(functools.partial(
-        _with_shard, col="cell", n=nb), batch_format="pyarrow"),
-        "__shard", kernel, nb, empty)
+    return fold((pages_ds.map_batches(page_rows, batch_format="pyarrow"),
+                 pois_nar.map_batches(poi_rows, batch_format="pyarrow")),
+                "cell", kernel, nb, empty)

@@ -19,21 +19,21 @@ Two routes, output-identical (route-parity-tested):
 * **distributed**: every keyed step is one :func:`blocks.fold` on its
   real key with a per-partition segmented numpy body: canonical-dedup
   on the (a, b) pair, degrees via one keyed fold over the endpoint
-  stream, degree attachment via co-partitioned union-folds (degree rows
-  ride the same partition as the edge rows keyed by that endpoint — no
+  stream, degree attachment via co-partitioned joins (degree rows ride
+  the same partition as the edge rows keyed by that endpoint — no
   broadcast), wedge emission via a per-u segmented CSR pass, and the
-  closing-edge test via one union-fold on the (v, w) pair with a
-  compact-remap combined-key membership search. Nothing
-  broadcasts, nothing collects; the documented volume contract is the
-  O(m^1.5) wedge stream.
+  closing-edge test via one two-sided fold (wedges, oriented edges) on
+  the (v, w) pair with a compact-remap combined-key membership search.
+  Nothing broadcasts, nothing collects; the documented volume contract
+  is the O(m^1.5) wedge stream.
 
 Output: ``(node, n_triangles)`` for EVERY node of the simple graph
 (zero rows included). DuckDB twin: :func:`triangle_counts_sql` (the
 same orientation as a three-way self-join).
 
 No reference equivalent (pyrosm has no graph analytics beyond A9);
-conventions follow stages/pagerank.py (driver policy, union-fold
-co-partitioning) and stages/dedup.py (pair folds).
+conventions follow stages/pagerank.py (driver policy, co-partitioned
+folds) and stages/dedup.py (pair folds).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from pyrosm_ray.stages.blocks import fold, keyed_sum_fold
+from pyrosm_ray.stages.blocks import co_join, fold, keyed_sum_fold
 
 TRI_DRIVER_MAX = 1 << 21   # canonical edges (16 B/row) the driver collects
 
@@ -196,49 +196,15 @@ def _distinct_canonical(edges, src_col: str, dst_col: str,
         _int64_empty("a", "b"))
 
 
-def _attach_deg(rows, deg, key_col: str, keep: list[str], out_col: str,
+def _attach_deg(rows, deg, key_col: str, out_col: str, cols: list[str],
                 nb: int | None):
-    """Attach ``deg[key_col]`` to every row as ``out_col`` without
-    broadcasting: degree rows ride the same key partition, one factorize
-    scatter per partition resolves every row's lookup."""
-    def tag_rows(t: pa.Table) -> pa.Table:
-        k = np.asarray(t[key_col].to_numpy(zero_copy_only=False),
-                       np.int64)
-        cols = {"k": pa.array(k, pa.int64()),
-                "__deg": pa.array(np.full(t.num_rows, -1, np.int64),
-                                  pa.int64())}
-        for c in keep:
-            cols[c] = t[c]
-        return pa.table(cols)
-
-    def tag_deg(t: pa.Table) -> pa.Table:
-        k = np.asarray(t["node"].to_numpy(zero_copy_only=False),
-                       np.int64)
-        z = pa.array(np.zeros(t.num_rows, np.int64), pa.int64())
-        cols = {"k": pa.array(k, pa.int64()), "__deg": t["deg"]}
-        for c in keep:
-            cols[c] = z
-        return pa.table(cols)
-
-    u = rows.map_batches(tag_rows, batch_format="pyarrow") \
-        .union(deg.map_batches(tag_deg, batch_format="pyarrow"))
-
-    def attach(g: pa.Table) -> pa.Table:
-        k = np.asarray(g["k"].to_numpy(zero_copy_only=False), np.int64)
-        d = np.asarray(g["__deg"].to_numpy(zero_copy_only=False),
-                       np.int64)
-        is_deg = d >= 0
-        codes, uniq = pd.factorize(k)
-        dv = np.zeros(len(uniq), np.int64)
-        dv[codes[is_deg]] = d[is_deg]
-        m = ~is_deg
-        sel = pa.array(m)
-        cols = {c: g[c].filter(sel) for c in keep}
-        cols[key_col] = g["k"].filter(sel)
-        cols[out_col] = pa.array(dv[codes[m]], pa.int64())
-        return pa.table(cols)
-
-    return fold(u, "k", attach, nb, _int64_empty(*keep, key_col, out_col))
+    """Attach ``deg[key_col]`` to every row (int64 ``cols``) as
+    ``out_col`` without broadcasting: an inner :func:`co_join` of the
+    rows with the degree table on the endpoint (every endpoint has a
+    degree)."""
+    return co_join(rows, deg.map_batches(
+        lambda t: pa.table({key_col: t["node"], out_col: t["deg"]}),
+        batch_format="pyarrow"), key_col, nb, _int64_empty(*cols, out_col))
 
 
 def _triangles_distributed(edges, src_col: str, dst_col: str,
@@ -259,9 +225,9 @@ def _triangles_distributed(edges, src_col: str, dst_col: str,
         canon.map_batches(deg_partial, batch_format="pyarrow"),
         "node", ["deg"], num_partitions=nb).materialize()
 
-    # attach deg to both endpoints (two co-partitioned union-folds)
-    with_da = _attach_deg(canon, deg, "a", ["b"], "deg_a", nb)
-    both = _attach_deg(with_da, deg, "b", ["a", "deg_a"], "deg_b", nb)
+    # attach deg to both endpoints (two co-partitioned joins)
+    with_da = _attach_deg(canon, deg, "a", "deg_a", ["a", "b"], nb)
+    both = _attach_deg(with_da, deg, "b", "deg_b", ["a", "b", "deg_a"], nb)
 
     def orient(t: pa.Table) -> pa.Table:
         a = np.asarray(t["a"].to_numpy(zero_copy_only=False), np.int64)
@@ -298,27 +264,20 @@ def _triangles_distributed(edges, src_col: str, dst_col: str,
     wedge_ds = fold(oriented, "u", wedge_fold, nb,
                     _int64_empty("v", "w", "u"))
 
-    # closing-edge test: union wedges with oriented edges, fold on the
-    # (v, w) pair; per partition one compact-remap membership pass
-    def key_edge(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "v": t["u"], "w": t["v"],
-            "u": pa.array(np.full(t.num_rows, -1, np.int64), pa.int64())})
-
-    u3 = wedge_ds.union(oriented.map_batches(key_edge,
-                                             batch_format="pyarrow"))
-
-    def close_fold(g: pa.Table) -> pa.Table:
-        v = np.asarray(g["v"].to_numpy(zero_copy_only=False), np.int64)
-        w = np.asarray(g["w"].to_numpy(zero_copy_only=False), np.int64)
-        uu = np.asarray(g["u"].to_numpy(zero_copy_only=False), np.int64)
-        is_edge = uu < 0
-        hit = _pair_member(v[is_edge], w[is_edge],
-                           v[~is_edge], w[~is_edge])
-        t_u = uu[~is_edge][hit]
-        t_v = v[~is_edge][hit]
-        t_w = w[~is_edge][hit]
-        allv = np.concatenate([t_u, t_v, t_w])
+    # closing-edge test: one two-sided fold of the wedges and the
+    # oriented edges on the (v, w) pair; per partition one compact-remap
+    # membership pass
+    def close_fold(wedges: pa.Table, es: pa.Table) -> pa.Table | None:
+        if not wedges.num_rows or not es.num_rows:
+            return None
+        v = np.asarray(wedges["v"].to_numpy(zero_copy_only=False), np.int64)
+        w = np.asarray(wedges["w"].to_numpy(zero_copy_only=False), np.int64)
+        hit = _pair_member(
+            np.asarray(es["v"].to_numpy(zero_copy_only=False), np.int64),
+            np.asarray(es["w"].to_numpy(zero_copy_only=False), np.int64),
+            v, w)
+        allv = np.concatenate([np.asarray(wedges["u"].to_numpy(
+            zero_copy_only=False), np.int64)[hit], v[hit], w[hit]])
         codes, uniq = pd.factorize(allv)
         cnt = np.bincount(codes, minlength=len(uniq)).astype(np.int64)
         return pa.table({"node": pa.array(uniq, pa.int64()),
@@ -326,8 +285,10 @@ def _triangles_distributed(edges, src_col: str, dst_col: str,
                          "deg": pa.array(np.zeros(len(uniq), np.int64),
                                          pa.int64())})
 
-    tri = fold(u3, ["v", "w"], close_fold, nb,
-               _int64_empty("node", "n_triangles", "deg"))
+    tri = fold((wedge_ds, oriented.map_batches(
+        lambda t: pa.table({"v": t["u"], "w": t["v"]}),
+        batch_format="pyarrow")), ["v", "w"], close_fold, nb,
+        _int64_empty("node", "n_triangles", "deg"))
 
     # degree rows carry (n_triangles=0, deg) so ONE fold sums both and
     # every node appears in the output

@@ -21,7 +21,7 @@ forward-fill / cumulative counts for the join matches,
 ``np.add.reduceat`` for the session sums. No per-key Python
 call anywhere — with 10^8 users a per-key call would make 10^8
 interpreter round-trips; this shape makes one per partition. The joins
-union the two sides under a flag column first so one fold moves both.
+fold both sides at once (a two-sided fold: one table per side).
 
 The as-of match itself is the sorted-merge trick: order rows by
 (key, ts, rights-before-lefts, id), mark right rows with their
@@ -114,38 +114,31 @@ def sessionize(ds, gap_s: int = 1800, user_col: str = "user_id",
     return fold(ds, user_col, per_part, num_partitions, empty)
 
 
-def _keyed_union(left_ds, right_ds, by_col: str, ts_col: str,
-                 left_id: str, right_id: str):
-    """Union the two join sides under one schema: (key, ts-µs, id,
-    side). One fold on the key then co-locates both sides of every
-    key."""
-    def tag(id_col: str, side: int):
-        def f(b: pa.Table) -> pa.Table:
-            ts = b[ts_col].cast(pa.timestamp("us"))
-            n = len(b)
-            k = np.asarray(b[by_col].cast(pa.int64())
-                           .to_numpy(zero_copy_only=False), np.int64)
-            return pa.table({
-                "__k": pa.array(k, pa.int64()),
-                "__t": pa.array(np.asarray(
-                    ts.to_numpy(zero_copy_only=False)).astype(np.int64),
-                    pa.int64()),
-                "__id": b[id_col].cast(pa.int64()),
-                "__side": pa.array(np.full(n, side, np.int8), pa.int8()),
-            })
-        return f
-
-    return left_ds.map_batches(tag(left_id, 0), batch_format="pyarrow") \
-        .union(right_ds.map_batches(tag(right_id, 1),
-                                    batch_format="pyarrow"))
+def _sides(left_ds, right_ds, by_col: str, ts_col: str, left_id: str,
+           right_id: str):
+    """The two join sides narrowed to (key, ts, id): the two-sided fold
+    on the key moves nothing else."""
+    return tuple(ds.select_columns(list(dict.fromkeys([by_col, ts_col, c])))
+                 for ds, c in ((left_ds, left_id), (right_ds, right_id)))
 
 
-def _side_arrays(g: pa.Table):
-    side = np.asarray(g["__side"].to_numpy(zero_copy_only=False))
-    ts = np.asarray(g["__t"].to_numpy(zero_copy_only=False), np.int64)
-    ids = np.asarray(g["__id"].to_numpy(zero_copy_only=False), np.int64)
-    keys = np.asarray(g["__k"].to_numpy(zero_copy_only=False), np.int64)
-    return keys, ts, ids, side == 1
+def _stacked(left: pa.Table, right: pa.Table, by_col: str, ts_col: str,
+             left_id: str, right_id: str):
+    """Left then right rows of one partition as int64 (key, ts-µs, id)
+    arrays, plus the right-row mask the sweeps sort by."""
+    def arrays(t: pa.Table, id_col: str) -> list:
+        if not t.num_rows:  # a side without rows may have no columns
+            return [np.empty(0, np.int64)] * 3
+        ts = t[ts_col].cast(pa.timestamp("us"))
+        return [np.asarray(t[c].cast(pa.int64()).to_numpy(
+            zero_copy_only=False), np.int64) for c in (by_col, id_col)] \
+            + [np.asarray(ts.to_numpy(zero_copy_only=False))
+               .astype(np.int64)]
+
+    (lk, lid, lt), (rk, rid, rt) = arrays(left, left_id), \
+        arrays(right, right_id)
+    return np.concatenate([lk, rk]), np.concatenate([lt, rt]), \
+        np.concatenate([lid, rid]), np.arange(len(lk) + len(rk)) >= len(lk)
 
 
 def asof_join(left_ds, right_ds, by_col: str = "user_id",
@@ -162,22 +155,11 @@ def asof_join(left_ds, right_ds, by_col: str = "user_id",
                       "matched_id": pa.array([], pa.int64()),
                       "lag_us": pa.array([], pa.int64())})
 
-    def per_part(g: pa.Table) -> pa.Table:
-        k, t, ids, isr = _side_arrays(g)
-        if not isr.any() or isr.all():
-            lefts = ~isr
-            n_l = int(lefts.sum())
-            if n_l == 0:
-                return empty
-            miss = np.ones(n_l, bool)
-            return pa.table({
-                left_id: pa.array(ids[lefts], pa.int64()),
-                by_col: pa.array(k[lefts], pa.int64()),
-                "matched_id": pa.array(np.zeros(n_l, np.int64),
-                                       pa.int64(), mask=miss),
-                "lag_us": pa.array(np.zeros(n_l, np.int64),
-                                   pa.int64(), mask=miss),
-            })
+    def per_part(left: pa.Table, right: pa.Table) -> pa.Table | None:
+        if not left.num_rows:
+            return None
+        k, t, ids, isr = _stacked(left, right, by_col, ts_col, left_id,
+                                  right_id)
         # rights sort BEFORE lefts at equal (key, ts) — "at-or-before"
         # includes equality — and among equal rights the max id comes
         # last, so the forward-fill lands on it
@@ -198,9 +180,8 @@ def asof_join(left_ds, right_ds, by_col: str = "user_id",
                                pa.int64(), mask=~valid),
         })
 
-    u = _keyed_union(left_ds, right_ds, by_col, ts_col, left_id,
-                     right_id)
-    return fold(u, "__k", per_part, num_partitions, empty)
+    return fold(_sides(left_ds, right_ds, by_col, ts_col, left_id,
+                       right_id), by_col, per_part, num_partitions, empty)
 
 
 def _rights_before(k, t, isr, left_eval_t, inclusive: bool):
@@ -239,11 +220,12 @@ def band_join(left_ds, right_ds, band_s: int, by_col: str = "user_id",
                       by_col: pa.array([], pa.int64()),
                       "n_in_band": pa.array([], pa.int64())})
 
-    def per_part(g: pa.Table) -> pa.Table:
-        k, t, ids, isr = _side_arrays(g)
+    def per_part(left: pa.Table, right: pa.Table) -> pa.Table | None:
+        if not left.num_rows:
+            return None
+        k, t, ids, isr = _stacked(left, right, by_col, ts_col, left_id,
+                                  right_id)
         lefts = ~isr
-        if not lefts.any():
-            return empty
         lt = t[lefts]
         upper = _rights_before(k, t, isr, lt, inclusive=True)
         lower = _rights_before(k, t, isr, lt - band_us, inclusive=False)
@@ -253,9 +235,8 @@ def band_join(left_ds, right_ds, band_s: int, by_col: str = "user_id",
             "n_in_band": pa.array(upper - lower, pa.int64()),
         })
 
-    u = _keyed_union(left_ds, right_ds, by_col, ts_col, left_id,
-                     right_id)
-    return fold(u, "__k", per_part, num_partitions, empty)
+    return fold(_sides(left_ds, right_ds, by_col, ts_col, left_id,
+                       right_id), by_col, per_part, num_partitions, empty)
 
 
 def rolling_agg(ds, window_rows: int, by_col: str = "user_id",

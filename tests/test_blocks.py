@@ -3,7 +3,9 @@
 The raw-task primitives ``fold``, ``exchange`` and ``co_join`` must
 match an in-memory pyarrow reference (per-key groups, ``pa.Table.join``)
 on edge inputs, for every join type, on both sides of the ``nb=None``
-row ceiling, and return typed blocks for empty partitions."""
+row ceiling, and return typed blocks for empty partitions. A fold over
+a tuple of sides hands ``fn`` one table per side, a typed zero-row one
+for a side that sent the partition nothing."""
 
 import os
 import subprocess
@@ -316,11 +318,16 @@ def test_co_join_ceiling_counts_both_sides(ray_session, monkeypatch):
     out = co_join(rd.from_arrow([left.slice(0, 10), left.slice(10)]),
                   rd.from_arrow([right.slice(0, 10), right.slice(10)]),
                   "k", None, empty)
-    tables = _blocks_of(out)
-    assert len(tables) == blocks.groupby_partitions()
-    got = sorted(tuple(r.values()) for t_ in tables for r in t_.to_pylist())
-    assert got == sorted(tuple(r.values()) for r in
-                         left.join(right, "k").to_pylist())
+    two = fold((rd.from_arrow([left.slice(0, 10), left.slice(10)]),
+                rd.from_arrow([right.slice(0, 10), right.slice(10)])), "k",
+               lambda l_, r_: l_.join(r_, "k"), None, empty)
+    want = sorted(tuple(r.values()) for r in
+                  left.join(right, "k").to_pylist())
+    for out_ in (out, two):
+        tables = _blocks_of(out_)
+        assert len(tables) == blocks.groupby_partitions()
+        assert sorted(tuple(r.values()) for t_ in tables
+                      for r in t_.to_pylist()) == want
 
 
 def test_fold_balances_distinct_keys(ray_session):
@@ -436,3 +443,110 @@ def test_fold_executes_upstream_once_on_both_routes(ray_session,
     assert sorted(out.to_pandas()["n"]) == [10, 10, 10]
     assert out.count() == 3
     assert ray.get(c.get.remote()) == 2
+
+
+def _sides_seen():
+    """Two-sided fold body that reports what each call received (nested
+    so Ray workers get it by value)."""
+    def seen(left: pa.Table, right: pa.Table) -> pa.Table:
+        return pa.table({"nl": [left.num_rows], "nr": [right.num_rows],
+                         "rschema": [str(right.schema)]})
+    return seen
+
+
+_SEEN = pa.table({"nl": pa.array([], pa.int64()),
+                  "nr": pa.array([], pa.int64()),
+                  "rschema": pa.array([], pa.string())})
+
+
+def test_fold_sides_one_sided_partition_is_typed(ray_session):
+    """A partition that gets only left rows hands ``fn`` a typed
+    zero-row right table: typed by the split shards (nb=4), or by the
+    right side's streamed schema when its blocks hold no rows
+    (nb=None)."""
+    left = pa.table({"k": pa.array(range(40), pa.int64())})
+    right = pa.table({"k": pa.array([3], pa.int64()),
+                      "w": pa.array([1.5], pa.float64())})
+    for r_ds, nb in ((rd.from_arrow(right), 4),
+                     (rd.from_arrow([right.slice(0, 0)] * 2), None)):
+        got = [r for t_ in _blocks_of(fold(
+            (rd.from_arrow(left).repartition(2), r_ds), "k",
+            _sides_seen(), nb, _SEEN)) for r in t_.to_pylist()]
+        assert sum(r["nl"] for r in got) == 40
+        assert sum(r["nr"] for r in got) == (right.num_rows if nb else 0)
+        assert all(r["rschema"] == str(right.schema) for r in got)
+        assert any(r["nr"] == 0 for r in got)
+
+
+def test_fold_side_that_streams_no_blocks(ray_session):
+    """A side with no blocks (and so no schema) arrives as a zero-row
+    table; a partition with no rows on any side returns ``empty``, and
+    ``co_join`` keeps every left row under a left anti join."""
+    left = pa.table({"k": pa.array(range(10), pa.int64())})
+    none = rd.from_arrow(left).limit(0)
+    for nb in (None, 4):
+        tables = _blocks_of(fold((rd.from_arrow(left), none), "k",
+                                 _sides_seen(), nb, _SEEN))
+        got = [r for t_ in tables for r in t_.to_pylist()]
+        assert sum(r["nl"] for r in got) == 10
+        assert all(r["nr"] == 0 for r in got)
+        assert all(t_.schema == _SEEN.schema for t_ in tables)
+        tables = _blocks_of(fold((none, none), "k", _sides_seen(), nb,
+                                 _SEEN))
+        assert all(t_.num_rows == 0 and t_.schema == _SEEN.schema
+                   for t_ in tables)
+        anti = co_join(rd.from_arrow(left), none, "k", nb, None, "left anti")
+        assert sorted(anti.to_pandas()["k"]) == list(range(10))
+        assert co_join(rd.from_arrow(left), none, "k", nb, None).count() == 0
+
+
+@pytest.mark.parametrize("ceiling", [0, 100])
+def test_fold_sides_execute_upstream_once(ray_session, monkeypatch,
+                                          ceiling):
+    """Each side's upstream UDF runs once per block on both ``nb=None``
+    routes, also when the output is read twice."""
+    import ray
+
+    @ray.remote
+    class Counter:
+        def __init__(self):
+            self.n = 0
+
+        def bump(self):
+            self.n += 1
+
+        def get(self):
+            return self.n
+
+    c = Counter.remote()
+
+    def tagged(b: pa.Table) -> pa.Table:
+        ray.get(c.bump.remote())
+        return b
+
+    monkeypatch.setattr(blocks, "KEYED_FOLD_DRIVER_MAX", ceiling)
+    t = pa.table({"k": pa.array([i % 3 for i in range(30)], pa.int64())})
+    left, right = (rd.from_arrow(t).repartition(2).map_batches(
+        tagged, batch_format="pyarrow") for _ in range(2))
+    out = fold((left, right), "k", _sides_seen(), None, _SEEN)
+    assert sum(out.to_pandas()["nl"]) == 30
+    assert sum(out.to_pandas()["nr"]) == 30
+    assert ray.get(c.get.remote()) == 4
+
+
+def test_fold_balances_grid_cells(ray_session):
+    """10 k distinct grid cell ids (res in the top bits, x and y below)
+    folded 8 ways fill all 8 partitions with max/mean <= 1.3."""
+    import numpy as np
+
+    from pyrosm_ray.tiles import grid
+    rng = np.random.RandomState(11)
+    cells = np.unique(grid.cell_id(rng.uniform(24.8, 25.2, 40_000),
+                                   rng.uniform(60.1, 60.3, 40_000), 18))
+    t = pa.table({"cell": pa.array(cells[:10_000], pa.int64())})
+    assert t.num_rows == 10_000
+    sizes = [t_.num_rows for t_ in _blocks_of(fold(
+        rd.from_arrow(t).repartition(4), "cell", lambda g: g, 8,
+        t.slice(0, 0)))]
+    assert len(sizes) == 8 and sum(sizes) == 10_000 and min(sizes) > 0
+    assert max(sizes) / (sum(sizes) / 8) <= 1.3

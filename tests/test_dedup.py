@@ -520,10 +520,10 @@ def test_incremental_dedup_bloom_suppresses_ref_shuffle(ray_session):
 
     # direct suppression measurement on the same hash datasets
     ref_h = rd.from_arrow(ref).map_batches(
-        lambda b: dedup._content_hash_tbl(b, "doc_id", "text", True),
+        lambda b: dedup._content_hash_tbl(b, "text"),
         batch_format="pyarrow")
     new_h = rd.from_arrow(new).map_batches(
-        lambda b: dedup._content_hash_tbl(b, "doc_id", "text", False),
+        lambda b: dedup._content_hash_tbl(b, "text", "doc_id"),
         batch_format="pyarrow")
     import ray as _ray
     mc, kc = dedup._bloom_params(new.num_rows, 10)

@@ -172,3 +172,171 @@ def test_detwinned_operator_edge_inputs(ray_session, monkeypatch, op, case):
     assert sch is not None, "untyped result"
     assert list(sch.names) == schema.names
     assert list(sch.types) == schema.types
+
+
+# ---------------------------------------------------------------------------
+# negative ids and keys on every two-sided fold
+# ---------------------------------------------------------------------------
+
+def _neg_incremental():
+    new = pa.table({"doc_id": pa.array([-3, 5, -8, 2], pa.int64()),
+                    "text": pa.array(["a", "b", "c", "A"], pa.string())})
+    ref = pa.table({"doc_id": pa.array([-1], pa.int64()),
+                    "text": pa.array(["c"], pa.string())})
+    out = dedup.incremental_dedup(rd.from_arrow(new), rd.from_arrow(ref))
+    assert sorted(r["doc_id"] for r in _rows(out)) == [-3, 5]
+
+
+def _neg_triangles(monkeypatch, driver_max):
+    import itertools
+
+    from pyrosm_ray.stages import triangles
+    if driver_max is not None:
+        monkeypatch.setattr(triangles, "TRI_DRIVER_MAX", driver_max)
+    edges = [(-7, 1), (1, 2), (2, -7), (-7, -9), (-9, 1), (3, -9), (1, -7)]
+    adj: dict = {}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    tri = {v: sum(1 for x, y in itertools.combinations(sorted(adj[v]), 2)
+                  if y in adj[x]) for v in adj}
+    t = pa.table({"src": pa.array([a for a, _ in edges], pa.int64()),
+                  "dst": pa.array([b for _, b in edges], pa.int64())})
+    out = triangles.triangle_counts(rd.from_arrow(t).repartition(2))
+    assert sorted((r["node"], r["n_triangles"], r["deg"])
+                  for r in _rows(out)) == sorted(
+        (v, tri[v], len(adj[v])) for v in adj)
+    assert tri[-7] == 2
+
+
+def _points(n: int, seed: int):
+    import numpy as np
+    rng = np.random.RandomState(seed)
+    return 24.9 + rng.uniform(0, 0.05, n), 60.15 + rng.uniform(0, 0.03, n)
+
+
+def _neg_pois():
+    import numpy as np
+    lon, lat = _points(40, 5)
+    pois = pa.table({"id": pa.array(np.arange(40) - 20, pa.int64()),
+                     "lon": pa.array(lon), "lat": pa.array(lat)})
+    plon, plat = _points(30, 6)
+    pages = pa.table({"url": pa.array([f"u{i}" for i in range(30)]),
+                      "lon": pa.array(plon), "lat": pa.array(plat)})
+    return pages, pois
+
+
+def _neg_radius():
+    from pyrosm_ray.stages import spatial
+    pages, pois = _neg_pois()
+    want = spatial.radius_join(rd.from_arrow(pages), rd.from_arrow(pois),
+                               radius_m=900.0).to_pandas()
+    got = spatial.radius_join_partitioned(
+        rd.from_arrow(pages).repartition(2),
+        rd.from_arrow(pois).repartition(2), radius_m=900.0,
+        num_partitions=4).to_pandas()
+    assert (want.poi_id < 0).any() and len(want) > 20
+    assert sorted(zip(got.url, got.poi_id, got.distance_m)) == sorted(
+        zip(want.url, want.poi_id, want.distance_m))
+
+
+def _neg_knn():
+    from pyrosm_ray.stages import spatial
+    pages, pois = _neg_pois()
+    want = spatial.knn_join(rd.from_arrow(pages), rd.from_arrow(pois),
+                            k=3).to_pandas()
+    got = spatial.knn_join_partitioned(
+        rd.from_arrow(pages).repartition(2),
+        rd.from_arrow(pois).repartition(2), k=3, num_partitions=4,
+        sweep_max_pairs=0, join_payload=False).to_pandas()
+    assert (want.poi_id < 0).any()
+    cols = ["url", "poi_id", "knn_rank", "distance_m"]
+    assert sorted(zip(*(got[c] for c in cols))) == sorted(
+        zip(*(want[c] for c in cols)))
+
+
+def _neg_pip():
+    import numpy as np
+
+    from pyrosm_ray.geom import wkb
+    from pyrosm_ray.stages import spatial
+    pages = rd.from_arrow(pa.table({"url": pa.array(
+        [f"https://x.test/p/{i}" for i in range(400)])}))
+    cx, cy = _points(8, 7)
+    geoms = []
+    for i, (x, y) in enumerate(zip(cx, cy)):
+        r = 0.004 * (i + 1)
+        ang = np.linspace(0, 2 * np.pi, 24, endpoint=False)
+        ring = np.column_stack([x + r * np.cos(ang), y + r * np.sin(ang)])
+        geoms.append(wkb.polygon_wkb([np.vstack([ring, ring[:1]])]))
+    polys = rd.from_arrow(pa.table({
+        "id": pa.array(np.arange(8) - 5, pa.int64()),
+        "geometry": pa.array(geoms, pa.binary())}))
+    bc = spatial.pip_join(spatial.geocode_pages(pages), polys).to_pandas()
+    want = sorted(zip(bc.url, bc.polygon_id))
+    assert any(p < 0 for _, p in want)
+    for budget in (0, 16384):  # stage 2 for every polygon, then none
+        sh = spatial.pip_join_partitioned(
+            pages, polys, num_partitions=4, join_payload=False,
+            geom_inline_budget=budget).to_pandas()
+        assert sorted(zip(sh.url, sh.polygon_id)) == want
+
+
+def _neg_windows():
+    from pyrosm_ray.stages.windows import asof_join, band_join
+    us = 1_000_000
+    lk, lt = [-4, -4, -1, 3, -4], [10, 25, 5, 7, 3]
+    rk, rt = [-4, -4, -4, -1, 3, -2], [8, 10, 30, 6, 7, 1]
+    left = pa.table({"event_id": pa.array([-10, -11, -12, -13, -14]),
+                     "user_id": pa.array(lk, pa.int64()),
+                     "ts": pa.array([t * us for t in lt],
+                                    pa.timestamp("us"))})
+    right = pa.table({"event_id": pa.array([-20, -21, -22, -23, -24, -25]),
+                      "user_id": pa.array(rk, pa.int64()),
+                      "ts": pa.array([t * us for t in rt],
+                                     pa.timestamp("us"))})
+    rows = list(zip(rk, rt, right["event_id"].to_pylist()))
+    want_asof, want_band = [], []
+    for i, k, t in zip(left["event_id"].to_pylist(), lk, lt):
+        prior = [(rt_, ri) for k_, rt_, ri in rows if k_ == k and rt_ <= t]
+        m = max(prior) if prior else None
+        want_asof.append((i, k, m and m[1], m and (t - m[0]) * us))
+        want_band.append((i, k, sum(1 for k_, rt_, _ in rows
+                                    if k_ == k and t - 5 <= rt_ <= t)))
+    la, ra = rd.from_arrow(left).repartition(2), rd.from_arrow(right)
+    assert sorted((r["event_id"], r["user_id"], r["matched_id"],
+                   r["lag_us"]) for r in _rows(asof_join(la, ra))) == sorted(
+        want_asof)
+    assert sorted((r["event_id"], r["user_id"], r["n_in_band"])
+                  for r in _rows(band_join(la, ra, band_s=5))) == sorted(
+        want_band)
+
+
+def _neg_snapshot():
+    old = pa.table({"doc_id": pa.array([-5, -2, 0, 4], pa.int64()),
+                    "text": pa.array(["a", "b", "c", "d"])})
+    new = pa.table({"doc_id": pa.array([-9, -2, 0, 4], pa.int64()),
+                    "text": pa.array(["x", "b", "C", "d"])})
+    out = dedup.snapshot_diff(rd.from_arrow(old), rd.from_arrow(new))
+    assert sorted((r["doc_id"], r["status"]) for r in _rows(out)) == [
+        (-9, "added"), (-5, "removed"), (-2, "same"), (0, "changed"),
+        (4, "same")]
+
+
+_NEGATIVE = {
+    "incremental_dedup": lambda mp: _neg_incremental(),
+    "triangle_counts": lambda mp: _neg_triangles(mp, None),
+    "triangle_counts_distributed": lambda mp: _neg_triangles(mp, 0),
+    "radius_join_partitioned": lambda mp: _neg_radius(),
+    "knn_join_partitioned": lambda mp: _neg_knn(),
+    "pip_join_partitioned": lambda mp: _neg_pip(),
+    "asof_band_join": lambda mp: _neg_windows(),
+    "snapshot_diff": lambda mp: _neg_snapshot(),
+}
+
+
+@pytest.mark.parametrize("op", list(_NEGATIVE))
+def test_negative_ids(ray_session, monkeypatch, op):
+    """Negative ids and keys are ordinary values on every route: no
+    operator may read one as a side tag or a sentinel."""
+    _NEGATIVE[op](monkeypatch)

@@ -266,9 +266,9 @@ def test_knn_join_partitioned_parity(pages, src):
                                       max_rounds=1).to_pandas()
     assert set(zip(sw.url, sw.poi_id, sw.knn_rank)) == want
     assert len(sw) == 2 * pages.count()
-    # force the grouped shuffle rounds (sweep gate off): the union +
-    # groupby(cell-shard) kernel that generates candidate pairs in-group
-    # must match the broadcast path exactly at every radius
+    # force the fold rounds (sweep gate off): the two-sided fold on the
+    # cell whose kernel generates candidate pairs per partition must
+    # match the broadcast path exactly at every radius
     gr = spatial.knn_join_partitioned(pages, pois, k=2,
                                       num_partitions=4,
                                       sweep_max_pairs=0).to_pandas()
@@ -461,6 +461,55 @@ def test_radius_join_antimeridian_wrap(ray_session):
                                 rd.from_arrow(pois).repartition(2),
                                 radius_m=R, num_partitions=6).to_pandas()
     assert sorted(zip(b.url, b.poi_id)) == truth
+
+
+def test_knn_join_antimeridian_wrap(ray_session):
+    """Nearest POIs across the +-180 seam: both kNN routes match
+    brute-force haversine. The partitioned route's POI ring must wrap
+    longitude mod nx, since its done test counts the cells past the seam
+    as covered."""
+    import ray.data as rd
+
+    from pyrosm_ray.geom import ops
+    from pyrosm_ray.stages.spatial import knn_join, knn_join_partitioned
+
+    rng = np.random.RandomState(53)
+    # POI 1 is 222 m from page s0 across the seam; POI 2 is on s0's own
+    # side of it but 1.5 km away
+    lon_po = np.concatenate([[179.999, -179.99], np.where(
+        rng.uniform(size=60) < 0.5, 179.99 + rng.uniform(0, 0.0099, 60),
+        -180.0 + rng.uniform(0, 0.01, 60))])
+    lat_po = np.concatenate([[0.0, 0.01], rng.uniform(-0.02, 0.02, 60)])
+    ids = np.arange(1, 63)
+    pois = pa.table({"id": pa.array(ids, pa.int64()),
+                     "lon": pa.array(lon_po), "lat": pa.array(lat_po)})
+    lon_pg = np.concatenate([[-179.999], np.where(
+        rng.uniform(size=40) < 0.5, 179.99 + rng.uniform(0, 0.0099, 40),
+        -180.0 + rng.uniform(0, 0.01, 40))])
+    lat_pg = np.concatenate([[0.0], rng.uniform(-0.02, 0.02, 40)])
+    urls = [f"s{i}" for i in range(len(lon_pg))]
+    pages = pa.table({"url": pa.array(urls), "lon": pa.array(lon_pg),
+                      "lat": pa.array(lat_pg)})
+    d = ops.haversine_m(lat_pg[:, None], lon_pg[:, None],
+                        lat_po[None, :], lon_po[None, :])
+    k = 2
+    truth = {(urls[q], int(ids[j]), r + 1): round(float(d[q, j]), 3)
+             for q in range(len(urls))
+             for r, j in enumerate(np.lexsort((ids, d[q]))[:k])}
+    assert truth[("s0", 1, 1)] == 222.39
+    cross = [key for key in truth
+             if (lon_pg[int(key[0][1:])] > 0) != (lon_po[key[1] - 1] > 0)]
+    assert len(cross) >= 5
+    a = knn_join(rd.from_arrow(pages), rd.from_arrow(pois), k=k).to_pandas()
+    b = knn_join_partitioned(rd.from_arrow(pages).repartition(3),
+                             rd.from_arrow(pois).repartition(2), k=k,
+                             num_partitions=4, sweep_max_pairs=0,
+                             join_payload=False).to_pandas()
+    for out in (a, b):
+        got = {(u, p, r): dist for u, p, r, dist in zip(
+            out.url, out.poi_id, out.knn_rank, out.distance_m)}
+        assert got.keys() == truth.keys()
+        assert all(abs(got[key] - truth[key]) < 0.0011 for key in truth)
 
 
 def test_radius_join_partitioned_rejects_uncoverable_radius(ray_session):
