@@ -8,10 +8,11 @@ additions):
   group, survivors re-selected by a distributed semi-join (no driver
   keep-set).
 * :func:`minhash_dedup` — word-shingle -> 64 minhash permutations -> banded
-  LSH buckets (groupby over (band, signature) ONLY — shingle payloads never
-  enter the shuffle) -> candidate pairs -> exact-Jaccard verification via
-  id-join -> distributed connected components
-  (:mod:`pyrosm_ray.stages.components`).
+  LSH buckets (one fold over (band, int64 digest of the band's signature)
+  ONLY — shingle payloads never enter it) -> candidate pairs -> exact
+  Jaccard in the shared verify tail -> union-find on the driver, or
+  distributed connected components (:mod:`pyrosm_ray.stages.components`)
+  past :data:`PAIRS_BROADCAST_MAX` verified edges.
 * :func:`simhash_dedup` — 64-bit simhash; ``max_hamming + 1`` bands make
   the banding COMPLETE by pigeonhole (any pair within the Hamming budget
   shares >=1 exact band), so the output equals the exact all-pairs answer.
@@ -29,17 +30,24 @@ xorshift mix), both bit-replicable in DuckDB SQL, so every operator here
 can be oracle-checked value-for-value.
 
 Scale notes: signatures are computed per batch (stateless, vectorised with
-segment reductions); shuffles carry only (band, signature, id) keys; pair
-verification re-joins the shingle sets by id; clustering is hash-partitioned
-label propagation. Nothing driver-side grows with the corpus.
+segment reductions). The four pair operators share one candidate route and
+one verify tail: candidates come from ONE :func:`_keyed_pairs_bucketed`
+fold (its ``nb=None`` gate picks one task or a split), and
+:func:`_verify_pairs` scores them with a per-operator kernel, either
+against a broadcast of the involved ids' payloads (up to
+:data:`PAIRS_BROADCAST_MAX` candidates) or through two id joins. Only
+candidate-sized state ever reaches the driver.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
+import ray.data as rd
 
 from pyrosm_ray.stages.similarity import _emb_matrix
 from pyrosm_ray.stages.blocks import co_join, exchange, fold, \
@@ -191,86 +199,34 @@ def minhash_signatures_batch(batch: pa.Table, id_col: str, text_col: str,
     })
 
 
-def _band_rows(batch: pa.Table, id_col: str, num_perm: int,
-               bands: int) -> pa.Table:
-    """(band, bucket, id) rows — bucket is the band's raw signature slice
-    rendered as a decimal string (exact banding, no re-hash; shingle
-    payloads do NOT ride this shuffle)."""
-    rows = num_perm // bands
-    n = len(batch)
-    ids = np.asarray(batch[id_col].to_numpy(zero_copy_only=False))
-    sigs = np.frombuffer(b"".join(batch["sig"].to_pylist()),
-                         dtype="<u8").reshape(n, num_perm)
-    out_band, out_key, out_id = [], [], []
-    for b_i in range(bands):
-        seg = sigs[:, b_i * rows:(b_i + 1) * rows]
-        key = seg[:, 0].astype("U20")
-        for c in range(1, rows):
-            key = np.char.add(np.char.add(key, ","),
-                              seg[:, c].astype("U20"))
-        out_band.append(np.full(n, b_i, dtype=np.int64))
-        out_key.append(key)
-        out_id.append(ids)
+def _band_table(ids, keys: np.ndarray, id_col: str) -> pa.Table:
+    """(band, bucket, id) rows from an (n docs, bands) uint64 matrix of
+    band keys, band by band."""
+    n, bands = keys.shape
     return pa.table({
-        "band": pa.array(np.concatenate(out_band)),
-        "bucket": pa.array(np.concatenate(out_key).astype(object),
-                           pa.string()),
-        id_col: pa.array(np.concatenate(out_id)),
+        "band": pa.array(np.repeat(np.arange(bands, dtype=np.int64), n)),
+        "bucket": pa.array(np.ascontiguousarray(keys.T).ravel()
+                           .view(np.int64)),
+        id_col: pa.array(np.tile(np.asarray(
+            ids.to_numpy(zero_copy_only=False), np.int64), bands)),
     })
 
 
-def _banded_pairs_np(ids: np.ndarray, sigs: np.ndarray, bands: int,
-                     cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Driver-side equivalent of the banded groupby + :func:`_bucket_pairs`
-    tail: produces the identical candidate-pair set with one numpy pass per
-    band instead of a (band, bucket) shuffle. Used when the banded row
-    count is small enough to collect (the shuffle's fixed cost dominates
-    there); the distributed path remains the 10^12-doc shape."""
-    num_perm = sigs.shape[1]
+def _band_rows(batch: pa.Table, id_col: str, num_perm: int,
+               bands: int) -> pa.Table:
+    """(band, bucket, id) rows; ``bucket`` is an int64 digest of the
+    band's ``num_perm // bands`` signature values (one vectorised
+    :func:`hash64` mix per value, as in :func:`_keyed_pairs_bucketed`).
+    Shingle payloads do NOT ride the banding fold. A digest collision
+    only merges two buckets: extra candidates, which the exact verify
+    drops."""
     rows = num_perm // bands
-    out_a, out_b = [], []
-    for b_i in range(bands):
-        seg = np.ascontiguousarray(sigs[:, b_i * rows:(b_i + 1) * rows])
-        view = seg.view([("", seg.dtype)] * rows).ravel()
-        _, inv = np.unique(view, return_inverse=True)
-        order = np.lexsort((ids, inv))
-        inv_s, ids_s = inv[order], ids[order]
-        bnd = np.concatenate([[0], np.nonzero(np.diff(inv_s))[0] + 1,
-                              [len(inv_s)]])
-        sizes = np.diff(bnd)
-        for gi in np.nonzero(sizes >= 2)[0]:  # only multi-doc buckets
-            gids = ids_s[bnd[gi]:bnd[gi + 1]]  # sorted, distinct per band
-            if len(gids) > cap:
-                out_a.append(gids[:-1])
-                out_b.append(gids[1:])
-            else:
-                iu, ju = np.triu_indices(len(gids), k=1)
-                out_a.append(gids[iu])
-                out_b.append(gids[ju])
-    if not out_a:
-        e = np.empty(0, dtype=np.int64)
-        return e, e
-    return np.concatenate(out_a), np.concatenate(out_b)
-
-
-def _bucket_pairs(group: pa.Table, id_col: str, cap: int) -> pa.Table:
-    """Candidate pairs within one (band, bucket) group. Groups above
-    ``cap`` emit only the consecutive chain over sorted ids — that
-    preserves full connectivity for clustering (a mega-bucket is one
-    component either way) while bounding pair count to O(group)."""
-    ids = np.unique(np.asarray(group[id_col].to_numpy(
-        zero_copy_only=False), dtype=np.int64))
-    n = len(ids)
-    if n < 2:
-        return pa.table({"a": pa.array([], pa.int64()),
-                         "b": pa.array([], pa.int64())})
-    if n > cap:
-        a, b = ids[:-1], ids[1:]
-    else:
-        iu, ju = np.triu_indices(n, k=1)
-        a, b = ids[iu], ids[ju]
-    return pa.table({"a": pa.array(a, pa.int64()),
-                     "b": pa.array(b, pa.int64())})
+    flat, _ = _binary_u64_csr(batch["sig"])
+    seg = flat.reshape(len(batch), bands, rows)
+    key = np.zeros((len(batch), bands), np.uint64)
+    for c in range(rows):
+        key = key * np.uint64(0x100000001B3) ^ hash64(seg[:, :, c], 11)
+    return _band_table(batch[id_col], key, id_col)
 
 
 _PAIRS_EMPTY = pa.table({"a": pa.array([], pa.int64()),
@@ -282,11 +238,13 @@ def _distinct_pairs(pairs_ds, num_partitions: int | None = None):
     lexsort-dedupe (the result holds reduce refs, so callers'
     count()/join reuse them)."""
     def distinct(g: pa.Table) -> pa.Table:
-        a, b = _distinct_pairs_np(
-            np.asarray(g["a"].to_numpy(zero_copy_only=False), np.int64),
-            np.asarray(g["b"].to_numpy(zero_copy_only=False), np.int64))
-        return pa.table({"a": pa.array(a, pa.int64()),
-                         "b": pa.array(b, pa.int64())})
+        a = np.asarray(g["a"].to_numpy(zero_copy_only=False), np.int64)
+        b = np.asarray(g["b"].to_numpy(zero_copy_only=False), np.int64)
+        order = np.lexsort((b, a))
+        a, b = a[order], b[order]
+        keep = np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])]
+        return pa.table({"a": pa.array(a[keep], pa.int64()),
+                         "b": pa.array(b[keep], pa.int64())})
 
     return fold(pairs_ds, ["a", "b"], distinct, num_partitions,
                 _PAIRS_EMPTY)
@@ -301,15 +259,19 @@ def _keyed_pairs_bucketed(rows_ds, key_cols: list[str], id_col: str,
     vectorised pass — segment the sorted rows by key, then for row j of
     its segment emit (all earlier ids, id_j) with the standard
     repeat/arange construction. Groups above ``cap`` degrade to the
-    consecutive chain (connectivity preserved — same rule as the
-    per-group form). The fold pays per PARTITION, not per distinct key
-    (band-buckets / grams are ~|corpus| distinct).
+    consecutive chain over their sorted ids (connectivity preserved).
+    The fold pays per PARTITION, not per distinct key (band-buckets /
+    grams are ~|corpus| distinct); ``num_partitions=None`` lets the
+    fold's own gate pick one task or a split.
 
     Inside a partition, key columns of any type collapse to one 64-bit
     digest (ints through :func:`hash64`, everything else through the
-    stable string hash); a digest collision can only ADD a candidate
-    pair, and every caller exact-verifies candidates downstream, so
-    outputs stay exact."""
+    stable string hash). A digest collision merges two groups. That
+    adds candidate pairs, which every caller's exact verify drops; but
+    if the merged group exceeds ``cap``, it also moves both groups onto
+    the chain rule, whose chain then interleaves their ids and can lose
+    a true pair of either. Without a collision over ``cap``, outputs
+    are exact."""
     def digest(t: pa.Table) -> np.ndarray:
         key = np.zeros(t.num_rows, np.uint64)
         for c in key_cols:
@@ -456,144 +418,132 @@ def _jaccard_csr(flat: np.ndarray, off: np.ndarray, ia: np.ndarray,
     return np.where(union > 0, inter / np.maximum(union, 1), 1.0)
 
 
-def _jaccard_two_csr(flat_a, off_a, flat_b, off_b) -> np.ndarray:
-    """Per-row exact Jaccard when side A's and side B's sets live in two
-    aligned CSRs (the join path: row i pairs sh_a[i] with sh_b[i])."""
-    n = len(off_a) - 1
-    flat = np.concatenate([flat_a.astype(np.uint64, copy=False),
-                           flat_b.astype(np.uint64, copy=False)])
-    off = np.concatenate([off_a,
-                          off_a[-1] + off_b[1:]]).astype(np.int64)
-    ia = np.arange(n, dtype=np.int64)
-    return _jaccard_csr(flat, off, ia, n + ia)
+# candidate pairs small enough to verify against one broadcast of the
+# involved ids' payloads; past it the verify runs as two id joins
+PAIRS_BROADCAST_MAX = 1 << 18
 
 
-def _verify_pairs_jaccard(pairs_ds, shingles_ds, id_col: str,
-                          threshold: float, num_partitions: int = 8):
-    """Exact Jaccard over candidate pairs: the (small) pair list joins the
-    shingle sets by id — twice — then one vectorisable verify pass.
-    Shingle bytes move only for ids that appear in a candidate pair."""
-    nb = num_partitions or groupby_partitions()
+def _pair_columns(pairs_ds) -> tuple[np.ndarray, np.ndarray]:
+    """Every (a, b) row of a pairs Dataset, read block by block as
+    Arrow (a zero-row block may carry no columns at all)."""
+    ts = [t for t in map(ray.get, pairs_ds.to_arrow_refs()) if t.num_rows]
 
-    def keyed(key: str, name: str):
-        return shingles_ds.map_batches(lambda b: pa.table({
-            key: b[id_col].cast(pa.int64()), name: b["shingles"]}),
+    def column(c: str) -> np.ndarray:
+        return np.concatenate([np.empty(0, np.int64)] + [np.asarray(
+            t[c].to_numpy(zero_copy_only=False), np.int64) for t in ts])
+    return column("a"), column("b")
+
+
+def _jaccard_kernel(threshold: float, col, ia: np.ndarray, ib: np.ndarray):
+    """Exact Jaccard of packed-shingle rows ``ia`` x ``ib`` of ``col``."""
+    flat, off = _binary_u64_csr(col)
+    jac = _jaccard_csr(flat, off, ia, ib)
+    return jac >= threshold, {"jaccard": pa.array(np.round(jac, 6),
+                                                   pa.float64())}
+
+
+def _hamming_kernel(max_hamming: int, col, ia: np.ndarray, ib: np.ndarray):
+    """Hamming distance of int64 signature rows ``ia`` x ``ib`` of
+    ``col``."""
+    h = np.asarray(col.to_numpy(zero_copy_only=False)) \
+        .astype(np.int64).view(np.uint64)
+    ham = popcount64(h[ia] ^ h[ib])
+    return ham <= max_hamming, {"hamming": pa.array(ham, pa.int64())}
+
+
+def _scored(kernel, col, a: np.ndarray, b: np.ndarray, ia: np.ndarray,
+            ib: np.ndarray) -> pa.Table:
+    """(a, b, score) rows of the pairs ``kernel`` keeps; ``ia``/``ib``
+    index the pairs' payloads in ``col``."""
+    keep, score = kernel(col, ia, ib)
+    mask = pa.array(keep)
+    return pa.table({"a": pa.array(a[keep], pa.int64()),
+                     "b": pa.array(b[keep], pa.int64()),
+                     **{k: v.filter(mask) for k, v in score.items()}})
+
+
+@ray.remote
+def _verify_chunk(kernel, got: pa.Table, id_col: str, payload_col: str,
+                  a: np.ndarray, b: np.ndarray) -> pa.Table:
+    """Score one chunk of pairs against the broadcast payloads ``got``
+    (sorted by id)."""
+    ids = np.asarray(got[id_col].to_numpy(zero_copy_only=False), np.int64)
+    return _scored(kernel, got[payload_col], a, b, np.searchsorted(ids, a),
+                   np.searchsorted(ids, b))
+
+
+def _verify_pairs(cand, sig_ds, id_col: str, payload_col: str, kernel,
+                  nb: int | None):
+    """The near-dup verify tail: raw candidate pairs (duplicates
+    allowed) -> an (a, b, score) Dataset of the distinct pairs that
+    ``kernel(col, ia, ib) -> (keep mask, {score name: values})`` keeps.
+    ``col`` is ``sig_ds``'s ``payload_col`` (one row per id), and
+    ``ia``/``ib`` index each pair's two rows in it.
+
+    The pairs dedupe in one fold first, and the gate reads the distinct
+    count (``q_ngram_jaccard``'s 4.4 M raw prefix-filter candidates at
+    sf0.01 hold 125 k distinct pairs).
+    Up to :data:`PAIRS_BROADCAST_MAX` pairs, the involved ids' payloads
+    gather with a map-side semi-join (no exchange), ``ray.put`` once,
+    and pair chunks verify in plain tasks. Past it the pairs meet their
+    payloads through two id joins, and a map verifies each joined
+    block."""
+    cand = _distinct_pairs(cand, nb).materialize()
+    if cand.count() > PAIRS_BROADCAST_MAX:
+        return _verify_joined(cand, sig_ds, id_col, payload_col, kernel, nb)
+    a, b = _pair_columns(cand)
+    if not len(a):
+        e = np.empty(0, np.int64)
+        return rd.from_arrow(_scored(kernel, pa.array([]), e, e, e, e))
+    involved = ray.put(np.unique(np.concatenate([a, b])))
+
+    def gather(t: pa.Table) -> pa.Table:
+        ids = np.asarray(t[id_col].to_numpy(zero_copy_only=False), np.int64)
+        return t.select([id_col, payload_col]).filter(
+            pa.array(np.isin(ids, ray.get(involved))))
+
+    got = ray.put(pa.concat_tables([
+        t for t in map(ray.get, sig_ds.map_batches(
+            gather, batch_format="pyarrow").to_arrow_refs())
+        if t.num_rows]).sort_by(id_col).combine_chunks())
+    # one chunk per partition slot: a chunk's kernel is one numpy pass,
+    # so more chunks than CPUs only add task overhead
+    n_chunks = min(groupby_partitions(), len(a) // 1024 + 1)
+    return rd.from_arrow_refs([
+        _verify_chunk.remote(kernel, got, id_col, payload_col, ac, bc)
+        for ac, bc in zip(np.array_split(a, n_chunks),
+                          np.array_split(b, n_chunks))])
+
+
+def _verify_joined(cand, sig_ds, id_col: str, payload_col: str, kernel,
+                   nb: int | None):
+    """:func:`_verify_pairs`' join route: each pair picks up its two
+    payloads by id, then one map scores every joined block."""
+    ptype = sig_ds.schema().base_schema.field(payload_col).type
+
+    def side(key: str):
+        return sig_ds.map_batches(lambda t: pa.table({
+            key: t[id_col].cast(pa.int64()), "p" + key: t[payload_col]}),
             batch_format="pyarrow")
 
-    j = co_join(pairs_ds, keyed("a", "sh_a"), "a", nb,
-                pa.table({"a": pa.array([], pa.int64()),
-                          "b": pa.array([], pa.int64()),
-                          "sh_a": pa.array([], pa.binary())}))
-    j = co_join(j, keyed("b", "sh_b"), "b", nb,
-                pa.table({"a": pa.array([], pa.int64()),
-                          "b": pa.array([], pa.int64()),
-                          "sh_a": pa.array([], pa.binary()),
-                          "sh_b": pa.array([], pa.binary())}))
+    cols = {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
+            "pa": pa.array([], ptype)}
+    j = co_join(cand, side("a"), "a", nb, pa.table(cols))
+    j = co_join(j, side("b"), "b", nb,
+                pa.table({**cols, "pb": pa.array([], ptype)}))
 
-    def verify(batch: pa.Table) -> pa.Table:
-        av = np.asarray(batch["a"].to_numpy(zero_copy_only=False),
-                        dtype=np.int64)
-        bv = np.asarray(batch["b"].to_numpy(zero_copy_only=False),
-                        dtype=np.int64)
-        fa, oa = _binary_u64_csr(batch["sh_a"])
-        fb, ob = _binary_u64_csr(batch["sh_b"])
-        jac = _jaccard_two_csr(fa, oa, fb, ob)
-        keep = jac >= threshold
-        return pa.table({"a": pa.array(av[keep], pa.int64()),
-                         "b": pa.array(bv[keep], pa.int64()),
-                         "jaccard": pa.array(np.round(jac[keep], 6),
-                                             pa.float64())})
+    def verify(t: pa.Table) -> pa.Table:
+        n = t.num_rows
+        col = pa.concat_arrays([t["pa"].combine_chunks(),
+                                t["pb"].combine_chunks()])
+        ia = np.arange(n, dtype=np.int64)
+        return _scored(kernel, col,
+                       np.asarray(t["a"].to_numpy(zero_copy_only=False),
+                                  np.int64),
+                       np.asarray(t["b"].to_numpy(zero_copy_only=False),
+                                  np.int64), ia, ia + n)
 
     return j.map_batches(verify, batch_format="pyarrow")
-
-
-PAIRS_BROADCAST_MAX = 1 << 18  # candidate pairs small enough to broadcast
-BANDED_DRIVER_MAX = 1 << 21    # banding rows (docs*bands) the driver collects
-
-
-def _distinct_pairs_np(a: np.ndarray, b: np.ndarray):
-    order = np.lexsort((b, a))
-    a, b = a[order], b[order]
-    if len(a):
-        keep = np.ones(len(a), dtype=bool)
-        keep[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-        a, b = a[keep], b[keep]
-    return a, b
-
-
-def _verify_pairs_jaccard_broadcast(a: np.ndarray, b: np.ndarray,
-                                    sig_ds, id_col: str, threshold: float):
-    """Broadcast form of the exact-Jaccard verify for candidate sets under
-    :data:`PAIRS_BROADCAST_MAX`: the involved-id shingle payloads are
-    fetched with a map-side semi-join (zero shuffles), ``ray.put`` once,
-    and pair chunks verify in parallel plain tasks. Two Dataset joins +
-    their aggregator pools (the dominant fixed cost at small candidate
-    counts) drop out; the join path remains the beyond-broadcast route."""
-    import ray
-    involved = np.unique(np.concatenate([a, b]))
-    inv_ref = ray.put(involved)
-
-    def sub(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch[id_col].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
-        arr = ray.get(inv_ref)
-        pos = np.clip(np.searchsorted(arr, ids), 0, max(len(arr) - 1, 0))
-        m = arr[pos] == ids if len(arr) else np.zeros(len(ids), bool)
-        return pa.table({id_col: batch[id_col],
-                         "shingles": batch["shingles"]}).filter(pa.array(m))
-
-    # one broadcast CSR (ids sorted, flat shingles, offsets) instead of a
-    # dict of per-id blobs: chunks verify with the shared numpy kernel
-    ids_parts, flat_parts, len_parts = [], [], []
-    for bt in sig_ds.map_batches(sub, batch_format="pyarrow").iter_batches(
-            batch_size=1 << 16, batch_format="pyarrow"):
-        ids_parts.append(np.asarray(
-            bt[id_col].to_numpy(zero_copy_only=False), np.int64))
-        f, o = _binary_u64_csr(bt["shingles"])
-        flat_parts.append(f)
-        len_parts.append(np.diff(o))
-    ids_all = np.concatenate(ids_parts) if ids_parts else \
-        np.empty(0, np.int64)
-    lens = np.concatenate(len_parts) if len_parts else \
-        np.empty(0, np.int64)
-    flat_all = np.concatenate(flat_parts) if flat_parts else \
-        np.empty(0, np.uint64)
-    order = np.argsort(ids_all, kind="stable")
-    off_all = np.zeros(len(ids_all) + 1, np.int64)
-    np.cumsum(lens, out=off_all[1:])
-    flat_sorted = flat_all[_concat_ranges_dedup(off_all[order],
-                                                lens[order])]
-    ids_sorted = ids_all[order]
-    off_sorted = np.zeros(len(ids_sorted) + 1, np.int64)
-    np.cumsum(lens[order], out=off_sorted[1:])
-    csr_ref = ray.put((ids_sorted, flat_sorted, off_sorted))
-
-    @ray.remote
-    def verify_chunk(a_c: np.ndarray, b_c: np.ndarray):
-        ids_s, flat, off = ray.get(csr_ref)
-        sentinel = len(ids_s)  # missing id -> empty set (extra 0-len row)
-        off_ext = np.append(off, off[-1])
-
-        def rows(x):
-            pos = np.clip(np.searchsorted(ids_s, x), 0,
-                          max(len(ids_s) - 1, 0))
-            hit = (ids_s[pos] == x) if len(ids_s) else \
-                np.zeros(len(x), bool)
-            return np.where(hit, pos, sentinel)
-
-        jac = _jaccard_csr(flat, off_ext, rows(a_c), rows(b_c))
-        keep = jac >= threshold
-        return a_c[keep], b_c[keep], np.round(jac[keep], 6)
-
-    n_chunks = max(1, min(64, len(a) // 1024 + 1))
-    parts = [verify_chunk.remote(ac, bc)
-             for ac, bc in zip(np.array_split(a, n_chunks),
-                               np.array_split(b, n_chunks))]
-    res = ray.get(parts)
-    va = np.concatenate([r[0] for r in res]) if res else np.empty(0, np.int64)
-    vb = np.concatenate([r[1] for r in res]) if res else np.empty(0, np.int64)
-    vj = np.concatenate([r[2] for r in res]) if res else np.empty(0)
-    return va, vb, vj
 
 
 def _union_find_labels(a: np.ndarray, b: np.ndarray):
@@ -626,83 +576,44 @@ def _union_find_labels(a: np.ndarray, b: np.ndarray):
 def minhash_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
                   num_perm: int = 64, bands: int = 16, k_shingle: int = 3,
                   threshold: float = 0.8, bucket_cap: int = 256,
-                  num_partitions: int = 8,
-                  pairs_broadcast_max: int | None = None):
-    """Near-dup detection: returns a Dataset of (id, dup_of) where
-    ``dup_of`` is the cluster's canonical (minimum) id; singleton docs map
-    to themselves.
+                  num_partitions: int | None = None):
+    """Near-dup detection: returns ``ds`` with a ``dup_of`` column, the
+    cluster's canonical (minimum) id; singleton docs map to themselves.
 
-    Banding shuffles (band, sig, id) only. The candidate-pair tail is
-    adaptive: pair sets under ``pairs_broadcast_max`` (the overwhelmingly
-    common case — candidates are a vanishing fraction of the corpus)
-    verify against broadcast shingle payloads and cluster with a
-    driver-side union-find, paying ONE shuffle total; larger pair sets
-    take the fully distributed route (dedup groupby + shingle joins +
-    label-propagation components)."""
-    if pairs_broadcast_max is None:
-        pairs_broadcast_max = PAIRS_BROADCAST_MAX
+    Banding folds (band, bucket digest, id) rows only (see
+    :func:`_band_rows`); candidates verify by exact shingle Jaccard in
+    :func:`_verify_pairs`. Verified edge sets up to
+    :data:`PAIRS_BROADCAST_MAX` cluster with a driver union-find, larger
+    ones with distributed :func:`connected_components`."""
     sig_ds = ds.map_batches(
         lambda b: minhash_signatures_batch(b, id_col, text_col, num_perm,
                                            k_shingle),
         batch_format="pyarrow").materialize()
-
-    # small-corpus fast path: banding rows fit the driver, so the
-    # (band, bucket) shuffle's fixed cost dominates — compute the SAME
-    # candidate pairs with one numpy pass per band, then verify broadcast
-    n_docs = sig_ds.count()
-    if n_docs * bands <= BANDED_DRIVER_MAX:
-        parts = [pa.table(b) for b in
-                 sig_ds.select_columns([id_col, "sig"]).iter_batches(
-                     batch_size=1 << 16, batch_format="pyarrow")]
-        tbl = pa.concat_tables(parts) if parts else None
-        if tbl is None or not len(tbl):
-            return attach_components(ds, None, id_col, out_col="dup_of")
-        ids_np = np.asarray(tbl[id_col].to_numpy(zero_copy_only=False),
-                            dtype=np.int64)
-        sigs = np.frombuffer(b"".join(tbl["sig"].to_pylist()),
-                             dtype="<u8").reshape(len(tbl), num_perm)
-        a, b = _banded_pairs_np(ids_np, sigs, bands, bucket_cap)
-        if not len(a):
-            return attach_components(ds, None, id_col, out_col="dup_of")
-        a, b = _distinct_pairs_np(a, b)
-        va, vb, _ = _verify_pairs_jaccard_broadcast(a, b, sig_ds, id_col,
-                                                    threshold)
-        if not len(va):
-            return attach_components(ds, None, id_col, out_col="dup_of")
-        nodes, comp = _union_find_labels(va, vb)
-        return attach_components(ds, (nodes, comp), id_col,
-                                 out_col="dup_of")
-
+    if not sig_ds.count() and (schema := ds.schema()) is not None:
+        # a map is never called on a zero-row block, so type the empty
+        # result here: the input's columns plus ``dup_of``
+        return rd.from_arrow(schema.base_schema.empty_table().append_column(
+            "dup_of", pa.array([], pa.int64())))
     banded = sig_ds.map_batches(
         lambda b: _band_rows(b.select([id_col, "sig"]), id_col, num_perm,
                              bands),
         batch_format="pyarrow")
-    cand_raw = _keyed_pairs_bucketed(banded, ["band", "bucket"], id_col,
-                                     cap=bucket_cap)
-    n_cand = cand_raw.count()
-    if n_cand == 0:
-        return attach_components(ds, None, id_col, out_col="dup_of")
-    if n_cand <= pairs_broadcast_max:
-        pdf = cand_raw.to_pandas()
-        a = np.asarray(pdf["a"], dtype=np.int64)
-        b = np.asarray(pdf["b"], dtype=np.int64)
-        a, b = _distinct_pairs_np(a, b)
-        va, vb, _ = _verify_pairs_jaccard_broadcast(a, b, sig_ds, id_col,
-                                                    threshold)
-        if not len(va):
-            return attach_components(ds, None, id_col, out_col="dup_of")
-        nodes, comp = _union_find_labels(va, vb)
-        return attach_components(ds, (nodes, comp), id_col,
-                                 out_col="dup_of")
-    cand = _distinct_pairs(cand_raw)
-    shingles = sig_ds.map_batches(lambda b: b.select([id_col, "shingles"]),
-                                  batch_format="pyarrow")
-    edges = _verify_pairs_jaccard(cand, shingles, id_col, threshold,
-                                  num_partitions)
-    labels = connected_components(edges, "a", "b",
-                                  num_partitions=num_partitions)
-    return attach_components(ds, labels, id_col, out_col="dup_of",
-                             num_partitions=num_partitions)
+    cand = _keyed_pairs_bucketed(banded, ["band", "bucket"], id_col,
+                                 num_partitions, cap=bucket_cap)
+    edges = _verify_pairs(cand, sig_ds, id_col, "shingles",
+                          functools.partial(_jaccard_kernel, threshold),
+                          num_partitions).materialize()
+    n_edges = edges.count()
+    # the driver union-find wins at this size: on 64 k docs (7 155
+    # candidate pairs, 2 Ray CPUs) the stage took a median 4.23 s with
+    # it and 6.02 s with connected_components
+    if n_edges > PAIRS_BROADCAST_MAX:
+        return attach_components(
+            ds, connected_components(edges, "a", "b",
+                                     num_partitions=num_partitions),
+            id_col, out_col="dup_of", num_partitions=num_partitions)
+    labels = _union_find_labels(*_pair_columns(edges)) if n_edges else None
+    return attach_components(ds, labels, id_col, out_col="dup_of")
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +657,7 @@ def simhash_batch(batch: pa.Table, id_col: str, text_col: str) -> pa.Table:
 
 
 def simhash_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
-                  max_hamming: int = 3, num_partitions: int = 8):
+                  max_hamming: int = 3, num_partitions: int | None = None):
     """Exact Hamming-<=k pairs over 64-bit text simhashes (see
     :func:`hamming_pairs` for the banding machinery, shared with the
     image-dHash near-dup)."""
@@ -758,158 +669,36 @@ def simhash_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
 
 
 def hamming_pairs(sig, id_col: str = "doc_id", hash_col: str = "simhash",
-                  max_hamming: int = 3, num_partitions: int = 8):
-    """Exact Hamming-<=k pairs over a 64-bit signature column.
+                  max_hamming: int = 3, num_partitions: int | None = None):
+    """Exact Hamming-<=k pairs over a 64-bit signature column:
+    (a, b, hamming) with a < b.
 
     COMPLETE banding by pigeonhole: the 64 bits split into
     ``max_hamming + 1`` bands, so any pair within the budget matches
-    exactly on >=1 band; candidates verify with a true popcount. (Scale
-    note: larger budgets mean narrower bands and hotter buckets — the
-    usual near-dup budget is <=3, i.e. 4 x 16-bit bands.) ``sig`` should
-    be materialized by the caller if its compute is non-trivial (it is
-    consumed twice: banding + verify projection)."""
+    exactly on >=1 band. The (band, bucket = the band's bits) rows fold
+    once in :func:`_keyed_pairs_bucketed`, and the candidates verify
+    with a true popcount in :func:`_verify_pairs`. (Scale note: larger
+    budgets mean narrower bands and hotter buckets — the usual near-dup
+    budget is <=3, i.e. 4 x 16-bit bands.) ``sig`` should be
+    materialized by the caller if its compute is non-trivial (it is
+    consumed twice: banding + verify gather)."""
     bands = max_hamming + 1
-    widths = np.full(bands, 64 // bands, dtype=np.int64)
-    widths[:64 % bands] += 1
-    starts = np.concatenate([[0], np.cumsum(widths)[:-1]])
-
-    # small-corpus fast path (same policy as minhash_dedup's
-    # driver-banding route): 16 bytes/row means BANDED_DRIVER_MAX/bands
-    # rows collect in a few MB, and the (band, bucket) shuffle's fixed
-    # cost dominates at that size. One numpy pass per band produces the
-    # IDENTICAL pair set as the distributed fold; the distributed route
-    # below stays the 10^12-doc shape.
-    n_rows = sig.count()
-    if n_rows * bands <= BANDED_DRIVER_MAX:
-        import ray.data as rd
-        parts = [pa.table(b) for b in
-                 sig.select_columns([id_col, hash_col]).iter_batches(
-                     batch_size=1 << 16, batch_format="pyarrow")]
-        tbl = pa.concat_tables(parts) if parts else None
-        empty = pa.table({"a": pa.array([], pa.int64()),
-                          "b": pa.array([], pa.int64()),
-                          "hamming": pa.array([], pa.int64())})
-        if tbl is None or not len(tbl):
-            return rd.from_arrow(empty)
-        ids_np = np.asarray(tbl[id_col].to_numpy(zero_copy_only=False),
-                            dtype=np.int64)
-        hs = np.asarray(tbl[hash_col].to_numpy(zero_copy_only=False)
-                        ).astype(np.int64).view(np.uint64)
-        buckets = np.empty((len(ids_np), bands), dtype=np.uint64)
-        for b_i in range(bands):
-            mask = np.uint64((1 << int(widths[b_i])) - 1)
-            buckets[:, b_i] = (hs >> np.uint64(starts[b_i])) & mask
-        a, b = _banded_pairs_np(ids_np, buckets, bands, cap=1 << 30)
-        if not len(a):
-            return rd.from_arrow(empty)
-        a, b = _distinct_pairs_np(a, b)
-        order = np.argsort(ids_np, kind="stable")
-        ids_s, hs_s = ids_np[order], hs[order]
-        ha = hs_s[np.searchsorted(ids_s, a)]
-        hb = hs_s[np.searchsorted(ids_s, b)]
-        ham = popcount64(ha ^ hb)
-        keep = ham <= max_hamming
-        return rd.from_arrow(pa.table({
-            "a": pa.array(a[keep], pa.int64()),
-            "b": pa.array(b[keep], pa.int64()),
-            "hamming": pa.array(np.asarray(ham[keep], np.int64),
-                                pa.int64()),
-        }))
+    widths = [64 // bands + (i < 64 % bands) for i in range(bands)]
+    starts = np.array(np.cumsum([0] + widths[:-1]), np.uint64)
+    masks = np.array([(1 << w) - 1 for w in widths], np.uint64)
 
     def band_rows(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch[id_col].to_numpy(zero_copy_only=False))
-        sh = np.asarray(batch[hash_col].to_numpy(zero_copy_only=False)
-                        ).astype(np.int64).view(np.uint64)
-        bands_out, keys, oids = [], [], []
-        for b_i in range(bands):
-            mask = np.uint64((1 << int(widths[b_i])) - 1)
-            part = (sh >> np.uint64(starts[b_i])) & mask
-            bands_out.append(np.full(len(ids), b_i, dtype=np.int64))
-            keys.append(part.astype(np.int64))
-            oids.append(ids)
-        return pa.table({
-            "band": pa.array(np.concatenate(bands_out)),
-            "bucket": pa.array(np.concatenate(keys)),
-            id_col: pa.array(np.concatenate(oids)),
-        })
+        h = np.asarray(batch[hash_col].to_numpy(zero_copy_only=False)) \
+            .astype(np.int64).view(np.uint64)
+        return _band_table(batch[id_col], (h[:, None] >> starts) & masks,
+                           id_col)
 
-    cand = _distinct_pairs(_keyed_pairs_bucketed(
+    cand = _keyed_pairs_bucketed(
         sig.map_batches(band_rows, batch_format="pyarrow"),
-        ["band", "bucket"], id_col, num_partitions=num_partitions))
-
-    # broadcast verify under the standard pair threshold: popcount is
-    # pure 64-bit arithmetic, so small candidate sets verify on the
-    # driver against a map-side-filtered (id, hash) gather — the two
-    # hash-shuffle joins (dominant fixed cost at small counts) drop out
-    n_cand = cand.count()
-    if n_cand <= PAIRS_BROADCAST_MAX:
-        import ray.data as rd
-        pdf = cand.to_pandas()
-        a = np.asarray(pdf["a"], np.int64)
-        b = np.asarray(pdf["b"], np.int64)
-        involved = np.unique(np.concatenate([a, b])) if len(a) else \
-            np.empty(0, np.int64)
-        inv_ref = ray.put(involved)
-
-        def sub(batch: pa.Table) -> pa.Table:
-            ids = np.asarray(batch[id_col].to_numpy(zero_copy_only=False),
-                             np.int64)
-            arr = ray.get(inv_ref)
-            pos = np.clip(np.searchsorted(arr, ids), 0,
-                          max(len(arr) - 1, 0))
-            m = arr[pos] == ids if len(arr) else np.zeros(len(ids), bool)
-            return pa.table({id_col: batch[id_col],
-                             hash_col: batch[hash_col]}) \
-                .filter(pa.array(m))
-
-        hp = sig.map_batches(sub, batch_format="pyarrow").to_pandas()
-        ids_s = np.asarray(hp[id_col], np.int64)
-        order = np.argsort(ids_s, kind="stable")
-        ids_s = ids_s[order]
-        hs = np.asarray(hp[hash_col], np.int64)[order].view(np.uint64)
-
-        def hval(x):
-            pos = np.clip(np.searchsorted(ids_s, x), 0,
-                          max(len(ids_s) - 1, 0))
-            return hs[pos] if len(ids_s) else np.zeros(len(x), np.uint64)
-
-        ham = popcount64(hval(a) ^ hval(b)) if len(a) else \
-            np.empty(0, np.int64)
-        keep = ham <= max_hamming
-        return rd.from_arrow(pa.table({
-            "a": pa.array(a[keep], pa.int64()),
-            "b": pa.array(b[keep], pa.int64()),
-            "hamming": pa.array(np.asarray(ham[keep], np.int64),
-                                pa.int64()),
-        }))
-
-    def keyed(key: str, name: str):
-        return sig.map_batches(lambda b: pa.table({
-            key: b[id_col].cast(pa.int64()), name: b[hash_col]}),
-            batch_format="pyarrow")
-
-    nb = num_partitions or groupby_partitions()
-    ab = {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())}
-    j = co_join(cand, keyed("a", "h_a"), "a", nb,
-                pa.table({**ab, "h_a": pa.array([], pa.int64())}))
-    j = co_join(j, keyed("b", "h_b"), "b", nb,
-                pa.table({**ab, "h_a": pa.array([], pa.int64()),
-                          "h_b": pa.array([], pa.int64())}))
-
-    def verify(batch: pa.Table) -> pa.Table:
-        ha = np.asarray(batch["h_a"].to_numpy(zero_copy_only=False)
-                        ).astype(np.int64).view(np.uint64)
-        hb = np.asarray(batch["h_b"].to_numpy(zero_copy_only=False)
-                        ).astype(np.int64).view(np.uint64)
-        ham = popcount64(ha ^ hb)
-        keep = ham <= max_hamming
-        return pa.table({
-            "a": batch["a"].filter(pa.array(keep)),
-            "b": batch["b"].filter(pa.array(keep)),
-            "hamming": pa.array(ham[keep], pa.int64()),
-        })
-
-    return j.map_batches(verify, batch_format="pyarrow")
+        ["band", "bucket"], id_col, num_partitions)
+    return _verify_pairs(cand, sig, id_col, hash_col,
+                         functools.partial(_hamming_kernel, max_hamming),
+                         num_partitions)
 
 
 # ---------------------------------------------------------------------------
@@ -959,7 +748,7 @@ def _prefix_rows_tbl(batch: pa.Table, id_col: str,
 
 def ngram_jaccard_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
                         n: int = 3, threshold: float = 0.8,
-                        num_partitions: int = 8):
+                        num_partitions: int | None = None):
     """EXACT character-n-gram Jaccard >= threshold pairs.
 
     Candidates come from prefix filtering (PPJoin-style): with grams
@@ -972,28 +761,12 @@ def ngram_jaccard_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
         lambda b: _ngram_sigs_tbl(b, id_col, text_col, n),
         batch_format="pyarrow").materialize()
 
-    cand = _distinct_pairs(_keyed_pairs_bucketed(
-        sig_ds.map_batches(
-            lambda b: _prefix_rows_tbl(b, id_col, threshold),
-            batch_format="pyarrow"),
-        ["gram"], id_col, num_partitions=num_partitions))
-    # same adaptive routing as minhash: small candidate sets verify via
-    # the broadcast CSR kernel (no join fixed costs), large ones keep
-    # the join-based distributed verify
-    n_cand = cand.count()
-    if n_cand <= PAIRS_BROADCAST_MAX:
-        import ray.data as rd
-        pdf = cand.to_pandas()
-        va, vb, vj = _verify_pairs_jaccard_broadcast(
-            np.asarray(pdf["a"], np.int64),
-            np.asarray(pdf["b"], np.int64), sig_ds, id_col, threshold)
-        return rd.from_arrow(pa.table({
-            "a": pa.array(va, pa.int64()),
-            "b": pa.array(vb, pa.int64()),
-            "jaccard": pa.array(vj, pa.float64()),
-        }))
-    return _verify_pairs_jaccard(cand, sig_ds, id_col, threshold,
-                                 num_partitions)
+    cand = _keyed_pairs_bucketed(sig_ds.map_batches(
+        lambda b: _prefix_rows_tbl(b, id_col, threshold),
+        batch_format="pyarrow"), ["gram"], id_col, num_partitions)
+    return _verify_pairs(cand, sig_ds, id_col, "shingles",
+                         functools.partial(_jaccard_kernel, threshold),
+                         num_partitions)
 
 
 _SIMJOIN_OFFSET = 1 << 40  # right-corpus id relocation (ids < 2^40)
@@ -1001,7 +774,8 @@ _SIMJOIN_OFFSET = 1 << 40  # right-corpus id relocation (ids < 2^40)
 
 def similarity_join(left_ds, right_ds, id_col: str = "doc_id",
                     text_col: str = "text", n: int = 3,
-                    threshold: float = 0.8, num_partitions: int = 8):
+                    threshold: float = 0.8,
+                    num_partitions: int | None = None):
     """EXACT cross-corpus n-gram Jaccard join: every (left, right) pair
     with char-n-gram Jaccard >= threshold — the train x eval
     contamination-pair / fuzzy-join shape engines usually lack.
@@ -1014,7 +788,7 @@ def similarity_join(left_ds, right_ds, id_col: str = "doc_id",
     vectorised mask, and survivors verify through the shared
     exact-Jaccard routes. Output: (a=left id, b=right id, jaccard) —
     a < 2^40 <= b+offset guarantees the orientation."""
-    import ray.data as rd
+    from ray.data.expressions import col
 
     sig_ds = left_ds.map_batches(
         lambda b: _ngram_sigs_tbl(b, id_col, text_col, n,
@@ -1025,42 +799,22 @@ def similarity_join(left_ds, right_ds, id_col: str = "doc_id",
                                       id_limit=_SIMJOIN_OFFSET),
             batch_format="pyarrow")).materialize()
 
-    cand = _distinct_pairs(_keyed_pairs_bucketed(
-        sig_ds.map_batches(
-            lambda b: _prefix_rows_tbl(b, id_col, threshold),
-            batch_format="pyarrow"),
-        ["gram"], id_col, num_partitions=num_partitions))
-
     def cross_only(t: pa.Table) -> pa.Table:
         a = np.asarray(t["a"].to_numpy(zero_copy_only=False), np.int64)
         b = np.asarray(t["b"].to_numpy(zero_copy_only=False), np.int64)
         return t.filter(pa.array((a < _SIMJOIN_OFFSET)
                                  & (b >= _SIMJOIN_OFFSET)))
 
-    cand = cand.map_batches(cross_only, batch_format="pyarrow")
-
-    def unshift(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "a": t["a"],
-            "b": pc.subtract(t["b"], pa.scalar(_SIMJOIN_OFFSET,
-                                               pa.int64())),
-            "jaccard": t["jaccard"],
-        })
-
-    n_cand = cand.count()
-    if n_cand <= PAIRS_BROADCAST_MAX:
-        pdf = cand.to_pandas()
-        va, vb, vj = _verify_pairs_jaccard_broadcast(
-            np.asarray(pdf["a"], np.int64),
-            np.asarray(pdf["b"], np.int64), sig_ds, id_col, threshold)
-        return rd.from_arrow(unshift(pa.table({
-            "a": pa.array(va, pa.int64()),
-            "b": pa.array(vb, pa.int64()),
-            "jaccard": pa.array(vj, pa.float64()),
-        })))
-    return _verify_pairs_jaccard(cand, sig_ds, id_col, threshold,
-                                 num_partitions) \
-        .map_batches(unshift, batch_format="pyarrow")
+    cand = _keyed_pairs_bucketed(sig_ds.map_batches(
+        lambda b: _prefix_rows_tbl(b, id_col, threshold),
+        batch_format="pyarrow"), ["gram"], id_col, num_partitions) \
+        .map_batches(cross_only, batch_format="pyarrow")
+    # an expression keeps the result typed when no pair survives (a map
+    # is never called on a zero-row block)
+    return _verify_pairs(cand, sig_ds, id_col, "shingles",
+                         functools.partial(_jaccard_kernel, threshold),
+                         num_partitions) \
+        .with_column("b", col("b") - _SIMJOIN_OFFSET)
 
 
 # driver-gate work counters from the last embedding_near_dup call
@@ -1759,9 +1513,11 @@ def line_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
     if shuffle_key != "line":
         raise ValueError(f"shuffle_key must be 'hash' or 'line', "
                          f"got {shuffle_key!r}")
+    # materialized: the keep fold and the survivor join both read it, and
+    # the upstream plan and the explode run once
     ex = ds.map_batches(
         lambda b: _explode_lines(b, id_col, text_col, delim, carry_cols),
-        batch_format="pyarrow")
+        batch_format="pyarrow").materialize()
 
     # first-occurrence decision: fold on the LINE (all copies of a line
     # co-locate), one in-partition pandas groupby on the raw string —
@@ -1796,7 +1552,9 @@ def _line_dedup_hash(ds, id_col: str, text_col: str, delim: str,
         return ex.append_column("__h1", pa.array(lo.view(np.int64))) \
                  .append_column("__h2", pa.array(hi.view(np.int64)))
 
-    ex = ds.map_batches(explode_hashed, batch_format="pyarrow")
+    # materialized: the keep fold and the survivor fold both read it, and
+    # the upstream plan, the explode and the hashing run once
+    ex = ds.map_batches(explode_hashed, batch_format="pyarrow").materialize()
 
     def fold_first(g: pa.Table) -> pa.Table:
         # a keep-key's doc IS the doc that keeps the line, so the keep

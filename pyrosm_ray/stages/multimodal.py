@@ -160,7 +160,7 @@ def image_dhash(media_ds, batch_size: int = 128, concurrency=(1, 8)):
 
 def image_near_dup(media_ds, max_hamming: int = 4,
                    batch_size: int = 128, concurrency=(1, 8),
-                   num_partitions: int = 8):
+                   num_partitions: int | None = None):
     """Exact Hamming-<=k pairs over image dHashes: perceptual near-dup
     for image corpora (re-encodes, slight crops/brightness shifts keep a
     close dHash; distinct photos diverge). Candidate generation +
@@ -329,7 +329,7 @@ def audio_fingerprints(media_ds, batch_size: int = 128,
 
 def audio_near_dup(media_ds, max_hamming: int = 4,
                    batch_size: int = 128, concurrency=(1, 8),
-                   num_partitions: int = 8):
+                   num_partitions: int | None = None):
     """Exact Hamming-<=k pairs over audio envelope fingerprints — the
     audio twin of :func:`image_near_dup`, riding the same complete
     pigeonhole :func:`pyrosm_ray.stages.dedup.hamming_pairs` banding."""

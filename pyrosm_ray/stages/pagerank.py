@@ -156,8 +156,7 @@ def pagerank(edges, iters: int = 5, src_col: str = "src",
     Returns (node, rank_micro) for every node appearing as src or dst.
     Edge sets up to :data:`EDGES_DRIVER_MAX` collect once and iterate
     in pure numpy (one Ray job total — the BSP route's per-iteration
-    task rounds dominate at that size; same policy as the dedup family's
-    BANDED_DRIVER_MAX). Larger edge sets run
+    task rounds dominate at that size). Larger edge sets run
     :func:`pagerank_partitioned`. Both routes execute the identical
     integer recurrence and are parity-tested.
 

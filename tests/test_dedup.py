@@ -184,20 +184,15 @@ def test_minhash_dedup_clusters(ray_session):
 
 
 def test_minhash_dedup_path_parity(ray_session, monkeypatch):
-    """All three routes — driver banding, distributed banding + broadcast
-    verify, fully distributed (join/label-prop) — must produce identical
+    """Both routes — broadcast verify + driver union-find, and fully
+    distributed (join verify + label-prop) — must produce identical
     dup_of labels."""
     ds = rd.from_arrow(_corpus())
     driver = dedup.minhash_dedup(ds, threshold=0.5).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
-    monkeypatch.setattr(dedup, "BANDED_DRIVER_MAX", 0)
-    shuffled = dedup.minhash_dedup(ds, threshold=0.5).to_pandas() \
+    monkeypatch.setattr(dedup, "PAIRS_BROADCAST_MAX", 0)
+    dist = dedup.minhash_dedup(ds, threshold=0.5).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
-    dist = dedup.minhash_dedup(ds, threshold=0.5,
-                               pairs_broadcast_max=0).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    assert driver[["doc_id", "dup_of"]].equals(shuffled[["doc_id",
-                                                         "dup_of"]])
     assert driver[["doc_id", "dup_of"]].equals(dist[["doc_id", "dup_of"]])
 
 
@@ -234,8 +229,8 @@ def test_simhash_pairs_complete(ray_session):
 
 
 def test_hamming_pairs_route_parity(ray_session, monkeypatch):
-    """Driver-banding fast path and the distributed (band,bucket)-shuffle
-    route must produce the identical pair set."""
+    """The broadcast-verify and the join-verify route must produce the
+    identical pair set."""
     ds = rd.from_arrow(_corpus())
     sig = ds.map_batches(
         lambda b: dedup.simhash_batch(b, "doc_id", "text"),
@@ -249,10 +244,7 @@ def test_hamming_pairs_route_parity(ray_session, monkeypatch):
 
     fast = pairs()
     assert fast  # the corpus has near-dup pairs at this budget
-    monkeypatch.setattr(dedup, "BANDED_DRIVER_MAX", 0)
-    dist = pairs()
-    assert fast == dist
-    # and past the broadcast-verify threshold too (full join route)
+    # past the broadcast-verify threshold (full join route)
     monkeypatch.setattr(dedup, "PAIRS_BROADCAST_MAX", 0)
     joined = pairs()
     assert fast == joined
@@ -552,6 +544,39 @@ def test_line_dedup_keep_first_semantics(ray_session, route):
     assert out["text_dedup"].tolist() == ["a. b. c", "d", "x. y", ""]
     assert out["n_lines"].tolist() == [3, 1, 2, 1]
     assert out["url"].tolist() == ["u1", "u2", "u4", "u5"]
+
+
+@pytest.mark.parametrize("route", ["hash", "line"])
+def test_line_dedup_executes_upstream_once(ray_session, route):
+    """The exploded lines feed both the keep fold and the survivor
+    step, yet the upstream plan runs once per block."""
+    import ray
+
+    @ray.remote
+    class Counter:
+        def __init__(self):
+            self.n = 0
+
+        def bump(self):
+            self.n += 1
+
+        def get(self):
+            return self.n
+
+    c = Counter.remote()
+
+    def counted(b: pa.Table) -> pa.Table:
+        ray.get(c.bump.remote())
+        return b
+
+    t = pa.table({"doc_id": pa.array(range(40), pa.int64()),
+                  "text": pa.array([f"line {i % 7}. tail {i % 3}"
+                                    for i in range(40)])})
+    out = dedup.line_dedup(
+        rd.from_arrow(t).repartition(4).map_batches(
+            counted, batch_format="pyarrow"), shuffle_key=route).to_pandas()
+    assert sorted(out.doc_id) == list(range(7))
+    assert ray.get(c.get.remote()) == 4
 
 
 def test_line_dedup_cross_partition_order(ray_session):

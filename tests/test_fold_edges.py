@@ -2,13 +2,17 @@
 
 ``keyed_sum_auto``, ``group_quantiles``, ``group_quantiles_continuous``,
 ``exact_dedup``, ``incremental_dedup`` and ``dup_span_stats`` now run
-every input through ``blocks.fold``/``exchange`` with ``nb=None``. Each
-case runs with the fold ceiling lowered to ``N`` rows, so "at the
-ceiling" and "one row more" take the one-task and the split route. The
-expected values come from brute-force references of the documented
-semantics, and the result schema must be typed even when it has no
-rows."""
+every input through ``blocks.fold``/``exchange`` with ``nb=None``, and
+the near-dup operators (``minhash_dedup``, ``hamming_pairs``,
+``ngram_jaccard_pairs``, ``similarity_join``) take their candidates from
+one such fold. Each case runs with the fold ceiling lowered to ``N``
+rows, so "at the ceiling" and "one row more" take the one-task and the
+split route; the near-dup operators run each case on both verify routes
+(``PAIRS_BROADCAST_MAX`` at its default and at 0). The expected values
+come from brute-force references of the documented semantics, and the
+result schema must be typed even when it has no rows."""
 
+import itertools
 import math
 
 import pyarrow as pa
@@ -150,6 +154,96 @@ def _spans(keys):
         (r["doc_id"], r["n_windows"], r["n_dup_windows"]) for r in rows)
 
 
+def _signed_docs(keys) -> pa.Table:
+    """Documents whose ids run through zero into the negatives."""
+    return _docs(keys, first_id=-(len(keys) // 2))
+
+
+def _minhash(keys):
+    """Each text is one 3-word shingle, so two docs' Jaccard is 1 or 0
+    and banding finds every pair; all-identical docs exceed
+    ``bucket_cap`` and take the chain rule."""
+    t = _signed_docs(keys)
+    first: dict = {}
+    for i, x in zip(t["doc_id"].to_pylist(), t["text"].to_pylist()):
+        first.setdefault(tuple(x.lower().split()), i)
+    want = sorted((i, first[tuple(x.lower().split())])
+                  for i, x in zip(t["doc_id"].to_pylist(),
+                                  t["text"].to_pylist()))
+    schema = pa.schema([("doc_id", pa.int64()), ("text", pa.string()),
+                        ("dup_of", pa.int64())])
+
+    def run(ds):
+        return dedup.minhash_dedup(ds, bucket_cap=8)
+    return t, run, want, schema, \
+        lambda rows: sorted((r["doc_id"], r["dup_of"]) for r in rows)
+
+
+def _hamming(keys):
+    ids = _signed_docs(keys)["doc_id"].to_pylist()
+    hs = [~k if k % 3 == 0 else k for k in keys]  # some signatures < 0
+    t = pa.table({"doc_id": pa.array(ids, pa.int64()),
+                  "simhash": pa.array(hs, pa.int64())})
+    want = sorted((a, b, d) for (a, x), (b, y) in itertools.combinations(
+        sorted(zip(ids, hs)), 2)
+        if (d := bin((x ^ y) & (2 ** 64 - 1)).count("1")) <= 3)
+    schema = pa.schema([("a", pa.int64()), ("b", pa.int64()),
+                        ("hamming", pa.int64())])
+
+    def run(ds):
+        return dedup.hamming_pairs(ds, max_hamming=3)
+    return t, run, want, schema, \
+        lambda rows: sorted((r["a"], r["b"], r["hamming"]) for r in rows)
+
+
+_NGRAM_T = 0.52
+_NGRAM_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64()),
+                           ("jaccard", pa.float64())])
+
+
+def _grams(text: str) -> set:
+    t = " ".join(text.lower().split()).ljust(3)
+    return {t[i:i + 3] for i in range(len(t) - 2)}
+
+
+def _ngram_pairs(left, right, same_side: bool) -> list:
+    out = []
+    for (a, x), (b, y) in itertools.product(left, right):
+        if same_side and a >= b:
+            continue
+        ga, gb = _grams(x), _grams(y)
+        j = len(ga & gb) / len(ga | gb)
+        if j >= _NGRAM_T:
+            out.append((a, b, round(j, 6)))
+    return sorted(out)
+
+
+def _ngram_rows(rows) -> list:
+    return sorted((r["a"], r["b"], round(r["jaccard"], 6)) for r in rows)
+
+
+def _ngram(keys):
+    t = _signed_docs(keys)
+    docs = list(zip(t["doc_id"].to_pylist(), t["text"].to_pylist()))
+
+    def run(ds):
+        return dedup.ngram_jaccard_pairs(ds, threshold=_NGRAM_T)
+    return t, run, _ngram_pairs(docs, docs, True), _NGRAM_SCHEMA, \
+        _ngram_rows
+
+
+def _simjoin(keys):
+    """The case's corpus joined with itself (ids stay >= 0: the
+    operator's contract)."""
+    t = _docs(keys)
+    docs = list(zip(t["doc_id"].to_pylist(), t["text"].to_pylist()))
+
+    def run(ds):
+        return dedup.similarity_join(ds, ds, threshold=_NGRAM_T)
+    return t, run, _ngram_pairs(docs, docs, False), _NGRAM_SCHEMA, \
+        _ngram_rows
+
+
 _OPS = {
     "keyed_sum_auto": _keyed_sum,
     "group_quantiles": lambda keys: _quantile_case(keys, False),
@@ -157,7 +251,13 @@ _OPS = {
     "exact_dedup": _exact,
     "incremental_dedup": _incremental,
     "dup_span_stats": _spans,
+    "minhash_dedup": _minhash,
+    "hamming_pairs": _hamming,
+    "ngram_jaccard_pairs": _ngram,
+    "similarity_join": _simjoin,
 }
+_NEAR_DUP = {"minhash_dedup", "hamming_pairs", "ngram_jaccard_pairs",
+             "similarity_join"}
 
 
 @pytest.mark.parametrize("case", _CASES)
@@ -165,13 +265,17 @@ _OPS = {
 def test_detwinned_operator_edge_inputs(ray_session, monkeypatch, op, case):
     monkeypatch.setattr(blocks, "KEYED_FOLD_DRIVER_MAX", N)
     t, run, want, schema, rows_of = _OPS[op](_keys(case))
-    out = run(_dataset(case, t))
-    got = _rows(out)
-    assert rows_of(got) == want
-    sch = out.schema()
-    assert sch is not None, "untyped result"
-    assert list(sch.names) == schema.names
-    assert list(sch.types) == schema.types
+    routes = [dedup.PAIRS_BROADCAST_MAX, 0] if op in _NEAR_DUP else [None]
+    for pairs_max in routes:
+        if pairs_max is not None:
+            monkeypatch.setattr(dedup, "PAIRS_BROADCAST_MAX", pairs_max)
+        out = run(_dataset(case, t))
+        got = _rows(out)
+        assert rows_of(got) == want, pairs_max
+        sch = out.schema()
+        assert sch is not None, "untyped result"
+        assert list(sch.names) == schema.names
+        assert list(sch.types) == schema.types
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +292,6 @@ def _neg_incremental():
 
 
 def _neg_triangles(monkeypatch, driver_max):
-    import itertools
-
     from pyrosm_ray.stages import triangles
     if driver_max is not None:
         monkeypatch.setattr(triangles, "TRI_DRIVER_MAX", driver_max)
