@@ -14,13 +14,14 @@ pois,boundary,networks,user_defined}.py) and the assembly lifecycle
    branches (the reference reads the ways stream once per layer too);
 3. node-ref coordinate join + way geometry typing
    (:mod:`pyrosm_ray.stages.topology`) as plain Ray tasks over a broadcast
-   coordinate index (or the shuffle join past the broadcast threshold);
-4. relation member-way chains gathered distributed, assembled per relation
-   (:mod:`pyrosm_ray.geom.assembly`). Relations are ~0.1%% of elements
-   (the reference holds the kept set fully in memory per shard,
-   data_manager.pyx:64-92), so under ``strategy='broadcast'`` the chains are
-   collected and assembled driver-side; ``strategy='shuffle'`` keeps the
-   whole path distributed (exchange + join) for beyond-memory relation sets;
+   coordinate index (or the shuffle join once the node table is past
+   ``COORDS_BROADCAST_MAX_BYTES``);
+4. relation member-way chains built by one task per non-empty block of the
+   kept ways, then ONE two-sided fold on the relation id
+   (:func:`pyrosm_ray.stages.blocks.fold`) meets each relation's chains
+   with its payload row and assembles it (:mod:`pyrosm_ray.geom.assembly`).
+   The fold sizes itself from the input: one reduce task at the usual
+   relation counts, a split past the fold ceiling;
 5. node features as Point rows; the three element kinds union into one
    Dataset with an ``osm_type`` column (M26). The union schema is computed
    statically (promote_tags emits the full requested column list), so no
@@ -53,7 +54,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from pyrosm_ray.stages.blocks import co_join, exchange, groupby_partitions
+from pyrosm_ray.stages.blocks import fold
 
 from pyrosm_ray import config
 from pyrosm_ray.filters.compiler import CompiledFilter, compile_custom_filter
@@ -97,10 +98,8 @@ class OSM:
     reshaped for Ray: every getter returns a lazy ``ray.data.Dataset``)."""
 
     def __init__(self, src_dir: str, bounding_box=None,
-                 strategy: str = "broadcast", keep_metadata: bool = False,
-                 num_partitions: int | None = None,
-                 complete_relations: bool = False, timestamp=None,
-                 cache_elements: bool = True):
+                 keep_metadata: bool = False,
+                 complete_relations: bool = False, timestamp=None):
         self.src = str(src_dir).rstrip("/")
         self._bbox_input = bounding_box
         self.bbox_rings = None  # polygon bounding box: list of (N,2) rings
@@ -136,9 +135,7 @@ class OSM:
                         "Invalid bounding box: expected (minx, miny, maxx, "
                         f"maxy) with minx < maxx and miny < maxy, got {bb}")
                 self.bbox = bb
-        self.strategy = strategy
         self.keep_metadata = keep_metadata
-        self.num_partitions = num_partitions
         self.complete_relations = complete_relations
         # history cutoff (reference timestamp contract,
         # pyrosm/pyrosm.py:383-391): element reads keep the latest
@@ -148,7 +145,6 @@ class OSM:
         self._inbox_node_ids = None
         self._schemas: dict[str, pa.Schema] = {}
         self._kept_rel_cache: dict = {}
-        self.cache_elements = cache_elements
         self._element_cache: dict[tuple, rd.Dataset] = {}
         self._read_seen: dict[str, int] = {}
 
@@ -196,12 +192,6 @@ class OSM:
     # parallelism level (cluster scaling varies only the worker count).
     BLOCK_TARGET_BYTES = 1 << 20
 
-    # above this on-disk size, history reads route to the fully
-    # distributed latest_at_bucketed (the live-key broadcast of
-    # latest_at_any costs ~16 B/element — fine to ~10^7 elements,
-    # object-store-unfriendly beyond)
-    HISTORY_BROADCAST_MAX_BYTES = 256 << 20
-
     def _auto_blocks(self, table: str) -> int:
         size = self._table_bytes(table)
         return int(np.clip(size // self.BLOCK_TARGET_BYTES, 1, 4096))
@@ -217,10 +207,7 @@ class OSM:
         (column subsets select from a cached superset), so an N-layer
         workflow reads the input at most twice instead of N times. The
         cache is per OSM instance — history reads go through `_at()`
-        twins, so a timestamp change never sees stale blocks. Disable
-        with ``cache_elements=False`` (pure streaming on every read)."""
-        if not self.cache_elements:
-            return self._read_uncached(table, columns)
+        twins, so a timestamp change never sees stale blocks."""
         want = None if columns is None else tuple(columns)
         for (t, cols), ds in self._element_cache.items():
             if t != table:
@@ -244,7 +231,7 @@ class OSM:
         # and cap the whole layer pipeline's parallelism (the round-2
         # anti-scaling root cause)
         from pyrosm_ray.sources.parquet import read_parquet_split
-        blocks = self.num_partitions or self._auto_blocks(table)
+        blocks = self._auto_blocks(table)
         if self.timestamp is None:
             return read_parquet_split(self._path(table), columns=columns,
                                       num_blocks=blocks)
@@ -254,20 +241,15 @@ class OSM:
         if not {"version", "timestamp"} <= names:
             return read_parquet_split(self._path(table), columns=columns,
                                       num_blocks=blocks)
-        from pyrosm_ray.stages.history import latest_at_any, \
-            latest_at_bucketed
+        from pyrosm_ray.stages.history import latest_at_bucketed
         need = None if columns is None else sorted(
             set(columns) | ({"id", "version", "timestamp", "visible"}
                             & names))
         ds = read_parquet_split(self._path(table), columns=need,
                                 num_blocks=blocks)
-        vis = "visible" if "visible" in names else None
-        if self._table_bytes(table) > self.HISTORY_BROADCAST_MAX_BYTES:
-            # beyond the 16 B/element broadcast contract: fully
-            # distributed bucketed route (payload shuffles once)
-            ds = latest_at_bucketed(ds, self.timestamp, visible_col=vis)
-        else:
-            ds = latest_at_any(ds, self.timestamp, visible_col=vis)
+        ds = latest_at_bucketed(
+            ds, self.timestamp,
+            visible_col="visible" if "visible" in names else None)
         if columns is not None:
             ds = ds.map_batches(lambda b: b.select(list(columns)),
                                 batch_format="pyarrow")
@@ -432,12 +414,10 @@ class OSM:
         ``timestamp`` params, reference pyrosm.py get_* signatures)."""
         if timestamp is None or timestamp == self.timestamp:
             return self
-        return OSM(self.src, self._bbox_input, strategy=self.strategy,
+        return OSM(self.src, self._bbox_input,
                    keep_metadata=self.keep_metadata,
-                   num_partitions=self.num_partitions,
                    complete_relations=self.complete_relations,
-                   timestamp=timestamp,
-                   cache_elements=self.cache_elements)
+                   timestamp=timestamp)
 
     @staticmethod
     def _with_extra(tag_cols: list[str], extra_attributes) -> list[str]:
@@ -632,15 +612,8 @@ class OSM:
                 parts.append(("way", self._assemble(standalone, mode)))
 
             if keep_relations:
-                members = filtered
-                if both:
-                    members = filtered.map_batches(
-                        lambda b: b.filter(b["__member"]),
-                        batch_format="pyarrow")
-                rel_rows = self._assemble_relations(rel_kept, members,
-                                                    tag_columns)
-                if rel_rows is not None:
-                    parts.append(("relation", rel_rows))
+                parts.append(("relation", self._assemble_relations(
+                    rel_kept, filtered, tag_columns)))
 
         if keep_nodes:
             parts.append(("node", self._node_features(
@@ -758,25 +731,14 @@ class OSM:
     # fitting the object-store contract; route to the shuffle join
     COORDS_BROADCAST_MAX_BYTES = 8 << 30
 
-    def _coords_fit_broadcast(self) -> bool:
-        return self._table_bytes("osm_nodes") <= \
-            self.COORDS_BROADCAST_MAX_BYTES
-
     def _assemble(self, ways_ds, mode):
-        strategy = self.strategy
-        if strategy == "broadcast" and not self._coords_fit_broadcast():
-            # the node table outgrew the object-store broadcast contract:
-            # route to the (parity-tested) shuffle join automatically
-            strategy = "shuffle"
-        if strategy == "broadcast":
-            return ways_ds.map_batches(
-                functools.partial(topology.assemble_ways_batch,
-                                  coord_ref=self.coord_ref(), mode=mode),
-                batch_format="pyarrow", batch_size=16 * 1024)
-        return topology.assemble_ways(
-            ways_ds, self.nodes(columns=["id", "lon", "lat"]), mode=mode,
-            strategy="shuffle",
-            num_partitions=self.num_partitions)
+        if self._table_bytes("osm_nodes") > self.COORDS_BROADCAST_MAX_BYTES:
+            return topology.assemble_ways(
+                ways_ds, self.nodes(columns=["id", "lon", "lat"]), mode=mode)
+        return ways_ds.map_batches(
+            functools.partial(topology.assemble_ways_batch,
+                              coord_ref=self.coord_ref(), mode=mode),
+            batch_format="pyarrow", batch_size=16 * 1024)
 
     def _node_features(self, osm_keys, data_filter, filter_type, keep_all,
                        tag_columns):
@@ -1028,43 +990,20 @@ class OSM:
         order = np.argsort(way_of, kind="stable")
         return way_of[order], rel_of[order], pos_of[order]
 
-    def _member_chains(self, rel_kept, member_ways_ds):
-        """Member-way coordinate chains tagged with their relation id:
-        rows of (relation_id, chain<binary>) — the J3 join side. Chains are
-        packed ``<f8`` (lon,lat) pairs; the per-way gather runs distributed
-        against the broadcast coordinate index."""
-        pair_ref = ray.put(self._member_pairs(rel_kept))
-        coord_ref = self.coord_ref()
-
-        def member_coords(batch: pa.Table) -> pa.Table:
-            flat, off = topology._refs_csr(batch["refs"])
-            lon, lat, valid = topology.gather_coords(
-                ray.get(coord_ref), flat)
-            cs = np.zeros(len(flat) + 1, dtype=np.int64)
-            np.cumsum(valid, out=cs[1:])
-            voff = cs[off]
-            coords_v = np.ascontiguousarray(
-                np.column_stack([lon[valid], lat[valid]]), dtype="<f8")
-            raw = coords_v.tobytes()
-            ids = np.asarray(batch["id"].to_numpy(zero_copy_only=False),
-                             dtype=np.int64)
-            wsort, rsort, psort = ray.get(pair_ref)
-            lo = np.searchsorted(wsort, ids, side="left")
-            hi = np.searchsorted(wsort, ids, side="right")
-            counts = hi - lo
-            rep = np.repeat(np.arange(len(ids), dtype=np.int64), counts)
-            take = topology.concat_ranges(lo, counts)
-            rel_ids = rsort[take]
-            mpos = psort[take]
-            blobs = [raw[16 * voff[i]:16 * voff[i + 1]] for i in rep]
-            return pa.table({
-                "relation_id": pa.array(rel_ids, pa.int64()),
-                "member_pos": pa.array(mpos, pa.int64()),
-                "chain": pa.array(blobs, pa.binary()),
-            })
-
-        return member_ways_ds.map_batches(member_coords,
-                                          batch_format="pyarrow")
+    def _member_chains(self, rel_kept, kept_ways) -> rd.Dataset:
+        """Member-way coordinate chains of the kept ways (the way filter's
+        output, relation members flagged ``__member``) as rows of
+        (relation ``id``, ``member_pos``, ``chain``): the J3 join side.
+        One task per non-empty block; zero-row blocks are skipped from
+        their metadata, since a map would turn them into schema-less
+        blocks."""
+        pairs = ray.put(self._member_pairs(rel_kept))
+        coords = self.coord_ref()
+        refs = [_chain_block.remote(ref, pairs, coords)
+                for bundle in kept_ways.iter_internal_ref_bundles()
+                for ref, meta in bundle.blocks if meta.num_rows]
+        return rd.from_arrow_refs(refs) if refs else \
+            rd.from_arrow(_CHAIN_SCHEMA.empty_table())
 
     def _rel_payload(self, rel_kept: pa.Table, tag_columns) -> pa.Table:
         """Promoted relation payload columns + the __force_line typing flag
@@ -1079,121 +1018,71 @@ class OSM:
         return out.append_column("__force_line",
                                  pa.array(force, pa.bool_()))
 
-    def _assemble_relations(self, rel_kept, member_ways_ds, tag_columns):
-        """Member-way join + multipolygon assembly (J3 + M21-M23).
-
-        ``strategy='broadcast'`` (relations fit the driver — the same
-        contract as :meth:`_kept_relations`): chains are collected and the
-        per-relation assembly loop runs driver-side, zero shuffles.
-        ``strategy='shuffle'``: exchange by relation_id + hash join, fully
-        distributed. Auto-routes to the distributed path when the kept
-        relation set outgrows the driver contract (mirrors
-        :meth:`_assemble`'s node-table auto-route), so a planet-scale
-        relation layer never funnels its member-chain payload through the
-        driver even under the default broadcast strategy."""
-        if self.strategy == "broadcast" and \
-                self._table_bytes("osm_relations") <= \
-                self.RELATIONS_DRIVER_MAX_BYTES:
-            return self._assemble_relations_driver(
-                rel_kept, member_ways_ds, tag_columns)
-        return self._assemble_relations_distributed(
-            rel_kept, member_ways_ds, tag_columns)
-
-    def _assemble_relations_driver(self, rel_kept, member_ways_ds,
-                                   tag_columns):
-        from collections import defaultdict
-        per_rel: dict[int, list] = defaultdict(list)
-        chains = self._member_chains(rel_kept, member_ways_ds)
-        for b in chains.iter_batches(batch_size=1 << 16,
-                                     batch_format="pyarrow"):
-            rids = np.asarray(b["relation_id"].to_numpy(
-                zero_copy_only=False))
-            mpos = np.asarray(b["member_pos"].to_numpy(
-                zero_copy_only=False))
-            for rid, pos, blob in zip(rids, mpos, b["chain"].to_pylist()):
-                arr = np.frombuffer(blob, dtype="<f8").reshape(-1, 2)
-                if len(arr) >= 2:
-                    per_rel[int(rid)].append((int(pos), arr))
+    def _assemble_relations(self, rel_kept, kept_ways, tag_columns):
+        """Member-way join + multipolygon assembly (J3 + M21-M23) as ONE
+        two-sided fold on the relation id: each relation's chains meet its
+        payload row in :func:`_assemble_relation_rows`."""
         payload = self._rel_payload(rel_kept, tag_columns)
-        force = np.asarray(payload["__force_line"].to_numpy(
-            zero_copy_only=False))
-        rel_ids = np.asarray(rel_kept["id"].to_numpy(zero_copy_only=False),
-                             dtype=np.int64)
-        keep_rows, geoms = [], []
-        for i, rid in enumerate(rel_ids):
-            lines = per_rel.get(int(rid))
-            if not lines:
-                continue
-            # member ORDER determines ring/polygon output order (the
-            # gather arrives in arbitrary block order)
-            lines = [a for _, a in sorted(lines, key=lambda t: t[0])]
-            g = relation_geometry(lines, bool(force[i]))
-            if g is None:
-                continue
-            keep_rows.append(i)
+        empty = payload.slice(0, 0).drop_columns(["__force_line"]) \
+            .append_column("geometry", pa.array([], pa.binary()))
+        return fold((self._member_chains(rel_kept, kept_ways),
+                     rd.from_arrow(payload)), "id", _assemble_relation_rows,
+                    None, empty)
+
+
+_CHAIN_SCHEMA = pa.schema([("id", pa.int64()), ("member_pos", pa.int64()),
+                           ("chain", pa.binary())])
+
+
+@ray.remote
+def _chain_block(block: pa.Table, pairs, coords) -> pa.Table:
+    """One block of kept ways -> a chain row per (relation, member way):
+    packed ``<f8`` (lon, lat) pairs gathered from the broadcast coordinate
+    index. ``pairs`` is :meth:`OSM._member_pairs`' output."""
+    batch = block.filter(block["__member"])
+    flat, off = topology._refs_csr(batch["refs"])
+    lon, lat, valid = topology.gather_coords(coords, flat)
+    cs = np.zeros(len(flat) + 1, dtype=np.int64)
+    np.cumsum(valid, out=cs[1:])
+    voff = cs[off]
+    raw = np.ascontiguousarray(
+        np.column_stack([lon[valid], lat[valid]]), dtype="<f8").tobytes()
+    ids = np.asarray(batch["id"].to_numpy(zero_copy_only=False),
+                     dtype=np.int64)
+    wsort, rsort, psort = pairs
+    lo = np.searchsorted(wsort, ids, side="left")
+    counts = np.searchsorted(wsort, ids, side="right") - lo
+    take = topology.concat_ranges(lo, counts)
+    rep = np.repeat(np.arange(len(ids), dtype=np.int64), counts)
+    return pa.table([
+        pa.array(rsort[take], pa.int64()), pa.array(psort[take], pa.int64()),
+        pa.array([raw[16 * voff[i]:16 * voff[i + 1]] for i in rep],
+                 pa.binary())], schema=_CHAIN_SCHEMA)
+
+
+def _assemble_relation_rows(chains: pa.Table, payload: pa.Table):
+    """The relation fold body: each payload row's chains, in member
+    order and without those of fewer than 2 points, assemble into its
+    ``geometry``; relations with no geometry drop."""
+    if not chains.num_rows or not payload.num_rows:
+        return None
+    chains = chains.sort_by([("id", "ascending"), ("member_pos", "ascending")])
+    lines: dict[int, list] = {}
+    for rid, blob in zip(chains["id"].to_pylist(),
+                         chains["chain"].to_pylist()):
+        if len(blob) >= 32:  # two (lon, lat) points of 16 bytes
+            lines.setdefault(rid, []).append(
+                np.frombuffer(blob, dtype="<f8").reshape(-1, 2))
+    keep, geoms = [], []
+    for i, (rid, force) in enumerate(zip(payload["id"].to_pylist(),
+                                         payload["__force_line"].to_pylist())):
+        g = relation_geometry(lines[rid], force) if rid in lines else None
+        if g is not None:
+            keep.append(i)
             geoms.append(g)
-        if not keep_rows:
-            return None
-        out = payload.take(pa.array(keep_rows, pa.int64()))
-        out = out.drop_columns(["__force_line"])
-        out = out.append_column("geometry", pa.array(geoms, pa.binary()))
-        return rd.from_arrow(out)
-
-    def _assemble_relations_distributed(self, rel_kept, member_ways_ds,
-                                        tag_columns):
-        """Distributed J3: chains grouped per relation
-        (``blocks.exchange``), payload joined back by relation id
-        (``blocks.co_join``)."""
-        payload = self._rel_payload(rel_kept, tag_columns)
-        chains = self._member_chains(rel_kept, member_ways_ds)
-
-        def assemble(group: pa.Table) -> pa.Table:
-            rel_id = group["relation_id"][0].as_py()
-            pos = np.asarray(group["member_pos"].to_numpy(
-                zero_copy_only=False))
-            blobs_all = group["chain"].to_pylist()
-            # member ORDER determines ring/polygon output order
-            blobs = [blobs_all[j] for j in np.argsort(pos, kind="stable")
-                     if blobs_all[j]]
-            lens = np.array([len(b) // 16 for b in blobs], dtype="<i8")
-            flat = (np.frombuffer(b"".join(blobs), dtype="<f8")
-                    .reshape(-1, 2) if blobs else np.empty((0, 2)))
-            return pa.table({
-                "id": pa.array([rel_id], pa.int64()),
-                "__lines": pa.array([flat.astype("<f8").tobytes()],
-                                    pa.binary()),
-                "__lens": pa.array([lens.tobytes()], pa.binary()),
-            })
-
-        nb = self.num_partitions or groupby_partitions()
-        blob = pa.array([], pa.binary())
-        grouped = exchange(chains, "relation_id", assemble, nb, pa.table(
-            {"id": pa.array([], pa.int64()), "__lines": blob,
-             "__lens": blob}))
-        joined = co_join(rd.from_arrow(payload), grouped, "id", nb,
-                         payload.slice(0, 0).append_column("__lines", blob)
-                         .append_column("__lens", blob))
-
-        def finalize(batch: pa.Table) -> pa.Table:
-            force = np.asarray(batch["__force_line"].to_numpy(
-                zero_copy_only=False))
-            geoms = []
-            lines_col = batch["__lines"].to_pylist()
-            lens_col = batch["__lens"].to_pylist()
-            for i in range(len(batch)):
-                flat = np.frombuffer(lines_col[i], dtype="<f8").reshape(-1, 2)
-                lens = np.frombuffer(lens_col[i], dtype="<i8")
-                offs = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
-                lines = [flat[offs[j]:offs[j + 1]] for j in range(len(lens))
-                         if offs[j + 1] - offs[j] >= 2]
-                geoms.append(relation_geometry(lines, bool(force[i])))
-            cols = {c: batch[c] for c in batch.column_names
-                    if not c.startswith("__")}
-            cols["geometry"] = pa.array(geoms, pa.binary())
-            out = pa.table(cols)
-            return out.filter(pc.is_valid(out["geometry"]))
-
-        return joined.map_batches(finalize, batch_format="pyarrow")
+    return payload.take(pa.array(keep, pa.int64())) \
+        .drop_columns(["__force_line"]) \
+        .append_column("geometry", pa.array(geoms, pa.binary()))
 
 
 # ---------------------------------------------------------------------------

@@ -585,6 +585,8 @@ def minhash_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
     :func:`_verify_pairs`. Verified edge sets up to
     :data:`PAIRS_BROADCAST_MAX` cluster with a driver union-find, larger
     ones with distributed :func:`connected_components`."""
+    # read once: the signature map and the ``dup_of`` attach both use it
+    ds = ds.materialize()
     sig_ds = ds.map_batches(
         lambda b: minhash_signatures_batch(b, id_col, text_col, num_perm,
                                            k_shingle),

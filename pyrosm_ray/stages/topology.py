@@ -3,17 +3,19 @@
 The reference resolves every way's node refs through an in-process hash map
 (NodeLocations, /root/reference/pyrosm/node_lookup.pyx:5-96) and builds
 geometries with vectorised shapely calls (pyrosm/geometry.pyx:404-620). Here
-the same semantics run as Dataset stages with two interchangeable join
-strategies (differentially tested against each other):
+the same semantics run as Dataset stages, on one of two routes:
 
-* **broadcast** — the node coordinate arrays (sorted id -> lon/lat) are
-  ``ray.put`` once and every ``map_batches`` task gathers via searchsorted.
-  Zero shuffle; right whenever the node table fits in the object store
-  (reference ST1 analogue).
-* **shuffle** — explode ``(way_id, seq, node_id)``, native Ray Data hash
-  join against the node table, regroup per way bucket, join payload back by
-  way id. All-to-all, but every step streams; right at 100 TB where no node
-  table fits one heap.
+* **broadcast** (:func:`assemble_ways_batch`) — the node coordinate arrays
+  (sorted id -> lon/lat, a single array or the sharded index of
+  :func:`build_coord_index_sharded`) are ``ray.put`` once and every
+  ``map_batches`` task gathers via searchsorted. Zero shuffle; right
+  whenever the node table fits in the object store (reference ST1
+  analogue).
+* **shuffle** (:func:`assemble_ways`) — explode ``(way_id, seq,
+  node_id)``, :func:`~pyrosm_ray.stages.blocks.co_join` against the node
+  table, one :func:`~pyrosm_ray.stages.blocks.fold` per way id, and a
+  left outer ``co_join`` of the payload back by way id. All-to-all, but
+  every step streams; right when no node table fits one heap.
 
 Geometry semantics preserved (SURVEY.md §2 M17-M20, M24, M25):
 
@@ -30,6 +32,8 @@ Geometry semantics preserved (SURVEY.md §2 M17-M20, M24, M25):
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -38,8 +42,6 @@ import ray
 from pyrosm_ray.stages.blocks import co_join, fold
 
 from pyrosm_ray.geom import ops, wkb
-
-DEFAULT_BROADCAST_MAX_NODES = 50_000_000  # ~1.2 GB of id+lon+lat arrays
 
 
 def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -54,37 +56,15 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# broadcast coordinate index
+# broadcast coordinate index, sharded (distributed build)
 # ---------------------------------------------------------------------------
-
-def build_coord_index(nodes_ds) -> "ray.ObjectRef":
-    """Materialise (sorted ids, lon, lat) from the node Dataset and broadcast
-    via the object store (read by every assembler task, shipped once)."""
-    ids, lons, lats = [], [], []
-    for batch in nodes_ds.select_columns(["id", "lon", "lat"]).iter_batches(
-            batch_size=1 << 20, batch_format="pyarrow"):
-        ids.append(np.asarray(batch["id"].to_numpy(zero_copy_only=False)))
-        lons.append(np.asarray(batch["lon"].to_numpy(zero_copy_only=False)))
-        lats.append(np.asarray(batch["lat"].to_numpy(zero_copy_only=False)))
-    if ids:
-        ids = np.concatenate(ids)
-        lons = np.concatenate(lons)
-        lats = np.concatenate(lats)
-    else:
-        ids = np.empty(0, dtype=np.int64)
-        lons = lats = np.empty(0, dtype=np.float64)
-    order = np.argsort(ids, kind="stable")
-    return ray.put((ids[order], lons[order], lats[order]))
-
-
-# -- sharded (distributed-build) coordinate index --------------------------
 #
-# The single-array broadcast index above is built by a serial driver pass
-# (read + argsort + one ray.put) — fine at small node counts, an Amdahl
-# wall at scale (sf3: 14 M nodes cost 5-8 s of pure driver time before any
-# worker moves). The sharded form builds in parallel: blocks are routed by
-# id range into K shards (boundaries from a per-block id sample), each
-# shard concatenates + sorts in its own task, and only a tiny manifest
+# The single-array index (``OSM.coord_ref``'s driver path) is one serial
+# driver pass (read + argsort + one ray.put) — fine at small node counts, an
+# Amdahl wall at scale (sf3: 14 M nodes cost 5-8 s of pure driver time
+# before any worker moves). The sharded form builds in parallel: blocks are
+# routed by id range into K shards (boundaries from a per-block id sample),
+# each shard concatenates + sorts in its own task, and only a tiny manifest
 # {bounds, shard refs} is ray.put by the driver. Lookups are two-level:
 # searchsorted over the K-1 boundaries, then searchsorted inside the
 # (plasma-resident, zero-copy) shard.
@@ -607,48 +587,34 @@ def _joined_way_assemble(batch: pa.Table, mode: str) -> pa.Table:
 
 
 def assemble_ways(ways_ds, nodes_ds, mode: str = "area",
-                  strategy: str = "broadcast",
-                  num_partitions: int | None = None,
                   batch_size: int = 32 * 1024):
-    """Full node-ref join + geometry assembly with the chosen strategy.
+    """Node-ref join + geometry assembly on the shuffle route (see the
+    module docstring); the folds size themselves from their input.
 
-    The shuffle path requires the ways payload to be join-compatible: no
-    nested columns besides ``refs`` (promote the ``tags`` map to columns
-    first — :func:`pyrosm_ray.stages.tags.promote_tags`).
+    The ways payload must be join-compatible: no nested columns besides
+    ``refs`` (promote the ``tags`` map to columns first —
+    :func:`pyrosm_ray.stages.tags.promote_tags`).
     """
-    if strategy == "broadcast":
-        import functools
-        coord_ref = build_coord_index(nodes_ds)
-        # plain tasks, not an actor pool: the per-task ray.get of the
-        # broadcast index is a zero-copy plasma read, and tasks skip the
-        # pool spin-up cost that dominates short stages
-        return ways_ds.map_batches(
-            functools.partial(assemble_ways_batch, coord_ref=coord_ref,
-                              mode=mode),
-            batch_format="pyarrow", batch_size=batch_size)
-    if strategy != "shuffle":
-        raise ValueError(f"unknown strategy {strategy!r}")
     coords = nodes_ds.map_batches(lambda b: pa.table({
         "node_id": b["id"].cast(pa.int64()),
         "lon": b["lon"].cast(pa.float64()),
         "lat": b["lat"].cast(pa.float64())}), batch_format="pyarrow")
-    joined = co_join(explode_refs(ways_ds), coords, "node_id",
-                     num_partitions, pa.table({
+    joined = co_join(explode_refs(ways_ds), coords, "node_id", None,
+                     pa.table({
                          "way_id": pa.array([], pa.int64()),
                          "seq": pa.array([], pa.int32()),
                          "node_id": pa.array([], pa.int64()),
                          "lon": pa.array([], pa.float64()),
                          "lat": pa.array([], pa.float64())}))
-    per_way = fold(joined, "way_id", _collect_way_coords, num_partitions,
+    per_way = fold(joined, "way_id", _collect_way_coords, None,
                    pa.table({"id": pa.array([], pa.int64()),
                              "__coords": pa.array([], pa.binary())}))
     payload = ways_ds.map_batches(pack_refs, batch_format="pyarrow")
-    withc = co_join(payload, per_way, "id", num_partitions,
+    withc = co_join(payload, per_way, "id", None,
                     payload.schema().base_schema.empty_table()
                     .append_column("__coords", pa.array([], pa.binary())),
                     join_type="left outer")
     # the joined assembler holds no per-actor state -> plain tasks
-    import functools
     return withc.map_batches(
         functools.partial(_joined_way_assemble, mode=mode),
         batch_format="pyarrow", batch_size=batch_size)

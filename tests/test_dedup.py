@@ -579,6 +579,38 @@ def test_line_dedup_executes_upstream_once(ray_session, route):
     assert ray.get(c.get.remote()) == 4
 
 
+def test_minhash_dedup_executes_upstream_once(ray_session):
+    """The input feeds both the signature map and the ``dup_of`` attach,
+    yet the upstream plan runs once per block."""
+    import ray
+
+    @ray.remote
+    class Counter:
+        def __init__(self):
+            self.n = 0
+
+        def bump(self):
+            self.n += 1
+
+        def get(self):
+            return self.n
+
+    c = Counter.remote()
+
+    def counted(b: pa.Table) -> pa.Table:
+        ray.get(c.bump.remote())
+        return b
+
+    t = pa.table({"doc_id": pa.array(range(40), pa.int64()),
+                  "text": pa.array([f"doc words {i % 5} and more {i % 3}"
+                                    for i in range(40)])})
+    out = dedup.minhash_dedup(
+        rd.from_arrow(t).repartition(4).map_batches(
+            counted, batch_format="pyarrow"), threshold=0.8).to_pandas()
+    assert sorted(out.doc_id) == list(range(40))
+    assert ray.get(c.get.remote()) == 4
+
+
 def test_line_dedup_cross_partition_order(ray_session):
     # first occurrence must be decided by GLOBAL (id, pos) order even
     # when the duplicate lands in an earlier-read partition: doc 10

@@ -13,6 +13,7 @@ import pytest
 from pyrosm_ray.fixtures import TEST_BBOX, ensure_fixtures
 from pyrosm_ray.geom import ops, wkb
 from pyrosm_ray.pipelines.layers import OSM
+from pyrosm_ray.stages import blocks
 
 
 @pytest.fixture(scope="module")
@@ -281,56 +282,40 @@ def test_exclude_vs_keep_complement(osm):
 
 
 # ---------------------------------------------------------------------------
-# broadcast vs shuffle strategy parity (differential)
+# route parity (differential): ways broadcast vs shuffle join, relation
+# fold in one task vs split
 # ---------------------------------------------------------------------------
 
-def test_strategy_parity(src, buildings_df, tmp_path):
-    # the shuffle pipeline runs in its OWN Ray session (fresh subprocess):
-    # differential broadcast-vs-shuffle parity plus process isolation
-    import subprocess
-    import sys
-    out = tmp_path / "shuffle.parquet"
-    script = (
-        "import ray, sys\n"
-        "ray.init(address='local', num_cpus=8, include_dashboard=False,"
-        " logging_level='ERROR')\n"
-        "from ray.data import DataContext\n"
-        "DataContext.get_current().enable_progress_bars = False\n"
-        "from pyrosm_ray.pipelines.layers import OSM\n"
-        f"df = OSM({src!r}, strategy='shuffle', num_partitions=4)"
-        ".get_buildings().to_pandas()\n"
-        f"df.to_parquet({str(out)!r})\n"
-        "ray.shutdown()\n")
-    r = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                       text=True, timeout=300, cwd="/root/repo")
-    assert r.returncode == 0, r.stderr[-2000:]
-    import pandas as pd
-    a = buildings_df.sort_values(["osm_type", "id"]).reset_index(drop=True)
-    b = pd.read_parquet(out).sort_values(["osm_type", "id"]) \
-        .reset_index(drop=True)
+def _same_layer(a, b):
+    a = a.sort_values(["osm_type", "id"]).reset_index(drop=True)
+    b = b.sort_values(["osm_type", "id"]).reset_index(drop=True)
     assert list(a.id) == list(b.id)
     assert list(a.osm_type) == list(b.osm_type)
     assert all(x == y for x, y in zip(a.geometry, b.geometry))
 
 
+def test_ways_route_parity(src, buildings_df, ray_session, monkeypatch):
+    """A node table past the broadcast ceiling takes the shuffle join;
+    its buildings equal the broadcast route's."""
+    monkeypatch.setattr(OSM, "COORDS_BROADCAST_MAX_BYTES", 0)
+    _same_layer(buildings_df, OSM(src).get_buildings().to_pandas())
+
+
 def test_relation_assembly_autoroutes_distributed(src, buildings_df,
                                                   ray_session, monkeypatch):
-    """Under the default broadcast strategy, a relations table that
-    outgrows the driver contract auto-routes relation assembly to the
-    distributed groupby path — output identical to the driver path."""
-    monkeypatch.setattr(OSM, "RELATIONS_DRIVER_MAX_BYTES", 0)
-    b = OSM(src).get_buildings().to_pandas() \
-        .sort_values(["osm_type", "id"]).reset_index(drop=True)
-    a = buildings_df.sort_values(["osm_type", "id"]).reset_index(drop=True)
-    assert list(a.id) == list(b.id)
-    assert all(x == y for x, y in zip(a.geometry, b.geometry))
+    """The relation fold gives the same ids and geometries in one reduce
+    task (the default ceiling) and split (``KEYED_FOLD_DRIVER_MAX = 0``)."""
+    assert (buildings_df.osm_type == "relation").any()
+    _same_layer(buildings_df, OSM(src).get_buildings().to_pandas())
+    monkeypatch.setattr(blocks, "KEYED_FOLD_DRIVER_MAX", 0)
+    _same_layer(buildings_df, OSM(src).get_buildings().to_pandas())
 
 
 def test_relation_assembly_distributed_without_member_ways(src,
                                                           ray_session):
-    """Kept relations whose member ways all fall away: the distributed
-    route's exchange and join return zero typed rows (no count gate
-    before them), and the layer union accepts the empty part."""
+    """Kept relations whose member ways all fall away: the fold returns
+    zero typed rows (no count gate before it), and the layer union
+    accepts the empty part."""
     import pyarrow.parquet as pq
     import ray.data as rd
 
@@ -339,12 +324,108 @@ def test_relation_assembly_distributed_without_member_ways(src,
     assert rel_kept.num_rows
     no_ways = rd.from_arrow(pq.read_table(
         o._path("osm_ways"), columns=["id", "refs"]).slice(0, 0))
-    rows = o._assemble_relations_distributed(rel_kept, no_ways,
-                                             ["building"])
+    rows = o._assemble_relations(rel_kept, no_ways, ["building"])
     assert rows.count() == 0
     union = o._union_parts([("relation", rows)], ["building"], "area",
                            False)
     assert len(union.to_pandas()) == 0
+
+
+def _relation_world(tmp_path):
+    """Nodes 1-5 and three kept multipolygons: relation 10's ring is
+    split over member ways 100 and 101; relation 20's only member way
+    (200) has one point; relation 30's member way (300) is not kept."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    TAGS = pa.map_(pa.string(), pa.string())
+    MEMBERS = pa.list_(pa.struct([("member_id", pa.int64()),
+                                  ("member_type", pa.string()),
+                                  ("member_role", pa.string())]))
+    pq.write_table(pa.table({
+        "id": pa.array([1, 2, 3, 4, 5], pa.int64()),
+        "lon": [0.0, 0.001, 0.001, 0.0, 0.5],
+        "lat": [0.0, 0.0, 0.001, 0.001, 0.5],
+        "tags": pa.array([[]] * 5, TAGS)}), tmp_path / "osm_nodes.parquet")
+    mp = [("type", "multipolygon"), ("building", "yes")]
+    rels = pa.table({
+        "id": pa.array([10, 20, 30], pa.int64()),
+        "members": pa.array([
+            [{"member_id": 100, "member_type": "way", "member_role": "outer"},
+             {"member_id": 101, "member_type": "way", "member_role": "outer"}],
+            [{"member_id": 200, "member_type": "way", "member_role": "outer"}],
+            [{"member_id": 300, "member_type": "way", "member_role": "outer"}],
+        ], MEMBERS),
+        "tags": pa.array([mp] * 3, TAGS)})
+    pq.write_table(rels, tmp_path / "osm_relations.parquet")
+
+    def ways(ids, refs):
+        return pa.table({"id": pa.array(ids, pa.int64()),
+                         "refs": pa.array(refs, pa.list_(pa.int64())),
+                         "tags": pa.array([[]] * len(ids), TAGS),
+                         "__member": pa.array([True] * len(ids),
+                                              pa.bool_())})
+    kept = [ways([100], [[1, 2, 3]]), ways([], []),
+            ways([101, 200], [[3, 4, 1], [5]])]
+    pq.write_table(pa.concat_tables(kept).drop_columns(["__member"]),
+                   tmp_path / "osm_ways.parquet")
+    return rels, kept
+
+
+def test_relation_fold_edge_inputs(ray_session, tmp_path, monkeypatch):
+    """Relation assembly on both fold routes: members spread over blocks
+    that include a zero-row block assemble; a relation whose only chain
+    has one point and a relation with no kept member way drop; kept
+    relations with no member ways give zero typed rows."""
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+
+    rels, ways = _relation_world(tmp_path)
+    want = [("id", pa.int64()), ("building", pa.string()),
+            ("geometry", pa.binary())]
+    geoms = []
+    for ceiling in (blocks.KEYED_FOLD_DRIVER_MAX, 0):
+        monkeypatch.setattr(blocks, "KEYED_FOLD_DRIVER_MAX", ceiling)
+        o = OSM(str(tmp_path))
+        for kept, ids in ((ways, [10]), (ways[1:2], [])):
+            ds = o._assemble_relations(rels, rd.from_arrow(kept),
+                                       ["building"])
+            sch = ds.schema()
+            assert "__force_line" not in sch.names
+            assert [(n, sch.types[sch.names.index(n)])
+                    for n, _ in want] == want
+            t = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+            assert t["id"].to_pylist() == ids
+            geoms += t["geometry"].to_pylist()
+        assert wkb.wkb_geom_type(geoms[-1]) == wkb.POLYGON
+    assert geoms[0] == geoms[1]
+
+
+def test_relation_chains_carry_their_schema(src, ray_session):
+    """Building the relation chains logs no "different schema" warning:
+    the sf0.001 member ways arrive in blocks that include a zero-row
+    one, and a map over it would emit a schema-less block."""
+    import logging
+
+    class Grab(logging.Handler):
+        def __init__(self):
+            super().__init__(logging.WARNING)
+            self.lines = []
+
+        def emit(self, record):
+            self.lines.append(record.getMessage())
+
+    grab = Grab()
+    log = logging.getLogger(
+        "ray.data._internal.execution.streaming_executor_state")
+    log.addHandler(grab)
+    try:
+        df = OSM(src).get_buildings().to_pandas()
+    finally:
+        log.removeHandler(grab)
+    assert (df.osm_type == "relation").any()
+    assert not [m for m in grab.lines if "different schema" in m], \
+        grab.lines
 
 
 def test_sharded_coord_index_parity(src, buildings_df, ray_session):
@@ -354,8 +435,7 @@ def test_sharded_coord_index_parity(src, buildings_df, ray_session):
     import ray
 
     from pyrosm_ray.stages import topology
-    nodes = OSM(src).nodes(columns=["id", "lon", "lat"])
-    legacy = ray.get(topology.build_coord_index(nodes))
+    legacy = ray.get(OSM(src).coord_ref())  # the driver-path arrays
     manifest = ray.get(topology.build_coord_index_sharded(
         OSM(src).nodes(columns=["id", "lon", "lat"]), num_shards=5))
     assert manifest["sharded"] and len(manifest["shards"]) >= 1
@@ -456,7 +536,7 @@ def test_get_network_advanced_custom_filter(osm):
     assert len(df) > 0 and set(df.highway) == {"footway"}
 
 
-def test_timestamp_history_reads(ray_session, tmp_path):
+def test_timestamp_history_reads(ray_session, tmp_path, monkeypatch):
     """OSM(timestamp=...) reads the element state as of the cutoff:
     latest version per id with ts <= t, invisible latest drops the
     element (reference timestamp contract, pyrosm.py:383-391)."""
@@ -498,26 +578,6 @@ def test_timestamp_history_reads(ray_session, tmp_path):
         "timestamp": pa.array([], pa.timestamp("s")),
         "visible": pa.array([], pa.bool_()),
     })
-    pq.write_table(nodes, tmp_path / "osm_nodes.parquet")
-    pq.write_table(ways, tmp_path / "osm_ways.parquet")
-    pq.write_table(rels, tmp_path / "osm_relations.parquet")
-
-    b1 = OSM(str(tmp_path), timestamp="2024-06-01") \
-        .get_buildings().to_pandas().sort_values("id")
-    assert list(b1.id) == [100, 200]
-    assert set(b1.building) == {"yes"}
-    # v1 coordinates (no +0.01 shift)
-    rings = wkb.decode_wkb(b1.iloc[0].geometry)[1]
-    assert abs(rings[0][:, 0].max() - 0.001) < 1e-9
-
-    b2 = OSM(str(tmp_path), timestamp="2025-06-01") \
-        .get_buildings().to_pandas().sort_values("id")
-    assert list(b2.id) == [100]            # way 200 invisible at T2
-    assert list(b2.building) == ["retail"]  # v2 tags win
-    rings = wkb.decode_wkb(b2.iloc[0].geometry)[1]
-    assert abs(rings[0][:, 0].max() - 0.011) < 1e-9  # v2 coords
-
-    # get_network(timestamp=...) delegates to a timestamped twin
     hw = pa.table({
         "id": pa.array([300], pa.int64()),
         "version": pa.array([1], pa.int32()),
@@ -526,13 +586,49 @@ def test_timestamp_history_reads(ray_session, tmp_path):
         "timestamp": pa.array([T2], pa.timestamp("s")),
         "visible": pa.array([True]),
     })
-    pq.write_table(pa.concat_tables([ways, hw]),
-                   tmp_path / "osm_ways.parquet")
-    osm = OSM(str(tmp_path))
-    early = osm.get_network("driving", timestamp="2024-06-01").to_pandas()
-    assert len(early) == 0                 # highway way not yet created
-    late = osm.get_network("driving", timestamp="2025-06-01").to_pandas()
-    assert list(late.id) == [300]
+    pq.write_table(nodes, tmp_path / "osm_nodes.parquet")
+    pq.write_table(rels, tmp_path / "osm_relations.parquet")
+
+    def read(ds, want):
+        sch = ds.schema()
+        assert [(n, sch.types[sch.names.index(n)]) for n in want] == \
+            list(want.items())
+        return ds.to_pandas().sort_values("id")
+
+    layer = {"id": pa.int64(), "building": pa.string(),
+             "tags": pa.string(), "geometry": pa.binary(),
+             "osm_type": pa.string()}
+    network = {"id": pa.int64(), "highway": pa.string(),
+               "length": pa.float64(), "geometry": pa.binary()}
+    # the history fold in one reduce task, then split
+    for ceiling in (blocks.KEYED_FOLD_DRIVER_MAX, 0):
+        monkeypatch.setattr(blocks, "KEYED_FOLD_DRIVER_MAX", ceiling)
+        pq.write_table(ways, tmp_path / "osm_ways.parquet")
+        b1 = read(OSM(str(tmp_path), timestamp="2024-06-01")
+                  .get_buildings(), layer)
+        assert list(b1.id) == [100, 200]
+        assert set(b1.building) == {"yes"}
+        # v1 coordinates (no +0.01 shift)
+        rings = wkb.decode_wkb(b1.iloc[0].geometry)[1]
+        assert abs(rings[0][:, 0].max() - 0.001) < 1e-9
+
+        b2 = read(OSM(str(tmp_path), timestamp="2025-06-01")
+                  .get_buildings(), layer)
+        assert list(b2.id) == [100]            # way 200 invisible at T2
+        assert list(b2.building) == ["retail"]  # v2 tags win
+        rings = wkb.decode_wkb(b2.iloc[0].geometry)[1]
+        assert abs(rings[0][:, 0].max() - 0.011) < 1e-9  # v2 coords
+
+        # get_network(timestamp=...) delegates to a timestamped twin
+        pq.write_table(pa.concat_tables([ways, hw]),
+                       tmp_path / "osm_ways.parquet")
+        osm = OSM(str(tmp_path))
+        early = osm.get_network("driving", timestamp="2024-06-01") \
+            .to_pandas()
+        assert len(early) == 0             # highway way not yet created
+        late = read(osm.get_network("driving", timestamp="2025-06-01"),
+                    network)
+        assert list(late.id) == [300]
 
 
 def test_polygon_bbox_rect_ring_parity(src, ray_session):
@@ -610,26 +706,25 @@ def test_element_cache_reads_input_once(src, ray_session, monkeypatch):
     assert calls["osm_relations.parquet"] <= 2, calls
     # the third getter is served entirely from the cache
     assert calls["osm_ways.parquet"] == after_two["osm_ways.parquet"], calls
-    # parity vs uncached
-    o2 = OSM(src, cache_elements=False)
-    assert sorted(b1.id) == sorted(o2.get_buildings().to_pandas().id)
-    assert sorted(l1.id) == sorted(o2.get_landuse().to_pandas().id)
-    assert sorted(p1.id) == sorted(o2.get_pois().to_pandas().id)
+    # parity vs a fresh reader per getter (nothing cached)
+    assert sorted(b1.id) == sorted(OSM(src).get_buildings().to_pandas().id)
+    assert sorted(l1.id) == sorted(OSM(src).get_landuse().to_pandas().id)
+    assert sorted(p1.id) == sorted(OSM(src).get_pois().to_pandas().id)
 
 
 def test_latest_at_bucketed_parity(src, ray_session):
-    """Distributed bucketed history route == broadcast latest_at_any,
-    nested tags payload intact, invisible latest dropped."""
-    import pandas as pd
+    """The fold history route == a whole-table pyarrow reference, nested
+    tags payload intact, invisible latest dropped."""
+    import pyarrow.parquet as pq
     import ray.data as rd
 
-    from pyrosm_ray.stages.history import latest_at_any, latest_at_bucketed
-    ds = rd.read_parquet(f"{src}/osm_history.parquet")
+    from pyrosm_ray.pipelines.layers import _latest_at_table
+    from pyrosm_ray.stages.history import latest_at_bucketed
+    path = f"{src}/osm_history.parquet"
     ts = "2025-01-01"
-    a = latest_at_any(ds, ts).to_pandas().sort_values("id") \
-        .reset_index(drop=True)
-    b = latest_at_bucketed(rd.read_parquet(f"{src}/osm_history.parquet"),
-                           ts).to_pandas() \
+    a = _latest_at_table(pq.read_table(path), ts).to_pandas() \
+        .sort_values("id").reset_index(drop=True)
+    b = latest_at_bucketed(rd.read_parquet(path), ts).to_pandas() \
         .sort_values("id").reset_index(drop=True)
     assert len(a) == len(b) > 0
     for col in ("id", "version", "lon", "lat"):
