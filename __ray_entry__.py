@@ -1636,7 +1636,7 @@ def _norm_text_sql(col: str = "text") -> str:
 def _word_shingle_cte(doc_table: str = "documents") -> str:
     """CTE fragment: ``sh(doc_id, h)`` = distinct 3-word-shingle hashes
     (pads with empty words below 3). The shingle hash is combine3 over the
-    per-WORD md5 hashes — bit-identical to dedup._word_shingles_many,
+    per-WORD md5 hashes — bit-identical to dedup._word_shingle_hashes,
     which never materialises shingle strings. Every CTE is MATERIALIZED
     (DuckDB 1.0 otherwise inlines a CTE at each reference)."""
     from pyrosm_ray.stages.hashing import combine3_sql

@@ -3,9 +3,11 @@
 
 Default run (driver contract)::
 
-    python bench.py            # sf0.1 fixtures, num_cpus=$RAY_GRAFT_CPUS or 32
+    python bench.py            # sf0.1 fixtures, Ray CPUs = $RAY_GRAFT_CPUS
+                               # or this host's usable cores
     -> {"metric": "headline_pipelines_wall", "value": <sec>, "unit": "sec",
-        "queries": {...per-pipeline sec...}, "sf": 0.1, "num_cpus": 32,
+        "queries": {...per-pipeline sec...}, "sf": 0.1, "num_cpus": <n>,
+        "nproc": <host cores>, "ray_cpus": <n>,
         "throughput": {...rows/s...}}
 
 Scaling evidence (the north rule's N vs 4N criterion, sandbox form)::
@@ -28,7 +30,11 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+# usable cores of this host (the shell's ``nproc`` may honour
+# OMP_NUM_THREADS instead); reads size their split from Ray's CPU count,
+# so more logical CPUs than cores would over-split them
+NPROC = len(os.sched_getaffinity(0))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", NPROC))
 
 
 def run_benchmarks(sf_dir: str, num_cpus: int) -> dict:
@@ -448,6 +454,8 @@ def run_benchmarks(sf_dir: str, num_cpus: int) -> dict:
         "counts": counts,
         "sf": sf,
         "num_cpus": num_cpus,
+        "nproc": NPROC,
+        "ray_cpus": num_cpus,
         "throughput": {
             name: round(num / max(timings[stage], 1e-9), 1)
             for name, stage, num in (
@@ -543,6 +551,7 @@ def run_scaling(sf_dir: str, low: int = None, high: int = None) -> dict:
         "efficiency": eff,
         "sf": results[high]["sf"],
         "num_cpus": high,
+        "nproc": NPROC,
     }
 
 

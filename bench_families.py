@@ -22,6 +22,11 @@ net of it, and `postings_query` is reported as a LATENCY line (a pruned
                                           # prints one JSON line with
                                           # per-stage efficiencies
     python bench_families.py --leg 8      # one leg in this process
+    python bench_families.py --leg        # one leg at this host's usable
+                                          # cores
+
+Every JSON line records the host's usable cores (``nproc``) and each
+leg's Ray CPU count (``ray_cpus``).
 """
 
 from __future__ import annotations
@@ -38,6 +43,9 @@ SRC = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 DOC_REPS = int(os.environ.get("GRAFT_FAMILY_DOC_REPS", "400"))
 EV_REPS = int(os.environ.get("GRAFT_FAMILY_EV_REPS", "150"))
 TILE_SF = os.environ.get("GRAFT_FAMILY_TILE_SF", "sf3")
+# usable cores of this host (the shell's ``nproc`` may honour
+# OMP_NUM_THREADS instead)
+NPROC = len(os.sched_getaffinity(0))
 
 
 def ensure_corpus() -> dict:
@@ -290,7 +298,7 @@ def run_leg(num_cpus: int) -> dict:
     total = round(sum(timings.values()), 3)
     out = {"metric": "family_pipelines_wall", "value": total,
            "unit": "sec", "queries": timings, "counts": counts,
-           "num_cpus": num_cpus,
+           "num_cpus": num_cpus, "nproc": NPROC, "ray_cpus": num_cpus,
            "doc_rows": 5000 * DOC_REPS, "event_rows": 100_000 * EV_REPS}
     ray.shutdown()
     return out
@@ -336,6 +344,7 @@ def run_scaling(low: int, high: int) -> dict:
     return {"metric": "family_scaling_efficiency",
             "value": round(sum(vals) / len(vals), 3) if vals else 0.0,
             "unit": "ratio", "low_cpus": low, "high_cpus": high,
+            "nproc": NPROC,
             "efficiency": eff,
             "efficiency_floor_adjusted": eff_adj,
             "shuffle_floor_sec": {"low": fl_low, "high": fl_high},
@@ -347,7 +356,8 @@ def run_scaling(low: int, high: int) -> dict:
 
 if __name__ == "__main__":
     if "--leg" in sys.argv:
-        cpus = int(sys.argv[sys.argv.index("--leg") + 1])
+        at = sys.argv.index("--leg") + 1
+        cpus = int(sys.argv[at]) if at < len(sys.argv) else NPROC
         print(json.dumps(run_leg(cpus)))
     else:
         low = int(os.environ.get("GRAFT_SCALING_LOW", "2"))

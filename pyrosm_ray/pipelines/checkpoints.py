@@ -34,6 +34,8 @@ from pathlib import Path
 
 import ray.data as rd
 
+from pyrosm_ray.stages.blocks import unreserved
+
 
 class CheckpointManager:
     def __init__(self, root: str):
@@ -71,7 +73,7 @@ class CheckpointManager:
         d = self._stage_dir(stage)
         data_dir = d / "data"
         if self.stage_complete(stage):
-            return rd.read_parquet(str(data_dir))
+            return unreserved(rd.read_parquet(str(data_dir)))
         if d.exists():
             shutil.rmtree(d)
         tmp = d.with_suffix(".tmp")
@@ -95,7 +97,7 @@ class CheckpointManager:
             "ts": time.time(),
         })
         (d / "_COMPLETE").touch()
-        return rd.read_parquet(str(data_dir))
+        return unreserved(rd.read_parquet(str(data_dir)))
 
     # -- per-partition checkpoint -----------------------------------------
     def run_partitioned(self, stage: str, part_keys, build_part_fn,
@@ -143,7 +145,7 @@ class CheckpointManager:
         dirs = sorted(p for p in d.glob("part-*")
                       if p.is_dir() and not p.name.endswith(".tmp"))
         files = sorted(str(f) for p in dirs for f in p.glob("*.parquet"))
-        return rd.read_parquet(files) if files else None
+        return unreserved(rd.read_parquet(files)) if files else None
 
     # -- metrics -----------------------------------------------------------
     def metrics(self) -> dict[str, dict]:

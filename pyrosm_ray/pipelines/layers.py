@@ -54,7 +54,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from pyrosm_ray.stages.blocks import fold
+from pyrosm_ray.stages.blocks import fold, unreserved
 
 from pyrosm_ray import config
 from pyrosm_ray.filters.compiler import CompiledFilter, compile_custom_filter
@@ -221,7 +221,7 @@ class OSM:
         self._read_seen[table] = seen + 1
         if seen == 0:  # first use: stream, keep the read fused
             return self._read_uncached(table, columns)
-        ds = self._read_uncached(table, columns).materialize()
+        ds = unreserved(self._read_uncached(table, columns).materialize())
         self._element_cache[(table, want)] = ds
         return ds
 
@@ -386,7 +386,7 @@ class OSM:
             keep_nodes=False, keep_ways=True, keep_relations=False)
         if not nodes:
             return edges
-        edges = edges.materialize()
+        edges = unreserved(edges.materialize())
         parts = []
         for b in edges.select_columns(["u", "v"]).iter_batches(
                 batch_size=1 << 18, batch_format="pyarrow"):
@@ -597,7 +597,7 @@ class OSM:
                 # the kept set (a small fraction of the ways table) feeds
                 # both branches; materializing it avoids a second full
                 # read+filter pass (blocks spill to disk past memory)
-                filtered = filtered.materialize()
+                filtered = unreserved(filtered.materialize())
 
             if keep_ways:
                 def promote_standalone(batch: pa.Table) -> pa.Table:
@@ -706,12 +706,12 @@ class OSM:
                                 keep_all=keep_all)
             kept_t = t.filter(pa.array(mask))
         else:
-            kept = self.relations().map_batches(
+            kept = unreserved(self.relations().map_batches(
                 lambda b: b.filter(pa.array(
                     TagBatchEvaluator(b["tags"]).keep_mask(
                         osm_keys, data_filter, filter_type,
                         keep_all=keep_all))),
-                batch_format="pyarrow").materialize()
+                batch_format="pyarrow").materialize())
             kept_t = pa.concat_tables(
                 [pa.table(b) for b in kept.iter_batches(
                     batch_size=1 << 16, batch_format="pyarrow")])
@@ -1002,8 +1002,8 @@ class OSM:
         refs = [_chain_block.remote(ref, pairs, coords)
                 for bundle in kept_ways.iter_internal_ref_bundles()
                 for ref, meta in bundle.blocks if meta.num_rows]
-        return rd.from_arrow_refs(refs) if refs else \
-            rd.from_arrow(_CHAIN_SCHEMA.empty_table())
+        return unreserved(rd.from_arrow_refs(refs)) if refs else \
+            unreserved(rd.from_arrow(_CHAIN_SCHEMA.empty_table()))
 
     def _rel_payload(self, rel_kept: pa.Table, tag_columns) -> pa.Table:
         """Promoted relation payload columns + the __force_line typing flag
@@ -1026,8 +1026,8 @@ class OSM:
         empty = payload.slice(0, 0).drop_columns(["__force_line"]) \
             .append_column("geometry", pa.array([], pa.binary()))
         return fold((self._member_chains(rel_kept, kept_ways),
-                     rd.from_arrow(payload)), "id", _assemble_relation_rows,
-                    None, empty)
+                     unreserved(rd.from_arrow(payload))), "id",
+                    _assemble_relation_rows, None, empty)
 
 
 _CHAIN_SCHEMA = pa.schema([("id", pa.int64()), ("member_pos", pa.int64()),

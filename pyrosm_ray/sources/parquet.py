@@ -1,29 +1,35 @@
 """Row-group-splitting parquet reader.
 
-``ray.data.read_parquet`` (2.49) plans ONE read task per FILE — a
-single-file table decodes serially no matter what ``override_num_blocks``
-asks for, which silently caps every downstream stage's parallelism (the
-root cause of the round-2 "anti-scaling" layer pipelines: the whole
-read→filter→assemble chain fused into 1-2 tasks). Parquet files already
-carry a natural split boundary — the row group — so this reader plans one
-Ray task per row-group *range* and decodes them concurrently:
+``ray.data.read_parquet`` (2.49) plans ONE read task per FILE: a
+single-file table decodes serially whatever ``override_num_blocks``
+asks for, which caps every downstream stage's parallelism. Parquet files
+already carry a natural split boundary, the row group, so this reader
+plans one Ray read task per contiguous row-group *range* and decodes the
+ranges concurrently, column-pruned, straight into Arrow blocks.
 
-    from_items([{path, row-group ids}, ...])  ->  map_batches(load)
-
-Planning touches only file metadata (footer) on the driver; the data
-itself is decoded inside the tasks, column-pruned, straight into Arrow
-blocks. Falls back to ``ray.data.read_parquet`` when there is nothing to
-split (≤1 planned task).
+Planning reads only file footers on the driver. Each file splits into at
+least min(its row groups, the cluster's CPUs) ranges, so a map over the
+read keeps every CPU busy, and into enough ranges that none holds more
+than :data:`DEFAULT_TARGET_BYTES` (unless one row group alone does). The
+cuts balance the uncompressed bytes of the columns actually read: each
+cut sits at the row-group boundary nearest its even share. A file
+without rows still plans one task, so the result always carries the
+file's (column-pruned) schema.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
+import numpy as np
 import pyarrow.parquet as pq
 import ray.data as rd
+from ray.data.datasource import Datasource
 
-DEFAULT_TARGET_BYTES = 8 << 20  # uncompressed row-group bytes per task
+from pyrosm_ray.stages.blocks import _cluster_cpus, unreserved
+
+DEFAULT_TARGET_BYTES = 8 << 20  # uncompressed column bytes per task
 
 
 def _parquet_files(path: str) -> list[str]:
@@ -33,53 +39,90 @@ def _parquet_files(path: str) -> list[str]:
     return [path]
 
 
-def _plan_tasks(files: list[str], target_bytes: int):
-    tasks: list[tuple[str, list[int]]] = []
+def _group_bytes(md, columns: list[str] | None) -> np.ndarray:
+    """Uncompressed bytes of the read columns, per row group."""
+    out = np.zeros(md.num_row_groups, np.int64)
+    for i in range(md.num_row_groups):
+        rg = md.row_group(i)
+        out[i] = sum(
+            rg.column(j).total_uncompressed_size
+            for j in range(rg.num_columns)
+            if columns is None
+            or rg.column(j).path_in_schema.split(".")[0] in columns)
+    return out
+
+
+def _cuts(sizes: np.ndarray, k: int) -> np.ndarray:
+    """Range bounds [0, ..., n] cutting ``sizes`` into ``k`` contiguous
+    non-empty ranges, each cut at the boundary nearest its even share."""
+    n = len(sizes)
+    cum = np.concatenate([[0], np.cumsum(sizes)])
+    bounds = [0]
+    for j in range(1, k):
+        share = cum[-1] * j / k
+        i = int(np.searchsorted(cum, share))
+        if i > 0 and share - cum[i - 1] <= cum[min(i, n)] - share:
+            i -= 1
+        bounds.append(min(max(i, bounds[-1] + 1), n - (k - j)))
+    return np.array(bounds + [n])
+
+
+def _split_file(sizes: np.ndarray, min_ranges: int,
+                target_bytes: int) -> np.ndarray:
+    """Range bounds for one file's row groups: at least
+    min(row groups, ``min_ranges``) ranges, and no range of several row
+    groups past ``target_bytes``. A file without row groups is one empty
+    range."""
+    n = len(sizes)
+    k = min(n, max(min_ranges, math.ceil(sizes.sum() / target_bytes)))
+    while True:
+        bounds = _cuts(sizes, k)
+        over = [sizes[a:b].sum() > target_bytes
+                for a, b in zip(bounds[:-1], bounds[1:]) if b - a > 1]
+        if k == n or not any(over):
+            return bounds
+        k += 1
+
+
+def _plan_tasks(files: list[str], columns: list[str] | None,
+                min_ranges: int, target_bytes: int
+                ) -> list[tuple[str, list[int], int, int]]:
+    """(file, row-group ids, rows, bytes) per read task."""
+    tasks = []
     for f in files:
         md = pq.ParquetFile(f).metadata
-        cur: list[int] = []
-        cur_bytes = 0
-        for i in range(md.num_row_groups):
-            cur.append(i)
-            cur_bytes += md.row_group(i).total_byte_size
-            if cur_bytes >= target_bytes:
-                tasks.append((f, cur))
-                cur, cur_bytes = [], 0
-        if cur:
-            tasks.append((f, cur))
+        sizes = _group_bytes(md, columns)
+        bounds = _split_file(sizes, min_ranges, target_bytes)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            rgs = list(range(int(a), int(b)))
+            tasks.append((f, rgs,
+                          sum(md.row_group(i).num_rows for i in rgs),
+                          int(sizes[a:b].sum())))
     return tasks
 
 
 def read_parquet_split(path: str, columns: list[str] | None = None,
-                       num_blocks: int | None = None,
-                       target_bytes: int | None = None) -> "rd.Dataset":
+                       num_blocks: int | None = None) -> "rd.Dataset":
     """Read parquet with row-group-level task splitting (see module doc).
 
-    ``num_blocks`` sizes the per-task byte target from the table's total
-    metadata size; ``target_bytes`` overrides it directly."""
+    ``num_blocks`` asks for at least that many tasks over the whole
+    table: it lowers the per-task byte target to the table's read bytes
+    over ``num_blocks``."""
     files = _parquet_files(path)
-    if target_bytes is None:
-        if num_blocks:
-            total = 0
-            for f in files:
-                md = pq.ParquetFile(f).metadata
-                total += sum(md.row_group(i).total_byte_size
-                             for i in range(md.num_row_groups))
-            target_bytes = max(1, total // num_blocks)
-        else:
-            target_bytes = DEFAULT_TARGET_BYTES
-    tasks = _plan_tasks(files, target_bytes)
-    if len(tasks) <= 1:
-        return rd.read_parquet(path, columns=columns)
-    return rd.read_datasource(
+    if not files:
+        raise FileNotFoundError(f"no parquet files under {path}")
+    target = DEFAULT_TARGET_BYTES
+    if num_blocks:
+        total = sum(int(_group_bytes(pq.ParquetFile(f).metadata,
+                                     columns).sum()) for f in files)
+        target = max(1, min(target, math.ceil(total / num_blocks)))
+    tasks = _plan_tasks(files, columns, _cluster_cpus(), target)
+    return unreserved(rd.read_datasource(
         _RowGroupDatasource(tasks, columns),
-        override_num_blocks=len(tasks))
+        override_num_blocks=len(tasks)))
 
 
-from ray.data.datasource import Datasource as _Datasource
-
-
-class _RowGroupDatasource(_Datasource):
+class _RowGroupDatasource(Datasource):
     """One ReadTask per row-group range with REAL row/byte metadata.
 
     Crucial detail vs the tempting ``from_items + map_batches(load)``
@@ -92,15 +135,9 @@ class _RowGroupDatasource(_Datasource):
     def __init__(self, tasks, columns):
         self._tasks = tasks
         self._columns = columns
-        self._metas = []
-        for f, rgs in tasks:
-            md = pq.ParquetFile(f).metadata
-            self._metas.append((
-                sum(md.row_group(i).num_rows for i in rgs),
-                sum(md.row_group(i).total_byte_size for i in rgs)))
 
     def estimate_inmemory_data_size(self):
-        return sum(b for _, b in self._metas)
+        return sum(b for *_, b in self._tasks)
 
     def get_name(self) -> str:
         return "ParquetRowGroups"
@@ -110,8 +147,8 @@ class _RowGroupDatasource(_Datasource):
         from ray.data.datasource import ReadTask
         columns = self._columns
         out = []
-        for (f, rgs), (n, b) in zip(self._tasks, self._metas):
-            def _read(f=f, rgs=list(rgs)):
+        for f, rgs, n, b in self._tasks:
+            def _read(f=f, rgs=rgs):
                 return [pq.ParquetFile(f).read_row_groups(
                     rgs, columns=columns)]
             out.append(ReadTask(_read, BlockMetadata(

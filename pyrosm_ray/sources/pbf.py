@@ -36,6 +36,8 @@ import zlib
 import numpy as np
 import pyarrow as pa
 
+from pyrosm_ray.stages.blocks import unreserved
+
 NANO = 1e-9
 _MEMBER_TYPES = np.array(["node", "way", "relation"], dtype=object)
 
@@ -542,7 +544,7 @@ def read_pbf(path: str, kind: str = "nodes"):
         parts = [p for p in parts if p.num_rows] or parts[:1]
         return pa.concat_tables(parts)
 
-    ds = rd.from_items(idx)
+    ds = unreserved(rd.from_items(idx))
     if len(idx) > 1:
         ds = ds.repartition(len(idx))
     return ds.map_batches(decode, batch_format="numpy")
@@ -584,7 +586,7 @@ def pbf_to_parquet(path: str, out_dir: str) -> dict:
                          "ways": pa.array([counts[1]]),
                          "relations": pa.array([counts[2]])})
 
-    ds = rd.from_items(idx)
+    ds = unreserved(rd.from_items(idx))
     if len(idx) > 1:
         ds = ds.repartition(len(idx))
     agg = ds.map_batches(decode_write, batch_format="numpy").to_pandas()

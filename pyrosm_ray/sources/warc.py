@@ -53,6 +53,8 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from pyrosm_ray.stages.blocks import unreserved
+
 _CRLF = b"\r\n"
 _GZ_MAGIC = b"\x1f\x8b\x08"
 _DEFAULT_RANGE_BYTES = 32 << 20
@@ -284,8 +286,8 @@ def read_warc(path: str, record_types=("response", "resource"),
                       for i in range(nr)]
         else:
             tasks.append((f, 0, size))
-    return rd.read_datasource(_WarcDatasource(tasks, rtypes),
-                              override_num_blocks=len(tasks))
+    return unreserved(rd.read_datasource(_WarcDatasource(tasks, rtypes),
+                                         override_num_blocks=len(tasks)))
 
 
 from ray.data.datasource import Datasource as _Datasource

@@ -39,6 +39,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from pyrosm_ray.stages.blocks import unreserved
 from pyrosm_ray.stages.hashing import stable64_many
 
 
@@ -91,7 +92,7 @@ def train_text_classifier(ds, target_col: str = "lang",
     import pyarrow.compute as pc
 
     B = feature_buckets
-    ds = ds.materialize()
+    ds = unreserved(ds.materialize())
     w = np.zeros(B + 1, dtype=np.float64)
     for _ in range(iters):
         ref = ray.put(np.ascontiguousarray(w))

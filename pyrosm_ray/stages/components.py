@@ -30,7 +30,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from pyrosm_ray.stages.blocks import co_join, fold
+from pyrosm_ray.stages.blocks import co_join, fold, unreserved
 
 DOUBLING_START = 2  # propagation-only rounds before pointer doubling kicks in
 
@@ -62,7 +62,8 @@ def _min_per_node(ds, node_col: str, val_col: str, nb: int | None):
         return pa.table({"node": pa.array(uniq, pa.int64()),
                          "label": pa.array(m, pa.int64())})
 
-    return fold(ds, node_col, min_fold, nb, _LABELS_EMPTY).materialize()
+    return unreserved(
+        fold(ds, node_col, min_fold, nb, _LABELS_EMPTY).materialize())
 
 
 def _label_sum(labels) -> int:
@@ -82,9 +83,9 @@ def connected_components(edges_ds, a_col: str = "a", b_col: str = "b",
     appears in an edge (isolated nodes are their own component — attach
     with a left-outer join + coalesce). Returns None for an empty edge
     list."""
-    edges = edges_ds.map_batches(
+    edges = unreserved(edges_ds.map_batches(
         lambda b: _sym_edges(b, a_col, b_col),
-        batch_format="pyarrow").materialize()
+        batch_format="pyarrow").materialize())
     if edges.count() == 0:
         return None
 
@@ -101,9 +102,9 @@ def connected_components(edges_ds, a_col: str = "a", b_col: str = "b",
             "node": pa.array([], pa.int64()),
             "label": pa.array([], pa.int64()),
             "llabel": pa.array([], pa.int64())}))
-        return j.map_batches(
+        return unreserved(j.map_batches(
             lambda b: pa.table({"node": b["node"], "label": b["llabel"]}),
-            batch_format="pyarrow").materialize()
+            batch_format="pyarrow").materialize())
 
     # round 0 fused with init (labels start as node ids, so the first
     # min over neighbors is just min(src) per dst)

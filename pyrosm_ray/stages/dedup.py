@@ -9,8 +9,9 @@ additions):
   keep-set).
 * :func:`minhash_dedup` — word-shingle -> 64 minhash permutations -> banded
   LSH buckets (one fold over (band, int64 digest of the band's signature)
-  ONLY — shingle payloads never enter it) -> candidate pairs -> exact
-  Jaccard in the shared verify tail -> union-find on the driver, or
+  ONLY) -> candidate pairs -> exact Jaccard in the shared verify tail,
+  over shingle sets built from the candidates' own texts (no shingle
+  payload is ever packed) -> union-find on the driver, or
   distributed connected components (:mod:`pyrosm_ray.stages.components`)
   past :data:`PAIRS_BROADCAST_MAX` verified edges.
 * :func:`simhash_dedup` — 64-bit simhash; ``max_hamming + 1`` bands make
@@ -51,7 +52,7 @@ import ray.data as rd
 
 from pyrosm_ray.stages.similarity import _emb_matrix
 from pyrosm_ray.stages.blocks import co_join, exchange, fold, \
-    groupby_partitions
+    groupby_partitions, unreserved
 from pyrosm_ray.stages.components import attach_components, \
     connected_components
 from pyrosm_ray.stages.hashing import combine3, hash64, stable64_many
@@ -66,16 +67,18 @@ def popcount64(x: np.ndarray) -> np.ndarray:
         .astype(np.int64)
 
 
-def _word_shingles_many(texts, k: int = 3) -> list[np.ndarray]:
-    """Per-doc unique k-word-shingle hashes for a whole batch.
+def _word_shingle_hashes(texts, k: int = 3
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Every k-word-shingle hash of each text, repeats kept, as a CSR:
+    (flat hashes, per-text offsets). A text of fewer than k words pads
+    to one shingle, so every text has at least one.
 
     No shingle strings are ever built: every word in the batch hashes in
     ONE :func:`stable64_many` pass (md5 once per unique word — Zipf vocab),
     then each shingle hash is :func:`pyrosm_ray.stages.hashing.combine3`
     over its k consecutive word hashes, fully vectorised across the batch.
     The DuckDB oracle renders the identical combine (combine3_sql), so the
-    operator stays bit-exact. Replaces the per-shingle Python md5 loop —
-    the 10^12-doc signature wall."""
+    operator stays bit-exact."""
     assert k == 3, "combine3 path is specialised to 3-word shingles"
     words_all: list[str] = []
     counts = np.empty(len(texts), dtype=np.int64)
@@ -93,7 +96,7 @@ def _word_shingles_many(texts, k: int = 3) -> list[np.ndarray]:
     sh = combine3(h[idx], h[idx + 1], h[idx + 2])
     soff = np.zeros(len(texts) + 1, dtype=np.int64)
     np.cumsum(sh_counts, out=soff[1:])
-    return [np.unique(sh[soff[i]:soff[i + 1]]) for i in range(len(texts))]
+    return sh, soff
 
 
 def _concat_ranges_dedup(starts: np.ndarray, cnts: np.ndarray) -> np.ndarray:
@@ -107,7 +110,8 @@ def _concat_ranges_dedup(starts: np.ndarray, cnts: np.ndarray) -> np.ndarray:
 
 
 def _word_shingles(text: str, k: int = 3) -> np.ndarray:
-    return _word_shingles_many([text], k)[0]
+    """One text's sorted-unique k-word-shingle hashes."""
+    return np.unique(_word_shingle_hashes([text], k)[0])
 
 
 def _char_ngrams_many(texts, n: int = 3) -> list[np.ndarray]:
@@ -174,28 +178,35 @@ def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
 # minhash + LSH
 # ---------------------------------------------------------------------------
 
+# documents per block of the permutation loop: a block's shingle hashes
+# and their per-permutation temporaries stay in cache (on 64 k documents
+# 2 048 took 0.41 s against 0.68 s unblocked; 8 192 gained nothing)
+_SIG_BLOCK_DOCS = 2048
+
+
 def minhash_signatures_batch(batch: pa.Table, id_col: str, text_col: str,
                              num_perm: int, k_shingle: int) -> pa.Table:
-    """Per-doc minhash signatures, vectorised with segment minima."""
-    texts = batch[text_col].to_pylist()
-    sh = _word_shingles_many(texts, k_shingle)
-    counts = np.array([len(s) for s in sh], dtype=np.int64)
-    flat = np.concatenate(sh) if sh else np.empty(0, dtype=np.uint64)
-    off = np.zeros(len(sh) + 1, dtype=np.int64)
-    np.cumsum(counts, out=off[1:])
-    sigs = np.empty((len(sh), num_perm), dtype=np.uint64)
-    for p in range(num_perm):
-        v = hash64(flat, p + 1)
-        if len(v):
-            sigs[:, p] = np.minimum.reduceat(v, off[:-1])
-        else:
-            sigs[:, p] = 0
+    """(id, sig) rows: each document's ``num_perm`` minhash values as
+    one packed ``<u8`` binary. A minimum ignores repeats, so shingle
+    hashes go in undeduplicated; every permutation runs as one segment
+    minimum per block of :data:`_SIG_BLOCK_DOCS` documents, and ``sig``
+    wraps one buffer."""
+    flat, off = _word_shingle_hashes(batch[text_col].to_pylist(),
+                                     k_shingle)
+    n = len(off) - 1
+    sigs = np.empty((n, num_perm), dtype="<u8")
+    for d0 in range(0, n, _SIG_BLOCK_DOCS):
+        d1 = min(n, d0 + _SIG_BLOCK_DOCS)
+        seg = flat[off[d0]:off[d1]]
+        starts = off[d0:d1] - off[d0]
+        for p in range(num_perm):
+            sigs[d0:d1, p] = np.minimum.reduceat(hash64(seg, p + 1), starts)
+    width = 8 * num_perm
     return pa.table({
         id_col: batch[id_col],
-        "sig": pa.array([s.astype("<u8").tobytes() for s in sigs],
-                        pa.binary()),
-        "shingles": pa.array([s.astype("<u8").tobytes() for s in sh],
-                             pa.binary()),
+        "sig": pa.BinaryArray.from_buffers(pa.binary(), n, [
+            None, pa.py_buffer(np.arange(n + 1, dtype=np.int32) * width),
+            pa.py_buffer(sigs)]),
     })
 
 
@@ -437,9 +448,32 @@ def _pair_columns(pairs_ds) -> tuple[np.ndarray, np.ndarray]:
 def _jaccard_kernel(threshold: float, col, ia: np.ndarray, ib: np.ndarray):
     """Exact Jaccard of packed-shingle rows ``ia`` x ``ib`` of ``col``."""
     flat, off = _binary_u64_csr(col)
-    jac = _jaccard_csr(flat, off, ia, ib)
+    return _jaccard_scored(threshold, _jaccard_csr(flat, off, ia, ib))
+
+
+def _jaccard_scored(threshold: float, jac: np.ndarray):
     return jac >= threshold, {"jaccard": pa.array(np.round(jac, 6),
                                                    pa.float64())}
+
+
+def _text_jaccard_kernel(threshold: float, k: int, col, ia: np.ndarray,
+                         ib: np.ndarray):
+    """Exact word-``k``-shingle Jaccard of text rows ``ia`` x ``ib`` of
+    ``col``. Shingle sets are built for the rows the pairs use only: one
+    :func:`_word_shingle_hashes` pass over them, then one (row, hash)
+    lexsort that sorts and dedupes every set at once."""
+    rows, inv = np.unique(np.concatenate([ia, ib]), return_inverse=True)
+    flat, off = _word_shingle_hashes(
+        col.take(pa.array(rows)).to_pylist(), k)
+    doc = np.repeat(np.arange(len(rows)), np.diff(off))
+    order = np.lexsort((flat, doc))
+    flat, doc = flat[order], doc[order]
+    new = np.ones(len(flat), bool)
+    new[1:] = (flat[1:] != flat[:-1]) | (doc[1:] != doc[:-1])
+    flat, doc = flat[new], doc[new]
+    off = np.searchsorted(doc, np.arange(len(rows) + 1))
+    return _jaccard_scored(threshold, _jaccard_csr(
+        flat, off, inv[:len(ia)], inv[len(ia):]))
 
 
 def _hamming_kernel(max_hamming: int, col, ia: np.ndarray, ib: np.ndarray):
@@ -472,12 +506,12 @@ def _verify_chunk(kernel, got: pa.Table, id_col: str, payload_col: str,
                    np.searchsorted(ids, b))
 
 
-def _verify_pairs(cand, sig_ds, id_col: str, payload_col: str, kernel,
+def _verify_pairs(cand, payload_ds, id_col: str, payload_col: str, kernel,
                   nb: int | None):
     """The near-dup verify tail: raw candidate pairs (duplicates
     allowed) -> an (a, b, score) Dataset of the distinct pairs that
     ``kernel(col, ia, ib) -> (keep mask, {score name: values})`` keeps.
-    ``col`` is ``sig_ds``'s ``payload_col`` (one row per id), and
+    ``col`` is ``payload_ds``'s ``payload_col`` (one row per id), and
     ``ia``/``ib`` index each pair's two rows in it.
 
     The pairs dedupe in one fold first, and the gate reads the distinct
@@ -488,13 +522,15 @@ def _verify_pairs(cand, sig_ds, id_col: str, payload_col: str, kernel,
     and pair chunks verify in plain tasks. Past it the pairs meet their
     payloads through two id joins, and a map verifies each joined
     block."""
-    cand = _distinct_pairs(cand, nb).materialize()
+    cand = unreserved(_distinct_pairs(cand, nb).materialize())
     if cand.count() > PAIRS_BROADCAST_MAX:
-        return _verify_joined(cand, sig_ds, id_col, payload_col, kernel, nb)
+        return _verify_joined(cand, payload_ds, id_col, payload_col, kernel,
+                              nb)
     a, b = _pair_columns(cand)
     if not len(a):
         e = np.empty(0, np.int64)
-        return rd.from_arrow(_scored(kernel, pa.array([]), e, e, e, e))
+        return unreserved(rd.from_arrow(
+            _scored(kernel, pa.array([]), e, e, e, e)))
     involved = ray.put(np.unique(np.concatenate([a, b])))
 
     def gather(t: pa.Table) -> pa.Table:
@@ -503,26 +539,26 @@ def _verify_pairs(cand, sig_ds, id_col: str, payload_col: str, kernel,
             pa.array(np.isin(ids, ray.get(involved))))
 
     got = ray.put(pa.concat_tables([
-        t for t in map(ray.get, sig_ds.map_batches(
+        t for t in map(ray.get, payload_ds.map_batches(
             gather, batch_format="pyarrow").to_arrow_refs())
         if t.num_rows]).sort_by(id_col).combine_chunks())
     # one chunk per partition slot: a chunk's kernel is one numpy pass,
     # so more chunks than CPUs only add task overhead
     n_chunks = min(groupby_partitions(), len(a) // 1024 + 1)
-    return rd.from_arrow_refs([
+    return unreserved(rd.from_arrow_refs([
         _verify_chunk.remote(kernel, got, id_col, payload_col, ac, bc)
         for ac, bc in zip(np.array_split(a, n_chunks),
-                          np.array_split(b, n_chunks))])
+                          np.array_split(b, n_chunks))]))
 
 
-def _verify_joined(cand, sig_ds, id_col: str, payload_col: str, kernel,
+def _verify_joined(cand, payload_ds, id_col: str, payload_col: str, kernel,
                    nb: int | None):
     """:func:`_verify_pairs`' join route: each pair picks up its two
     payloads by id, then one map scores every joined block."""
-    ptype = sig_ds.schema().base_schema.field(payload_col).type
+    ptype = payload_ds.schema().base_schema.field(payload_col).type
 
     def side(key: str):
-        return sig_ds.map_batches(lambda t: pa.table({
+        return payload_ds.map_batches(lambda t: pa.table({
             key: t[id_col].cast(pa.int64()), "p" + key: t[payload_col]}),
             batch_format="pyarrow")
 
@@ -582,29 +618,33 @@ def minhash_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
 
     Banding folds (band, bucket digest, id) rows only (see
     :func:`_band_rows`); candidates verify by exact shingle Jaccard in
-    :func:`_verify_pairs`. Verified edge sets up to
+    :func:`_verify_pairs`, whose payload is the input's text: only the
+    candidates' shingle sets are ever built
+    (:func:`_text_jaccard_kernel`). Verified edge sets up to
     :data:`PAIRS_BROADCAST_MAX` cluster with a driver union-find, larger
     ones with distributed :func:`connected_components`."""
-    # read once: the signature map and the ``dup_of`` attach both use it
-    ds = ds.materialize()
+    # read once: the signature map, the verify payload and the
+    # ``dup_of`` attach all use it
+    ds = unreserved(ds.materialize())
     sig_ds = ds.map_batches(
         lambda b: minhash_signatures_batch(b, id_col, text_col, num_perm,
                                            k_shingle),
-        batch_format="pyarrow").materialize()
-    if not sig_ds.count() and (schema := ds.schema()) is not None:
+        batch_format="pyarrow")
+    if not ds.count() and (schema := ds.schema()) is not None:
         # a map is never called on a zero-row block, so type the empty
         # result here: the input's columns plus ``dup_of``
-        return rd.from_arrow(schema.base_schema.empty_table().append_column(
-            "dup_of", pa.array([], pa.int64())))
+        return unreserved(rd.from_arrow(
+            schema.base_schema.empty_table().append_column(
+                "dup_of", pa.array([], pa.int64()))))
     banded = sig_ds.map_batches(
-        lambda b: _band_rows(b.select([id_col, "sig"]), id_col, num_perm,
-                             bands),
+        lambda b: _band_rows(b, id_col, num_perm, bands),
         batch_format="pyarrow")
     cand = _keyed_pairs_bucketed(banded, ["band", "bucket"], id_col,
                                  num_partitions, cap=bucket_cap)
-    edges = _verify_pairs(cand, sig_ds, id_col, "shingles",
-                          functools.partial(_jaccard_kernel, threshold),
-                          num_partitions).materialize()
+    edges = unreserved(_verify_pairs(
+        cand, ds, id_col, text_col,
+        functools.partial(_text_jaccard_kernel, threshold, k_shingle),
+        num_partitions).materialize())
     n_edges = edges.count()
     # the driver union-find wins at this size: on 64 k docs (7 155
     # candidate pairs, 2 Ray CPUs) the stage took a median 4.23 s with
@@ -663,8 +703,9 @@ def simhash_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
     """Exact Hamming-<=k pairs over 64-bit text simhashes (see
     :func:`hamming_pairs` for the banding machinery, shared with the
     image-dHash near-dup)."""
-    sig = ds.map_batches(lambda b: simhash_batch(b, id_col, text_col),
-                         batch_format="pyarrow").materialize()
+    sig = unreserved(ds.map_batches(
+        lambda b: simhash_batch(b, id_col, text_col),
+        batch_format="pyarrow").materialize())
     return hamming_pairs(sig, id_col=id_col, hash_col="simhash",
                          max_hamming=max_hamming,
                          num_partitions=num_partitions)
@@ -759,9 +800,9 @@ def ngram_jaccard_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
     at least one indexed gram, so the candidate set is complete and the
     output equals the exact all-pairs answer (which is what the SQL oracle
     computes)."""
-    sig_ds = ds.map_batches(
+    sig_ds = unreserved(ds.map_batches(
         lambda b: _ngram_sigs_tbl(b, id_col, text_col, n),
-        batch_format="pyarrow").materialize()
+        batch_format="pyarrow").materialize())
 
     cand = _keyed_pairs_bucketed(sig_ds.map_batches(
         lambda b: _prefix_rows_tbl(b, id_col, threshold),
@@ -792,14 +833,14 @@ def similarity_join(left_ds, right_ds, id_col: str = "doc_id",
     a < 2^40 <= b+offset guarantees the orientation."""
     from ray.data.expressions import col
 
-    sig_ds = left_ds.map_batches(
+    sig_ds = unreserved(left_ds.map_batches(
         lambda b: _ngram_sigs_tbl(b, id_col, text_col, n,
                                   id_limit=_SIMJOIN_OFFSET),
         batch_format="pyarrow").union(right_ds.map_batches(
             lambda b: _ngram_sigs_tbl(b, id_col, text_col, n,
                                       id_offset=_SIMJOIN_OFFSET,
                                       id_limit=_SIMJOIN_OFFSET),
-            batch_format="pyarrow")).materialize()
+            batch_format="pyarrow")).materialize())
 
     def cross_only(t: pa.Table) -> pa.Table:
         a = np.asarray(t["a"].to_numpy(zero_copy_only=False), np.int64)
@@ -864,28 +905,6 @@ def _segment_cones(cents: np.ndarray, caps: np.ndarray, lo: int, hi: int,
     return out
 
 
-def _gate_block_pairs(summaries: list[tuple[np.ndarray, float]],
-                      threshold: float):
-    """Upper-triangular block pairs whose cone bound can reach threshold.
-
-    ``summaries``: per-block (unit centroid, cos_cap) where cos_cap =
-    min member cosine to the centroid. For any v in A, w in B:
-    angle(v, w) >= theta_AB - cap_A - cap_B, so
-    cos(v, w) <= cos(max(0, theta_AB - cap_A - cap_B)) — a SOUND bound:
-    gated-out pairs provably contain no hit (vectorised B x B driver
-    pass)."""
-    n = len(summaries)
-    if n == 0:
-        return []
-    cents = np.stack([c for c, _ in summaries])
-    caps = np.arccos(np.clip([cc for _, cc in summaries], -1.0, 1.0))
-    theta = np.arccos(np.clip(cents @ cents.T, -1.0, 1.0))
-    bound = np.cos(np.maximum(theta - caps[:, None] - caps[None, :], 0.0))
-    iu, ju = np.triu_indices(n)
-    ok = bound[iu, ju] >= threshold
-    return list(zip(iu[ok].tolist(), ju[ok].tolist()))
-
-
 def embedding_near_dup(ds, id_col: str = "vec_id",
                        emb_col: str = "embedding",
                        threshold: float = 0.95,
@@ -921,7 +940,7 @@ def embedding_near_dup(ds, id_col: str = "vec_id",
     import ray.data as rd
 
     if lsh_sort:
-        ds = ds.materialize()
+        ds = unreserved(ds.materialize())
         n_vecs = ds.count()
         n_anchors = int(np.clip(
             int(np.ceil(n_vecs / max(block_rows, 1) / 2)), 1, 4096))
@@ -1019,14 +1038,14 @@ def embedding_near_dup(ds, id_col: str = "vec_id",
             "cos_cap": pa.array([cos_cap], pa.float64()),
         })
 
-    packed = ds.map_batches(pack, batch_format="pyarrow",
-                            batch_size=block_rows).materialize()
+    packed = unreserved(ds.map_batches(pack, batch_format="pyarrow",
+                                       batch_size=block_rows).materialize())
     n_blocks = packed.count()
     empty_pairs = pa.table({
         "a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
         "cosine": pa.array([], pa.float64())})
     if n_blocks == 0:
-        return rd.from_arrow(empty_pairs)
+        return unreserved(rd.from_arrow(empty_pairs))
 
     # hierarchical gate (round-3 verdict item): blocks group into ~sqrt(B)
     # tables; each table segments its consecutive (direction-sorted)
@@ -1039,7 +1058,7 @@ def embedding_near_dup(ds, id_col: str = "vec_id",
     # Member summaries stay in the object store (no per-block driver
     # refs) and are fetched per table on first survival.
     n_groups = int(np.clip(round(np.sqrt(n_blocks)), 1, n_blocks))
-    packed = packed.repartition(n_groups).materialize()
+    packed = unreserved(packed.repartition(n_groups).materialize())
     table_refs = packed.to_arrow_refs()
 
     @ray.remote(num_returns=2)
@@ -1062,7 +1081,7 @@ def embedding_near_dup(ds, id_col: str = "vec_id",
     member_refs = [r[1] for r in sum_refs]
     live = [t for t, (c, _, n) in enumerate(small) if n > 0]
     if not live:
-        return rd.from_arrow(empty_pairs)
+        return unreserved(rd.from_arrow(empty_pairs))
 
     pair_items = []
     mem_cache: dict[int, tuple] = {}
@@ -1134,7 +1153,7 @@ def embedding_near_dup(ds, id_col: str = "vec_id",
     global _LAST_GATE_STATS
     _LAST_GATE_STATS = gate_stats
     if not pair_items:
-        return rd.from_arrow(empty_pairs)
+        return unreserved(rd.from_arrow(empty_pairs))
 
     def _row_block(tbl: pa.Table, r: int):
         ids = np.frombuffer(tbl["ids"][r].as_py(), dtype="<i8")
@@ -1174,7 +1193,7 @@ def embedding_near_dup(ds, id_col: str = "vec_id",
                          "b": pa.array(b, pa.int64()),
                          "cosine": pa.array(c, pa.float64())})
 
-    pairs = rd.from_items(pair_items)
+    pairs = unreserved(rd.from_items(pair_items))
     if len(pair_items) > 1:
         pairs = pairs.repartition(min(len(pair_items), 256))
     return pairs.map_batches(compute, batch_format="numpy")
@@ -1350,13 +1369,13 @@ def incremental_dedup(new_ds, ref_ds, id_col: str = "doc_id",
 
     if bloom_bits_per_item > 0:
         # pass 1 (map-only): candidate hashes = new docs possibly in ref
-        new_h = new_h.materialize()
+        new_h = unreserved(new_h.materialize())
         n_new = new_h.count()
         mr, kr = _bloom_params(max(ref_ds.count(), 1),
                                bloom_bits_per_item)
         ref_words = ray.put(bloom_build(ref_h, mr, kr))
-        cand_h = _bloom_filter_ds(new_h, ref_words, mr, kr,
-                                  keep_hits=True).materialize()
+        cand_h = unreserved(_bloom_filter_ds(new_h, ref_words, mr, kr,
+                                             keep_hits=True).materialize())
         # pass 2 (map-only): reference rows that can touch a candidate
         mc, kc = _bloom_params(max(n_new, 1), bloom_bits_per_item)
         cand_words = ray.put(bloom_build(cand_h, mc, kc))
@@ -1382,7 +1401,7 @@ def incremental_dedup(new_ds, ref_ds, id_col: str = "doc_id",
     # the distributed hash semi-join below is the contract (no driver
     # keep-set). No survivors also takes the semi-join, which types its
     # zero-row result from ``new_ds``'s blocks.
-    keep = keep.materialize()
+    keep = unreserved(keep.materialize())
     if 0 < keep.count() <= KEEP_BROADCAST_MAX:
         ids_ref = ray.put(np.sort(np.concatenate([
             np.asarray(t[id_col].to_numpy(zero_copy_only=False), np.int64)
@@ -1517,9 +1536,9 @@ def line_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
                          f"got {shuffle_key!r}")
     # materialized: the keep fold and the survivor join both read it, and
     # the upstream plan and the explode run once
-    ex = ds.map_batches(
+    ex = unreserved(ds.map_batches(
         lambda b: _explode_lines(b, id_col, text_col, delim, carry_cols),
-        batch_format="pyarrow").materialize()
+        batch_format="pyarrow").materialize())
 
     # first-occurrence decision: fold on the LINE (all copies of a line
     # co-locate), one in-partition pandas groupby on the raw string —
@@ -1556,7 +1575,8 @@ def _line_dedup_hash(ds, id_col: str, text_col: str, delim: str,
 
     # materialized: the keep fold and the survivor fold both read it, and
     # the upstream plan, the explode and the hashing run once
-    ex = ds.map_batches(explode_hashed, batch_format="pyarrow").materialize()
+    ex = unreserved(ds.map_batches(explode_hashed,
+                                   batch_format="pyarrow").materialize())
 
     def fold_first(g: pa.Table) -> pa.Table:
         # a keep-key's doc IS the doc that keeps the line, so the keep
@@ -1627,7 +1647,7 @@ def semantic_dedup(ds, n_clusters: int = 8, threshold: float = 0.4,
     # the input feeds seed selection + every Lloyd's pass + the assign
     # pass + the prune shuffle: materialize once instead of re-running
     # the read plan per pass
-    ds = ds.materialize()
+    ds = unreserved(ds.materialize())
     if fit_iters > 0:
         centers = kmeans_fit(ds, n_clusters, iters=fit_iters,
                              id_col=id_col, emb_col=emb_col)

@@ -22,6 +22,7 @@ import numpy as np
 import pyarrow as pa
 
 from pyrosm_ray.stages import codecs
+from pyrosm_ray.stages.blocks import unreserved
 
 MEDIA_SCHEMA = pa.schema([
     ("id", pa.int64()),
@@ -168,8 +169,8 @@ def image_near_dup(media_ds, max_hamming: int = 4,
     (complete pigeonhole banding — same machinery as the text simhash
     route, so scale behavior is already characterised)."""
     from pyrosm_ray.stages.dedup import hamming_pairs
-    sig = image_dhash(media_ds, batch_size=batch_size,
-                      concurrency=concurrency).materialize()
+    sig = unreserved(image_dhash(media_ds, batch_size=batch_size,
+                                 concurrency=concurrency).materialize())
     return hamming_pairs(sig, id_col="id", hash_col="dhash",
                          max_hamming=max_hamming,
                          num_partitions=num_partitions)
@@ -334,8 +335,8 @@ def audio_near_dup(media_ds, max_hamming: int = 4,
     audio twin of :func:`image_near_dup`, riding the same complete
     pigeonhole :func:`pyrosm_ray.stages.dedup.hamming_pairs` banding."""
     from pyrosm_ray.stages.dedup import hamming_pairs
-    sig = audio_fingerprints(media_ds, batch_size=batch_size,
-                             concurrency=concurrency).materialize()
+    sig = unreserved(audio_fingerprints(media_ds, batch_size=batch_size,
+                                        concurrency=concurrency).materialize())
     return hamming_pairs(sig, id_col="id", hash_col="afp",
                          max_hamming=max_hamming,
                          num_partitions=num_partitions)

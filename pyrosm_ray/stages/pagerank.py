@@ -43,7 +43,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from pyrosm_ray.stages.blocks import fold
+from pyrosm_ray.stages.blocks import fold, unreserved
 
 R0_MICRO = 1_000_000
 TELEPORT_MICRO = 150_000     # (1-d) = 0.15
@@ -103,18 +103,18 @@ def click_edges(ds, user_col: str = "user_id", ts_col: str = "ts",
 
     # materialize once: the count and the chosen route read the same
     # blocks, so the upstream plan runs once
-    ds = ds.select_columns([user_col, ts_col, node_col,
-                            order_col]).materialize()
+    ds = unreserved(ds.select_columns([user_col, ts_col, node_col,
+                                       order_col]).materialize())
     if ds.count() <= EVENTS_DRIVER_MAX:
         import ray.data as rd
         parts = [pa.table(b) for b in
                  ds.iter_batches(batch_size=1 << 18, batch_format="pyarrow")]
         tbl = pa.concat_tables(parts) if parts else None
         if tbl is None or not len(tbl):
-            return rd.from_arrow(empty)
+            return unreserved(rd.from_arrow(empty))
         # the whole stream is one partition: the fold body already
         # dedupes, so its single-pass output IS the distinct edge set
-        return rd.from_arrow(per_part(tbl))
+        return unreserved(rd.from_arrow(per_part(tbl)))
 
     pairs = fold(ds, user_col, per_part, num_partitions, empty)
     return _distinct_edges(pairs, num_partitions)
@@ -168,7 +168,7 @@ def pagerank(edges, iters: int = 5, src_col: str = "src",
     ``stats={}`` to receive ``iterations`` (and ``l1_delta_micro``)."""
     import ray.data as rd
 
-    edges = edges.materialize()
+    edges = unreserved(edges.materialize())
     if edges.count() > EDGES_DRIVER_MAX:
         return pagerank_partitioned(edges, iters, src_col, dst_col,
                                     tol_micro=tol_micro, stats=stats)
@@ -177,7 +177,7 @@ def pagerank(edges, iters: int = 5, src_col: str = "src",
                  batch_size=1 << 18, batch_format="pyarrow")]
     tbl = pa.concat_tables(parts) if parts else None
     if tbl is None or not len(tbl):
-        return rd.from_arrow(_ranks([], []))
+        return unreserved(rd.from_arrow(_ranks([], [])))
     s = np.asarray(tbl[src_col].to_numpy(zero_copy_only=False), np.int64)
     d = np.asarray(tbl[dst_col].to_numpy(zero_copy_only=False), np.int64)
     nodes = np.unique(np.concatenate([s, d]))
@@ -200,7 +200,7 @@ def pagerank(edges, iters: int = 5, src_col: str = "src",
     if stats is not None:
         stats["iterations"] = it_done
         stats["l1_delta_micro"] = delta
-    return rd.from_arrow(_ranks(nodes, rank))
+    return unreserved(rd.from_arrow(_ranks(nodes, rank)))
 
 
 def host_edges(links, url_col: str = "url", href_col: str = "href",
@@ -266,7 +266,7 @@ def pagerank_named(edges, iters: int = 5, src_col: str = "src_host",
         return pa.table({"src": pa.array(s.view(np.int64), pa.int64()),
                          "dst": pa.array(d.view(np.int64), pa.int64())})
 
-    hashed = edges.materialize()
+    hashed = unreserved(edges.materialize())
 
     # (hash, name) map: batch-distinct partials collect on the driver
     def name_rows(b: pa.Table) -> pa.Table:
@@ -426,7 +426,7 @@ def pagerank_partitioned(edges, iters: int = 5, src_col: str = "src",
     collected, so node universes past the driver ceiling still run.
     Executes the identical integer recurrence as :func:`pagerank`
     (parity-tested); ``tol_micro``/``stats`` as there."""
-    edges = edges.select_columns([src_col, dst_col]).materialize()
+    edges = unreserved(edges.select_columns([src_col, dst_col]).materialize())
     nb = int(num_partitions or np.clip(
         edges.count() // PAGERANK_BSP_ROWS_PER_SHARD + 1, 1,
         PAGERANK_BSP_MAX_PARTS))
@@ -477,8 +477,8 @@ def pagerank_partitioned(edges, iters: int = 5, src_col: str = "src",
         stats["l1_delta_micro"] = delta
     out = ray.remote(_pr_out)
     import ray.data as rd
-    return rd.from_arrow_refs(
-        [out.remote(statics[j], ranks[j]) for j in range(nb)])
+    return unreserved(rd.from_arrow_refs(
+        [out.remote(statics[j], ranks[j]) for j in range(nb)]))
 
 
 def _pagerank_iter_ctes(iters: int, node_type: str = "BIGINT") -> str:

@@ -38,7 +38,7 @@ import math
 import numpy as np
 import pyarrow as pa
 
-from pyrosm_ray.stages.blocks import exchange, fold
+from pyrosm_ray.stages.blocks import exchange, fold, unreserved
 
 
 def _histogram_batch(batch: pa.Table, group_col: str,
@@ -139,9 +139,9 @@ def group_quantiles(ds, group_col: str, value_col: str,
     empty = pa.table({"group": pa.array([], pa.string()),
                       **{f"q{j}": pa.array([], pa.int64())
                          for j in range(len(q_list))}})
-    hist = ds.map_batches(
+    hist = unreserved(ds.map_batches(
         lambda b: _histogram_batch(b, group_col, value_col),
-        batch_format="pyarrow").materialize()
+        batch_format="pyarrow").materialize())
     n_part = hist.count()
 
     if n_part > KEYED_FOLD_DRIVER_MAX:
@@ -151,8 +151,8 @@ def group_quantiles(ds, group_col: str, value_col: str,
         # across blocks, so this usually collapses the stream under the
         # ceiling and the compound-key fold below never runs
         cpus = max(2, int(ray.cluster_resources().get("CPU", 8)))
-        merged = hist.repartition(cpus).map_batches(
-            _merge_hist, batch_format="pyarrow").materialize()
+        merged = unreserved(hist.repartition(cpus).map_batches(
+            _merge_hist, batch_format="pyarrow").materialize())
         n_merged = merged.count()
         if n_merged < n_part:
             hist, n_part = merged, n_merged
@@ -269,13 +269,13 @@ def group_quantiles_continuous(ds, group_col: str, value_col: str,
     # task stays small at any corpus size
     hist = ds.map_batches(hist1, batch_format="pyarrow")
     if stats is not None:
-        hist = hist.materialize()
+        hist = unreserved(hist.materialize())
         stats["pass1_rows"] = hist.count()
     cand = exchange(hist, "__g", fold1, None, fold1(pa.table({
         "__g": pa.array([], pa.string()), "__b": pa.array([], pa.int64()),
         "__c": pa.array([], pa.int64())}))).to_pandas()
     if cand.empty:
-        return rd.from_arrow(empty)
+        return unreserved(rd.from_arrow(empty))
     # one row per (group, quantile) — inherently tiny; broadcast
     targets: dict[str, dict] = {}
     for gname, sub in cand.groupby("__g", sort=False):
@@ -344,7 +344,7 @@ def group_quantiles_continuous(ds, group_col: str, value_col: str,
 
     inbin = ds.map_batches(keep2, batch_format="pyarrow")
     if stats is not None:
-        inbin = inbin.materialize()
+        inbin = unreserved(inbin.materialize())
         stats["pass2_rows"] = inbin.count()
     return exchange(inbin, "__g", fold2, None, empty)
 
@@ -438,14 +438,3 @@ def quantile_bins(ds, group_col: str, value_col: str, qs: list[float],
                                    pa.array(out, pa.int64(), mask=null))
 
     return ds.map_batches(assign, batch_format="pyarrow")
-
-
-def quantile_bins_sql(table: str, group_col: str, value_expr: str,
-                      qs: list[float], out_col: str = "bin") -> str:
-    """DuckDB twin of :func:`quantile_bins`'s bin index for one row:
-    a CASE ladder over the same exact per-group quantile edges
-    (correlated via a grouped CTE named ``__qb_edges`` you must join)."""
-    qs = sorted(qs)
-    cases = " ".join(
-        f"WHEN {value_expr} <= e.q{j} THEN {j}" for j in range(len(qs)))
-    return f"(CASE {cases} ELSE {len(qs)} END)"

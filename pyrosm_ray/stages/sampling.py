@@ -39,7 +39,7 @@ import numpy as np
 import pyarrow as pa
 
 from pyrosm_ray.stages.blocks import exchange, fold, groupby_partitions, \
-    keyed_sum_auto
+    keyed_sum_auto, unreserved
 from pyrosm_ray.stages.hashing import hash64, hash64_sql
 
 
@@ -216,7 +216,8 @@ def _scan_buckets(ds, key_fn, val_fn, emit_fn, num_buckets: int):
     # whole upstream plan (a composed pipeline may carry shuffles above
     # this point — measured 4x re-execution in the dedup->mix->rank->
     # pack chain; the object store spills rather than re-computing)
-    tagged = ds.map_batches(tag, batch_format="pyarrow").materialize()
+    tagged = unreserved(ds.map_batches(tag,
+                                       batch_format="pyarrow").materialize())
 
     # driver fast path: below the row ceiling the whole scan —
     # histogram, prefix, per-bucket emit — runs locally with the SAME
@@ -252,7 +253,7 @@ def _scan_buckets(ds, key_fn, val_fn, emit_fn, num_buckets: int):
             outs.append(_scan_emit(t.slice(runs[i],
                                            runs[i + 1] - runs[i]),
                                    base, emit_fn))
-        return rd.from_arrow(pa.concat_tables(outs))
+        return unreserved(rd.from_arrow(pa.concat_tables(outs)))
 
     sums = keyed_sum_auto(tagged.map_batches(
         lambda b: b.select(["__bucket", "__val"]), batch_format="pyarrow"),

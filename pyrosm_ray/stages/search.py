@@ -41,6 +41,8 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from pyrosm_ray.stages.blocks import unreserved
+
 
 def _doc_term_matrix(texts, terms: np.ndarray):
     """Per-doc token counts and per-(doc, term) tf over sorted ``terms``.
@@ -166,14 +168,14 @@ def bm25_topk(ds, query: str, k: int = 10, id_col: str = "doc_id",
                                batch_format="pyarrow").to_pandas()
     if not len(parts):
         import ray.data as rd
-        return rd.from_arrow(pa.table({
+        return unreserved(rd.from_arrow(pa.table({
             id_col: pa.array([], pa.int64()),
-            "score_micro": pa.array([], pa.int64())}))
+            "score_micro": pa.array([], pa.int64())})))
     parts = parts.sort_values(["score_micro", id_col],
                               ascending=[False, True]).head(k)
     import ray.data as rd
-    return rd.from_arrow(pa.Table.from_pandas(parts.reset_index(drop=True),
-                                              preserve_index=False))
+    return unreserved(rd.from_arrow(pa.Table.from_pandas(
+        parts.reset_index(drop=True), preserve_index=False)))
 
 
 def build_postings(ds, id_col: str = "doc_id", text_col: str = "text",
@@ -327,14 +329,14 @@ def bm25_topk_from_postings(path: str, query: str, k: int = 10,
     empty = pa.table({id_col: pa.array([], pa.int64()),
                       "score_micro": pa.array([], pa.int64())})
     if not len(terms):
-        return rd.from_arrow(empty)
+        return unreserved(rd.from_arrow(empty))
     tb = stable64_many(list(terms)) % np.uint64(meta["num_buckets"])
     files = [os.path.join(path, f"bucket={int(x)}", "part.parquet")
              for x in sorted(set(tb.tolist()))]
     files = [f for f in files if os.path.exists(f)]
     if not files:
-        return rd.from_arrow(empty)
-    post = rd.read_parquet(files)
+        return unreserved(rd.from_arrow(empty))
+    post = unreserved(rd.read_parquet(files))
     terms_ref = ray.put(terms)
 
     def hit(t: pa.Table) -> pa.Table:
@@ -342,7 +344,8 @@ def bm25_topk_from_postings(path: str, query: str, k: int = 10,
                                  pa.array(list(ray.get(terms_ref)),
                                           pa.string())))
 
-    hits = post.map_batches(hit, batch_format="pyarrow").materialize()
+    hits = unreserved(post.map_batches(hit,
+                                       batch_format="pyarrow").materialize())
 
     # df per term (tiny: bounded by matching postings)
     m = len(terms)
@@ -392,12 +395,12 @@ def bm25_topk_from_postings(path: str, query: str, k: int = 10,
              .iter_batches(batch_format="pyarrow")]
     parts = [t for t in parts if t.num_rows]
     if not parts:
-        return rd.from_arrow(empty)
+        return unreserved(rd.from_arrow(empty))
     agg = pa.concat_tables(parts).to_pandas() \
         .sort_values(["m", id_col], ascending=[False, True]).head(k) \
         .rename(columns={"m": "score_micro"})
-    return rd.from_arrow(pa.Table.from_pandas(
-        agg.reset_index(drop=True), preserve_index=False))
+    return unreserved(rd.from_arrow(pa.Table.from_pandas(
+        agg.reset_index(drop=True), preserve_index=False)))
 
 
 def bm25_score_sql(query: str, doc_table: str = "documents",

@@ -26,6 +26,8 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from pyrosm_ray.stages.blocks import unreserved
+
 
 def _normalize(m: np.ndarray) -> np.ndarray:
     return m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-12)
@@ -223,7 +225,7 @@ def ivf_topk_partitioned(index_dir: str, queries: np.ndarray, k: int = 10,
     dss = []
     for p in paths:
         cell = cell_of_path[p]
-        sub = rd.read_parquet(p, columns=[id_col, emb_col])
+        sub = unreserved(rd.read_parquet(p, columns=[id_col, emb_col]))
 
         def tag(batch: pa.Table, c=cell) -> pa.Table:
             return batch.append_column(
@@ -397,7 +399,7 @@ def kmeans_fit(ds, n_clusters: int = 16, iters: int = 10,
     the parquet scan per pass (object-store blocks + spill are exactly
     the cache an iterative fixpoint wants).
     """
-    ds = ds.materialize()
+    ds = unreserved(ds.materialize())
     centers = _normalize(lowest_id_vectors(ds, n_clusters, id_col,
                                            emb_col))
     for _ in range(iters):

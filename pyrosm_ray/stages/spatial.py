@@ -41,7 +41,7 @@ import ray
 import ray.data as rd
 
 from pyrosm_ray.stages.blocks import (co_join, fold, groupby_partitions,
-                                      keyed_sum_auto)
+                                      keyed_sum_auto, unreserved)
 
 import functools
 
@@ -535,9 +535,9 @@ def pack_polygon_index(polygons_ds, id_col: str = "id",
     brute-bbox oversize shard checked per batch. Each shard's candidate
     grid adapts to ITS polygons (better than one global resolution)."""
     lay = layer or "polygons"
-    packed = polygons_ds.map_batches(
+    packed = unreserved(polygons_ds.map_batches(
         lambda b: _pack_polygon_batch(b, id_col),
-        batch_format="pyarrow").materialize()
+        batch_format="pyarrow").materialize())
 
     def stats(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
@@ -919,10 +919,10 @@ def pack_point_index(points_ds, id_col: str = "id",
     from per-block stats and launches tasks — no O(N) concat or argsort
     runs on the driver (round-3 verdict item; the
     build_coord_index_sharded pattern, topology.py)."""
-    packed = points_ds.map_batches(
+    packed = unreserved(points_ds.map_batches(
         functools.partial(_pack_point_batch, id_col=id_col,
                           lon_col=lon_col, lat_col=lat_col),
-        batch_format="pyarrow", batch_size=1 << 18).materialize()
+        batch_format="pyarrow", batch_size=1 << 18).materialize())
     block_refs = packed.to_arrow_refs()
     stats = ray.get([_point_stats_task.remote(r) for r in block_refs]) \
         if block_refs else []
@@ -1445,9 +1445,9 @@ def pip_join_partitioned(pages_ds, polygons_ds, cell_res: int = 7,
 
     # distributed WKB decode into the compact packed form (bbox + coord
     # buffer + ring lengths) — consumed twice: cover keys and geometry
-    packed = polygons_ds.map_batches(
+    packed = unreserved(polygons_ds.map_batches(
         lambda b: _pack_polygon_batch(b, id_col),
-        batch_format="pyarrow").materialize()
+        batch_format="pyarrow").materialize())
 
     def inline_mask(batch: pa.Table, chosen: np.ndarray) -> np.ndarray:
         """Which polygons ship their packed geometry ON the cover rows:
@@ -1488,7 +1488,7 @@ def pip_join_partitioned(pages_ds, polygons_ds, cell_res: int = 7,
     layer_empty = _PIP_HITS_EMPTY.append_column(
         "polygon_layer", pa.array([], pa.string()))
     if not used:  # no polygons -> empty join, pages schema preserved
-        hits = rd.from_arrow(layer_empty)
+        hits = unreserved(rd.from_arrow(layer_empty))
         if not join_payload:
             return hits
         return _join_payload(pages_ds, hits, layer_empty, num_partitions)
@@ -1575,10 +1575,10 @@ def pip_join_partitioned(pages_ds, polygons_ds, cell_res: int = 7,
     hits1 = s1.map_batches(
         lambda b: b.filter(b["confirmed"]).select(["url", "polygon_id"]),
         batch_format="pyarrow")
-    deferred = s1.map_batches(
+    deferred = unreserved(s1.map_batches(
         lambda b: b.filter(pc.invert(b["confirmed"]))
                    .drop_columns(["confirmed"]),
-        batch_format="pyarrow").materialize()
+        batch_format="pyarrow").materialize())
 
     # stage 2 (large geometries only): the pairs and ONE compact
     # packed-geometry row per polygon are the two sides of one fold on
@@ -1846,8 +1846,8 @@ def knn_join_partitioned(pages_ds, pois_ds, k: int = 1,
     # handful of blocks, which would serialize the 9x ring replication
     # into one task per round
     n_cpus = max(4, int(ray.cluster_resources().get("CPU", 8)))
-    base = pois_ds.map_batches(poi_coords, batch_format="pyarrow") \
-        .repartition(n_cpus).materialize()
+    base = unreserved(pois_ds.map_batches(poi_coords, batch_format="pyarrow")
+                      .repartition(n_cpus).materialize())
     if cell_res is None:
         def stats(b: pa.Table) -> pa.Table:
             if b.num_rows == 0:
@@ -1913,9 +1913,9 @@ def knn_join_partitioned(pages_ds, pois_ds, k: int = 1,
         undone = ranked.filter(expr="knn_rank == 0") \
             .select_columns(["url", "lon", "lat"])
         done_parts.append(
-            done.select_columns(["url", "poi_id", "distance_m",
-                                 "knn_rank"]).materialize())
-        unresolved = undone.materialize()
+            unreserved(done.select_columns(["url", "poi_id", "distance_m",
+                                            "knn_rank"]).materialize()))
+        unresolved = unreserved(undone.materialize())
         n_unres = int(unresolved.count())
         if n_unres == 0:
             break
@@ -1962,9 +1962,10 @@ def knn_join_partitioned(pages_ds, pois_ds, k: int = 1,
         part_df["knn_rank"] = part_df.groupby("url").cumcount() + 1
         part_df = part_df[part_df.knn_rank <= k]
         part_df["distance_m"] = part_df["distance_m"].round(3)
-        done_parts.append(rd.from_pandas(part_df.reset_index(drop=True)))
+        done_parts.append(unreserved(rd.from_pandas(
+            part_df.reset_index(drop=True))))
     if not done_parts:  # zero input pages: loop and sweep both skipped
-        done_parts = [rd.from_arrow(_KNN_HITS_EMPTY)]
+        done_parts = [unreserved(rd.from_arrow(_KNN_HITS_EMPTY))]
     hits = done_parts[0]
     for d_ in done_parts[1:]:
         hits = hits.union(d_)
@@ -2004,10 +2005,10 @@ def radius_join_partitioned(pages_ds, pois_ds, radius_m: float = 200.0,
         m = float(np.max(np.abs(lat))) if len(lat) else 0.0
         return pa.table({"m": pa.array([m], pa.float64())})
 
-    pois_nar = pois_ds.map_batches(
+    pois_nar = unreserved(pois_ds.map_batches(
         lambda b: pa.table({
             id_col: b[id_col], "lon": b["lon"], "lat": b["lat"]}),
-        batch_format="pyarrow").materialize()
+        batch_format="pyarrow").materialize())
     stats = pois_nar.map_batches(lat_stat,
                                  batch_format="pyarrow").to_pandas()
     maxlat = min(float(stats["m"].max()) if len(stats) else 0.0, 89.0)

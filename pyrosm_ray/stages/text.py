@@ -19,6 +19,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from pyrosm_ray.stages.blocks import unreserved
+
 # BPE-ish pre-tokenisation: letter runs, digit runs, single punctuation
 TOKEN_RE = r"[A-Za-z]+|[0-9]+|[^A-Za-z0-9\s]"
 STOPWORDS_EN = ("the", "a", "of", "and", "to", "in", "is")
@@ -520,7 +522,7 @@ def pmi_topk(ds, k: int = 50, min_count: int = 5,
                       "n": pa.array([], pa.int64()),
                       "pmi_micro": pa.array([], pa.int64())})
     if not bgs_l:
-        return rd.from_arrow(empty)
+        return unreserved(rd.from_arrow(empty))
     vb = np.concatenate(bgs_l)
     vc = np.concatenate(counts_l).astype(np.int64)
     total = int(vc.sum())
@@ -534,7 +536,7 @@ def pmi_topk(ds, k: int = 50, min_count: int = 5,
     np.add.at(cs, c2, vc)
     keep = vc >= min_count
     if not keep.any():
-        return rd.from_arrow(empty)
+        return unreserved(rd.from_arrow(empty))
     cfk = cf[c1][keep].astype(np.float64)
     csk = cs[c2][keep].astype(np.float64)
     pmi = np.log((vc[keep].astype(np.float64) * total) / (cfk * csk))
@@ -543,8 +545,8 @@ def pmi_topk(ds, k: int = 50, min_count: int = 5,
                         "n": vc[keep], "pmi_micro": micro})
     dfp = dfp.sort_values(["pmi_micro", "w1", "w2"],
                           ascending=[False, True, True]).head(k)
-    return rd.from_arrow(pa.Table.from_pandas(
-        dfp.reset_index(drop=True), preserve_index=False))
+    return unreserved(rd.from_arrow(pa.Table.from_pandas(
+        dfp.reset_index(drop=True), preserve_index=False)))
 
 
 def pmi_topk_sql(doc_table: str = "documents", k: int = 50,

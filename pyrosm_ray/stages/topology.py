@@ -39,7 +39,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from pyrosm_ray.stages.blocks import co_join, fold
+from pyrosm_ray.stages.blocks import co_join, fold, unreserved
 
 from pyrosm_ray.geom import ops, wkb
 
@@ -127,7 +127,8 @@ def build_coord_index_sharded(nodes_ds,
     Returns a broadcastable manifest ``{"sharded": True, "bounds": arr,
     "shards": [ObjectRef((ids, lon, lat)), ...]}`` that
     :func:`gather_coords` consumes transparently."""
-    ds = nodes_ds.select_columns(["id", "lon", "lat"]).materialize()
+    ds = unreserved(
+        nodes_ds.select_columns(["id", "lon", "lat"]).materialize())
     block_refs = [r for r in ds.to_arrow_refs()]
     if not block_refs:
         return ray.put({"sharded": True, "bounds": np.empty(0, np.int64),

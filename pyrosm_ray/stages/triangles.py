@@ -42,7 +42,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from pyrosm_ray.stages.blocks import co_join, fold, keyed_sum_fold
+from pyrosm_ray.stages.blocks import co_join, fold, keyed_sum_fold, \
+    unreserved
 
 TRI_DRIVER_MAX = 1 << 21   # canonical edges (16 B/row) the driver collects
 
@@ -209,8 +210,8 @@ def _attach_deg(rows, deg, key_col: str, out_col: str, cols: list[str],
 
 def _triangles_distributed(edges, src_col: str, dst_col: str,
                            nb: int | None):
-    canon = _distinct_canonical(edges, src_col, dst_col, nb) \
-        .materialize()
+    canon = unreserved(
+        _distinct_canonical(edges, src_col, dst_col, nb).materialize())
 
     def deg_partial(t: pa.Table) -> pa.Table:
         both = np.concatenate([
@@ -221,9 +222,9 @@ def _triangles_distributed(edges, src_col: str, dst_col: str,
         return pa.table({"node": pa.array(uniq, pa.int64()),
                          "deg": pa.array(cnt, pa.int64())})
 
-    deg = keyed_sum_fold(
+    deg = unreserved(keyed_sum_fold(
         canon.map_batches(deg_partial, batch_format="pyarrow"),
-        "node", ["deg"], num_partitions=nb).materialize()
+        "node", ["deg"], num_partitions=nb).materialize())
 
     # attach deg to both endpoints (two co-partitioned joins)
     with_da = _attach_deg(canon, deg, "a", "deg_a", ["a", "b"], nb)
@@ -242,8 +243,8 @@ def _triangles_distributed(edges, src_col: str, dst_col: str,
             "v": pa.array(np.where(a_first, b, a), pa.int64()),
             "dv": pa.array(np.where(a_first, db, da), pa.int64())})
 
-    oriented = both.map_batches(orient,
-                                batch_format="pyarrow").materialize()
+    oriented = unreserved(
+        both.map_batches(orient, batch_format="pyarrow").materialize())
 
     # wedges: fold on u, per-partition segmented CSR enumeration
     def wedge_fold(g: pa.Table) -> pa.Table:
@@ -326,18 +327,18 @@ def triangle_counts(edges, src_col: str = "src", dst_col: str = "dst",
 
     # the route gate needs a count and both routes re-read the edges, so
     # materialize once (narrow rows; the object store spills if big)
-    edges = edges.materialize()
+    edges = unreserved(edges.materialize())
     if edges.count() <= TRI_DRIVER_MAX:
         parts = [_canon_batch(pa.table(b), src_col, dst_col)
                  for b in edges.iter_batches(batch_format="pyarrow")]
         parts = [t for t in parts if t.num_rows]
         if not parts:
-            return rd.from_arrow(_EMPTY)
+            return unreserved(rd.from_arrow(_EMPTY))
         t = pa.concat_tables(parts)
         a, b = _dedup_pairs(
             np.asarray(t["a"].to_numpy(zero_copy_only=False), np.int64),
             np.asarray(t["b"].to_numpy(zero_copy_only=False), np.int64))
-        return rd.from_arrow(_triangles_np(a, b))
+        return unreserved(rd.from_arrow(_triangles_np(a, b)))
     return _triangles_distributed(edges, src_col, dst_col, num_partitions)
 
 

@@ -293,30 +293,6 @@ def test_embedding_near_dup_blockpairs(ray_session):
     assert (3, 10) in got and (14, 25) in got
 
 
-def test_gate_block_pairs_sound_and_pruning():
-    """Cone-bound gate: never drops a pair that can reach threshold; on
-    well-separated clusters it prunes most of the grid."""
-    rng = np.random.default_rng(5)
-    d, per = 16, 32
-    centers = np.eye(d)[:6]  # 6 orthogonal cluster directions
-    blocks = []
-    for c in centers:
-        v = c + 0.05 * rng.normal(size=(per, d))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        cm = v.mean(axis=0)
-        cm /= np.linalg.norm(cm)
-        blocks.append((v, cm, float(np.min(v @ cm))))
-    summaries = [(cm, cap) for _, cm, cap in blocks]
-    kept = set(dedup._gate_block_pairs(summaries, threshold=0.8))
-    # soundness: every block pair with an actual hit survives the gate
-    for i in range(len(blocks)):
-        for j in range(i, len(blocks)):
-            if (blocks[i][0] @ blocks[j][0].T >= 0.8).any():
-                assert (i, j) in kept
-    # pruning: orthogonal clusters -> only the 6 diagonal self-pairs
-    assert kept == {(i, i) for i in range(6)}
-
-
 def test_embedding_near_dup_lsh_gate_parity(ray_session):
     """LSH-sorted + cone-gated path returns exactly the ungated pair set
     (threshold join exactness is preserved by the sound bound)."""
@@ -385,6 +361,74 @@ def test_jaccard_csr_kernel():
         union = len(sa) + len(sb) - inter
         want = inter / union if union else 1.0
         assert abs(got[k] - want) < 1e-12, (k, got[k], want)
+
+
+# edge texts for the signature and Jaccard kernels: no text, empty, one
+# and two words (padded to one shingle), repeated shingles, non-ASCII
+_EDGE_TEXTS = [None, "", "one", "two words", "a b c a b c a b c a b c",
+               "the the the the the",
+               "Straße café ÜBER naïve 東京 東京 東京 東京",
+               "  spaced\tout \n words  here  "]
+
+
+def _word_corpus(n: int) -> list[str]:
+    rng = np.random.default_rng(3)
+    vocab = [f"w{i}" for i in range(300)]
+    return [" ".join(rng.choice(vocab, size=int(rng.integers(1, 40))))
+            for _ in range(n)]
+
+
+def _sig_table(texts) -> pa.Table:
+    t = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
+                  "text": pa.array(texts, pa.string())})
+    return dedup.minhash_signatures_batch(t, "doc_id", "text", 64, 3)
+
+
+def test_minhash_sig_bytes_pinned():
+    """``sig`` bytes equal the per-document reference (min of each
+    permutation over the sorted-unique shingle set) and the digests the
+    shingle-payload kernel produced before signatures stopped deduping
+    shingles; 5 000 documents cross the 2 048-document block bounds."""
+    import hashlib
+
+    for texts, digest in (
+            (_EDGE_TEXTS, "18ad0ae0d9b30703cf59fceb6da0715b"
+                          "24ac4425aab30e6e5be276614678319a"),
+            (_word_corpus(5000), "33f9bbf75718a06923d5ea191c96ce88"
+                                 "8c40400d2f18901212de2e97bf175f2f")):
+        out = _sig_table(texts)
+        assert out.column_names == ["doc_id", "sig"]
+        sigs = out["sig"].to_pylist()
+        assert hashlib.sha256(b"".join(sigs)).hexdigest() == digest
+        for i in [*range(len(_EDGE_TEXTS)), 2047, 2048, 2049, 4999]:
+            if i < len(texts):
+                sh = dedup._word_shingles(texts[i])
+                want = np.array([hash64(sh, p + 1).min()
+                                 for p in range(64)], "<u8").tobytes()
+                assert sigs[i] == want, i
+
+
+def test_text_jaccard_kernel_matches_packed_kernel():
+    """The text kernel (shingle sets for the gathered rows only, one
+    lexsort) scores exactly as the packed-shingle kernel."""
+    texts = _EDGE_TEXTS + _word_corpus(400)
+    rng = np.random.default_rng(5)
+    ia = rng.integers(0, len(texts), 3000)
+    ib = rng.integers(0, len(texts), 3000)
+    ia[:len(_EDGE_TEXTS)] = np.arange(len(_EDGE_TEXTS))
+    ib[:len(_EDGE_TEXTS)] = np.arange(len(_EDGE_TEXTS))[::-1]
+    packed = pa.array([dedup._word_shingles(t).astype("<u8").tobytes()
+                       for t in texts], pa.binary())
+    for threshold in (0.0, 0.3, 0.8):
+        keep_a, score_a = dedup._jaccard_kernel(threshold, packed, ia, ib)
+        keep_b, score_b = dedup._text_jaccard_kernel(
+            threshold, 3, pa.chunked_array([pa.array(texts, pa.string())]),
+            ia, ib)
+        assert np.array_equal(keep_a, keep_b)
+        assert score_a["jaccard"].equals(score_b["jaccard"])
+    e = np.empty(0, np.int64)
+    keep, score = dedup._text_jaccard_kernel(0.8, 3, pa.array([]), e, e)
+    assert len(keep) == 0 and len(score["jaccard"]) == 0
 
 
 def test_embedding_near_dup_hierarchical_gate_subquadratic(ray_session):
