@@ -1359,9 +1359,10 @@ def q_tile_rollup(sf_dir: str):
 
 def q_zonal_stats(sf_dir: str):
     """Raster<->vector zonal statistics (the north rule's raster stage):
-    pages rasterize to per-res-7-tile 32x32 page-count grids, building
-    polygons replicate to covering tiles and reduce the raster under
-    their pixel-centre even-odd mask -> per-(polygon, tile)
+    pages rasterize to per-res-7-tile 32x32 page-count grids; each
+    building polygon is masked on the pixel-centre lattice of every tile
+    its bbox covers (even-odd), and the raster is reduced under the mask
+    -> per-(polygon, tile)
     pixel_count / value_sum / value_mean. Both the pixel binning and the
     pixel-centre lattice are dyadic-exact IEEE arithmetic emitted
     verbatim in the SQL twin (stages/raster.py)."""

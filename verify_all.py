@@ -8,6 +8,7 @@ so every round self-verifies the full board without waiting for the judge.
 
 Usage:
     python verify_all.py                      # all queries, sf0.01
+    RAY_GRAFT_CPUS=2 python verify_all.py     # Ray CPUs (default: usable cores)
     python verify_all.py --names q_funnel,q_retention
     python verify_all.py --sf-dir /root/testdata/sf0.001
 
@@ -145,7 +146,8 @@ def main() -> int:
     import ray
     if not ray.is_initialized():
         ray.init(address="local",
-                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+                 num_cpus=int(os.environ.get(
+                     "RAY_GRAFT_CPUS", len(os.sched_getaffinity(0)))),
                  include_dashboard=False, ignore_reinit_error=True)
     logging.getLogger("ray.data").setLevel(logging.WARNING)
     try:
