@@ -15,12 +15,17 @@ cuts balance the uncompressed bytes of the columns actually read: each
 cut sits at the row-group boundary nearest its even share. A file
 without rows still plans one task, so the result always carries the
 file's (column-pruned) schema.
+
+Every read task declares that schema exactly as the blocks carry it
+(:func:`_block_schema`), so ``ds.schema()`` on a fresh read runs no Ray
+Data execution.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
 
 import numpy as np
 import pyarrow.parquet as pq
@@ -101,6 +106,16 @@ def _plan_tasks(files: list[str], columns: list[str] | None,
     return tasks
 
 
+def _block_schema(path: str, columns: list[str] | None):
+    """The schema of ``path``'s decoded blocks as their consumers see
+    them: a zero-group ``read_row_groups`` of the file, pickled as a
+    block is on its way out of its read task. Pickling renames a map
+    column's entries to ``entries`` (the file's footer keeps the
+    writer's name), so the footer schema alone would not match."""
+    return pickle.loads(pickle.dumps(pq.ParquetFile(path).read_row_groups(
+        [], columns=columns))).schema
+
+
 def read_parquet_split(path: str, columns: list[str] | None = None,
                        num_blocks: int | None = None) -> "rd.Dataset":
     """Read parquet with row-group-level task splitting (see module doc).
@@ -117,8 +132,9 @@ def read_parquet_split(path: str, columns: list[str] | None = None,
                                      columns).sum()) for f in files)
         target = max(1, min(target, math.ceil(total / num_blocks)))
     tasks = _plan_tasks(files, columns, _cluster_cpus(), target)
+    schemas = {f: _block_schema(f, columns) for f in files}
     return unreserved(rd.read_datasource(
-        _RowGroupDatasource(tasks, columns),
+        _RowGroupDatasource(tasks, columns, schemas),
         override_num_blocks=len(tasks)))
 
 
@@ -130,11 +146,12 @@ class _RowGroupDatasource(Datasource):
     a ``batch_size`` bundles ALL planned read tasks into one Ray task
     (Ray sizes bundles by input rows) — the whole chain silently runs
     serially. ReadTasks declare the decoded row counts, so bundling and
-    fusion see the true weights."""
+    fusion see the true weights, and each file's decoded schema."""
 
-    def __init__(self, tasks, columns):
+    def __init__(self, tasks, columns, schemas):
         self._tasks = tasks
         self._columns = columns
+        self._schemas = schemas
 
     def estimate_inmemory_data_size(self):
         return sum(b for *_, b in self._tasks)
@@ -153,5 +170,5 @@ class _RowGroupDatasource(Datasource):
                     rgs, columns=columns)]
             out.append(ReadTask(_read, BlockMetadata(
                 num_rows=n, size_bytes=b, exec_stats=None,
-                input_files=[f])))
+                input_files=[f]), schema=self._schemas[f]))
         return out

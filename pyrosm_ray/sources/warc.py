@@ -398,7 +398,9 @@ def write_warc(ds, out_dir: str, url_col: str = "url",
             "resumed": pa.array([False], pa.bool_()),
         })
 
-    # map_batches with the default batch_size=None = one call per block
+    # map_batches with the default batch_size=None = one call per block;
+    # materialized first, as ``to_arrow_refs`` on a lazy plan runs it
+    # again to fetch the schema (and would rewrite shards)
     return pa.concat_tables(
-        ray.get(ds.map_batches(sink, batch_size=None,
-                               batch_format="pyarrow").to_arrow_refs()))
+        ray.get(ds.map_batches(sink, batch_size=None, batch_format="pyarrow")
+                .materialize().to_arrow_refs()))

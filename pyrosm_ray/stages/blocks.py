@@ -18,6 +18,25 @@ blocks are skipped from their metadata, and an empty partition returns
 a typed table. Outputs stay object refs; nothing is gathered on the
 driver.
 
+A fold may have several outputs: given a tuple of typed zero-row
+tables as ``empty``, ``fn`` returns one table per output, each reduce
+task returns them as separate objects (``num_returns=len(empty)``), and
+the fold returns one Dataset per output, so a kernel that splits its
+rows (done/undone, confirmed/deferred) needs no filter pass over its
+result. :func:`fold_blocks` is the same fold returning the block refs
+of each output, for callers that join several folds' outputs into one
+Dataset (:func:`dataset`).
+
+Small per-block facts (row counts, bounds, the levels a block uses)
+come from :func:`probe`: one plain Ray task per block ref, results
+gathered. A geo or corpus stage runs no Ray Data execution except the
+ones that stream its inputs (a fold's sides, a map the caller consumes):
+every execution costs a fixed 25-70 ms on the driver whatever its size
+(a ``map_batches(...).materialize()`` over four tiny blocks took 69 ms
+on 2 Ray CPUs, ``take(1)`` on a materialized Dataset 24 ms, four plain
+tasks 7 ms). Reading the blocks of a ``materialize()`` result is free;
+reading those of a Dataset wrapped from refs is one such execution.
+
 ``nb=None`` sizes the split from the input as its blocks stream out:
 while the non-empty rows seen (all sides together) stay within
 :data:`KEYED_FOLD_DRIVER_MAX` the blocks are held unsplit, and if the
@@ -233,16 +252,24 @@ def _side_table(parts, schema) -> pa.Table:
     return schema.empty_table() if schema is not None else pa.table({})
 
 
+def _typed(out, empty: pa.Table) -> pa.Table:
+    return empty if out is None or not out.num_rows else out
+
+
 @ray.remote
-def _fold_reduce(fn, empty: pa.Table, schemas, counts, *parts) -> pa.Table:
+def _fold_reduce(fn, empty, schemas, counts, *parts):
+    """One partition: ``fn`` over its rows per side. With a tuple
+    ``empty`` it returns one table per output (the task runs with
+    ``num_returns=len(empty)``), each typed by its ``empty``."""
     sides, at = [], 0
     for n, schema in zip(counts, schemas):
         sides.append(_side_table(parts[at:at + n], schema))
         at += n
-    if not any(t.num_rows for t in sides):
-        return empty
-    out = fn(*sides)
-    return empty if out is None or not out.num_rows else out
+    out = fn(*sides) if any(t.num_rows for t in sides) else None
+    if not isinstance(empty, tuple):
+        return _typed(out, empty)
+    outs = tuple(map(_typed, out or (None,) * len(empty), empty))
+    return outs if len(outs) > 1 else outs[0]
 
 
 def _per_key(fn, key: str, t: pa.Table) -> pa.Table | None:
@@ -280,8 +307,60 @@ def _keys(keys) -> list[str]:
     return [keys] if isinstance(keys, str) else list(keys)
 
 
-def fold(ds, keys, fn, nb: int | None, empty: pa.Table | None
-         ) -> rd.Dataset:
+@ray.remote
+def _block_task(fn, block):
+    return fn(_table(block))
+
+
+def _block_refs(blocks) -> list:
+    if isinstance(blocks, rd.Dataset):
+        return [ref for bundle in blocks.iter_internal_ref_bundles()
+                for ref, meta in bundle.blocks if meta.num_rows]
+    return list(blocks)
+
+
+def block_tasks(blocks, fn) -> list:
+    """One plain Ray task ``fn(block)`` per block -> the result refs, in
+    block order. ``blocks`` is a list of block refs or a Dataset, whose
+    zero-row blocks are skipped from their metadata (a ``materialize()``
+    result runs no Ray Data execution here; a lazy one streams once)."""
+    return [_block_task.remote(fn, ref) for ref in _block_refs(blocks)]
+
+
+def probe(blocks, fn) -> list:
+    """:func:`block_tasks` gathered: ``fn``'s (small) result for every
+    block, in block order."""
+    return ray.get(block_tasks(blocks, fn))
+
+
+def dataset(refs: list) -> rd.Dataset:
+    """Block refs (e.g. :func:`fold_blocks` outputs, several folds'
+    together) as one engine-built Dataset, without the Ray Data
+    execution a ``union`` costs."""
+    return unreserved(rd.from_arrow_refs(list(refs)))
+
+
+def fold_blocks(ds, keys, fn, nb: int | None, empty) -> list:
+    """:func:`fold` without the Dataset wrapping: one list of partition
+    block refs per output (a one-item list when ``empty`` is a table).
+    Concatenate lists and wrap them with :func:`dataset`; reading a
+    freshly wrapped Dataset's blocks back costs a Ray Data execution."""
+    sides = ds if isinstance(ds, tuple) else (ds,)
+    parts, schemas = _partition(sides, _keys(keys), nb)
+    if empty is None:
+        empty = schemas[0].empty_table() if schemas[0] is not None \
+            else pa.table({})
+    n_out = len(empty) if isinstance(empty, tuple) else 1
+    reduce = _fold_reduce.options(num_returns=n_out)
+    outs = []
+    for i in range(len(parts[0])):
+        refs = reduce.remote(fn, empty, schemas, [len(p[i]) for p in parts],
+                             *(r for p in parts for r in p[i]))
+        outs.append(refs if n_out > 1 else [refs])
+    return [[o[j] for o in outs] for j in range(n_out)]
+
+
+def fold(ds, keys, fn, nb: int | None, empty):
     """Hash-split ``ds`` on its real ``keys`` (a column name or a list)
     into ``nb`` partitions (``None``: sized from the input, see the
     module docstring) and call ``fn`` once per partition with all of its
@@ -293,16 +372,16 @@ def fold(ds, keys, fn, nb: int | None, empty: pa.Table | None
     zero-row table (see :func:`_side_table`), so ``fn`` knows its sides
     without a tag column. A partition with no rows on any side, or
     whose ``fn`` output has none, returns ``empty`` (``None``: the first
-    side's streamed schema), so every output block is typed."""
-    sides = ds if isinstance(ds, tuple) else (ds,)
-    parts, schemas = _partition(sides, _keys(keys), nb)
-    if empty is None:
-        empty = schemas[0].empty_table() if schemas[0] is not None \
-            else pa.table({})
-    return unreserved(rd.from_arrow_refs([
-        _fold_reduce.remote(fn, empty, schemas, [len(p[i]) for p in parts],
-                            *(r for p in parts for r in p[i]))
-        for i in range(len(parts[0]))]))
+    side's streamed schema), so every output block is typed.
+
+    ``empty`` may be a tuple of typed zero-row tables: then ``fn``
+    returns one table (or None) per output, each partition's reduce
+    task returns them as separate objects (``num_returns=len(empty)``),
+    and ``fold`` returns a tuple of Datasets, one per output. An output
+    that is None or has no rows in a partition is its ``empty``
+    there."""
+    out = tuple(map(dataset, fold_blocks(ds, keys, fn, nb, empty)))
+    return out if isinstance(empty, tuple) else out[0]
 
 
 def exchange(ds, key: str, fn, nb: int | None,
@@ -396,8 +475,8 @@ def keyed_sum_auto(partials, key_col: str, val_cols: list[str],
         # ~blocks x keys rows of which only ~keys are distinct. Coalesce
         # to ~cluster-width blocks (repartition(shuffle=False) = minimal
         # block-level movement, NO keyed exchange) and re-fold each —
-        # tile_rollup's sf3 fine level shrinks 2M partial rows to ~2%
-        # of that before any fold runs.
+        # a per-block res-9 page-cell count at sf3 shrank 2M partial
+        # rows to ~2% of that before any fold ran.
         cpus = _cluster_cpus()
         merged = unreserved(parts.repartition(max(2, cpus)).map_batches(
             lambda b: _fold_keyed(b, key_col, val_cols),

@@ -538,9 +538,11 @@ def _verify_pairs(cand, payload_ds, id_col: str, payload_col: str, kernel,
         return t.select([id_col, payload_col]).filter(
             pa.array(np.isin(ids, ray.get(involved))))
 
+    # materialized before its refs are taken: ``to_arrow_refs`` on a lazy
+    # plan runs it a second time to fetch the schema
     got = ray.put(pa.concat_tables([
         t for t in map(ray.get, payload_ds.map_batches(
-            gather, batch_format="pyarrow").to_arrow_refs())
+            gather, batch_format="pyarrow").materialize().to_arrow_refs())
         if t.num_rows]).sort_by(id_col).combine_chunks())
     # one chunk per partition slot: a chunk's kernel is one numpy pass,
     # so more chunks than CPUs only add task overhead

@@ -8,8 +8,8 @@ Pipeline shape (SURVEY.md §7.2 step 7):
    :func:`~pyrosm_ray.stages.blocks.fold` keyed by tile; its body bins a
    whole partition in one vectorised pass (one ``bincount`` into a
    tiles × grid² buffer).
-2. :func:`polygon_zonal_stats`: a polygon map does all of the geometry.
-   It packs each polygon once, covers its bbox with tiles at the
+2. :func:`polygon_zonal_stats`: one plain task per polygon block does
+   all of the geometry. It packs each polygon once, covers its bbox with tiles at the
    raster's resolution, tests only the pixel centres its bbox can reach
    with the even-odd kernel, and emits ``(polygon_id, tile, pix)``:
    the flat indices of the pixels inside. A two-sided fold on the tile
@@ -39,9 +39,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
+from ray.data.dataset import MaterializedDataset
 
 from pyrosm_ray.stages import spatial
-from pyrosm_ray.stages.blocks import fold, unreserved
+from pyrosm_ray.stages.blocks import (block_tasks, dataset, fold, probe,
+                                      unreserved)
 from pyrosm_ray.tiles import grid
 
 _OFFSET_MAX = 2 ** 31 - 1  # a binary array's int32 offsets
@@ -119,7 +121,7 @@ def _pixel_window(lo, hi, t0, t1, gs: int):
 
 def _polygon_masks(batch: pa.Table, id_col: str, tile_col: str, res: int,
                    gs: int) -> pa.Table:
-    """The zonal map: one ``(polygon_id, tile, pix)`` row per
+    """The zonal mask task: one ``(polygon_id, tile, pix)`` row per
     (polygon, tile its bbox covers at grid res ``res``), ``pix`` the
     ascending flat indices (``ix * gs + iy``) of the tile's pixels whose
     centre lies inside the polygon (even-odd). Non-polygon and null
@@ -210,25 +212,31 @@ def polygon_zonal_stats(polygons_ds, raster_ds, tile_col: str = "h3_r7",
     value_sum and value_mean of the raster under the polygon's
     pixel-centre even-odd mask.
 
-    Two steps (see the module docstring). A map over the polygon
-    blocks computes every (polygon, tile) mask as pixel indices; then a
-    two-sided :func:`~pyrosm_ray.stages.blocks.fold` on the tile joins
-    the masks with ``raster_ds`` and gathers. Geometry stays in the map,
-    so continent-scale polygons cost one mask row per covering tile,
-    not one WKB copy. The raster resolution is read from one raster
-    row; an empty ``raster_ds`` gives an empty typed table."""
+    Two steps (see the module docstring). One plain task per non-empty
+    polygon block computes every (polygon, tile) mask as pixel indices;
+    then a two-sided :func:`~pyrosm_ray.stages.blocks.fold` on the tile
+    joins the masks with ``raster_ds`` and gathers. Geometry stays in
+    those tasks, so continent-scale polygons cost one mask row per covering tile,
+    not one WKB copy. The raster resolution is read from the first
+    raster row of each block in plain tasks (a lazy ``raster_ds`` is
+    materialized once first, so the probe and the fold read the same
+    blocks); an empty ``raster_ds`` gives an empty typed table."""
     empty = pa.table({"polygon_id": pa.array([], pa.int64()),
                       tile_col: pa.array([], pa.int64()),
                       "pixel_count": pa.array([], pa.int64()),
                       "value_sum": pa.array([], pa.float64()),
                       "value_mean": pa.array([], pa.float64())})
-    first = raster_ds.take(1)
+    if not isinstance(raster_ds, MaterializedDataset):
+        raster_ds = unreserved(raster_ds.materialize())
+    first = probe(raster_ds, lambda b: b[tile_col][0].as_py())
     if not first:
         return unreserved(rd.from_arrow(empty))
-    res = int(grid.cell_res(np.array([first[0][tile_col]]))[0])
-    masks = polygons_ds.map_batches(functools.partial(
+    res = int(grid.cell_res(np.array([first[0]]))[0])
+    # plain tasks over the non-empty polygon blocks: a map would emit a
+    # schema-less block for a zero-row one (a filtered layer has them)
+    masks = dataset(block_tasks(polygons_ds, functools.partial(
         _polygon_masks, id_col=id_col, tile_col=tile_col, res=res,
-        gs=grid_size), batch_format="pyarrow")
+        gs=grid_size)))
     return fold((masks, raster_ds.select_columns([tile_col, "raster"])),
                 tile_col, functools.partial(_zonal_partition,
                                             tile_col=tile_col), None, empty)

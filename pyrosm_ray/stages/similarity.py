@@ -368,9 +368,10 @@ def lowest_id_vectors(ds, k: int, id_col: str = "vec_id",
         keep = np.sort(np.argsort(ids, kind="stable")[:k])
         return batch.select([id_col, emb_col]).take(pa.array(keep))
 
+    # materialized first: ``to_arrow_refs`` on a lazy plan runs it twice
     parts = pa.concat_tables(
         ray.get(ds.map_batches(part, batch_format="pyarrow")
-                .to_arrow_refs()))
+                .materialize().to_arrow_refs()))
     ids = np.asarray(parts[id_col].to_numpy(zero_copy_only=False),
                      dtype=np.int64)
     order = np.argsort(ids, kind="stable")[:k]

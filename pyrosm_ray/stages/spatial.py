@@ -40,8 +40,9 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from pyrosm_ray.stages.blocks import (co_join, fold, groupby_partitions,
-                                      keyed_sum_auto, unreserved)
+from pyrosm_ray.stages.blocks import (block_tasks, co_join, dataset, fold,
+                                      fold_blocks, groupby_partitions,
+                                      keyed_sum_auto, probe, unreserved)
 
 import functools
 
@@ -161,70 +162,75 @@ def assign_tiles(pages_ds, resolutions=(5, 7, 9), salt_res: int = 9,
     return ds.map_batches(salt, batch_format="pyarrow")
 
 
-def tile_rollup(pages_ds, res_fine: int = 9, res_coarse: int = 5):
-    """Multi-resolution page-count pyramid (the north rule's
-    hierarchical res 5→9 tiling made an aggregate): pages geocode and
-    count ONCE at the finest resolution, then each coarser level rolls
-    up the PREVIOUS level's count table through an exact parent walk —
-    log-depth hierarchical aggregation whose shuffle shrinks ~4x per
-    level (the pages table never re-scans). The grid hierarchy is
-    bit-exact (bit-shift parents), so the rollup equals per-level
-    direct aggregation — the SQL twin computes every level directly
-    from the pages and must hash-match.
+_ROLLUP_EMPTY = pa.table({"res": pa.array([], pa.int64()),
+                          "cell": pa.array([], pa.int64()),
+                          "n_pages": pa.array([], pa.int64())})
 
-    -> (res, cell, n_pages) for res in [res_coarse, res_fine]."""
+
+def _rollup_levels(t: pa.Table, res_fine: int,
+                   res_coarse: int) -> pa.Table:
+    """One partition of per-block (cell, n_pages) partials at
+    ``res_fine``, keyed on each cell's ``res_coarse`` parent, ->
+    (res, cell, n_pages) for every level. The parent is a bit shift, so
+    the partition holds each of its coarse cells' whole subtree: the
+    fine cells sum once, and each coarser level sums the level below."""
     import pandas as pd
 
-    from pyrosm_ray.tiles import grid
+    cells = np.asarray(t["cell"].to_numpy(zero_copy_only=False), np.int64)
+    n = np.asarray(t["n_pages"].to_numpy(zero_copy_only=False), np.int64)
+    out = []
+    for r in range(res_fine, res_coarse - 1, -1):
+        codes, cells = pd.factorize(grid.parent(cells, grid.h3_equiv_res(r)))
+        acc = np.zeros(len(cells), np.int64)
+        np.add.at(acc, codes, n)
+        n = acc
+        out.append(pa.table({
+            "res": pa.array(np.full(len(cells), r, np.int64)),
+            "cell": pa.array(cells, pa.int64()),
+            "n_pages": pa.array(n, pa.int64())}))
+    return pa.concat_tables(out)
 
-    tiled = assign_tiles(pages_ds, resolutions=(res_fine,))
-    col = f"h3_r{res_fine}"
+
+def tile_rollup(pages_ds, res_fine: int = 9, res_coarse: int = 5):
+    """Multi-resolution page-count pyramid (the north rule's
+    hierarchical res 5→9 tiling made an aggregate) as ONE
+    :func:`~pyrosm_ray.stages.blocks.fold`: pages geocode and count once
+    per block at ``res_fine`` into (cell, n_pages) partials, and the
+    fold keys each partial on its cell's parent at ``res_coarse``. A
+    partition then holds every coarse cell's whole subtree (the grid
+    parent is a bit shift, so at most 4^(fine-coarse) fine cells per
+    coarse cell and block), sums the fine cells and rolls them up level
+    by level to ``res_coarse`` in place (:func:`_rollup_levels`). The
+    pages table is read once and no level runs its own exchange. The
+    rollup equals per-level direct aggregation: the SQL twin computes
+    every level directly from the pages and must hash-match.
+
+    -> (res, cell, n_pages) for res in [res_coarse, res_fine]; a
+    ``res_coarse`` above ``res_fine`` gives the fine level alone."""
+    return _point_rollup(geocode_pages(pages_ds), res_fine, res_coarse)
+
+
+def _point_rollup(points_ds, res_fine: int, res_coarse: int):
+    """:func:`tile_rollup` over any (lon, lat) point Dataset."""
+    import pandas as pd
+
+    res_coarse = min(res_coarse, res_fine)
+    fine = grid.h3_equiv_res(res_fine)
+    top = grid.h3_equiv_res(res_coarse)
 
     def partial(b: pa.Table) -> pa.Table:
-        cells = np.asarray(b[col].to_numpy(zero_copy_only=False),
-                           np.int64)
+        cells = grid.cell_id(b["lon"].to_numpy(zero_copy_only=False),
+                             b["lat"].to_numpy(zero_copy_only=False), fine)
         codes, uniq = pd.factorize(cells)
         cnt = np.bincount(codes, minlength=len(uniq)).astype(np.int64)
-        return pa.table({"cell": pa.array(uniq, pa.int64()),
+        return pa.table({"top": pa.array(grid.parent(uniq, top), pa.int64()),
+                         "cell": pa.array(uniq, pa.int64()),
                          "n_pages": pa.array(cnt, pa.int64())})
 
-    level = keyed_sum_auto(
-        tiled.map_batches(partial, batch_format="pyarrow"), "cell",
-        ["n_pages"])
-
-    def with_res(ds_level, r):
-        def add(b: pa.Table) -> pa.Table:
-            return pa.table({
-                "res": pa.array(np.full(b.num_rows, r, np.int64)),
-                "cell": b["cell"], "n_pages": b["n_pages"]})
-        return ds_level.map_batches(add, batch_format="pyarrow")
-
-    out = with_res(level, res_fine)
-    for r in range(res_fine - 1, res_coarse - 1, -1):
-        gres = grid.h3_equiv_res(r)
-
-        def up(b: pa.Table, gres=gres) -> pa.Table:
-            cells = np.asarray(b["cell"].to_numpy(zero_copy_only=False),
-                               np.int64)
-            n = np.asarray(b["n_pages"].to_numpy(zero_copy_only=False),
-                           np.int64)
-            par = grid.parent(cells, gres)
-            codes, uniq = pd.factorize(par)
-            acc = np.zeros(len(uniq), np.int64)
-            np.add.at(acc, codes, n)
-            return pa.table({"cell": pa.array(uniq, pa.int64()),
-                             "n_pages": pa.array(acc, pa.int64())})
-
-        # auto-routed fold: the level tables shrink ~4x per step and are
-        # usually far below the driver-fold ceiling — a full hash shuffle
-        # per level was pure aggregator spin-up (tile_rollup measured
-        # 0.29 scaling efficiency at sf3 BECAUSE of it; the fold route
-        # still engages for a 10^8-cell res-9 table at 100 TB)
-        level = keyed_sum_auto(
-            level.map_batches(up, batch_format="pyarrow"), "cell",
-            ["n_pages"])
-        out = out.union(with_res(level, r))
-    return out
+    return fold(points_ds.map_batches(partial, batch_format="pyarrow"),
+                "top", functools.partial(_rollup_levels, res_fine=res_fine,
+                                         res_coarse=res_coarse),
+                None, _ROLLUP_EMPTY)
 
 
 def tile_rollup_sql(pages_expr: str, lon_sql: str, lat_sql: str,
@@ -535,33 +541,23 @@ def pack_polygon_index(polygons_ds, id_col: str = "id",
     brute-bbox oversize shard checked per batch. Each shard's candidate
     grid adapts to ITS polygons (better than one global resolution)."""
     lay = layer or "polygons"
-    packed = unreserved(polygons_ds.map_batches(
-        lambda b: _pack_polygon_batch(b, id_col),
-        batch_format="pyarrow").materialize())
+    packed = block_tasks(polygons_ds, functools.partial(
+        _pack_polygon_batch, id_col=id_col))
 
-    def stats(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.table({"n": pa.array([], pa.int64()),
-                             "minx": pa.array([], pa.float64()),
-                             "miny": pa.array([], pa.float64()),
-                             "maxx": pa.array([], pa.float64()),
-                             "maxy": pa.array([], pa.float64())})
-        return pa.table({
-            "n": pa.array([b.num_rows], pa.int64()),
-            "minx": pa.array([pc.min(b["x0"]).as_py()], pa.float64()),
-            "miny": pa.array([pc.min(b["y0"]).as_py()], pa.float64()),
-            "maxx": pa.array([pc.max(b["x1"]).as_py()], pa.float64()),
-            "maxy": pa.array([pc.max(b["y1"]).as_py()], pa.float64()),
-        })
+    def stats(b: pa.Table) -> tuple:
+        return (b.num_rows, pc.min(b["x0"]).as_py(), pc.min(b["y0"]).as_py(),
+                pc.max(b["x1"]).as_py(), pc.max(b["y1"]).as_py())
 
-    st = packed.map_batches(stats, batch_format="pyarrow").to_pandas()
-    n_polys = int(st["n"].sum()) if len(st) else 0
+    st = np.array(probe(packed, stats), np.float64).reshape(-1, 5)
+    packed = [ref for ref, n in zip(packed, st[:, 0]) if n]
+    st = st[st[:, 0] > 0]
+    n_polys = int(st[:, 0].sum())
     if n_polys == 0:
         return ray.put({"sharded": True, "top_res": 0,
                         "cells": np.empty(0, np.int64), "shards": [],
                         "oversize_shard": None, "layer": lay})
-    spanx = max(float(st["maxx"].max() - st["minx"].min()), 1e-6)
-    spany = max(float(st["maxy"].max() - st["miny"].min()), 1e-6)
+    spanx = max(float(st[:, 3].max() - st[:, 1].min()), 1e-6)
+    spany = max(float(st[:, 4].max() - st[:, 2].min()), 1e-6)
     try:
         cpus = int(ray.cluster_resources().get("CPU", 8))
     except Exception:
@@ -576,9 +572,8 @@ def pack_polygon_index(polygons_ds, id_col: str = "id",
     top_res = int(np.clip(round(0.5 * np.log2(
         max(target, 1) * 360.0 * 180.0 / (spanx * spany))), 0, 18))
 
-    block_refs = packed.to_arrow_refs()
     routed = ray.get([_route_block_task.remote(ref, top_res, MAX_TOP_COVER)
-                      for ref in block_refs])
+                      for ref in packed])
     from collections import defaultdict
     cell_parts: dict[int, list] = defaultdict(list)
     over_parts: list = []
@@ -1269,20 +1264,27 @@ def _choose_cover_res(bx: dict, ladder, max_cover: int) -> np.ndarray:
     return chosen
 
 
-_PIP_S1_EMPTY = pa.table({
+_PIP_DEFERRED_EMPTY = pa.table({
     "url": pa.array([], pa.string()), "lon": pa.array([], pa.float64()),
     "lat": pa.array([], pa.float64()),
-    "polygon_id": pa.array([], pa.int64()),
-    "confirmed": pa.array([], pa.bool_())})
+    "polygon_id": pa.array([], pa.int64())})
 _PIP_HITS_EMPTY = pa.table({
     "url": pa.array([], pa.string()),
-    "polygon_id": pa.array([], pa.int64())})
+    "polygon_id": pa.array([], pa.int64()),
+    "polygon_layer": pa.array([], pa.string())})
 
 
-def _pip_cells_pairs(pg: pa.Table, po: pa.Table) -> pa.Table | None:
+def _pip_hits(url, polygon_id, layer: str) -> pa.Table:
+    return pa.table({"url": url, "polygon_id": polygon_id,
+                     "polygon_layer": pa.array([layer] * len(url),
+                                               pa.string())})
+
+
+def _pip_cells_pairs(pg: pa.Table, po: pa.Table, layer: str) -> tuple:
     """One cell partition's page rows and polygon cover-key rows ->
-    bbox-pruned candidate (page, polygon) pairs, exact-confirmed
-    in-kernel when the cover row carries inline geometry.
+    (hits, deferred): bbox-pruned candidate (page, polygon) pairs,
+    exact-confirmed in-kernel when the cover row carries inline
+    geometry (hits), else left for stage 2 (deferred).
 
     Pages and cover keys arrive as the two sides of one fold on the
     cell; candidates are generated in here (page x cover keys sharing
@@ -1294,10 +1296,11 @@ def _pip_cells_pairs(pg: pa.Table, po: pa.Table) -> pa.Table | None:
     Cover rows whose ``coords`` column is non-null (small polygons whose
     packed geometry fit the inline-replication budget) are confirmed
     HERE with the same even-odd kernel stage 2 uses, and leave as
-    ``confirmed=True`` hit rows — those polygons skip the second
-    all-to-all entirely. Rows with null ``coords`` (large geometries,
-    which must never replicate per covering cell) leave as
-    ``confirmed=False`` candidate pairs for the stage-2 polygon-keyed
+    (url, polygon_id, polygon_layer) hit rows, the fold's first output
+    — those polygons skip the second all-to-all entirely. Rows with
+    null ``coords`` (large geometries, which must never replicate per
+    covering cell) leave as (url, lon, lat, polygon_id) candidate
+    pairs, the fold's second output, for the stage-2 polygon-keyed
     confirm."""
     if pg.num_rows == 0 or po.num_rows == 0:
         return None
@@ -1323,16 +1326,15 @@ def _pip_cells_pairs(pg: pa.Table, po: pa.Table) -> pa.Table | None:
     plat = lat_pg[pgi]
     inline = np.asarray(pc.is_valid(po["coords"])
                         .to_numpy(zero_copy_only=False))[qi]
-    parts = []
+    deferred = hits = None
     d = ~inline
     if d.any():
-        parts.append(pa.table({
+        deferred = pa.table({
             "url": pc.take(pg["url"], pa.array(pgi[d], pa.int64())),
             "lon": pa.array(plon[d], pa.float64()),
             "lat": pa.array(plat[d], pa.float64()),
             "polygon_id": pa.array(pid[qi[d]], pa.int64()),
-            "confirmed": pa.array(np.zeros(int(d.sum()), bool)),
-        }))
+        })
     if inline.any():
         qs = qi[inline]
         uq, local = np.unique(qs, return_inverse=True)
@@ -1345,26 +1347,20 @@ def _pip_cells_pairs(pg: pa.Table, po: pa.Table) -> pa.Table | None:
         np.cumsum(rlens, out=ring_offsets[1:])
         poly_ring_offsets = (roff // 8).astype(np.int64)
         edges, peo = _build_edges(coords, ring_offsets, poly_ring_offsets)
-        ilon = plon[inline]
-        ilat = plat[inline]
         keep = _confirm_pip({"poly_edge_offsets": peo, "edges": edges},
                             np.arange(len(qs), dtype=np.int64), local,
-                            ilon, ilat)
-        parts.append(pa.table({
-            "url": pc.take(pg["url"], pa.array(pgi[inline][keep],
-                                               pa.int64())),
-            "lon": pa.array(ilon[keep], pa.float64()),
-            "lat": pa.array(ilat[keep], pa.float64()),
-            "polygon_id": pa.array(pid[qs[keep]], pa.int64()),
-            "confirmed": pa.array(np.ones(int(keep.sum()), bool)),
-        }))
-    return pa.concat_tables(parts) if parts else None
+                            plon[inline], plat[inline])
+        hits = _pip_hits(
+            pc.take(pg["url"], pa.array(pgi[inline][keep], pa.int64())),
+            pa.array(pid[qs[keep]], pa.int64()), layer)
+    return hits, deferred
 
 
-def _pip_confirm_group(pairs: pa.Table, geoms: pa.Table) -> pa.Table | None:
+def _pip_confirm_group(pairs: pa.Table, geoms: pa.Table,
+                       layer: str) -> pa.Table | None:
     """One polygon partition's candidate pairs and packed geometry rows
     (the two sides of one fold on ``polygon_id``) -> exact even-odd
-    confirmed (url, polygon_id) hits.
+    confirmed (url, polygon_id, polygon_layer) hits.
 
     The partition's polygons are unpacked ONCE (zero-copy CSR over the
     packed coord/ring-length buffers, one flat edge build) and every
@@ -1393,7 +1389,7 @@ def _pip_confirm_group(pairs: pa.Table, geoms: pa.Table) -> pa.Table | None:
                         np.arange(len(pairs), dtype=np.int64), local,
                         px, py)
     kept = pairs.filter(pa.array(keep))
-    return pa.table({"url": kept["url"], "polygon_id": kept["polygon_id"]})
+    return _pip_hits(kept["url"], kept["polygon_id"], layer)
 
 
 def pip_join_partitioned(pages_ds, polygons_ds, cell_res: int = 7,
@@ -1433,21 +1429,30 @@ def pip_join_partitioned(pages_ds, polygons_ds, cell_res: int = 7,
     Adaptive single-shuffle fast path: a polygon whose packed geometry
     x covering-cell count fits ``geom_inline_budget`` bytes ships the
     geometry ON its cover rows, and stage 1 confirms its pairs exactly
-    in-kernel (``confirmed=True`` hits) — for building-scale layers
-    (~100 B packed, 1-4 cells) the ENTIRE second all-to-all disappears
-    (at sf3: 31 M pair+geom rows, the single largest shuffle of the
-    bench, drop to zero). Large geometries stay on the two-shuffle
-    key-row path, preserving the never-replicate-big-blobs contract;
-    stage 2 runs only when deferred pairs exist and carries only the
-    non-inline polygons' geometry.
+    in-kernel — for building-scale layers (~100 B packed, 1-4 cells)
+    the ENTIRE second all-to-all disappears (at sf3: 31 M pair+geom
+    rows, the single largest shuffle of the bench, drop to zero). Large
+    geometries stay on the two-shuffle key-row path, preserving the
+    never-replicate-big-blobs contract. The split is the stage-1 fold's
+    second output: its kernel returns (hits, deferred pairs) and each
+    partition's reduce task returns them as two objects, so no filter
+    pass re-reads the fold's output. Stage 2 runs only when deferred
+    pairs exist and carries only the non-inline polygons' geometry.
+
+    Polygon blocks pack in plain tasks, non-empty blocks only, and the
+    cover levels the page side needs are probed per packed block in
+    plain tasks: the only Ray Data executions are the maps the folds
+    stream (page rows, cover rows, stage-2 geometry rows).
     """
     ladder = sorted({grid.h3_equiv_res(cell_res + 2 * k) for k in range(3)})
 
     # distributed WKB decode into the compact packed form (bbox + coord
-    # buffer + ring lengths) — consumed twice: cover keys and geometry
-    packed = unreserved(polygons_ds.map_batches(
-        lambda b: _pack_polygon_batch(b, id_col),
-        batch_format="pyarrow").materialize())
+    # buffer + ring lengths) in plain tasks over the non-empty blocks —
+    # consumed twice: cover keys and geometry. Blocks that pack to no
+    # rows (all geometries null) are dropped below, so no map meets a
+    # zero-row block (Ray Data would emit a schema-less block for it)
+    packed_refs = block_tasks(polygons_ds, functools.partial(
+        _pack_polygon_batch, id_col=id_col))
 
     def inline_mask(batch: pa.Table, chosen: np.ndarray) -> np.ndarray:
         """Which polygons ship their packed geometry ON the cover rows:
@@ -1473,25 +1478,22 @@ def pip_join_partitioned(pages_ds, polygons_ds, cell_res: int = 7,
             ncell[m] = nc
         return gbytes * ncell <= geom_inline_budget
 
-    def level_rows(batch: pa.Table) -> pa.Table:
-        """Per-batch unique chosen levels."""
-        if batch.num_rows == 0:
-            return pa.table({"gres": pa.array([], pa.int64())})
+    def levels(batch: pa.Table) -> list[int]:
+        """One packed block's chosen ladder levels (none when it has no
+        rows)."""
         bx = {c: np.asarray(batch[c].to_numpy(zero_copy_only=False))
               for c in ("x0", "y0", "x1", "y1")}
-        return pa.table({"gres": pa.array(
-            np.unique(_choose_cover_res(bx, ladder, max_cover)), pa.int64())})
+        return np.unique(_choose_cover_res(bx, ladder, max_cover)).tolist()
 
-    used = sorted({r["gres"] for r in packed.map_batches(
-        level_rows, batch_format="pyarrow").take_all()})
+    block_levels = probe(packed_refs, levels)
+    used = sorted({g for gs in block_levels for g in gs})
     lay = layer or "polygons"
-    layer_empty = _PIP_HITS_EMPTY.append_column(
-        "polygon_layer", pa.array([], pa.string()))
     if not used:  # no polygons -> empty join, pages schema preserved
-        hits = unreserved(rd.from_arrow(layer_empty))
+        hits = unreserved(rd.from_arrow(_PIP_HITS_EMPTY))
         if not join_payload:
             return hits
-        return _join_payload(pages_ds, hits, layer_empty, num_partitions)
+        return _join_payload(pages_ds, hits, _PIP_HITS_EMPTY, num_partitions)
+    packed = dataset([r for r, gs in zip(packed_refs, block_levels) if gs])
 
     def cover_rows(batch: pa.Table) -> pa.Table:
         """(polygon_id, cell, bbox[, inline geometry]) rows at each
@@ -1499,17 +1501,8 @@ def pip_join_partitioned(pages_ds, polygons_ds, cell_res: int = 7,
         (round-3 verdict item: the geometry payload must not replicate
         per covering cell); small geometries within the inline budget
         ride along so stage 1 can confirm them exactly in-kernel.
-        Vectorised cover enumeration, same shape as _build_cell_bins."""
-        empty = pa.table({"polygon_id": pa.array([], pa.int64()),
-                          "cell": pa.array([], pa.int64()),
-                          "x0": pa.array([], pa.float64()),
-                          "y0": pa.array([], pa.float64()),
-                          "x1": pa.array([], pa.float64()),
-                          "y1": pa.array([], pa.float64()),
-                          "coords": pa.array([], pa.binary()),
-                          "rlens": pa.array([], pa.binary())})
-        if batch.num_rows == 0:
-            return empty
+        Vectorised cover enumeration, same shape as _build_cell_bins.
+        ``packed`` holds no zero-row block, so every batch has rows."""
         pid = np.asarray(batch["pid"].to_numpy(zero_copy_only=False),
                          np.int64)
         bx = {c: np.asarray(batch[c].to_numpy(zero_copy_only=False))
@@ -1544,7 +1537,7 @@ def pip_join_partitioned(pages_ds, polygons_ds, cell_res: int = 7,
                 "coords": coords_col,
                 "rlens": rlens_col,
             }))
-        return pa.concat_tables(parts) if parts else empty
+        return pa.concat_tables(parts)
 
     # co-partitioning, stage 1: page rows keyed by their own cell at
     # each used ladder level and polygon (cover-key + bbox) rows are the
@@ -1567,18 +1560,14 @@ def pip_join_partitioned(pages_ds, polygons_ds, cell_res: int = 7,
             "cell": pa.array(grid.cell_id(lon, lat, g), pa.int64()),
         }) for g in used])
 
+    # the fold's two outputs are the confirmed hits and the deferred
+    # big-geometry pairs: each partition returns them as two objects
     pg = geocode_pages(pages_ds.select_columns(["url"]))
-    s1 = fold((pg.map_batches(page_rows, batch_format="pyarrow"),
-               packed.map_batches(cover_rows, batch_format="pyarrow")),
-              "cell", _pip_cells_pairs, nb, _PIP_S1_EMPTY)
-    # split confirmed hits from deferred big-geometry pairs
-    hits1 = s1.map_batches(
-        lambda b: b.filter(b["confirmed"]).select(["url", "polygon_id"]),
-        batch_format="pyarrow")
-    deferred = unreserved(s1.map_batches(
-        lambda b: b.filter(pc.invert(b["confirmed"]))
-                   .drop_columns(["confirmed"]),
-        batch_format="pyarrow").materialize())
+    hits, deferred = fold_blocks(
+        (pg.map_batches(page_rows, batch_format="pyarrow"),
+         packed.map_batches(cover_rows, batch_format="pyarrow")),
+        "cell", functools.partial(_pip_cells_pairs, layer=lay), nb,
+        (_PIP_HITS_EMPTY, _PIP_DEFERRED_EMPTY))
 
     # stage 2 (large geometries only): the pairs and ONE compact
     # packed-geometry row per polygon are the two sides of one fold on
@@ -1587,25 +1576,20 @@ def pip_join_partitioned(pages_ds, polygons_ds, cell_res: int = 7,
     def big_geom_rows(b: pa.Table) -> pa.Table:
         """ONE geometry row per NON-inline polygon (the inline ones were
         fully confirmed in stage 1 and never reach stage 2)."""
-        if b.num_rows:
-            bx = {c: np.asarray(b[c].to_numpy(zero_copy_only=False))
-                  for c in ("x0", "y0", "x1", "y1")}
-            chosen = _choose_cover_res(bx, ladder, max_cover)
-            b = b.filter(pa.array(~inline_mask(b, chosen)))
+        bx = {c: np.asarray(b[c].to_numpy(zero_copy_only=False))
+              for c in ("x0", "y0", "x1", "y1")}
+        chosen = _choose_cover_res(bx, ladder, max_cover)
+        b = b.filter(pa.array(~inline_mask(b, chosen)))
         return pa.table({"polygon_id": b["pid"], "coords": b["coords"],
                          "rlens": b["rlens"]})
 
-    if deferred.count() == 0:
-        hits = hits1
-    else:
-        hits2 = fold((deferred, packed.map_batches(
+    deferred = dataset(deferred)
+    if deferred.count():
+        hits += fold_blocks((deferred, packed.map_batches(
             big_geom_rows, batch_format="pyarrow")), "polygon_id",
-            _pip_confirm_group, nb, _PIP_HITS_EMPTY)
-        hits = hits1.union(hits2)
-    hits = hits.map_batches(
-        lambda b: b.append_column("polygon_layer",
-                                  pa.array([lay] * len(b), pa.string())),
-        batch_format="pyarrow")
+            functools.partial(_pip_confirm_group, layer=lay), nb,
+            _PIP_HITS_EMPTY)[0]
+    hits = dataset(hits)
     if not join_payload:
         # hit rows only (url, polygon_id, polygon_layer): the wide page
         # payload replicates once per containing polygon in the joined
@@ -1613,7 +1597,7 @@ def pip_join_partitioned(pages_ds, polygons_ds, cell_res: int = 7,
         # output-materialization cost entirely
         return hits
     # re-attach the full payload by url (payload bytes never shuffled by cell)
-    return _join_payload(pages_ds, hits, layer_empty, num_partitions)
+    return _join_payload(pages_ds, hits, _PIP_HITS_EMPTY, num_partitions)
 
 
 def _join_payload(pages_ds, hits, hits_empty: pa.Table,
@@ -1631,12 +1615,13 @@ def _join_payload(pages_ds, hits, hits_empty: pa.Table,
 
 _DEG_M_CONSERVATIVE = 110_000.0  # < min meters/degree — safe-radius bound
 
-_KNN_RANKED_EMPTY = pa.table({
-    "url": pa.array([], pa.string()), "lon": pa.array([], pa.float64()),
-    "lat": pa.array([], pa.float64()), "poi_id": pa.array([], pa.int64()),
+_KNN_HITS_EMPTY = pa.table({
+    "url": pa.array([], pa.string()), "poi_id": pa.array([], pa.int64()),
     "distance_m": pa.array([], pa.float64()),
     "knn_rank": pa.array([], pa.int64())})
-_KNN_HITS_EMPTY = _KNN_RANKED_EMPTY.drop_columns(["lon", "lat"])
+_KNN_UNDONE_EMPTY = pa.table({
+    "url": pa.array([], pa.string()), "lon": pa.array([], pa.float64()),
+    "lat": pa.array([], pa.float64())})
 
 
 
@@ -1677,10 +1662,11 @@ def _poi_ring_rows(batch: pa.Table, gres: int, radius: int) -> pa.Table:
 
 
 def _knn_cells_topk(pg: pa.Table, po: pa.Table, k: int, gres: int,
-                    radius: int) -> pa.Table | None:
+                    radius: int) -> tuple | None:
     """One cell partition's page rows and ring-replicated POI rows (the
-    two sides of one fold on the cell) -> per page its final top-k
-    (done) or one undone marker (knn_rank 0).
+    two sides of one fold on the cell) -> (done, undone): the final
+    top-k (url, poi_id, distance_m, knn_rank) rows of the pages that
+    are done, and the (url, lon, lat) rows of those that are not.
 
     Candidate pairs are GENERATED in here, in page chunks under
     :data:`_PAIR_BUDGET` — pages cross the POIs replicated into their
@@ -1722,7 +1708,7 @@ def _knn_cells_topk(pg: pa.Table, po: pa.Table, k: int, gres: int,
     pu = ops.unit_vecs(lat, lon)
     qu = ops.unit_vecs(qlat, qlon)
 
-    def chunk(s: int, e: int, pair_pg, pair_q) -> pa.Table:
+    def chunk(s: int, e: int, pair_pg, pair_q) -> tuple:
         npg = e - s
         cnt = np.bincount(pair_pg - s, minlength=npg)
         # rank candidates by unit-vector dot product — trig per ROW,
@@ -1755,26 +1741,20 @@ def _knn_cells_topk(pg: pa.Table, po: pa.Table, k: int, gres: int,
             - np.repeat(grp_start[:-1], msel)
         take = np.repeat(done_pg, msel) & (rank < k)
         undone = np.flatnonzero(~done_pg) + s
-        n_un = len(undone)
         pair_pg_s = sp[order2][take]
         return pa.table({
-            "url": pa.array(list(np.concatenate([
-                urls[pair_pg_s], urls[undone]])), pa.string()),
-            "lon": pa.array(np.concatenate([lon[pair_pg_s], lon[undone]]),
-                            pa.float64()),
-            "lat": pa.array(np.concatenate([lat[pair_pg_s], lat[undone]]),
-                            pa.float64()),
-            "poi_id": pa.concat_arrays([
-                pa.array(qid[q_s[take]], pa.int64()),
-                pa.nulls(n_un, pa.int64())]),
-            "distance_m": pa.concat_arrays([
-                pa.array(np.round(d_s[take], 3), pa.float64()),
-                pa.nulls(n_un, pa.float64())]),
-            "knn_rank": pa.array(np.concatenate([
-                rank[take] + 1, np.zeros(n_un, np.int64)]), pa.int64()),
+            "url": pa.array(list(urls[pair_pg_s]), pa.string()),
+            "poi_id": pa.array(qid[q_s[take]], pa.int64()),
+            "distance_m": pa.array(np.round(d_s[take], 3), pa.float64()),
+            "knn_rank": pa.array(rank[take] + 1, pa.int64()),
+        }), pa.table({
+            "url": pa.array(list(urls[undone]), pa.string()),
+            "lon": pa.array(lon[undone], pa.float64()),
+            "lat": pa.array(lat[undone], pa.float64()),
         })
 
-    return pa.concat_tables([chunk(*c) for c in _cell_pairs(pcell, qcell)])
+    done, undone = zip(*(chunk(*c) for c in _cell_pairs(pcell, qcell)))
+    return pa.concat_tables(done), pa.concat_tables(undone)
 
 
 # one shuffle round is worth it only while unresolved x POIs exceeds what
@@ -1798,7 +1778,10 @@ def knn_join_partitioned(pages_ds, pois_ds, k: int = 1,
     sides of one fold on the cell — candidate pairs are generated inside
     the partition kernel, so no pair row ever crosses the network. A
     page is DONE when its kth distance fits inside the conservative
-    inscribed radius of the covered block. Later rounds keep
+    inscribed radius of the covered block. Done rows and the undone
+    pages are the fold's two outputs (each partition's reduce task
+    returns both), so the next round reads the undone output directly,
+    with no filter pass over the round's result. Later rounds keep
     the ring at 3x3 but COARSEN the grid (cell side x4 per round): POI
     replication stays a constant 9x of the (narrow, repartitioned) coord
     table per round, instead of the (2R+1)^2 blow-up a growing radius
@@ -1808,7 +1791,8 @@ def knn_join_partitioned(pages_ds, pois_ds, k: int = 1,
     unresolved x POIs fits ``sweep_max_pairs``) run one exact sweep of
     the POI table against the (tiny, broadcast) leftover page set. Only
     the (url, lon, lat) projection ever shuffles; the full page payload
-    re-joins by url at the end.
+    re-joins by url at the end. The POI side's density stats and the
+    sweep's per-block partial top-k run as plain tasks over its blocks.
 
     ``cell_res=None`` (the default) sizes the grid from the POI side's
     own count and extent — cells chosen so a cell holds ~max(0.5, k/4)
@@ -1817,9 +1801,6 @@ def knn_join_partitioned(pages_ds, pois_ds, k: int = 1,
     res-7-equivalent cells held ~40 POIs -> a 72 M-row join, 469 s;
     auto-res -> ~1.8 M rows). Pass an explicit ``cell_res`` (H3-ish
     resolution) to pin the grid, e.g. for parity tests."""
-    import ray
-    import ray.data as rd
-
     def poi_coords(batch: pa.Table) -> pa.Table:
         ids = np.asarray(batch[id_col].to_numpy(zero_copy_only=False),
                          dtype=np.int64)
@@ -1849,24 +1830,17 @@ def knn_join_partitioned(pages_ds, pois_ds, k: int = 1,
     base = unreserved(pois_ds.map_batches(poi_coords, batch_format="pyarrow")
                       .repartition(n_cpus).materialize())
     if cell_res is None:
-        def stats(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0:
-                return pa.table({c: pa.array([], pa.float64())
-                                 for c in ("n", "x0", "y0", "x1", "y1")})
+        def stats(b: pa.Table) -> tuple:
             lo = np.asarray(b["plon"].to_numpy(zero_copy_only=False))
             la = np.asarray(b["plat"].to_numpy(zero_copy_only=False))
-            return pa.table({"n": pa.array([float(b.num_rows)]),
-                             "x0": pa.array([lo.min()]),
-                             "y0": pa.array([la.min()]),
-                             "x1": pa.array([lo.max()]),
-                             "y1": pa.array([la.max()])})
-        st = base.map_batches(stats, batch_format="pyarrow").to_pandas()
-        n_pois = float(st["n"].sum()) if len(st) else 0.0
+            return b.num_rows, lo.min(), la.min(), lo.max(), la.max()
+        st = np.array(probe(base, stats), np.float64).reshape(-1, 5)
+        n_pois = float(st[:, 0].sum())
         if n_pois == 0:
             gres = grid.h3_equiv_res(7)
         else:
-            spanx = max(float(st["x1"].max() - st["x0"].min()), 1e-6)
-            spany = max(float(st["y1"].max() - st["y0"].min()), 1e-6)
+            spanx = max(float(st[:, 3].max() - st[:, 1].min()), 1e-6)
+            spany = max(float(st[:, 4].max() - st[:, 2].min()), 1e-6)
             cells = max(64.0, n_pois / max(0.5, k / 4.0))
             gres = int(np.clip(round(0.5 * np.log2(
                 cells * 360.0 * 180.0 / (spanx * spany))), 6, grid.MAX_RES))
@@ -1898,24 +1872,18 @@ def knn_join_partitioned(pages_ds, pois_ds, k: int = 1,
         # candidate pairs are generated inside the partition — the old
         # explode-pages + left-join + rebucket form pushed every
         # candidate row through two all-to-alls (11.4 s of a 35 s sf0.1
-        # wall in the round-0 join alone). The round's output is refs
-        # already: done and undone are two filters over it, with no
-        # re-execution of the fold
-        ranked = fold((
+        # wall in the round-0 join alone). Done and undone pages are the
+        # fold's two outputs, refs already, so nothing re-reads them
+        done, undone = fold_blocks((
             unresolved.map_batches(functools.partial(
                 page_cell_rows, g=round_gres), batch_format="pyarrow"),
             base.map_batches(functools.partial(
                 _poi_ring_rows, gres=round_gres, radius=radius),
                 batch_format="pyarrow")), "cell", functools.partial(
             _knn_cells_topk, k=k, gres=round_gres, radius=radius),
-            nb, _KNN_RANKED_EMPTY)
-        done = ranked.filter(expr="knn_rank > 0")
-        undone = ranked.filter(expr="knn_rank == 0") \
-            .select_columns(["url", "lon", "lat"])
-        done_parts.append(
-            unreserved(done.select_columns(["url", "poi_id", "distance_m",
-                                            "knn_rank"]).materialize()))
-        unresolved = unreserved(undone.materialize())
+            nb, (_KNN_HITS_EMPTY, _KNN_UNDONE_EMPTY))
+        done_parts += done
+        unresolved = dataset(undone)
         n_unres = int(unresolved.count())
         if n_unres == 0:
             break
@@ -1956,19 +1924,16 @@ def knn_join_partitioned(pages_ds, pois_ds, k: int = 1,
                 "distance_m": pa.array(d_sel, pa.float64()),
             })
 
-        part_df = base.map_batches(partial_topk,
-                                   batch_format="pyarrow").to_pandas()
+        part_df = pa.concat_tables(probe(base, partial_topk)).to_pandas()
         part_df = part_df.sort_values(["url", "distance_m", "poi_id"])
         part_df["knn_rank"] = part_df.groupby("url").cumcount() + 1
         part_df = part_df[part_df.knn_rank <= k]
         part_df["distance_m"] = part_df["distance_m"].round(3)
-        done_parts.append(unreserved(rd.from_pandas(
-            part_df.reset_index(drop=True))))
+        done_parts.append(ray.put(pa.Table.from_pandas(
+            part_df, preserve_index=False)))
     if not done_parts:  # zero input pages: loop and sweep both skipped
-        done_parts = [unreserved(rd.from_arrow(_KNN_HITS_EMPTY))]
-    hits = done_parts[0]
-    for d_ in done_parts[1:]:
-        hits = hits.union(d_)
+        done_parts = [ray.put(_KNN_HITS_EMPTY)]
+    hits = dataset(done_parts)
     if not join_payload:
         # hit rows only (url, poi_id, distance_m, knn_rank) — k wide page
         # payload copies per page otherwise materialize in the output
@@ -1999,19 +1964,13 @@ def radius_join_partitioned(pages_ds, pois_ds, radius_m: float = 200.0,
     (parity-tested).
     """
     # grid: cell side >= covering radius at the worst latitude present.
-    # One tiny stats pass over the POI coordinates bounds |lat|.
-    def lat_stat(b: pa.Table) -> pa.Table:
-        lat = np.asarray(b["lat"].to_numpy(zero_copy_only=False))
-        m = float(np.max(np.abs(lat))) if len(lat) else 0.0
-        return pa.table({"m": pa.array([m], pa.float64())})
-
+    # One tiny per-block probe of the POI coordinates bounds |lat|.
     pois_nar = unreserved(pois_ds.map_batches(
         lambda b: pa.table({
             id_col: b[id_col], "lon": b["lon"], "lat": b["lat"]}),
         batch_format="pyarrow").materialize())
-    stats = pois_nar.map_batches(lat_stat,
-                                 batch_format="pyarrow").to_pandas()
-    maxlat = min(float(stats["m"].max()) if len(stats) else 0.0, 89.0)
+    maxlat = min(max(probe(pois_nar, lambda b: float(np.max(np.abs(
+        b["lat"].to_numpy(zero_copy_only=False))))), default=0.0), 89.0)
     dlat = radius_m / 110_000.0
     dlon = radius_m / (110_000.0 * max(
         np.cos(np.deg2rad(min(maxlat + dlat, 89.9))), 1e-3))

@@ -655,6 +655,53 @@ def test_minhash_dedup_executes_upstream_once(ray_session):
     assert ray.get(c.get.remote()) == 4
 
 
+def _call_counter():
+    import ray
+
+    @ray.remote
+    class Counter:
+        def __init__(self):
+            self.n = 0
+
+        def bump(self):
+            self.n += 1
+
+        def get(self):
+            return self.n
+
+    return Counter.remote()
+
+
+def test_verify_pairs_gathers_payloads_once(ray_session):
+    """The broadcast verify route gathers the involved payloads with one
+    map over a lazy payload plan, which runs once per block (taking the
+    map's block refs must not run the plan again for its schema)."""
+    import ray
+
+    c = _call_counter()
+
+    def counted(b: pa.Table) -> pa.Table:
+        ray.get(c.bump.remote())
+        return b
+
+    payload = rd.from_arrow(pa.table({
+        "doc_id": pa.array(range(40), pa.int64()),
+        "text": pa.array([f"doc {i}" for i in range(40)])})).repartition(4) \
+        .map_batches(counted, batch_format="pyarrow")
+    cand = rd.from_arrow(pa.table({"a": pa.array([0, 1, 5, 0], pa.int64()),
+                                   "b": pa.array([10, 2, 30, 10],
+                                                 pa.int64())}))
+
+    def kernel(col, ia, ib):
+        keep = np.ones(len(ia), bool)
+        return keep, {"score": pa.array(np.arange(len(ia), dtype=float))}
+
+    out = dedup._verify_pairs(cand, payload, "doc_id", "text", kernel,
+                              None).to_pandas()
+    assert sorted(zip(out.a, out.b)) == [(0, 10), (1, 2), (5, 30)]
+    assert ray.get(c.get.remote()) == 4
+
+
 def test_line_dedup_cross_partition_order(ray_session):
     # first occurrence must be decided by GLOBAL (id, pos) order even
     # when the duplicate lands in an earlier-read partition: doc 10

@@ -442,3 +442,94 @@ def test_negative_ids(ray_session, monkeypatch, op):
     """Negative ids and keys are ordinary values on every route: no
     operator may read one as a side tag or a sentinel."""
     _NEGATIVE[op](monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# folds with several outputs
+# ---------------------------------------------------------------------------
+
+_EVEN = pa.table({"k": pa.array([], pa.int64()), "v": pa.array([], pa.int64())})
+_ODD = pa.table({"k": pa.array([], pa.int64()),
+                 "tag": pa.array([], pa.string())})
+
+
+def _split_parity():
+    """The kernel of two outputs: the even-``v`` rows, and the odd-``v``
+    rows' keys with a string column. ``None`` when the even side has no
+    rows, and a zero-row table without columns for the odd side of a
+    partition whose values are all even. (Built here, so it pickles by
+    value: the workers cannot import this module.)"""
+    def kernel(t: pa.Table):
+        import pyarrow.compute as pc
+
+        odd = pc.equal(pc.bit_wise_and(t["v"], 1), 1)
+        even = t.filter(pc.invert(odd)).select(["k", "v"])
+        rest = t.filter(odd)
+        return (even if even.num_rows else None,
+                pa.table({"k": rest["k"],
+                          "tag": pa.array(["o"] * rest.num_rows,
+                                          pa.string())})
+                if rest.num_rows else pa.table({}))
+    return kernel
+
+
+def _blocks_of(ds) -> list[pa.Table]:
+    return [ray.get(ref) for b in ds.iter_internal_ref_bundles()
+            for ref in b.block_refs]
+
+
+@pytest.mark.parametrize("ceiling", [None, N])
+@pytest.mark.parametrize("case", _CASES)
+def test_two_output_fold(ray_session, monkeypatch, ceiling, case):
+    """A fold with a tuple ``empty`` returns one Dataset per output:
+    every block of each is typed by its ``empty`` (empty partitions and
+    None or zero-row ``fn`` outputs included), and each output equals
+    a single-output fold over the same kernel."""
+    if ceiling is not None:
+        monkeypatch.setattr(blocks, "KEYED_FOLD_DRIVER_MAX", ceiling)
+    keys = _keys(case)
+    t = pa.table({"k": pa.array(keys, pa.int64()),
+                  "v": pa.array([(i * 7) % 5 for i in range(len(keys))],
+                                pa.int64())})
+    for nb in (None, 3):
+        kernel = _split_parity()
+        even, odd = blocks.fold(_dataset(case, t), "k", kernel, nb,
+                                (_EVEN, _ODD))
+        for out, empty, j in ((even, _EVEN, 0), (odd, _ODD, 1)):
+            got = _blocks_of(out)
+            assert got, (case, nb, j)
+            assert all(b.schema == empty.schema for b in got), (case, nb, j)
+            one = blocks.fold(_dataset(case, t), "k",
+                              lambda x, j=j: kernel(x)[j] or None,
+                              nb, empty)
+            assert sorted(map(tuple, (r.values() for b in got
+                                      for r in b.to_pylist()))) == \
+                sorted(map(tuple, (r.values() for r in _rows(one)))), \
+                (case, nb, j)
+        want_even = sorted((k, v) for k, v in zip(t["k"].to_pylist(),
+                                                  t["v"].to_pylist())
+                           if v % 2 == 0)
+        assert sorted((r["k"], r["v"]) for r in _rows(even)) == want_even
+
+
+def test_two_output_fold_two_sides_empty_partitions(ray_session):
+    """Two sides, two outputs, more partitions than keys: the
+    partitions no key reaches return both typed empties."""
+    left = rd.from_arrow(pa.table({"k": pa.array([1, 1, 2], pa.int64()),
+                                   "v": pa.array([1, 2, 3], pa.int64())}))
+    right = rd.from_arrow(pa.table({"k": pa.array([2, 9], pa.int64()),
+                                    "w": pa.array([10, 20], pa.int64())}))
+
+    def kernel(lt: pa.Table, rt: pa.Table):
+        return (lt.select(["k", "v"]),
+                pa.table({"k": rt["k"],
+                          "tag": pa.array(["r"] * rt.num_rows)}))
+
+    a, b = blocks.fold((left, right), "k", kernel, 8, (_EVEN, _ODD))
+    ga, gb = _blocks_of(a), _blocks_of(b)
+    assert len(ga) == len(gb) == 8
+    assert sum(not x.num_rows for x in ga) >= 6
+    assert all(x.schema == _EVEN.schema for x in ga)
+    assert all(x.schema == _ODD.schema for x in gb)
+    assert sorted(r["v"] for r in _rows(a)) == [1, 2, 3]
+    assert sorted(r["k"] for r in _rows(b)) == [2, 9]

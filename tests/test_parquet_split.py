@@ -132,3 +132,46 @@ def test_split_read_round_trips(files, ray_session):
         # 4 Ray CPUs in the test session: every multi-group file splits
         n_rg = pq.ParquetFile(f).metadata.num_row_groups
         assert ds.materialize().num_blocks() >= min(n_rg, 4)
+
+
+@pytest.mark.parametrize("columns", [None, ["tags", "id"], ["blob", "ts"]])
+def test_declared_schema_is_the_blocks_schema(tmp_path, ray_session,
+                                              columns):
+    """Every read task declares its file's schema, so ``schema()`` on a
+    fresh read needs no execution, and it equals the schema the blocks
+    carry exactly: map entries (named ``tags`` in the file footer, as
+    in the ``osm_history`` fixture), timestamps, binary, and a file
+    without rows."""
+    import ray
+
+    from pyrosm_ray.fixtures import ensure_fixtures
+    from pyrosm_ray.sources.parquet import read_parquet_split
+
+    n = 40
+    t = pa.table({
+        "id": pa.array(np.arange(n, dtype=np.int64)),
+        "tags": pa.array([[("k", str(i)), ("v", "x")] if i % 3 else None
+                          for i in range(n)],
+                         pa.map_(pa.string(), pa.string())),
+        "ts": pa.array(np.arange(n) * 1000, pa.timestamp("ms")),
+        "blob": pa.array([bytes([i % 7]) * (i % 5) for i in range(n)],
+                         pa.binary()),
+    })
+    full = str(tmp_path / "full.parquet")
+    pq.write_table(t, full, row_group_size=9)
+    empty = str(tmp_path / "empty.parquet")
+    pq.write_table(t.slice(0, 0), empty)
+    history = str(ensure_fixtures("sf0.001") / "osm_history.parquet")
+    hist_cols = None if columns is None else \
+        [c for c in columns if c in ("id", "tags")] or ["id", "timestamp"]
+    for path, cols in ((full, columns), (empty, columns),
+                       (history, hist_cols)):
+        ds = read_parquet_split(path, columns=cols)
+        declared = ds.schema(fetch_if_missing=False)
+        assert declared is not None, (path, cols)
+        blocks = [ray.get(ref) for b in ds.iter_internal_ref_bundles()
+                  for ref in b.block_refs]
+        assert blocks, (path, cols)
+        assert declared.base_schema.equals(blocks[0].schema,
+                                           check_metadata=True), \
+            (path, cols, declared.base_schema, blocks[0].schema)

@@ -247,3 +247,36 @@ def test_binary_rows_chunks_past_int32_offsets(monkeypatch):
     out = raster._binary_rows(rows)
     assert out.num_chunks == 3 and out.type == pa.binary()
     assert out.to_pylist() == [r.tobytes() for r in rows]
+
+
+def test_zonal_stats_zero_row_polygon_blocks_log_nothing(ray_session):
+    """A polygon side with zero-row blocks (a filtered buildings layer
+    has one) matches the reference, and no step emits a schema-less
+    block: Ray Data logs no "different schema" warning."""
+    import logging
+
+    class Grab(logging.Handler):
+        def __init__(self):
+            super().__init__(logging.WARNING)
+            self.lines = []
+
+        def emit(self, record):
+            self.lines.append(record.getMessage())
+
+    polys = _polygon_cases(16)
+    rasters = _rasters(16)
+    t = _table(_poly_ds(polys))
+    ds = rd.from_arrow([t.slice(0, 0), t.slice(0, 4), t.slice(0, 0),
+                        t.slice(4), t.slice(0, 0)])
+    grab = Grab()
+    log = logging.getLogger(
+        "ray.data._internal.execution.streaming_executor_state")
+    log.addHandler(grab)
+    try:
+        got = _rows(raster.polygon_zonal_stats(ds, _raster_ds(rasters),
+                                               grid_size=16))
+    finally:
+        log.removeHandler(grab)
+    assert got == _reference_zonal(polys, rasters, 16)
+    assert not [m for m in grab.lines if "different schema" in m], \
+        grab.lines

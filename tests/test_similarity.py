@@ -243,3 +243,39 @@ def test_label_centroid_outliers_exact(ray_session):
         threshold_micro=500_000)).fetchdf()
     assert list(got.cos_micro) == list(want.cos_micro)
     assert list(got.is_outlier) == list(want.is_outlier)
+
+
+def test_lowest_id_vectors_runs_upstream_once(ray_session):
+    """The per-block partial top-k map over a lazy plan runs once per
+    block (its block refs are taken from a materialized result)."""
+    import ray
+    import ray.data as rd
+
+    from pyrosm_ray.stages.similarity import lowest_id_vectors
+
+    @ray.remote
+    class Counter:
+        def __init__(self):
+            self.n = 0
+
+        def bump(self):
+            self.n += 1
+
+        def get(self):
+            return self.n
+
+    c = Counter.remote()
+
+    def counted(b: pa.Table) -> pa.Table:
+        ray.get(c.bump.remote())
+        return b
+
+    ids = np.arange(40, dtype=np.int64)[::-1]
+    ds = rd.from_arrow(pa.table({
+        "vec_id": pa.array(ids),
+        "embedding": pa.array([[float(i), 1.0] for i in ids],
+                              pa.list_(pa.float64()))})).repartition(4) \
+        .map_batches(counted, batch_format="pyarrow")
+    got = lowest_id_vectors(ds, 3)
+    np.testing.assert_array_equal(got[:, 0], [0.0, 1.0, 2.0])
+    assert ray.get(c.get.remote()) == 4

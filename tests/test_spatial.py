@@ -349,6 +349,114 @@ def test_tile_rollup_pyramid(ray_session):
     assert dict(got7) == dict(direct)
 
 
+def _rollup_reference(lon, lat, res_fine: int, res_coarse: int) -> list:
+    """Every level counted directly from the points (no rollup)."""
+    import collections
+
+    want = collections.Counter()
+    for r in range(res_coarse, res_fine + 1):
+        for c in grid.cell_id(lon, lat, grid.h3_equiv_res(r)):
+            want[(r, int(c))] += 1
+    return sorted((r, c, n) for (r, c), n in want.items())
+
+
+def _rollup_rows(out) -> list:
+    """(res, cell, n_pages) rows, read block by block; every block must
+    be typed."""
+    blocks_ = [ray.get(ref) for b in out.iter_internal_ref_bundles()
+               for ref in b.block_refs]
+    assert blocks_
+    for b in blocks_:
+        assert b.schema == spatial._ROLLUP_EMPTY.schema, b.schema
+    return sorted((r["res"], r["cell"], r["n_pages"])
+                  for b in blocks_ for r in b.to_pylist())
+
+
+_ROLLUP_PAGES = {
+    "zero": [[]],
+    "one": [[17]],
+    "one_fine_cell": [[17] * 25],
+    "repeated_cells_across_blocks": [[i % 40 for i in range(s, s + 60)]
+                                     for s in range(0, 240, 60)] + [[]],
+    "fine_is_coarse": [[i % 40 for i in range(90)]],
+}
+
+
+@pytest.mark.parametrize("route", ["one_task", "split"])
+@pytest.mark.parametrize("case", list(_ROLLUP_PAGES))
+def test_tile_rollup_matches_direct_levels(ray_session, monkeypatch,
+                                           route, case):
+    """Each level of the pyramid equals a direct count of the pages at
+    that res, on the one-task fold and on the split fold."""
+    from pyrosm_ray.stages import blocks
+
+    if route == "split":
+        monkeypatch.setattr(blocks, "KEYED_FOLD_DRIVER_MAX", 0)
+    fine, coarse = (7, 7) if case == "fine_is_coarse" else (9, 5)
+    parts = _ROLLUP_PAGES[case]
+    pages = rd.from_arrow([pa.table({"url": pa.array(
+        [f"https://example.org/p/{i}" for i in ids], pa.string())})
+        for ids in parts])
+    pid = np.array([i for ids in parts for i in ids], np.int64)
+    lon, lat = geocode_from_page_id(pid)
+    got = _rollup_rows(spatial.tile_rollup(pages, res_fine=fine,
+                                           res_coarse=coarse))
+    assert got == _rollup_reference(lon, lat, fine, coarse)
+    if case == "one_fine_cell":
+        assert [n for _, _, n in got] == [25] * 5
+
+
+@pytest.mark.parametrize("route", ["one_task", "split"])
+def test_tile_rollup_clip_edges(ray_session, monkeypatch, route):
+    """Points on the grid's clip edges (lon = +-180, lat = +-90) land in
+    the edge cells at every level, on both fold routes."""
+    from pyrosm_ray.stages import blocks
+
+    if route == "split":
+        monkeypatch.setattr(blocks, "KEYED_FOLD_DRIVER_MAX", 0)
+    lon = np.array([-180.0, 180.0, 180.0, -180.0, 0.0, 179.9999, -180.0])
+    lat = np.array([90.0, -90.0, 90.0, -90.0, 90.0, -89.9999, 0.0])
+    pts = rd.from_arrow([pa.table({"lon": lon[:4], "lat": lat[:4]}),
+                         pa.table({"lon": lon[4:], "lat": lat[4:]})])
+    got = _rollup_rows(spatial._point_rollup(pts, 9, 5))
+    assert got == _rollup_reference(lon, lat, 9, 5)
+
+
+def test_pip_join_partitioned_blocks_carry_their_schema(pages, buildings):
+    """The polygon side holds a zero-row block (as a materialized
+    buildings layer does), yet no map of the join emits a schema-less
+    block: Ray Data logs no "different schema" warning."""
+    import logging
+
+    class Grab(logging.Handler):
+        def __init__(self):
+            super().__init__(logging.WARNING)
+            self.lines = []
+
+        def emit(self, record):
+            self.lines.append(record.getMessage())
+
+    refs = [r for b in buildings.iter_internal_ref_bundles()
+            for r in b.block_refs]
+    polys = rd.from_arrow_refs(
+        [ray.put(ray.get(refs[0]).slice(0, 0))] + refs
+        + [ray.put(ray.get(refs[-1]).slice(0, 0))])
+    grab = Grab()
+    log = logging.getLogger(
+        "ray.data._internal.execution.streaming_executor_state")
+    log.addHandler(grab)
+    try:
+        for budget in (0, 16384):  # with and without the stage-2 fold
+            out = spatial.pip_join_partitioned(
+                pages, polys, layer="b", num_partitions=4,
+                join_payload=False, geom_inline_budget=budget).materialize()
+            assert out.count() > 0
+    finally:
+        log.removeHandler(grab)
+    assert not [m for m in grab.lines if "different schema" in m], \
+        grab.lines
+
+
 def test_radius_join_matches_bruteforce(ray_session):
     import ray
     import ray.data as rd
