@@ -29,8 +29,8 @@ Dataset (:func:`dataset`).
 
 Small per-block facts (row counts, bounds, the levels a block uses)
 come from :func:`probe`: one plain Ray task per block ref, results
-gathered. A geo or corpus stage runs no Ray Data execution except the
-ones that stream its inputs (a fold's sides, a map the caller consumes):
+gathered. The rule for a stage: no Ray Data execution except the ones
+that stream its inputs (a fold's sides, a map the caller consumes), as
 every execution costs a fixed 25-70 ms on the driver whatever its size
 (a ``map_batches(...).materialize()`` over four tiny blocks took 69 ms
 on 2 Ray CPUs, ``take(1)`` on a materialized Dataset 24 ms, four plain
