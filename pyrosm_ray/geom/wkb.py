@@ -8,6 +8,13 @@ encode/decode are the only places bytes are touched.
 
 Supported types: Point(1), LineString(2), Polygon(3), MultiPoint(4),
 MultiLineString(5), MultiPolygon(6). Little-endian only.
+
+:func:`decode_wkb` and :func:`polygon_rings` decode one buffer at a time.
+:func:`polygon_column` decodes the Polygon/MultiPolygon rows of a whole
+binary Arrow column at once: it reads the column's bytes in place
+(:func:`binary_csr`) and walks parts, then rings, one level at a time
+across all rows, so its Python loop runs once per part or ring *index*,
+not once per geometry.
 """
 
 from __future__ import annotations
@@ -15,6 +22,8 @@ from __future__ import annotations
 import struct
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 POINT, LINESTRING, POLYGON = 1, 2, 3
 MULTIPOINT, MULTILINESTRING, MULTIPOLYGON = 4, 5, 6
@@ -262,3 +271,97 @@ def wkb_bbox(buf: bytes) -> tuple[float, float, float, float]:
     xs = np.concatenate([a[:, 0] for a in arrs])
     ys = np.concatenate([a[:, 1] for a in arrs])
     return float(xs.min()), float(ys.min()), float(xs.max()), float(ys.max())
+
+
+# ---------------------------------------------------------------------------
+# column decoder
+# ---------------------------------------------------------------------------
+
+def binary_csr(col) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-copy CSR view over a binary column: (flat uint8 data, byte
+    offsets rebased to 0). Callers .view() the flat bytes to their packed
+    dtype — no per-row as_py/frombuffer."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    n = len(col)
+    if n == 0:
+        return np.empty(0, np.uint8), np.zeros(1, np.int64)
+    col = col.cast(pa.large_binary())
+    boff = np.frombuffer(col.buffers()[1], np.int64)[
+        col.offset:col.offset + n + 1]
+    data = np.frombuffer(col.buffers()[2], np.uint8)
+    return data[boff[0]:boff[-1]], boff - boff[0]
+
+
+def _u32_at(data: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The little-endian uint32 at each byte offset ``pos`` (int64)."""
+    return np.ascontiguousarray(data[pos[:, None] + np.arange(4)]) \
+        .view("<u4").ravel().astype(np.int64)
+
+
+def _f8_at(data: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The little-endian float64 at each byte offset ``pos``, whatever
+    its alignment: one unaligned view of ``data`` per ``pos % 8``."""
+    out = np.empty(len(pos), np.float64)
+    rem = pos % 8
+    for a in np.unique(rem):
+        m = rem == a
+        view = data[a:a + (len(data) - a) // 8 * 8].view("<f8")
+        out[m] = view[(pos[m] - a) // 8]
+    return out
+
+
+def _check_le(data: np.ndarray, pos: np.ndarray) -> None:
+    if len(pos) and (data[pos] != 1).any():
+        raise ValueError("only little-endian WKB is supported")
+
+
+def polygon_column(col) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                 np.ndarray]:
+    """Every Polygon/MultiPolygon row of a binary Arrow column ->
+    (row index, rings per row, points per ring, flat ``(N, 2) <f8``
+    coords), rings in row order and, per row, in :func:`polygon_rings`
+    order. Null and other-type rows are left out; a polygon without
+    rings keeps its row with 0 rings. Big-endian WKB raises
+    ``ValueError``."""
+    data, off = binary_csr(col)
+    rows = np.flatnonzero(np.asarray(pc.is_valid(col), bool)
+                          & (np.diff(off) > 0))
+    start = off[rows]
+    _check_le(data, start)
+    gt = _u32_at(data, start + 1) & 0xFF
+    poly = (gt == POLYGON) | (gt == MULTIPOLYGON)
+    rows, start, multi = rows[poly], start[poly], gt[poly] == MULTIPOLYGON
+    # per row, its part count and the byte offset of its first part's
+    # Polygon header (a Polygon row is its own one part)
+    nparts = np.ones(len(rows), np.int64)
+    nparts[multi] = _u32_at(data, start[multi] + 5)
+    at = np.where(multi, start + 9, start)
+    ring_rec = []  # (row, part, ring, points, coords offset) per level
+    for j in range(int(nparts.max(initial=0))):
+        live = np.flatnonzero(nparts > j)
+        pos = at[live]
+        _check_le(data, pos)
+        nrings = _u32_at(data, pos + 5)
+        pos = pos + 9
+        for k in range(int(nrings.max())):
+            has = nrings > k
+            npts = _u32_at(data, pos[has])
+            ring_rec.append((live[has], np.full(len(npts), j),
+                             np.full(len(npts), k), npts, pos[has] + 4))
+            pos[has] += 4 + 16 * npts
+        at[live] = pos
+    if ring_rec:
+        row_i, part_i, ring_i, npts, cpos = map(np.concatenate,
+                                                zip(*ring_rec))
+        order = np.lexsort((ring_i, part_i, row_i))
+        row_i, npts, cpos = row_i[order], npts[order], cpos[order]
+    else:
+        row_i = npts = cpos = np.empty(0, np.int64)
+    nvals = 2 * npts
+    first = np.repeat(np.cumsum(nvals) - nvals, nvals)
+    vpos = np.repeat(cpos, nvals) \
+        + 8 * (np.arange(int(nvals.sum()), dtype=np.int64) - first)
+    coords = _f8_at(data, vpos).reshape(-1, 2)
+    return (rows, np.bincount(row_i, minlength=len(rows)).astype(np.int64),
+            npts, coords)

@@ -54,7 +54,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from pyrosm_ray.stages.blocks import fold, unreserved
+from pyrosm_ray.stages.blocks import Blocks, fold, unreserved
 
 from pyrosm_ray import config
 from pyrosm_ray.filters.compiler import CompiledFilter, compile_custom_filter
@@ -990,20 +990,19 @@ class OSM:
         order = np.argsort(way_of, kind="stable")
         return way_of[order], rel_of[order], pos_of[order]
 
-    def _member_chains(self, rel_kept, kept_ways) -> rd.Dataset:
+    def _member_chains(self, rel_kept, kept_ways) -> Blocks:
         """Member-way coordinate chains of the kept ways (the way filter's
         output, relation members flagged ``__member``) as rows of
-        (relation ``id``, ``member_pos``, ``chain``): the J3 join side.
-        One task per non-empty block; zero-row blocks are skipped from
-        their metadata, since a map would turn them into schema-less
-        blocks."""
+        (relation ``id``, ``member_pos``, ``chain``): the J3 join side,
+        held as blocks. One task per non-empty block; zero-row blocks
+        are skipped from their metadata, since a map would turn them
+        into schema-less blocks."""
         pairs = ray.put(self._member_pairs(rel_kept))
         coords = self.coord_ref()
-        refs = [_chain_block.remote(ref, pairs, coords)
-                for bundle in kept_ways.iter_internal_ref_bundles()
-                for ref, meta in bundle.blocks if meta.num_rows]
-        return unreserved(rd.from_arrow_refs(refs)) if refs else \
-            unreserved(rd.from_arrow(_CHAIN_SCHEMA.empty_table()))
+        tasks = [_chain_block.remote(ref, pairs, coords)
+                 for ref in Blocks.of(kept_ways).live()]
+        return Blocks([t for t, _ in tasks],
+                      ray.get([n for _, n in tasks]), _CHAIN_SCHEMA)
 
     def _rel_payload(self, rel_kept: pa.Table, tag_columns) -> pa.Table:
         """Promoted relation payload columns + the __force_line typing flag
@@ -1026,7 +1025,8 @@ class OSM:
         empty = payload.slice(0, 0).drop_columns(["__force_line"]) \
             .append_column("geometry", pa.array([], pa.binary()))
         return fold((self._member_chains(rel_kept, kept_ways),
-                     unreserved(rd.from_arrow(payload))), "id",
+                     Blocks([ray.put(payload)], [payload.num_rows],
+                            payload.schema)), "id",
                     _assemble_relation_rows, None, empty)
 
 
@@ -1034,11 +1034,12 @@ _CHAIN_SCHEMA = pa.schema([("id", pa.int64()), ("member_pos", pa.int64()),
                            ("chain", pa.binary())])
 
 
-@ray.remote
-def _chain_block(block: pa.Table, pairs, coords) -> pa.Table:
+@ray.remote(num_returns=2)
+def _chain_block(block: pa.Table, pairs, coords):
     """One block of kept ways -> a chain row per (relation, member way):
     packed ``<f8`` (lon, lat) pairs gathered from the broadcast coordinate
-    index. ``pairs`` is :meth:`OSM._member_pairs`' output."""
+    index, then that table's row count. ``pairs`` is
+    :meth:`OSM._member_pairs`' output."""
     batch = block.filter(block["__member"])
     flat, off = topology._refs_csr(batch["refs"])
     lon, lat, valid = topology.gather_coords(coords, flat)
@@ -1057,7 +1058,7 @@ def _chain_block(block: pa.Table, pairs, coords) -> pa.Table:
     return pa.table([
         pa.array(rsort[take], pa.int64()), pa.array(psort[take], pa.int64()),
         pa.array([raw[16 * voff[i]:16 * voff[i + 1]] for i in rep],
-                 pa.binary())], schema=_CHAIN_SCHEMA)
+                 pa.binary())], schema=_CHAIN_SCHEMA), len(take)
 
 
 def _assemble_relation_rows(chains: pa.Table, payload: pa.Table):

@@ -20,22 +20,31 @@ driver.
 
 A fold may have several outputs: given a tuple of typed zero-row
 tables as ``empty``, ``fn`` returns one table per output, each reduce
-task returns them as separate objects (``num_returns=len(empty)``), and
-the fold returns one Dataset per output, so a kernel that splits its
+task returns them as separate objects (and one more small object with
+their row counts), and the fold returns one Dataset per output, so a kernel that splits its
 rows (done/undone, confirmed/deferred) needs no filter pass over its
-result. :func:`fold_blocks` is the same fold returning the block refs
-of each output, for callers that join several folds' outputs into one
-Dataset (:func:`dataset`).
+result.
 
-Small per-block facts (row counts, bounds, the levels a block uses)
-come from :func:`probe`: one plain Ray task per block ref, results
-gathered. The rule for a stage: no Ray Data execution except the ones
-that stream its inputs (a fold's sides, a map the caller consumes), as
-every execution costs a fixed 25-70 ms on the driver whatever its size
-(a ``map_batches(...).materialize()`` over four tiny blocks took 69 ms
-on 2 Ray CPUs, ``take(1)`` on a materialized Dataset 24 ms, four plain
-tasks 7 ms). Reading the blocks of a ``materialize()`` result is free;
-reading those of a Dataset wrapped from refs is one such execution.
+Inside a stage the currency is :class:`Blocks`: block refs with their
+row counts and a schema. It comes from a materialized Dataset's bundle
+metadata (:meth:`Blocks.of`, which runs nothing), from
+:func:`map_blocks` (one plain task per non-empty block, each returning
+its table and, as a second small object, its row count and schema) and
+from :func:`fold_blocks` (each reduce task also returns its outputs'
+row counts). A fold takes a ``Blocks`` side anywhere it takes a Dataset
+and reads its counts and schema without streaming it. A stage wraps
+blocks in a Dataset (:func:`dataset`) only for its return value. Small
+per-block facts (bounds, the levels a block uses) come from
+:func:`probe`: one plain Ray task per block, results gathered.
+
+The rule for a stage: no Ray Data execution except the ones that
+stream its inputs (a fold's Dataset sides, a map the caller passed
+in), as every execution costs a fixed 25-70 ms on the driver whatever
+its size (a ``map_batches(...).materialize()`` over four tiny blocks
+took 69 ms on 2 Ray CPUs, ``take(1)`` on a materialized Dataset 24 ms,
+four plain tasks 7 ms). Reading the blocks of a ``materialize()``
+result is free; reading those of a Dataset wrapped from refs is one
+such execution, so a stage never reads back what it wrapped.
 
 ``nb=None`` sizes the split from the input as its blocks stream out:
 while the non-empty rows seen (all sides together) stay within
@@ -66,6 +75,7 @@ the callers outside the package that still use it."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 
 import pyarrow as pa
@@ -79,6 +89,45 @@ from ray.data.context import ShuffleStrategy
 # would be the operator wall (the name predates the fold; perfbench
 # reads it)
 KEYED_FOLD_DRIVER_MAX = 100_000
+
+
+@dataclasses.dataclass(frozen=True)
+class Blocks:
+    """Block refs a stage holds, with each block's row count and the
+    blocks' schema (None when unknown): the type of every intermediate
+    inside a stage. Consumers skip the refs whose count is 0."""
+    refs: list
+    counts: list
+    schema: pa.Schema | None = None
+
+    @classmethod
+    def of(cls, ds) -> "Blocks":
+        """The blocks of ``ds`` from its bundle metadata, zero-row blocks
+        left out: a ``materialize()`` result runs nothing, a lazy
+        Dataset streams once. A ``Blocks`` is returned as it is."""
+        if isinstance(ds, Blocks):
+            return ds
+        refs, counts, schema = [], [], None
+        for bundle in ds.iter_internal_ref_bundles():
+            schema = schema or _named(bundle.schema)
+            for ref, meta in bundle.blocks:
+                if meta.num_rows:
+                    refs.append(ref)
+                    counts.append(meta.num_rows)
+        return cls(refs, counts, schema)
+
+    @property
+    def num_rows(self) -> int:
+        return int(sum(self.counts))
+
+    def live(self) -> list:
+        """The refs of the blocks that hold rows."""
+        return [r for r, n in zip(self.refs, self.counts) if n]
+
+
+def _named(schema) -> pa.Schema | None:
+    return schema if isinstance(schema, pa.Schema) and schema.names \
+        else None
 
 
 def unreserved(ds: rd.Dataset) -> rd.Dataset:
@@ -179,24 +228,35 @@ def _split_block(block, keys: list[str], nb: int):
     return tuple(t.take(order[cut[i]:cut[i + 1]]) for i in range(nb))
 
 
+def _side_bundles(side):
+    """(schema, [(ref, rows), ...]) per bundle of one side: a Dataset's
+    bundles as they stream, a :class:`Blocks` side as one bundle."""
+    if isinstance(side, Blocks):
+        yield side.schema, list(zip(side.refs, side.counts))
+        return
+    for bundle in side.iter_internal_ref_bundles():
+        yield _named(bundle.schema), [(ref, meta.num_rows)
+                                      for ref, meta in bundle.blocks]
+
+
 def _bundles(sides):
-    """(side index, ref bundle) pairs from every Dataset of ``sides``,
-    taken in turn, so every side's plan streams at once (as a
-    ``union`` of them would)."""
-    live = [(i, iter(ds.iter_internal_ref_bundles()))
-            for i, ds in enumerate(sides)]
+    """(side index, schema, blocks) per bundle of every side, taken in
+    turn, so every Dataset side's plan streams at once (as a ``union``
+    of them would)."""
+    live = [(i, _side_bundles(side)) for i, side in enumerate(sides)]
     while live:
         step, live = live, []
         for i, it in step:
             bundle = next(it, None)
             if bundle is not None:
                 live.append((i, it))
-                yield i, bundle
+                yield (i, *bundle)
 
 
 def _partition(sides, keys: list[str], nb: int | None):
-    """Stream the Datasets of ``sides`` together -> (per side, a list of
-    partition ref lists; per side, the first schema its blocks carried).
+    """Stream the Datasets of ``sides`` together (a :class:`Blocks` side
+    is read from its counts) -> (per side, a list of partition ref
+    lists; per side, the first schema its blocks carried).
 
     ``nb=None`` holds non-empty blocks unsplit until the rows of all
     sides together pass :data:`KEYED_FOLD_DRIVER_MAX`; then the held
@@ -215,14 +275,12 @@ def _partition(sides, keys: list[str], nb: int | None):
         for p, r in zip(side, out):
             p.append(r)
 
-    for i, bundle in _bundles(sides):
-        if schemas[i] is None and isinstance(bundle.schema, pa.Schema) \
-                and bundle.schema.names:
-            schemas[i] = bundle.schema
-        for ref, meta in bundle.blocks:
-            if meta.num_rows == 0:
+    for i, schema, blocks in _bundles(sides):
+        schemas[i] = schemas[i] or schema
+        for ref, n in blocks:
+            if n == 0:
                 continue
-            rows += meta.num_rows
+            rows += n
             if nb is None and rows > KEYED_FOLD_DRIVER_MAX:
                 nb = width = groupby_partitions()
                 held = [p[0] for p in parts]
@@ -258,18 +316,18 @@ def _typed(out, empty: pa.Table) -> pa.Table:
 
 @ray.remote
 def _fold_reduce(fn, empty, schemas, counts, *parts):
-    """One partition: ``fn`` over its rows per side. With a tuple
-    ``empty`` it returns one table per output (the task runs with
-    ``num_returns=len(empty)``), each typed by its ``empty``."""
+    """One partition: ``fn`` over its rows per side -> one table per
+    entry of the tuple ``empty`` (each typed by it), then the tuple of
+    their row counts; the task runs with ``num_returns=len(empty) + 1``."""
     sides, at = [], 0
     for n, schema in zip(counts, schemas):
         sides.append(_side_table(parts[at:at + n], schema))
         at += n
     out = fn(*sides) if any(t.num_rows for t in sides) else None
-    if not isinstance(empty, tuple):
-        return _typed(out, empty)
+    if len(empty) == 1:
+        out = (out,)
     outs = tuple(map(_typed, out or (None,) * len(empty), empty))
-    return outs if len(outs) > 1 else outs[0]
+    return (*outs, tuple(t.num_rows for t in outs))
 
 
 def _per_key(fn, key: str, t: pa.Table) -> pa.Table | None:
@@ -312,52 +370,60 @@ def _block_task(fn, block):
     return fn(_table(block))
 
 
-def _block_refs(blocks) -> list:
-    if isinstance(blocks, rd.Dataset):
-        return [ref for bundle in blocks.iter_internal_ref_bundles()
-                for ref, meta in bundle.blocks if meta.num_rows]
-    return list(blocks)
-
-
-def block_tasks(blocks, fn) -> list:
-    """One plain Ray task ``fn(block)`` per block -> the result refs, in
-    block order. ``blocks`` is a list of block refs or a Dataset, whose
-    zero-row blocks are skipped from their metadata (a ``materialize()``
-    result runs no Ray Data execution here; a lazy one streams once)."""
-    return [_block_task.remote(fn, ref) for ref in _block_refs(blocks)]
+@ray.remote(num_returns=2)
+def _map_task(fn, block):
+    t = fn(_table(block))
+    return t, (t.num_rows, t.schema)
 
 
 def probe(blocks, fn) -> list:
-    """:func:`block_tasks` gathered: ``fn``'s (small) result for every
-    block, in block order."""
-    return ray.get(block_tasks(blocks, fn))
+    """``fn``'s (small) result for every non-empty block of ``blocks``
+    (a :class:`Blocks` or a Dataset, see :meth:`Blocks.of`), in block
+    order: one plain Ray task per block, gathered."""
+    return ray.get([_block_task.remote(fn, ref)
+                    for ref in Blocks.of(blocks).live()])
+
+
+def map_blocks(blocks, fn) -> Blocks:
+    """``fn(table) -> table`` over every non-empty block of ``blocks``
+    (a :class:`Blocks` or a Dataset, see :meth:`Blocks.of`) as one plain
+    Ray task per block. Each task returns the table and, as a second
+    small object, its row count and schema; the driver gathers only the
+    small ones."""
+    out = [_map_task.remote(fn, ref) for ref in Blocks.of(blocks).live()]
+    meta = ray.get([m for _, m in out])
+    return Blocks([t for t, _ in out], [n for n, _ in meta],
+                  next((sch for _, sch in meta), None))
 
 
 def dataset(refs: list) -> rd.Dataset:
     """Block refs (e.g. :func:`fold_blocks` outputs, several folds'
     together) as one engine-built Dataset, without the Ray Data
-    execution a ``union`` costs."""
+    execution a ``union`` costs. A stage wraps its return value only:
+    reading a freshly wrapped Dataset's blocks back costs a Ray Data
+    execution."""
     return unreserved(rd.from_arrow_refs(list(refs)))
 
 
-def fold_blocks(ds, keys, fn, nb: int | None, empty) -> list:
-    """:func:`fold` without the Dataset wrapping: one list of partition
-    block refs per output (a one-item list when ``empty`` is a table).
-    Concatenate lists and wrap them with :func:`dataset`; reading a
-    freshly wrapped Dataset's blocks back costs a Ray Data execution."""
+def fold_blocks(ds, keys, fn, nb: int | None, empty) -> list[Blocks]:
+    """:func:`fold` without the Dataset wrapping: one :class:`Blocks` of
+    partition outputs per output (a one-item list when ``empty`` is a
+    table), typed by that output's ``empty``. The row counts come back
+    as one more small object per reduce task, gathered in one
+    ``ray.get``."""
     sides = ds if isinstance(ds, tuple) else (ds,)
     parts, schemas = _partition(sides, _keys(keys), nb)
     if empty is None:
         empty = schemas[0].empty_table() if schemas[0] is not None \
             else pa.table({})
-    n_out = len(empty) if isinstance(empty, tuple) else 1
-    reduce = _fold_reduce.options(num_returns=n_out)
-    outs = []
-    for i in range(len(parts[0])):
-        refs = reduce.remote(fn, empty, schemas, [len(p[i]) for p in parts],
-                             *(r for p in parts for r in p[i]))
-        outs.append(refs if n_out > 1 else [refs])
-    return [[o[j] for o in outs] for j in range(n_out)]
+    empty = empty if isinstance(empty, tuple) else (empty,)
+    reduce = _fold_reduce.options(num_returns=len(empty) + 1)
+    outs = [reduce.remote(fn, empty, schemas, [len(p[i]) for p in parts],
+                          *(r for p in parts for r in p[i]))
+            for i in range(len(parts[0]))]
+    counts = ray.get([o[-1] for o in outs])
+    return [Blocks([o[j] for o in outs], [c[j] for c in counts], e.schema)
+            for j, e in enumerate(empty)]
 
 
 def fold(ds, keys, fn, nb: int | None, empty):
@@ -366,7 +432,8 @@ def fold(ds, keys, fn, nb: int | None, empty):
     module docstring) and call ``fn`` once per partition with all of its
     rows as one ``pa.Table``; every row of a key lands in the same call.
 
-    ``ds`` may be a tuple of Datasets (sides) that all carry ``keys``:
+    ``ds`` (a Dataset or a :class:`Blocks`) may be a tuple of them
+    (sides) that all carry ``keys``:
     every side splits the same way and ``fn`` gets one table per side,
     in order. A side that sent a partition no rows arrives as a typed
     zero-row table (see :func:`_side_table`), so ``fn`` knows its sides
@@ -376,11 +443,11 @@ def fold(ds, keys, fn, nb: int | None, empty):
 
     ``empty`` may be a tuple of typed zero-row tables: then ``fn``
     returns one table (or None) per output, each partition's reduce
-    task returns them as separate objects (``num_returns=len(empty)``),
-    and ``fold`` returns a tuple of Datasets, one per output. An output
+    task returns them as separate objects, and ``fold`` returns a tuple of Datasets, one per output. An output
     that is None or has no rows in a partition is its ``empty``
     there."""
-    out = tuple(map(dataset, fold_blocks(ds, keys, fn, nb, empty)))
+    out = tuple(dataset(b.refs) for b in fold_blocks(ds, keys, fn, nb,
+                                                     empty))
     return out if isinstance(empty, tuple) else out[0]
 
 
@@ -421,14 +488,21 @@ def keyed_sum_fold(ds, key_col: str, val_cols: list[str],
     keep their input names. Keys may be int64 or string (an empty
     partition is typed from ``ds``'s schema when it is known without
     executing the plan, else int64); values must be int64."""
+    return dataset(_keyed_sum_fold_blocks(ds, key_col, val_cols,
+                                          num_partitions).refs)
+
+
+def _keyed_sum_fold_blocks(ds, key_col: str, val_cols: list[str],
+                           num_partitions: int | None) -> Blocks:
+    """:func:`keyed_sum_fold`'s output blocks."""
     sch = ds.schema(fetch_if_missing=False)
     ktype = sch.types[sch.names.index(key_col)] \
         if sch is not None and key_col in sch.names else pa.int64()
     empty = pa.table({key_col: pa.array([], ktype),
                       **{c: pa.array([], pa.int64()) for c in val_cols}})
-    return fold(ds, key_col, functools.partial(
+    return fold_blocks(ds, key_col, functools.partial(
         _fold_keyed, key_col=key_col, val_cols=val_cols), num_partitions,
-        empty)
+        empty)[0]
 
 
 def _fold_keyed(g: "pa.Table", key_col: str, val_cols: list[str]):
@@ -459,7 +533,15 @@ def keyed_sum_auto(partials, key_col: str, val_cols: list[str],
                    num_partitions: int | None = None):
     """:func:`keyed_sum_fold` over a partial-count stream, with a
     map-side combine first when the stream is past
-    :data:`KEYED_FOLD_DRIVER_MAX` rows.
+    :data:`KEYED_FOLD_DRIVER_MAX` rows (see :func:`keyed_sum_blocks`)."""
+    return dataset(keyed_sum_blocks(partials, key_col, val_cols,
+                                    num_partitions).refs)
+
+
+def keyed_sum_blocks(partials, key_col: str, val_cols: list[str],
+                     num_partitions: int | None = None) -> Blocks:
+    """:func:`keyed_sum_auto`'s output as :class:`Blocks`, for a stage
+    that reads the sums itself.
 
     The partials pipeline (and its upstream plan) executes exactly ONCE:
     it is materialized here and the combine gate reads the materialized
@@ -483,4 +565,4 @@ def keyed_sum_auto(partials, key_col: str, val_cols: list[str],
             batch_format="pyarrow").materialize())
         if merged.count() < n_part:
             parts = merged
-    return keyed_sum_fold(parts, key_col, val_cols, num_partitions)
+    return _keyed_sum_fold_blocks(parts, key_col, val_cols, num_partitions)

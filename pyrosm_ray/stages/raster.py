@@ -39,10 +39,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
-from ray.data.dataset import MaterializedDataset
 
+from pyrosm_ray.geom import wkb
 from pyrosm_ray.stages import spatial
-from pyrosm_ray.stages.blocks import (block_tasks, dataset, fold, probe,
+from pyrosm_ray.stages.blocks import (Blocks, fold, map_blocks, probe,
                                       unreserved)
 from pyrosm_ray.tiles import grid
 
@@ -147,8 +147,8 @@ def _polygon_masks(batch: pa.Table, id_col: str, tile_col: str, res: int,
     px = tx0[row] + (ix + 0.5) * (tx1[row] - tx0[row]) / gs
     py = ty0[row] + (iy + 0.5) * (ty1[row] - ty0[row]) / gs
 
-    coords, _ = spatial._binary_csr(packed["coords"])
-    rl, rl_off = spatial._binary_csr(packed["rlens"])
+    coords, _ = wkb.binary_csr(packed["coords"])
+    rl, rl_off = wkb.binary_csr(packed["rlens"])
     ring_offsets = np.concatenate([[0], np.cumsum(rl.view("<i8"))])
     poly_ring_offsets = rl_off // 8
     edges, poly_edge_offsets = spatial._build_edges(
@@ -190,7 +190,7 @@ def _zonal_partition(masks: pa.Table, rasters: pa.Table,
     cnt = off[mi + 1] - off[mi]
     pix = np.asarray(lists.values.to_numpy(), np.int64)[
         spatial._concat_ranges(off[mi], cnt)]
-    data, boff = spatial._binary_csr(rasters["raster"])
+    data, boff = wkb.binary_csr(rasters["raster"])
     values = data.view("<f8")[np.repeat(boff[ri] // 8, cnt) + pix]
     sums = np.bincount(np.repeat(np.arange(len(mi)), cnt), weights=values,
                        minlength=len(mi))
@@ -213,30 +213,30 @@ def polygon_zonal_stats(polygons_ds, raster_ds, tile_col: str = "h3_r7",
     pixel-centre even-odd mask.
 
     Two steps (see the module docstring). One plain task per non-empty
-    polygon block computes every (polygon, tile) mask as pixel indices;
-    then a two-sided :func:`~pyrosm_ray.stages.blocks.fold` on the tile
-    joins the masks with ``raster_ds`` and gathers. Geometry stays in
-    those tasks, so continent-scale polygons cost one mask row per covering tile,
+    polygon block computes every (polygon, tile) mask as pixel indices
+    (:func:`~pyrosm_ray.stages.blocks.map_blocks`); then a two-sided
+    :func:`~pyrosm_ray.stages.blocks.fold` on the tile joins the masks
+    with the raster blocks and gathers. Geometry stays in those tasks,
+    so continent-scale polygons cost one mask row per covering tile,
     not one WKB copy. The raster resolution is read from the first
-    raster row of each block in plain tasks (a lazy ``raster_ds`` is
-    materialized once first, so the probe and the fold read the same
-    blocks); an empty ``raster_ds`` gives an empty typed table."""
+    raster row of each block in plain tasks. The raster side is read
+    once as held blocks (a lazy ``raster_ds`` streams once), so the
+    probe and the fold read the same blocks; an empty ``raster_ds``
+    gives an empty typed table."""
     empty = pa.table({"polygon_id": pa.array([], pa.int64()),
                       tile_col: pa.array([], pa.int64()),
                       "pixel_count": pa.array([], pa.int64()),
                       "value_sum": pa.array([], pa.float64()),
                       "value_mean": pa.array([], pa.float64())})
-    if not isinstance(raster_ds, MaterializedDataset):
-        raster_ds = unreserved(raster_ds.materialize())
-    first = probe(raster_ds, lambda b: b[tile_col][0].as_py())
+    rasters = Blocks.of(raster_ds)
+    first = probe(rasters, lambda b: b[tile_col][0].as_py())
     if not first:
         return unreserved(rd.from_arrow(empty))
     res = int(grid.cell_res(np.array([first[0]]))[0])
     # plain tasks over the non-empty polygon blocks: a map would emit a
     # schema-less block for a zero-row one (a filtered layer has them)
-    masks = dataset(block_tasks(polygons_ds, functools.partial(
+    masks = map_blocks(polygons_ds, functools.partial(
         _polygon_masks, id_col=id_col, tile_col=tile_col, res=res,
-        gs=grid_size)))
-    return fold((masks, raster_ds.select_columns([tile_col, "raster"])),
-                tile_col, functools.partial(_zonal_partition,
-                                            tile_col=tile_col), None, empty)
+        gs=grid_size))
+    return fold((masks, rasters), tile_col, functools.partial(
+        _zonal_partition, tile_col=tile_col), None, empty)

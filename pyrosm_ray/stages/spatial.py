@@ -40,9 +40,10 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from pyrosm_ray.stages.blocks import (block_tasks, co_join, dataset, fold,
+from pyrosm_ray.stages.blocks import (Blocks, co_join, dataset, fold,
                                       fold_blocks, groupby_partitions,
-                                      keyed_sum_auto, probe, unreserved)
+                                      keyed_sum_blocks, map_blocks, probe,
+                                      unreserved)
 
 import functools
 
@@ -112,11 +113,11 @@ def hot_cells(ds_with_tiles, res: int, threshold: int,
         return pa.table({col: pa.array(cells, pa.int64()),
                          "n": pa.array(counts, pa.int64())})
 
-    agg = keyed_sum_auto(
+    agg = pa.concat_tables(ray.get(keyed_sum_blocks(
         ds_with_tiles.map_batches(partial, batch_format="pyarrow"),
-        col, ["n"]).to_pandas()
+        col, ["n"]).refs))
     out = {}
-    for cell, n in zip(agg[col], agg["n"]):
+    for cell, n in zip(agg[col].to_pylist(), agg["n"].to_pylist()):
         if n * scale > threshold:
             out[int(cell)] = int(min(max_salt,
                                      max(2, (n * scale) // threshold)))
@@ -255,52 +256,47 @@ def tile_rollup_sql(pages_expr: str, lon_sql: str, lat_sql: str,
 # polygon side packing (broadcast)
 # ---------------------------------------------------------------------------
 
+_PACKED_SCHEMA = pa.schema([
+    ("pid", pa.int64()), ("x0", pa.float64()), ("y0", pa.float64()),
+    ("x1", pa.float64()), ("y1", pa.float64()), ("coords", pa.binary()),
+    ("rlens", pa.binary())])
+
+
 def _pack_polygon_batch(batch: pa.Table, id_col: str) -> pa.Table:
     """Distributed WKB decode: one compact row per polygon (bbox + packed
-    ring coords + ring lengths) — the expensive per-geometry parse runs in
-    the tasks, the driver only concatenates arrays."""
-    ids, bxs, coords_b, rlen_b = [], [], [], []
-    bids = np.asarray(batch[id_col].to_numpy(zero_copy_only=False))
-    for i, g in enumerate(batch["geometry"].to_pylist()):
-        if g is None:
-            continue
-        gt = wkb.wkb_geom_type(g)
-        if gt not in (wkb.POLYGON, wkb.MULTIPOLYGON):
-            continue
-        rings = wkb.polygon_rings(g)
-        if not rings:
-            continue
-        ids.append(int(bids[i]))
-        flat = np.concatenate(rings)
-        bxs.append((flat[:, 0].min(), flat[:, 1].min(),
-                    flat[:, 0].max(), flat[:, 1].max()))
-        coords_b.append(np.ascontiguousarray(flat, dtype="<f8").tobytes())
-        rlen_b.append(np.array([len(r) for r in rings],
-                               dtype="<i8").tobytes())
-    bx = np.array(bxs, dtype=np.float64).reshape(-1, 4)
-    return pa.table({
-        "pid": pa.array(ids, pa.int64()),
-        "x0": pa.array(bx[:, 0]), "y0": pa.array(bx[:, 1]),
-        "x1": pa.array(bx[:, 2]), "y1": pa.array(bx[:, 3]),
-        "coords": pa.array(coords_b, pa.binary()),
-        "rlens": pa.array(rlen_b, pa.binary()),
-    })
+    ring coords + ring lengths), decoded a column at a time
+    (:func:`wkb.polygon_column`). Null and non-polygon rows, and polygons
+    whose rings hold no points, make no row."""
+    rows, nrings, rlens, coords = wkb.polygon_column(batch["geometry"])
+    ring_row = np.repeat(np.arange(len(rows)), nrings)
+    npts = np.bincount(ring_row, weights=rlens,
+                       minlength=len(rows)).astype(np.int64)
+    keep = npts > 0
+    rlens = rlens[np.repeat(keep, nrings)]
+    nrings, npts = nrings[keep], npts[keep]
+    first = np.cumsum(npts) - npts
+    bx = [np.empty(0)] * 4 if not len(npts) else [
+        f.reduceat(coords[:, i], first)
+        for f, i in ((np.minimum, 0), (np.minimum, 1), (np.maximum, 0),
+                     (np.maximum, 1))]
+    ids = np.asarray(batch[id_col].to_numpy(zero_copy_only=False))[
+        rows[keep]]
+    return pa.table([
+        pa.array(ids.astype(np.int64)), *map(pa.array, bx),
+        _binary_column(coords.astype("<f8"), npts * 16),
+        _binary_column(rlens.astype("<i8"), nrings * 8)],
+        schema=_PACKED_SCHEMA)
 
 
-def _binary_csr(col) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-copy CSR view over a binary column: (flat uint8 data, byte
-    offsets rebased to 0). Callers .view() the flat bytes to their packed
-    dtype — no per-row as_py/frombuffer."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    n = len(col)
-    if n == 0:
-        return np.empty(0, np.uint8), np.zeros(1, np.int64)
-    col = col.cast(pa.large_binary())
-    boff = np.frombuffer(col.buffers()[1], np.int64)[
-        col.offset:col.offset + n + 1]
-    data = np.frombuffer(col.buffers()[2], np.uint8)
-    return data[boff[0]:boff[-1]], boff - boff[0]
+def _binary_column(values: np.ndarray, sizes: np.ndarray) -> pa.Array:
+    """One binary value per row from the raw bytes of ``values``, row i
+    taking the next ``sizes[i]`` bytes."""
+    off = np.zeros(len(sizes) + 1, np.int64)
+    np.cumsum(sizes, out=off[1:])
+    return pa.LargeBinaryArray.from_buffers(
+        pa.large_binary(), len(sizes),
+        [None, pa.py_buffer(off), pa.py_buffer(values.tobytes())]
+    ).cast(pa.binary())
 
 
 def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -532,32 +528,31 @@ def pack_polygon_index(polygons_ds, id_col: str = "id",
                        target_shards: int | None = None) -> "ray.ObjectRef":
     """Distributed sharded polygon index build.
 
-    WKB decode runs distributed (map_batches); packed polygon blocks are
-    ROUTED by top-level grid cell in parallel tasks and one sub-index per
-    occupied cell is built in parallel tasks — nothing but a tiny manifest
+    WKB decode runs distributed (one plain task per block); packed
+    polygon blocks are ROUTED by top-level grid cell in parallel tasks
+    and one sub-index per occupied cell is built in parallel tasks —
+    nothing but a tiny manifest
     (cell keys + shard ObjectRefs) ever lands on the driver, and the build
     wall scales with CPUs instead of anti-scaling on a serial driver
     concat. Polygons whose bbox spans > MAX_TOP_COVER top cells go to one
     brute-bbox oversize shard checked per batch. Each shard's candidate
     grid adapts to ITS polygons (better than one global resolution)."""
     lay = layer or "polygons"
-    packed = block_tasks(polygons_ds, functools.partial(
+    packed = map_blocks(polygons_ds, functools.partial(
         _pack_polygon_batch, id_col=id_col))
 
     def stats(b: pa.Table) -> tuple:
-        return (b.num_rows, pc.min(b["x0"]).as_py(), pc.min(b["y0"]).as_py(),
+        return (pc.min(b["x0"]).as_py(), pc.min(b["y0"]).as_py(),
                 pc.max(b["x1"]).as_py(), pc.max(b["y1"]).as_py())
 
-    st = np.array(probe(packed, stats), np.float64).reshape(-1, 5)
-    packed = [ref for ref, n in zip(packed, st[:, 0]) if n]
-    st = st[st[:, 0] > 0]
-    n_polys = int(st[:, 0].sum())
+    st = np.array(probe(packed, stats), np.float64).reshape(-1, 4)
+    n_polys = packed.num_rows
     if n_polys == 0:
         return ray.put({"sharded": True, "top_res": 0,
                         "cells": np.empty(0, np.int64), "shards": [],
                         "oversize_shard": None, "layer": lay})
-    spanx = max(float(st[:, 3].max() - st[:, 1].min()), 1e-6)
-    spany = max(float(st[:, 4].max() - st[:, 2].min()), 1e-6)
+    spanx = max(float(st[:, 2].max() - st[:, 0].min()), 1e-6)
+    spany = max(float(st[:, 3].max() - st[:, 1].min()), 1e-6)
     try:
         cpus = int(ray.cluster_resources().get("CPU", 8))
     except Exception:
@@ -573,7 +568,7 @@ def pack_polygon_index(polygons_ds, id_col: str = "id",
         max(target, 1) * 360.0 * 180.0 / (spanx * spany))), 0, 18))
 
     routed = ray.get([_route_block_task.remote(ref, top_res, MAX_TOP_COVER)
-                      for ref in packed])
+                      for ref in packed.live()])
     from collections import defaultdict
     cell_parts: dict[int, list] = defaultdict(list)
     over_parts: list = []
@@ -784,32 +779,48 @@ def pip_join(pages_ds, polygons_ds=None, how: str = "inner",
 # kNN join (nearest POIs)
 # ---------------------------------------------------------------------------
 
+def poi_points(batch: pa.Table, lon_col: str = "lon",
+               lat_col: str = "lat") -> tuple[np.ndarray, np.ndarray,
+                                              np.ndarray]:
+    """One point per POI row -> (row index, lon, lat): the row's
+    ``lon``/``lat`` when both are set, else the centre of its geometry's
+    bbox (a way or relation POI of ``get_pois`` has null ``lon``/``lat``).
+    Rows with neither are left out."""
+    n = batch.num_rows
+    lon, lat = (np.asarray(pc.fill_null(batch[c], np.nan).to_numpy(
+        zero_copy_only=False), np.float64) if c in batch.column_names
+        else np.full(n, np.nan) for c in (lon_col, lat_col))
+    need = np.flatnonzero(np.isnan(lon) | np.isnan(lat))
+    if len(need) and "geometry" in batch.column_names:
+        lon, lat = lon.copy(), lat.copy()
+        geoms = batch["geometry"].take(pa.array(need))
+        data, off = wkb.binary_csr(geoms)
+        ok = np.asarray(pc.is_valid(geoms), bool)
+        # Point WKB has a fixed 21-byte little-endian layout: one view
+        # reads them all; any other geometry takes its bbox centre
+        pt = ok & (np.diff(off) == 21)
+        m = data[off[:-1][pt][:, None] + np.arange(21)]
+        is_pt = (m[:, 0] == 1) \
+            & (m[:, 1:5].copy().view("<u4").ravel() == wkb.POINT)
+        pt[pt] = is_pt
+        m = m[is_pt]
+        lon[need[pt]] = m[:, 5:13].copy().view("<f8").ravel()
+        lat[need[pt]] = m[:, 13:21].copy().view("<f8").ravel()
+        for i in np.flatnonzero(ok & ~pt):
+            x0, y0, x1, y1 = wkb.wkb_bbox(geoms[int(i)].as_py())
+            lon[need[i]], lat[need[i]] = (x0 + x1) / 2, (y0 + y1) / 2
+    rows = np.flatnonzero(~(np.isnan(lon) | np.isnan(lat)))
+    return rows, lon[rows], lat[rows]
+
+
 def _pack_point_batch(batch: pa.Table, id_col: str, lon_col: str,
                       lat_col: str) -> pa.Table:
     """Distributed point pack: WKB decode runs in the tasks; ONE row per
     batch carries the packed id/lon/lat buffers so the driver concatenates
     a handful of large buffers instead of decoding serially."""
-    if lon_col in batch.column_names:
-        lon = np.asarray(batch[lon_col].to_numpy(zero_copy_only=False),
-                         dtype=np.float64)
-        lat = np.asarray(batch[lat_col].to_numpy(zero_copy_only=False),
-                         dtype=np.float64)
-    else:
-        # vectorised Point-WKB decode: the 21-byte little-endian layout
-        # is fixed, so one frombuffer view parses the whole batch
-        bufs = batch["geometry"].to_pylist()
-        raw = np.frombuffer(b"".join(bufs), dtype=np.uint8)
-        if len(bufs) and len(raw) == 21 * len(bufs):
-            m = raw.reshape(-1, 21)
-            pts = np.column_stack([
-                m[:, 5:13].copy().view("<f8").ravel(),
-                m[:, 13:21].copy().view("<f8").ravel()])
-        else:  # mixed geometry fallback
-            pts = np.array([wkb.decode_wkb(g)[1] for g in bufs])
-        lon, lat = (pts[:, 0], pts[:, 1]) if len(pts) else \
-            (np.empty(0), np.empty(0))
+    rows, lon, lat = poi_points(batch, lon_col, lat_col)
     ids = np.asarray(batch[id_col].to_numpy(zero_copy_only=False),
-                     dtype=np.int64)
+                     dtype=np.int64)[rows]
     return pa.table({
         "ids": pa.array([ids.astype("<i8").tobytes()], pa.binary()),
         "lon": pa.array([np.ascontiguousarray(lon, "<f8").tobytes()],
@@ -829,10 +840,6 @@ def _point_cell_keys(lon: np.ndarray, lat: np.ndarray,
 
 @ray.remote
 def _point_stats_task(block: pa.Table):
-    if "ids" not in block.column_names:
-        # Ray 2.49: zero-row blocks skip map UDFs and surface with the
-        # UPSTREAM schema (the blocks.py guard note) — treat as empty
-        return 0, 0.0, 0.0, 0.0, 0.0, np.empty(0, np.int64)
     ids = np.frombuffer(b"".join(block["ids"].to_pylist()), dtype="<i8")
     lon = np.frombuffer(b"".join(block["lon"].to_pylist()), dtype="<f8")
     if len(lon) == 0:
@@ -851,8 +858,6 @@ def _point_stats_task(block: pa.Table):
 def _point_route_task(block: pa.Table, bounds: np.ndarray, res: int):
     """One packed block -> {shard: ref((ids, lon, lat, keys))} routed by
     cell-key range; sub-arrays go straight back to the object store."""
-    if "ids" not in block.column_names:
-        return {}
     ids = np.frombuffer(b"".join(block["ids"].to_pylist()), dtype="<i8")
     if len(ids) == 0:
         return {}
@@ -914,11 +919,9 @@ def pack_point_index(points_ds, id_col: str = "id",
     from per-block stats and launches tasks — no O(N) concat or argsort
     runs on the driver (round-3 verdict item; the
     build_coord_index_sharded pattern, topology.py)."""
-    packed = unreserved(points_ds.map_batches(
-        functools.partial(_pack_point_batch, id_col=id_col,
-                          lon_col=lon_col, lat_col=lat_col),
-        batch_format="pyarrow", batch_size=1 << 18).materialize())
-    block_refs = packed.to_arrow_refs()
+    block_refs = map_blocks(points_ds, functools.partial(
+        _pack_point_batch, id_col=id_col, lon_col=lon_col,
+        lat_col=lat_col)).refs
     stats = ray.get([_point_stats_task.remote(r) for r in block_refs]) \
         if block_refs else []
     total = sum(s[0] for s in stats)
@@ -1253,6 +1256,18 @@ def _cover_counts(bx: dict, gres: int):
     return cx0, cy0, ncx, ncx * (cy1 - cy0 + 1)
 
 
+@ray.remote(num_returns=2)
+def _pack_levels_task(block: pa.Table, id_col: str, ladder: list,
+                      max_cover: int):
+    """One polygon block -> its packed table, and (its row count, the
+    ladder levels its polygons choose) as a second small object."""
+    t = _pack_polygon_batch(block, id_col)
+    bx = {c: np.asarray(t[c].to_numpy(zero_copy_only=False))
+          for c in ("x0", "y0", "x1", "y1")}
+    return t, (t.num_rows, np.unique(
+        _choose_cover_res(bx, ladder, max_cover)).tolist())
+
+
 def _choose_cover_res(bx: dict, ladder, max_cover: int) -> np.ndarray:
     """Finest ladder grid-res whose bbox cover stays <= ``max_cover``
     (coarsest level when even that is exceeded). ``ladder`` is sorted
@@ -1339,8 +1354,8 @@ def _pip_cells_pairs(pg: pa.Table, po: pa.Table, layer: str) -> tuple:
         qs = qi[inline]
         uq, local = np.unique(qs, return_inverse=True)
         sub = po.select(["coords", "rlens"]).take(pa.array(uq, pa.int64()))
-        cflat, _coff = _binary_csr(sub["coords"])
-        rflat, roff = _binary_csr(sub["rlens"])
+        cflat, _coff = wkb.binary_csr(sub["coords"])
+        rflat, roff = wkb.binary_csr(sub["rlens"])
         coords = cflat.view("<f8").reshape(-1, 2)
         rlens = rflat.view("<i8")
         ring_offsets = np.zeros(len(rlens) + 1, dtype=np.int64)
@@ -1372,8 +1387,8 @@ def _pip_confirm_group(pairs: pa.Table, geoms: pa.Table,
                       np.int64)
     gord = np.argsort(gpid, kind="stable")
     sub = geoms.select(["coords", "rlens"]).take(pa.array(gord))
-    cflat, _coff = _binary_csr(sub["coords"])
-    rflat, roff = _binary_csr(sub["rlens"])
+    cflat, _coff = wkb.binary_csr(sub["coords"])
+    rflat, roff = wkb.binary_csr(sub["rlens"])
     coords = cflat.view("<f8").reshape(-1, 2)
     rlens = rflat.view("<i8")
     ring_offsets = np.zeros(len(rlens) + 1, dtype=np.int64)
@@ -1439,20 +1454,26 @@ def pip_join_partitioned(pages_ds, polygons_ds, cell_res: int = 7,
     pass re-reads the fold's output. Stage 2 runs only when deferred
     pairs exist and carries only the non-inline polygons' geometry.
 
-    Polygon blocks pack in plain tasks, non-empty blocks only, and the
-    cover levels the page side needs are probed per packed block in
-    plain tasks: the only Ray Data executions are the maps the folds
-    stream (page rows, cover rows, stage-2 geometry rows).
+    Polygon blocks pack in plain tasks, non-empty blocks only, each
+    also returning its row count and the cover levels the page side
+    needs; cover rows and stage-2 geometry rows are plain-task maps over
+    the packed blocks (:func:`~pyrosm_ray.stages.blocks.map_blocks`).
+    The only Ray Data execution is the page side's stream into the
+    stage-1 fold.
     """
     ladder = sorted({grid.h3_equiv_res(cell_res + 2 * k) for k in range(3)})
 
     # distributed WKB decode into the compact packed form (bbox + coord
     # buffer + ring lengths) in plain tasks over the non-empty blocks —
-    # consumed twice: cover keys and geometry. Blocks that pack to no
-    # rows (all geometries null) are dropped below, so no map meets a
-    # zero-row block (Ray Data would emit a schema-less block for it)
-    packed_refs = block_tasks(polygons_ds, functools.partial(
-        _pack_polygon_batch, id_col=id_col))
+    # consumed twice: cover keys and geometry. Each task also returns
+    # its block's row count and cover levels; blocks that pack to no
+    # rows (all geometries null) are dropped
+    tasks = [_pack_levels_task.remote(ref, id_col, ladder, max_cover)
+             for ref in Blocks.of(polygons_ds).live()]
+    meta = [(t, n, gs) for (t, _), (n, gs) in
+            zip(tasks, ray.get([m for _, m in tasks])) if n]
+    packed = Blocks([t for t, _, _ in meta], [n for _, n, _ in meta],
+                    _PACKED_SCHEMA)
 
     def inline_mask(batch: pa.Table, chosen: np.ndarray) -> np.ndarray:
         """Which polygons ship their packed geometry ON the cover rows:
@@ -1478,22 +1499,13 @@ def pip_join_partitioned(pages_ds, polygons_ds, cell_res: int = 7,
             ncell[m] = nc
         return gbytes * ncell <= geom_inline_budget
 
-    def levels(batch: pa.Table) -> list[int]:
-        """One packed block's chosen ladder levels (none when it has no
-        rows)."""
-        bx = {c: np.asarray(batch[c].to_numpy(zero_copy_only=False))
-              for c in ("x0", "y0", "x1", "y1")}
-        return np.unique(_choose_cover_res(bx, ladder, max_cover)).tolist()
-
-    block_levels = probe(packed_refs, levels)
-    used = sorted({g for gs in block_levels for g in gs})
+    used = sorted({g for _, _, gs in meta for g in gs})
     lay = layer or "polygons"
     if not used:  # no polygons -> empty join, pages schema preserved
         hits = unreserved(rd.from_arrow(_PIP_HITS_EMPTY))
         if not join_payload:
             return hits
         return _join_payload(pages_ds, hits, _PIP_HITS_EMPTY, num_partitions)
-    packed = dataset([r for r, gs in zip(packed_refs, block_levels) if gs])
 
     def cover_rows(batch: pa.Table) -> pa.Table:
         """(polygon_id, cell, bbox[, inline geometry]) rows at each
@@ -1565,7 +1577,7 @@ def pip_join_partitioned(pages_ds, polygons_ds, cell_res: int = 7,
     pg = geocode_pages(pages_ds.select_columns(["url"]))
     hits, deferred = fold_blocks(
         (pg.map_batches(page_rows, batch_format="pyarrow"),
-         packed.map_batches(cover_rows, batch_format="pyarrow")),
+         map_blocks(packed, cover_rows)),
         "cell", functools.partial(_pip_cells_pairs, layer=lay), nb,
         (_PIP_HITS_EMPTY, _PIP_DEFERRED_EMPTY))
 
@@ -1583,13 +1595,13 @@ def pip_join_partitioned(pages_ds, polygons_ds, cell_res: int = 7,
         return pa.table({"polygon_id": b["pid"], "coords": b["coords"],
                          "rlens": b["rlens"]})
 
-    deferred = dataset(deferred)
-    if deferred.count():
-        hits += fold_blocks((deferred, packed.map_batches(
-            big_geom_rows, batch_format="pyarrow")), "polygon_id",
+    hit_refs = hits.refs
+    if deferred.num_rows:
+        hit_refs = hit_refs + fold_blocks(
+            (deferred, map_blocks(packed, big_geom_rows)), "polygon_id",
             functools.partial(_pip_confirm_group, layer=lay), nb,
-            _PIP_HITS_EMPTY)[0]
-    hits = dataset(hits)
+            _PIP_HITS_EMPTY)[0].refs
+    hits = dataset(hit_refs)
     if not join_payload:
         # hit rows only (url, polygon_id, polygon_layer): the wide page
         # payload replicates once per containing polygon in the joined
@@ -1622,6 +1634,26 @@ _KNN_HITS_EMPTY = pa.table({
 _KNN_UNDONE_EMPTY = pa.table({
     "url": pa.array([], pa.string()), "lon": pa.array([], pa.float64()),
     "lat": pa.array([], pa.float64())})
+_KNN_COORDS_SCHEMA = pa.schema([("poi_id", pa.int64()),
+                                ("plon", pa.float64()),
+                                ("plat", pa.float64())])
+
+
+@ray.remote
+def _poi_coords_task(block: pa.Table, id_col: str, k: int):
+    """One POI block -> ``k`` row slices of (poi_id, plon, plat) (one
+    point per POI, :func:`poi_points`), then (the slices' row counts,
+    the block's (lon min, lat min, lon max, lat max) or None)."""
+    rows, lon, lat = poi_points(block)
+    t = pa.table([
+        pa.array(np.asarray(block[id_col].to_numpy(zero_copy_only=False),
+                            np.int64)[rows]),
+        pa.array(lon), pa.array(lat)], schema=_KNN_COORDS_SCHEMA)
+    cut = np.linspace(0, t.num_rows, k + 1).astype(np.int64)
+    slices = [t.slice(a, b - a) for a, b in zip(cut[:-1], cut[1:])]
+    bounds = (lon.min(), lat.min(), lon.max(), lat.max()) if len(rows) \
+        else None
+    return (*slices, ([x.num_rows for x in slices], bounds))
 
 
 
@@ -1783,7 +1815,7 @@ def knn_join_partitioned(pages_ds, pois_ds, k: int = 1,
     returns both), so the next round reads the undone output directly,
     with no filter pass over the round's result. Later rounds keep
     the ring at 3x3 but COARSEN the grid (cell side x4 per round): POI
-    replication stays a constant 9x of the (narrow, repartitioned) coord
+    replication stays a constant 9x of the (narrow, sliced) coord
     table per round, instead of the (2R+1)^2 blow-up a growing radius
     would cost — candidate count per surviving page grows ~16x per round,
     but that is vectorised multiply-add inside the kernel, not shuffle
@@ -1791,8 +1823,10 @@ def knn_join_partitioned(pages_ds, pois_ds, k: int = 1,
     unresolved x POIs fits ``sweep_max_pairs``) run one exact sweep of
     the POI table against the (tiny, broadcast) leftover page set. Only
     the (url, lon, lat) projection ever shuffles; the full page payload
-    re-joins by url at the end. The POI side's density stats and the
-    sweep's per-block partial top-k run as plain tasks over its blocks.
+    re-joins by url at the end. Everything after the page side's first
+    read runs as plain tasks over held blocks: the POI coords (which
+    also return the density stats), the ring and page-cell rows of
+    each round, and the sweep's per-block partial top-k.
 
     ``cell_res=None`` (the default) sizes the grid from the POI side's
     own count and extent — cells chosen so a cell holds ~max(0.5, k/4)
@@ -1801,57 +1835,41 @@ def knn_join_partitioned(pages_ds, pois_ds, k: int = 1,
     res-7-equivalent cells held ~40 POIs -> a 72 M-row join, 469 s;
     auto-res -> ~1.8 M rows). Pass an explicit ``cell_res`` (H3-ish
     resolution) to pin the grid, e.g. for parity tests."""
-    def poi_coords(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch[id_col].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
-        if "lon" in batch.column_names and not \
-                pc.any(pc.is_null(batch["lon"])).as_py():
-            lo = np.asarray(batch["lon"].to_numpy(zero_copy_only=False),
-                            dtype=np.float64)
-            la = np.asarray(batch["lat"].to_numpy(zero_copy_only=False),
-                            dtype=np.float64)
-        else:  # same fallback as _pack_point_batch: decode geometry
-            pts = np.array([wkb.decode_wkb(g)[1]
-                            for g in batch["geometry"].to_pylist()])
-            lo, la = (pts[:, 0], pts[:, 1]) if len(pts) else \
-                (np.empty(0), np.empty(0))
-        return pa.table({
-            "poi_id": pa.array(ids, pa.int64()),
-            "plon": pa.array(lo, pa.float64()),
-            "plat": pa.array(la, pa.float64()),
-        })
-
     # narrow (24 B/row) coord table first: the density stats and the cell
-    # keying both read it, so the WKB decode runs once. Repartition to the
-    # worker count — the upstream layer Dataset often materializes into a
-    # handful of blocks, which would serialize the 9x ring replication
-    # into one task per round
+    # keying both read it, so the WKB decode runs once. Each POI block
+    # is cut into row slices, about max(4, CPUs) in all — the upstream
+    # layer often holds its rows in a block or two, which would
+    # serialize the 9x ring replication into one task per round
+    src = Blocks.of(pois_ds)
     n_cpus = max(4, int(ray.cluster_resources().get("CPU", 8)))
-    base = unreserved(pois_ds.map_batches(poi_coords, batch_format="pyarrow")
-                      .repartition(n_cpus).materialize())
+    tasks = []
+    for ref, n in zip(src.refs, src.counts):
+        slices = max(1, round(n_cpus * n / src.num_rows))
+        tasks.append(_poi_coords_task.options(
+            num_returns=slices + 1).remote(ref, id_col, slices))
+    meta = ray.get([t[-1] for t in tasks])
+    base = Blocks([r for t in tasks for r in t[:-1]],
+                  [c for counts, _ in meta for c in counts],
+                  _KNN_COORDS_SCHEMA)
+    n_pois = base.num_rows
     if cell_res is None:
-        def stats(b: pa.Table) -> tuple:
-            lo = np.asarray(b["plon"].to_numpy(zero_copy_only=False))
-            la = np.asarray(b["plat"].to_numpy(zero_copy_only=False))
-            return b.num_rows, lo.min(), la.min(), lo.max(), la.max()
-        st = np.array(probe(base, stats), np.float64).reshape(-1, 5)
-        n_pois = float(st[:, 0].sum())
+        st = np.array([b for _, b in meta if b is not None],
+                      np.float64).reshape(-1, 4)
         if n_pois == 0:
             gres = grid.h3_equiv_res(7)
         else:
-            spanx = max(float(st[:, 3].max() - st[:, 1].min()), 1e-6)
-            spany = max(float(st[:, 4].max() - st[:, 2].min()), 1e-6)
+            spanx = max(float(st[:, 2].max() - st[:, 0].min()), 1e-6)
+            spany = max(float(st[:, 3].max() - st[:, 1].min()), 1e-6)
             cells = max(64.0, n_pois / max(0.5, k / 4.0))
             gres = int(np.clip(round(0.5 * np.log2(
                 cells * 360.0 * 180.0 / (spanx * spany))), 6, grid.MAX_RES))
     else:
         gres = grid.h3_equiv_res(cell_res)
-    n_pois = int(base.count())
     pages_t = pages_ds if "lon" in pages_ds.schema().names else \
         geocode_pages(pages_ds.select_columns(["url"]))
     unresolved = pages_t.select_columns(["url", "lon", "lat"])
-    # round-0 count from read metadata; later rounds count the
-    # materialized undone set
+    # round-0 count from read metadata; later rounds take the undone
+    # output's counts
     n_unres = int(pages_ds.count())
     nb = groupby_partitions()
 
@@ -1873,26 +1891,29 @@ def knn_join_partitioned(pages_ds, pois_ds, k: int = 1,
         # explode-pages + left-join + rebucket form pushed every
         # candidate row through two all-to-alls (11.4 s of a 35 s sf0.1
         # wall in the round-0 join alone). Done and undone pages are the
-        # fold's two outputs, refs already, so nothing re-reads them
-        done, undone = fold_blocks((
-            unresolved.map_batches(functools.partial(
-                page_cell_rows, g=round_gres), batch_format="pyarrow"),
-            base.map_batches(functools.partial(
-                _poi_ring_rows, gres=round_gres, radius=radius),
-                batch_format="pyarrow")), "cell", functools.partial(
-            _knn_cells_topk, k=k, gres=round_gres, radius=radius),
+        # fold's two outputs, refs already, so nothing re-reads them:
+        # rounds after the first map the undone blocks in plain tasks
+        cell_rows = functools.partial(page_cell_rows, g=round_gres)
+        done, unresolved = fold_blocks((
+            map_blocks(unresolved, cell_rows)
+            if isinstance(unresolved, Blocks) else
+            unresolved.map_batches(cell_rows, batch_format="pyarrow"),
+            map_blocks(base, functools.partial(
+                _poi_ring_rows, gres=round_gres, radius=radius))),
+            "cell", functools.partial(
+                _knn_cells_topk, k=k, gres=round_gres, radius=radius),
             nb, (_KNN_HITS_EMPTY, _KNN_UNDONE_EMPTY))
-        done_parts += done
-        unresolved = dataset(undone)
-        n_unres = int(unresolved.count())
+        done_parts += done.refs
+        n_unres = unresolved.num_rows
         if n_unres == 0:
             break
         # next round: same 3x3 ring over 4x-wider cells — constant 9x POI
         # replication per round; a growing Chebyshev radius instead costs
         # (2R+1)^2 x the POI table (361x by round 3)
         round_gres = max(round_gres - 2, 3)
-    leftover = unresolved.to_pandas() if unresolved.count() else None
-    if leftover is not None and len(leftover):
+    left = ray.get(Blocks.of(unresolved).live())
+    if left:
+        leftover = pa.concat_tables(left).to_pandas()
         # exact sweep: broadcast the leftover pages, partial top-k per POI
         # batch, tiny driver merge (pages here are the hard tail — pages
         # whose kth neighbour is far — typically a vanishing fraction)
@@ -1965,10 +1986,13 @@ def radius_join_partitioned(pages_ds, pois_ds, radius_m: float = 200.0,
     """
     # grid: cell side >= covering radius at the worst latitude present.
     # One tiny per-block probe of the POI coordinates bounds |lat|.
+    def poi_point_rows(b: pa.Table) -> pa.Table:
+        rows, lon, lat = poi_points(b)
+        return pa.table({id_col: b[id_col].take(pa.array(rows)),
+                         "lon": pa.array(lon), "lat": pa.array(lat)})
+
     pois_nar = unreserved(pois_ds.map_batches(
-        lambda b: pa.table({
-            id_col: b[id_col], "lon": b["lon"], "lat": b["lat"]}),
-        batch_format="pyarrow").materialize())
+        poi_point_rows, batch_format="pyarrow").materialize())
     maxlat = min(max(probe(pois_nar, lambda b: float(np.max(np.abs(
         b["lat"].to_numpy(zero_copy_only=False))))), default=0.0), 89.0)
     dlat = radius_m / 110_000.0

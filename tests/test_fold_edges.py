@@ -533,3 +533,110 @@ def test_two_output_fold_two_sides_empty_partitions(ray_session):
     assert all(x.schema == _ODD.schema for x in gb)
     assert sorted(r["v"] for r in _rows(a)) == [1, 2, 3]
     assert sorted(r["k"] for r in _rows(b)) == [2, 9]
+
+
+# ---------------------------------------------------------------------------
+# held-block (Blocks) sides
+# ---------------------------------------------------------------------------
+
+def _tables(case: str, t: pa.Table) -> list[pa.Table]:
+    """``t`` as the blocks of a case: zero-row blocks before, between
+    and after two row blocks for ``zero_row_blocks``, else three
+    slices."""
+    if case == "zero_row_blocks":
+        half = t.num_rows // 2
+        return [t.slice(0, 0), t.slice(0, half), t.slice(0, 0),
+                t.slice(half), t.slice(0, 0)]
+    cut = [0, t.num_rows // 3, 2 * t.num_rows // 3, t.num_rows]
+    return [t.slice(a, b - a) for a, b in zip(cut[:-1], cut[1:])]
+
+
+def _held(tables: list[pa.Table], schema: pa.Schema) -> blocks.Blocks:
+    """``tables`` as held refs, each after a zero-row ref of another
+    schema: a fold must skip that ref by its count, as reading it
+    would break the side's columns."""
+    bogus = ray.put(pa.table({"bogus": pa.array([], pa.string())}))
+    refs, counts = [], []
+    for x in tables:
+        refs += [bogus, ray.put(x)]
+        counts += [0, x.num_rows]
+    return blocks.Blocks(refs, counts, schema)
+
+
+def _sorted_rows(out) -> list[tuple]:
+    return sorted(tuple(r.values()) for r in _rows(out))
+
+
+@pytest.mark.parametrize("case", _CASES)
+def test_blocks_side_folds_like_its_dataset(ray_session, monkeypatch, case):
+    """A ``Blocks`` side gives the rows the Dataset side of the same
+    blocks gives, with the fold ceiling lowered to ``N`` (``nb=None``:
+    one task at the ceiling, split past it) and at an explicit ``nb``,
+    with one output and with two; every output block is typed."""
+    monkeypatch.setattr(blocks, "KEYED_FOLD_DRIVER_MAX", N)
+    keys = _keys(case)
+    t = pa.table({"k": pa.array(keys, pa.int64()),
+                  "v": pa.array([(i * 7) % 5 for i in range(len(keys))],
+                                pa.int64())})
+    tables = _tables(case, t)
+    kernel = _split_parity()
+    for nb in (None, 3):
+        for empty, fn in (((_EVEN, _ODD), kernel),
+                          (_EVEN, lambda x: kernel(x)[0])):
+            want = blocks.fold(rd.from_arrow(tables), "k", fn, nb, empty)
+            got = blocks.fold(_held(tables, t.schema), "k", fn, nb, empty)
+            if not isinstance(empty, tuple):
+                empty, want, got = (empty,), (want,), (got,)
+            for e, w, g in zip(empty, want, got):
+                assert all(b.schema == e.schema for b in _blocks_of(g)), \
+                    (case, nb)
+                assert _sorted_rows(g) == _sorted_rows(w), (case, nb)
+
+
+@pytest.mark.parametrize("nb", [None, 3])
+def test_blocks_side_without_rows_is_typed(ray_session, monkeypatch, nb):
+    """A ``Blocks`` side that sends a partition no rows arrives as a
+    zero-row table typed by the ``Blocks`` schema, whether it holds no
+    refs or only zero-row ones (a zero-row ref of another schema
+    included)."""
+    monkeypatch.setattr(blocks, "KEYED_FOLD_DRIVER_MAX", N)
+    right = pa.schema([("k", pa.int64()), ("w", pa.string())])
+    left = pa.table({"k": pa.array(range(60), pa.int64())})
+    out_empty = pa.table({"k": pa.array([], pa.int64()),
+                          "typed": pa.array([], pa.bool_())})
+
+    def kernel(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        return pa.table({"k": lt["k"], "typed": pa.array(
+            [rt.num_rows == 0 and rt.schema == right] * lt.num_rows)})
+
+    for side in (blocks.Blocks([], [], right),
+                 _held([right.empty_table()], right)):
+        got = blocks.fold((_held(_tables("above_ceiling", left),
+                                 left.schema), side), "k", kernel, nb,
+                          out_empty)
+        rows = _rows(got)
+        assert sorted(r["k"] for r in rows) == list(range(60))
+        assert all(r["typed"] for r in rows)
+
+
+def test_fold_blocks_counts_and_map_blocks(ray_session):
+    """``fold_blocks`` returns each output's row counts and schema;
+    ``map_blocks`` maps the non-empty blocks of a Dataset or a
+    ``Blocks`` and returns the counts and schema of its tables."""
+    t = pa.table({"k": pa.array([1, 1, 2, 3, 4, 4, 4], pa.int64()),
+                  "v": pa.array([1, 2, 3, 4, 5, 6, 7], pa.int64())})
+    even, odd = blocks.fold_blocks(_held(_tables("zero_row_blocks", t),
+                                         t.schema), "k", _split_parity(),
+                                   3, (_EVEN, _ODD))
+    for out, e in ((even, _EVEN), (odd, _ODD)):
+        got = ray.get(out.refs)
+        assert out.schema == e.schema and len(out.refs) == 3
+        assert out.counts == [x.num_rows for x in got]
+    assert even.num_rows == 3 and odd.num_rows == 4
+    for src in (rd.from_arrow(_tables("zero_row_blocks", t)).materialize(),
+                _held(_tables("zero_row_blocks", t), t.schema)):
+        m = blocks.map_blocks(src, lambda x: x.select(["v"]))
+        assert len(m.refs) == 2 and m.counts == [3, 4]
+        assert m.schema == pa.schema([("v", pa.int64())])
+        assert sorted(v for x in ray.get(m.refs)
+                      for v in x["v"].to_pylist()) == list(range(1, 8))

@@ -191,3 +191,121 @@ def test_coords_bbox_per_geom():
     np.testing.assert_allclose(b[0], [0, 0, 2, 3])
     assert np.isinf(b[1, 0])
     np.testing.assert_allclose(b[2], [1, 1, 5, 5])
+
+
+# ---------------------------------------------------------------------------
+# column decoder: the vectorised polygon packer against a scalar pack
+# ---------------------------------------------------------------------------
+
+_SHELL = np.array([[0, 0], [4, 0], [4, 4], [0, 4], [0, 0]], dtype=float)
+_HOLE = np.array([[1, 1], [1, 2], [2, 2], [2, 1], [1, 1]], dtype=float)
+_NO_POINTS = np.empty((0, 2))
+
+
+def _scalar_pack(ids, geoms):
+    """The packed polygon rows built one geometry at a time on
+    ``wkb.polygon_rings``: nulls, other types, ring-less polygons and
+    polygons whose rings hold no points make no row."""
+    import pyarrow as pa
+
+    from pyrosm_ray.stages import spatial
+
+    rows = []
+    for i, g in zip(ids, geoms):
+        if g is None or wkb.wkb_geom_type(g) not in (wkb.POLYGON,
+                                                     wkb.MULTIPOLYGON):
+            continue
+        rings = wkb.polygon_rings(g)
+        if not sum(len(r) for r in rings):
+            continue
+        flat = np.concatenate(rings)
+        rows.append((i, flat[:, 0].min(), flat[:, 1].min(),
+                     flat[:, 0].max(), flat[:, 1].max(),
+                     np.ascontiguousarray(flat, "<f8").tobytes(),
+                     np.array([len(r) for r in rings], "<i8").tobytes()))
+    return pa.table([pa.array(list(c), t) for c, t in zip(
+        zip(*rows) if rows else [()] * 7, spatial._PACKED_SCHEMA.types)],
+        schema=spatial._PACKED_SCHEMA)
+
+
+def _mixed_geoms() -> list:
+    rng = np.random.default_rng(3)
+
+    def ring(n):
+        pts = rng.uniform(-10, 10, (n, 2))
+        return np.vstack([pts, pts[:1]])
+
+    return [
+        None,
+        wkb.point_wkb(1.5, 2.5),
+        wkb.linestring_wkb(_SHELL),
+        wkb.polygon_wkb([_SHELL, _HOLE]),
+        wkb.multipolygon_wkb([[_SHELL + 10, _HOLE + 10], [ring(7)],
+                              [ring(3), ring(4), ring(5)]]),
+        wkb.polygon_wkb([]),
+        wkb.polygon_wkb([_NO_POINTS, _NO_POINTS]),
+        wkb.multipolygon_wkb([[_NO_POINTS], []]),
+        wkb.polygon_wkb([_NO_POINTS, ring(6)]),
+        wkb.multipolygon_wkb([[ring(200)] * 3] * 4),
+        wkb.multilinestring_wkb([_SHELL, _HOLE]),
+        wkb.polygon_wkb([ring(4)]),
+        None,
+    ]
+
+
+def test_packer_matches_scalar_pack():
+    import pyarrow as pa
+
+    from pyrosm_ray.stages import spatial
+
+    geoms = _mixed_geoms()
+    ids = list(range(100, 100 + len(geoms)))
+    t = pa.table({"id": pa.array(ids, pa.int64()),
+                  "geometry": pa.array(geoms, pa.binary())})
+    got = spatial._pack_polygon_batch(t, "id")
+    assert got.equals(_scalar_pack(ids, geoms))
+    assert got["pid"].to_pylist() == [103, 104, 108, 109, 111]
+    # a sliced column (non-zero offset) and a chunked one
+    assert spatial._pack_polygon_batch(t.slice(4), "id").equals(
+        _scalar_pack(ids[4:], geoms[4:]))
+    chunked = pa.table({"id": t["id"], "geometry": pa.chunked_array(
+        [t["geometry"].combine_chunks().slice(0, 5),
+         t["geometry"].combine_chunks().slice(5)])})
+    assert spatial._pack_polygon_batch(chunked, "id").equals(got)
+    # an empty batch, typed
+    empty = spatial._pack_polygon_batch(t.slice(0, 0), "id")
+    assert empty.num_rows == 0 and empty.schema == spatial._PACKED_SCHEMA
+
+
+def test_polygon_column_rings_match_polygon_rings():
+    import pyarrow as pa
+
+    geoms = _mixed_geoms()
+    rows, nrings, rlens, coords = wkb.polygon_column(
+        pa.array(geoms, pa.binary()))
+    want = {i: wkb.polygon_rings(g) for i, g in enumerate(geoms)
+            if g is not None
+            and wkb.wkb_geom_type(g) in (wkb.POLYGON, wkb.MULTIPOLYGON)}
+    assert rows.tolist() == sorted(want)
+    assert nrings.tolist() == [len(want[i]) for i in rows]
+    rings = [r for i in rows for r in want[i]]
+    assert rlens.tolist() == [len(r) for r in rings]
+    np.testing.assert_array_equal(coords, np.concatenate(rings))
+
+
+def test_packer_rejects_big_endian():
+    import struct
+
+    import pyarrow as pa
+
+    from pyrosm_ray.stages import spatial
+
+    big = struct.pack(">BIII", 0, wkb.POLYGON, 1, 5) \
+        + np.asarray(_SHELL, ">f8").tobytes()
+    for geoms in ([wkb.polygon_wkb([_SHELL]), big],
+                  [struct.pack(">BIdd", 0, wkb.POINT, 1.0, 2.0)],
+                  [wkb.multipolygon_wkb([[_SHELL]])[:9] + big]):
+        t = pa.table({"id": pa.array(range(len(geoms)), pa.int64()),
+                      "geometry": pa.array(geoms, pa.binary())})
+        with pytest.raises(ValueError, match="little-endian"):
+            spatial._pack_polygon_batch(t, "id")

@@ -7,7 +7,7 @@ import pytest
 import ray.data as rd
 
 from pyrosm_ray.geom import ops, wkb
-from pyrosm_ray.stages import raster
+from pyrosm_ray.stages import blocks, raster
 from pyrosm_ray.tiles import grid
 
 RES = grid.h3_equiv_res(7)
@@ -176,7 +176,8 @@ def test_zonal_fold_sides_carry_no_geometry(ray_session, monkeypatch):
     real = raster.fold
 
     def spy(ds, *args):
-        seen.append([side.schema().names for side in ds])
+        seen.append([(side.schema if isinstance(side, blocks.Blocks)
+                      else side.schema()).names for side in ds])
         return real(ds, *args)
 
     monkeypatch.setattr(raster, "fold", spy)

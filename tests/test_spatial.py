@@ -635,3 +635,127 @@ def test_radius_join_partitioned_rejects_uncoverable_radius(ray_session):
     with pytest.raises(ValueError, match="broadcast"):
         radius_join_partitioned(rd.from_arrow(pages), rd.from_arrow(pois),
                                 radius_m=6_000_000.0)
+
+
+def test_geo_stages_run_no_execution_on_held_blocks(src, count_executions):
+    """On materialized inputs the index builds and zonal stats run no Ray
+    Data execution, and the partitioned joins run exactly one: the page
+    side's read into the first fold."""
+    from pyrosm_ray.stages import raster
+
+    osm = OSM(src)
+    bld = osm.get_buildings().materialize()
+    poi = osm.get_pois().materialize()
+    pages = rd.read_parquet(f"{src}/pages.parquet").materialize()
+    rast = raster.rasterize_points(spatial.assign_tiles(pages).select_columns(
+        ["h3_r7", "lon", "lat"])).materialize()
+    calls = {
+        "pack_point_index": lambda: spatial.pack_point_index(poi),
+        "pack_polygon_index": lambda: spatial.pack_polygon_index(bld),
+        "polygon_zonal_stats": lambda: raster.polygon_zonal_stats(bld,
+                                                                  rast),
+        "knn_join_partitioned": lambda: spatial.knn_join_partitioned(
+            pages, poi, k=2, sweep_max_pairs=0, join_payload=False),
+        "pip_join_partitioned": lambda: spatial.pip_join_partitioned(
+            pages, bld, join_payload=False, geom_inline_budget=0),
+    }
+    runs = {}
+    for name, call in calls.items():
+        count_executions.clear()
+        call()
+        runs[name] = len(count_executions)
+    assert runs == {"pack_point_index": 0, "pack_polygon_index": 0,
+                    "polygon_zonal_stats": 0, "knn_join_partitioned": 1,
+                    "pip_join_partitioned": 1}
+
+
+# ---------------------------------------------------------------------------
+# point joins on a POI layer with way and relation POIs
+# ---------------------------------------------------------------------------
+
+def _mixed_poi_layer():
+    """A POI layer shaped as ``get_pois`` gives it: node POIs carry
+    ``lon``/``lat`` and a Point, way POIs a Polygon and relation POIs a
+    MultiPolygon with null ``lon``/``lat``; one row has neither. Returns
+    the layer and each kept POI's point (its lon/lat, else the centre of
+    its geometry's bbox, from the scalar decoder)."""
+    rng = np.random.RandomState(21)
+    n = 60
+    cx = 24.9 + rng.uniform(0, 0.05, n)
+    cy = 60.15 + rng.uniform(0, 0.03, n)
+    rows, want = [], {}
+    for i in range(n):
+        d = rng.uniform(0.0002, 0.002)
+        sq = np.array([[cx[i] - d, cy[i] - d], [cx[i] + d, cy[i] - d],
+                       [cx[i] + d, cy[i] + d], [cx[i] - d, cy[i] - d]])
+        if i % 3 == 0:
+            rows.append((i, "node", cx[i], cy[i],
+                         wkb.point_wkb(cx[i], cy[i])))
+        elif i % 3 == 1:
+            rows.append((i, "way", None, None, wkb.polygon_wkb([sq])))
+        else:
+            rows.append((i, "relation", None, None, wkb.multipolygon_wkb(
+                [[sq], [sq + 3 * d]])))
+    rows.append((n, "way", None, None, None))
+    for i, _, lon, lat, g in rows:
+        if lon is not None:
+            want[i] = (lon, lat)
+        elif g is not None:
+            flat = np.concatenate(wkb.polygon_rings(g))
+            want[i] = ((flat[:, 0].min() + flat[:, 0].max()) / 2,
+                       (flat[:, 1].min() + flat[:, 1].max()) / 2)
+    t = pa.table({"id": pa.array([r[0] for r in rows], pa.int64()),
+                  "osm_type": pa.array([r[1] for r in rows]),
+                  "lon": pa.array([r[2] for r in rows], pa.float64()),
+                  "lat": pa.array([r[3] for r in rows], pa.float64()),
+                  "geometry": pa.array([r[4] for r in rows], pa.binary())})
+    return t, want
+
+
+def test_point_joins_on_mixed_poi_layer(ray_session):
+    """kNN and radius joins, broadcast and partitioned, give every way and
+    relation POI its bbox centre and drop the POI with no point, against
+    a brute-force haversine reference."""
+    layer, want = _mixed_poi_layer()
+    rng = np.random.RandomState(22)
+    pages = pa.table({
+        "url": pa.array([f"u{i}" for i in range(80)]),
+        "lon": pa.array(24.9 + rng.uniform(0, 0.05, 80)),
+        "lat": pa.array(60.15 + rng.uniform(0, 0.03, 80))})
+    ids = np.array(sorted(want), np.int64)
+    plon = np.array([want[i][0] for i in ids])
+    plat = np.array([want[i][1] for i in ids])
+    d = ops.haversine_m(np.asarray(pages["lat"])[:, None],
+                        np.asarray(pages["lon"])[:, None],
+                        plat[None, :], plon[None, :])
+    k, radius = 3, 400.0
+    knn_want = sorted(
+        (f"u{p}", int(ids[q]), r + 1, round(float(d[p, q]), 3))
+        for p in range(len(d))
+        for r, q in enumerate(np.lexsort((ids, d[p]))[:k]))
+    pi, qi = np.nonzero(d <= radius)
+    rad_want = sorted((f"u{p}", int(ids[q]), round(float(d[p, q]), 3))
+                      for p, q in zip(pi, qi))
+    assert len(rad_want) > 50
+
+    def pois():
+        return rd.from_arrow([layer.slice(0, 30), layer.slice(30)])
+
+    def got(out, cols):
+        df = out.to_pandas()
+        return sorted(zip(*(df[c].tolist() for c in cols)))
+
+    knn_cols = ["url", "poi_id", "knn_rank", "distance_m"]
+    assert got(spatial.knn_join(rd.from_arrow(pages), pois(), k=k),
+               knn_cols) == knn_want
+    for sweep in (0, spatial._KNN_SWEEP_MAX_PAIRS):
+        assert got(spatial.knn_join_partitioned(
+            rd.from_arrow(pages), pois(), k=k, num_partitions=4,
+            sweep_max_pairs=sweep, join_payload=False),
+            knn_cols) == knn_want, sweep
+    rad_cols = ["url", "poi_id", "distance_m"]
+    assert got(spatial.radius_join(rd.from_arrow(pages), pois(),
+                                   radius_m=radius), rad_cols) == rad_want
+    assert got(spatial.radius_join_partitioned(
+        rd.from_arrow(pages), pois(), radius_m=radius, num_partitions=4),
+        rad_cols) == rad_want
