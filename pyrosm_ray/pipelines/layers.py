@@ -659,12 +659,15 @@ class OSM:
         datasets = []
         for osm_type, ds in parts:
             def align(batch: pa.Table, t=osm_type) -> pa.Table:
+                # one name set per batch: ``column_names`` builds a fresh
+                # list on every call, and a layer has hundreds of columns
+                have = set(batch.schema.names)
                 cols = {}
                 for name in names:
                     if name == "osm_type":
                         cols[name] = pa.array([t] * len(batch), pa.string())
-                    elif name in batch.column_names:
-                        col = batch[name]
+                    elif name in have:
+                        col = batch.column(name)
                         if pa.types.is_null(col.type):
                             col = pa.nulls(len(batch), target[name])
                         cols[name] = col
@@ -1012,7 +1015,8 @@ class OSM:
                  for t in tags_list]
         drop = ["members"]
         if not self.keep_metadata:
-            drop += [c for c in META_COLS if c in rel_kept.column_names]
+            have = set(rel_kept.column_names)
+            drop += [c for c in META_COLS if c in have]
         out = promote_tags(rel_kept.drop_columns(drop), tag_columns)
         return out.append_column("__force_line",
                                  pa.array(force, pa.bool_()))

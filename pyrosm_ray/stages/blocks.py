@@ -13,26 +13,27 @@ slices each key's run, and :func:`co_join` (an inner, left outer or
 left anti hash join) is a two-sided fold whose ``fn`` is one
 ``pa.Table.join``. Shards move between plain Ray tasks: one split task
 per non-empty upstream block (``num_returns=nb``), reduce refs wrapped
-by ``rd.from_arrow_refs``. No aggregator-actor pool starts, zero-row
-blocks are skipped from their metadata, and an empty partition returns
-a typed table. Outputs stay object refs; nothing is gathered on the
-driver.
+by :func:`dataset` from the counts the reduce tasks returned. No
+aggregator-actor pool starts, zero-row blocks are skipped from their
+metadata, and an empty partition returns a typed table. Outputs stay
+object refs; nothing is gathered on the driver.
 
 A fold may have several outputs: given a tuple of typed zero-row
 tables as ``empty``, ``fn`` returns one table per output, each reduce
 task returns them as separate objects (and one more small object with
-their row counts), and the fold returns one Dataset per output, so a kernel that splits its
-rows (done/undone, confirmed/deferred) needs no filter pass over its
-result.
+their row counts and bytes), and the fold returns one Dataset per
+output, so a kernel that splits its rows (done/undone,
+confirmed/deferred) needs no filter pass over its result.
 
 Inside a stage the currency is :class:`Blocks`: block refs with their
-row counts and a schema. It comes from a materialized Dataset's bundle
-metadata (:meth:`Blocks.of`, which runs nothing), from
+row counts, bytes and a schema. It comes from a materialized Dataset's
+bundle metadata (:meth:`Blocks.of`, which runs nothing), from
 :func:`map_blocks` (one plain task per non-empty block, each returning
-its table and, as a second small object, its row count and schema) and
-from :func:`fold_blocks` (each reduce task also returns its outputs'
-row counts). A fold takes a ``Blocks`` side anywhere it takes a Dataset
-and reads its counts and schema without streaming it. A stage wraps
+its table and, as a second small object, its row count, bytes and
+schema) and from :func:`fold_blocks` (each reduce task also returns its
+outputs' row counts and bytes). A fold takes a ``Blocks`` side anywhere
+it takes a Dataset and reads its counts and schema without streaming
+it. A stage wraps
 blocks in a Dataset (:func:`dataset`) only for its return value. Small
 per-block facts (bounds, the levels a block uses) come from
 :func:`probe`: one plain Ray task per block, results gathered.
@@ -93,12 +94,15 @@ KEYED_FOLD_DRIVER_MAX = 100_000
 
 @dataclasses.dataclass(frozen=True)
 class Blocks:
-    """Block refs a stage holds, with each block's row count and the
-    blocks' schema (None when unknown): the type of every intermediate
-    inside a stage. Consumers skip the refs whose count is 0."""
+    """Block refs a stage holds, with each block's row count, the
+    blocks' schema (None when unknown) and, when known, each block's
+    size in bytes (which :func:`dataset` needs): the type of every
+    intermediate inside a stage. Consumers skip the refs whose count
+    is 0."""
     refs: list
     counts: list
     schema: pa.Schema | None = None
+    sizes: list | None = None
 
     @classmethod
     def of(cls, ds) -> "Blocks":
@@ -107,14 +111,28 @@ class Blocks:
         Dataset streams once. A ``Blocks`` is returned as it is."""
         if isinstance(ds, Blocks):
             return ds
-        refs, counts, schema = [], [], None
+        refs, counts, sizes, schema = [], [], [], None
         for bundle in ds.iter_internal_ref_bundles():
             schema = schema or _named(bundle.schema)
             for ref, meta in bundle.blocks:
                 if meta.num_rows:
                     refs.append(ref)
                     counts.append(meta.num_rows)
-        return cls(refs, counts, schema)
+                    sizes.append(meta.size_bytes)
+        return cls(refs, counts, schema, sizes)
+
+    @classmethod
+    def put(cls, t: pa.Table) -> "Blocks":
+        """A driver-side table as one block."""
+        return cls([ray.put(t)], [t.num_rows], t.schema, [t.nbytes])
+
+    def __add__(self, other: "Blocks") -> "Blocks":
+        """The blocks of both, ``self``'s first (the schema is the first
+        known one)."""
+        sizes = None if self.sizes is None or other.sizes is None \
+            else self.sizes + other.sizes
+        return Blocks(self.refs + other.refs, self.counts + other.counts,
+                      self.schema or other.schema, sizes)
 
     @property
     def num_rows(self) -> int:
@@ -318,7 +336,8 @@ def _typed(out, empty: pa.Table) -> pa.Table:
 def _fold_reduce(fn, empty, schemas, counts, *parts):
     """One partition: ``fn`` over its rows per side -> one table per
     entry of the tuple ``empty`` (each typed by it), then the tuple of
-    their row counts; the task runs with ``num_returns=len(empty) + 1``."""
+    their (row count, bytes); the task runs with
+    ``num_returns=len(empty) + 1``."""
     sides, at = [], 0
     for n, schema in zip(counts, schemas):
         sides.append(_side_table(parts[at:at + n], schema))
@@ -327,7 +346,7 @@ def _fold_reduce(fn, empty, schemas, counts, *parts):
     if len(empty) == 1:
         out = (out,)
     outs = tuple(map(_typed, out or (None,) * len(empty), empty))
-    return (*outs, tuple(t.num_rows for t in outs))
+    return (*outs, tuple((t.num_rows, t.nbytes) for t in outs))
 
 
 def _per_key(fn, key: str, t: pa.Table) -> pa.Table | None:
@@ -356,8 +375,9 @@ def _join(keys: list[str], join_type: str, empty: pa.Table | None,
         # a left outer/anti join keeps every left row, joined against a
         # right side typed from the result schema
         typed = left.slice(0, 0) if empty is None else empty
+        have = set(left.column_names)
         right = typed.select(keys + [c for c in typed.column_names
-                                     if c not in left.column_names])
+                                     if c not in have])
     return left.join(right, keys, join_type=join_type)
 
 
@@ -373,7 +393,7 @@ def _block_task(fn, block):
 @ray.remote(num_returns=2)
 def _map_task(fn, block):
     t = fn(_table(block))
-    return t, (t.num_rows, t.schema)
+    return t, (t.num_rows, t.nbytes, t.schema)
 
 
 def probe(blocks, fn) -> list:
@@ -388,28 +408,52 @@ def map_blocks(blocks, fn) -> Blocks:
     """``fn(table) -> table`` over every non-empty block of ``blocks``
     (a :class:`Blocks` or a Dataset, see :meth:`Blocks.of`) as one plain
     Ray task per block. Each task returns the table and, as a second
-    small object, its row count and schema; the driver gathers only the
-    small ones."""
+    small object, its row count, bytes and schema; the driver gathers
+    only the small ones."""
     out = [_map_task.remote(fn, ref) for ref in Blocks.of(blocks).live()]
     meta = ray.get([m for _, m in out])
-    return Blocks([t for t, _ in out], [n for n, _ in meta],
-                  next((sch for _, sch in meta), None))
+    return Blocks([t for t, _ in out], [n for n, _, _ in meta],
+                  next((sch for _, _, sch in meta), None),
+                  [b for _, b, _ in meta])
 
 
-def dataset(refs: list) -> rd.Dataset:
-    """Block refs (e.g. :func:`fold_blocks` outputs, several folds'
-    together) as one engine-built Dataset, without the Ray Data
-    execution a ``union`` costs. A stage wraps its return value only:
-    reading a freshly wrapped Dataset's blocks back costs a Ray Data
-    execution."""
-    return unreserved(rd.from_arrow_refs(list(refs)))
+def dataset(blocks: Blocks) -> rd.Dataset:
+    """``blocks`` (e.g. :func:`fold_blocks` outputs, several folds'
+    together, zero-row blocks included) as one engine-built Dataset,
+    without the Ray Data execution a ``union`` costs. A stage wraps its
+    return value only: reading a freshly wrapped Dataset's blocks back
+    costs a Ray Data execution.
+
+    The plan is the one ``rd.from_arrow_refs`` builds, with each block's
+    metadata taken from ``blocks`` (row count, bytes, the one schema)
+    instead of from one metadata task per block. It uses Ray Data's
+    internal plan classes (``tests/test_blocks.py`` pins them)."""
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.from_operators import \
+        FromArrow
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.block import BlockMetadata, BlockMetadataWithSchema
+    from ray.data.dataset import MaterializedDataset
+
+    if blocks.sizes is None:
+        raise ValueError("dataset() needs the blocks' sizes in bytes")
+    meta = [BlockMetadataWithSchema(BlockMetadata(
+        num_rows=n, size_bytes=b, exec_stats=None, input_files=None),
+        blocks.schema) for n, b in zip(blocks.counts, blocks.sizes)]
+    plan = ExecutionPlan(DatasetStats(metadata={"FromArrow": meta},
+                                      parent=None),
+                         rd.DataContext.get_current().copy())
+    return unreserved(MaterializedDataset(
+        plan, LogicalPlan(FromArrow(list(blocks.refs), meta),
+                          plan._context)))
 
 
 def fold_blocks(ds, keys, fn, nb: int | None, empty) -> list[Blocks]:
     """:func:`fold` without the Dataset wrapping: one :class:`Blocks` of
     partition outputs per output (a one-item list when ``empty`` is a
-    table), typed by that output's ``empty``. The row counts come back
-    as one more small object per reduce task, gathered in one
+    table), typed by that output's ``empty``. The row counts and bytes
+    come back as one more small object per reduce task, gathered in one
     ``ray.get``."""
     sides = ds if isinstance(ds, tuple) else (ds,)
     parts, schemas = _partition(sides, _keys(keys), nb)
@@ -421,8 +465,9 @@ def fold_blocks(ds, keys, fn, nb: int | None, empty) -> list[Blocks]:
     outs = [reduce.remote(fn, empty, schemas, [len(p[i]) for p in parts],
                           *(r for p in parts for r in p[i]))
             for i in range(len(parts[0]))]
-    counts = ray.get([o[-1] for o in outs])
-    return [Blocks([o[j] for o in outs], [c[j] for c in counts], e.schema)
+    meta = ray.get([o[-1] for o in outs])
+    return [Blocks([o[j] for o in outs], [m[j][0] for m in meta], e.schema,
+                   [m[j][1] for m in meta])
             for j, e in enumerate(empty)]
 
 
@@ -446,8 +491,7 @@ def fold(ds, keys, fn, nb: int | None, empty):
     task returns them as separate objects, and ``fold`` returns a tuple of Datasets, one per output. An output
     that is None or has no rows in a partition is its ``empty``
     there."""
-    out = tuple(dataset(b.refs) for b in fold_blocks(ds, keys, fn, nb,
-                                                     empty))
+    out = tuple(map(dataset, fold_blocks(ds, keys, fn, nb, empty)))
     return out if isinstance(empty, tuple) else out[0]
 
 
@@ -489,7 +533,7 @@ def keyed_sum_fold(ds, key_col: str, val_cols: list[str],
     partition is typed from ``ds``'s schema when it is known without
     executing the plan, else int64); values must be int64."""
     return dataset(_keyed_sum_fold_blocks(ds, key_col, val_cols,
-                                          num_partitions).refs)
+                                          num_partitions))
 
 
 def _keyed_sum_fold_blocks(ds, key_col: str, val_cols: list[str],
@@ -535,7 +579,7 @@ def keyed_sum_auto(partials, key_col: str, val_cols: list[str],
     map-side combine first when the stream is past
     :data:`KEYED_FOLD_DRIVER_MAX` rows (see :func:`keyed_sum_blocks`)."""
     return dataset(keyed_sum_blocks(partials, key_col, val_cols,
-                                    num_partitions).refs)
+                                    num_partitions))
 
 
 def keyed_sum_blocks(partials, key_col: str, val_cols: list[str],

@@ -333,6 +333,38 @@ def _cell_pairs(pcell: np.ndarray, qcell: np.ndarray):
         s = e
 
 
+def _segment_topk(key: np.ndarray, tie: np.ndarray, starts: np.ndarray,
+                  k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k`` smallest ``key`` entries of every segment, without a
+    sort.
+
+    Segment i is ``starts[i]:starts[i + 1]`` (the last one runs to the
+    end; none is empty). Each of ``k`` passes takes every segment's
+    minimum with ``np.minimum.reduceat``, breaks a tie by the lowest
+    ``tie`` and then the lowest position (the order a stable
+    ``lexsort((tie, key, segment))`` gives), and sets the chosen entry to
+    +inf for the next pass. Returns ``(pos, kth)``: the chosen positions
+    as a (segments, k) array in rank order, -1 past a segment's length,
+    and each segment's kth smallest key (+inf when it has fewer)."""
+    n = len(key)
+    counts = np.diff(np.append(starts, n))
+    seg = np.repeat(np.arange(len(starts)), counts)
+    work = np.array(key, np.float64)
+    at = np.arange(n)
+    no_tie = np.iinfo(np.int64).max
+    pos = np.full((len(starts), k), -1, np.int64)
+    for j in range(k):
+        live = counts > j
+        m = np.minimum.reduceat(work, starts)
+        hit = work == m[seg]
+        low = np.minimum.reduceat(np.where(hit, tie, no_tie), starts)
+        hit &= tie == low[seg]
+        p = np.minimum.reduceat(np.where(hit, at, n), starts)[live]
+        pos[live, j] = p
+        work[p] = np.inf
+    return pos, np.where(counts >= k, m, np.inf)
+
+
 def _build_cell_bins(bboxes: np.ndarray, max_cover: int = 64):
     """Uniform-grid candidate bins over polygon bboxes.
 
@@ -761,9 +793,12 @@ def pip_join_batch(batch: pa.Table, *, index_ref, how: str = "inner",
 
 def pip_join(pages_ds, polygons_ds=None, how: str = "inner",
              layer: str | None = None, id_col: str = "id",
-             batch_size: int = 64 * 1024, concurrency=None,
              index_ref=None):
-    """Broadcast PIP join: geocoded pages stream against a polygon layer.
+    """Broadcast PIP join: geocoded pages stream against a polygon layer,
+    one task per page block (a stage takes as long as its longest task,
+    so blocks are never bundled into one). A block of any row count is
+    one call: the exact test expands its candidate pairs' edges in
+    chunks of :data:`_CONFIRM_CHUNK_EDGES`.
 
     Pass a prebuilt ``index_ref`` (:func:`pack_polygon_index`) to amortise
     the polygon index build across multiple joins / the page stream."""
@@ -772,7 +807,7 @@ def pip_join(pages_ds, polygons_ds=None, how: str = "inner",
                                        layer=layer)
     return pages_ds.map_batches(
         functools.partial(pip_join_batch, index_ref=index_ref, how=how),
-        batch_format="pyarrow", batch_size=batch_size)
+        batch_format="pyarrow", batch_size=None)
 
 
 # ---------------------------------------------------------------------------
@@ -966,6 +1001,11 @@ def pack_point_index(points_ds, id_col: str = "id",
     return out_ref
 
 
+# rows KnnJoiner ranks in one pass: a bigger block is cut into slices of
+# this size, so its candidate arrays stay as large as one slice's
+_KNN_SLICE_ROWS = 32 * 1024
+
+
 class KnnJoiner:
     """kNN-to-nearest-POI join over the broadcast point index: per batch an
     expanding-radius candidate search, exact haversine ranking, top-k rows
@@ -1053,12 +1093,17 @@ class KnnJoiner:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         n = len(batch)
-        if n == 0 or len(self.index["ids"]) == 0:
-            return batch.slice(0, 0)
+        if n > _KNN_SLICE_ROWS:
+            # a block past the slice bound ranks in slices, so no call
+            # builds larger candidate arrays than one slice does
+            return pa.concat_tables([
+                self(batch.slice(s, _KNN_SLICE_ROWS))
+                for s in range(0, n, _KNN_SLICE_ROWS)])
         px = np.asarray(batch[self.lon_col].to_numpy(zero_copy_only=False))
         py = np.asarray(batch[self.lat_col].to_numpy(zero_copy_only=False))
-        k = min(self.k, len(self.index["ids"]))
-        pend = np.arange(n)
+        ids = self.index["ids"]
+        k = min(self.k, len(ids))
+        pend = np.arange(n if len(ids) else 0)  # no POI: no row matches
         r = self.r0
         rows_pt: list[np.ndarray] = []
         rows_poi: list[np.ndarray] = []
@@ -1067,36 +1112,29 @@ class KnnJoiner:
             if not len(pend):
                 break
             qi, ii = self._box_candidates(px[pend], py[pend], r)
-            done_mask = np.zeros(len(pend), dtype=bool)
             if len(qi):
                 d = ops.haversine_m(py[pend[qi]], px[pend[qi]],
                                     self.index["lat"][ii],
                                     self.index["lon"][ii])
-                # fully vectorised per-point top-k: sort pairs by (point,
-                # distance, poi_id) and rank within the point's group
-                order = np.lexsort((self.index["ids"][ii], d, qi))
-                qi_s, ii_s, d_s = qi[order], ii[order], d[order]
-                grp_start = np.flatnonzero(
-                    np.diff(qi_s, prepend=qi_s[0] - 1))
-                counts = np.diff(np.append(grp_start, len(qi_s)))
-                rank = (np.arange(len(qi_s))
-                        - np.repeat(grp_start, counts))
+                # per-query top-k by (distance, poi_id) in k
+                # segment-minimum passes over the pairs, which come
+                # grouped by query in query order
+                starts = np.flatnonzero(np.diff(qi, prepend=-1))
+                pos, kth_d = _segment_topk(d, ids[ii], starts, k)
                 # a point is DONE when its kth candidate lies within the
                 # *inscribed* safe radius (a neighbour outside the query box
                 # could otherwise be closer); east-west extent shrinks by
                 # cos(lat)
                 safe_m = (r * 110_000.0
                           * np.cos(np.deg2rad(np.abs(py[pend]))))
-                has_k = counts >= k
-                grp_pt = qi_s[grp_start]           # pend-relative point idx
-                kth_d = d_s[np.minimum(grp_start + k - 1,
-                                       len(d_s) - 1)]
-                done_grp = has_k & (kth_d <= safe_m[grp_pt])
-                done_mask[grp_pt[done_grp]] = True
-                take = np.repeat(done_grp, counts) & (rank < k)
-                rows_pt.append(pend[qi_s[take]])
-                rows_poi.append(self.index["ids"][ii_s[take]])
-                rows_d.append(np.round(d_s[take], 3))
+                grp_pt = qi[starts]                # pend-relative point idx
+                done = kth_d <= safe_m[grp_pt]
+                take = pos[done].ravel()
+                rows_pt.append(pend[qi[take]])
+                rows_poi.append(ids[ii[take]])
+                rows_d.append(np.round(d[take], 3))
+                done_mask = np.zeros(len(pend), dtype=bool)
+                done_mask[grp_pt[done]] = True
                 pend = pend[~done_mask]
             r *= 3.0
             if (r > 360.0 or round_i == 9) and len(pend):
@@ -1109,7 +1147,7 @@ class KnnJoiner:
                 dd = d[rows, part.ravel()]
                 order2 = np.lexsort((part.ravel(), dd, rows))
                 rows_pt.append(pend[rows[order2]])
-                rows_poi.append(self.index["ids"][part.ravel()[order2]])
+                rows_poi.append(ids[part.ravel()[order2]])
                 rows_d.append(np.round(dd[order2], 3))
                 pend = pend[:0]
         if rows_pt:
@@ -1214,26 +1252,33 @@ def radius_join_batch(batch: pa.Table, *, index_ref,
 
 
 def radius_join(pages_ds, pois_ds=None, radius_m: float = 200.0,
-                id_col: str = "id", batch_size: int = 32 * 1024,
-                index_ref=None):
+                id_col: str = "id", index_ref=None):
     """All (page, POI) pairs within ``radius_m`` metres — the broadcast
-    route (index built/shared like :func:`knn_join`)."""
+    route (index built/shared like :func:`knn_join`), one task per page
+    block. :class:`RadiusJoiner` expands a block's candidate pairs in
+    chunks of about ``1 << 22``, so a block of any row count is one
+    call."""
     if index_ref is None:
         index_ref = pack_point_index(pois_ds, id_col=id_col)
     return pages_ds.map_batches(
         functools.partial(radius_join_batch, index_ref=index_ref,
                           radius_m=radius_m),
-        batch_format="pyarrow", batch_size=batch_size)
+        batch_format="pyarrow", batch_size=None)
 
 
 def knn_join(pages_ds, pois_ds=None, k: int = 1, id_col: str = "id",
-             batch_size: int = 32 * 1024, concurrency=None,
              index_ref=None):
+    """The ``k`` nearest POIs of every page (``poi_id``, ``distance_m``
+    rounded to mm, ``knn_rank`` from 1; ties go to the lower POI id) —
+    the broadcast route over :func:`pack_point_index` (pass a prebuilt
+    ``index_ref`` to share it with :func:`radius_join`). One task per
+    page block; :class:`KnnJoiner` ranks a block in slices of at most
+    :data:`_KNN_SLICE_ROWS` rows."""
     if index_ref is None:
         index_ref = pack_point_index(pois_ds, id_col=id_col)
     return pages_ds.map_batches(
         functools.partial(knn_join_batch, index_ref=index_ref, k=k),
-        batch_format="pyarrow", batch_size=batch_size)
+        batch_format="pyarrow", batch_size=None)
 
 
 # ---------------------------------------------------------------------------
@@ -1595,13 +1640,12 @@ def pip_join_partitioned(pages_ds, polygons_ds, cell_res: int = 7,
         return pa.table({"polygon_id": b["pid"], "coords": b["coords"],
                          "rlens": b["rlens"]})
 
-    hit_refs = hits.refs
     if deferred.num_rows:
-        hit_refs = hit_refs + fold_blocks(
+        hits = hits + fold_blocks(
             (deferred, map_blocks(packed, big_geom_rows)), "polygon_id",
             functools.partial(_pip_confirm_group, layer=lay), nb,
-            _PIP_HITS_EMPTY)[0].refs
-    hits = dataset(hit_refs)
+            _PIP_HITS_EMPTY)[0]
+    hits = dataset(hits)
     if not join_payload:
         # hit rows only (url, polygon_id, polygon_layer): the wide page
         # payload replicates once per containing polygon in the joined
@@ -1743,42 +1787,35 @@ def _knn_cells_topk(pg: pa.Table, po: pa.Table, k: int, gres: int,
     def chunk(s: int, e: int, pair_pg, pair_q) -> tuple:
         npg = e - s
         cnt = np.bincount(pair_pg - s, minlength=npg)
-        # rank candidates by unit-vector dot product — trig per ROW,
-        # pure multiply-add per PAIR; the dense per-pair trig matrix is
-        # the FLOP wall of this kernel. Exact haversine runs only on the
-        # top-(k+4) selection per page (the margin absorbs float
-        # near-ties, so the final (distance, poi_id) order is identical
-        # to full evaluation).
+        has = np.flatnonzero(cnt)
+        grp = np.zeros(npg + 1, np.int64)
+        np.cumsum(cnt, out=grp[1:])
+        # pick each page's k+4 candidates by unit-vector dot product —
+        # trig per ROW, pure multiply-add per PAIR; the dense per-pair
+        # trig matrix is the FLOP wall of this kernel. Exact haversine
+        # runs only on those picks (the margin absorbs float near-ties,
+        # so the final (distance, poi_id) order is identical to full
+        # evaluation)
         negdot = -np.einsum("ij,ij->i", pu[pair_pg], qu[pair_q])
-        order = np.lexsort((qid[pair_q], negdot, pair_pg))
-        grp_full = np.zeros(npg + 1, np.int64)
-        np.cumsum(cnt, out=grp_full[1:])
-        msel = np.minimum(cnt, k + 4)
-        sel = _concat_ranges(grp_full[:-1], msel)
-        sp = pair_pg[order][sel]
-        sq = pair_q[order][sel]
+        pick, _ = _segment_topk(negdot, qid[pair_q], grp[has], k + 4)
+        sel = pick[pick >= 0]
+        sp = pair_pg[sel]
+        sq = pair_q[sel]
         d_sel = ops.haversine_m(lat[sp], lon[sp], qlat[sq], qlon[sq])
-        order2 = np.lexsort((qid[sq], d_sel, sp))
-        d_s = d_sel[order2]
-        q_s = sq[order2]
-        grp_start = np.zeros(npg + 1, np.int64)
-        np.cumsum(msel, out=grp_start[1:])
-        has = cnt > 0
-        kth_idx = np.minimum(grp_start[:-1] + k - 1,
-                             np.maximum(grp_start[1:] - 1, 0))
-        kth_d = np.full(npg, np.inf)
-        kth_d[has] = d_s[kth_idx[has]]
-        done_pg = (cnt >= k) & (kth_d <= safe_m[s:e])
-        rank = np.arange(len(d_s), dtype=np.int64) \
-            - np.repeat(grp_start[:-1], msel)
-        take = np.repeat(done_pg, msel) & (rank < k)
+        msel = np.minimum(cnt[has], k + 4)
+        top, kth_d = _segment_topk(
+            d_sel, qid[sq], np.cumsum(msel) - msel, k)
+        done = kth_d <= safe_m[s:e][has]
+        done_pg = np.zeros(npg, bool)
+        done_pg[has[done]] = True
+        take = top[done].ravel()
         undone = np.flatnonzero(~done_pg) + s
-        pair_pg_s = sp[order2][take]
         return pa.table({
-            "url": pa.array(list(urls[pair_pg_s]), pa.string()),
-            "poi_id": pa.array(qid[q_s[take]], pa.int64()),
-            "distance_m": pa.array(np.round(d_s[take], 3), pa.float64()),
-            "knn_rank": pa.array(rank[take] + 1, pa.int64()),
+            "url": pa.array(list(urls[sp[take]]), pa.string()),
+            "poi_id": pa.array(qid[sq[take]], pa.int64()),
+            "distance_m": pa.array(np.round(d_sel[take], 3), pa.float64()),
+            "knn_rank": pa.array(np.tile(np.arange(1, k + 1, dtype=np.int64),
+                                         int(done.sum())), pa.int64()),
         }), pa.table({
             "url": pa.array(list(urls[undone]), pa.string()),
             "lon": pa.array(lon[undone], pa.float64()),
@@ -1879,7 +1916,7 @@ def knn_join_partitioned(pages_ds, pois_ds, k: int = 1,
         return batch.append_column(
             "cell", pa.array(grid.cell_id(lo, la, g), pa.int64()))
 
-    done_parts = []
+    done_parts = Blocks([], [], _KNN_HITS_EMPTY.schema, [])
     radius = 1
     round_gres = gres
     for _ in range(max_rounds):
@@ -1903,7 +1940,7 @@ def knn_join_partitioned(pages_ds, pois_ds, k: int = 1,
             "cell", functools.partial(
                 _knn_cells_topk, k=k, gres=round_gres, radius=radius),
             nb, (_KNN_HITS_EMPTY, _KNN_UNDONE_EMPTY))
-        done_parts += done.refs
+        done_parts += done
         n_unres = unresolved.num_rows
         if n_unres == 0:
             break
@@ -1950,10 +1987,10 @@ def knn_join_partitioned(pages_ds, pois_ds, k: int = 1,
         part_df["knn_rank"] = part_df.groupby("url").cumcount() + 1
         part_df = part_df[part_df.knn_rank <= k]
         part_df["distance_m"] = part_df["distance_m"].round(3)
-        done_parts.append(ray.put(pa.Table.from_pandas(
-            part_df, preserve_index=False)))
-    if not done_parts:  # zero input pages: loop and sweep both skipped
-        done_parts = [ray.put(_KNN_HITS_EMPTY)]
+        done_parts += Blocks.put(pa.Table.from_pandas(
+            part_df, preserve_index=False))
+    if not done_parts.refs:  # zero input pages: loop and sweep both skipped
+        done_parts = Blocks.put(_KNN_HITS_EMPTY)
     hits = dataset(done_parts)
     if not join_payload:
         # hit rows only (url, poi_id, distance_m, knn_rank) — k wide page

@@ -376,7 +376,7 @@ def _refs_csr(refs_col):
 
 
 def _string_col(batch: pa.Table, name: str, n: int) -> np.ndarray:
-    if name in batch.column_names:
+    if batch.schema.get_field_index(name) >= 0:
         return np.asarray(batch[name].to_numpy(zero_copy_only=False),
                           dtype=object)
     return np.full(n, None, dtype=object)

@@ -550,3 +550,49 @@ def test_fold_balances_grid_cells(ray_session):
         t.slice(0, 0)))]
     assert len(sizes) == 8 and sum(sizes) == 10_000 and min(sizes) > 0
     assert max(sizes) / (sum(sizes) / 8) <= 1.3
+
+
+def test_dataset_builds_the_from_arrow_plan_without_tasks(ray_session,
+                                                          monkeypatch,
+                                                          count_executions):
+    """``blocks.dataset`` wraps held blocks (a zero-row one included) in
+    the plan ``rd.from_arrow_refs`` builds, from the counts, bytes and
+    schema the ``Blocks`` carries: no metadata task and no execution.
+    The plan uses Ray Data's internal classes (``FromArrow``,
+    ``ExecutionPlan``, ``LogicalPlan``, ``DatasetStats``, the
+    ``MaterializedDataset`` constructor), so a Ray upgrade that changes
+    them fails here."""
+    import ray
+
+    tables = [pa.table({"k": pa.array(list(range(n)), pa.int64()),
+                        "s": pa.array([str(i) for i in range(n)],
+                                      pa.string())})
+              for n in (3, 0, 5)]
+    held = blocks.Blocks([ray.put(t) for t in tables[:2]], [3, 0],
+                         tables[0].schema, [t.nbytes for t in tables[:2]])
+    held += blocks.Blocks.put(tables[2])
+    assert held.counts == [3, 0, 5] and held.sizes[2] == tables[2].nbytes
+    ref_ds = rd.from_arrow_refs(list(held.refs))
+
+    def no_tasks(*a, **kw):
+        raise AssertionError("dataset() called from_arrow_refs")
+
+    monkeypatch.setattr(rd, "from_arrow_refs", no_tasks)
+    count_executions.clear()
+    ds = blocks.dataset(held)
+    assert isinstance(ds, rd.dataset.MaterializedDataset)
+    assert not ds.context.op_resource_reservation_enabled
+    assert ds.count() == 8 and ds.schema().base_schema == tables[0].schema
+    assert ds.num_blocks() == 3
+    assert count_executions == []
+    meta = [(m.num_rows, m.size_bytes) for b in ds.iter_internal_ref_bundles()
+            for _, m in b.blocks]
+    assert meta == [(m.num_rows, m.size_bytes)
+                    for b in ref_ds.iter_internal_ref_bundles()
+                    for _, m in b.blocks]
+    assert "FromArrow" in ds.stats()
+    assert ds.take_all() == ref_ds.take_all()
+    assert ds.map_batches(lambda b: b, batch_format="pyarrow").count() == 8
+    with pytest.raises(ValueError, match="sizes"):
+        blocks.dataset(blocks.Blocks(list(held.refs), held.counts,
+                                     held.schema))

@@ -759,3 +759,104 @@ def test_point_joins_on_mixed_poi_layer(ray_session):
     assert got(spatial.radius_join_partitioned(
         rd.from_arrow(pages), pois(), radius_m=radius, num_partitions=4),
         rad_cols) == rad_want
+
+
+# ---------------------------------------------------------------------------
+# kNN ties and per-block broadcast joins
+# ---------------------------------------------------------------------------
+
+def _tied_knn_world():
+    """Pages with POIs at exactly equal haversine distance (mirror images
+    across the page's meridian or parallel, so the float distances are
+    bit-equal), where the POI met first in cell order has the higher id,
+    plus a page far from every POI."""
+    rng = np.random.RandomState(31)
+    # page a at (0, 0): POI 9 due north and POI 4 due south, tied at
+    # rank 1; page b at (0, 0.004): POI 30 right next to it, then POI 8
+    # due west and POI 2 due east, tied at ranks 2 and 3
+    lon = [0.0, 0.0, 0.0, -0.001, 0.001]
+    lat = [0.002, -0.002, 0.00405, 0.004, 0.004]
+    ids = [9, 4, 30, 8, 2]
+    lon += list(rng.uniform(-0.02, 0.02, 40))
+    lat += list(rng.uniform(-0.02, -0.008, 40))
+    ids += list(range(100, 140))
+    pois = pa.table({"id": pa.array(ids, pa.int64()),
+                     "lon": pa.array(lon), "lat": pa.array(lat)})
+    pg_lon = np.concatenate([[0.0, 0.0, 0.06], rng.uniform(-0.02, 0.02, 20)])
+    pg_lat = np.concatenate([[0.0, 0.004, 0.06],
+                             rng.uniform(-0.02, 0.02, 20)])
+    pages = pa.table({"url": pa.array([f"p{i}" for i in range(len(pg_lon))]),
+                      "lon": pa.array(pg_lon), "lat": pa.array(pg_lat)})
+    return pages, pois
+
+
+def test_knn_ties_rank_the_lower_poi_id_first(ray_session):
+    """Both kNN routes rank POIs at exactly equal distance by POI id, at
+    k=1 and k=2, on rounds that start with fewer candidates than k (the
+    far page), against a brute-force (distance, poi_id) reference."""
+    pages, pois = _tied_knn_world()
+    ids = np.asarray(pois["id"])
+    d = ops.haversine_m(np.asarray(pages["lat"])[:, None],
+                        np.asarray(pages["lon"])[:, None],
+                        np.asarray(pois["lat"])[None, :],
+                        np.asarray(pois["lon"])[None, :])
+    at = {int(i): j for j, i in enumerate(ids)}
+    assert d[0, at[9]] == d[0, at[4]]
+    assert d[1, at[8]] == d[1, at[2]] and d[1, at[30]] < d[1, at[2]]
+    idx = spatial.pack_point_index(rd.from_arrow(pois))
+    for k in (1, 2):
+        qi, _ = spatial.KnnJoiner(idx, k=k)._box_candidates(
+            np.asarray(pages["lon"]), np.asarray(pages["lat"]),
+            spatial.KnnJoiner(idx, k=k).r0)
+        assert np.bincount(qi, minlength=pages.num_rows)[2] < k
+        want = sorted(
+            (f"p{p}", int(ids[q]), r + 1, round(float(d[p, q]), 3))
+            for p in range(len(d))
+            for r, q in enumerate(np.lexsort((ids, d[p]))[:k]))
+        assert ("p0", 4, 1) == want[0][:3]
+        assert k == 1 or ("p1", 2, 2) in {w[:3] for w in want}
+        outs = {"broadcast": spatial.knn_join(rd.from_arrow(pages),
+                                              k=k, index_ref=idx)}
+        for sweep in (0, spatial._KNN_SWEEP_MAX_PAIRS):
+            outs[f"partitioned sweep={sweep}"] = \
+                spatial.knn_join_partitioned(
+                    rd.from_arrow(pages), rd.from_arrow(pois), k=k,
+                    num_partitions=4, sweep_max_pairs=sweep,
+                    join_payload=False)
+        for name, out in outs.items():
+            df = out.to_pandas()
+            got = sorted(zip(df.url, df.poi_id, df.knn_rank,
+                             df.distance_m))
+            assert got == want, (name, k)
+
+
+def test_broadcast_joins_run_one_task_per_block(pages, buildings, src):
+    """The broadcast point joins map each input block alone: a
+    materialized 4-block page input gives 4 output blocks, so no task
+    holds two blocks' rows."""
+    tiled = spatial.assign_tiles(pages).repartition(4).materialize()
+    assert tiled.num_blocks() == 4
+    pois = OSM(src).get_pois().materialize()
+    idx = spatial.pack_point_index(pois)
+    outs = {
+        "pip_join": spatial.pip_join(tiled, buildings, layer="buildings"),
+        "knn_join": spatial.knn_join(tiled, k=2, index_ref=idx),
+        "radius_join": spatial.radius_join(tiled, radius_m=300.0,
+                                           index_ref=idx),
+    }
+    for name, out in outs.items():
+        assert out.materialize().num_blocks() == 4, name
+
+
+def test_knn_join_slices_a_big_block(pages, src, monkeypatch):
+    """A block past the slice bound ranks slice by slice with the same
+    rows as one pass over it."""
+    pois = OSM(src).get_pois().materialize()
+    idx = spatial.pack_point_index(pois)
+    tiled = spatial.assign_tiles(pages).to_arrow_refs()
+    t = pa.concat_tables(ray.get(tiled))
+    whole = spatial.KnnJoiner(idx, k=3)(t)
+    monkeypatch.setattr(spatial, "_KNN_SLICE_ROWS", 7)
+    sliced = spatial.KnnJoiner(idx, k=3)(t)
+    assert sliced.num_rows == 3 * t.num_rows
+    assert sliced.equals(whole)
