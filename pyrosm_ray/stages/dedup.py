@@ -32,12 +32,13 @@ can be oracle-checked value-for-value.
 
 Scale notes: signatures are computed per batch (stateless, vectorised with
 segment reductions). The four pair operators share one candidate route and
-one verify tail: candidates come from ONE :func:`_keyed_pairs_bucketed`
-fold (its ``nb=None`` gate picks one task or a split), and
-:func:`_verify_pairs` scores them with a per-operator kernel, either
-against a broadcast of the involved ids' payloads (up to
-:data:`PAIRS_BROADCAST_MAX` candidates) or through two id joins. Only
-candidate-sized state ever reaches the driver.
+one verify tail, both on held :class:`~pyrosm_ray.stages.blocks.Blocks`:
+candidates come from ONE :func:`_keyed_pairs_bucketed` fold (its
+``nb=None`` gate picks one task or a split), and :func:`_verify_pairs`
+scores them with a per-operator kernel, either against a broadcast of the
+involved ids' payloads (up to :data:`PAIRS_BROADCAST_MAX` candidates) or
+through two id joins. An operator wraps blocks in a Dataset only for its
+return value, and only candidate-sized state ever reaches the driver.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ import ray
 import ray.data as rd
 
 from pyrosm_ray.stages.similarity import _emb_matrix
-from pyrosm_ray.stages.blocks import co_join, exchange, fold, \
-    groupby_partitions, unreserved
+from pyrosm_ray.stages.blocks import Blocks, co_join, dataset, exchange, \
+    fold, fold_blocks, groupby_partitions, map_blocks, probe, unreserved
 from pyrosm_ray.stages.components import attach_components, \
     connected_components
 from pyrosm_ray.stages.hashing import combine3, hash64, stable64_many
@@ -244,10 +245,9 @@ _PAIRS_EMPTY = pa.table({"a": pa.array([], pa.int64()),
                          "b": pa.array([], pa.int64())})
 
 
-def _distinct_pairs(pairs_ds, num_partitions: int | None = None):
-    """Distinct (a, b) pairs: one fold on the pair with an in-partition
-    lexsort-dedupe (the result holds reduce refs, so callers'
-    count()/join reuse them)."""
+def _distinct_pairs(pairs, num_partitions: int | None = None) -> Blocks:
+    """Distinct (a, b) pairs of a pairs Dataset or :class:`Blocks`: one
+    fold on the pair with an in-partition lexsort-dedupe."""
     def distinct(g: pa.Table) -> pa.Table:
         a = np.asarray(g["a"].to_numpy(zero_copy_only=False), np.int64)
         b = np.asarray(g["b"].to_numpy(zero_copy_only=False), np.int64)
@@ -257,14 +257,15 @@ def _distinct_pairs(pairs_ds, num_partitions: int | None = None):
         return pa.table({"a": pa.array(a[keep], pa.int64()),
                          "b": pa.array(b[keep], pa.int64())})
 
-    return fold(pairs_ds, ["a", "b"], distinct, num_partitions,
-                _PAIRS_EMPTY)
+    return fold_blocks(pairs, ["a", "b"], distinct, num_partitions,
+                       _PAIRS_EMPTY)[0]
 
 
-def _keyed_pairs_bucketed(rows_ds, key_cols: list[str], id_col: str,
+def _keyed_pairs_bucketed(rows, key_cols: list[str], id_col: str,
                           num_partitions: int | None = None,
-                          cap: int = 1 << 30):
-    """Candidate (a, b) pairs within each exact ``key_cols`` group,
+                          cap: int = 1 << 30) -> Blocks:
+    """Candidate (a, b) pairs within each exact ``key_cols`` group of
+    ``rows`` (a Dataset or :class:`Blocks`), as :class:`Blocks`,
     via ONE raw-task fold on ``key_cols``: every group's rows share a
     partition, and each partition generates every group's pairs in one
     vectorised pass — segment the sorted rows by key, then for row j of
@@ -329,7 +330,8 @@ def _keyed_pairs_bucketed(rows_ds, key_cols: list[str], id_col: str,
         return pa.table({"a": pa.array(ids[a_idx], pa.int64()),
                          "b": pa.array(ids[b_idx], pa.int64())})
 
-    return fold(rows_ds, key_cols, pairs, num_partitions, _PAIRS_EMPTY)
+    return fold_blocks(rows, key_cols, pairs, num_partitions,
+                       _PAIRS_EMPTY)[0]
 
 
 def _binary_u64_csr(col) -> tuple[np.ndarray, np.ndarray]:
@@ -434,10 +436,9 @@ def _jaccard_csr(flat: np.ndarray, off: np.ndarray, ia: np.ndarray,
 PAIRS_BROADCAST_MAX = 1 << 18
 
 
-def _pair_columns(pairs_ds) -> tuple[np.ndarray, np.ndarray]:
-    """Every (a, b) row of a pairs Dataset, read block by block as
-    Arrow (a zero-row block may carry no columns at all)."""
-    ts = [t for t in map(ray.get, pairs_ds.to_arrow_refs()) if t.num_rows]
+def _pair_columns(pairs: Blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Every (a, b) row of held pair blocks."""
+    ts = ray.get(pairs.live())
 
     def column(c: str) -> np.ndarray:
         return np.concatenate([np.empty(0, np.int64)] + [np.asarray(
@@ -496,41 +497,45 @@ def _scored(kernel, col, a: np.ndarray, b: np.ndarray, ia: np.ndarray,
                      **{k: v.filter(mask) for k, v in score.items()}})
 
 
-@ray.remote
+@ray.remote(num_returns=2)
 def _verify_chunk(kernel, got: pa.Table, id_col: str, payload_col: str,
-                  a: np.ndarray, b: np.ndarray) -> pa.Table:
+                  a: np.ndarray, b: np.ndarray):
     """Score one chunk of pairs against the broadcast payloads ``got``
-    (sorted by id)."""
+    (sorted by id) -> the kept pairs and their (row count, bytes)."""
     ids = np.asarray(got[id_col].to_numpy(zero_copy_only=False), np.int64)
-    return _scored(kernel, got[payload_col], a, b, np.searchsorted(ids, a),
-                   np.searchsorted(ids, b))
+    t = _scored(kernel, got[payload_col], a, b, np.searchsorted(ids, a),
+                np.searchsorted(ids, b))
+    return t, (t.num_rows, t.nbytes)
 
 
-def _verify_pairs(cand, payload_ds, id_col: str, payload_col: str, kernel,
-                  nb: int | None):
+def _verify_pairs(cand, payload, id_col: str, payload_col: str, kernel,
+                  nb: int | None) -> Blocks:
     """The near-dup verify tail: raw candidate pairs (duplicates
-    allowed) -> an (a, b, score) Dataset of the distinct pairs that
+    allowed; a Dataset or :class:`Blocks`) -> the (a, b, score) blocks
+    of the distinct pairs that
     ``kernel(col, ia, ib) -> (keep mask, {score name: values})`` keeps.
-    ``col`` is ``payload_ds``'s ``payload_col`` (one row per id), and
-    ``ia``/``ib`` index each pair's two rows in it.
+    ``col`` is ``payload``'s ``payload_col`` (one row per id; a Dataset,
+    streamed once, or :class:`Blocks`), and ``ia``/``ib`` index each
+    pair's two rows in it.
 
     The pairs dedupe in one fold first, and the gate reads the distinct
     count (``q_ngram_jaccard``'s 4.4 M raw prefix-filter candidates at
     sf0.01 hold 125 k distinct pairs).
     Up to :data:`PAIRS_BROADCAST_MAX` pairs, the involved ids' payloads
-    gather with a map-side semi-join (no exchange), ``ray.put`` once,
-    and pair chunks verify in plain tasks. Past it the pairs meet their
-    payloads through two id joins, and a map verifies each joined
-    block."""
-    cand = unreserved(_distinct_pairs(cand, nb).materialize())
-    if cand.count() > PAIRS_BROADCAST_MAX:
-        return _verify_joined(cand, payload_ds, id_col, payload_col, kernel,
+    gather with one :func:`probe` per payload block (no exchange),
+    ``ray.put`` once, and pair chunks verify in plain tasks. Past it the
+    pairs meet their payloads through two id joins, and a task verifies
+    each joined block."""
+    cand = _distinct_pairs(cand, nb)
+    payload = Blocks.of(payload)
+    if cand.num_rows > PAIRS_BROADCAST_MAX:
+        return _verify_joined(cand, payload, id_col, payload_col, kernel,
                               nb)
     a, b = _pair_columns(cand)
+    e = np.empty(0, np.int64)
+    empty = _scored(kernel, pa.array([]), e, e, e, e)
     if not len(a):
-        e = np.empty(0, np.int64)
-        return unreserved(rd.from_arrow(
-            _scored(kernel, pa.array([]), e, e, e, e)))
+        return Blocks.put(empty)
     involved = ray.put(np.unique(np.concatenate([a, b])))
 
     def gather(t: pa.Table) -> pa.Table:
@@ -538,31 +543,28 @@ def _verify_pairs(cand, payload_ds, id_col: str, payload_col: str, kernel,
         return t.select([id_col, payload_col]).filter(
             pa.array(np.isin(ids, ray.get(involved))))
 
-    # materialized before its refs are taken: ``to_arrow_refs`` on a lazy
-    # plan runs it a second time to fetch the schema
-    got = ray.put(pa.concat_tables([
-        t for t in map(ray.get, payload_ds.map_batches(
-            gather, batch_format="pyarrow").materialize().to_arrow_refs())
-        if t.num_rows]).sort_by(id_col).combine_chunks())
+    got = ray.put(pa.concat_tables(probe(payload, gather))
+                  .sort_by(id_col).combine_chunks())
     # one chunk per partition slot: a chunk's kernel is one numpy pass,
     # so more chunks than CPUs only add task overhead
     n_chunks = min(groupby_partitions(), len(a) // 1024 + 1)
-    return unreserved(rd.from_arrow_refs([
-        _verify_chunk.remote(kernel, got, id_col, payload_col, ac, bc)
-        for ac, bc in zip(np.array_split(a, n_chunks),
-                          np.array_split(b, n_chunks))]))
+    out = [_verify_chunk.remote(kernel, got, id_col, payload_col, ac, bc)
+           for ac, bc in zip(np.array_split(a, n_chunks),
+                             np.array_split(b, n_chunks))]
+    meta = ray.get([m for _, m in out])
+    return Blocks([t for t, _ in out], [n for n, _ in meta], empty.schema,
+                  [nbytes for _, nbytes in meta])
 
 
-def _verify_joined(cand, payload_ds, id_col: str, payload_col: str, kernel,
-                   nb: int | None):
+def _verify_joined(cand: Blocks, payload: Blocks, id_col: str,
+                   payload_col: str, kernel, nb: int | None) -> Blocks:
     """:func:`_verify_pairs`' join route: each pair picks up its two
-    payloads by id, then one map scores every joined block."""
-    ptype = payload_ds.schema().base_schema.field(payload_col).type
+    payloads by id, then one task scores each joined block."""
+    ptype = payload.schema.field(payload_col).type
 
-    def side(key: str):
-        return payload_ds.map_batches(lambda t: pa.table({
-            key: t[id_col].cast(pa.int64()), "p" + key: t[payload_col]}),
-            batch_format="pyarrow")
+    def side(key: str) -> Blocks:
+        return map_blocks(payload, lambda t: pa.table({
+            key: t[id_col].cast(pa.int64()), "p" + key: t[payload_col]}))
 
     cols = {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
             "pa": pa.array([], ptype)}
@@ -581,7 +583,7 @@ def _verify_joined(cand, payload_ds, id_col: str, payload_col: str, kernel,
                        np.asarray(t["b"].to_numpy(zero_copy_only=False),
                                   np.int64), ia, ia + n)
 
-    return j.map_batches(verify, batch_format="pyarrow")
+    return map_blocks(j, verify)
 
 
 def _union_find_labels(a: np.ndarray, b: np.ndarray):
@@ -618,42 +620,42 @@ def minhash_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
     """Near-dup detection: returns ``ds`` with a ``dup_of`` column, the
     cluster's canonical (minimum) id; singleton docs map to themselves.
 
-    Banding folds (band, bucket digest, id) rows only (see
-    :func:`_band_rows`); candidates verify by exact shingle Jaccard in
-    :func:`_verify_pairs`, whose payload is the input's text: only the
+    The input streams once (the stage's one Ray Data execution) and its
+    blocks stay held; one task per block computes the signatures and
+    their band rows. Banding folds (band, bucket digest, id) rows only
+    (see :func:`_band_rows`); candidates verify by exact shingle Jaccard
+    in :func:`_verify_pairs`, whose payload is the held text: only the
     candidates' shingle sets are ever built
     (:func:`_text_jaccard_kernel`). Verified edge sets up to
     :data:`PAIRS_BROADCAST_MAX` cluster with a driver union-find, larger
     ones with distributed :func:`connected_components`."""
-    # read once: the signature map, the verify payload and the
-    # ``dup_of`` attach all use it
+    # read once (the stage's one Ray Data execution) and held: the
+    # signature map, the verify payload and the ``dup_of`` attach all
+    # use it
     ds = unreserved(ds.materialize())
-    sig_ds = ds.map_batches(
-        lambda b: minhash_signatures_batch(b, id_col, text_col, num_perm,
-                                           k_shingle),
-        batch_format="pyarrow")
     if not ds.count() and (schema := ds.schema()) is not None:
         # a map is never called on a zero-row block, so type the empty
         # result here: the input's columns plus ``dup_of``
         return unreserved(rd.from_arrow(
             schema.base_schema.empty_table().append_column(
                 "dup_of", pa.array([], pa.int64()))))
-    banded = sig_ds.map_batches(
-        lambda b: _band_rows(b, id_col, num_perm, bands),
-        batch_format="pyarrow")
+    held = Blocks.of(ds)
+    banded = map_blocks(held, lambda b: _band_rows(
+        minhash_signatures_batch(b, id_col, text_col, num_perm, k_shingle),
+        id_col, num_perm, bands))
     cand = _keyed_pairs_bucketed(banded, ["band", "bucket"], id_col,
                                  num_partitions, cap=bucket_cap)
-    edges = unreserved(_verify_pairs(
-        cand, ds, id_col, text_col,
+    edges = _verify_pairs(
+        cand, held, id_col, text_col,
         functools.partial(_text_jaccard_kernel, threshold, k_shingle),
-        num_partitions).materialize())
-    n_edges = edges.count()
+        num_partitions)
+    n_edges = edges.num_rows
     # the driver union-find wins at this size: on 64 k docs (7 155
     # candidate pairs, 2 Ray CPUs) the stage took a median 4.23 s with
     # it and 6.02 s with connected_components
     if n_edges > PAIRS_BROADCAST_MAX:
         return attach_components(
-            ds, connected_components(edges, "a", "b",
+            ds, connected_components(dataset(edges), "a", "b",
                                      num_partitions=num_partitions),
             id_col, out_col="dup_of", num_partitions=num_partitions)
     labels = _union_find_labels(*_pair_columns(edges)) if n_edges else None
@@ -724,9 +726,9 @@ def hamming_pairs(sig, id_col: str = "doc_id", hash_col: str = "simhash",
     once in :func:`_keyed_pairs_bucketed`, and the candidates verify
     with a true popcount in :func:`_verify_pairs`. (Scale note: larger
     budgets mean narrower bands and hotter buckets — the usual near-dup
-    budget is <=3, i.e. 4 x 16-bit bands.) ``sig`` should be
-    materialized by the caller if its compute is non-trivial (it is
-    consumed twice: banding + verify gather)."""
+    budget is <=3, i.e. 4 x 16-bit bands.) ``sig`` (a Dataset or
+    :class:`Blocks`) streams once and is held for the banding and the
+    verify gather."""
     bands = max_hamming + 1
     widths = [64 // bands + (i < 64 % bands) for i in range(bands)]
     starts = np.array(np.cumsum([0] + widths[:-1]), np.uint64)
@@ -738,12 +740,12 @@ def hamming_pairs(sig, id_col: str = "doc_id", hash_col: str = "simhash",
         return _band_table(batch[id_col], (h[:, None] >> starts) & masks,
                            id_col)
 
-    cand = _keyed_pairs_bucketed(
-        sig.map_batches(band_rows, batch_format="pyarrow"),
-        ["band", "bucket"], id_col, num_partitions)
-    return _verify_pairs(cand, sig, id_col, hash_col,
-                         functools.partial(_hamming_kernel, max_hamming),
-                         num_partitions)
+    sig = Blocks.of(sig)
+    cand = _keyed_pairs_bucketed(map_blocks(sig, band_rows),
+                                 ["band", "bucket"], id_col, num_partitions)
+    return dataset(_verify_pairs(
+        cand, sig, id_col, hash_col,
+        functools.partial(_hamming_kernel, max_hamming), num_partitions))
 
 
 # ---------------------------------------------------------------------------
@@ -802,16 +804,15 @@ def ngram_jaccard_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
     at least one indexed gram, so the candidate set is complete and the
     output equals the exact all-pairs answer (which is what the SQL oracle
     computes)."""
-    sig_ds = unreserved(ds.map_batches(
+    sig = Blocks.of(unreserved(ds.map_batches(
         lambda b: _ngram_sigs_tbl(b, id_col, text_col, n),
-        batch_format="pyarrow").materialize())
-
-    cand = _keyed_pairs_bucketed(sig_ds.map_batches(
-        lambda b: _prefix_rows_tbl(b, id_col, threshold),
-        batch_format="pyarrow"), ["gram"], id_col, num_partitions)
-    return _verify_pairs(cand, sig_ds, id_col, "shingles",
-                         functools.partial(_jaccard_kernel, threshold),
-                         num_partitions)
+        batch_format="pyarrow").materialize()))
+    cand = _keyed_pairs_bucketed(map_blocks(
+        sig, lambda b: _prefix_rows_tbl(b, id_col, threshold)), ["gram"],
+        id_col, num_partitions)
+    return dataset(_verify_pairs(
+        cand, sig, id_col, "shingles",
+        functools.partial(_jaccard_kernel, threshold), num_partitions))
 
 
 _SIMJOIN_OFFSET = 1 << 40  # right-corpus id relocation (ids < 2^40)
@@ -835,14 +836,14 @@ def similarity_join(left_ds, right_ds, id_col: str = "doc_id",
     a < 2^40 <= b+offset guarantees the orientation."""
     from ray.data.expressions import col
 
-    sig_ds = unreserved(left_ds.map_batches(
+    sig = Blocks.of(unreserved(left_ds.map_batches(
         lambda b: _ngram_sigs_tbl(b, id_col, text_col, n,
                                   id_limit=_SIMJOIN_OFFSET),
         batch_format="pyarrow").union(right_ds.map_batches(
             lambda b: _ngram_sigs_tbl(b, id_col, text_col, n,
                                       id_offset=_SIMJOIN_OFFSET,
                                       id_limit=_SIMJOIN_OFFSET),
-            batch_format="pyarrow")).materialize())
+            batch_format="pyarrow")).materialize()))
 
     def cross_only(t: pa.Table) -> pa.Table:
         a = np.asarray(t["a"].to_numpy(zero_copy_only=False), np.int64)
@@ -850,15 +851,14 @@ def similarity_join(left_ds, right_ds, id_col: str = "doc_id",
         return t.filter(pa.array((a < _SIMJOIN_OFFSET)
                                  & (b >= _SIMJOIN_OFFSET)))
 
-    cand = _keyed_pairs_bucketed(sig_ds.map_batches(
-        lambda b: _prefix_rows_tbl(b, id_col, threshold),
-        batch_format="pyarrow"), ["gram"], id_col, num_partitions) \
-        .map_batches(cross_only, batch_format="pyarrow")
+    cand = map_blocks(_keyed_pairs_bucketed(map_blocks(
+        sig, lambda b: _prefix_rows_tbl(b, id_col, threshold)), ["gram"],
+        id_col, num_partitions), cross_only)
     # an expression keeps the result typed when no pair survives (a map
     # is never called on a zero-row block)
-    return _verify_pairs(cand, sig_ds, id_col, "shingles",
-                         functools.partial(_jaccard_kernel, threshold),
-                         num_partitions) \
+    return dataset(_verify_pairs(
+        cand, sig, id_col, "shingles",
+        functools.partial(_jaccard_kernel, threshold), num_partitions)) \
         .with_column("b", col("b") - _SIMJOIN_OFFSET)
 
 
@@ -1514,11 +1514,14 @@ def line_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
       first-occurrence decision groups on the line's 128-bit md5
       (:func:`hashing.stable128_many`; collision odds ~2^-64 at 10^12
       distinct lines), so only three int64s per line cross the wire;
-      line TEXT moves exactly once — survivors and exploded lines
-      co-locate by doc id (a keep-key's doc IS its surviving doc:
-      ``ordkey >> 20``) in ONE two-sided fold (lines, keep keys) whose
-      per-partition pass is an ``np.isin`` + the vectorised
-      reassembly.
+      text moves exactly once, as the documents. The projected input
+      streams once (the route's one Ray Data execution) and its blocks
+      stay held; a task per block emits only each line's (hash, order
+      key) for the keep fold, and the documents then co-locate with
+      their keep keys by doc id (a keep-key's doc IS its surviving doc:
+      ``ordkey >> 20``) in ONE two-sided fold (documents, keep keys)
+      whose per-partition pass re-explodes the documents, keeps the
+      lines with an ``np.isin`` and runs the vectorised reassembly.
     * ``shuffle_key="line"``: groups on the raw line string — exact with
       no hash caveat, at the cost of shuffling text in the groupby and
       the survivor join. The bit-replicable oracle route.
@@ -1569,20 +1572,20 @@ def _line_dedup_hash(ds, id_col: str, text_col: str, delim: str,
     """Hash-keyed route: ints decide, text moves once (see line_dedup)."""
     from pyrosm_ray.stages.hashing import stable128_many
 
-    def explode_hashed(batch: pa.Table) -> pa.Table:
-        ex = _explode_lines(batch, id_col, text_col, delim, carry_cols)
-        lo, hi = stable128_many(ex["__line"].to_pylist())
-        return ex.append_column("__h1", pa.array(lo.view(np.int64))) \
-                 .append_column("__h2", pa.array(hi.view(np.int64)))
+    # held: the keep fold reads their lines' keys, the survivor fold the
+    # documents themselves, and the upstream plan runs once
+    docs = Blocks.of(ds.select_columns([id_col, text_col, *carry_cols]))
 
-    # materialized: the keep fold and the survivor fold both read it, and
-    # the upstream plan, the explode and the hashing run once
-    ex = unreserved(ds.map_batches(explode_hashed,
-                                   batch_format="pyarrow").materialize())
+    def line_keys(batch: pa.Table) -> pa.Table:
+        ex = _explode_lines(batch, id_col, text_col, delim, [])
+        lo, hi = stable128_many(ex["__line"].to_pylist())
+        return pa.table({"__h1": pa.array(lo.view(np.int64)),
+                         "__h2": pa.array(hi.view(np.int64)),
+                         "__ordkey": ex["__ordkey"]})
 
     def fold_first(g: pa.Table) -> pa.Table:
         # a keep-key's doc IS the doc that keeps the line, so the keep
-        # row carries that doc's id and folds with its lines
+        # row carries that doc's id and folds with its document
         import pandas as pd
         df = pd.DataFrame({
             "h1": g["__h1"].to_numpy(zero_copy_only=False),
@@ -1593,16 +1596,16 @@ def _line_dedup_hash(ds, id_col: str, text_col: str, delim: str,
         return pa.table({"__ordkey": pa.array(k),
                          id_col: pa.array(k >> _ORD_BITS, pa.int64())})
 
-    keys = ["__h1", "__h2", "__ordkey"]
-    keep = fold(ex.select_columns(keys), ["__h1", "__h2"], fold_first,
-                num_partitions, pa.table({
-                    "__ordkey": pa.array([], pa.int64()),
-                    id_col: pa.array([], pa.int64())}))
+    keep = fold_blocks(map_blocks(docs, line_keys), ["__h1", "__h2"],
+                       fold_first, num_partitions, pa.table({
+                           "__ordkey": pa.array([], pa.int64()),
+                           id_col: pa.array([], pa.int64())}))[0]
     cols = [id_col, "__ord", "__line"] + carry_cols
 
-    def survivors(rows: pa.Table, kept: pa.Table) -> pa.Table | None:
-        if not rows.num_rows or not kept.num_rows:
+    def survivors(part: pa.Table, kept: pa.Table) -> pa.Table | None:
+        if not part.num_rows or not kept.num_rows:
             return None
+        rows = _explode_lines(part, id_col, text_col, delim, carry_cols)
         hit = np.isin(
             np.asarray(rows["__ordkey"].to_numpy(zero_copy_only=False),
                        np.int64),
@@ -1611,9 +1614,9 @@ def _line_dedup_hash(ds, id_col: str, text_col: str, delim: str,
         return _reassemble_lines(rows.filter(pa.array(hit)).select(cols),
                                  id_col, delim, out_col, carry_cols)
 
-    return fold((ex.select_columns(cols + ["__ordkey"]), keep), id_col,
-                survivors, num_partitions, _reassemble_lines(
-                    pa.table({}), id_col, delim, out_col, carry_cols))
+    return fold((docs, keep), id_col, survivors, num_partitions,
+                _reassemble_lines(pa.table({}), id_col, delim, out_col,
+                                  carry_cols))
 
 
 # ---------------------------------------------------------------------------

@@ -5,25 +5,29 @@ p-th quantile of its group" — per-language length floors, per-domain
 quality cut-offs, global percentile trims. The quantile is EXACT (DuckDB
 ``quantile_disc`` semantics: sorted ascending, element at index
 ``ceil(q*n) - 1``), not a sketch, yet nothing resembling a global sort
-ever runs:
+ever runs. :func:`group_quantiles` (integer metrics) is one scan and one
+or two raw-task folds over the blocks it holds
+(:mod:`pyrosm_ray.stages.blocks`):
 
-* stage 1 (one corpus scan): each batch folds to its local
-  ``(group, value) -> count`` histogram — for integer-ish metrics
-  (token counts, char lengths, rounded scores) the distinct-value space
-  is tiny relative to the corpus, so the scan output is a compact
-  histogram, not the data;
-* stage 2 (one small raw-task exchange,
-  :func:`pyrosm_ray.stages.blocks.exchange`): histograms co-partition by
-  group and a per-group fold merges counts, sorts the few distinct
-  values, prefix-sums and reads off any number of quantile thresholds;
-* stage 3: thresholds (one row per group) broadcast back into a
-  stateless vectorised filter over the original stream.
+* the scan: each input block folds to its local ``(group, value) ->
+  count`` histogram, fused into the input's own read (the stage's one
+  Ray Data execution). For integer-ish metrics (token counts, char
+  lengths, rounded scores) the distinct-value space is small relative
+  to the corpus, so the scan output is a compact histogram, not the
+  data;
+* past :data:`~pyrosm_ray.stages.blocks.KEYED_FOLD_DRIVER_MAX`
+  histogram rows, one fold on the compound ``(group, value)`` key
+  merges the partial counts, so every reducer gets work even when
+  there are only a few groups (a group-keyed fold would put all of a
+  group's partial rows in one task);
+* one fold on the group reads every requested quantile off each group
+  of a partition in one pass.
 
-Driver never touches per-row data; shuffle bytes are bounded by
-``#distinct (group, value) pairs``, independent of corpus size. At
-100 TB with token counts < 10^6 and 10^3 groups the shuffled histogram
-is ≤ 10^9 rows of three int64s in the worst case and typically far
-smaller — and stage 2 stays fully distributed regardless.
+One vectorised kernel (:func:`_runs`: a dictionary encode of the group
+column, one lexsort, a segment sum) builds, merges and reads the
+histograms; nothing goes through Python objects per row or per group.
+The driver never touches per-row data, and shuffle bytes are bounded by
+the number of distinct (group, value) pairs, independent of corpus size.
 
 No reference equivalent (pyrosm has no quantile operators — SURVEY.md
 §2.5 covers only sum/min/max/count families); semantics are pinned to
@@ -33,35 +37,68 @@ replicate values bit-for-bit.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from pyrosm_ray.stages.blocks import exchange, fold, unreserved
+from pyrosm_ray.stages.blocks import Blocks, exchange, fold, fold_blocks, \
+    unreserved
+
+_HIST_EMPTY = pa.table({"__g": pa.array([], pa.string()),
+                        "__v": pa.array([], pa.int64()),
+                        "__c": pa.array([], pa.int64())})
+
+
+def _runs(groups, values, counts=None):
+    """The distinct (group, value) pairs of parallel group, value and
+    (optional, else 1 per row) count columns, with their counts summed:
+    ``(group names, group code, value, count)``, one entry per pair in
+    (group code, value) order. Rows whose group or value is null belong
+    to no group and are dropped (as DuckDB's ``quantile_disc`` ignores
+    NULLs). One dictionary encode, one lexsort, one segment sum."""
+    def flat(col):
+        return col.combine_chunks() if isinstance(col, pa.ChunkedArray) \
+            else col
+
+    groups, values = flat(groups), flat(values)
+    if counts is not None:
+        counts = flat(counts)
+    if groups.null_count or values.null_count:
+        keep = pc.and_(groups.is_valid(), values.is_valid())
+        groups, values = groups.filter(keep), values.filter(keep)
+        counts = None if counts is None else counts.filter(keep)
+    enc = pc.dictionary_encode(groups)
+    code = np.asarray(enc.indices)
+    val = np.asarray(values.to_numpy(zero_copy_only=False), np.int64)
+    order = np.lexsort((val, code))
+    code, val = code[order], val[order]
+    new = np.diff(code, prepend=-1) != 0
+    new[1:] |= val[1:] != val[:-1]
+    start = np.flatnonzero(new)
+    cnt = np.diff(np.append(start, len(code))) if counts is None else \
+        np.add.reduceat(np.asarray(counts.to_numpy(zero_copy_only=False),
+                                   np.int64)[order], start)
+    return enc.dictionary.cast(pa.string()), code[start], val[start], cnt
+
+
+def _hist_table(names, code, val, cnt) -> pa.Table:
+    return pa.table({"__g": names.take(pa.array(code)),
+                     "__v": pa.array(val, pa.int64()),
+                     "__c": pa.array(cnt, pa.int64())})
 
 
 def _histogram_batch(batch: pa.Table, group_col: str,
                      value_col: str) -> pa.Table:
-    """Fold one batch to its local (group, value) -> count histogram.
-    Group strings factorize once so the pair groupby runs on two int
-    columns (C-level hash, no object dtype in the hot loop). Rows with a
-    null group (factorize code -1) belong to no group and are dropped."""
-    import pandas as pd
-    codes, uniq = pd.factorize(
-        np.asarray(batch[group_col].to_pylist(), dtype=object))
-    keep = codes >= 0
-    df = pd.DataFrame({
-        "__gc": codes[keep],
-        "__v": np.asarray(batch[value_col].to_numpy(zero_copy_only=False),
-                          np.int64)[keep],
-    })
-    g = df.groupby(["__gc", "__v"], sort=False).size() \
-        .reset_index(name="__c")
-    return pa.table({
-        "__g": pa.array(uniq[g["__gc"].to_numpy()], pa.string()),
-        "__v": pa.array(g["__v"], pa.int64()),
-        "__c": pa.array(g["__c"], pa.int64())})
+    """One block's local (group, value) -> count histogram."""
+    return _hist_table(*_runs(batch[group_col], batch[value_col]))
+
+
+def _merge_hist(t: pa.Table) -> pa.Table:
+    """Sum the counts of duplicate (group, value) histogram rows."""
+    return _hist_table(*_runs(t["__g"], t["__v"], t["__c"]))
 
 
 def quantile_disc_index(n: int, q: float) -> int:
@@ -71,48 +108,33 @@ def quantile_disc_index(n: int, q: float) -> int:
     return max(math.ceil(q * n) - 1, 0)
 
 
-def _fold_thresholds(group: pa.Table, qs: list[float]) -> pa.Table:
-    """Per-group fold over the co-partitioned histogram: merge duplicate
-    values, sort, prefix-sum counts, read off each quantile."""
-    import pandas as pd
-    df = pd.DataFrame({
-        "__g": group["__g"].to_pylist(),
-        "__v": np.asarray(group["__v"].to_numpy(zero_copy_only=False),
-                          np.int64),
-        "__c": np.asarray(group["__c"].to_numpy(zero_copy_only=False),
-                          np.int64),
-    })
-    out_g: list[str] = []
-    out_q: list[list[int]] = []
-    for gname, sub in df.groupby("__g", sort=False):
-        merged = sub.groupby("__v", sort=True)["__c"].sum()
-        vals = merged.index.to_numpy(np.int64)
-        cum = np.cumsum(merged.to_numpy(np.int64))
-        n = int(cum[-1])
-        idx = np.searchsorted(cum, [quantile_disc_index(n, q) + 1
-                                    for q in qs], side="left")
-        out_g.append(gname)
-        out_q.append([int(vals[i]) for i in idx])
-    cols: dict = {"group": pa.array(out_g, pa.string())}
-    for j, q in enumerate(qs):
-        cols[f"q{j}"] = pa.array([row[j] for row in out_q], pa.int64())
-    return pa.table(cols)
+def _picks(names, code, cnt, qs: list[float]):
+    """Every group's quantiles over :func:`_runs` output in one pass ->
+    (group names, per quantile (the run holding each group's
+    :func:`quantile_disc_index` element, that element's rank within the
+    run)). The counts prefix-sum across all groups, so a group's rank is
+    offset by the counts of the groups before it and one
+    ``searchsorted`` per quantile finds every group's run."""
+    cum = np.cumsum(cnt)
+    first = np.flatnonzero(np.diff(code, prepend=-1))
+    n = np.add.reduceat(cnt, first)
+    base = np.cumsum(n) - n
+    out = []
+    for q in qs:
+        at = base + np.maximum(np.ceil(q * n).astype(np.int64) - 1, 0)
+        run = np.searchsorted(cum, at + 1)
+        out.append((run, at - (cum[run] - cnt[run])))
+    return names.take(pa.array(code[first])), out
 
 
-def _merge_hist(t: pa.Table) -> pa.Table:
-    """Sum the counts of duplicate (group, value) histogram rows."""
-    import pandas as pd
-    codes, uniq = pd.factorize(
-        np.asarray(t["__g"].to_pylist(), dtype=object))
-    df = pd.DataFrame({
-        "__gc": codes,
-        "__v": t["__v"].to_numpy(zero_copy_only=False),
-        "__c": t["__c"].to_numpy(zero_copy_only=False)})
-    m = df.groupby(["__gc", "__v"], sort=False)["__c"].sum().reset_index()
-    return pa.table({
-        "__g": pa.array(uniq[m["__gc"].to_numpy()], pa.string()),
-        "__v": pa.array(m["__v"], pa.int64()),
-        "__c": pa.array(m["__c"], pa.int64())})
+def _fold_thresholds(t: pa.Table, qs: list[float]) -> pa.Table:
+    """Every group's quantiles from the histogram rows of a partition
+    (duplicate pairs allowed)."""
+    names, code, val, cnt = _runs(t["__g"], t["__v"], t["__c"])
+    group, picks = _picks(names, code, cnt, qs)
+    return pa.table({"group": group, **{
+        f"q{j}": pa.array(val[run], pa.int64())
+        for j, (run, _) in enumerate(picks)}})
 
 
 def group_quantiles(ds, group_col: str, value_col: str,
@@ -120,50 +142,31 @@ def group_quantiles(ds, group_col: str, value_col: str,
     """Exact per-group discrete quantiles of an integer metric column.
 
     Returns a small Dataset — one row per group, columns ``group`` and
-    ``q0..qN`` (one per requested quantile) — computed via the compact
-    histogram route described in the module docstring.
+    ``q0..qN`` (one per requested quantile); rows with a null group or
+    value belong to no group.
 
-    Shuffle shape: past the keyed ceiling the batch partials first merge
-    on the COMPOUND (group, value) key — full cluster parallelism even
-    with a handful of groups (a group-keyed shuffle serialized ALL
-    partial rows into #groups partitions: measured 8 s of an 11.9 s wall
-    on a 2 M-doc / 5-language corpus; merged-first it is ~1 s). The
-    threshold read-off then runs per group over the (strictly smaller)
-    merged rows, in one task while they fit the ceiling.
+    ``ds`` streams once, each block folding to its histogram inside the
+    read; the histogram blocks stay held. Past the keyed ceiling their
+    counts first merge on the COMPOUND (group, value) key, which
+    spreads even a handful of groups over every reducer, and one fold on
+    the group then reads every quantile off each of its partition's
+    groups (see the module docstring). No other Ray Data execution
+    runs.
     """
-    import ray
-
     from pyrosm_ray.stages.blocks import KEYED_FOLD_DRIVER_MAX
 
     q_list = [qs] if isinstance(qs, float) else list(qs)
     empty = pa.table({"group": pa.array([], pa.string()),
                       **{f"q{j}": pa.array([], pa.int64())
                          for j in range(len(q_list))}})
-    hist = unreserved(ds.map_batches(
+    hist = Blocks.of(unreserved(ds.map_batches(
         lambda b: _histogram_batch(b, group_col, value_col),
-        batch_format="pyarrow").materialize())
-    n_part = hist.count()
-
-    if n_part > KEYED_FOLD_DRIVER_MAX:
-        # map-side combine (the keyed_sum_auto level): coalesce the
-        # per-block histograms to cluster-width blocks without a keyed
-        # fold and re-merge each — distinct (group, value) pairs repeat
-        # across blocks, so this usually collapses the stream under the
-        # ceiling and the compound-key fold below never runs
-        cpus = max(2, int(ray.cluster_resources().get("CPU", 8)))
-        merged = unreserved(hist.repartition(cpus).map_batches(
-            _merge_hist, batch_format="pyarrow").materialize())
-        n_merged = merged.count()
-        if n_merged < n_part:
-            hist, n_part = merged, n_merged
-
-    if n_part > KEYED_FOLD_DRIVER_MAX:
-        hist = fold(hist, ["__g", "__v"], _merge_hist, None, pa.table({
-            "__g": pa.array([], pa.string()),
-            "__v": pa.array([], pa.int64()),
-            "__c": pa.array([], pa.int64())}))
-    return exchange(hist, "__g", lambda g: _fold_thresholds(g, q_list),
-                    None, empty)
+        batch_format="pyarrow").materialize()))
+    if hist.num_rows > KEYED_FOLD_DRIVER_MAX:
+        hist = fold_blocks(hist, ["__g", "__v"], _merge_hist, None,
+                           _HIST_EMPTY)[0]
+    return fold(hist, "__g", functools.partial(_fold_thresholds, qs=q_list),
+                None, empty)
 
 
 def _float_order_key(v: np.ndarray) -> np.ndarray:
@@ -223,46 +226,27 @@ def group_quantiles_continuous(ds, group_col: str, value_col: str,
                          for j in range(len(q_list))}})
 
     def hist1(batch: pa.Table) -> pa.Table:
-        import pandas as pd
         v = np.asarray(batch[value_col].to_numpy(zero_copy_only=False),
                        np.float64)
         if np.isnan(v).any():
             raise ValueError(
                 f"{value_col!r} contains NaN; continuous quantiles "
                 "require finite values (filter NaNs upstream)")
-        df = pd.DataFrame({"__g": batch[group_col].to_pylist(),
-                           "__b": _float_order_key(v) >> shift})
-        g = df.groupby(["__g", "__b"], sort=False).size() \
-            .reset_index(name="__c")
-        return pa.table({"__g": pa.array(g["__g"], pa.string()),
-                         "__b": pa.array(g["__b"], pa.int64()),
-                         "__c": pa.array(g["__c"], pa.int64())})
+        return _hist_table(*_runs(batch[group_col], pa.array(
+            _float_order_key(v) >> shift))).rename_columns(
+            ["__g", "__b", "__c"])
 
     def fold1(group: pa.Table) -> pa.Table:
-        import pandas as pd
-        df = pd.DataFrame({
-            "__g": group["__g"].to_pylist(),
-            "__b": group["__b"].to_numpy(zero_copy_only=False),
-            "__c": group["__c"].to_numpy(zero_copy_only=False)})
-        out = {"__g": [], "__j": [], "__b": [], "__r": []}
-        for gname, sub in df.groupby("__g", sort=False):
-            merged = sub.groupby("__b", sort=True)["__c"].sum()
-            bins = merged.index.to_numpy(np.int64)
-            cum = np.cumsum(merged.to_numpy(np.int64))
-            n = int(cum[-1])
-            for j, q in enumerate(q_list):
-                r = quantile_disc_index(n, q)
-                i = int(np.searchsorted(cum, r + 1, side="left"))
-                out["__g"].append(gname)
-                out["__j"].append(j)
-                out["__b"].append(int(bins[i]))
-                out["__r"].append(r - (int(cum[i - 1]) if i else 0))
-        return pa.table({"__g": pa.array(out["__g"], pa.string()),
-                         "__j": pa.array(out["__j"], pa.int64()),
-                         "__b": pa.array(out["__b"], pa.int64()),
-                         "__r": pa.array(out["__r"], pa.int64())})
+        names, code, bins, cnt = _runs(group["__g"], group["__b"],
+                                       group["__c"])
+        gname, picks = _picks(names, code, cnt, q_list)
+        return pa.table({
+            "__g": pa.concat_arrays([gname] * len(q_list)),
+            "__j": pa.array(np.repeat(np.arange(len(q_list)), len(gname))),
+            "__b": pa.array(np.concatenate([bins[r] for r, _ in picks])),
+            "__r": pa.array(np.concatenate([k for _, k in picks]))})
 
-    # both read-offs are group-keyed exchanges sized from their input:
+    # both read-offs are group-keyed folds sized from their input:
     # the partial histograms are bounded by blocks x bins (pass 1) /
     # candidate rows (pass 2), usually within the keyed ceiling, where
     # one task folds them; per-group work is bin-bounded, so a group
@@ -271,7 +255,7 @@ def group_quantiles_continuous(ds, group_col: str, value_col: str,
     if stats is not None:
         hist = unreserved(hist.materialize())
         stats["pass1_rows"] = hist.count()
-    cand = exchange(hist, "__g", fold1, None, fold1(pa.table({
+    cand = fold(hist, "__g", fold1, None, fold1(pa.table({
         "__g": pa.array([], pa.string()), "__b": pa.array([], pa.int64()),
         "__c": pa.array([], pa.int64())}))).to_pandas()
     if cand.empty:

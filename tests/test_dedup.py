@@ -10,7 +10,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
-from pyrosm_ray.stages import dedup
+from pyrosm_ray.stages import blocks, dedup
 from pyrosm_ray.stages.components import attach_components, \
     connected_components
 from pyrosm_ray.stages.hashing import hash64, hash64_sql, \
@@ -591,9 +591,11 @@ def test_line_dedup_keep_first_semantics(ray_session, route):
 
 
 @pytest.mark.parametrize("route", ["hash", "line"])
-def test_line_dedup_executes_upstream_once(ray_session, route):
-    """The exploded lines feed both the keep fold and the survivor
-    step, yet the upstream plan runs once per block."""
+def test_line_dedup_executes_upstream_once(ray_session, route,
+                                           count_executions):
+    """The documents feed both the keep fold and the survivor step, yet
+    the upstream plan runs once per block; the hash route runs that one
+    Ray Data execution only before its result is read."""
     import ray
 
     @ray.remote
@@ -616,16 +618,21 @@ def test_line_dedup_executes_upstream_once(ray_session, route):
     t = pa.table({"doc_id": pa.array(range(40), pa.int64()),
                   "text": pa.array([f"line {i % 7}. tail {i % 3}"
                                     for i in range(40)])})
-    out = dedup.line_dedup(
-        rd.from_arrow(t).repartition(4).map_batches(
-            counted, batch_format="pyarrow"), shuffle_key=route).to_pandas()
-    assert sorted(out.doc_id) == list(range(7))
+    ds = rd.from_arrow(t).repartition(4).map_batches(
+        counted, batch_format="pyarrow")
+    count_executions.clear()
+    out = dedup.line_dedup(ds, shuffle_key=route)
+    if route == "hash":
+        assert len(count_executions) == 1
+    assert sorted(out.to_pandas().doc_id) == list(range(7))
     assert ray.get(c.get.remote()) == 4
 
 
-def test_minhash_dedup_executes_upstream_once(ray_session):
-    """The input feeds both the signature map and the ``dup_of`` attach,
-    yet the upstream plan runs once per block."""
+def test_minhash_dedup_executes_upstream_once(ray_session,
+                                             count_executions):
+    """The input feeds the signature map, the verify payload and the
+    ``dup_of`` attach, yet it streams once: one Ray Data execution before
+    the result is read, and the upstream UDF runs once per block."""
     import ray
 
     @ray.remote
@@ -648,10 +655,14 @@ def test_minhash_dedup_executes_upstream_once(ray_session):
     t = pa.table({"doc_id": pa.array(range(40), pa.int64()),
                   "text": pa.array([f"doc words {i % 5} and more {i % 3}"
                                     for i in range(40)])})
-    out = dedup.minhash_dedup(
-        rd.from_arrow(t).repartition(4).map_batches(
-            counted, batch_format="pyarrow"), threshold=0.8).to_pandas()
+    ds = rd.from_arrow(t).repartition(4).map_batches(
+        counted, batch_format="pyarrow")
+    count_executions.clear()
+    out = dedup.minhash_dedup(ds, threshold=0.8)
+    assert len(count_executions) == 1
+    out = out.to_pandas()
     assert sorted(out.doc_id) == list(range(40))
+    assert (out.doc_id != out.dup_of).any()
     assert ray.get(c.get.remote()) == 4
 
 
@@ -673,9 +684,9 @@ def _call_counter():
 
 
 def test_verify_pairs_gathers_payloads_once(ray_session):
-    """The broadcast verify route gathers the involved payloads with one
-    map over a lazy payload plan, which runs once per block (taking the
-    map's block refs must not run the plan again for its schema)."""
+    """The broadcast verify route holds a lazy payload plan's blocks and
+    gathers the involved payloads from them, so the plan runs once per
+    block."""
     import ray
 
     c = _call_counter()
@@ -696,8 +707,8 @@ def test_verify_pairs_gathers_payloads_once(ray_session):
         keep = np.ones(len(ia), bool)
         return keep, {"score": pa.array(np.arange(len(ia), dtype=float))}
 
-    out = dedup._verify_pairs(cand, payload, "doc_id", "text", kernel,
-                              None).to_pandas()
+    out = blocks.dataset(dedup._verify_pairs(
+        cand, payload, "doc_id", "text", kernel, None)).to_pandas()
     assert sorted(zip(out.a, out.b)) == [(0, 10), (1, 2), (5, 30)]
     assert ray.get(c.get.remote()) == 4
 

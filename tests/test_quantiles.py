@@ -272,3 +272,111 @@ def test_quantile_bins_null_group_rows(ray_session, monkeypatch, driver_max):
     assert got == sorted([("a", 1, 0), ("a", 3, 1), ("b", 10, 0),
                           ("b", 30, 1), (None, 7, None), (None, 9, None)],
                          key=repr)
+
+
+def _duckdb_quantiles(t: pa.Table, qs: list[float]) -> dict:
+    """DuckDB ``quantile_disc`` per non-null group; a group whose values
+    are all null has no quantile (the engine drops such rows)."""
+    con = duckdb.connect()
+    con.register("t", t)
+    sel = ", ".join(f"quantile_disc(v, {q!r})" for q in qs)
+    return {row[0]: list(row[1:]) for row in con.execute(
+        f"SELECT g, {sel} FROM t WHERE g IS NOT NULL GROUP BY g "
+        "HAVING count(v) > 0").fetchall()}
+
+
+def _quantile_cases() -> dict[str, pa.Table]:
+    rng = np.random.default_rng(41)
+    n = 600
+    names = np.array(["en", "日本語", "ñandú", "Ελληνικά", "x"])
+    g = names[rng.integers(0, len(names), n)].astype(object)
+    g[rng.random(n) < 0.08] = None
+    v = rng.integers(-6, 6, n)
+    v[rng.random(n) < 0.2] += np.iinfo(np.int64).max - 10
+    v_null = rng.random(n) < 0.03
+    mixed = pa.table({"g": pa.array(g, pa.string()),
+                      "v": pa.array(v, pa.int64(), mask=v_null)})
+    # group sizes 4, 8, 10 and 20: q*n is an exact integer for every q
+    # below; values come in a shuffled order
+    sizes = {"a": 4, "b": 8, "c": 10, "d": 20}
+    gi = np.concatenate([[k] * s for k, s in sizes.items()])
+    vi = np.concatenate([rng.permutation(s) - 3 for s in sizes.values()])
+    order = rng.permutation(len(gi))
+    integral = pa.table({"g": pa.array(gi[order], pa.string()),
+                         "v": pa.array(vi[order], pa.int64())})
+    return {
+        "mixed": mixed,
+        "integral": integral,
+        "one_group": pa.table({"g": pa.array(["só"] * 9),
+                               "v": pa.array(rng.integers(-3, 3, 9),
+                                             pa.int64())}),
+        "one_value": pa.table({"g": pa.array(["k", "k", None] * 5),
+                               "v": pa.array([7] * 15, pa.int64())}),
+    }
+
+
+@pytest.mark.parametrize("case", ["mixed", "integral", "one_group",
+                                  "one_value"])
+@pytest.mark.parametrize("driver_max", [None, 0])
+def test_group_quantiles_property_vs_duckdb(ray_session, monkeypatch, case,
+                                            driver_max):
+    """``group_quantiles`` equals DuckDB ``quantile_disc`` on the driver
+    fold and, with the ceiling forced to 0, on the compound-key merge and
+    the split threshold fold: null groups and null values, one group,
+    every row on one value, negative and near-int64-max values,
+    non-ASCII names, q in {0, 1}, q*n exactly integral, and every group's
+    values (and repeated (group, value) pairs) spread over four
+    blocks."""
+    from pyrosm_ray.stages import blocks
+
+    if driver_max is not None:
+        monkeypatch.setattr(blocks, "KEYED_FOLD_DRIVER_MAX", driver_max)
+    t = _quantile_cases()[case]
+    qs = [0.0, 0.1, 0.25, 1 / 3, 0.5, 0.75, 0.9, 1.0]
+    out = Q.group_quantiles(rd.from_arrow(t).repartition(4), "g", "v", qs) \
+        .to_pandas()
+    got = {row["group"]: [int(row[f"q{j}"]) for j in range(len(qs))]
+           for _, row in out.iterrows()}
+    assert len(out) == len(got)
+    assert got == _duckdb_quantiles(t, qs)
+
+
+def test_group_quantiles_executes_upstream_once(ray_session, monkeypatch,
+                                                count_executions):
+    """Over a lazy four-block input, ``group_quantiles`` runs one Ray Data
+    execution (the input's read with the histogram map fused in) before
+    its result is read, and the upstream UDF runs once per block, on the
+    compound-merge route too."""
+    import ray
+
+    from pyrosm_ray.stages import blocks
+
+    @ray.remote
+    class Counter:
+        def __init__(self):
+            self.n = 0
+
+        def bump(self):
+            self.n += 1
+
+        def get(self):
+            return self.n
+
+    c = Counter.remote()
+
+    def counted(b: pa.Table) -> pa.Table:
+        ray.get(c.bump.remote())
+        return b
+
+    t = pa.table({"g": pa.array(["a", "b", "c"] * 20),
+                  "v": pa.array(range(60), pa.int64())})
+    for ceiling in (blocks.KEYED_FOLD_DRIVER_MAX, 0):
+        ds = rd.from_arrow(t).repartition(4).map_batches(
+            counted, batch_format="pyarrow")
+        monkeypatch.setattr(blocks, "KEYED_FOLD_DRIVER_MAX", ceiling)
+        count_executions.clear()
+        out = Q.group_quantiles(ds, "g", "v", 0.5)
+        assert len(count_executions) == 1
+        got = dict(zip(*out.to_pandas()[["group", "q0"]].T.values))
+        assert got == {"a": 27, "b": 28, "c": 29}
+    assert ray.get(c.get.remote()) == 8
