@@ -30,10 +30,11 @@ row counts, bytes and a schema. It comes from a materialized Dataset's
 bundle metadata (:meth:`Blocks.of`, which runs nothing), from
 :func:`map_blocks` (one plain task per non-empty block, each returning
 its table and, as a second small object, its row count, bytes and
-schema) and from :func:`fold_blocks` (each reduce task also returns its
-outputs' row counts and bytes). A fold takes a ``Blocks`` side anywhere
-it takes a Dataset and reads its counts and schema without streaming
-it. A stage wraps
+schema: :func:`with_meta`, gathered by :meth:`Blocks.gather`, which
+takes any task's pairs) and from :func:`fold_blocks` (each reduce task
+also returns its outputs' row counts and bytes). A fold takes a
+``Blocks`` side anywhere it takes a Dataset and reads its counts and
+schema without streaming it. A stage wraps
 blocks in a Dataset (:func:`dataset`) only for its return value. Small
 per-block facts (bounds, the levels a block uses) come from
 :func:`probe`: one plain Ray task per block, results gathered.
@@ -125,6 +126,16 @@ class Blocks:
     def put(cls, t: pa.Table) -> "Blocks":
         """A driver-side table as one block."""
         return cls([ray.put(t)], [t.num_rows], t.schema, [t.nbytes])
+
+    @classmethod
+    def gather(cls, outs) -> "Blocks":
+        """The blocks ``num_returns=2`` tasks returned as (table,
+        :func:`with_meta`) pairs of refs; only the small metadata
+        objects reach the driver, in one ``ray.get``."""
+        meta = ray.get([m for _, m in outs])
+        return cls([t for t, _ in outs], [n for n, _, _ in meta],
+                   next((sch for _, _, sch in meta), None),
+                   [b for _, b, _ in meta])
 
     def __add__(self, other: "Blocks") -> "Blocks":
         """The blocks of both, ``self``'s first (the schema is the first
@@ -390,10 +401,15 @@ def _block_task(fn, block):
     return fn(_table(block))
 
 
+def with_meta(t: pa.Table) -> tuple:
+    """``t`` and its (row count, bytes, schema), a task's two returns
+    for :meth:`Blocks.gather`."""
+    return t, (t.num_rows, t.nbytes, t.schema)
+
+
 @ray.remote(num_returns=2)
 def _map_task(fn, block):
-    t = fn(_table(block))
-    return t, (t.num_rows, t.nbytes, t.schema)
+    return with_meta(fn(_table(block)))
 
 
 def probe(blocks, fn) -> list:
@@ -410,11 +426,8 @@ def map_blocks(blocks, fn) -> Blocks:
     Ray task per block. Each task returns the table and, as a second
     small object, its row count, bytes and schema; the driver gathers
     only the small ones."""
-    out = [_map_task.remote(fn, ref) for ref in Blocks.of(blocks).live()]
-    meta = ray.get([m for _, m in out])
-    return Blocks([t for t, _ in out], [n for n, _, _ in meta],
-                  next((sch for _, _, sch in meta), None),
-                  [b for _, b, _ in meta])
+    return Blocks.gather([_map_task.remote(fn, ref)
+                          for ref in Blocks.of(blocks).live()])
 
 
 def dataset(blocks: Blocks) -> rd.Dataset:

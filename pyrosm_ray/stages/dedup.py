@@ -53,7 +53,8 @@ import ray.data as rd
 
 from pyrosm_ray.stages.similarity import _emb_matrix
 from pyrosm_ray.stages.blocks import Blocks, co_join, dataset, exchange, \
-    fold, fold_blocks, groupby_partitions, map_blocks, probe, unreserved
+    fold, fold_blocks, groupby_partitions, map_blocks, probe, unreserved, \
+    with_meta
 from pyrosm_ray.stages.components import attach_components, \
     connected_components
 from pyrosm_ray.stages.hashing import combine3, hash64, stable64_many
@@ -501,11 +502,11 @@ def _scored(kernel, col, a: np.ndarray, b: np.ndarray, ia: np.ndarray,
 def _verify_chunk(kernel, got: pa.Table, id_col: str, payload_col: str,
                   a: np.ndarray, b: np.ndarray):
     """Score one chunk of pairs against the broadcast payloads ``got``
-    (sorted by id) -> the kept pairs and their (row count, bytes)."""
+    (sorted by id) -> :func:`with_meta` of the kept pairs."""
     ids = np.asarray(got[id_col].to_numpy(zero_copy_only=False), np.int64)
-    t = _scored(kernel, got[payload_col], a, b, np.searchsorted(ids, a),
-                np.searchsorted(ids, b))
-    return t, (t.num_rows, t.nbytes)
+    return with_meta(_scored(kernel, got[payload_col], a, b,
+                             np.searchsorted(ids, a),
+                             np.searchsorted(ids, b)))
 
 
 def _verify_pairs(cand, payload, id_col: str, payload_col: str, kernel,
@@ -532,10 +533,9 @@ def _verify_pairs(cand, payload, id_col: str, payload_col: str, kernel,
         return _verify_joined(cand, payload, id_col, payload_col, kernel,
                               nb)
     a, b = _pair_columns(cand)
-    e = np.empty(0, np.int64)
-    empty = _scored(kernel, pa.array([]), e, e, e, e)
     if not len(a):
-        return Blocks.put(empty)
+        e = np.empty(0, np.int64)
+        return Blocks.put(_scored(kernel, pa.array([]), e, e, e, e))
     involved = ray.put(np.unique(np.concatenate([a, b])))
 
     def gather(t: pa.Table) -> pa.Table:
@@ -548,12 +548,10 @@ def _verify_pairs(cand, payload, id_col: str, payload_col: str, kernel,
     # one chunk per partition slot: a chunk's kernel is one numpy pass,
     # so more chunks than CPUs only add task overhead
     n_chunks = min(groupby_partitions(), len(a) // 1024 + 1)
-    out = [_verify_chunk.remote(kernel, got, id_col, payload_col, ac, bc)
-           for ac, bc in zip(np.array_split(a, n_chunks),
-                             np.array_split(b, n_chunks))]
-    meta = ray.get([m for _, m in out])
-    return Blocks([t for t, _ in out], [n for n, _ in meta], empty.schema,
-                  [nbytes for _, nbytes in meta])
+    return Blocks.gather([
+        _verify_chunk.remote(kernel, got, id_col, payload_col, ac, bc)
+        for ac, bc in zip(np.array_split(a, n_chunks),
+                          np.array_split(b, n_chunks))])
 
 
 def _verify_joined(cand: Blocks, payload: Blocks, id_col: str,

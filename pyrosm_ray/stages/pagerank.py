@@ -43,7 +43,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from pyrosm_ray.stages.blocks import Blocks, dataset, fold, unreserved
+from pyrosm_ray.stages.blocks import Blocks, dataset, fold, unreserved, \
+    with_meta
 
 R0_MICRO = 1_000_000
 TELEPORT_MICRO = 150_000     # (1-d) = 0.15
@@ -399,9 +400,8 @@ def _pr_rebuild(static, *cparts):
 
 
 def _pr_out(static, r: np.ndarray):
-    """One shard's (node, rank_micro) table and its (row count, bytes)."""
-    t = _ranks(static[0], r)
-    return t, (t.num_rows, t.nbytes)
+    """:func:`with_meta` of one shard's (node, rank_micro) table."""
+    return with_meta(_ranks(static[0], r))
 
 
 def _pr_l1(prev: np.ndarray, new: np.ndarray) -> int:
@@ -478,11 +478,8 @@ def pagerank_partitioned(edges, iters: int = 5, src_col: str = "src",
         stats["iterations"] = it_done
         stats["l1_delta_micro"] = delta
     out = ray.remote(_pr_out).options(num_returns=2)
-    outs = [out.remote(statics[j], ranks[j]) for j in range(nb)]
-    meta = ray.get([m for _, m in outs])
-    return dataset(Blocks([t for t, _ in outs], [n for n, _ in meta],
-                          _ranks([], []).schema,
-                          [b for _, b in meta]))
+    return dataset(Blocks.gather([out.remote(statics[j], ranks[j])
+                                  for j in range(nb)]))
 
 
 def _pagerank_iter_ctes(iters: int, node_type: str = "BIGINT") -> str:

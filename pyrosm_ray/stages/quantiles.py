@@ -156,17 +156,14 @@ def group_quantiles(ds, group_col: str, value_col: str,
     from pyrosm_ray.stages.blocks import KEYED_FOLD_DRIVER_MAX
 
     q_list = [qs] if isinstance(qs, float) else list(qs)
-    empty = pa.table({"group": pa.array([], pa.string()),
-                      **{f"q{j}": pa.array([], pa.int64())
-                         for j in range(len(q_list))}})
+    thresholds = functools.partial(_fold_thresholds, qs=q_list)
     hist = Blocks.of(unreserved(ds.map_batches(
         lambda b: _histogram_batch(b, group_col, value_col),
         batch_format="pyarrow").materialize()))
     if hist.num_rows > KEYED_FOLD_DRIVER_MAX:
         hist = fold_blocks(hist, ["__g", "__v"], _merge_hist, None,
                            _HIST_EMPTY)[0]
-    return fold(hist, "__g", functools.partial(_fold_thresholds, qs=q_list),
-                None, empty)
+    return fold(hist, "__g", thresholds, None, thresholds(_HIST_EMPTY))
 
 
 def _float_order_key(v: np.ndarray) -> np.ndarray:
@@ -255,9 +252,8 @@ def group_quantiles_continuous(ds, group_col: str, value_col: str,
     if stats is not None:
         hist = unreserved(hist.materialize())
         stats["pass1_rows"] = hist.count()
-    cand = fold(hist, "__g", fold1, None, fold1(pa.table({
-        "__g": pa.array([], pa.string()), "__b": pa.array([], pa.int64()),
-        "__c": pa.array([], pa.int64())}))).to_pandas()
+    cand = fold(hist, "__g", fold1, None, fold1(_HIST_EMPTY.rename_columns(
+        ["__g", "__b", "__c"]))).to_pandas()
     if cand.empty:
         return unreserved(rd.from_arrow(empty))
     # one row per (group, quantile) — inherently tiny; broadcast
