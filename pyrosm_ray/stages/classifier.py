@@ -19,7 +19,8 @@ implements that stage Ray-Data-first:
   logit and probability per doc (weights broadcast once).
 
 Features: words hash into ``feature_buckets`` md5-tail buckets
-(:func:`stable64_many` — the repo's oracle-stable hash), per-doc values
+(:func:`~pyrosm_ray.stages.hashing.word_hashes` — the repo's
+oracle-stable hash), per-doc values
 are binary PRESENCE (a rare marker word contributes one full unit, not
 1/n_tokens — the signal shape a linear text gate wants), plus an
 intercept. Training
@@ -40,7 +41,7 @@ import numpy as np
 import pyarrow as pa
 
 from pyrosm_ray.stages.blocks import unreserved
-from pyrosm_ray.stages.hashing import stable64_many
+from pyrosm_ray.stages.hashing import word_hashes
 
 
 def _doc_features(texts, buckets: int):
@@ -48,24 +49,16 @@ def _doc_features(texts, buckets: int):
     per-token signal a linear text gate wants; a rare marker word is one
     full unit, not 1/n_tokens): returns (flat unique bucket ids per doc,
     doc offsets)."""
-    words: list[str] = []
-    counts = np.empty(len(texts), dtype=np.int64)
-    for i, t in enumerate(texts):
-        ws = (t or "").lower().split()
-        words.extend(ws)
-        counts[i] = len(ws)
-    if words:
-        idx = (stable64_many(words) % np.uint64(buckets)).astype(np.int64)
-    else:
-        idx = np.empty(0, np.int64)
-    row = np.repeat(np.arange(len(texts), dtype=np.int64), counts)
+    h, counts = word_hashes(texts)
+    idx = (h % np.uint64(buckets)).astype(np.int64)
+    row = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
     # per-doc unique buckets via one combined-key unique (row-major, so
     # offsets rebuild from the row counts)
     key = np.unique(row * np.int64(buckets) + idx)
     urow = key // buckets
     idx_u = key % buckets
-    per_doc = np.bincount(urow, minlength=len(texts)).astype(np.int64)
-    off = np.zeros(len(texts) + 1, dtype=np.int64)
+    per_doc = np.bincount(urow, minlength=len(counts)).astype(np.int64)
+    off = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(per_doc, out=off[1:])
     return idx_u, off
 
@@ -103,10 +96,9 @@ def train_text_classifier(ds, target_col: str = "lang",
                                  "n": pa.array([], pa.int64()),
                                  "g": pa.array([], pa.binary())})
             wv = ray.get(ref)
-            texts = batch[text_col].to_pylist()
             y = np.asarray(pc.equal(batch[target_col], target_value)
                            .to_numpy(zero_copy_only=False), np.float64)
-            idx, off = _doc_features(texts, B)
+            idx, off = _doc_features(batch[text_col], B)
             z = _logits(idx, off, wv, B)
             p = 1.0 / (1.0 + np.exp(-z))
             r = p - y                      # dL/dz per doc
@@ -146,8 +138,7 @@ def score_text_classifier(ds, weights: np.ndarray,
 
     def score(batch: pa.Table) -> pa.Table:
         wv = ray.get(ref)
-        texts = batch[text_col].to_pylist()
-        idx, off = _doc_features(texts, B)
+        idx, off = _doc_features(batch[text_col], B)
         z = _logits(idx, off, wv, B)
         p = 1.0 / (1.0 + np.exp(-z))
         return pa.table({

@@ -9,8 +9,9 @@ k-word gram from an evaluation benchmark. The shape at 100 TB:
   to a sorted array of 64-bit gram hashes, broadcast once via
   ``ray.put`` and read zero-copy in every task;
 * the corpus side streams through ONE vectorised ``map_batches`` pass —
-  per-word md5 (:func:`pyrosm_ray.stages.hashing.stable64_many`, one
-  C-level factorize + md5-per-unique-word), positional k-gram hashes by
+  per-word md5 (:func:`pyrosm_ray.stages.hashing.word_hashes`, one md5
+  per distinct word, read from the Arrow buffers), positional k-gram
+  hashes by
   a chained :func:`~pyrosm_ray.stages.hashing.combine3` over sliding
   views of the flat word-hash array (no gram strings are ever built),
   membership via one sorted ``np.isin``, per-doc hit counts via a
@@ -35,21 +36,10 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from pyrosm_ray.stages.hashing import combine3, stable64_many
+from pyrosm_ray.stages.hashing import combine3, word_hashes
 
 DEFAULT_K = 8           # words per gram (the GPT-3 appendix uses 8-13)
 DEFAULT_SNIPPET_MOD = 29  # self-benchmark fixture: 1/29 of docs seed the set
-
-
-def _flat_word_hashes(texts) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated per-word hashes + per-doc word counts for a batch."""
-    words_all: list[str] = []
-    counts = np.empty(len(texts), dtype=np.int64)
-    for i, text in enumerate(texts):
-        ws = (text or "").lower().split()
-        words_all.extend(ws)
-        counts[i] = len(ws)
-    return stable64_many(words_all), counts
 
 
 def _chained_gram_hashes(h: np.ndarray, starts: np.ndarray,
@@ -72,7 +62,7 @@ def _positional_grams(texts, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     Docs shorter than k words contribute zero grams (matching the SQL
     twin's ``len(ws) >= k`` gate)."""
-    h, counts = _flat_word_hashes(texts)
+    h, counts = word_hashes(texts)
     woff = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=woff[1:])
     gcnt = np.maximum(counts - (k - 1), 0)
@@ -91,13 +81,13 @@ def eval_gram_hashes(texts, k: int = DEFAULT_K) -> np.ndarray:
 
     Every positional gram of every eval text enters the set (an eval
     prompt contaminates wherever it appears inside a training doc)."""
-    g, _ = _positional_grams(list(texts), k)
+    g, _ = _positional_grams(texts, k)
     return np.unique(g)
 
 
 def _prefix_gram_hashes(texts, k: int) -> np.ndarray:
     """Hash of the FIRST k-word gram of each text (short texts dropped)."""
-    h, counts = _flat_word_hashes(texts)
+    h, counts = word_hashes(texts)
     woff = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=woff[1:])
     starts = woff[:-1][counts >= k]
@@ -122,7 +112,7 @@ def self_benchmark_grams(ds, id_col: str = "doc_id", text_col: str = "text",
         sel = np.nonzero(ids % snippet_mod == 0)[0]
         if not len(sel):
             return pa.table({"g": pa.array([], pa.uint64())})
-        texts = batch[text_col].take(pa.array(sel)).to_pylist()
+        texts = batch[text_col].take(pa.array(sel))
         return pa.table({"g": pa.array(_prefix_gram_hashes(texts, k),
                                        pa.uint64())})
 
@@ -159,8 +149,7 @@ def decontaminate(ds, eval_grams: np.ndarray | None = None,
 
     def score(batch: pa.Table) -> pa.Table:
         grams = ray.get(grams_ref)  # local after first fetch per node
-        texts = batch[text_col].to_pylist()
-        g, gcnt = _positional_grams(texts, k)
+        g, gcnt = _positional_grams(batch[text_col], k)
         hit = np.isin(g, grams, kind="sort")
         goff = np.zeros(len(gcnt) + 1, dtype=np.int64)
         np.cumsum(gcnt, out=goff[1:])

@@ -57,7 +57,8 @@ from pyrosm_ray.stages.blocks import Blocks, co_join, dataset, exchange, \
     with_meta
 from pyrosm_ray.stages.components import attach_components, \
     connected_components
-from pyrosm_ray.stages.hashing import combine3, hash64, stable64_many
+from pyrosm_ray.stages.hashing import combine3, hash64, md5_halves, \
+    stable64, stable64_many, word_hashes
 
 _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
@@ -71,32 +72,33 @@ def popcount64(x: np.ndarray) -> np.ndarray:
 
 def _word_shingle_hashes(texts, k: int = 3
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Every k-word-shingle hash of each text, repeats kept, as a CSR:
-    (flat hashes, per-text offsets). A text of fewer than k words pads
-    to one shingle, so every text has at least one.
+    """Every k-word-shingle hash of each text of an Arrow string column
+    (or a sequence of strings), repeats kept, as a CSR: (flat hashes,
+    per-text offsets). A text of fewer than k words (a null text has
+    none) pads with ``""`` words to one shingle, so every text has at
+    least one.
 
     No shingle strings are ever built: every word in the batch hashes in
-    ONE :func:`stable64_many` pass (md5 once per unique word — Zipf vocab),
-    then each shingle hash is :func:`pyrosm_ray.stages.hashing.combine3`
-    over its k consecutive word hashes, fully vectorised across the batch.
-    The DuckDB oracle renders the identical combine (combine3_sql), so the
+    ONE :func:`pyrosm_ray.stages.hashing.word_hashes` pass (md5 once per
+    distinct word, straight from the Arrow buffers), then each shingle
+    hash is :func:`pyrosm_ray.stages.hashing.combine3` over its k
+    consecutive word hashes, fully vectorised across the batch. The
+    DuckDB oracle renders the identical combine (combine3_sql), so the
     operator stays bit-exact."""
     assert k == 3, "combine3 path is specialised to 3-word shingles"
-    words_all: list[str] = []
-    counts = np.empty(len(texts), dtype=np.int64)
-    for i, text in enumerate(texts):
-        words = (text or "").lower().split()
-        if len(words) < k:
-            words = words + [""] * (k - len(words))
-        words_all.extend(words)
-        counts[i] = len(words)
-    h = stable64_many(words_all)
-    woff = np.zeros(len(texts) + 1, dtype=np.int64)
+    h, counts = word_hashes(texts)
+    if counts.min(initial=k) < k:
+        # short texts: their own words, then md5("") pads
+        padded = np.maximum(counts, k)
+        pad = np.full(int(padded.sum()), stable64(""), np.uint64)
+        pad[_concat_ranges_dedup(np.cumsum(padded) - padded, counts)] = h
+        h, counts = pad, padded
+    woff = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=woff[1:])
     sh_counts = counts - (k - 1)            # >=1: padded to k words
     idx = _concat_ranges_dedup(woff[:-1], sh_counts)
     sh = combine3(h[idx], h[idx + 1], h[idx + 2])
-    soff = np.zeros(len(texts) + 1, dtype=np.int64)
+    soff = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(sh_counts, out=soff[1:])
     return sh, soff
 
@@ -193,8 +195,7 @@ def minhash_signatures_batch(batch: pa.Table, id_col: str, text_col: str,
     hashes go in undeduplicated; every permutation runs as one segment
     minimum per block of :data:`_SIG_BLOCK_DOCS` documents, and ``sig``
     wraps one buffer."""
-    flat, off = _word_shingle_hashes(batch[text_col].to_pylist(),
-                                     k_shingle)
+    flat, off = _word_shingle_hashes(batch[text_col], k_shingle)
     n = len(off) - 1
     sigs = np.empty((n, num_perm), dtype="<u8")
     for d0 in range(0, n, _SIG_BLOCK_DOCS):
@@ -294,8 +295,7 @@ def _keyed_pairs_bucketed(rows, key_cols: list[str], id_col: str,
                     col.to_numpy(zero_copy_only=False),
                     np.int64).view(np.uint64), 11)
             else:
-                h = stable64_many(
-                    col.cast(pa.string()).to_pylist())
+                h = stable64_many(col.cast(pa.string()))
             key = key * np.uint64(0x100000001B3) ^ h
         return key
 
@@ -465,8 +465,7 @@ def _text_jaccard_kernel(threshold: float, k: int, col, ia: np.ndarray,
     :func:`_word_shingle_hashes` pass over them, then one (row, hash)
     lexsort that sorts and dedupes every set at once."""
     rows, inv = np.unique(np.concatenate([ia, ib]), return_inverse=True)
-    flat, off = _word_shingle_hashes(
-        col.take(pa.array(rows)).to_pylist(), k)
+    flat, off = _word_shingle_hashes(col.take(pa.array(rows)), k)
     doc = np.repeat(np.arange(len(rows)), np.diff(off))
     order = np.lexsort((flat, doc))
     flat, doc = flat[order], doc[order]
@@ -668,20 +667,13 @@ def simhash_batch(batch: pa.Table, id_col: str, text_col: str) -> pa.Table:
     """64-bit simhash over word occurrences (bit b set when the signed
     occurrence-count of bit b across word hashes is positive).
 
-    Batched: every word in the batch hashes in one :func:`stable64_many`
+    Batched: every word in the batch hashes in one :func:`word_hashes`
     pass; the per-doc signed bit sums run as segment reductions over
     8-bit-position chunks (bounds the bit-matrix temporary to 64 B/word)."""
-    texts = batch[text_col].to_pylist()
-    n_docs = len(texts)
-    words_all: list[str] = []
-    counts = np.empty(n_docs, dtype=np.int64)
-    for i, t in enumerate(texts):
-        ws = (t or "").lower().split()
-        words_all.extend(ws)
-        counts[i] = len(ws)
+    hs, counts = word_hashes(batch[text_col])
+    n_docs = len(counts)
     out = np.zeros(n_docs, dtype=np.uint64)
-    if words_all:
-        hs = stable64_many(words_all)
+    if len(hs):
         off = np.zeros(n_docs + 1, dtype=np.int64)
         np.cumsum(counts, out=off[1:])
         nz = np.flatnonzero(counts > 0)
@@ -1510,7 +1502,7 @@ def line_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
 
     * ``shuffle_key="hash"`` (default — the 100-TB shape): the
       first-occurrence decision groups on the line's 128-bit md5
-      (:func:`hashing.stable128_many`; collision odds ~2^-64 at 10^12
+      (:func:`hashing.md5_halves`; collision odds ~2^-64 at 10^12
       distinct lines), so only three int64s per line cross the wire;
       text moves exactly once, as the documents. The projected input
       streams once (the route's one Ray Data execution) and its blocks
@@ -1564,22 +1556,23 @@ def line_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
         _reassemble_lines(pa.table({}), id_col, delim, out_col, carry_cols))
 
 
+def _line_keys(batch: pa.Table, id_col: str, text_col: str,
+               delim: str) -> pa.Table:
+    """Each line's 128-bit md5 (``__h1``, ``__h2``) and order key."""
+    ex = _explode_lines(batch, id_col, text_col, delim, [])
+    lo, hi = md5_halves(ex["__line"])
+    return pa.table({"__h1": pa.array(lo.view(np.int64)),
+                     "__h2": pa.array(hi.view(np.int64)),
+                     "__ordkey": ex["__ordkey"]})
+
+
 def _line_dedup_hash(ds, id_col: str, text_col: str, delim: str,
                      out_col: str, carry_cols: list[str],
                      num_partitions: int | None):
     """Hash-keyed route: ints decide, text moves once (see line_dedup)."""
-    from pyrosm_ray.stages.hashing import stable128_many
-
     # held: the keep fold reads their lines' keys, the survivor fold the
     # documents themselves, and the upstream plan runs once
     docs = Blocks.of(ds.select_columns([id_col, text_col, *carry_cols]))
-
-    def line_keys(batch: pa.Table) -> pa.Table:
-        ex = _explode_lines(batch, id_col, text_col, delim, [])
-        lo, hi = stable128_many(ex["__line"].to_pylist())
-        return pa.table({"__h1": pa.array(lo.view(np.int64)),
-                         "__h2": pa.array(hi.view(np.int64)),
-                         "__ordkey": ex["__ordkey"]})
 
     def fold_first(g: pa.Table) -> pa.Table:
         # a keep-key's doc IS the doc that keeps the line, so the keep
@@ -1594,6 +1587,8 @@ def _line_dedup_hash(ds, id_col: str, text_col: str, delim: str,
         return pa.table({"__ordkey": pa.array(k),
                          id_col: pa.array(k >> _ORD_BITS, pa.int64())})
 
+    line_keys = functools.partial(_line_keys, id_col=id_col,
+                                  text_col=text_col, delim=delim)
     keep = fold_blocks(map_blocks(docs, line_keys), ["__h1", "__h2"],
                        fold_first, num_partitions, pa.table({
                            "__ordkey": pa.array([], pa.int64()),
@@ -1715,6 +1710,17 @@ def semantic_dedup_sql(emb_table: str = "embeddings",
 # cross-snapshot diff report
 # ---------------------------------------------------------------------------
 
+def _snapshot_keys(b: pa.Table, id_col: str, text_col: str) -> pa.Table:
+    """(id, lo, hi) rows: each document's 128-bit md5 content key. A
+    null text keys as a null ``hi``; ``lo`` stays valid, since it marks
+    the id present in :func:`snapshot_diff`'s join."""
+    lo, hi = md5_halves(b[text_col])
+    return pa.table({"id": b[id_col].cast(pa.int64()),
+                     "lo": pa.array(lo.view(np.int64), pa.int64()),
+                     "hi": pa.array(hi.view(np.int64), pa.int64(),
+                                    mask=np.asarray(b[text_col].is_null()))})
+
+
 def snapshot_diff(old_ds, new_ds, id_col: str = "doc_id",
                   text_col: str = "text",
                   num_partitions: int | None = None):
@@ -1733,16 +1739,11 @@ def snapshot_diff(old_ds, new_ds, id_col: str = "doc_id",
     collisions are below the birthday bound at any corpus size, so the
     hash compare and the text compare agree.
 
+    A null text equals no text, as in the twin's compare, so an id
+    present on both sides with a null text on either reads ``changed``.
+
     Output: ``(doc_id, status)``, one row per id in either snapshot.
     """
-    from pyrosm_ray.stages.hashing import stable128_many
-
-    def keyed(b: pa.Table) -> pa.Table:
-        lo, hi = stable128_many(b[text_col].to_pylist())
-        return pa.table({"id": b[id_col].cast(pa.int64()),
-                         "lo": pa.array(lo.view(np.int64), pa.int64()),
-                         "hi": pa.array(hi.view(np.int64), pa.int64())})
-
     def status(old: pa.Table, new: pa.Table) -> pa.Table:
         if not old.num_rows or not new.num_rows:
             one = old if old.num_rows else new
@@ -1753,13 +1754,15 @@ def snapshot_diff(old_ds, new_ds, id_col: str = "doc_id",
                      right_suffix="_n")
         in_old = j["lo_o"].is_valid()
         in_new = j["lo_n"].is_valid()
-        same = pc.and_(pc.equal(j["lo_o"], j["lo_n"]),
-                       pc.equal(j["hi_o"], j["hi_n"]))
+        same = pc.fill_null(pc.and_(pc.equal(j["lo_o"], j["lo_n"]),
+                                    pc.equal(j["hi_o"], j["hi_n"])), False)
         return pa.table({id_col: j["id"], "status": pc.if_else(
             pc.invert(in_old), "added", pc.if_else(
                 pc.invert(in_new), "removed",
                 pc.if_else(same, "same", "changed")))})
 
+    keyed = functools.partial(_snapshot_keys, id_col=id_col,
+                              text_col=text_col)
     return fold((old_ds.map_batches(keyed, batch_format="pyarrow"),
                  new_ds.map_batches(keyed, batch_format="pyarrow")), "id",
                 status, num_partitions, pa.table({

@@ -14,6 +14,11 @@ primitives, each with a bit-identical SQL rendering:
   ((hi(a)*b mod 2^32) << 32 + lo(a)*b) mod 2^64 — every intermediate fits
   a 128-bit HUGEINT).
 
+:func:`md5_halves` computes the md5 of every value of an Arrow string
+array straight from its buffers; :func:`stable64_many` and
+:func:`stable128_many` wrap it for inputs with repeats (one digest per
+distinct value).
+
 Python's builtin ``hash()`` is salted per process and DuckDB's ``hash()``
 is version-dependent; these two are the process- and engine-stable
 replacements.
@@ -24,6 +29,8 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 MASK64 = (1 << 64) - 1
 _MUL1 = 0xFF51AFD7ED558CCD
@@ -37,65 +44,89 @@ def stable64(s: str) -> int:
         hashlib.md5(s.encode("utf-8")).digest()[8:], "little")
 
 
-def stable128_many(strings) -> tuple[np.ndarray, np.ndarray]:
-    """Both 64-bit halves of the md5 digest per string — a 128-bit
-    content key whose collision probability is negligible at any corpus
-    size (birthday bound ~2^-64 even at 10^12 distinct strings). Same
-    factorize-the-batch trick as :func:`stable64_many`: one digest per
-    UNIQUE string, scattered back through the codes. Returns
-    ``(lo, hi)`` uint64 arrays; ``hi`` equals :func:`stable64`'s value
-    (digest bytes 8:16 little-endian), ``lo`` is bytes 0:8."""
-    import pandas as pd
-    if not len(strings):
-        z = np.empty(0, dtype=np.uint64)
-        return z, z
-    codes, uniques = pd.factorize(np.asarray(strings, dtype=object))
+def _flat(arr) -> pa.Array:
+    """One Arrow string array of ``arr``: chunks combined, a Python
+    sequence or an all-null column converted to ``string``."""
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    if not isinstance(arr, pa.Array):
+        return pa.array(arr, pa.string())
+    return arr.cast(pa.string()) if pa.types.is_null(arr.type) else arr
+
+
+def md5_halves(arr) -> tuple[np.ndarray, np.ndarray]:
+    """Both 64-bit halves of each value's md5 digest, for an Arrow
+    ``string``/``large_string`` array (sliced or chunked): ``(lo, hi)``
+    uint64 arrays, digest bytes 0:8 and 8:16 read little-endian, so
+    ``hi`` is :func:`stable64`. Each value hashes straight from a
+    ``memoryview`` slice of the data buffer at its offsets: no Python
+    string, no encode. A null hashes to ``(0, 0)``, not as any string's
+    digest; callers that keep SQL NULL semantics read the validity."""
+    arr = _flat(arr)
+    n = len(arr)
+    if not n:
+        return np.empty(0, np.uint64), np.empty(0, np.uint64)
+    _, offsets, data = arr.buffers()[:3]
+    width = 8 if pa.types.is_large_string(arr.type) else 4
+    off = np.frombuffer(offsets, f"<i{width}", n + 1,
+                        arr.offset * width).tolist()
+    view = memoryview(data if data is not None else b"")
     md5 = hashlib.md5
-    buf = b"".join([md5(s.encode("utf-8")).digest()
-                    for s in np.asarray(uniques, dtype=object)])
-    both = np.frombuffer(buf, dtype="<u8")
-    return both[0::2][codes], both[1::2][codes]
+    both = np.frombuffer(b"".join([
+        md5(view[a:b]).digest() for a, b in zip(off, off[1:])]), "<u8")
+    lo, hi = both[0::2].copy(), both[1::2].copy()
+    if arr.null_count:
+        null = np.asarray(arr.is_null())
+        lo[null] = hi[null] = 0
+    return lo, hi
 
 
-_MEMO: dict[str, int] = {}
-_MEMO_MAX = 1 << 20  # per-process cap; vocabulary tables stay ~50 MB
+def stable128_many(strings) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`md5_halves` of an Arrow array or a sequence of strings,
+    for inputs with repeats: one digest per distinct value (a
+    ``dictionary_encode``), taken back by dictionary code. ``(lo, hi)``
+    is a 128-bit content key whose collision probability is negligible
+    at any corpus size (birthday bound ~2^-64 even at 10^12 distinct
+    strings). A null is ``(0, 0)``."""
+    enc = pc.dictionary_encode(_flat(strings))
+    lo, hi = md5_halves(enc.dictionary)
+    # a null's code points past the dictionary, at a (0, 0) slot
+    codes = np.asarray(pc.fill_null(enc.indices, len(enc.dictionary)))
+    zero = np.zeros(1, np.uint64)
+    return np.concatenate([lo, zero])[codes], \
+        np.concatenate([hi, zero])[codes]
 
 
 def stable64_many(strings) -> np.ndarray:
-    """Vectorised :func:`stable64` over a sequence of strings.
+    """Vectorised :func:`stable64` (the ``hi`` half of
+    :func:`stable128_many`; a null is 0), bit-identical to DuckDB
+    ``md5_number_lower`` (the oracle contract)."""
+    return stable128_many(strings)[1]
 
-    ``pd.factorize`` (a C-level hash table) collapses the input to its
-    unique strings; md5 runs once per unique string not covered by the
-    per-process memo (word/gram vocabularies are Zipf — tiny next to the
-    token stream), digests are concatenated and the 64-bit tails sliced
-    out in one frombuffer view, and the result scatters back through the
-    factorize codes. Bit-identical to ``md5_number_lower`` (the oracle
-    contract)."""
-    import pandas as pd
-    if not len(strings):
-        return np.empty(0, dtype=np.uint64)
-    codes, uniques = pd.factorize(np.asarray(strings, dtype=object))
-    uniques = np.asarray(uniques, dtype=object)
-    memo = _MEMO
-    get = memo.get
-    uvals = np.empty(len(uniques), dtype=np.uint64)
-    miss_idx, miss = [], []
-    for i, s in enumerate(uniques):
-        v = get(s)
-        if v is None:
-            miss_idx.append(i)
-            miss.append(s)
-        else:
-            uvals[i] = v
-    if miss:
-        md5 = hashlib.md5
-        buf = b"".join([md5(s.encode("utf-8")).digest() for s in miss])
-        vals = np.frombuffer(buf, dtype="<u8")[1::2]
-        uvals[miss_idx] = vals
-        if len(memo) + len(miss) > _MEMO_MAX:
-            memo.clear()
-        memo.update(zip(miss, vals.tolist()))
-    return uvals[codes]
+
+def word_hashes(texts) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`stable64` of every word of each text of an Arrow string
+    column (or a sequence of strings), in order, and each text's word
+    count. The words are ``text.lower().split()``; a null text has none.
+    ``utf8_split_whitespace`` splits as ``str.split()`` does (minus its
+    zero-length tokens); the DISTINCT words are lowercased
+    (``ascii_lower``, or ``str.lower`` if any is non-ASCII: ``utf8_lower``
+    differs on U+0130 and a final sigma, and no whitespace carries a
+    final-sigma context) and md5-hashed once each, by dictionary code."""
+    col = _flat(texts)
+    tokens = pc.utf8_split_whitespace(col)
+    words = tokens.flatten()
+    parent = pc.list_parent_indices(tokens)
+    if len(words) and pc.min(pc.binary_length(words)).as_py() == 0:
+        real = pc.greater(pc.binary_length(words), 0)
+        words, parent = words.filter(real), parent.filter(real)
+    counts = np.bincount(np.asarray(parent, np.int64), minlength=len(col))
+    enc = pc.dictionary_encode(words)
+    raw = enc.dictionary
+    lower = pc.ascii_lower(raw) \
+        if pc.all(pc.string_is_ascii(raw), min_count=0).as_py() \
+        else pa.array([w.lower() for w in raw.to_pylist()], pa.string())
+    return md5_halves(lower)[1][np.asarray(enc.indices)], counts
 
 
 _C1 = 0x9E3779B97F4A7C15

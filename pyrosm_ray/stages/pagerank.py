@@ -262,8 +262,8 @@ def pagerank_named(edges, iters: int = 5, src_col: str = "src_host",
     from pyrosm_ray.stages.hashing import stable64_many
 
     def hash_edges(b: pa.Table) -> pa.Table:
-        s = stable64_many(b[src_col].to_pylist())
-        d = stable64_many(b[dst_col].to_pylist())
+        s = stable64_many(b[src_col])
+        d = stable64_many(b[dst_col])
         return pa.table({"src": pa.array(s.view(np.int64), pa.int64()),
                          "dst": pa.array(d.view(np.int64), pa.int64())})
 

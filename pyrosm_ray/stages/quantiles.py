@@ -329,6 +329,15 @@ def group_quantiles_continuous(ds, group_col: str, value_col: str,
     return exchange(inbin, "__g", fold2, None, empty)
 
 
+def _group_index(groups, names: pa.Array) -> np.ndarray:
+    """Each row's group's position in ``names`` (a broadcast per-group
+    table's ``group`` column), or -1 for a null group or one not in
+    ``names``: one vectorised ``index_in``, no Python object per row."""
+    return np.asarray(pc.fill_null(pc.index_in(
+        groups.cast(pa.string()), value_set=names), -1).to_numpy(
+        zero_copy_only=False), np.int64)
+
+
 def quantile_filter(ds, group_col: str, value_col: str, q: float,
                     keep: str = "ge"):
     """Keep rows whose ``value_col`` clears its group's exact q-th
@@ -349,16 +358,17 @@ def quantile_filter(ds, group_col: str, value_col: str, q: float,
     is_float = _value_is_float(ds, value_col)
     route = group_quantiles_continuous if is_float else group_quantiles
     thr_tbl = route(ds, group_col, value_col, q).to_pandas()
-    thr_ref = ray.put(dict(zip(thr_tbl["group"], thr_tbl["q0"])))
+    thr_ref = ray.put((pa.array(thr_tbl["group"], pa.string()),
+                       np.append(thr_tbl["q0"].to_numpy(np.float64),
+                                 np.nan)))
     vdtype = np.float64 if is_float else np.int64
 
     def pick(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-        thr = ray.get(thr_ref)
-        groups = pd.Series(batch[group_col].to_pylist())
+        names, limits = ray.get(thr_ref)
         vals = np.asarray(batch[value_col].to_numpy(zero_copy_only=False),
                           vdtype)
-        limit = groups.map(thr).to_numpy(np.float64)
+        # a row outside every group compares against NaN: never kept
+        limit = limits[_group_index(batch[group_col], names)]
         return batch.filter(pa.array(op(vals, limit)))
 
     return ds.map_batches(pick, batch_format="pyarrow")
@@ -385,10 +395,12 @@ def quantile_bins(ds, group_col: str, value_col: str, qs: list[float],
     everything at-or-below the first edge, the last bin everything
     above the last edge (``searchsorted(edges, v, side="left")``
     semantics on ascending edges). Rows with a null group belong to no
-    group and get a null bin.
+    group and get a null bin, as do rows of a group without edges (all
+    its values null).
 
     Same cost model as :func:`quantile_filter`: histogram scan + tiny
-    shuffle for the edges, broadcast dict, stateless vectorised assign.
+    shuffle for the edges, broadcast edge table, stateless vectorised
+    assign.
     """
     import ray
 
@@ -397,24 +409,20 @@ def quantile_bins(ds, group_col: str, value_col: str, qs: list[float],
     route = group_quantiles_continuous if is_float else group_quantiles
     edtype = np.float64 if is_float else np.int64
     edges_tbl = route(ds, group_col, value_col, qs).to_pandas()
-    edges = {g: np.array([row[f"q{j}"] for j in range(len(qs))],
-                         dtype=edtype)
-             for g, row in edges_tbl.set_index("group").iterrows()}
-    edges_ref = ray.put(edges)
+    # a last all-zero row for the rows outside every group (masked)
+    edges_ref = ray.put((pa.array(edges_tbl["group"], pa.string()),
+                         np.vstack([edges_tbl[[f"q{j}" for j in range(
+                             len(qs))]].to_numpy(edtype),
+                             np.zeros((1, len(qs)), edtype)])))
 
     def assign(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-        ed = ray.get(edges_ref)
-        groups = batch[group_col].to_pylist()
+        names, edges = ray.get(edges_ref)
         vals = np.asarray(batch[value_col].to_numpy(zero_copy_only=False),
                           edtype)
-        out = np.zeros(len(vals), np.int64)
-        df = pd.DataFrame({"g": groups, "i": np.arange(len(vals))})
-        for gname, sub in df.groupby("g", sort=False):  # drops null keys
-            idx = sub["i"].to_numpy()
-            out[idx] = np.searchsorted(ed[gname], vals[idx], side="left")
-        null = batch[group_col].is_null().to_numpy(zero_copy_only=False)
-        return batch.append_column(out_col,
-                                   pa.array(out, pa.int64(), mask=null))
+        at = _group_index(batch[group_col], names)
+        # searchsorted(side="left") on ascending edges: the edges below v
+        out = (edges[at] < vals[:, None]).sum(axis=1)
+        return batch.append_column(out_col, pa.array(out, pa.int64(),
+                                                     mask=at < 0))
 
     return ds.map_batches(assign, batch_format="pyarrow")

@@ -35,7 +35,7 @@ def _partial(batch: pa.Table, source_col: str, text_col: str,
              lang_col: str) -> pa.Table:
     """One row per batch-local (source, lang, hash): c, nt, nc sums."""
     import pyarrow.compute as pc
-    hs = stable64_many(batch[text_col].to_pylist())
+    hs = stable64_many(batch[text_col])
     df = pd.DataFrame({
         "__s": batch[source_col].to_pylist(),
         "__l": batch[lang_col].to_pylist(),

@@ -264,7 +264,7 @@ def write_postings(ds, path: str, id_col: str = "doc_id",
     post = build_postings(ds, id_col=id_col, text_col=text_col)
 
     def bucket(b: pa.Table) -> pa.Table:
-        h = stable64_many(b["term"].to_pylist())
+        h = stable64_many(b["term"])
         return b.append_column(
             "__b", pa.array((h % np.uint64(num_buckets))
                             .astype(np.int64)))

@@ -11,8 +11,9 @@ counts.
 Execution shape (no window strings are ever built):
 
 1. one ``map_batches`` pass hashes each token once
-   (:func:`pyrosm_ray.stages.hashing.stable64_many` — factorize+memo,
-   one md5 per unique word) and derives each window's 128-bit
+   (:func:`pyrosm_ray.stages.hashing.word_hashes`: one md5 per
+   distinct word, read from the Arrow buffers) and derives each
+   window's 128-bit
    fingerprint as two independent linear combinations of the token
    hashes (``Σ c_i·tokh[p+i] mod 2^64`` with per-position odd
    constants; vectorised as W shifted multiply-adds over the flat token
@@ -43,7 +44,7 @@ import pyarrow as pa
 
 from pyrosm_ray.stages.blocks import fold, keyed_sum_fold
 from pyrosm_ray.stages.hashing import (_addmod_sql, _mulmod_sql, hash64,
-                                       stable64_many)
+                                       word_hashes)
 
 def _window_constants(window: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic per-position odd multipliers for the two
@@ -58,18 +59,12 @@ def _window_fingerprints(texts, window: int,
                          c_lo: np.ndarray, c_hi: np.ndarray):
     """Flat (doc_row, fp_lo, fp_hi) for every window position across the
     batch — one vectorised pass, doc boundaries masked."""
-    words_all: list[str] = []
-    counts = np.empty(len(texts), dtype=np.int64)
-    for i, t in enumerate(texts):
-        ws = (t or "").lower().split()
-        words_all.extend(ws)
-        counts[i] = len(ws)
-    total = len(words_all)
+    tokh, counts = word_hashes(texts)
+    total = len(tokh)
     if total < window:
         e = np.empty(0, np.int64)
         return e, e.view(np.uint64), e.view(np.uint64)
-    tokh = stable64_many(words_all)
-    doc_row = np.repeat(np.arange(len(texts)), counts)
+    doc_row = np.repeat(np.arange(len(counts)), counts)
     n_pos = total - window + 1
     lo = np.zeros(n_pos, dtype=np.uint64)
     hi = np.zeros(n_pos, dtype=np.uint64)
@@ -94,10 +89,10 @@ def dup_span_stats(ds, window: int = 8, id_col: str = "doc_id",
     c_lo, c_hi = _window_constants(window)
 
     def explode(batch: pa.Table) -> pa.Table:
-        texts = batch[text_col].to_pylist()
         ids = np.asarray(batch[id_col].to_numpy(zero_copy_only=False),
                          np.int64)
-        row, lo, hi = _window_fingerprints(texts, window, c_lo, c_hi)
+        row, lo, hi = _window_fingerprints(batch[text_col], window, c_lo,
+                                           c_hi)
         if not len(row):
             return pa.table({"__h1": pa.array([], pa.int64()),
                              "__h2": pa.array([], pa.int64()),

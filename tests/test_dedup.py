@@ -13,8 +13,9 @@ import ray.data as rd
 from pyrosm_ray.stages import blocks, dedup
 from pyrosm_ray.stages.components import attach_components, \
     connected_components
-from pyrosm_ray.stages.hashing import hash64, hash64_sql, \
-    hash64_sql_dynamic, stable64, to_int64, to_int64_sql
+from pyrosm_ray.stages.hashing import combine3, hash64, hash64_sql, \
+    hash64_sql_dynamic, md5_halves, stable64, stable64_many, \
+    stable128_many, to_int64, to_int64_sql
 
 
 # ---------------------------------------------------------------------------
@@ -27,6 +28,38 @@ def test_stable64_is_md5_number_lower():
     for s in ["", "abc", "hello world", "Paäge"]:
         assert stable64(s) == con.execute(
             "SELECT md5_number_lower(?)", [s]).fetchone()[0]
+
+
+def test_md5_halves_matches_stable64_and_duckdb():
+    """``md5_halves`` reads each value's md5 off the Arrow buffers:
+    ``hi`` equals ``stable64`` and DuckDB ``md5_number_lower``, ``lo``
+    the digest's first 8 bytes, for plain, sliced, chunked and
+    ``large_string`` columns; the wrappers agree, and a null hashes as
+    no string (it used to take the batch's last distinct string's
+    hash)."""
+    import hashlib
+
+    import duckdb
+    con = duckdb.connect()
+    texts = [t for t in _EDGE_TEXTS if t is not None] + ["a", "a", "é"]
+    want_hi = [con.execute("SELECT md5_number_lower(?)", [t]).fetchone()[0]
+               for t in texts]
+    want_lo = [int.from_bytes(hashlib.md5(t.encode()).digest()[:8],
+                              "little") for t in texts]
+    assert want_hi == [stable64(t) for t in texts]
+    for name, col in _edge_columns(texts):
+        lo, hi = md5_halves(col)
+        assert lo.tolist() == want_lo and hi.tolist() == want_hi, name
+        assert stable64_many(col).tolist() == want_hi, name
+        assert stable128_many(col)[0].tolist() == want_lo, name
+    withnull = pa.array(["x", None, "y", None], pa.string())
+    for lo, hi in (md5_halves(withnull), stable128_many(withnull),
+                   stable128_many(["x", None, "y", None])):
+        assert hi.tolist() == [stable64("x"), 0, stable64("y"), 0]
+        assert lo[[1, 3]].tolist() == [0, 0]
+    assert stable64_many([None, "y"]).tolist() == [0, stable64("y")]
+    assert len(md5_halves(pa.array([], pa.string()))[0]) == 0
+    assert stable64_many([]).tolist() == []
 
 
 def test_hash64_sql_parity():
@@ -368,7 +401,64 @@ def test_jaccard_csr_kernel():
 _EDGE_TEXTS = [None, "", "one", "two words", "a b c a b c a b c a b c",
                "the the the the the",
                "Straße café ÜBER naïve 東京 東京 東京 東京",
-               "  spaced\tout \n words  here  "]
+               "  spaced\tout \n words  here  ",
+               # U+0130 and final sigma: str.lower and utf8_lower differ
+               "İstanbul DİYARBAKIR İ", "ΣΑΣ ΟΔΟΣ ΣΑΣ", "OΣ σς",
+               # str.split() whitespace beyond ASCII; U+200B is not
+               "a\x1cb\x1dc\x1ed\x1fe", "nl\x85nb\xa0ls\u2028id\u3000sp",
+               "zero\u200bwidth joins",
+               "  leading words here", "trailing words here \t", " \t\n ",
+               "\u3000\u2028\x85", "x y", " x "]
+
+
+def _reference_shingle_hashes(texts, k: int = 3):
+    """The parity reference: the word kernel as a Python loop over
+    ``str.lower().split()`` with one md5 per word."""
+    words_all, counts = [], []
+    for text in texts:
+        words = (text or "").lower().split()
+        words += [""] * (k - len(words))
+        words_all.extend(words)
+        counts.append(len(words))
+    h = np.array([stable64(w) for w in words_all], np.uint64)
+    sh, start = [], 0
+    for c in counts:
+        w = h[start:start + c]
+        sh.append(combine3(w[:-2], w[1:-1], w[2:]))
+        start += c
+    soff = np.zeros(len(counts) + 1, np.int64)
+    np.cumsum([len(x) for x in sh], out=soff[1:])
+    return np.concatenate(sh), soff
+
+
+def _edge_columns(texts):
+    """(name, the same texts as a plain, sliced, chunked or
+    ``large_string`` column, or as a list)."""
+    pad = ["pad  one", None]
+    return [
+        ("plain", pa.array(texts, pa.string())),
+        ("sliced", pa.array(pad + texts + pad, pa.string())
+         .slice(len(pad), len(texts))),
+        ("chunked", pa.chunked_array([pa.array(texts[:5], pa.string()),
+                                      pa.array([], pa.string()),
+                                      pa.array(texts[5:], pa.string())])),
+        ("large_string", pa.array(texts, pa.large_string())),
+        ("list", texts),
+    ]
+
+
+def test_word_shingle_hashes_match_python_reference():
+    """The Arrow word kernel equals the Python-loop reference on the
+    edge set (Unicode case and whitespace, short and empty texts,
+    nulls) in every column form, and on a random corpus."""
+    corpus = _word_corpus(300)
+    for texts, cols in ((_EDGE_TEXTS, _edge_columns(_EDGE_TEXTS)),
+                        (corpus, [("corpus", pa.array(corpus))])):
+        want_flat, want_off = _reference_shingle_hashes(texts)
+        for name, col in cols:
+            flat, off = dedup._word_shingle_hashes(col, 3)
+            assert np.array_equal(off, want_off), name
+            assert np.array_equal(flat, want_flat), name
 
 
 def _word_corpus(n: int) -> list[str]:
@@ -392,8 +482,8 @@ def test_minhash_sig_bytes_pinned():
     import hashlib
 
     for texts, digest in (
-            (_EDGE_TEXTS, "18ad0ae0d9b30703cf59fceb6da0715b"
-                          "24ac4425aab30e6e5be276614678319a"),
+            (_EDGE_TEXTS, "d997f1812e9ea235f3f2fd129babd35f"
+                          "dd19f53eb59bbc6722290dc94bd935df"),
             (_word_corpus(5000), "33f9bbf75718a06923d5ea191c96ce88"
                                  "8c40400d2f18901212de2e97bf175f2f")):
         out = _sig_table(texts)
@@ -946,6 +1036,37 @@ def test_snapshot_diff_statuses(ray_session):
     finally:
         blocks.KEYED_FOLD_DRIVER_MAX = orig
     assert list(dist.status) == list(out.status)
+
+
+@pytest.mark.parametrize("driver_max", [None, 0])
+def test_snapshot_diff_null_text_is_changed(ray_session, monkeypatch,
+                                            driver_max):
+    """A null text equals no text, as in the DuckDB twin: an id with a
+    null text on either side (or both) reads "changed". It used to read
+    "same" when the null took the batch's last distinct string's
+    hash."""
+    import duckdb
+
+    from pyrosm_ray.stages.dedup import snapshot_diff, snapshot_diff_sql
+
+    if driver_max is not None:
+        monkeypatch.setattr(blocks, "KEYED_FOLD_DRIVER_MAX", driver_max)
+    old = pa.table({"doc_id": pa.array([1, 2, 3, 4, 5], pa.int64()),
+                    "text": pa.array(["x", None, "x", None, "y"])})
+    new = pa.table({"doc_id": pa.array([1, 2, 3, 4, 6], pa.int64()),
+                    "text": pa.array(["x", "x", None, None, None])})
+    out = snapshot_diff(rd.from_arrow(old), rd.from_arrow(new)) \
+        .to_pandas().sort_values("doc_id")
+    con = duckdb.connect()
+    con.register("o_t", old)
+    con.register("n_t", new)
+    want = con.execute(snapshot_diff_sql(
+        "SELECT doc_id, text FROM o_t",
+        "SELECT doc_id, text FROM n_t")).fetchdf()
+    assert list(want.status) == ["same", "changed", "changed", "changed",
+                                 "removed", "added"]
+    assert list(out.doc_id) == list(want.doc_id)
+    assert list(out.status) == list(want.status)
 
 
 def test_snapshot_diff_executes_each_upstream_once(ray_session):

@@ -380,3 +380,54 @@ def test_group_quantiles_executes_upstream_once(ray_session, monkeypatch,
         got = dict(zip(*out.to_pandas()[["group", "q0"]].T.values))
         assert got == {"a": 27, "b": 28, "c": 29}
     assert ray.get(c.get.remote()) == 8
+
+
+@pytest.mark.parametrize("values", [
+    pa.array([5, 1, 9, 3, 7], pa.int64()),
+    pa.array([5.5, 1.5, 9.5, 3.5, 7.5], pa.float64())])
+def test_quantile_filter_and_bins_one_group_and_null_groups(ray_session,
+                                                            values):
+    """The broadcast threshold lookup (each row's group by dictionary
+    code) on one real group next to null groups: the group's rows are
+    filtered and binned against its own quantile, null-group rows are
+    dropped by the filter and get a null bin."""
+    t = pa.table({"g": pa.array([None, "en", "en", None, "en"]),
+                  "v": values})
+    kept = Q.quantile_filter(rd.from_arrow(t), "g", "v", 0.5).to_pandas()
+    v = values.to_pylist()
+    assert sorted(kept["v"]) == sorted([v[2], v[4]])  # median v[4]
+    out = pa.concat_tables(Q.quantile_bins(
+        rd.from_arrow(t), "g", "v", [0.5]).iter_batches(
+        batch_format="pyarrow"))
+    got = sorted(zip(out["v"].to_pylist(), out["bin"].to_pylist()),
+                 key=repr)
+    assert got == sorted([(v[0], None), (v[1], 0), (v[2], 1),
+                          (v[3], None), (v[4], 0)], key=repr)
+
+
+def test_quantile_bins_group_without_edges(ray_session):
+    """A group whose values are all null has no quantile, so its rows
+    get a null bin like a null group's (they used to raise KeyError)."""
+    t = pa.table({"g": pa.array(["en", "fi", "en", None]),
+                  "v": pa.array([1, None, 3, 2], pa.int64())})
+    out = pa.concat_tables(Q.quantile_bins(
+        rd.from_arrow(t), "g", "v", [0.5]).iter_batches(
+        batch_format="pyarrow"))
+    got = sorted(zip(out["g"].to_pylist(), out["bin"].to_pylist()),
+                 key=repr)
+    assert got == sorted([("en", 0), ("en", 1), ("fi", None),
+                          (None, None)], key=repr)
+
+
+def test_quantile_filter_and_bins_integer_groups(ray_session):
+    """An integer group column finds its thresholds, which the quantile
+    table keys by the group's string form (the filter used to keep no
+    row and the bins to raise)."""
+    t = pa.table({"g": pa.array([1, 1, 2, 2, 2], pa.int64()),
+                  "v": pa.array([1, 5, 2, 4, 9], pa.int64())})
+    kept = Q.quantile_filter(rd.from_arrow(t), "g", "v", 0.5).to_pandas()
+    assert sorted(zip(kept["g"], kept["v"])) == [(1, 1), (1, 5), (2, 4),
+                                                (2, 9)]
+    out = Q.quantile_bins(rd.from_arrow(t), "g", "v", [0.5]).to_pandas()
+    assert sorted(zip(out["v"], out["bin"])) == [(1, 0), (2, 0), (4, 0),
+                                                 (5, 1), (9, 1)]
