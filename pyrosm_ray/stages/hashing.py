@@ -15,9 +15,8 @@ primitives, each with a bit-identical SQL rendering:
   a 128-bit HUGEINT).
 
 :func:`md5_halves` computes the md5 of every value of an Arrow string
-array straight from its buffers; :func:`stable64_many` and
-:func:`stable128_many` wrap it for inputs with repeats (one digest per
-distinct value).
+array straight from its buffers; :func:`stable64_many` wraps it for
+inputs with repeats (one digest per distinct value).
 
 Python's builtin ``hash()`` is salted per process and DuckDB's ``hash()``
 is version-dependent; these two are the process- and engine-stable
@@ -81,27 +80,15 @@ def md5_halves(arr) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def stable128_many(strings) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`md5_halves` of an Arrow array or a sequence of strings,
-    for inputs with repeats: one digest per distinct value (a
-    ``dictionary_encode``), taken back by dictionary code. ``(lo, hi)``
-    is a 128-bit content key whose collision probability is negligible
-    at any corpus size (birthday bound ~2^-64 even at 10^12 distinct
-    strings). A null is ``(0, 0)``."""
-    enc = pc.dictionary_encode(_flat(strings))
-    lo, hi = md5_halves(enc.dictionary)
-    # a null's code points past the dictionary, at a (0, 0) slot
-    codes = np.asarray(pc.fill_null(enc.indices, len(enc.dictionary)))
-    zero = np.zeros(1, np.uint64)
-    return np.concatenate([lo, zero])[codes], \
-        np.concatenate([hi, zero])[codes]
-
-
 def stable64_many(strings) -> np.ndarray:
-    """Vectorised :func:`stable64` (the ``hi`` half of
-    :func:`stable128_many`; a null is 0), bit-identical to DuckDB
-    ``md5_number_lower`` (the oracle contract)."""
-    return stable128_many(strings)[1]
+    """Vectorised :func:`stable64` of an Arrow array or a sequence of
+    strings, bit-identical to DuckDB ``md5_number_lower`` (the oracle
+    contract): one digest per distinct value (a ``dictionary_encode``),
+    taken back by dictionary code. A null is 0."""
+    enc = pc.dictionary_encode(_flat(strings))
+    # a null's code points past the dictionary, at a 0 slot
+    codes = np.asarray(pc.fill_null(enc.indices, len(enc.dictionary)))
+    return np.append(md5_halves(enc.dictionary)[1], np.uint64(0))[codes]
 
 
 def word_hashes(texts) -> tuple[np.ndarray, np.ndarray]:
@@ -109,23 +96,20 @@ def word_hashes(texts) -> tuple[np.ndarray, np.ndarray]:
     column (or a sequence of strings), in order, and each text's word
     count. The words are ``text.lower().split()``; a null text has none.
     ``utf8_split_whitespace`` splits as ``str.split()`` does (minus its
-    zero-length tokens); the DISTINCT words are lowercased
-    (``ascii_lower``, or ``str.lower`` if any is non-ASCII: ``utf8_lower``
-    differs on U+0130 and a final sigma, and no whitespace carries a
-    final-sigma context) and md5-hashed once each, by dictionary code."""
+    zero-length tokens); the DISTINCT words are lowercased with
+    ``str.lower`` (``utf8_lower`` differs on U+0130 and a final sigma, and
+    no whitespace carries a final-sigma context) and md5-hashed once
+    each, by dictionary code."""
     col = _flat(texts)
     tokens = pc.utf8_split_whitespace(col)
     words = tokens.flatten()
     parent = pc.list_parent_indices(tokens)
-    if len(words) and pc.min(pc.binary_length(words)).as_py() == 0:
-        real = pc.greater(pc.binary_length(words), 0)
-        words, parent = words.filter(real), parent.filter(real)
+    real = pc.greater(pc.binary_length(words), 0)
+    words, parent = words.filter(real), parent.filter(real)
     counts = np.bincount(np.asarray(parent, np.int64), minlength=len(col))
     enc = pc.dictionary_encode(words)
-    raw = enc.dictionary
-    lower = pc.ascii_lower(raw) \
-        if pc.all(pc.string_is_ascii(raw), min_count=0).as_py() \
-        else pa.array([w.lower() for w in raw.to_pylist()], pa.string())
+    lower = pa.array([w.lower() for w in enc.dictionary.to_pylist()],
+                     pa.string())
     return md5_halves(lower)[1][np.asarray(enc.indices)], counts
 
 

@@ -14,8 +14,8 @@ from pyrosm_ray.stages import blocks, dedup
 from pyrosm_ray.stages.components import attach_components, \
     connected_components
 from pyrosm_ray.stages.hashing import combine3, hash64, hash64_sql, \
-    hash64_sql_dynamic, md5_halves, stable64, stable64_many, \
-    stable128_many, to_int64, to_int64_sql
+    hash64_sql_dynamic, md5_halves, stable64, stable64_many, to_int64, \
+    to_int64_sql
 
 
 # ---------------------------------------------------------------------------
@@ -34,8 +34,8 @@ def test_md5_halves_matches_stable64_and_duckdb():
     """``md5_halves`` reads each value's md5 off the Arrow buffers:
     ``hi`` equals ``stable64`` and DuckDB ``md5_number_lower``, ``lo``
     the digest's first 8 bytes, for plain, sliced, chunked and
-    ``large_string`` columns; the wrappers agree, and a null hashes as
-    no string (it used to take the batch's last distinct string's
+    ``large_string`` columns; ``stable64_many`` agrees, and a null
+    hashes as no string (it used to take the batch's last distinct string's
     hash)."""
     import hashlib
 
@@ -51,12 +51,12 @@ def test_md5_halves_matches_stable64_and_duckdb():
         lo, hi = md5_halves(col)
         assert lo.tolist() == want_lo and hi.tolist() == want_hi, name
         assert stable64_many(col).tolist() == want_hi, name
-        assert stable128_many(col)[0].tolist() == want_lo, name
     withnull = pa.array(["x", None, "y", None], pa.string())
-    for lo, hi in (md5_halves(withnull), stable128_many(withnull),
-                   stable128_many(["x", None, "y", None])):
-        assert hi.tolist() == [stable64("x"), 0, stable64("y"), 0]
-        assert lo[[1, 3]].tolist() == [0, 0]
+    lo, hi = md5_halves(withnull)
+    assert hi.tolist() == [stable64("x"), 0, stable64("y"), 0]
+    assert lo[[1, 3]].tolist() == [0, 0]
+    for h in (stable64_many(withnull), stable64_many(withnull.to_pylist())):
+        assert h.tolist() == [stable64("x"), 0, stable64("y"), 0]
     assert stable64_many([None, "y"]).tolist() == [0, stable64("y")]
     assert len(md5_halves(pa.array([], pa.string()))[0]) == 0
     assert stable64_many([]).tolist() == []
